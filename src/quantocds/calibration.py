@@ -99,6 +99,9 @@ class CalibrationResult:
         return max(abs(v) for v in self.residuals_bp.values())
 
 
+_USD_MEMO_SIZE = 8
+
+
 class _SpreadModel:
     """Model par spreads for one snapshot at the calibration grid."""
 
@@ -111,14 +114,24 @@ class _SpreadModel:
         self.contract_10 = CdsContract(tenor=t10, recovery=cfg.recovery)
         self.tenor_grid = self.contract_10.payment_times()
         self.n_t = max(1, int(round(cfg.n_t_per_year * t10)))
+        # the joint stage's rho and gamma Jacobian columns leave the USD
+        # curve unchanged; the last few curves are kept, not re-marched
+        self._usd_memo: dict[tuple[float, float, float], SurvivalCurve] = {}
 
     def usd_curve(self, b: float, y0: float, sigma_y: float) -> SurvivalCurve:
-        h = HazardParams(a=self.cfg.a_fixed, b=b, sigma_y=sigma_y, y0=y0)
-        p = pde.survival_curve_1f(
-            h, self.tenor_grid, n_y=self.cfg.n_y, n_t=self.n_t,
-            width_sigmas=self.cfg.width_sigmas,
-        )
-        return SurvivalCurve(self.tenor_grid, p)
+        key = (b, y0, sigma_y)
+        curve = self._usd_memo.get(key)
+        if curve is None:
+            h = HazardParams(a=self.cfg.a_fixed, b=b, sigma_y=sigma_y, y0=y0)
+            p = pde.survival_curve_1f(
+                h, self.tenor_grid, n_y=self.cfg.n_y, n_t=self.n_t,
+                width_sigmas=self.cfg.width_sigmas,
+            )
+            curve = SurvivalCurve(self.tenor_grid, p)
+            if len(self._usd_memo) >= _USD_MEMO_SIZE:
+                del self._usd_memo[next(iter(self._usd_memo))]
+            self._usd_memo[key] = curve
+        return curve
 
     def eur_curve(self, b: float, y0: float, sigma_y: float,
                   rho: float, gamma: float) -> SurvivalCurve:

@@ -20,17 +20,26 @@ w solves the killed equation with intensity scale (1 + gamma) and the
 y-drift tilted by rho sigma_y sigma_z.  The reduction doubles as a
 high-precision cross-check of the ADI engine and as the fast path for
 calibration.
+
+Both engines share one tridiagonal layer, ``_Tridiag``: LAPACK ``dgttrf``
+factors I - theta*dt*A once per theta*dt, and every time step is one
+``dgttrs`` call.  The ADI x-sweep solves all y rows as one block-diagonal
+system; the y-sweep, whose matrix all x columns share, is one multi-column
+``solve_banded`` call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .curves import SurvivalCurve
 from .model import HazardParams, QuantoFxParams, RatePair
@@ -157,27 +166,40 @@ def _x_axis(h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float,
     return np.linspace(x0 - half, x0 + half, n_x), n_x // 2
 
 
-def _time_grid(T: float, n_t: int, snapshot_tenors) -> tuple[float, int, dict[int, float]]:
+@functools.lru_cache(maxsize=128)
+def _time_grid(T: float, n_t: int, snapshot_tenors: tuple[float, ...]
+               ) -> tuple[float, int, Mapping[int, float]]:
     """Uniform step size such that every snapshot tenor falls on a node.
 
-    Returns (dt, total steps, {node index -> tenor}).
+    Returns (dt, total steps, read-only {node index -> tenor}); results are
+    memoised, since every march of a calibration asks for the same grid.
+    Raises ValueError for a tenor that rounds to zero or for tenors whose
+    common step needs more than 10 * n_t steps.
     """
     if not snapshot_tenors:
         dt = T / n_t
-        return dt, n_t, {}
+        return dt, n_t, MappingProxyType({})
     tenors = sorted(float(t) for t in snapshot_tenors)
     if tenors[0] <= 0 or tenors[-1] > T * (1 + 1e-12):
         raise ValueError("snapshot tenors must lie in (0, T]")
     fracs = [Fraction(t).limit_denominator(10**6) for t in tenors + [T]]
+    if fracs[0] == 0:
+        raise ValueError(f"snapshot tenor {tenors[0]:g} rounds to zero on the 1e-6 time grid")
     g = fracs[0]
     for f in fracs[1:]:
         g = Fraction(math.gcd(g.numerator, f.numerator), math.lcm(g.denominator, f.denominator))
     per_seg = max(1, math.ceil(n_t * float(g) / T))
     dt_frac = g / per_seg
     total = int(fracs[-1] / dt_frac)
+    if total > 10 * n_t:
+        shown = ", ".join(f"{t:g}" for t in tenors)
+        raise ValueError(
+            f"snapshot tenors [{shown}] share a step of {float(g):.3g} y and would "
+            f"need {total} time steps, more than 10 x n_t = {10 * n_t}"
+        )
     snap = {total - int(Fraction(f_t / dt_frac)): t
             for f_t, t in zip(fracs[:-1], tenors)}
-    return float(dt_frac), total, snap
+    return float(dt_frac), total, MappingProxyType(snap)
 
 
 def build_grid(
@@ -187,45 +209,40 @@ def build_grid(
     T: float,
     cfg: SolverConfig,
     snapshot_tenors=None,
-) -> tuple[Grid2D, dict[int, float]]:
+) -> tuple[Grid2D, Mapping[int, float]]:
     if not T > 0:
         raise ValueError(f"horizon must be > 0, got {T}")
     x, ix0 = _x_axis(h, fx, rates, T, cfg.n_x, cfg.width_sigmas)
     y, iy0 = _y_axis(h, T, cfg.n_y, cfg.width_sigmas)
-    dt, n_t, snap = _time_grid(T, cfg.n_t, snapshot_tenors)
+    dt, n_t, snap = _time_grid(T, cfg.n_t, tuple(snapshot_tenors or ()))
     t_nodes = dt * np.arange(n_t + 1)
     return Grid2D(x, y, t_nodes, ix0, iy0), snap
 
 
-class _TridiagBatch:
-    """Prefactored Thomas solver for k independent tridiagonal systems.
+class _Tridiag:
+    """LAPACK LU factors of I - theta_dt * A for a tridiagonal operator A.
 
-    Diagonals have shape (k, n); lo[:, 0] and up[:, -1] are ignored.  The
-    forward-elimination coefficients are computed once and reused for every
-    right-hand side, which is what makes the time loop cheap.
+    ``lo``, ``di``, ``up`` are A's sub-, main and super-diagonals, shape (n,)
+    or (k, n); k rows are solved as one block-diagonal system of size k*n
+    with zero couplings at the row seams (``lo[..., 0]`` and ``up[..., -1]``
+    are ignored).  ``dgttrf`` factors once with the partial pivoting of
+    LAPACK ``gtsv``; each solve is one ``dgttrs`` call.
     """
 
-    def __init__(self, lo: np.ndarray, di: np.ndarray, up: np.ndarray):
-        k, n = di.shape
-        self.lo = lo
-        self.cp = np.empty((k, n))
-        self.inv = np.empty((k, n))
-        self.inv[:, 0] = 1.0 / di[:, 0]
-        self.cp[:, 0] = up[:, 0] * self.inv[:, 0]
-        for i in range(1, n):
-            self.inv[:, i] = 1.0 / (di[:, i] - lo[:, i] * self.cp[:, i - 1])
-            if i < n - 1:
-                self.cp[:, i] = up[:, i] * self.inv[:, i]
+    def __init__(self, lo: np.ndarray, di: np.ndarray, up: np.ndarray,
+                 theta_dt: float, sweep: str):
+        dl, du = -theta_dt * lo, -theta_dt * up
+        dl[..., 0] = du[..., -1] = 0.0
+        self.shape = di.shape
+        *self.lu, info = dgttrf(dl.ravel()[1:], 1.0 - theta_dt * di.ravel(), du.ravel()[:-1])
+        if info != 0:
+            raise PdeInstabilityError(
+                f"{sweep}: I - theta*dt*A is singular at theta*dt = {theta_dt:.6g} "
+                f"(zero pivot at unknown {info} of {di.size})"
+            )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = rhs.shape[1]
-        x = np.empty_like(rhs)
-        x[:, 0] = rhs[:, 0] * self.inv[:, 0]
-        for i in range(1, n):
-            x[:, i] = (rhs[:, i] - self.lo[:, i] * x[:, i - 1]) * self.inv[:, i]
-        for i in range(n - 2, -1, -1):
-            x[:, i] -= self.cp[:, i] * x[:, i + 1]
-        return x
+        return dgttrs(*self.lu, rhs.ravel())[0].reshape(self.shape)
 
 
 class _Ops2D:
@@ -233,8 +250,9 @@ class _Ops2D:
 
     Arrays are laid out (n_y, n_x): the x-direction systems vary by y row
     (the jump compensator makes their convection y-dependent) and are
-    solved with the batched Thomas solver; the y-direction system is shared
-    by all x columns and goes through a single banded solve.
+    solved as one block-diagonal LAPACK system over all rows; the
+    y-direction system is shared by all x columns and goes through a
+    single multi-column banded solve.
 
     Boundary conditions: zero second derivative in x at both ends (the
     payoff is asymptotically linear in z), zero first derivative in y.
@@ -283,7 +301,7 @@ class _Ops2D:
         self.f2_diags = (lo2, di2, up2)
 
         self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y
-        self._solve1: dict[float, _TridiagBatch] = {}
+        self._solve1: dict[float, _Tridiag] = {}
         self._solve2: dict[float, np.ndarray] = {}
 
     def f1(self, v: np.ndarray) -> np.ndarray:
@@ -309,12 +327,11 @@ class _Ops2D:
         )
         return self.mixed_coef * out
 
-    def solver1(self, theta_dt: float) -> _TridiagBatch:
+    def solver1(self, theta_dt: float) -> _Tridiag:
         if theta_dt not in self._solve1:
-            lo, di, up = self.f1_diags
-            self._solve1[theta_dt] = _TridiagBatch(
-                -theta_dt * lo, 1.0 - theta_dt * di, -theta_dt * up
-            )
+            ny, nx = self.f1_diags[1].shape
+            self._solve1[theta_dt] = _Tridiag(*self.f1_diags, theta_dt,
+                                              f"ADI x-sweep on the {nx} x {ny} grid")
         return self._solve1[theta_dt]
 
     def solve2(self, theta_dt: float, rhs: np.ndarray) -> np.ndarray:
@@ -335,7 +352,7 @@ def _adi_march(
     dt: float,
     n_t: int,
     cfg: SolverConfig,
-    snap: dict[int, float],
+    snap: Mapping[int, float],
     spot: tuple[int, int],
     source: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[float, float]]:
@@ -467,7 +484,7 @@ def _march_1f(
     drift_shift: float,
     kill_scale: float,
     r_kill: float,
-    snap: dict[int, float],
+    snap: Mapping[int, float],
     iy0: int,
 ) -> tuple[np.ndarray, dict[float, float]]:
     """Crank-Nicolson/Rannacher march of the killed one-factor equation.
@@ -498,24 +515,16 @@ def _march_1f(
         out[:-1] += up[:-1] * w[1:]
         return out
 
-    ab_cache: dict[float, np.ndarray] = {}
-
-    def implicit_solve(theta_dt, rhs):
-        if theta_dt not in ab_cache:
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -theta_dt * up[:-1]
-            ab[1, :] = 1.0 - theta_dt * di
-            ab[2, :-1] = -theta_dt * lo[1:]
-            ab_cache[theta_dt] = ab
-        return solve_banded((1, 1), ab_cache[theta_dt], rhs)
-
     w = np.ones(n)
     snapshots: dict[float, float] = {}
+    solvers: dict[float, _Tridiag] = {}
     for step in range(n_t):
         k_next = n_t - 1 - step
         theta = 1.0 if step < cfg.rannacher_steps else cfg.theta
-        rhs = w + (1.0 - theta) * dt * apply_op(w)
-        w = implicit_solve(theta * dt, rhs)
+        if theta not in solvers:
+            solvers[theta] = _Tridiag(lo, di, up, theta * dt, f"one-factor march on {n} nodes")
+        # a fully implicit step has no explicit half
+        w = solvers[theta].solve(w if theta == 1.0 else w + (1.0 - theta) * dt * apply_op(w))
         if k_next in snap:
             snapshots[snap[k_next]] = float(w[iy0])
     if not np.all(np.isfinite(w)):
@@ -541,7 +550,7 @@ def survival_curve_1f(
     T = tenors[-1]
     cfg = SolverConfig(n_x=3, n_y=n_y, n_t=n_t, width_sigmas=width_sigmas)
     y, iy0 = _y_axis(h, T, n_y, width_sigmas, drift_shift)
-    dt, n_total, snap = _time_grid(T, n_t, tenors)
+    dt, n_total, snap = _time_grid(T, n_t, tuple(tenors))
     _, snapshots = _march_1f(
         h, y, dt, n_total, cfg,
         drift_shift=drift_shift, kill_scale=kill_scale, r_kill=0.0, snap=snap, iy0=iy0,

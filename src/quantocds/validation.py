@@ -157,8 +157,11 @@ def deviation_sweep(
 
     Survivals come from the exact one-factor reduction; at tenor 1 the
     signal is a fraction of a percent of a percent-sized default leg, which
-    the two-factor grid cannot resolve but the reduction can.
+    the two-factor grid cannot resolve but the reduction can.  The
+    tabulated reference belongs to the low-hazard sweep, so it is attached
+    only when ``h`` is ``SWEEP_HAZARD_LOW``.
     """
+    with_reference = with_reference and h == SWEEP_HAZARD_LOW
     tenors = sorted(tenors)
     n_t = max(50, int(n_t_per_year * tenors[-1]))
     cells: list[DeviationCell] = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quantocds import calibration, pde
 from quantocds.calibration import (
     CalibrationConfig,
     CalibrationError,
@@ -137,6 +138,36 @@ class TestQuantoCalibration:
         cfg = CalibrationConfig(max_iterations=8)
         res = calibrate_quanto(snap, (-100.0, -4.6), 0.5, cfg)
         assert not res.converged
+
+    def test_no_usd_curve_marched_twice(self, monkeypatch):
+        cfg = CalibrationConfig(n_y=81, n_t_per_year=10)
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=cfg)
+        usd, eur = [], []
+        march = pde.survival_curve_1f
+
+        def counting(h, tenors, **kwargs):
+            # the quanto curve passes its drift tilt and intensity scale
+            (eur if "drift_shift" in kwargs else usd).append((h.b, h.y0, h.sigma_y))
+            return march(h, tenors, **kwargs)
+
+        monkeypatch.setattr(pde, "survival_curve_1f", counting)
+        calibrate_quanto(snap, (-115.0, -4.42), 0.5, cfg)
+        assert len(usd) == len(set(usd)) > 0
+        # the rho and gamma Jacobian columns re-march only the EUR curve
+        assert len(usd) < len(eur)
+
+    def test_warm_model_gives_equal_results(self, monkeypatch):
+        cfg = CalibrationConfig(n_y=81, n_t_per_year=10)
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=cfg)
+        fresh = calibrate_snapshot(snap, cfg)
+        shared = _SpreadModel(snap, cfg)
+        monkeypatch.setattr(calibration, "_SpreadModel", lambda snapshot, c: shared)
+        first = calibrate_snapshot(snap, cfg)
+        assert shared._usd_memo
+        warm = calibrate_snapshot(snap, cfg)
+        assert fresh == first == warm
 
     def test_ab_diagnostic(self):
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.0, gamma=0.0)

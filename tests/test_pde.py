@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quantocds.cds import CdsContract
 from quantocds.mc import SimConfig, survival_probability_mc
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
 from quantocds.pde import (
     Grid2D,
+    _Tridiag,
     PdeInstabilityError,
     SolverConfig,
     build_grid,
@@ -227,6 +230,68 @@ class TestSchemeQuality:
             solve_quanto_pde(h, fx, RATES0, 5.0, cfg)
 
 
+    def test_high_vol_adi_raises_domain_error(self):
+        # central-difference convection at e^y ~ 1e11 leaves a row of the
+        # x-sweep singular; the reduced engine still prices the case
+        h = HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.9)
+        rates = RatePair(0.05, 0.05)
+        with pytest.raises(PdeInstabilityError,
+                           match=r"x-sweep on the 101 x 101 grid.*theta\*dt = 0.0166667"):
+            solve_quanto_pde(h, fx, rates, 5.0, SolverConfig())
+        hat, p = quanto_survival_curve(h, fx, rates, [1.0, 5.0], SolverConfig(),
+                                       engine="reduced")
+        assert 0.0 < hat.probs[-1] < hat.probs[0] < 1.0
+
+
+def _dominant_rows(rng, shape):
+    """Diagonals of rows of strictly diagonally dominant tridiagonal systems."""
+    lo = rng.uniform(-1.0, 1.0, shape)
+    up = rng.uniform(-1.0, 1.0, shape)
+    sign = rng.choice([-1.0, 1.0], shape)
+    di = sign * (np.abs(lo) + np.abs(up) + rng.uniform(0.1, 2.0, shape))
+    return lo, di, up
+
+
+def _dense(lo, di, up):
+    return np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+
+
+class TestTridiag:
+    """The LAPACK layer solves I - theta_dt * A; with theta_dt = 1 and
+    A = I - M it solves M x = rhs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40), st.integers(0, 2**32 - 1))
+    def test_single_system_matches_dense_solve(self, n, seed):
+        rng = np.random.default_rng(seed)
+        lo, di, up = _dominant_rows(rng, n)
+        rhs = rng.standard_normal(n)
+        x = _Tridiag(-lo, 1.0 - di, -up, 1.0, "test").solve(rhs)
+        lo[0] = up[-1] = 0.0
+        assert np.allclose(x, np.linalg.solve(_dense(lo, di, up), rhs), rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(3, 15), st.integers(0, 2**32 - 1))
+    def test_row_blocks_have_zero_seams(self, k, n, seed):
+        # shaped like the ADI x-sweep: k rows of n unknowns; the entries at
+        # lo[:, 0] and up[:, -1] would couple neighbouring rows and must be
+        # ignored
+        rng = np.random.default_rng(seed)
+        lo, di, up = _dominant_rows(rng, (k, n))
+        rhs = rng.standard_normal((k, n))
+        x = _Tridiag(-lo, 1.0 - di, -up, 1.0, "test").solve(rhs)
+        assert x.shape == (k, n)
+        for j in range(k):
+            m = _dense(lo[j], di[j], up[j])
+            assert np.allclose(x[j], np.linalg.solve(m, rhs[j]), rtol=1e-10, atol=1e-12)
+
+    def test_singular_system_names_sweep(self):
+        zeros = np.zeros(4)
+        with pytest.raises(PdeInstabilityError, match=r"probe: .*theta\*dt = 0.5"):
+            _Tridiag(zeros, np.full(4, 2.0), zeros, 0.5, "probe")
+
+
 class TestGrid:
     def test_spot_on_node(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
@@ -241,6 +306,41 @@ class TestGrid:
         t = grid.t_nodes
         for k, tenor in snap.items():
             assert t[-1] - t[k] == pytest.approx(tenor, abs=1e-12)
+
+    def test_ragged_tenor_rejected_not_exploded(self):
+        # joined by an exact gcd these ask for 10,000,000 and 100,000 steps
+        with pytest.raises(ValueError, match=r"0\.123457, 10\].*10000000 time steps"):
+            survival_curve_1f(H_SWEEP, [0.123457, 10.0], n_y=41, n_t=300)
+
+    def test_near_ragged_tenor_rejected(self):
+        with pytest.raises(ValueError, match=r"0\.3333, 10\].*100000 time steps"):
+            survival_curve_1f(H_SWEEP, [0.3333, 10.0], n_y=41, n_t=300)
+
+    def test_tenor_rounding_to_zero_rejected(self):
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
+        for engine in ("reduced", "adi"):
+            with pytest.raises(ValueError, match="tenor 1e-07 rounds to zero"):
+                quanto_survival_curve(H_SWEEP, fx, RATES0, [1e-7, 1.0],
+                                      SolverConfig(n_x=21, n_y=21, n_t=40), engine=engine)
+
+    def test_quarterly_monthly_and_stub_tenors_price(self):
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
+        cfg = SolverConfig(n_x=21, n_y=41, n_t=60)
+        for tenors in (CdsContract(tenor=5.0).payment_times(),
+                       np.arange(1, 61) / 12.0,
+                       CdsContract(tenor=5.1).payment_times()):
+            for engine in ("reduced", "adi"):
+                hat, p = quanto_survival_curve(H_SWEEP, fx, RATES0, tenors, cfg, engine=engine)
+                assert hat.tenors.size == len(tenors)
+                assert np.all(np.diff(p.probs) <= 0.0) and 0.9 < p.probs[-1] < 1.0
+
+    def test_memoised_snapshot_map_is_read_only(self):
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
+        _, snap = build_grid(H_SWEEP, fx, RATES0, 5.0, SolverConfig(n_t=60), [1.0, 5.0])
+        _, again = build_grid(H_SWEEP, fx, RATES0, 5.0, SolverConfig(n_t=60), [1.0, 5.0])
+        assert snap is again
+        with pytest.raises(TypeError):
+            snap[0] = 5.0
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
