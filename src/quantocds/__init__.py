@@ -3,7 +3,6 @@ an FX devaluation jump at default, with Monte Carlo and finite-difference
 engines cross-validating each other and a market calibration layer."""
 
 from .model import (
-    DefaultState,
     HazardParams,
     QuantoFxParams,
     RatePair,
@@ -12,8 +11,6 @@ from .model import (
     foreign_hazard,
     fx_jump_inverse,
     hazard_from_spread,
-    intensity,
-    no_arb_drift_x,
     no_arb_drift_z,
     spread_from_hazard,
 )
@@ -24,9 +21,6 @@ from .mc import (
     QuantoBondMc,
     SimConfig,
     quanto_bond_mc,
-    simulate_default,
-    simulate_fx,
-    simulate_ou,
     survival_curve_mc,
     survival_probability_mc,
     verify_fx_symmetry,

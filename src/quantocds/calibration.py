@@ -21,7 +21,7 @@ from scipy.optimize import brentq, least_squares
 from . import pde
 from .cds import CdsContract, par_spread
 from .curves import SurvivalCurve
-from .model import HazardParams, QuantoFxParams, RatePair, devaluation_estimate
+from .model import HazardParams, QuantoFxParams, correlation_basis_gap, devaluation_estimate
 
 
 class CalibrationError(RuntimeError):
@@ -407,8 +407,8 @@ def _diagnostics_row(
         rel_basis_1y=rel[t1],
         rel_basis_10y=rel[t10],
         basis_gap_observed=rel[t10] - rel[t1],
-        basis_gap_diffusive=result.sigma_y * snap.fx_atm_vol * result.rho
-        * (rpv[t10] - rpv[t1]),
+        basis_gap_diffusive=correlation_basis_gap(
+            result.sigma_y, snap.fx_atm_vol, result.rho, rpv[t1], rpv[t10]),
         ab=result.ab,
     )
 

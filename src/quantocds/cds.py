@@ -30,8 +30,6 @@ class CdsContract:
     recovery: float = 0.4
     payments_per_year: int = 4
     notional: float = 1.0
-    contractual_currency: str = "USD"
-    effective_date: str | None = None
 
     def __post_init__(self) -> None:
         if not self.tenor > 0:

@@ -438,9 +438,17 @@ _DIAG_HEADER = ["date", "gamma", "rho", "rel_basis_1y", "rel_basis_10y",
                 "spread_usd_10y_bp", "spread_eur_10y_bp"]
 
 
-def _run_calibration(args) -> tuple[list, list[list[str]], list[list[str]]]:
-    snaps = read_snapshots(args.snapshots)
-    rows = backtest(snaps, _calibration_config(args))
+def _run_calibration(args) -> tuple[list, Path] | None:
+    """Calibrate every snapshot and write the results and diagnostics CSVs.
+
+    Returns the backtest rows and the output directory, or None after
+    printing the error when the snapshot file cannot be read or parsed.
+    """
+    try:
+        rows = backtest(read_snapshots(args.snapshots), _calibration_config(args))
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
     result_rows: list[list[str]] = []
     diag_rows: list[list[str]] = []
     for row in rows:
@@ -464,18 +472,17 @@ def _run_calibration(args) -> tuple[list, list[list[str]], list[list[str]]]:
             _fbp(row.model_spread_5y["usd"]), _fbp(row.model_spread_5y["eur"]),
             _fbp(row.model_spread_10y["usd"]), _fbp(row.model_spread_10y["eur"]),
         ])
-    return rows, result_rows, diag_rows
-
-
-def _cmd_calibrate(args) -> int:
-    try:
-        rows, result_rows, diag_rows = _run_calibration(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     out = _out_dir(args) or Path(".")
     _write_csv(out / "calibration_results.csv", _RESULT_HEADER, result_rows)
     _write_csv(out / "calibration_diagnostics.csv", _DIAG_HEADER, diag_rows)
+    return rows, out
+
+
+def _cmd_calibrate(args) -> int:
+    run = _run_calibration(args)
+    if run is None:
+        return 1
+    rows, _ = run
     n_fail = sum(1 for r in rows if r.result is None)
     n_conv = sum(1 for r in rows if r.result is not None and r.result.converged)
     print(f"calibrated {len(rows)} dates: {n_conv} converged, "
@@ -487,14 +494,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
-    try:
-        rows, result_rows, diag_rows = _run_calibration(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    run = _run_calibration(args)
+    if run is None:
         return 1
-    out = _out_dir(args) or Path(".")
-    _write_csv(out / "calibration_results.csv", _RESULT_HEADER, result_rows)
-    _write_csv(out / "calibration_diagnostics.csv", _DIAG_HEADER, diag_rows)
+    rows, out = run
     good = [r for r in rows if r.result is not None]
     if len(good) >= 3:
         gammas = np.array([r.result.gamma for r in good])

@@ -5,7 +5,8 @@ default time comes from a Cox construction (one unit-exponential threshold
 per path against the trapezoidal integral of the intensity), and the FX
 rate is stepped in log space with the no-arbitrage drift evaluated at the
 left node; the devaluation jump is applied at the end of the step that
-contains the default time.
+contains the default time.  One path simulator, ``_TerminalKernel``, runs
+every estimator below.
 
 Paths are simulated in fixed-size blocks whose RNG substreams are derived
 deterministically from (seed, block index), and block partials are reduced
@@ -16,7 +17,8 @@ how the work is laid out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -90,15 +92,15 @@ class FxSymmetryReport:
     The same two observables are estimated from both sides: the liquid
     (domestic) simulation of Z and the contractual (foreign) simulation of
     the reciprocal rate X with the transformed jump and rescaled intensity.
-    ``reciprocal_error`` is the worst pathwise error of X * Z = 1 when X is
-    built as the reciprocal of a simulated Z path.
+    Both runs draw the same random numbers, but the contractual one builds
+    X with its own jump transform, intensity scale and drift tilt, so
+    agreement within the standard errors checks those three.
     """
 
     p_hat_liquid: McEstimate
     p_hat_contractual: McEstimate
     p_liquid: McEstimate
     p_contractual: McEstimate
-    reciprocal_error: float
 
     def max_z_score(self) -> float:
         return max(
@@ -133,119 +135,9 @@ def _ou_mean_coeffs(h: HazardParams, dt: float, drift_shift: float) -> tuple[flo
     return m0, m1, math.sqrt(var)
 
 
-def simulate_ou(
-    h: HazardParams,
-    grid: np.ndarray,
-    seed: int,
-    n_paths: int = 1,
-    drift_shift: float = 0.0,
-) -> np.ndarray:
-    """Exact-transition paths of the log-intensity on ``grid``.
-
-    ``grid`` must be strictly increasing and start at 0; the returned array
-    has shape (n_paths, len(grid)) with Y(0) = y0 in the first column.
-    ``drift_shift`` adds a constant to the drift (used when simulating under
-    the contractual-currency measure).
-    """
-    grid = np.asarray(grid, dtype=float)
-    _check_grid(grid)
-    rng = np.random.default_rng(seed)
-    out = np.empty((n_paths, grid.size))
-    out[:, 0] = h.y0
-    y = out[:, 0].copy()
-    for k in range(1, grid.size):
-        m0, m1, sd = _ou_mean_coeffs(h, grid[k] - grid[k - 1], drift_shift)
-        y = m0 + m1 * y + sd * rng.standard_normal(n_paths)
-        out[:, k] = y
-    return out
-
-
-def simulate_default(
-    grid: np.ndarray, lam_paths: np.ndarray, thresholds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cox default times from intensity paths and Exp(1) thresholds.
-
-    The integrated hazard is accumulated with the trapezoidal rule and the
-    default time is placed inside the crossing step by linear interpolation
-    of the cumulated hazard.  Returns (defaulted, tau) with tau = nan for
-    paths that survive the grid horizon; a zero threshold means immediate
-    default (tau = 0).
-    """
-    grid = np.asarray(grid, dtype=float)
-    _check_grid(grid)
-    lam = np.atleast_2d(np.asarray(lam_paths, dtype=float))
-    if np.any(lam < 0):
-        raise ValueError("intensity paths must be non-negative")
-    e = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    n = lam.shape[0]
-    tau = np.full(n, np.nan)
-    defaulted = e <= 0.0
-    tau[defaulted] = 0.0
-    acc = np.zeros(n)
-    for k in range(1, grid.size):
-        dt = grid[k] - grid[k - 1]
-        inc = 0.5 * (lam[:, k - 1] + lam[:, k]) * dt
-        acc_new = acc + inc
-        newly = ~defaulted & (acc_new >= e)
-        if np.any(newly):
-            frac = (e[newly] - acc[newly]) / inc[newly]
-            tau[newly] = grid[k - 1] + frac * dt
-            defaulted |= newly
-        acc = acc_new
-    return defaulted, tau
-
-
-def simulate_fx(
-    fx: QuantoFxParams,
-    rates: RatePair,
-    grid: np.ndarray,
-    lam_paths: np.ndarray,
-    defaulted: np.ndarray,
-    tau: np.ndarray,
-    z_normals: np.ndarray,
-) -> np.ndarray:
-    """Log-Euler FX paths with the devaluation jump at the default step.
-
-    ``z_normals`` must already carry the correlation with the hazard driver
-    (shape (n_paths, len(grid) - 1)).  The per-step drift is the
-    no-arbitrage drift evaluated at the left node, so the compensator term
-    is active up to and including the step in which the default occurs.
-    """
-    grid = np.asarray(grid, dtype=float)
-    _check_grid(grid)
-    lam = np.atleast_2d(np.asarray(lam_paths, dtype=float))
-    zn = np.atleast_2d(np.asarray(z_normals, dtype=float))
-    n = lam.shape[0]
-    tau = np.asarray(tau, dtype=float)
-    out = np.empty((n, grid.size))
-    lnz = np.full(n, math.log(fx.z0))
-    out[:, 0] = lnz
-    jumped = np.asarray(defaulted, dtype=bool) & (tau == 0.0)
-    with np.errstate(divide="ignore"):
-        log_jump = np.log1p(fx.gamma_z)
-    lnz = lnz + np.where(jumped, log_jump, 0.0)
-    out[:, 0] = lnz
-    for k in range(1, grid.size):
-        dt = grid[k] - grid[k - 1]
-        d_left = jumped
-        drift = rates.r - rates.r_hat - fx.gamma_z * lam[:, k - 1] * (~d_left)
-        lnz = lnz + (drift - 0.5 * fx.sigma_z**2) * dt + fx.sigma_z * math.sqrt(dt) * zn[:, k - 1]
-        newly = np.asarray(defaulted, dtype=bool) & ~jumped & (tau <= grid[k])
-        lnz = lnz + np.where(newly, log_jump, 0.0)
-        jumped = jumped | newly
-        out[:, k] = lnz
-    return np.exp(out)
-
-
-def _check_grid(grid: np.ndarray) -> None:
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("time grid must be 1-d with at least two nodes")
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be strictly increasing from 0")
-
-
 class _TerminalKernel:
-    """Streaming block simulator collecting terminal per-path quantities.
+    """Streaming block simulator collecting per-path quantities at the horizon,
+    and on request the integrated intensity at chosen steps.
 
     One instance describes a measure-specific parameterization: the OU
     drift shift, the intensity scale used in the Cox construction, and the
@@ -283,21 +175,25 @@ class _TerminalKernel:
             self.fx_gamma = fx_jump_inverse(fx.gamma_z)
             self.r_own, self.r_other = rates.r_hat, rates.r
 
-    def run(self, cfg: SimConfig, want_fx: bool = True):
+    def run(self, cfg: SimConfig, want_fx: bool = True, at_steps: Sequence[int] = ()):
         """Terminal arrays (alive, int_lam, z) reduced over all blocks.
 
         ``int_lam`` is the trapezoidal integral of the *unscaled* intensity
         exp(Y); ``z`` is the FX value at the horizon (None if not needed).
+        With ``at_steps`` (distinct step indices in 1..n_steps), ``int_lam``
+        has shape (n_paths, len(at_steps)) and holds the integral after each
+        listed step instead.
         """
         n = cfg.n_paths
         alive = np.empty(n, dtype=bool)
-        int_lam = np.empty(n)
+        int_lam = np.empty((n, len(at_steps)) if at_steps else n)
         z = np.empty(n) if want_fx else None
         start = 0
         block = 0
         while start < n:
             size = min(_BLOCK, n - start)
-            a, il, zz = self._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx)
+            a, il, zz = self._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx,
+                                        at_steps)
             alive[start : start + size] = a
             int_lam[start : start + size] = il
             if want_fx:
@@ -327,7 +223,8 @@ class _TerminalKernel:
             parts.append(-np.log1p(-rng.uniform(size=1)))
         return np.concatenate(parts)
 
-    def _run_block(self, rng, size: int, cfg: SimConfig, want_fx: bool):
+    def _run_block(self, rng, size: int, cfg: SimConfig, want_fx: bool,
+                   at_steps: Sequence[int]):
         dt = cfg.horizon / cfg.n_steps
         m0, m1, sd = _ou_mean_coeffs(self.h, dt, self.drift_shift)
         rho = self.fx_rho
@@ -345,8 +242,10 @@ class _TerminalKernel:
         lnz = np.full(size, math.log(self.fx_spot))
         if want_fx:
             lnz[jumped] += log_jump
+        column = {k: j for j, k in enumerate(at_steps)}
+        int_lam_at = np.empty((size, len(at_steps)))
 
-        for _ in range(cfg.n_steps):
+        for k in range(1, cfg.n_steps + 1):
             n1 = self._draw_normals(rng, size, cfg.antithetic)
             y = m0 + m1 * y + sd * n1
             lam_new = np.exp(y)
@@ -363,9 +262,18 @@ class _TerminalKernel:
             jumped = jumped | newly
             acc = acc_new
             lam = lam_new
+            if k in column:
+                int_lam_at[:, column[k]] = acc
 
         z = np.exp(lnz) if want_fx else None
-        return ~jumped, acc, z
+        return ~jumped, int_lam_at if at_steps else acc, z
+
+
+def _tenor_config(T: float, cfg: SimConfig) -> SimConfig:
+    """``cfg`` with its ``n_steps`` spread over the tenor T instead of its horizon."""
+    if T > cfg.horizon:
+        raise ValueError(f"tenor {T} exceeds simulation horizon {cfg.horizon}")
+    return replace(cfg, horizon=T)
 
 
 def survival_probability_mc(h: HazardParams, T: float, cfg: SimConfig) -> McEstimate:
@@ -374,64 +282,44 @@ def survival_probability_mc(h: HazardParams, T: float, cfg: SimConfig) -> McEsti
     Averaging the conditional survival given the intensity path has lower
     variance than counting default indicators and stays in [0, 1] pathwise.
     """
-    if T > cfg.horizon:
-        raise ValueError(f"tenor {T} exceeds simulation horizon {cfg.horizon}")
     if T == 0.0:
         return McEstimate(1.0, 0.0, 1.0, 1.0, cfg.n_paths)
-    run_cfg = cfg if T == cfg.horizon else SimConfig(
-        cfg.n_paths, cfg.n_steps, T, cfg.seed, cfg.antithetic
-    )
     kern = _TerminalKernel(h, _DUMMY_FX, _ZERO_RATES)
-    _, int_lam, _ = kern.run(run_cfg, want_fx=False)
+    _, int_lam, _ = kern.run(_tenor_config(T, cfg), want_fx=False)
     return McEstimate.from_samples(np.exp(-int_lam))
 
 
 def survival_curve_mc(h: HazardParams, tenors, cfg: SimConfig) -> list[McEstimate]:
-    """Survival estimates at several tenors from a single set of paths."""
+    """Survival estimates at several tenors from a single set of paths.
+
+    Every tenor must be a node of the uniform grid of ``cfg.n_steps`` steps
+    over ``cfg.horizon``; the estimate at the horizon is the one
+    :func:`survival_probability_mc` gives for ``cfg``.
+    """
     tenors = [float(t) for t in tenors]
-    if not tenors or min(tenors) <= 0:
-        raise ValueError("tenors must be positive")
-    if max(tenors) > cfg.horizon:
-        raise ValueError("tenor beyond simulation horizon")
-    grid = np.unique(np.concatenate([np.linspace(0.0, cfg.horizon, cfg.n_steps + 1), tenors]))
-    snap_idx = set(np.searchsorted(grid, tenors).tolist())
-    sums = {k: (0.0, 0.0) for k in snap_idx}
-    start = 0
-    block = 0
-    while start < cfg.n_paths:
-        size = min(_BLOCK, cfg.n_paths - start)
-        rng = _block_rng(cfg.seed, block)
-        yv = np.full(size, h.y0)
-        lam = np.exp(yv)
-        acc = np.zeros(size)
-        for k in range(1, grid.size):
-            m0, m1, sd = _ou_mean_coeffs(h, grid[k] - grid[k - 1], 0.0)
-            yv = m0 + m1 * yv + sd * rng.standard_normal(size)
-            lam_new = np.exp(yv)
-            acc = acc + 0.5 * (lam + lam_new) * (grid[k] - grid[k - 1])
-            lam = lam_new
-            if k in snap_idx:
-                vals = np.exp(-acc)
-                s1, s2 = sums[k]
-                sums[k] = (s1 + float(vals.sum()), s2 + float((vals * vals).sum()))
-        start += size
-        block += 1
-    order = np.searchsorted(grid, tenors)
-    return [McEstimate.from_sums(*sums[k], cfg.n_paths) for k in order]
+    if not tenors:
+        raise ValueError("need at least one tenor")
+    dt = cfg.horizon / cfg.n_steps
+    steps = [round(t / dt) for t in tenors]
+    for t, k in zip(tenors, steps):
+        if not (1 <= k <= cfg.n_steps and abs(k * dt - t) <= 1e-9 * cfg.horizon):
+            raise ValueError(f"tenor {t:g} is not a node of the {cfg.n_steps}-step grid "
+                             f"over (0, {cfg.horizon:g}]")
+    distinct = sorted(set(steps))
+    kern = _TerminalKernel(h, _DUMMY_FX, _ZERO_RATES)
+    _, int_lam, _ = kern.run(cfg, want_fx=False, at_steps=distinct)
+    return [McEstimate.from_samples(np.exp(-int_lam[:, distinct.index(k)])) for k in steps]
 
 
 def quanto_bond_mc(
     h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float, cfg: SimConfig
 ) -> QuantoBondMc:
-    """Quanto defaultable-bond value U0(T) and the survival p_hat it implies.
+    """Quanto defaultable-bond value U0(T) and the survival it implies.
 
     U0(T) = B(0,T) * E[Z_T 1{tau > T}] and p_hat = U0(T) / (z0 * Bhat(0,T)).
     """
-    if T > cfg.horizon:
-        raise ValueError(f"tenor {T} exceeds simulation horizon {cfg.horizon}")
-    run_cfg = SimConfig(cfg.n_paths, cfg.n_steps, T, cfg.seed, cfg.antithetic)
     kern = _TerminalKernel(h, fx, rates)
-    alive, _, z = kern.run(run_cfg)
+    alive, _, z = kern.run(_tenor_config(T, cfg))
     disc = math.exp(-rates.r * T)
     u = McEstimate.from_samples(disc * z * alive)
     scale = 1.0 / (fx.z0 * math.exp(-rates.r_hat * T))
@@ -455,9 +343,8 @@ def verify_rn_martingale(
     drift; the estimate then deviates from 1 by roughly gamma * P(default),
     which serves as a negative control for the drift condition.
     """
-    run_cfg = SimConfig(cfg.n_paths, cfg.n_steps, T, cfg.seed, cfg.antithetic)
     kern = _TerminalKernel(h, fx, rates, drop_compensator=drop_compensator)
-    _, _, z = kern.run(run_cfg)
+    _, _, z = kern.run(_tenor_config(T, cfg))
     l_t = z * math.exp((rates.r_hat - rates.r) * T) / fx.z0
     return McEstimate.from_samples(l_t)
 
@@ -475,7 +362,7 @@ def verify_fx_symmetry(
     * p_hat: directly as the contractual-measure survival frequency;
     * p:     as z0 * exp((r - r_hat) T) * E[X_T 1{tau > T}].
     """
-    run_cfg = SimConfig(cfg.n_paths, cfg.n_steps, T, cfg.seed, cfg.antithetic)
+    run_cfg = _tenor_config(T, cfg)
 
     dom = _TerminalKernel(h, fx, rates)
     alive_d, _, z_d = dom.run(run_cfg)
@@ -488,30 +375,12 @@ def verify_fx_symmetry(
     p_hat_contractual = McEstimate.from_samples(alive_f.astype(float))
     p_contractual = McEstimate.from_samples(fx.z0 * x_f * alive_f / disc_ratio)
 
-    reciprocal_error = _reciprocal_identity_error(h, fx, rates, T)
     return FxSymmetryReport(
         p_hat_liquid=p_hat_liquid,
         p_hat_contractual=p_hat_contractual,
         p_liquid=p_liquid,
         p_contractual=p_contractual,
-        reciprocal_error=reciprocal_error,
     )
-
-
-def _reciprocal_identity_error(
-    h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float
-) -> float:
-    """Worst |X*Z - 1| when X is defined pathwise as the reciprocal of Z."""
-    grid = np.linspace(0.0, T, 33)
-    rng = np.random.default_rng(12345)
-    n = 64
-    y = simulate_ou(h, grid, 12345, n)
-    lam = np.exp(y)
-    defaulted, tau = simulate_default(grid, lam, rng.exponential(size=n))
-    zn = rng.standard_normal((n, grid.size - 1))
-    z = simulate_fx(fx, rates, grid, lam, defaulted, tau, zn)
-    x = 1.0 / z
-    return float(np.max(np.abs(x * z - 1.0)))
 
 
 _DUMMY_FX = QuantoFxParams(z0=1.0, sigma_z=0.0, gamma_z=0.0, rho=0.0)

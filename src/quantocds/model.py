@@ -87,27 +87,6 @@ class RatePair:
             raise ValueError("rates must be finite")
 
 
-@dataclass(frozen=True)
-class DefaultState:
-    """Default indicator plus the default time when it has happened."""
-
-    d: int
-    tau: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.d not in (0, 1):
-            raise ValueError(f"default indicator must be 0 or 1, got {self.d}")
-        if (self.d == 1) != (self.tau is not None):
-            raise ValueError("tau must be set exactly when d == 1")
-        if self.tau is not None and self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-
-
-def intensity(y: float) -> float:
-    """Default intensity implied by the log-intensity level: exp(y)."""
-    return math.exp(y)
-
-
 def foreign_hazard(lam: float, gamma_z: float) -> float:
     """Hazard rate under the contractual-currency measure.
 
@@ -141,17 +120,6 @@ def no_arb_drift_z(rates: RatePair, gamma_z: float, lam: float, d: int) -> float
     if lam < 0:
         raise ValueError(f"intensity must be >= 0, got {lam}")
     return rates.r - rates.r_hat - gamma_z * lam * (1 - d)
-
-
-def no_arb_drift_x(rates: RatePair, gamma_x: float, lam_hat: float, d: int) -> float:
-    """Drift of the reciprocal rate X = 1/Z under the contractual measure.
-
-    ``lam_hat`` is the contractual-measure intensity, i.e.
-    ``foreign_hazard(lam, gamma_z)`` when starting from the liquid side.
-    """
-    if lam_hat < 0:
-        raise ValueError(f"intensity must be >= 0, got {lam_hat}")
-    return rates.r_hat - rates.r - gamma_x * lam_hat * (1 - d)
 
 
 def hazard_from_spread(spread: float, recovery: float) -> float:

@@ -114,15 +114,6 @@ class PdeSolution:
     def spot_value(self) -> float:
         return float(self.values[self.grid.ix0, self.grid.iy0])
 
-    def value(self, z: float, y: float) -> float:
-        """Bilinear interpolation of the t = 0 surface at (z, y)."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        itp = RegularGridInterpolator(
-            (self.grid.x_nodes, self.grid.y_nodes), self.values, method="linear"
-        )
-        return float(itp((math.log(z), y)))
-
 
 def ou_mean_std(h: HazardParams, t: float, drift_shift: float = 0.0) -> tuple[float, float]:
     """Mean and standard deviation of Y_t under an optional drift tilt."""
@@ -259,16 +250,14 @@ class _Ops2D:
     """
 
     def __init__(self, grid: Grid2D, h: HazardParams, fx: QuantoFxParams,
-                 rates: RatePair, *, post_default: bool = False):
+                 rates: RatePair):
         x, y = grid.x_nodes, grid.y_nodes
         nx, ny = x.size, y.size
         dx = x[1] - x[0]
         dy = y[1] - y[0]
         self.dx, self.dy = dx, dy
         ey = np.exp(y)
-        gamma_term = 0.0 if post_default else fx.gamma_z * ey
-        cx = rates.r - rates.r_hat - 0.5 * fx.sigma_z**2 - gamma_term  # (ny,)
-        cx = np.broadcast_to(np.atleast_1d(cx), (ny,)).astype(float)
+        cx = rates.r - rates.r_hat - 0.5 * fx.sigma_z**2 - fx.gamma_z * ey  # (ny,)
         hx = 0.5 * fx.sigma_z**2
 
         lo1 = np.empty((ny, nx))
@@ -288,9 +277,8 @@ class _Ops2D:
 
         cy = h.a * (h.b - y)
         hy = 0.5 * h.sigma_y**2
-        kill = 0.0 if post_default else ey
         lo2 = hy / dy**2 - cy / (2 * dy)
-        di2 = -2 * hy / dy**2 - kill * np.ones(ny)
+        di2 = -2 * hy / dy**2 - ey
         up2 = hy / dy**2 + cy / (2 * dy)
         lo2 = np.asarray(lo2, dtype=float)
         up2 = np.asarray(up2, dtype=float)
@@ -354,7 +342,6 @@ def _adi_march(
     cfg: SolverConfig,
     snap: Mapping[int, float],
     spot: tuple[int, int],
-    source: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[float, float]]:
     """March backward n_t steps; returns final surface and spot snapshots."""
     iy0, ix0 = spot
@@ -368,8 +355,6 @@ def _adi_march(
         f1v = ops.f1(v)
         f2v = ops.f2(v)
         rhs0 = v + dt * (f0v + f1v + f2v)
-        if source is not None:
-            rhs0 = rhs0 + dt * source
         y1 = ops.solver1(theta * dt).solve(rhs0 - theta * dt * f1v)
         y2 = ops.solve2(theta * dt, y1 - theta * dt * f2v)
         if use_corrector:
@@ -396,7 +381,6 @@ def solve_quanto_pde(
     T: float,
     cfg: SolverConfig | None = None,
     snapshot_tenors=None,
-    two_pass: bool = False,
 ) -> PdeSolution:
     """Value surface of the claim paying Z_T on survival, at t = 0.
 
@@ -405,10 +389,10 @@ def solve_quanto_pde(
     time-homogeneous, so the slice at time t of the horizon-T problem is
     the t = 0 value of the horizon-(T - t) problem).
 
-    ``two_pass`` additionally solves the post-default value surface (whose
-    terminal data is zero, hence the surface itself is identically zero)
-    and feeds it back as the jump-coupling source of the pre-default solve;
-    the result must match the single-pass shortcut to round-off.
+    Default kills the claim and the devaluation jump lands on a value that
+    is zero after default, so the jump enters only through the e^y kill
+    term and the compensator in the x-drift: one march of the pre-default
+    surface is the whole solve.
     """
     cfg = cfg or SolverConfig()
     grid, snap = build_grid(h, fx, rates, T, cfg, snapshot_tenors)
@@ -416,33 +400,12 @@ def solve_quanto_pde(
     n_t = grid.t_nodes.size - 1
     ops = _Ops2D(grid, h, fx, rates)
     v = np.tile(np.exp(grid.x_nodes), (grid.y_nodes.size, 1))
-
-    source = None
-    if two_pass:
-        u = np.zeros_like(v)
-        ops_u = _Ops2D(grid, h, fx, rates, post_default=True)
-        u, _ = _adi_march(ops_u, u, dt, n_t, cfg, {}, (grid.iy0, grid.ix0))
-        source = _jump_coupling_source(grid, fx, u)
-
-    v, snapshots = _adi_march(ops, v, dt, n_t, cfg, snap, (grid.iy0, grid.ix0), source)
+    v, snapshots = _adi_march(ops, v, dt, n_t, cfg, snap, (grid.iy0, grid.ix0))
     spot_curve = None
     if snapshot_tenors is not None:
         tenors = np.array(sorted(snapshots))
         spot_curve = (tenors, np.array([snapshots[t] for t in tenors]))
     return PdeSolution(grid=grid, values=v.T.copy(), config=cfg, spot_curve=spot_curve)
-
-
-def _jump_coupling_source(grid: Grid2D, fx: QuantoFxParams, u: np.ndarray) -> np.ndarray:
-    """Source term e^y * u evaluated at the post-jump FX state."""
-    x = grid.x_nodes
-    if fx.gamma_z <= -1.0:
-        u_shift = np.zeros_like(u)
-    else:
-        x_shift = x + math.log1p(fx.gamma_z)
-        u_shift = np.empty_like(u)
-        for j in range(u.shape[0]):
-            u_shift[j] = np.interp(x_shift, x, u[j])
-    return np.exp(grid.y_nodes)[:, None] * u_shift
 
 
 def solve_foreign_measure_pde(

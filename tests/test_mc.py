@@ -7,10 +7,9 @@ from scipy import stats
 from quantocds.mc import (
     McEstimate,
     SimConfig,
+    _block_rng,
+    _TerminalKernel,
     quanto_bond_mc,
-    simulate_default,
-    simulate_fx,
-    simulate_ou,
     survival_curve_mc,
     survival_probability_mc,
     verify_fx_symmetry,
@@ -30,16 +29,42 @@ def flat_fx(gamma=0.0, sigma_z=0.0, rho=0.0, z0=1.0):
     return QuantoFxParams(z0=z0, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
 
 
+def _y_paths(kern: _TerminalKernel, cfg: SimConfig) -> np.ndarray:
+    """Y after every step, recovered from the kernel's trapezoidal integrals.
+
+    Each step adds 0.5 * (exp(Y_left) + exp(Y_right)) * dt, so the integrals
+    recorded after every step give every Y exactly up to round-off.
+    """
+    _, int_lam, _ = kern.run(cfg, want_fx=False, at_steps=range(1, cfg.n_steps + 1))
+    dt = cfg.horizon / cfg.n_steps
+    inc = np.diff(int_lam, axis=1, prepend=0.0)
+    lam = np.empty_like(inc)
+    left = math.exp(kern.h.y0)
+    for k in range(cfg.n_steps):
+        left = lam[:, k] = 2.0 * inc[:, k] / dt - left
+    return np.log(lam)
+
+
+class _ZeroDraws:
+    """Stands in for a numpy Generator: every uniform and normal draw is 0."""
+
+    def uniform(self, size):
+        return np.zeros(size)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
 class TestSimulateOu:
     def test_degenerate_is_constant(self):
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=-3.0)
-        path = simulate_ou(h, np.linspace(0, 5, 11), seed=1, n_paths=4)
-        assert np.all(path == -3.0)
+        kern = _TerminalKernel(h, flat_fx(), RATES0)
+        y = _y_paths(kern, SimConfig(n_paths=4, n_steps=10, horizon=5.0, seed=1))
+        assert np.allclose(y, -3.0, rtol=0.0, atol=1e-12)
 
     def test_terminal_moments_match_closed_form(self):
-        grid = np.linspace(0.0, 5.0, 26)
-        paths = simulate_ou(H_TEST, grid, seed=7, n_paths=100_000)
-        y5 = paths[:, -1]
+        kern = _TerminalKernel(H_TEST, flat_fx(), RATES0)
+        y5 = _y_paths(kern, SimConfig(n_paths=100_000, n_steps=25, horizon=5.0, seed=7))[:, -1]
         mean, sd = ou_mean_std(H_TEST, 5.0)
         se_mean = sd / math.sqrt(y5.size)
         assert abs(y5.mean() - mean) < 3 * se_mean
@@ -49,110 +74,82 @@ class TestSimulateOu:
 
     def test_zero_reversion_limit_variance(self):
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.3, y0=0.0)
-        paths = simulate_ou(h, np.array([0.0, 1.0]), seed=3, n_paths=200_000)
-        v = paths[:, 1].var(ddof=1)
-        assert v == pytest.approx(0.09, rel=0.02)
+        kern = _TerminalKernel(h, flat_fx(), RATES0)
+        y1 = _y_paths(kern, SimConfig(n_paths=200_000, n_steps=1, horizon=1.0, seed=3))[:, 0]
+        assert y1.var(ddof=1) == pytest.approx(0.09, rel=0.02)
 
     def test_exact_transition_distribution(self):
-        # KS test of a single exact step against its closed-form Gaussian
+        # KS test of a single exact step against its closed-form Gaussian,
+        # with a = 0 first, then under both measures (the contractual one
+        # tilts the drift by rho * sigma_y * sigma_z)
         rng = np.random.default_rng(2024)
-        for _ in range(4):
-            a = float(rng.uniform(0.0, 2.0))
+        for i in range(4):
+            a = 0.0 if i == 0 else float(rng.uniform(0.0, 2.0))
             b = float(rng.uniform(-5.0, 5.0))
             sig = float(rng.uniform(0.05, 1.0))
             dt = float(rng.uniform(0.01, 2.0))
             h = HazardParams(a=a, b=b, sigma_y=sig, y0=-1.0)
-            sample = simulate_ou(h, np.array([0.0, dt]), seed=5, n_paths=20_000)[:, 1]
-            mean, sd = ou_mean_std(h, dt)
+            fx = flat_fx(sigma_z=0.4, rho=0.5)
+            kern = _TerminalKernel(h, fx, RATES0, measure=("liquid", "contractual")[i % 2])
+            sample = _y_paths(kern, SimConfig(n_paths=20_000, n_steps=1, horizon=dt,
+                                              seed=5))[:, 0]
+            mean, sd = ou_mean_std(h, dt, kern.drift_shift)
             p = stats.kstest(sample, stats.norm(loc=mean, scale=sd).cdf).pvalue
             assert p > 0.01
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            simulate_ou(H_TEST, np.array([0.5, 1.0]), seed=0)
-        with pytest.raises(ValueError):
-            simulate_ou(H_TEST, np.array([0.0, 1.0, 1.0]), seed=0)
-
 
 class TestSimulateDefault:
-    def test_zero_intensity_never_defaults(self):
-        grid = np.linspace(0, 5, 21)
-        lam = np.zeros((8, 21))
-        defaulted, tau = simulate_default(grid, lam, np.full(8, 0.7))
-        assert not defaulted.any()
-        assert np.all(np.isnan(tau))
-
     def test_constant_hazard_survival_frequency(self):
         lam0 = 0.016746
         n = 200_000
-        grid = np.linspace(0, 5, 6)
-        lam = np.full((n, 6), lam0)
-        e = -np.log1p(-np.random.default_rng(11).uniform(size=n))
-        defaulted, tau = simulate_default(grid, lam, e)
+        kern = _TerminalKernel(H_FLAT, flat_fx(), RATES0)
+        alive, _, _ = kern.run(SimConfig(n_paths=n, n_steps=5, horizon=5.0, seed=11),
+                               want_fx=False)
         p_true = math.exp(-lam0 * 5)
         se = math.sqrt(p_true * (1 - p_true) / n)
-        assert abs((~defaulted).mean() - p_true) < 3 * se
-
-    def test_tau_interpolation_is_exact_for_constant_hazard(self):
-        grid = np.linspace(0, 5, 11)
-        lam = np.full((1, 11), 0.4)
-        e = np.array([0.9])
-        defaulted, tau = simulate_default(grid, lam, e)
-        assert defaulted[0]
-        assert tau[0] == pytest.approx(0.9 / 0.4, rel=1e-12)
+        assert abs(alive.mean() - p_true) < 3 * se
 
     def test_zero_threshold_is_immediate_default(self):
-        grid = np.linspace(0, 1, 5)
-        lam = np.full((1, 5), 0.1)
-        defaulted, tau = simulate_default(grid, lam, np.array([0.0]))
-        assert defaulted[0] and tau[0] == 0.0
-
-    def test_negative_intensity_rejected(self):
-        grid = np.linspace(0, 1, 3)
-        with pytest.raises(ValueError):
-            simulate_default(grid, np.full((1, 3), -0.1), np.array([1.0]))
+        # a zero threshold defaults at t = 0: the jump lands before the
+        # first step and the compensator never switches on
+        kern = _TerminalKernel(H_FLAT, flat_fx(gamma=-0.5, z0=0.8), RatePair(0.02, 0.01))
+        cfg = SimConfig(n_paths=3, n_steps=10, horizon=2.0)
+        alive, _, z = kern._run_block(_ZeroDraws(), 3, cfg, True, ())
+        assert not alive.any()
+        assert z == pytest.approx(np.full(3, 0.8 * 0.5 * math.exp(0.01 * 2.0)), rel=1e-12)
 
 
 class TestSimulateFx:
     def test_degenerate_is_constant(self):
-        grid = np.linspace(0, 5, 11)
-        lam = np.full((4, 11), 0.02)
-        defaulted = np.zeros(4, dtype=bool)
-        tau = np.full(4, np.nan)
-        zn = np.zeros((4, 10))
-        z = simulate_fx(flat_fx(z0=0.8), RATES0, grid, lam, defaulted, tau, zn)
+        kern = _TerminalKernel(H_TEST, flat_fx(z0=0.8), RATES0)
+        _, _, z = kern.run(SimConfig(n_paths=4, n_steps=10, horizon=5.0, seed=1))
         assert np.allclose(z, 0.8, rtol=1e-14)
 
     def test_gbm_expectation(self):
         rates = RatePair(0.03, 0.01)
-        grid = np.linspace(0, 2, 41)
         n = 100_000
-        rng = np.random.default_rng(5)
-        lam = np.full((n, 41), 0.02)
-        defaulted = np.zeros(n, dtype=bool)
-        tau = np.full(n, np.nan)
-        zn = rng.standard_normal((n, 40))
-        z = simulate_fx(flat_fx(sigma_z=0.2, z0=1.3), rates, grid, lam, defaulted, tau, zn)
+        kern = _TerminalKernel(H_TEST, flat_fx(sigma_z=0.2, z0=1.3), rates)
+        _, _, zt = kern.run(SimConfig(n_paths=n, n_steps=40, horizon=2.0, seed=5))
         target = 1.3 * math.exp((rates.r - rates.r_hat) * 2.0)
-        zt = z[:, -1]
         assert abs(zt.mean() - target) < 3 * zt.std(ddof=1) / math.sqrt(n)
 
     def test_jump_applied_at_crossing_node(self):
-        # no diffusion: the pre-default drift is the pure compensator, so
-        # each step multiplies by exp(+0.5*lam*dt) until the step holding
-        # tau, which additionally halves the rate
-        lam0, gamma = 0.4, -0.5
-        grid = np.linspace(0, 5, 11)
-        lam = np.full((1, 11), lam0)
-        defaulted = np.array([True])
-        tau = np.array([2.3])
-        zn = np.zeros((1, 10))
-        z = simulate_fx(flat_fx(gamma=gamma), RATES0, grid, lam, defaulted, tau, zn)[0]
-        step = math.exp(-gamma * lam0 * 0.5)
-        assert z[4] == pytest.approx(step**4, rel=1e-12)          # before tau
-        assert z[5] == pytest.approx(step**5 * 0.5, rel=1e-12)    # tau in (2.0, 2.5]
-        # post-default drift has no compensator
-        assert z[6] == pytest.approx(z[5], rel=1e-12)
+        # no diffusion: the pre-default drift is the pure compensator
+        # -gamma * lam, on through the step in which the integrated hazard
+        # crosses the threshold; that step also applies the jump 1 + gamma
+        gamma = -0.5
+        h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=math.log(0.4))
+        cfg = SimConfig(n_paths=1_000, n_steps=10, horizon=5.0, seed=3)
+        alive, _, z = _TerminalKernel(h, flat_fx(gamma=gamma, z0=0.8), RATES0).run(cfg)
+        # the kernel draws one Exp(1) threshold per path first
+        e = -np.log1p(-_block_rng(cfg.seed, 0).uniform(size=cfg.n_paths))
+        lam_dt = math.exp(h.y0) * 0.5
+        crossed = np.cumsum(np.full(cfg.n_steps, lam_dt))[None, :] >= e[:, None]
+        assert np.array_equal(alive, ~crossed[:, -1])
+        assert 0 < alive.sum() < cfg.n_paths
+        k = np.where(alive, cfg.n_steps, crossed.argmax(axis=1) + 1)
+        expected = 0.8 * np.exp(-gamma * lam_dt * k) * np.where(alive, 1.0, 1.0 + gamma)
+        assert z == pytest.approx(expected, rel=1e-12)
 
 
 class TestSurvivalEstimators:
@@ -188,6 +185,19 @@ class TestSurvivalEstimators:
             gap_se = math.hypot(a.std_error, b.std_error)
             assert b.mean <= a.mean + 2 * gap_se
         assert all(0.0 <= e.mean <= 1.0 for e in ests)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_curve_ends_on_terminal_estimate(self, antithetic):
+        cfg = SimConfig(n_paths=40_001, n_steps=40, horizon=5.0, seed=12,
+                        antithetic=antithetic)
+        curve = survival_curve_mc(H_TEST, [1.0, 2.5, 5.0], cfg)
+        assert curve[-1] == survival_probability_mc(H_TEST, 5.0, cfg)
+
+    @pytest.mark.parametrize("tenor", [1.3, 0.0, 6.0])
+    def test_curve_rejects_tenor_off_the_grid(self, tenor):
+        cfg = SimConfig(n_paths=100, n_steps=10, horizon=5.0, seed=1)
+        with pytest.raises(ValueError, match=f"tenor {tenor:g} is not a node"):
+            survival_curve_mc(H_TEST, [1.0, tenor], cfg)
 
     def test_determinism(self):
         cfg = SimConfig(n_paths=30_000, n_steps=60, horizon=5.0, seed=42)
@@ -275,7 +285,6 @@ class TestFxSymmetry:
         # the block RNG layout makes the runs draw identical paths
         assert rep.p_hat_liquid.mean == pytest.approx(rep.p_hat_contractual.mean, rel=1e-12)
         assert rep.p_liquid.mean == pytest.approx(rep.p_contractual.mean, rel=1e-12)
-        assert rep.reciprocal_error < 1e-12
 
     @pytest.mark.parametrize("gamma", [1.0, -0.2045])
     def test_dual_construction_agreement(self, gamma):
@@ -284,7 +293,18 @@ class TestFxSymmetry:
         cfg = SimConfig(n_paths=100_000, n_steps=100, horizon=5.0, seed=14)
         rep = verify_fx_symmetry(h, fx, RatePair(0.01, 0.02), 5.0, cfg)
         assert rep.max_z_score() < 3.0
-        assert rep.reciprocal_error < 1e-12
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda T, cfg: survival_probability_mc(H_TEST, T, cfg),
+    lambda T, cfg: quanto_bond_mc(H_TEST, flat_fx(), RATES0, T, cfg),
+    lambda T, cfg: verify_rn_martingale(H_TEST, flat_fx(), RATES0, T, cfg),
+    lambda T, cfg: verify_fx_symmetry(H_TEST, flat_fx(), RATES0, T, cfg),
+], ids=["survival", "quanto_bond", "rn_martingale", "fx_symmetry"])
+def test_tenor_beyond_horizon_names_both(estimate):
+    cfg = SimConfig(n_paths=100, n_steps=10, horizon=5.0, seed=1)
+    with pytest.raises(ValueError, match="tenor 10.0 exceeds simulation horizon 5.0"):
+        estimate(10.0, cfg)
 
 
 class TestMcEstimate:

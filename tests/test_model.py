@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from quantocds.mc import SimConfig, _TerminalKernel
 from quantocds.model import (
-    DefaultState,
     HazardParams,
     QuantoFxParams,
     RatePair,
@@ -13,8 +13,6 @@ from quantocds.model import (
     foreign_hazard,
     fx_jump_inverse,
     hazard_from_spread,
-    intensity,
-    no_arb_drift_x,
     no_arb_drift_z,
     spread_from_hazard,
 )
@@ -41,31 +39,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=1.5)
 
-    def test_default_state_coherence(self):
-        DefaultState(d=0)
-        DefaultState(d=1, tau=2.5)
-        with pytest.raises(ValueError):
-            DefaultState(d=1)
-        with pytest.raises(ValueError):
-            DefaultState(d=0, tau=1.0)
-        with pytest.raises(ValueError):
-            DefaultState(d=2, tau=1.0)
-
 
 class TestIntensity:
-    def test_identity(self):
-        assert intensity(0.0) == 1.0
-
     def test_low_spread_level(self):
-        lam = intensity(-4.089)
-        assert lam == pytest.approx(math.exp(-4.089), rel=1e-15)
         # with LGD 0.6 this is the ~100 bp flat-spread regime
-        assert 95 < spread_from_hazard(lam, 0.4) * 1e4 < 105
+        assert 95 < spread_from_hazard(math.exp(-4.089), 0.4) * 1e4 < 105
 
     def test_high_spread_level(self):
-        lam = intensity(-2.089)
-        assert lam == pytest.approx(math.exp(-2.089), rel=1e-15)
-        assert 725 < spread_from_hazard(lam, 0.4) * 1e4 < 755
+        assert 725 < spread_from_hazard(math.exp(-2.089), 0.4) * 1e4 < 755
 
 
 class TestForeignHazard:
@@ -116,23 +97,28 @@ class TestNoArbDrifts:
         assert no_arb_drift_z(RatePair(0.01, 0.02), -0.2, 0.05, 1) == pytest.approx(-0.01)
 
     def test_drift_x(self):
-        assert no_arb_drift_x(RatePair(0.01, 0.03), 0.0, 0.07, 0) == pytest.approx(0.02)
-        assert no_arb_drift_x(RATES0, 0.25, 0.04, 0) == pytest.approx(-0.01)
+        # X = 1/Z is simulated only by the contractual-measure MC kernel; with
+        # no diffusion a path that survives grows at r_hat - r - gamma_x lam_hat
+        for rates, gamma, lam, drift in (
+            (RatePair(0.01, 0.03), 0.0, 0.07, 0.02),
+            (RATES0, -0.2, 0.05, -0.01),  # gamma_x = 0.25, lam_hat = 0.04
+        ):
+            h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=math.log(lam))
+            fx = QuantoFxParams(z0=0.8, sigma_z=0.0, gamma_z=gamma, rho=0.0)
+            kern = _TerminalKernel(h, fx, rates, measure="contractual")
+            alive, _, x = kern.run(SimConfig(n_paths=2_000, n_steps=20, horizon=2.0, seed=1))
+            assert alive.any()
+            assert x[alive] == pytest.approx(math.exp(drift * 2.0) / 0.8, rel=1e-12)
 
     def test_no_jump_reduces_to_rate_differential(self):
-        rates = RatePair(0.03, 0.01)
-        assert no_arb_drift_z(rates, 0.0, 0.5, 0) == pytest.approx(0.02)
-        assert no_arb_drift_x(rates, 0.0, 0.5, 0) == pytest.approx(-0.02)
+        assert no_arb_drift_z(RatePair(0.03, 0.01), 0.0, 0.5, 0) == pytest.approx(0.02)
 
     @given(st.floats(-0.99, 3.0), st.floats(1e-6, 0.5))
     def test_cross_measure_consistency(self, gamma, lam):
-        # the X-drift written with the transformed jump and rescaled hazard
-        # equals the drift implied by applying the reciprocal map to Z:
-        # gamma_x * lam_hat = -gamma_z * lam
-        gx = fx_jump_inverse(gamma)
-        lam_hat = foreign_hazard(lam, gamma)
-        lhs = no_arb_drift_x(RATES0, gx, lam_hat, 0)
-        assert lhs == pytest.approx(gamma * lam, rel=1e-12, abs=1e-15)
+        # the contractual-measure kernel compensates the jump of X with
+        # gamma_x * lam_hat, which must equal -gamma_z * lam
+        product = fx_jump_inverse(gamma) * foreign_hazard(lam, gamma)
+        assert product == pytest.approx(-gamma * lam, rel=1e-12, abs=1e-15)
 
 
 class TestTriangle:

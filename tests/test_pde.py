@@ -71,13 +71,6 @@ class TestFactorization:
         v2 = solve_quanto_pde(H_SWEEP, fx2, rates, 3.0, cfgs).spot_value
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
-    def test_two_pass_equals_shortcut(self):
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.4, rho=0.3)
-        cfg = SolverConfig(n_x=41, n_y=41, n_t=60)
-        a = solve_quanto_pde(H_SWEEP, fx, RATES0, 2.0, cfg)
-        b = solve_quanto_pde(H_SWEEP, fx, RATES0, 2.0, cfg, two_pass=True)
-        assert np.max(np.abs(a.values - b.values)) == 0.0
-
 
 class TestForeignMeasureRoute:
     def test_matches_quanto_solver_at_gamma_zero(self):
