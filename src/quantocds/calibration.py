@@ -78,6 +78,15 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """Joint-stage fit of one snapshot.
+
+    ``iterations`` is ``least_squares``' ``nfev`` for the joint four-quote
+    fit: the residual evaluations its trust-region steps made.  It leaves out
+    the evaluations of the finite-difference Jacobian (four per Jacobian),
+    so the residual runs more often than it says, and it counts nothing of
+    the liquid-currency stage.
+    """
+
     date: str
     b: float
     y0: float

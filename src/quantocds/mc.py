@@ -8,6 +8,13 @@ left node; the devaluation jump is applied at the end of the step that
 contains the default time.  One path simulator, ``_TerminalKernel``, runs
 every estimator below.
 
+The simulator steps a stack of legs, one per measure parameterisation
+(liquid, contractual, or liquid with the jump compensator dropped), and all
+legs share one set of draws: each leg sees exactly the numbers a run of it
+alone would draw, so the estimates that share a pass (the symmetry study's
+measures, the long-tenor check's drift tilts) are bit-identical to separate
+runs while the normals are drawn once.
+
 Paths are simulated in fixed-size blocks whose RNG substreams are derived
 deterministically from (seed, block index), and block partials are reduced
 in block order, so estimates are bit-identical for a given config no matter
@@ -135,71 +142,91 @@ def _ou_mean_coeffs(h: HazardParams, dt: float, drift_shift: float) -> tuple[flo
     return m0, m1, math.sqrt(var)
 
 
+@dataclass(frozen=True)
+class _Leg:
+    """One measure's parameterisation of the path simulator.
+
+    ``drift_shift`` tilts the OU drift and ``intensity_scale`` multiplies the
+    integrated intensity in the Cox construction.  The FX process starts at
+    ``fx_spot`` with volatility ``fx_sigma``, signed correlation ``fx_rho``
+    and jump ``fx_gamma``; its pre-default drift is
+    ``rate_diff - compensator * intensity``.
+    """
+
+    drift_shift: float
+    intensity_scale: float
+    fx_spot: float
+    fx_sigma: float
+    fx_rho: float
+    fx_gamma: float
+    compensator: float
+    rate_diff: float
+
+    @classmethod
+    def of(cls, h: HazardParams, fx: QuantoFxParams, rates: RatePair,
+           measure: str = "liquid") -> "_Leg":
+        """The leg of ``measure``.
+
+        "liquid" simulates Z under the liquid currency's measure;
+        "contractual" simulates X = 1/Z under the contractual one (reciprocal
+        jump, intensity scaled by 1 + gamma_z, drift tilt rho sigma_y sigma_z);
+        "uncompensated" is the liquid leg with the jump compensator left out
+        of the FX drift, a negative control for the drift condition.
+        """
+        if measure in ("liquid", "uncompensated"):
+            comp = fx.gamma_z if measure == "liquid" else 0.0
+            return cls(0.0, 1.0, fx.z0, fx.sigma_z, fx.rho, fx.gamma_z, comp,
+                       rates.r - rates.r_hat)
+        if measure == "contractual":
+            scale = 1.0 + fx.gamma_z
+            gamma = fx_jump_inverse(fx.gamma_z)
+            return cls(fx.rho * h.sigma_y * fx.sigma_z, scale, 1.0 / fx.z0, fx.sigma_z,
+                       -fx.rho, gamma, gamma * scale, rates.r_hat - rates.r)
+        raise ValueError(f"unknown measure {measure!r}")
+
+
+def _column(values) -> np.ndarray:
+    return np.array(list(values), dtype=float).reshape(-1, 1)
+
+
 class _TerminalKernel:
     """Streaming block simulator collecting per-path quantities at the horizon,
     and on request the integrated intensity at chosen steps.
 
-    One instance describes a measure-specific parameterization: the OU
-    drift shift, the intensity scale used in the Cox construction, and the
-    FX process (spot, signed correlation, jump size, rate ordering).
+    It steps a stack of legs (one ``_Leg`` each) on the same random numbers:
+    every leg sees, number for number, the draws a run of that leg alone
+    would make.  State arrays have shape (legs, block) and the per-leg
+    coefficients are column vectors.
     """
 
-    def __init__(
-        self,
-        h: HazardParams,
-        fx: QuantoFxParams,
-        rates: RatePair,
-        *,
-        measure: str = "liquid",
-        drop_compensator: bool = False,
-    ):
-        if measure not in ("liquid", "contractual"):
-            raise ValueError(f"unknown measure {measure!r}")
+    def __init__(self, h: HazardParams, legs: Sequence[_Leg]):
         self.h = h
-        self.measure = measure
-        self.drop_compensator = drop_compensator
-        if measure == "liquid":
-            self.drift_shift = 0.0
-            self.intensity_scale = 1.0
-            self.fx_spot = fx.z0
-            self.fx_sigma = fx.sigma_z
-            self.fx_rho = fx.rho
-            self.fx_gamma = fx.gamma_z
-            self.r_own, self.r_other = rates.r, rates.r_hat
-        else:
-            self.drift_shift = fx.rho * h.sigma_y * fx.sigma_z
-            self.intensity_scale = 1.0 + fx.gamma_z
-            self.fx_spot = 1.0 / fx.z0
-            self.fx_sigma = fx.sigma_z
-            self.fx_rho = -fx.rho
-            self.fx_gamma = fx_jump_inverse(fx.gamma_z)
-            self.r_own, self.r_other = rates.r_hat, rates.r
+        self.legs = tuple(legs)
 
     def run(self, cfg: SimConfig, want_fx: bool = True, at_steps: Sequence[int] = ()):
-        """Terminal arrays (alive, int_lam, z) reduced over all blocks.
+        """Terminal arrays (alive, int_lam, z) reduced over all blocks, one row per leg.
 
-        ``int_lam`` is the trapezoidal integral of the *unscaled* intensity
-        exp(Y); ``z`` is the FX value at the horizon (None if not needed).
-        With ``at_steps`` (distinct step indices in 1..n_steps), ``int_lam``
-        has shape (n_paths, len(at_steps)) and holds the integral after each
-        listed step instead.
+        ``alive`` has shape (legs, n_paths).  With ``want_fx``, ``z`` holds
+        the FX value at the horizon and ``int_lam`` is None; without it,
+        ``z`` is None and ``int_lam`` holds the trapezoidal integral of the
+        *unscaled* intensity exp(Y) at the horizon, shape (legs, n_paths), or
+        with ``at_steps`` (distinct step indices in 1..n_steps) after each
+        listed step, shape (legs, n_paths, len(at_steps)).
         """
         n = cfg.n_paths
-        alive = np.empty(n, dtype=bool)
-        int_lam = np.empty((n, len(at_steps)) if at_steps else n)
-        z = np.empty(n) if want_fx else None
-        start = 0
-        block = 0
-        while start < n:
+        shape = (len(self.legs), n)
+        alive = np.empty(shape, dtype=bool)
+        int_lam = None if want_fx else np.empty(shape + (len(at_steps),) if at_steps else shape)
+        z = np.empty(shape) if want_fx else None
+        for block, start in enumerate(range(0, n, _BLOCK)):
             size = min(_BLOCK, n - start)
             a, il, zz = self._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx,
                                         at_steps)
-            alive[start : start + size] = a
-            int_lam[start : start + size] = il
+            alive[:, start : start + size] = a
             if want_fx:
-                z[start : start + size] = zz
-            start += size
-            block += 1
+                z[:, start : start + size] = zz
+            else:
+                int_lam[:, start : start + size] = il
         return alive, int_lam, z
 
     def _draw_normals(self, rng, count: int, antithetic: bool) -> np.ndarray:
@@ -225,48 +252,82 @@ class _TerminalKernel:
 
     def _run_block(self, rng, size: int, cfg: SimConfig, want_fx: bool,
                    at_steps: Sequence[int]):
+        # Every update writes into buffers allocated once per block and keeps
+        # the operand order of the plain expression it replaces (noted beside
+        # it), so each leg's numbers are bit for bit those of a one-leg run.
+        legs = self.legs
         dt = cfg.horizon / cfg.n_steps
-        m0, m1, sd = _ou_mean_coeffs(self.h, dt, self.drift_shift)
-        rho = self.fx_rho
-        rho_c = math.sqrt(max(1.0 - rho * rho, 0.0))
-        sig = self.fx_sigma
         sqdt = math.sqrt(dt)
-        with np.errstate(divide="ignore"):
-            log_jump = math.log1p(self.fx_gamma) if self.fx_gamma > -1.0 else -math.inf
+        m0, m1, sd = (_column(c) for c in
+                      zip(*(_ou_mean_coeffs(self.h, dt, leg.drift_shift) for leg in legs)))
+        scale = _column(leg.intensity_scale for leg in legs)
+        shape = (len(legs), size)
 
         e = self._draw_exponentials(rng, size, cfg.antithetic)
-        y = np.full(size, self.h.y0)
+        y = np.full(shape, self.h.y0)
         lam = np.exp(y)
-        acc = np.zeros(size)
-        jumped = e <= 0.0
-        lnz = np.full(size, math.log(self.fx_spot))
+        lam_new = np.empty(shape)
+        acc = np.zeros(shape)
+        tmp = np.empty(shape)
+        alive = np.empty(shape, dtype=bool)
+        np.greater(e, 0.0, out=alive)
+        newly = np.empty(shape, dtype=bool)
         if want_fx:
-            lnz[jumped] += log_jump
+            rho = _column(leg.fx_rho for leg in legs)
+            rho_c = _column(math.sqrt(max(1.0 - leg.fx_rho * leg.fx_rho, 0.0)) for leg in legs)
+            half_var = _column(0.5 * leg.fx_sigma * leg.fx_sigma for leg in legs)
+            vol = _column(leg.fx_sigma * sqdt for leg in legs)
+            comp = _column(leg.compensator for leg in legs)
+            rate_diff = _column(leg.rate_diff for leg in legs)
+            log_jump = _column(math.log1p(leg.fx_gamma) if leg.fx_gamma > -1.0 else -math.inf
+                               for leg in legs)
+            lnz = np.empty(shape)
+            lnz[...] = _column(math.log(leg.fx_spot) for leg in legs)
+            np.add(lnz, log_jump, out=lnz, where=~alive)
         column = {k: j for j, k in enumerate(at_steps)}
-        int_lam_at = np.empty((size, len(at_steps)))
+        int_lam_at = np.empty(shape + (len(at_steps),)) if at_steps else None
 
         for k in range(1, cfg.n_steps + 1):
             n1 = self._draw_normals(rng, size, cfg.antithetic)
-            y = m0 + m1 * y + sd * n1
-            lam_new = np.exp(y)
+            # y = m0 + m1 * y + sd * n1
+            y *= m1
+            y += m0
+            np.multiply(sd, n1, out=tmp)
+            y += tmp
             if want_fx:
                 n2 = self._draw_normals(rng, size, cfg.antithetic)
-                comp = 0.0 if self.drop_compensator else self.fx_gamma * self.intensity_scale
-                drift = self.r_own - self.r_other - comp * lam * (~jumped)
-                w = rho * n1 + rho_c * n2
-                lnz = lnz + (drift - 0.5 * sig * sig) * dt + sig * sqdt * w
-            acc_new = acc + 0.5 * (lam + lam_new) * dt
-            newly = ~jumped & (self.intensity_scale * acc_new >= e)
-            if want_fx and np.any(newly):
-                lnz = lnz + np.where(newly, log_jump, 0.0)
-            jumped = jumped | newly
-            acc = acc_new
-            lam = lam_new
+                # lnz = lnz + (rate_diff - comp * lam * alive - half_var) * dt
+                #           + vol * (rho * n1 + rho_c * n2), with lam_new as scratch
+                np.multiply(comp, lam, out=tmp)
+                tmp *= alive
+                np.subtract(rate_diff, tmp, out=tmp)
+                tmp -= half_var
+                tmp *= dt
+                lnz += tmp
+                np.multiply(rho, n1, out=lam_new)
+                np.multiply(rho_c, n2, out=tmp)
+                lam_new += tmp
+                lam_new *= vol
+                lnz += lam_new
+            np.exp(y, out=lam_new)
+            # acc = acc + 0.5 * (lam + lam_new) * dt
+            np.add(lam, lam_new, out=tmp)
+            tmp *= 0.5
+            tmp *= dt
+            acc += tmp
+            # newly = alive & (scale * acc >= e): the default falls in this step
+            np.multiply(scale, acc, out=tmp)
+            np.greater_equal(tmp, e, out=newly)
+            newly &= alive
+            if want_fx:
+                np.add(lnz, log_jump, out=lnz, where=newly)
+            alive ^= newly
+            lam, lam_new = lam_new, lam
             if k in column:
-                int_lam_at[:, column[k]] = acc
+                int_lam_at[..., column[k]] = acc
 
-        z = np.exp(lnz) if want_fx else None
-        return ~jumped, int_lam_at if at_steps else acc, z
+        z = np.exp(lnz, out=lnz) if want_fx else None
+        return alive, int_lam_at if at_steps else acc, z
 
 
 def _tenor_config(T: float, cfg: SimConfig) -> SimConfig:
@@ -279,22 +340,27 @@ def _tenor_config(T: float, cfg: SimConfig) -> SimConfig:
 def survival_probability_mc(h: HazardParams, T: float, cfg: SimConfig) -> McEstimate:
     """Survival probability p0(T) via the conditional estimator exp(-int lambda).
 
-    Averaging the conditional survival given the intensity path has lower
-    variance than counting default indicators and stays in [0, 1] pathwise.
+    The paths take ``cfg.n_steps`` uniform steps over the tenor T itself
+    (dt = T / n_steps), whatever ``cfg.horizon`` is.  Averaging the
+    conditional survival given the intensity path has lower variance than
+    counting default indicators and stays in [0, 1] pathwise.
     """
     if T == 0.0:
         return McEstimate(1.0, 0.0, 1.0, 1.0, cfg.n_paths)
-    kern = _TerminalKernel(h, _DUMMY_FX, _ZERO_RATES)
+    kern = _TerminalKernel(h, [_Leg.of(h, _DUMMY_FX, _ZERO_RATES)])
     _, int_lam, _ = kern.run(_tenor_config(T, cfg), want_fx=False)
-    return McEstimate.from_samples(np.exp(-int_lam))
+    return McEstimate.from_samples(np.exp(-int_lam[0]))
 
 
 def survival_curve_mc(h: HazardParams, tenors, cfg: SimConfig) -> list[McEstimate]:
     """Survival estimates at several tenors from a single set of paths.
 
-    Every tenor must be a node of the uniform grid of ``cfg.n_steps`` steps
-    over ``cfg.horizon``; the estimate at the horizon is the one
-    :func:`survival_probability_mc` gives for ``cfg``.
+    The paths step on the grid of ``cfg.n_steps`` uniform steps over
+    ``cfg.horizon`` (dt = horizon / n_steps), and every tenor must be a node
+    of it.  The estimate at a node T = k dt is therefore the one
+    :func:`survival_probability_mc` gives for T with k steps over T
+    (``replace(cfg, n_steps=k, horizon=T)``), bit for bit, not the one it
+    gives for T with ``cfg`` itself.
     """
     tenors = [float(t) for t in tenors]
     if not tenors:
@@ -306,9 +372,9 @@ def survival_curve_mc(h: HazardParams, tenors, cfg: SimConfig) -> list[McEstimat
             raise ValueError(f"tenor {t:g} is not a node of the {cfg.n_steps}-step grid "
                              f"over (0, {cfg.horizon:g}]")
     distinct = sorted(set(steps))
-    kern = _TerminalKernel(h, _DUMMY_FX, _ZERO_RATES)
+    kern = _TerminalKernel(h, [_Leg.of(h, _DUMMY_FX, _ZERO_RATES)])
     _, int_lam, _ = kern.run(cfg, want_fx=False, at_steps=distinct)
-    return [McEstimate.from_samples(np.exp(-int_lam[:, distinct.index(k)])) for k in steps]
+    return [McEstimate.from_samples(np.exp(-int_lam[0, :, distinct.index(k)])) for k in steps]
 
 
 def quanto_bond_mc(
@@ -318,15 +384,20 @@ def quanto_bond_mc(
 
     U0(T) = B(0,T) * E[Z_T 1{tau > T}] and p_hat = U0(T) / (z0 * Bhat(0,T)).
     """
-    kern = _TerminalKernel(h, fx, rates)
+    kern = _TerminalKernel(h, [_Leg.of(h, fx, rates)])
     alive, _, z = kern.run(_tenor_config(T, cfg))
     disc = math.exp(-rates.r * T)
-    u = McEstimate.from_samples(disc * z * alive)
+    u = McEstimate.from_samples(disc * z[0] * alive[0])
     scale = 1.0 / (fx.z0 * math.exp(-rates.r_hat * T))
     p_hat = McEstimate(
         u.mean * scale, u.std_error * scale, u.ci95_low * scale, u.ci95_high * scale, u.n_paths
     )
     return QuantoBondMc(u=u, p_hat=p_hat)
+
+
+def _density_martingale(z: np.ndarray, fx: QuantoFxParams, rates: RatePair,
+                        T: float) -> McEstimate:
+    return McEstimate.from_samples(z * math.exp((rates.r_hat - rates.r) * T) / fx.z0)
 
 
 def verify_rn_martingale(
@@ -343,10 +414,9 @@ def verify_rn_martingale(
     drift; the estimate then deviates from 1 by roughly gamma * P(default),
     which serves as a negative control for the drift condition.
     """
-    kern = _TerminalKernel(h, fx, rates, drop_compensator=drop_compensator)
-    _, _, z = kern.run(_tenor_config(T, cfg))
-    l_t = z * math.exp((rates.r_hat - rates.r) * T) / fx.z0
-    return McEstimate.from_samples(l_t)
+    leg = _Leg.of(h, fx, rates, "uncompensated" if drop_compensator else "liquid")
+    _, _, z = _TerminalKernel(h, [leg]).run(_tenor_config(T, cfg))
+    return _density_martingale(z[0], fx, rates, T)
 
 
 def verify_fx_symmetry(
@@ -354,33 +424,41 @@ def verify_fx_symmetry(
 ) -> FxSymmetryReport:
     """Dual-construction check of the FX jump symmetry.
 
-    The liquid-measure run simulates Z and prices the quanto bond; the
-    contractual-measure run simulates X = 1/Z directly (reciprocal jump,
+    The liquid-measure leg simulates Z and prices the quanto bond; the
+    contractual-measure leg simulates X = 1/Z directly (reciprocal jump,
     intensity scaled by 1 + gamma_z, drift-shifted hazard factor) and
     recovers the same two observables from the other side:
 
     * p_hat: directly as the contractual-measure survival frequency;
     * p:     as z0 * exp((r - r_hat) T) * E[X_T 1{tau > T}].
     """
+    return _fx_symmetry_pass(h, fx, rates, T, cfg, control=False)[0]
+
+
+def _fx_symmetry_pass(
+    h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float, cfg: SimConfig,
+    control: bool,
+) -> tuple[FxSymmetryReport, McEstimate, McEstimate | None]:
+    """The report of :func:`verify_fx_symmetry`, the density martingale of
+    :func:`verify_rn_martingale` and, with ``control``, its uncompensated
+    negative control (else None), from one pass whose legs share their draws.
+
+    Each estimate equals, bit for bit, the one its own function returns.
+    """
     run_cfg = _tenor_config(T, cfg)
+    measures = ("liquid", "contractual", "uncompensated") if control else ("liquid", "contractual")
+    kern = _TerminalKernel(h, [_Leg.of(h, fx, rates, m) for m in measures])
+    alive, _, z = kern.run(run_cfg)
 
-    dom = _TerminalKernel(h, fx, rates)
-    alive_d, _, z_d = dom.run(run_cfg)
     disc_ratio = math.exp((rates.r_hat - rates.r) * T)
-    p_hat_liquid = McEstimate.from_samples(disc_ratio * z_d * alive_d / fx.z0)
-    p_liquid = McEstimate.from_samples(alive_d.astype(float))
-
-    fore = _TerminalKernel(h, fx, rates, measure="contractual")
-    alive_f, _, x_f = fore.run(run_cfg)
-    p_hat_contractual = McEstimate.from_samples(alive_f.astype(float))
-    p_contractual = McEstimate.from_samples(fx.z0 * x_f * alive_f / disc_ratio)
-
-    return FxSymmetryReport(
-        p_hat_liquid=p_hat_liquid,
-        p_hat_contractual=p_hat_contractual,
-        p_liquid=p_liquid,
-        p_contractual=p_contractual,
+    report = FxSymmetryReport(
+        p_hat_liquid=McEstimate.from_samples(disc_ratio * z[0] * alive[0] / fx.z0),
+        p_hat_contractual=McEstimate.from_samples(alive[1].astype(float)),
+        p_liquid=McEstimate.from_samples(alive[0].astype(float)),
+        p_contractual=McEstimate.from_samples(fx.z0 * z[1] * alive[1] / disc_ratio),
     )
+    biased = _density_martingale(z[2], fx, rates, T) if control else None
+    return report, _density_martingale(z[0], fx, rates, T), biased
 
 
 _DUMMY_FX = QuantoFxParams(z0=1.0, sigma_z=0.0, gamma_z=0.0, rho=0.0)

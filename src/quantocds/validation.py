@@ -20,11 +20,11 @@ from .mc import (
     FxSymmetryReport,
     McEstimate,
     SimConfig,
+    _fx_symmetry_pass,
+    _Leg,
     _TerminalKernel,
     quanto_bond_mc,
     survival_probability_mc,
-    verify_fx_symmetry,
-    verify_rn_martingale,
 )
 from .model import HazardParams, QuantoFxParams, RatePair
 from .pde import SolverConfig, quanto_survival_curve_1f, solve_quanto_pde, survival_curve_1f
@@ -182,29 +182,36 @@ def deviation_sweep(
     return cells
 
 
+def _sweep_fx(gamma: float, rho: float) -> QuantoFxParams:
+    return QuantoFxParams(z0=SWEEP_Z0, sigma_z=SWEEP_SIGMA_Z, gamma_z=gamma, rho=rho)
+
+
 def _mc_deviation_pct(
     h: HazardParams, keys, tenor: float, seed: int
 ) -> dict[tuple[float, float], float]:
     """Deviation (percent) at ``tenor`` per (gamma, rho) from the MC kernel.
 
-    p comes from the liquid-measure kernel and p_hat from the
-    contractual-measure kernel, whose drift tilt and intensity scale are its
-    own code, independent of the one-factor reduction.  Both use the
+    p comes from the liquid-measure leg and p_hat from the
+    contractual-measure legs, whose drift tilt and intensity scale are the
+    kernel's own code, independent of the one-factor reduction.  Both use the
     conditional estimator exp(-scale * int lambda) on common random numbers
-    (20k paths, 200 exact OU steps).  The integrated intensity depends only
-    on the drift tilt, so one run per tilt serves every gamma.
+    (one pass, 20k paths, 200 exact OU steps).  The integrated intensity
+    depends only on the drift tilt, so one leg per tilt serves every gamma,
+    and the liquid leg serves the zero tilt.
     """
     cfg = SimConfig(20_000, 200, tenor, seed)
     rates = RatePair(0.0, 0.0)
-    p = survival_probability_mc(h, tenor, cfg).mean
-    int_lam: dict[float, np.ndarray] = {}
+    legs = {(gamma, rho): _Leg.of(h, _sweep_fx(gamma, rho), rates, "contractual")
+            for gamma, rho in keys}
+    by_tilt = {0.0: _Leg.of(h, _sweep_fx(0.0, 0.0), rates)}
+    for leg in legs.values():
+        by_tilt.setdefault(leg.drift_shift, leg)
+    _, int_lam, _ = _TerminalKernel(h, list(by_tilt.values())).run(cfg, want_fx=False)
+    int_lam = dict(zip(by_tilt, int_lam))
+    p = McEstimate.from_samples(np.exp(-int_lam[0.0])).mean
     out: dict[tuple[float, float], float] = {}
-    for gamma, rho in keys:
-        fx = QuantoFxParams(z0=SWEEP_Z0, sigma_z=SWEEP_SIGMA_Z, gamma_z=gamma, rho=rho)
-        kern = _TerminalKernel(h, fx, rates, measure="contractual")
-        if kern.drift_shift not in int_lam:
-            int_lam[kern.drift_shift] = kern.run(cfg, want_fx=False)[1]
-        p_hat = float(np.mean(np.exp(-kern.intensity_scale * int_lam[kern.drift_shift])))
+    for (gamma, rho), leg in legs.items():
+        p_hat = float(np.mean(np.exp(-leg.intensity_scale * int_lam[leg.drift_shift])))
         out[(gamma, rho)] = 100.0 * deviation_from_curves(gamma, p, p_hat)
     return out
 
@@ -342,16 +349,17 @@ def fx_symmetry_study(
     h: HazardParams = SWEEP_HAZARD_LOW,
     rates: RatePair = RatePair(0.01, 0.02),
 ) -> list[SymmetryPoint]:
-    """Dual-construction, martingale and negative-control checks per gamma."""
+    """Dual-construction, martingale and negative-control checks per gamma.
+
+    Each gamma is one Monte Carlo pass whose liquid, contractual and (for
+    gamma != 0) uncompensated legs share their draws; every estimate equals
+    the one ``verify_fx_symmetry`` or ``verify_rn_martingale`` returns alone.
+    """
     points: list[SymmetryPoint] = []
     for gamma in gammas:
         fx = QuantoFxParams(z0=SWEEP_Z0, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
         cfg = SimConfig(n_paths, n_steps, T, seed)
-        report = verify_fx_symmetry(h, fx, rates, T, cfg)
-        mart = verify_rn_martingale(h, fx, rates, T, cfg)
-        biased = None
-        if gamma != 0.0:
-            biased = verify_rn_martingale(h, fx, rates, T, cfg, drop_compensator=True)
+        report, mart, biased = _fx_symmetry_pass(h, fx, rates, T, cfg, control=gamma != 0.0)
         points.append(SymmetryPoint(gamma, report, mart, biased))
     return points
 

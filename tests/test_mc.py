@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from quantocds.mc import (
+    _BLOCK,
     McEstimate,
     SimConfig,
     _block_rng,
+    _Leg,
+    _ou_mean_coeffs,
     _TerminalKernel,
     quanto_bond_mc,
     survival_curve_mc,
@@ -29,6 +33,11 @@ def flat_fx(gamma=0.0, sigma_z=0.0, rho=0.0, z0=1.0):
     return QuantoFxParams(z0=z0, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
 
 
+def _kernel(h, fx=None, rates=RATES0, measure="liquid") -> _TerminalKernel:
+    """A one-leg kernel."""
+    return _TerminalKernel(h, [_Leg.of(h, fx or flat_fx(), rates, measure)])
+
+
 def _y_paths(kern: _TerminalKernel, cfg: SimConfig) -> np.ndarray:
     """Y after every step, recovered from the kernel's trapezoidal integrals.
 
@@ -36,6 +45,7 @@ def _y_paths(kern: _TerminalKernel, cfg: SimConfig) -> np.ndarray:
     recorded after every step give every Y exactly up to round-off.
     """
     _, int_lam, _ = kern.run(cfg, want_fx=False, at_steps=range(1, cfg.n_steps + 1))
+    int_lam = int_lam[0]
     dt = cfg.horizon / cfg.n_steps
     inc = np.diff(int_lam, axis=1, prepend=0.0)
     lam = np.empty_like(inc)
@@ -58,12 +68,12 @@ class _ZeroDraws:
 class TestSimulateOu:
     def test_degenerate_is_constant(self):
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=-3.0)
-        kern = _TerminalKernel(h, flat_fx(), RATES0)
+        kern = _kernel(h)
         y = _y_paths(kern, SimConfig(n_paths=4, n_steps=10, horizon=5.0, seed=1))
         assert np.allclose(y, -3.0, rtol=0.0, atol=1e-12)
 
     def test_terminal_moments_match_closed_form(self):
-        kern = _TerminalKernel(H_TEST, flat_fx(), RATES0)
+        kern = _kernel(H_TEST)
         y5 = _y_paths(kern, SimConfig(n_paths=100_000, n_steps=25, horizon=5.0, seed=7))[:, -1]
         mean, sd = ou_mean_std(H_TEST, 5.0)
         se_mean = sd / math.sqrt(y5.size)
@@ -74,7 +84,7 @@ class TestSimulateOu:
 
     def test_zero_reversion_limit_variance(self):
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.3, y0=0.0)
-        kern = _TerminalKernel(h, flat_fx(), RATES0)
+        kern = _kernel(h)
         y1 = _y_paths(kern, SimConfig(n_paths=200_000, n_steps=1, horizon=1.0, seed=3))[:, 0]
         assert y1.var(ddof=1) == pytest.approx(0.09, rel=0.02)
 
@@ -90,10 +100,10 @@ class TestSimulateOu:
             dt = float(rng.uniform(0.01, 2.0))
             h = HazardParams(a=a, b=b, sigma_y=sig, y0=-1.0)
             fx = flat_fx(sigma_z=0.4, rho=0.5)
-            kern = _TerminalKernel(h, fx, RATES0, measure=("liquid", "contractual")[i % 2])
+            kern = _kernel(h, fx, measure=("liquid", "contractual")[i % 2])
             sample = _y_paths(kern, SimConfig(n_paths=20_000, n_steps=1, horizon=dt,
                                               seed=5))[:, 0]
-            mean, sd = ou_mean_std(h, dt, kern.drift_shift)
+            mean, sd = ou_mean_std(h, dt, kern.legs[0].drift_shift)
             p = stats.kstest(sample, stats.norm(loc=mean, scale=sd).cdf).pvalue
             assert p > 0.01
 
@@ -102,9 +112,10 @@ class TestSimulateDefault:
     def test_constant_hazard_survival_frequency(self):
         lam0 = 0.016746
         n = 200_000
-        kern = _TerminalKernel(H_FLAT, flat_fx(), RATES0)
+        kern = _kernel(H_FLAT)
         alive, _, _ = kern.run(SimConfig(n_paths=n, n_steps=5, horizon=5.0, seed=11),
                                want_fx=False)
+        alive = alive[0]
         p_true = math.exp(-lam0 * 5)
         se = math.sqrt(p_true * (1 - p_true) / n)
         assert abs(alive.mean() - p_true) < 3 * se
@@ -112,24 +123,104 @@ class TestSimulateDefault:
     def test_zero_threshold_is_immediate_default(self):
         # a zero threshold defaults at t = 0: the jump lands before the
         # first step and the compensator never switches on
-        kern = _TerminalKernel(H_FLAT, flat_fx(gamma=-0.5, z0=0.8), RatePair(0.02, 0.01))
+        kern = _kernel(H_FLAT, flat_fx(gamma=-0.5, z0=0.8), RatePair(0.02, 0.01))
         cfg = SimConfig(n_paths=3, n_steps=10, horizon=2.0)
-        alive, _, z = kern._run_block(_ZeroDraws(), 3, cfg, True, ())
+        (alive,), _, (z,) = kern._run_block(_ZeroDraws(), 3, cfg, True, ())
         assert not alive.any()
         assert z == pytest.approx(np.full(3, 0.8 * 0.5 * math.exp(0.01 * 2.0)), rel=1e-12)
 
 
+def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx: bool):
+    """One leg's block as plain expressions, the reference for the in-place step."""
+    (leg,) = kern.legs
+    dt = cfg.horizon / cfg.n_steps
+    m0, m1, sd = _ou_mean_coeffs(kern.h, dt, leg.drift_shift)
+    rho = leg.fx_rho
+    rho_c = math.sqrt(max(1.0 - rho * rho, 0.0))
+    sig = leg.fx_sigma
+    log_jump = math.log1p(leg.fx_gamma) if leg.fx_gamma > -1.0 else -math.inf
+    e = kern._draw_exponentials(rng, size, cfg.antithetic)
+    y = np.full(size, kern.h.y0)
+    lam = np.exp(y)
+    acc = np.zeros(size)
+    jumped = e <= 0.0
+    lnz = np.full(size, math.log(leg.fx_spot))
+    lnz[jumped] += log_jump
+    for _ in range(cfg.n_steps):
+        n1 = kern._draw_normals(rng, size, cfg.antithetic)
+        y = m0 + m1 * y + sd * n1
+        lam_new = np.exp(y)
+        if want_fx:
+            n2 = kern._draw_normals(rng, size, cfg.antithetic)
+            drift = leg.rate_diff - leg.compensator * lam * (~jumped)
+            w = rho * n1 + rho_c * n2
+            lnz = lnz + (drift - 0.5 * sig * sig) * dt + sig * math.sqrt(dt) * w
+        acc = acc + 0.5 * (lam + lam_new) * dt
+        newly = ~jumped & (leg.intensity_scale * acc >= e)
+        lnz = lnz + np.where(newly, log_jump, 0.0)
+        jumped = jumped | newly
+        lam = lam_new
+    return ~jumped, acc, np.exp(lnz) if want_fx else None
+
+
+class TestLegs:
+    H = HazardParams(a=0.5, b=-3.0, sigma_y=0.6, y0=-2.5)
+    FX = QuantoFxParams(z0=0.8, sigma_z=0.15, gamma_z=-0.4, rho=0.3)
+    RATES = RatePair(0.01, 0.03)
+    MEASURES = ("liquid", "contractual", "uncompensated")
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("want_fx", [True, False])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_in_place_step_matches_plain_expressions(self, measure, want_fx, antithetic):
+        kern = _kernel(self.H, self.FX, self.RATES, measure)
+        cfg = SimConfig(n_paths=1_001, n_steps=15, horizon=3.0, antithetic=antithetic)
+        got = kern._run_block(_block_rng(4, 0), 1_001, cfg, want_fx, ())
+        want = _plain_block(kern, _block_rng(4, 0), 1_001, cfg, want_fx)
+        assert 0 < got[0].sum() < got[0].size
+        assert np.array_equal(got[0][0], want[0])
+        assert np.array_equal(got[1][0], want[1])
+        if want_fx:
+            assert np.array_equal(got[2][0], want[2])
+        else:
+            assert got[2] is None
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("want_fx, at_steps", [(True, ()), (False, ()), (True, (12, 1)),
+                                                   (False, (3, 7, 12))])
+    def test_stacked_pass_equals_one_leg_runs(self, want_fx, at_steps, antithetic):
+        # two blocks, the second of odd size; the last leg has another FX
+        other = QuantoFxParams(z0=1.3, sigma_z=0.2, gamma_z=1.0, rho=-0.6)
+        legs = [_Leg.of(self.H, self.FX, self.RATES, m) for m in self.MEASURES]
+        legs.append(_Leg.of(self.H, other, self.RATES, "contractual"))
+        cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=5,
+                        antithetic=antithetic)
+        stacked = _TerminalKernel(self.H, legs).run(cfg, want_fx, at_steps)
+        for i, leg in enumerate(legs):
+            alone = _TerminalKernel(self.H, [leg]).run(cfg, want_fx, at_steps)
+            for got, want in zip(stacked, alone):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.shape[0] == len(legs) and want.shape[0] == 1
+                    assert np.array_equal(got[i], want[0])
+
+    def test_unknown_measure(self):
+        with pytest.raises(ValueError, match="unknown measure 'foreign'"):
+            _Leg.of(self.H, self.FX, self.RATES, "foreign")
+
+
 class TestSimulateFx:
     def test_degenerate_is_constant(self):
-        kern = _TerminalKernel(H_TEST, flat_fx(z0=0.8), RATES0)
-        _, _, z = kern.run(SimConfig(n_paths=4, n_steps=10, horizon=5.0, seed=1))
+        kern = _kernel(H_TEST, flat_fx(z0=0.8))
+        _, _, (z,) = kern.run(SimConfig(n_paths=4, n_steps=10, horizon=5.0, seed=1))
         assert np.allclose(z, 0.8, rtol=1e-14)
 
     def test_gbm_expectation(self):
         rates = RatePair(0.03, 0.01)
         n = 100_000
-        kern = _TerminalKernel(H_TEST, flat_fx(sigma_z=0.2, z0=1.3), rates)
-        _, _, zt = kern.run(SimConfig(n_paths=n, n_steps=40, horizon=2.0, seed=5))
+        kern = _kernel(H_TEST, flat_fx(sigma_z=0.2, z0=1.3), rates)
+        _, _, (zt,) = kern.run(SimConfig(n_paths=n, n_steps=40, horizon=2.0, seed=5))
         target = 1.3 * math.exp((rates.r - rates.r_hat) * 2.0)
         assert abs(zt.mean() - target) < 3 * zt.std(ddof=1) / math.sqrt(n)
 
@@ -140,7 +231,7 @@ class TestSimulateFx:
         gamma = -0.5
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=math.log(0.4))
         cfg = SimConfig(n_paths=1_000, n_steps=10, horizon=5.0, seed=3)
-        alive, _, z = _TerminalKernel(h, flat_fx(gamma=gamma, z0=0.8), RATES0).run(cfg)
+        (alive,), _, (z,) = _kernel(h, flat_fx(gamma=gamma, z0=0.8)).run(cfg)
         # the kernel draws one Exp(1) threshold per path first
         e = -np.log1p(-_block_rng(cfg.seed, 0).uniform(size=cfg.n_paths))
         lam_dt = math.exp(h.y0) * 0.5
@@ -192,6 +283,18 @@ class TestSurvivalEstimators:
                         antithetic=antithetic)
         curve = survival_curve_mc(H_TEST, [1.0, 2.5, 5.0], cfg)
         assert curve[-1] == survival_probability_mc(H_TEST, 5.0, cfg)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_curve_node_is_single_tenor_run_on_its_steps(self, antithetic):
+        # the curve steps on the horizon grid, so at T = k dt it is the
+        # single-tenor estimate with k steps over T, not with n_steps over T
+        cfg = SimConfig(n_paths=50_000, n_steps=120, horizon=6.0, seed=13,
+                        antithetic=antithetic)
+        tenors = [1.0, 2.0, 4.0, 6.0]
+        curve = survival_curve_mc(H_TEST, tenors, cfg)
+        for T, k, est in zip(tenors, [20, 40, 80, 120], curve):
+            assert est == survival_probability_mc(H_TEST, T, replace(cfg, n_steps=k, horizon=T))
+        assert curve[0] != survival_probability_mc(H_TEST, 1.0, cfg)
 
     @pytest.mark.parametrize("tenor", [1.3, 0.0, 6.0])
     def test_curve_rejects_tenor_off_the_grid(self, tenor):
