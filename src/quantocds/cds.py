@@ -17,6 +17,10 @@ from .curves import SurvivalCurve
 from .model import HazardParams, QuantoFxParams, RatePair
 from . import pde
 
+# premium accrual period (quarterly) and protection-integral step (weekly), years
+_PERIOD = 0.25
+_PROTECTION_STEP = 1.0 / 52.0
+
 
 @dataclass(frozen=True)
 class CdsContract:
@@ -28,16 +32,15 @@ class CdsContract:
 
     tenor: float
     recovery: float = 0.4
-    payments_per_year: int = 4
     notional: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.tenor > 0:
-            raise ValueError(f"tenor must be > 0, got {self.tenor}")
+        if not 0.0 < self.tenor < math.inf:
+            raise ValueError(f"tenor must be positive and finite, got {self.tenor}")
         if not 0.0 <= self.recovery < 1.0:
             raise ValueError(f"recovery must lie in [0, 1), got {self.recovery}")
-        if self.payments_per_year < 1:
-            raise ValueError("payments_per_year must be >= 1")
+        if not math.isfinite(self.notional):
+            raise ValueError(f"notional must be finite, got {self.notional}")
 
     @property
     def lgd(self) -> float:
@@ -45,16 +48,14 @@ class CdsContract:
 
     def payment_times(self) -> np.ndarray:
         """Payment grid T_1...T_N; appends a stub if the tenor is ragged."""
-        dt = 1.0 / self.payments_per_year
-        n_full = int(math.floor(self.tenor / dt + 1e-9))
-        times = dt * np.arange(1, n_full + 1)
+        n_full = int(math.floor(self.tenor / _PERIOD + 1e-9))
+        times = _PERIOD * np.arange(1, n_full + 1)
         if times.size == 0 or times[-1] < self.tenor - 1e-9:
             times = np.append(times, self.tenor)
         return times
 
     def accruals(self) -> np.ndarray:
-        times = self.payment_times()
-        return np.diff(np.concatenate(([0.0], times)))
+        return np.diff(self.payment_times(), prepend=0.0)
 
 
 @dataclass(frozen=True)
@@ -91,31 +92,24 @@ def premium_leg_pv(
     ``accrual_on_default`` adds the half-period accrual convention: half of
     each period's coupon weighted by the default probability in the period.
     """
-    times = contract.payment_times()
-    _require_coverage(curve, times[-1])
-    deltas = contract.accruals()
-    df = np.exp(-r * times)
-    p = curve(times)
-    pv = float(np.sum(deltas * df * p))
+    pv = _risky_annuity(curve, r, contract)
     if accrual_on_default:
-        p_prev = curve(np.concatenate(([0.0], times[:-1])))
+        times, deltas = contract.payment_times(), contract.accruals()
+        p = curve(np.concatenate(([0.0], times)))
         mids = times - 0.5 * deltas
-        pv += float(np.sum(0.5 * deltas * np.exp(-r * mids) * (p_prev - p)))
+        pv += float(np.sum(0.5 * deltas * np.exp(-r * mids) * (p[:-1] - p[1:])))
     return contract.notional * spread * pv
 
 
-def protection_leg_pv(
-    curve: SurvivalCurve, r: float, contract: CdsContract, max_step: float = 1.0 / 52.0
-) -> float:
+def protection_leg_pv(curve: SurvivalCurve, r: float, contract: CdsContract) -> float:
     """PV of the default payment: LGD * int DF(t) (-dp(t)).
 
-    The integral is discretized on a refinement of at most ``max_step``
-    (weekly by default) with midpoint discounting of each interval's
-    default mass.
+    The integral is discretized on a refinement of at most a week, with
+    midpoint discounting of each interval's default mass.
     """
     T = contract.payment_times()[-1]
     _require_coverage(curve, T)
-    n = max(1, int(math.ceil(T / max_step)))
+    n = max(1, int(math.ceil(T / _PROTECTION_STEP)))
     ts = np.linspace(0.0, T, n + 1)
     p = curve(ts)
     df_mid = np.exp(-r * 0.5 * (ts[:-1] + ts[1:]))
@@ -124,10 +118,7 @@ def protection_leg_pv(
 
 def par_spread(curve: SurvivalCurve, r: float, contract: CdsContract) -> ParSpreadResult:
     """Spread equating the two legs, plus the risky annuity behind it."""
-    times = contract.payment_times()
-    _require_coverage(curve, times[-1])
-    deltas = contract.accruals()
-    annuity = float(np.sum(deltas * np.exp(-r * times) * curve(times)))
+    annuity = _risky_annuity(curve, r, contract)
     if annuity <= 0.0:
         raise ValueError("risky annuity is not positive; cannot quote a par spread")
     protection = protection_leg_pv(curve, r, contract)
@@ -136,6 +127,13 @@ def par_spread(curve: SurvivalCurve, r: float, contract: CdsContract) -> ParSpre
         premium_pv01=annuity,
         protection_pv=protection,
     )
+
+
+def _risky_annuity(curve: SurvivalCurve, r: float, contract: CdsContract) -> float:
+    """sum_i delta_i * DF(T_i) * p(T_i) over the premium schedule."""
+    times = contract.payment_times()
+    _require_coverage(curve, times[-1])
+    return float(np.sum(contract.accruals() * np.exp(-r * times) * curve(times)))
 
 
 def _require_coverage(curve: SurvivalCurve, T: float) -> None:

@@ -95,9 +95,12 @@ def _out_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
+def _write_csv(out: Path | None, name: str, header: list[str], rows: list[list[str]]) -> None:
+    """Write ``out/name``; without an output directory, write nothing."""
+    if out is None:
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / name, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -164,20 +167,21 @@ def _cmd_price(args) -> int:
         print(f"{t:g},{_fpar(p)},{_fpar(ph)}")
         rows.append([f"{t:g}", _fpar(p), _fpar(ph)])
     out = _out_dir(args)
-    if out is not None:
-        _write_csv(out / "price_curve.csv", ["tenor_years", "p_liquid", "p_contractual"], rows)
-        _write_csv(out / "price_summary.csv",
-                   ["currency", "par_spread_bp", "risky_annuity_years", "protection_pv"],
-                   [[args.liquid_ccy, _fbp(liq.par_spread), _fpar(liq.premium_pv01),
-                     _fpar(liq.protection_pv)],
-                    [args.contractual_ccy, _fbp(con.par_spread), _fpar(con.premium_pv01),
-                     _fpar(con.protection_pv)]])
+    _write_csv(out, "price_curve.csv", ["tenor_years", "p_liquid", "p_contractual"], rows)
+    _write_csv(out, "price_summary.csv",
+               ["currency", "par_spread_bp", "risky_annuity_years", "protection_pv"],
+               [[args.liquid_ccy, _fbp(liq.par_spread), _fpar(liq.premium_pv01),
+                 _fpar(liq.protection_pv)],
+                [args.contractual_ccy, _fbp(con.par_spread), _fpar(con.premium_pv01),
+                 _fpar(con.protection_pv)]])
     return 0
 
 
 def _cmd_survival_curve(args) -> int:
     if args.tenors:
         tenors = sorted(float(t) for t in args.tenors.split(","))
+    elif not 0.0 < args.tenor < math.inf:
+        raise ValueError(f"tenor must be positive and finite, got {args.tenor}")
     else:
         n = int(round(args.tenor * 4))
         tenors = [0.25 * k for k in range(1, n + 1)]
@@ -192,9 +196,7 @@ def _cmd_survival_curve(args) -> int:
     print(",".join(header))
     for row in rows:
         print(",".join(row))
-    out = _out_dir(args)
-    if out is not None:
-        _write_csv(out / "survival_curve.csv", header, rows)
+    _write_csv(_out_dir(args), "survival_curve.csv", header, rows)
     return 0
 
 
@@ -205,7 +207,7 @@ def _cmd_survival_curve(args) -> int:
 
 def _cmd_validate(args) -> int:
     out = _out_dir(args)
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[validation.Check] = []
 
     if args.study in ("all", "bracketing"):
         points = validation.bracketing_study(
@@ -221,18 +223,12 @@ def _cmd_validate(args) -> int:
         rows = [[str(pt.n_steps), str(pt.n_paths), _fpar(pt.pde_value), _fpar(pt.mc.mean),
                  _fpar(pt.mc.ci95_low), _fpar(pt.mc.ci95_high), str(pt.inside).lower()]
                 for pt in points]
-        if out is not None:
-            _write_csv(out / "validate_bracketing.csv",
-                       ["n_steps", "n_paths", "pde", "mc_mean", "ci_low", "ci_high", "inside"],
-                       rows)
-        for pt in points:
-            tag = f"steps={pt.n_steps} paths={pt.n_paths}"
-            detail = (f"pde={pt.pde_value:.6f} ci=({pt.mc.ci95_low:.6f},"
-                      f"{pt.mc.ci95_high:.6f})")
-            if pt.n_steps >= 300:
-                checks.append((f"bracketing {tag}", pt.inside, detail))
-            else:
-                print(f"[info] bracketing {tag}: inside={pt.inside} {detail}")
+        _write_csv(out, "validate_bracketing.csv",
+                   ["n_steps", "n_paths", "pde", "mc_mean", "ci_low", "ci_high", "inside"], rows)
+        required, info = validation.bracketing_checks(points)
+        for name, inside, detail in info:
+            print(f"[info] {name}: inside={inside} {detail}")
+        checks.extend(required)
 
     if args.study in ("all", "deviation"):
         h = validation.SWEEP_HAZARD_HIGH if args.sweep_scenario == "high" \
@@ -241,70 +237,32 @@ def _cmd_validate(args) -> int:
         rows = [[_fpar(c.gamma), _fpar(c.rho), _fpar(c.tenor), f"{c.deviation_pct:.4f}",
                  "" if c.reference_pct is None else f"{c.reference_pct:.2f}"]
                 for c in cells]
-        if out is not None:
-            _write_csv(out / "validate_deviation.csv",
-                       ["gamma", "rho", "tenor_years", "deviation_pct", "reference_pct"],
-                       rows)
-        if args.sweep_scenario == "low":
-            # the table's 1-year anchors belong to the low-hazard sweep
-            by_key = {(c.gamma, c.rho, c.tenor): c for c in cells}
-            for gamma, ref in ((0.0, 0.47), (0.5, 0.67)):
-                c = by_key[(gamma, 0.0, 1.0)]
-                ok = abs(c.deviation_pct - ref) <= 0.5
-                checks.append((f"deviation 1y gamma={gamma:+.2f}", ok,
-                               f"model={c.deviation_pct:.3f}% ref={ref:.2f}% tol=0.5pp"))
+        _write_csv(out, "validate_deviation.csv",
+                   ["gamma", "rho", "tenor_years", "deviation_pct", "reference_pct"], rows)
+        checks.extend(validation.anchor_checks(cells))
         checks.extend(validation.long_tenor_checks(cells, h, seed=args.seed))
 
-    if args.study in ("all", "deviation"):
         curve_points = validation.ratio_maturity_study()
         rows = [[p.scenario, _fpar(p.tenor), _fpar(p.gamma), _fpar(p.ratio),
                  _fpar(p.limit), f"{p.deviation_pct:.4f}"]
                 for p in curve_points]
-        if out is not None:
-            _write_csv(out / "validate_ratio_curves.csv",
-                       ["scenario", "tenor_years", "gamma", "default_ratio",
-                        "short_tenor_limit", "deviation_pct"], rows)
-        by_key = {(p.scenario, p.tenor, p.gamma): p for p in curve_points}
-        shortest = min(p.tenor for p in curve_points)
-        longest = max(p.tenor for p in curve_points)
-        for scenario in ("low", "high"):
-            p_short = by_key[(scenario, shortest, -0.5)]
-            p_long = by_key[(scenario, longest, -0.5)]
-            ok = abs(p_short.deviation_pct) < abs(p_long.deviation_pct)
-            checks.append((f"ratio approximation degrades with tenor ({scenario})", ok,
-                           f"|dev| {abs(p_short.deviation_pct):.3f}% at {shortest:.3g}y vs "
-                           f"{abs(p_long.deviation_pct):.3f}% at {longest:.3g}y"))
-        ok = all(
-            abs(by_key[("high", t, g)].deviation_pct)
-            >= abs(by_key[("low", t, g)].deviation_pct)
-            for t in (4.0, 10.0) for g in (-0.5, 0.5)
-        )
-        checks.append(("ratio approximation degrades with spread level", ok,
-                       "high-spread scenario deviates at least as much as low"))
+        _write_csv(out, "validate_ratio_curves.csv",
+                   ["scenario", "tenor_years", "gamma", "default_ratio",
+                    "short_tenor_limit", "deviation_pct"], rows)
+        checks.extend(validation.ratio_checks(curve_points))
 
     if args.study in ("all", "symmetry"):
         points = validation.fx_symmetry_study(n_paths=args.mc_paths, seed=args.seed)
-        rows = []
-        for pt in points:
-            rep = pt.report
-            rows.append([_fpar(pt.gamma),
-                         _fpar(rep.p_hat_liquid.mean), _fpar(rep.p_hat_contractual.mean),
-                         _fpar(rep.p_liquid.mean), _fpar(rep.p_contractual.mean),
-                         _fpar(pt.martingale.mean),
-                         "" if pt.martingale_biased is None else _fpar(pt.martingale_biased.mean)])
-            checks.append((f"fx symmetry dual gamma={pt.gamma:+.2f}", pt.dual_ok,
-                           f"max z={rep.max_z_score():.2f}"))
-            checks.append((f"density martingale gamma={pt.gamma:+.2f}", pt.martingale_ok,
-                           f"E[L]={pt.martingale.mean:.5f} z={pt.martingale.z_score(1.0):+.2f}"))
-            if pt.martingale_biased is not None:
-                checks.append((f"negative control gamma={pt.gamma:+.2f}", pt.control_detected,
-                               f"E[L]={pt.martingale_biased.mean:.5f} "
-                               f"z={pt.martingale_biased.z_score(1.0):+.2f}"))
-        if out is not None:
-            _write_csv(out / "validate_symmetry.csv",
-                       ["gamma", "p_hat_liquid", "p_hat_contractual", "p_liquid",
-                        "p_contractual", "density_mean", "density_mean_uncompensated"],
-                       rows)
+        rows = [[_fpar(pt.gamma),
+                 _fpar(pt.report.p_hat_liquid.mean), _fpar(pt.report.p_hat_contractual.mean),
+                 _fpar(pt.report.p_liquid.mean), _fpar(pt.report.p_contractual.mean),
+                 _fpar(pt.martingale.mean),
+                 "" if pt.martingale_biased is None else _fpar(pt.martingale_biased.mean)]
+                for pt in points]
+        checks.extend(validation.symmetry_checks(points))
+        _write_csv(out, "validate_symmetry.csv",
+                   ["gamma", "p_hat_liquid", "p_hat_contractual", "p_liquid",
+                    "p_contractual", "density_mean", "density_mean_uncompensated"], rows)
 
     failed = 0
     for name, ok, detail in checks:
@@ -373,9 +331,7 @@ def _cmd_sweep(args) -> int:
     print(",".join(header))
     for row in rows:
         print(",".join(row))
-    out = _out_dir(args)
-    if out is not None:
-        _write_csv(out / "sweep.csv", header, rows)
+    _write_csv(_out_dir(args), "sweep.csv", header, rows)
     return 0
 
 
@@ -473,8 +429,8 @@ def _run_calibration(args) -> tuple[list, Path] | None:
             _fbp(row.model_spread_10y["usd"]), _fbp(row.model_spread_10y["eur"]),
         ])
     out = _out_dir(args) or Path(".")
-    _write_csv(out / "calibration_results.csv", _RESULT_HEADER, result_rows)
-    _write_csv(out / "calibration_diagnostics.csv", _DIAG_HEADER, diag_rows)
+    _write_csv(out, "calibration_results.csv", _RESULT_HEADER, result_rows)
+    _write_csv(out, "calibration_diagnostics.csv", _DIAG_HEADER, diag_rows)
     return rows, out
 
 
@@ -511,7 +467,7 @@ def _cmd_backtest(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        _write_csv(out / "historical_correlation.csv", ["date", "rolling_correlation"],
+        _write_csv(out, "historical_correlation.csv", ["date", "rolling_correlation"],
                    hist_rows)
     n_fail = sum(1 for r in rows if r.result is None)
     print(f"backtested {len(rows)} dates ({n_fail} failures)")

@@ -64,13 +64,13 @@ class QuantoFxParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (self.z0 > 0 and math.isfinite(self.z0)):
+        if not 0.0 < self.z0 < math.inf:
             raise ValueError(f"z0 must be positive and finite, got {self.z0}")
-        if self.sigma_z < 0:
-            raise ValueError(f"sigma_z must be >= 0, got {self.sigma_z}")
-        if self.gamma_z < -1:
-            raise ValueError(f"gamma_z must be >= -1, got {self.gamma_z}")
-        if abs(self.rho) > 1:
+        if not 0.0 <= self.sigma_z < math.inf:
+            raise ValueError(f"sigma_z must be >= 0 and finite, got {self.sigma_z}")
+        if not -1.0 <= self.gamma_z < math.inf:
+            raise ValueError(f"gamma_z must be >= -1 and finite, got {self.gamma_z}")
+        if not abs(self.rho) <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
 
 

@@ -210,6 +210,34 @@ def build_grid(
     return Grid2D(x, y, t_nodes, ix0, iy0), snap
 
 
+def _y_diags(h: HazardParams, y: np.ndarray, drift_shift: float, kill: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals of 0.5 sigma_y^2 d_yy + (a(b - y) + drift_shift) d_y - kill.
+
+    Central differences on the uniform ``y`` nodes, zero first derivative
+    at both ends; the one-factor march and the ADI y-direction share it.
+    """
+    dy = y[1] - y[0]
+    hy = 0.5 * h.sigma_y**2
+    cy = h.a * (h.b - y) + drift_shift
+    lo = hy / dy**2 - cy / (2 * dy)
+    di = -2 * hy / dy**2 - kill
+    up = hy / dy**2 + cy / (2 * dy)
+    lo[0] = 0.0
+    up[0] = 2 * hy / dy**2
+    up[-1] = 0.0
+    lo[-1] = 2 * hy / dy**2
+    return lo, di, up
+
+
+def _apply(lo: np.ndarray, di: np.ndarray, up: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Tridiagonal operator times ``v`` along the first axis."""
+    out = di * v
+    out[1:] += lo[1:] * v[:-1]
+    out[:-1] += up[:-1] * v[1:]
+    return out
+
+
 class _Tridiag:
     """LAPACK LU factors of I - theta_dt * A for a tridiagonal operator A.
 
@@ -242,8 +270,8 @@ class _Ops2D:
     Arrays are laid out (n_y, n_x): the x-direction systems vary by y row
     (the jump compensator makes their convection y-dependent) and are
     solved as one block-diagonal LAPACK system over all rows; the
-    y-direction system is shared by all x columns and goes through a
-    single multi-column banded solve.
+    y-direction operator is the one-factor march's (``_y_diags``), shared
+    by all x columns and solved as one multi-column banded system.
 
     Boundary conditions: zero second derivative in x at both ends (the
     payoff is asymptotically linear in z), zero first derivative in y.
@@ -252,20 +280,15 @@ class _Ops2D:
     def __init__(self, grid: Grid2D, h: HazardParams, fx: QuantoFxParams,
                  rates: RatePair):
         x, y = grid.x_nodes, grid.y_nodes
-        nx, ny = x.size, y.size
-        dx = x[1] - x[0]
-        dy = y[1] - y[0]
-        self.dx, self.dy = dx, dy
+        self.dx = dx = x[1] - x[0]
+        self.dy = y[1] - y[0]
         ey = np.exp(y)
         cx = rates.r - rates.r_hat - 0.5 * fx.sigma_z**2 - fx.gamma_z * ey  # (ny,)
         hx = 0.5 * fx.sigma_z**2
 
-        lo1 = np.empty((ny, nx))
-        di1 = np.empty((ny, nx))
-        up1 = np.empty((ny, nx))
-        lo1[:, :] = (hx / dx**2 - cx / (2 * dx))[:, None]
-        di1[:, :] = -2 * hx / dx**2 - rates.r
-        up1[:, :] = (hx / dx**2 + cx / (2 * dx))[:, None]
+        lo1 = np.repeat((hx / dx**2 - cx / (2 * dx))[:, None], x.size, axis=1)
+        di1 = np.full((y.size, x.size), -2 * hx / dx**2 - rates.r)
+        up1 = np.repeat((hx / dx**2 + cx / (2 * dx))[:, None], x.size, axis=1)
         # linearity boundary: drop diffusion, one-sided convection
         lo1[:, 0] = 0.0
         di1[:, 0] = -cx / dx - rates.r
@@ -275,18 +298,7 @@ class _Ops2D:
         lo1[:, -1] = -cx / dx
         self.f1_diags = (lo1, di1, up1)
 
-        cy = h.a * (h.b - y)
-        hy = 0.5 * h.sigma_y**2
-        lo2 = hy / dy**2 - cy / (2 * dy)
-        di2 = -2 * hy / dy**2 - ey
-        up2 = hy / dy**2 + cy / (2 * dy)
-        lo2 = np.asarray(lo2, dtype=float)
-        up2 = np.asarray(up2, dtype=float)
-        lo2[0] = 0.0
-        up2[0] = 2 * hy / dy**2
-        up2[-1] = 0.0
-        lo2[-1] = 2 * hy / dy**2
-        self.f2_diags = (lo2, di2, up2)
+        self.f2_diags = _y_diags(h, y, 0.0, ey)
 
         self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y
         self._solve1: dict[float, _Tridiag] = {}
@@ -294,17 +306,11 @@ class _Ops2D:
 
     def f1(self, v: np.ndarray) -> np.ndarray:
         lo, di, up = self.f1_diags
-        out = di * v
-        out[:, 1:] += lo[:, 1:] * v[:, :-1]
-        out[:, :-1] += up[:, :-1] * v[:, 1:]
-        return out
+        return _apply(lo.T, di.T, up.T, v.T).T
 
     def f2(self, v: np.ndarray) -> np.ndarray:
         lo, di, up = self.f2_diags
-        out = di[:, None] * v
-        out[1:, :] += lo[1:, None] * v[:-1, :]
-        out[:-1, :] += up[:-1, None] * v[1:, :]
-        return out
+        return _apply(lo[:, None], di[:, None], up[:, None], v)
 
     def mixed(self, v: np.ndarray) -> np.ndarray:
         if self.mixed_coef == 0.0:
@@ -325,8 +331,7 @@ class _Ops2D:
     def solve2(self, theta_dt: float, rhs: np.ndarray) -> np.ndarray:
         if theta_dt not in self._solve2:
             lo, di, up = self.f2_diags
-            n = di.size
-            ab = np.zeros((3, n))
+            ab = np.zeros((3, di.size))
             ab[0, 1:] = -theta_dt * up[:-1]
             ab[1, :] = 1.0 - theta_dt * di
             ab[2, :-1] = -theta_dt * lo[1:]
@@ -456,28 +461,8 @@ def _march_1f(
     - (kill_scale e^y + r_kill) w = 0 backward from w(T) = 1 with Neumann
     boundaries.
     """
-    y = y_nodes
-    n = y.size
-    dy = y[1] - y[0]
-    hy = 0.5 * h.sigma_y**2
-    cy = h.a * (h.b - y) + drift_shift
-    kill = kill_scale * np.exp(y) + r_kill
-    lo = hy / dy**2 - cy / (2 * dy)
-    di = -2 * hy / dy**2 - kill
-    up = hy / dy**2 + cy / (2 * dy)
-    lo = np.asarray(lo, float).copy()
-    up = np.asarray(up, float).copy()
-    lo[0] = 0.0
-    up[0] = 2 * hy / dy**2
-    up[-1] = 0.0
-    lo[-1] = 2 * hy / dy**2
-
-    def apply_op(w):
-        out = di * w
-        out[1:] += lo[1:] * w[:-1]
-        out[:-1] += up[:-1] * w[1:]
-        return out
-
+    n = y_nodes.size
+    lo, di, up = _y_diags(h, y_nodes, drift_shift, kill_scale * np.exp(y_nodes) + r_kill)
     w = np.ones(n)
     snapshots: dict[float, float] = {}
     solvers: dict[float, _Tridiag] = {}
@@ -487,12 +472,19 @@ def _march_1f(
         if theta not in solvers:
             solvers[theta] = _Tridiag(lo, di, up, theta * dt, f"one-factor march on {n} nodes")
         # a fully implicit step has no explicit half
-        w = solvers[theta].solve(w if theta == 1.0 else w + (1.0 - theta) * dt * apply_op(w))
+        w = solvers[theta].solve(w if theta == 1.0 else w + (1.0 - theta) * dt * _apply(lo, di, up, w))
         if k_next in snap:
             snapshots[snap[k_next]] = float(w[iy0])
     if not np.all(np.isfinite(w)):
         raise PdeInstabilityError("one-factor solve produced non-finite values")
     return w, snapshots
+
+
+def _sorted_tenors(tenors: Sequence[float]) -> list[float]:
+    tenors = sorted(float(t) for t in tenors)
+    if not tenors or not all(0.0 < t < math.inf for t in tenors):
+        raise ValueError(f"tenors must be positive and finite, got {tenors}")
+    return tenors
 
 
 def survival_curve_1f(
@@ -509,7 +501,7 @@ def survival_curve_1f(
     ``drift_shift`` tilts the Y drift (measure change), ``kill_scale``
     rescales the intensity; the plain survival curve is the default.
     """
-    tenors = sorted(float(t) for t in tenors)
+    tenors = _sorted_tenors(tenors)
     T = tenors[-1]
     cfg = SolverConfig(n_x=3, n_y=n_y, n_t=n_t, width_sigmas=width_sigmas)
     y, iy0 = _y_axis(h, T, n_y, width_sigmas, drift_shift)
@@ -558,9 +550,7 @@ def quanto_survival_curve(
     The liquid curve always comes from the one-factor survival solve.
     """
     cfg = cfg or SolverConfig()
-    tenors = sorted(float(t) for t in tenors)
-    if not tenors or tenors[0] <= 0:
-        raise ValueError("tenors must be positive")
+    tenors = _sorted_tenors(tenors)
     if engine == "adi":
         sol = solve_quanto_pde(h, fx, rates, tenors[-1], cfg, snapshot_tenors=tenors)
         ts, us = sol.spot_curve

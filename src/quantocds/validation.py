@@ -6,7 +6,9 @@ probability (confidence-interval containment as resolution grows), the
 maturity dependence of the short-tenor devaluation approximation
 (1 - p_hat)/(1 - p) ~ 1 + gamma, and the deviation sweep over
 (gamma, rho, tenor) with its reference table and its long-tenor check
-against the Monte Carlo kernel.
+against the Monte Carlo kernel.  Each study has its checks here, as
+(name, ok, detail) tuples; ``quantocds validate`` and the acceptance suite
+both read them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .mc import (
 )
 from .model import HazardParams, QuantoFxParams, RatePair
 from .pde import SolverConfig, quanto_survival_curve_1f, solve_quanto_pde, survival_curve_1f
+
+Check = tuple[str, bool, str]
 
 BRACKETING_HAZARD = HazardParams(a=0.08, b=3.7, sigma_y=0.2, y0=-5.0)
 SWEEP_HAZARD_LOW = HazardParams(a=1e-4, b=-210.45, sigma_y=0.2, y0=-4.089)
@@ -128,6 +132,20 @@ def bracketing_study(
     return points
 
 
+def bracketing_checks(points: list[BracketingPoint]) -> tuple[list[Check], list[Check]]:
+    """(required, informational) containment checks of a bracketing study.
+
+    From 300 steps on, the PDE value must lie inside the 95 % interval;
+    coarser points carry a time-discretisation bias and are only reported.
+    """
+    required, info = [], []
+    for pt in points:
+        check = (f"bracketing steps={pt.n_steps} paths={pt.n_paths}", pt.inside,
+                 f"pde={pt.pde_value:.6f} ci=({pt.mc.ci95_low:.6f},{pt.mc.ci95_high:.6f})")
+        (required if pt.n_steps >= 300 else info).append(check)
+    return required, info
+
+
 @dataclass(frozen=True)
 class DeviationCell:
     gamma: float
@@ -151,7 +169,6 @@ def deviation_sweep(
     tenors=SWEEP_TENORS,
     n_y: int = 801,
     n_t_per_year: int = 100,
-    with_reference: bool = True,
 ) -> list[DeviationCell]:
     """Deviation of the survival-ratio approximation across the grid.
 
@@ -161,7 +178,7 @@ def deviation_sweep(
     tabulated reference belongs to the low-hazard sweep, so it is attached
     only when ``h`` is ``SWEEP_HAZARD_LOW``.
     """
-    with_reference = with_reference and h == SWEEP_HAZARD_LOW
+    with_reference = h == SWEEP_HAZARD_LOW
     tenors = sorted(tenors)
     n_t = max(50, int(n_t_per_year * tenors[-1]))
     cells: list[DeviationCell] = []
@@ -172,14 +189,23 @@ def deviation_sweep(
             p_hat = quanto_survival_curve_1f(h, fx, tenors, n_y=n_y, n_t=n_t)
             for i, T in enumerate(tenors):
                 dev = deviation_from_curves(gamma, p_plain[i], p_hat[i])
-                ref = None
-                if with_reference:
-                    try:
-                        ref = reference_deviation_pct(gamma, rho, T)
-                    except (ValueError, KeyError):
-                        ref = None
+                try:
+                    ref = reference_deviation_pct(gamma, rho, T) if with_reference else None
+                except (ValueError, KeyError):  # a cell outside the table
+                    ref = None
                 cells.append(DeviationCell(gamma, rho, T, 100.0 * dev, ref))
     return cells
+
+
+def anchor_checks(cells: list[DeviationCell]) -> list[Check]:
+    """The 1-year rho = 0 cells at gamma = 0 and 0.5 against the tabulated
+    reference, within 0.5 pp; a sweep without the table has no anchors."""
+    return [(f"deviation 1y gamma={c.gamma:+.2f}",
+             abs(c.deviation_pct - c.reference_pct) <= 0.5,
+             f"model={c.deviation_pct:.3f}% ref={c.reference_pct:.2f}% tol=0.5pp")
+            for c in cells
+            if c.tenor == 1.0 and c.rho == 0.0 and c.gamma in (0.0, 0.5)
+            and c.reference_pct is not None]
 
 
 def _sweep_fx(gamma: float, rho: float) -> QuantoFxParams:
@@ -216,9 +242,8 @@ def _mc_deviation_pct(
     return out
 
 
-def long_tenor_checks(
-    cells: list[DeviationCell], h: HazardParams, seed: int = 9
-) -> list[tuple[str, bool, str]]:
+def long_tenor_checks(cells: list[DeviationCell], h: HazardParams, seed: int = 9
+                      ) -> list[Check]:
     """(name, ok, detail) checks on the 10-year cells of a deviation sweep.
 
     ``cells`` must come from ``deviation_sweep(h)`` with the default sigma_z.
@@ -233,7 +258,7 @@ def long_tenor_checks(
     if not at_tenor:
         raise ValueError(f"no sweep cells at tenor {tenor}")
     mc = _mc_deviation_pct(h, [(c.gamma, c.rho) for c in at_tenor], tenor, seed)
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[Check] = []
     for c in at_tenor:
         ref = mc[(c.gamma, c.rho)]
         checks.append((f"deviation 10y vs mc gamma={c.gamma:+.2f} rho={c.rho:+.1f}",
@@ -323,20 +348,6 @@ class SymmetryPoint:
     martingale: McEstimate
     martingale_biased: McEstimate | None
 
-    @property
-    def dual_ok(self) -> bool:
-        return self.report.max_z_score() < 3.0
-
-    @property
-    def martingale_ok(self) -> bool:
-        return abs(self.martingale.z_score(1.0)) < 3.0
-
-    @property
-    def control_detected(self) -> bool:
-        if self.martingale_biased is None:
-            return True
-        return abs(self.martingale_biased.z_score(1.0)) > 5.0
-
 
 def fx_symmetry_study(
     gammas=(-0.5, -0.2, 0.0, 1.0),
@@ -364,6 +375,24 @@ def fx_symmetry_study(
     return points
 
 
+def symmetry_checks(points: list[SymmetryPoint]) -> list[Check]:
+    """Per gamma: both measures agree and the density is a martingale
+    (|z| < 3), and the uncompensated control is caught (|z| > 5)."""
+    checks: list[Check] = []
+    for pt in points:
+        z_dual = pt.report.max_z_score()
+        z_mart = pt.martingale.z_score(1.0)
+        checks.append((f"fx symmetry dual gamma={pt.gamma:+.2f}", z_dual < 3.0,
+                       f"max z={z_dual:.2f}"))
+        checks.append((f"density martingale gamma={pt.gamma:+.2f}", abs(z_mart) < 3.0,
+                       f"E[L]={pt.martingale.mean:.5f} z={z_mart:+.2f}"))
+        if pt.martingale_biased is not None:
+            z_ctl = pt.martingale_biased.z_score(1.0)
+            checks.append((f"negative control gamma={pt.gamma:+.2f}", abs(z_ctl) > 5.0,
+                           f"E[L]={pt.martingale_biased.mean:.5f} z={z_ctl:+.2f}"))
+    return checks
+
+
 def ratio_maturity_study(
     tenors=(1.0 / 12.0, 1.0, 4.0, 10.0),
     gammas=(-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5),
@@ -383,3 +412,26 @@ def ratio_maturity_study(
                 ratio = (1.0 - p_hat[i]) / (1.0 - p[i])
                 out.append(RatioCurvePoint(name, T, gamma, float(ratio), 1.0 + gamma))
     return out
+
+
+def ratio_checks(points: list[RatioCurvePoint]) -> list[Check]:
+    """|deviation| grows from the shortest to the longest tenor (gamma = -0.5),
+    and from the low- to the high-spread scenario (4 and 10 y, gamma = +-0.5)."""
+    by_key = {(p.scenario, p.tenor, p.gamma): p for p in points}
+    shortest = min(p.tenor for p in points)
+    longest = max(p.tenor for p in points)
+    checks: list[Check] = []
+    for scenario in ("low", "high"):
+        p_short = by_key[(scenario, shortest, -0.5)]
+        p_long = by_key[(scenario, longest, -0.5)]
+        ok = abs(p_short.deviation_pct) < abs(p_long.deviation_pct)
+        checks.append((f"ratio approximation degrades with tenor ({scenario})", ok,
+                       f"|dev| {abs(p_short.deviation_pct):.3f}% at {shortest:.3g}y vs "
+                       f"{abs(p_long.deviation_pct):.3f}% at {longest:.3g}y"))
+    ok = all(
+        abs(by_key[("high", t, g)].deviation_pct) >= abs(by_key[("low", t, g)].deviation_pct)
+        for t in (4.0, 10.0) for g in (-0.5, 0.5)
+    )
+    checks.append(("ratio approximation degrades with spread level", ok,
+                   "high-spread scenario deviates at least as much as low"))
+    return checks

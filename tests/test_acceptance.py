@@ -32,10 +32,13 @@ from quantocds.validation import (
     SWEEP_GAMMAS,
     SWEEP_HAZARD_LOW,
     SWEEP_RHOS,
+    anchor_checks,
+    bracketing_checks,
     bracketing_study,
     deviation_sweep,
     fx_symmetry_study,
     long_tenor_checks,
+    symmetry_checks,
 )
 
 RATES0 = RatePair(0.0, 0.0)
@@ -44,6 +47,13 @@ RATES0 = RatePair(0.0, 0.0)
 def _report(name: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
+
+
+def _assert_checks(label: str, checks, count: int) -> None:
+    """Every (name, ok, detail) check passes, and there are ``count`` of them."""
+    failures = [name for name, ok, detail in checks if not _report(f"{label} {name}", ok, detail)]
+    assert len(checks) == count
+    assert not failures, f"{len(failures)}/{len(checks)} checks failed"
 
 
 class TestCriterion1McPdeBracketing:
@@ -56,16 +66,10 @@ class TestCriterion1McPdeBracketing:
             seed=20120507,
             n_y=201,
         )
-        ok_all = True
-        for pt in points:
-            required = pt.n_steps >= 300
-            detail = (f"steps={pt.n_steps} paths={pt.n_paths} pde={pt.pde_value:.6f} "
-                      f"ci=({pt.mc.ci95_low:.6f},{pt.mc.ci95_high:.6f})")
-            if required:
-                ok_all &= _report("criterion 1 bracketing", pt.inside, detail)
-            else:
-                print(f"[info] bracketing {detail} inside={pt.inside}")
-        assert ok_all
+        required, info = bracketing_checks(points)
+        for name, inside, detail in info:
+            print(f"[info] {name}: inside={inside} {detail}")
+        _assert_checks("criterion 1", required, 4)
 
 
 class TestCriterion2DeterministicClosedForm:
@@ -125,16 +129,7 @@ class TestCriterion4DeviationTable:
         return cls._cells
 
     def test_short_tenor_anchor_cells(self):
-        by_key = {(c.gamma, c.rho, c.tenor): c for c in self.cells()}
-        ok_all = True
-        for gamma, ref in ((0.0, 0.47), (0.5, 0.67)):
-            c = by_key[(gamma, 0.0, 1.0)]
-            ok = abs(c.deviation_pct - ref) <= 0.5
-            ok_all &= _report(
-                f"criterion 4 anchor cell gamma={gamma:+.2f} rho=0 T=1",
-                ok, f"model={c.deviation_pct:.3f}% reference={ref:.2f}% tol=0.5pp"
-            )
-        assert ok_all
+        _assert_checks("criterion 4", anchor_checks(self.cells()), 2)
 
     def test_long_tenor_magnitudes(self):
         # Each 10-year cell of the one-factor reduction must lie within 1 pp
@@ -145,10 +140,7 @@ class TestCriterion4DeviationTable:
         n_cells = sum(1 for c in self.cells() if c.tenor == 10.0)
         assert n_cells == len(SWEEP_GAMMAS) * len(SWEEP_RHOS)
         # one Monte Carlo check per cell, one exact zero, one rho row per gamma
-        assert len(checks) == n_cells + 1 + len(SWEEP_GAMMAS)
-        failures = [name for name, ok, detail in checks
-                    if not _report(f"criterion 4 {name}", ok, detail)]
-        assert not failures, f"{len(failures)}/{len(checks)} long-tenor checks failed"
+        _assert_checks("criterion 4", checks, n_cells + 1 + len(SWEEP_GAMMAS))
 
 
 class TestCriterion5FxSymmetry:
@@ -157,25 +149,8 @@ class TestCriterion5FxSymmetry:
             gammas=(-0.5, -0.2, 0.0, 1.0), rho=0.3, sigma_z=0.1,
             T=5.0, n_paths=200_000, n_steps=250, seed=17,
         )
-        ok_all = True
-        for pt in points:
-            ok_all &= _report(
-                f"criterion 5 dual construction gamma={pt.gamma:+.2f}",
-                pt.dual_ok, f"max |z|={pt.report.max_z_score():.2f} (< 3)"
-            )
-            ok_all &= _report(
-                f"criterion 5 density martingale gamma={pt.gamma:+.2f}",
-                pt.martingale_ok,
-                f"E[L]={pt.martingale.mean:.5f} z={pt.martingale.z_score(1.0):+.2f}"
-            )
-            if pt.martingale_biased is not None:
-                ok_all &= _report(
-                    f"criterion 5 negative control gamma={pt.gamma:+.2f}",
-                    pt.control_detected,
-                    f"E[L]={pt.martingale_biased.mean:.5f} "
-                    f"z={pt.martingale_biased.z_score(1.0):+.2f} (> 5 required)"
-                )
-        assert ok_all
+        # per gamma a dual and a martingale check, and a control where gamma != 0
+        _assert_checks("criterion 5", symmetry_checks(points), 11)
 
 
 class TestCriterion6SensitivityMagnitudes:

@@ -62,6 +62,28 @@ class TestPrice:
         assert rc == 1
         assert "rho" in err
 
+    @pytest.mark.parametrize("argv,field", [
+        (["price", "--tenor", "inf"], "tenor"),
+        (["price", "--tenor", "nan"], "tenor"),
+        (["price", "--notional", "nan"], "notional"),
+        (["sweep", "--axis", "rho=0:0:1", "--tenor", "inf"], "tenor"),
+        (["survival-curve", "--tenor", "inf"], "tenor"),
+        (["survival-curve", "--tenor", "nan"], "tenor"),
+        (["survival-curve", "--tenors", "1,inf"], "tenors"),
+        (["survival-curve", "--tenors", "1,nan"], "tenors"),
+        (["survival-curve", "--engine", "reduced", "--tenors", "1,nan"], "tenors"),
+        (["price", "--sigma-z", "nan"], "sigma_z"),
+        (["price", "--sigma-z", "inf"], "sigma_z"),
+        (["price", "--gamma", "nan"], "gamma_z"),
+        (["price", "--rho", "nan"], "rho"),
+    ])
+    def test_non_finite_input_is_named(self, capsys, argv, field):
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self):
@@ -156,6 +178,16 @@ class TestValidateCmd:
         out = capsys.readouterr().out
         assert rc == 0
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("scenario,passed", [("low", "30/30"), ("high", "28/28")])
+    def test_deviation_study(self, tmp_path, capsys, scenario, passed):
+        rc = run(["validate", "--study", "deviation", "--sweep-scenario", scenario,
+                  "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.endswith(f"{passed} checks passed\n")
+        # the table's 1-year anchors belong to the low-hazard sweep only
+        assert ("deviation 1y" in out) == (scenario == "low")
 
 
 class TestCalibrateCmd:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from quantocds.mc import (
+    FxSymmetryReport,
+    McEstimate,
     SimConfig,
     _Leg,
     _TerminalKernel,
@@ -15,11 +17,19 @@ from quantocds.validation import (
     SWEEP_HAZARD_LOW,
     SWEEP_SIGMA_Z,
     SWEEP_Z0,
+    BracketingPoint,
+    DeviationCell,
+    RatioCurvePoint,
+    SymmetryPoint,
     _mc_deviation_pct,
+    anchor_checks,
+    bracketing_checks,
     deviation_from_curves,
     deviation_sweep,
     fx_symmetry_study,
+    ratio_checks,
     reference_deviation_pct,
+    symmetry_checks,
 )
 
 COARSE = dict(gammas=(-0.5, 0.0, 0.5), rhos=(-0.9, 0.9), n_y=41, n_t_per_year=10)
@@ -36,6 +46,64 @@ class TestDeviationSweepReference:
         cells = deviation_sweep(h=SWEEP_HAZARD_HIGH, **COARSE)
         assert len(cells) == 18
         assert all(c.reference_pct is None for c in cells)
+
+
+def _estimate(mean: float, se: float) -> McEstimate:
+    return McEstimate(mean, se, mean - 1.96 * se, mean + 1.96 * se, 100_000)
+
+
+def _oks(checks) -> list[bool]:
+    return [bool(ok) for _, ok, _ in checks]
+
+
+class TestCheckTable:
+    """Each check passes on a good input and fails on a perturbed one."""
+
+    def test_bracketing_pde_outside_interval(self):
+        mc = _estimate(0.9, 1e-4)
+        points = [BracketingPoint(100, 10_000, 0.95, mc),
+                  BracketingPoint(300, 10_000, 0.9, mc),
+                  BracketingPoint(500, 10_000, mc.ci95_high + 1e-6, mc)]
+        required, info = bracketing_checks(points)
+        assert _oks(required) == [True, False]
+        assert _oks(info) == [False]  # coarse points are reported, never required
+
+    def test_anchor_shifted_by_0_6pp(self):
+        ref0 = reference_deviation_pct(0.0, 0.0, 1.0)
+        ref5 = reference_deviation_pct(0.5, 0.0, 1.0)
+        cells = [DeviationCell(0.0, 0.0, 1.0, ref0 + 0.4, ref0),
+                 DeviationCell(0.25, 0.0, 1.0, 9.0, reference_deviation_pct(0.25, 0.0, 1.0)),
+                 DeviationCell(0.5, 0.0, 1.0, ref5 + 0.6, ref5)]
+        assert _oks(anchor_checks(cells)) == [True, False]
+        # a sweep without the table has no anchors
+        assert anchor_checks([DeviationCell(0.0, 0.0, 1.0, 9.0, None)]) == []
+
+    @staticmethod
+    def _ratio_points(dev_pct):
+        return [RatioCurvePoint(sc, t, g, (1 + g) / (1 + dev_pct(sc, t) / 100), 1 + g)
+                for sc in ("low", "high") for t in (1 / 12, 1.0, 4.0, 10.0)
+                for g in (-0.5, 0.5)]
+
+    def test_ratio_long_tenor_below_short_tenor(self):
+        level = {"low": 1.0, "high": 2.0}
+        assert _oks(ratio_checks(self._ratio_points(lambda sc, t: level[sc] * t))) == [
+            True, True, True]
+        assert _oks(ratio_checks(self._ratio_points(lambda sc, t: level[sc] / t))) == [
+            False, False, True]
+        swapped = {"low": 2.0, "high": 1.0}
+        assert _oks(ratio_checks(self._ratio_points(lambda sc, t: swapped[sc] * t))) == [
+            True, True, False]
+
+    def test_symmetry_martingale_and_control_at_z4(self):
+        est = _estimate(0.5, 1e-3)
+        report = FxSymmetryReport(est, est, est, est)
+        unit, z4, z6 = (_estimate(1.0 + k * 1e-3, 1e-3) for k in (0, 4, 6))
+        good = [SymmetryPoint(0.0, report, unit, None), SymmetryPoint(-0.5, report, unit, z6)]
+        assert _oks(symmetry_checks(good)) == [True, True, True, True, True]
+        assert _oks(symmetry_checks([SymmetryPoint(-0.5, report, z4, z4)])) == [
+            True, False, False]
+        gap = FxSymmetryReport(est, _estimate(0.5 + 6e-3, 1e-3), est, est)
+        assert _oks(symmetry_checks([SymmetryPoint(0.0, gap, unit, None)])) == [False, True]
 
 
 class TestSharedDrawPasses:
