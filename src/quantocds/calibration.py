@@ -108,11 +108,12 @@ class CalibrationResult:
         return max(abs(v) for v in self.residuals_bp.values())
 
 
-_USD_MEMO_SIZE = 8
-
-
 class _SpreadModel:
-    """Model par spreads for one snapshot at the calibration grid."""
+    """Model par spreads for one snapshot at the calibration grid.
+
+    The liquid (USD) curve is the contractual one at rho = gamma = 0: no
+    drift tilt and intensity scale 1, so one method prices both currencies.
+    """
 
     def __init__(self, snapshot: MarketSnapshot, cfg: CalibrationConfig):
         self.cfg = cfg
@@ -123,44 +124,27 @@ class _SpreadModel:
         self.contract_10 = CdsContract(tenor=t10, recovery=cfg.recovery)
         self.tenor_grid = self.contract_10.payment_times()
         self.n_t = max(1, int(round(cfg.n_t_per_year * t10)))
-        # the joint stage's rho and gamma Jacobian columns leave the USD
-        # curve unchanged; the last few curves are kept, not re-marched
-        self._usd_memo: dict[tuple[float, float, float], SurvivalCurve] = {}
+        # Jacobian columns in rho and gamma leave the USD curve unchanged,
+        # and the diagnostics reprice the fitted point: march each curve once
+        self._memo: dict[tuple[float, ...], SurvivalCurve] = {}
 
-    def usd_curve(self, b: float, y0: float, sigma_y: float) -> SurvivalCurve:
-        key = (b, y0, sigma_y)
-        curve = self._usd_memo.get(key)
-        if curve is None:
+    def curve(self, b: float, y0: float, sigma_y: float,
+              rho: float = 0.0, gamma: float = 0.0) -> SurvivalCurve:
+        key = (b, y0, sigma_y, rho, gamma)
+        if key not in self._memo:
             h = HazardParams(a=self.cfg.a_fixed, b=b, sigma_y=sigma_y, y0=y0)
-            p = pde.survival_curve_1f(
-                h, self.tenor_grid, n_y=self.cfg.n_y, n_t=self.n_t,
+            fx = QuantoFxParams(z0=self.cfg.z0, sigma_z=self.sigma_z, gamma_z=gamma, rho=rho)
+            p = pde.quanto_survival_curve_1f(
+                h, fx, self.tenor_grid, n_y=self.cfg.n_y, n_t=self.n_t,
                 width_sigmas=self.cfg.width_sigmas,
             )
-            curve = SurvivalCurve(self.tenor_grid, p)
-            if len(self._usd_memo) >= _USD_MEMO_SIZE:
-                del self._usd_memo[next(iter(self._usd_memo))]
-            self._usd_memo[key] = curve
-        return curve
+            self._memo[key] = SurvivalCurve(self.tenor_grid, p)
+        return self._memo[key]
 
-    def eur_curve(self, b: float, y0: float, sigma_y: float,
-                  rho: float, gamma: float) -> SurvivalCurve:
-        h = HazardParams(a=self.cfg.a_fixed, b=b, sigma_y=sigma_y, y0=y0)
-        fx = QuantoFxParams(z0=self.cfg.z0, sigma_z=self.sigma_z, gamma_z=gamma, rho=rho)
-        p_hat = pde.quanto_survival_curve_1f(
-            h, fx, self.tenor_grid, n_y=self.cfg.n_y, n_t=self.n_t,
-            width_sigmas=self.cfg.width_sigmas,
-        )
-        return SurvivalCurve(self.tenor_grid, p_hat)
-
-    def usd_spreads(self, b: float, y0: float, sigma_y: float) -> tuple[float, float]:
-        curve = self.usd_curve(b, y0, sigma_y)
-        return (
-            par_spread(curve, self.rate, self.contract_5).par_spread,
-            par_spread(curve, self.rate, self.contract_10).par_spread,
-        )
-
-    def eur_spreads(self, b, y0, sigma_y, rho, gamma) -> tuple[float, float]:
-        curve = self.eur_curve(b, y0, sigma_y, rho, gamma)
+    def spreads(self, b: float, y0: float, sigma_y: float,
+                rho: float = 0.0, gamma: float = 0.0) -> tuple[float, float]:
+        """5Y and 10Y par spreads; USD at the default rho = gamma = 0."""
+        curve = self.curve(b, y0, sigma_y, rho, gamma)
         return (
             par_spread(curve, self.rate, self.contract_5).par_spread,
             par_spread(curve, self.rate, self.contract_10).par_spread,
@@ -189,7 +173,7 @@ def calibrate_single_ccy(
     targets = np.array([snapshot.spread_usd_5y, snapshot.spread_usd_10y])
 
     def residuals(x):
-        s5, s10 = model.usd_spreads(x[0], x[1], sigma_y)
+        s5, s10 = model.spreads(x[0], x[1], sigma_y)
         return (np.array([s5, s10]) - targets) * 1e4
 
     x0 = _seed_hazard(snapshot, cfg, sigma_y)
@@ -307,8 +291,8 @@ def calibrate_quanto(
 
     def residuals(x):
         b, y0, rho, gamma = x
-        usd = model.usd_spreads(b, y0, sigma_y)
-        eur = model.eur_spreads(b, y0, sigma_y, rho, gamma)
+        usd = model.spreads(b, y0, sigma_y)
+        eur = model.spreads(b, y0, sigma_y, rho, gamma)
         return (np.array([*usd, *eur]) - targets) * 1e4
 
     x0 = np.array([
@@ -395,8 +379,8 @@ def _diagnostics_row(
 ) -> BacktestRow:
     model = _SpreadModel(snap, cfg)
     diag_tenors = (1.0, cfg.tenors[0], cfg.tenors[1])
-    usd_curve = model.usd_curve(result.b, result.y0, result.sigma_y)
-    eur_curve = model.eur_curve(result.b, result.y0, result.sigma_y, result.rho, result.gamma)
+    usd_curve = model.curve(result.b, result.y0, result.sigma_y)
+    eur_curve = model.curve(result.b, result.y0, result.sigma_y, result.rho, result.gamma)
     usd, eur, rpv = {}, {}, {}
     for t in diag_tenors:
         contract = CdsContract(tenor=t, recovery=cfg.recovery)

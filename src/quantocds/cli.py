@@ -184,6 +184,8 @@ def _cmd_survival_curve(args) -> int:
         raise ValueError(f"tenor must be positive and finite, got {args.tenor}")
     else:
         n = int(round(args.tenor * 4))
+        if n < 1:
+            raise ValueError(f"tenor must be above 0.125 (one quarterly node), got {args.tenor}")
         tenors = [0.25 * k for k in range(1, n + 1)]
     curve_hat, curve_p = quanto_survival_curve(
         _hazard(args), _fx(args), _rates(args), tenors, _solver_cfg(args), engine=args.engine
@@ -301,9 +303,6 @@ def _cmd_sweep(args) -> int:
     if not 1 <= len(axes) <= 2:
         print("error: provide one or two --axis specs", file=sys.stderr)
         return 2
-    base = dict(a=args.a, b=args.b, sigma_y=args.sigma_y, y0=args.y0, z0=args.z0,
-                sigma_z=args.sigma_z, gamma=args.gamma, rho=args.rho, r=args.r,
-                r_hat=args.r_hat)
     contract = CdsContract(tenor=args.tenor, recovery=args.recovery)
     grids = [ax[1] for ax in axes]
     names = [ax[0] for ax in axes]
@@ -311,16 +310,11 @@ def _cmd_sweep(args) -> int:
     header = names + ["spread_liquid_bp", "spread_contractual_bp", "basis_bp", "rel_basis"]
     rows = []
     for idx in np.ndindex(*mesh[0].shape):
-        point = dict(base)
-        for name, grid in zip(names, mesh):
-            point[name] = float(grid[idx])
-        h = HazardParams(a=point["a"], b=point["b"], sigma_y=point["sigma_y"], y0=point["y0"])
-        fx = QuantoFxParams(z0=point["z0"], sigma_z=point["sigma_z"],
-                            gamma_z=point["gamma"], rho=point["rho"])
-        rates = RatePair(point["r"], point["r_hat"])
+        point = {name: float(grid[idx]) for name, grid in zip(names, mesh)}
+        at = argparse.Namespace(**{**vars(args), **point})
         try:
-            res = quanto_par_spread(h, fx, rates, contract, _solver_cfg(args),
-                                    engine=args.engine)
+            res = quanto_par_spread(_hazard(at), _fx(at), _rates(at), contract,
+                                    _solver_cfg(args), engine=args.engine)
         except PdeInstabilityError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

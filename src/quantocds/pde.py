@@ -21,11 +21,12 @@ y-drift tilted by rho sigma_y sigma_z.  The reduction doubles as a
 high-precision cross-check of the ADI engine and as the fast path for
 calibration.
 
-Both engines share one tridiagonal layer, ``_Tridiag``: LAPACK ``dgttrf``
-factors I - theta*dt*A once per theta*dt, and every time step is one
-``dgttrs`` call.  The ADI x-sweep solves all y rows as one block-diagonal
-system; the y-sweep, whose matrix all x columns share, is one multi-column
-``solve_banded`` call.
+All three implicit sweeps (the one-factor march, the ADI x-sweep and the
+ADI y-sweep) share one tridiagonal layer, ``_Tridiag``: LAPACK ``dgttrf``
+factors I - theta*dt*A once per theta*dt, and every solve is one ``dgttrs``
+call.  The ADI x-sweep solves all y rows as one block-diagonal system; the
+y-sweep, whose matrix all x columns share, solves the columns as the
+right-hand sides of one call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # unused; perfbench/tracing.py's LEAVES resolves it
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .curves import SurvivalCurve
@@ -245,14 +246,16 @@ class _Tridiag:
     or (k, n); k rows are solved as one block-diagonal system of size k*n
     with zero couplings at the row seams (``lo[..., 0]`` and ``up[..., -1]``
     are ignored).  ``dgttrf`` factors once with the partial pivoting of
-    LAPACK ``gtsv``; each solve is one ``dgttrs`` call.
+    LAPACK ``gtsv``; each solve is one ``dgttrs`` call.  A right-hand side
+    whose first dimension is the system's size holds one column per
+    trailing index, all solved against the shared matrix.
     """
 
     def __init__(self, lo: np.ndarray, di: np.ndarray, up: np.ndarray,
                  theta_dt: float, sweep: str):
         dl, du = -theta_dt * lo, -theta_dt * up
         dl[..., 0] = du[..., -1] = 0.0
-        self.shape = di.shape
+        self.size = di.size
         *self.lu, info = dgttrf(dl.ravel()[1:], 1.0 - theta_dt * di.ravel(), du.ravel()[:-1])
         if info != 0:
             raise PdeInstabilityError(
@@ -261,17 +264,18 @@ class _Tridiag:
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return dgttrs(*self.lu, rhs.ravel())[0].reshape(self.shape)
+        return dgttrs(*self.lu, rhs.reshape(self.size, -1))[0].reshape(rhs.shape)
 
 
 class _Ops2D:
     """Discrete split operators on a Grid2D.
 
-    Arrays are laid out (n_y, n_x): the x-direction systems vary by y row
-    (the jump compensator makes their convection y-dependent) and are
-    solved as one block-diagonal LAPACK system over all rows; the
-    y-direction operator is the one-factor march's (``_y_diags``), shared
-    by all x columns and solved as one multi-column banded system.
+    Arrays are laid out (n_y, n_x).  Direction 1 is x, direction 2 is y,
+    and both implicit sweeps go through ``_Tridiag``: the x-direction
+    systems vary by y row (the jump compensator makes their convection
+    y-dependent) and are solved as one block-diagonal system over all rows;
+    the y-direction operator is the one-factor march's (``_y_diags``),
+    factored once and shared by all x columns as right-hand sides.
 
     Boundary conditions: zero second derivative in x at both ends (the
     payoff is asymptotically linear in z), zero first derivative in y.
@@ -296,20 +300,17 @@ class _Ops2D:
         up1[:, -1] = 0.0
         di1[:, -1] = cx / dx - rates.r
         lo1[:, -1] = -cx / dx
-        self.f1_diags = (lo1, di1, up1)
-
-        self.f2_diags = _y_diags(h, y, 0.0, ey)
+        self.diags = {1: (lo1, di1, up1), 2: _y_diags(h, y, 0.0, ey)}
 
         self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y
-        self._solve1: dict[float, _Tridiag] = {}
-        self._solve2: dict[float, np.ndarray] = {}
+        self._factors: dict[tuple[int, float], _Tridiag] = {}
 
     def f1(self, v: np.ndarray) -> np.ndarray:
-        lo, di, up = self.f1_diags
+        lo, di, up = self.diags[1]
         return _apply(lo.T, di.T, up.T, v.T).T
 
     def f2(self, v: np.ndarray) -> np.ndarray:
-        lo, di, up = self.f2_diags
+        lo, di, up = self.diags[2]
         return _apply(lo[:, None], di[:, None], up[:, None], v)
 
     def mixed(self, v: np.ndarray) -> np.ndarray:
@@ -321,22 +322,20 @@ class _Ops2D:
         )
         return self.mixed_coef * out
 
-    def solver1(self, theta_dt: float) -> _Tridiag:
-        if theta_dt not in self._solve1:
-            ny, nx = self.f1_diags[1].shape
-            self._solve1[theta_dt] = _Tridiag(*self.f1_diags, theta_dt,
-                                              f"ADI x-sweep on the {nx} x {ny} grid")
-        return self._solve1[theta_dt]
+    def solver(self, direction: int, theta_dt: float) -> _Tridiag:
+        """Factors of I - theta_dt * A along ``direction``, made once."""
+        key = (direction, theta_dt)
+        if key not in self._factors:
+            ny, nx = self.diags[1][1].shape
+            self._factors[key] = _Tridiag(*self.diags[direction], theta_dt,
+                                          f"ADI {'xy'[direction - 1]}-sweep on the {nx} x {ny} grid")
+        return self._factors[key]
 
-    def solve2(self, theta_dt: float, rhs: np.ndarray) -> np.ndarray:
-        if theta_dt not in self._solve2:
-            lo, di, up = self.f2_diags
-            ab = np.zeros((3, di.size))
-            ab[0, 1:] = -theta_dt * up[:-1]
-            ab[1, :] = 1.0 - theta_dt * di
-            ab[2, :-1] = -theta_dt * lo[1:]
-            self._solve2[theta_dt] = ab
-        return solve_banded((1, 1), self._solve2[theta_dt], rhs)
+    def sweeps(self, rhs: np.ndarray, theta_dt: float, f1v: np.ndarray,
+               f2v: np.ndarray) -> np.ndarray:
+        """The implicit x-sweep, then the y-sweep, of one splitting stage."""
+        y1 = self.solver(1, theta_dt).solve(rhs - theta_dt * f1v)
+        return self.solver(2, theta_dt).solve(y1 - theta_dt * f2v)
 
 
 def _adi_march(
@@ -360,13 +359,9 @@ def _adi_march(
         f1v = ops.f1(v)
         f2v = ops.f2(v)
         rhs0 = v + dt * (f0v + f1v + f2v)
-        y1 = ops.solver1(theta * dt).solve(rhs0 - theta * dt * f1v)
-        y2 = ops.solve2(theta * dt, y1 - theta * dt * f2v)
+        v = ops.sweeps(rhs0, theta * dt, f1v, f2v)
         if use_corrector:
-            rhs0b = rhs0 + 0.5 * dt * (ops.mixed(y2) - f0v)
-            y1 = ops.solver1(theta * dt).solve(rhs0b - theta * dt * f1v)
-            y2 = ops.solve2(theta * dt, y1 - theta * dt * f2v)
-        v = y2
+            v = ops.sweeps(rhs0 + 0.5 * dt * (ops.mixed(v) - f0v), theta * dt, f1v, f2v)
         if (step & 15) == 0 or k_next == 0:
             m = float(np.max(np.abs(v)))
             if not math.isfinite(m) or m > cap:

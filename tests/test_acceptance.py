@@ -200,8 +200,8 @@ class TestCriterion7CalibrationRoundTrip:
             for rho in rhos:
                 b_true = -120.0 - 5.0 * i
                 y0_true = -4.5 + 0.02 * i
-                usd5, usd10 = model.usd_spreads(b_true, y0_true, sigma_y_true)
-                eur5, eur10 = model.eur_spreads(b_true, y0_true, sigma_y_true, rho, g)
+                usd5, usd10 = model.spreads(b_true, y0_true, sigma_y_true)
+                eur5, eur10 = model.spreads(b_true, y0_true, sigma_y_true, rho, g)
                 snaps.append(MarketSnapshot(f"d{i:02d}", usd5, usd10, eur5, eur10,
                                             0.1, sigma_y_true, 0.0))
                 truth.append((g, rho))

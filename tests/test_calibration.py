@@ -26,8 +26,8 @@ def synthetic_snapshot(date, b, y0, sigma_y, rho, gamma, cfg=CFG,
     """Quotes generated by the same pricing stack the calibration inverts."""
     probe = MarketSnapshot(date, 0.01, 0.01, 0.01, 0.01, fx_vol, index_vol, rate)
     model = _SpreadModel(probe, cfg)
-    usd5, usd10 = model.usd_spreads(b, y0, sigma_y)
-    eur5, eur10 = model.eur_spreads(b, y0, sigma_y, rho, gamma)
+    usd5, usd10 = model.spreads(b, y0, sigma_y)
+    eur5, eur10 = model.spreads(b, y0, sigma_y, rho, gamma)
     return MarketSnapshot(date, usd5, usd10, eur5, eur10, fx_vol,
                           index_vol if index_vol is not None else sigma_y, rate)
 
@@ -51,7 +51,7 @@ class TestSingleCurrency:
                                   rho=0.0, gamma=0.0)
         b, y0 = calibrate_single_ccy(snap, CFG)
         model = _SpreadModel(snap, CFG)
-        s5, s10 = model.usd_spreads(b, y0, CFG.sigma_y_default)
+        s5, s10 = model.spreads(b, y0, CFG.sigma_y_default)
         assert abs(s5 - snap.spread_usd_5y) * 1e4 < 0.1
         assert abs(s10 - snap.spread_usd_10y) * 1e4 < 0.1
 
@@ -143,19 +143,21 @@ class TestQuantoCalibration:
         cfg = CalibrationConfig(n_y=81, n_t_per_year=10)
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
                                   gamma=-0.2, cfg=cfg)
-        usd, eur = [], []
+        marches = []
         march = pde.survival_curve_1f
 
-        def counting(h, tenors, **kwargs):
-            # the quanto curve passes its drift tilt and intensity scale
-            (eur if "drift_shift" in kwargs else usd).append((h.b, h.y0, h.sigma_y))
-            return march(h, tenors, **kwargs)
+        def counting(h, tenors, *, drift_shift, kill_scale, **kwargs):
+            marches.append((h.b, h.y0, h.sigma_y, drift_shift, kill_scale))
+            return march(h, tenors, drift_shift=drift_shift, kill_scale=kill_scale, **kwargs)
 
         monkeypatch.setattr(pde, "survival_curve_1f", counting)
         calibrate_quanto(snap, (-115.0, -4.42), 0.5, cfg)
-        assert len(usd) == len(set(usd)) > 0
-        # the rho and gamma Jacobian columns re-march only the EUR curve
-        assert len(usd) < len(eur)
+        # no curve of either currency is marched twice
+        assert len(marches) == len(set(marches)) > 0
+        # USD is the untilted, unscaled march; the rho and gamma Jacobian
+        # columns re-march only the EUR curve
+        usd = [m for m in marches if m[3:] == (0.0, 1.0)]
+        assert 0 < len(usd) < len(marches) - len(usd)
 
     def test_warm_model_gives_equal_results(self, monkeypatch):
         cfg = CalibrationConfig(n_y=81, n_t_per_year=10)
@@ -165,7 +167,7 @@ class TestQuantoCalibration:
         shared = _SpreadModel(snap, cfg)
         monkeypatch.setattr(calibration, "_SpreadModel", lambda snapshot, c: shared)
         first = calibrate_snapshot(snap, cfg)
-        assert shared._usd_memo
+        assert shared._memo
         warm = calibrate_snapshot(snap, cfg)
         assert fresh == first == warm
 

@@ -25,8 +25,8 @@ def synthetic_row(date="2012-05-07", b=-120.0, y0=-4.4, rho=0.2, gamma=-0.2):
     cfg = CalibrationConfig()
     probe = MarketSnapshot(date, 0.01, 0.01, 0.01, 0.01, 0.1, 0.5, 0.0)
     model = _SpreadModel(probe, cfg)
-    usd5, usd10 = model.usd_spreads(b, y0, 0.5)
-    eur5, eur10 = model.eur_spreads(b, y0, 0.5, rho, gamma)
+    usd5, usd10 = model.spreads(b, y0, 0.5)
+    eur5, eur10 = model.spreads(b, y0, 0.5, rho, gamma)
     return (f"{date},{usd5 * 1e4:.4f},{usd10 * 1e4:.4f},{eur5 * 1e4:.4f},"
             f"{eur10 * 1e4:.4f},0.1,0.5,0.0")
 
@@ -155,6 +155,12 @@ class TestSurvivalCurveCmd:
         assert out.splitlines()[0] == "tenor_years,p_liquid,p_contractual,default_ratio"
         body = (tmp_path / "survival_curve.csv").read_text().splitlines()
         assert len(body) == 4
+
+    def test_tenor_below_one_quarterly_node_is_named(self, capsys):
+        rc = run(["survival-curve", "--tenor", "0.1", *FAST_MODEL])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: tenor ") and "0.1" in err
 
 
 class TestValidateCmd:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from quantocds.cds import CdsContract
 from quantocds.mc import SimConfig, survival_probability_mc
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
 from quantocds.pde import (
     Grid2D,
+    _Ops2D,
     _Tridiag,
     PdeInstabilityError,
     SolverConfig,
@@ -250,6 +252,15 @@ def _dense(lo, di, up):
     return np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
 
 
+def _banded(lo, di, up, theta_dt):
+    """I - theta_dt * A in ``solve_banded``'s (1, 1) layout."""
+    ab = np.zeros((3, di.size))
+    ab[0, 1:] = -theta_dt * up[:-1]
+    ab[1, :] = 1.0 - theta_dt * di
+    ab[2, :-1] = -theta_dt * lo[1:]
+    return ab
+
+
 class TestTridiag:
     """The LAPACK layer solves I - theta_dt * A; with theta_dt = 1 and
     A = I - M it solves M x = rhs."""
@@ -283,6 +294,40 @@ class TestTridiag:
         zeros = np.zeros(4)
         with pytest.raises(PdeInstabilityError, match=r"probe: .*theta\*dt = 0.5"):
             _Tridiag(zeros, np.full(4, 2.0), zeros, 0.5, "probe")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_shared_matrix_columns_match_banded_solve(self, n, m, seed):
+        # shaped like the ADI y-sweep: one n-node matrix, m columns as
+        # right-hand sides
+        rng = np.random.default_rng(seed)
+        lo, di, up = _dominant_rows(rng, n)
+        rhs = rng.standard_normal((n, m))
+        x = _Tridiag(-lo, 1.0 - di, -up, 1.0, "test").solve(rhs)
+        assert x.shape == (n, m)
+        ab = _banded(-lo, 1.0 - di, -up, 1.0)
+        for j in range(m):
+            assert np.array_equal(x[:, j], solve_banded((1, 1), ab, rhs[:, j]))
+
+    def _ops(self):
+        h = HazardParams(a=0.08, b=-4.0, sigma_y=0.6, y0=-4.2)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
+        grid, _ = build_grid(h, fx, RatePair(0.03, 0.01), 5.0, SolverConfig())
+        return _Ops2D(grid, h, fx, RatePair(0.03, 0.01))
+
+    def test_adi_y_sweep_bit_equal_to_banded_solve(self):
+        ops = self._ops()
+        rhs = np.random.default_rng(3).standard_normal((101, 101))
+        theta_dt = 0.5 * 5.0 / 300
+        x = ops.solver(2, theta_dt).solve(rhs)
+        assert np.array_equal(x, solve_banded((1, 1), _banded(*ops.diags[2], theta_dt), rhs))
+
+    def test_singular_y_sweep_names_sweep(self):
+        ops = self._ops()
+        zeros = np.zeros(101)
+        ops.diags[2] = (zeros, np.full(101, 2.0), zeros)
+        with pytest.raises(PdeInstabilityError, match=r"ADI y-sweep on the 101 x 101 grid"):
+            ops.solver(2, 0.5)
 
 
 class TestGrid:
