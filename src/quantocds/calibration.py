@@ -1,16 +1,19 @@
 """Calibration of the hazard and quanto parameters to dual-currency quotes.
 
-The per-date pipeline has three stages: fit (b, y0) to the liquid-currency
-5Y/10Y par spreads with everything else frozen, set sigma_y from the
-1M index-option vol (pass-through by default, or implied from a small MC
-round trip), then fit (b, y0, rho, gamma) jointly to the four quotes,
-seeded at the stage-one point.  The mean-reversion speed stays pinned at a
-small value throughout, which makes b act through the product a*b only;
-`CalibrationResult.ab` exposes that product for diagnostics.
+The per-date pipeline has three stages: set sigma_y from the 1M
+index-option vol (pass-through by default, or implied from a small MC
+round trip at a hazard fitted with the placeholder vol), fit (b, y0) to the
+liquid-currency 5Y/10Y par spreads at that vol, then fit (b, y0, rho,
+gamma) jointly to the four quotes, seeded at the liquid point.  All stages
+of one snapshot price through one memoised spread model.  The
+mean-reversion speed stays pinned at a small value throughout, which makes
+b act through the product a*b only; `CalibrationResult.ab` exposes that
+product for diagnostics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,18 +46,19 @@ class MarketSnapshot:
 
     def __post_init__(self) -> None:
         for name in ("spread_usd_5y", "spread_usd_10y", "spread_eur_5y", "spread_eur_10y"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.fx_atm_vol < 0:
-            raise ValueError("fx_atm_vol must be >= 0")
-        if self.index_option_vol_1m is not None and self.index_option_vol_1m < 0:
-            raise ValueError("index_option_vol_1m must be >= 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.fx_atm_vol < math.inf:
+            raise ValueError(f"fx_atm_vol must be >= 0 and finite, got {self.fx_atm_vol}")
+        vol = self.index_option_vol_1m
+        if vol is not None and not 0.0 <= vol < math.inf:
+            raise ValueError(f"index_option_vol_1m must be >= 0 and finite, got {vol}")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
 
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    gamma0: float | None = None  # default: relative 5Y basis
-    rho0: float = 0.0
     a_fixed: float = 1e-4
     sigma_y_default: float = 0.5
     sigma_y_mode: str = "passthrough"  # or "implied"
@@ -125,7 +129,7 @@ class _SpreadModel:
         self.tenor_grid = self.contract_10.payment_times()
         self.n_t = max(1, int(round(cfg.n_t_per_year * t10)))
         # Jacobian columns in rho and gamma leave the USD curve unchanged,
-        # and the diagnostics reprice the fitted point: march each curve once
+        # and each stage reprices points the last one marched: march once
         self._memo: dict[tuple[float, ...], SurvivalCurve] = {}
 
     def curve(self, b: float, y0: float, sigma_y: float,
@@ -151,6 +155,10 @@ class _SpreadModel:
         )
 
 
+# every stage of one snapshot shares one model; a new snapshot or config
+# evicts it, so no curve outlives the snapshot being calibrated
+_spread_model = functools.lru_cache(maxsize=1)(_SpreadModel)
+
 # with a pinned near zero, b acts through a*b; flat spread curves need
 # a*b ~ -sigma_y^2/2, so the b range must scale with the admissible vols
 _B_BOUNDS = (-3000.0, 3000.0)
@@ -169,7 +177,7 @@ def calibrate_single_ccy(
     """
     cfg = cfg or CalibrationConfig()
     sigma_y = cfg.sigma_y_default if sigma_y is None else sigma_y
-    model = _SpreadModel(snapshot, cfg)
+    model = _spread_model(snapshot, cfg)
     targets = np.array([snapshot.spread_usd_5y, snapshot.spread_usd_10y])
 
     def residuals(x):
@@ -187,7 +195,8 @@ def calibrate_single_ccy(
     if worst > cfg.single_ccy_tolerance_bp:
         raise CalibrationError(
             f"single-currency fit stuck at {worst:.3f} bp "
-            f"(5Y {fit.fun[0]:+.3f}, 10Y {fit.fun[1]:+.3f}) on {snapshot.date}"
+            f"(5Y {fit.fun[0]:+.3f}, 10Y {fit.fun[1]:+.3f}) at sigma_y = {sigma_y:g} "
+            f"on {snapshot.date}"
         )
     return float(fit.x[0]), float(fit.x[1])
 
@@ -206,15 +215,17 @@ def _seed_hazard(snapshot: MarketSnapshot, cfg: CalibrationConfig,
 
 def calibrate_sigma_y(
     snapshot: MarketSnapshot,
-    p_y: tuple[float, float],
+    p_y: tuple[float, float] | None,
     cfg: CalibrationConfig | None = None,
 ) -> float:
     """sigma_y from the 1M index-option vol.
 
-    Pass-through mode assigns the quote directly.  Implied mode matches the
-    model's one-month log-spread volatility, estimated by simulating the
+    Pass-through mode assigns the quote directly and ignores ``p_y``, which
+    may be None.  Implied mode matches the model's one-month log-spread
+    volatility at the liquid hazard ``p_y``, estimated by simulating the
     log-intensity one month out and repricing a flat-hazard 5Y spread per
-    path, to the quote via a one-dimensional root find.
+    path, to the quote via a one-dimensional root find; a quote outside
+    the model's range at sigma_y in [1e-4, 3] returns the nearer bound.
     """
     cfg = cfg or CalibrationConfig()
     quote = snapshot.index_option_vol_1m
@@ -225,6 +236,8 @@ def calibrate_sigma_y(
         return float(quote)
     if quote == 0.0:
         return 0.0
+    if p_y is None:
+        raise ValueError("implied sigma_y needs the liquid hazard fit p_y")
     b, y0 = p_y
 
     def implied_minus_quote(sigma):
@@ -233,6 +246,8 @@ def calibrate_sigma_y(
     lo, hi = 1e-4, 3.0
     if implied_minus_quote(hi) < 0:
         return hi
+    if implied_minus_quote(lo) > 0:
+        return lo
     return float(brentq(implied_minus_quote, lo, hi, xtol=1e-6))
 
 
@@ -274,20 +289,17 @@ def calibrate_quanto(
 ) -> CalibrationResult:
     """Joint fit of (b, y0, rho, gamma) to the four dual-currency quotes.
 
-    Seeded at the single-currency point with gamma0 defaulting to the
-    relative 5Y basis.  Non-convergence returns a result flagged
-    converged=False rather than raising.
+    Seeded at the single-currency point, rho = 0 and gamma at the relative
+    5Y basis.  Non-convergence returns a result flagged converged=False
+    rather than raising.
     """
     cfg = cfg or CalibrationConfig()
-    model = _SpreadModel(snapshot, cfg)
+    model = _spread_model(snapshot, cfg)
     targets = np.array([
         snapshot.spread_usd_5y, snapshot.spread_usd_10y,
         snapshot.spread_eur_5y, snapshot.spread_eur_10y,
     ])
-    gamma0 = cfg.gamma0
-    if gamma0 is None:
-        gamma0 = devaluation_estimate(snapshot.spread_eur_5y, snapshot.spread_usd_5y)
-    gamma0 = float(np.clip(gamma0, -0.95, 4.9))
+    gamma0 = devaluation_estimate(snapshot.spread_eur_5y, snapshot.spread_usd_5y)
 
     def residuals(x):
         b, y0, rho, gamma = x
@@ -297,7 +309,7 @@ def calibrate_quanto(
 
     x0 = np.array([
         np.clip(p_y_seed[0], *_B_BOUNDS), np.clip(p_y_seed[1], *_Y0_BOUNDS),
-        np.clip(cfg.rho0, -0.999, 0.999), gamma0,
+        0.0, float(np.clip(gamma0, -0.95, 4.9)),
     ])
     fit = least_squares(
         residuals, x0,
@@ -329,13 +341,13 @@ def calibrate_quanto(
 def calibrate_snapshot(
     snapshot: MarketSnapshot, cfg: CalibrationConfig | None = None
 ) -> CalibrationResult:
-    """Full three-stage pipeline for one date."""
+    """Full three-stage pipeline for one date; the hazard fit the joint
+    stage starts from is made at the vol the joint stage uses."""
     cfg = cfg or CalibrationConfig()
-    p_y = calibrate_single_ccy(snapshot, cfg)
+    # the implied vol is matched at a hazard fitted with the placeholder vol
+    p_y = calibrate_single_ccy(snapshot, cfg) if cfg.sigma_y_mode == "implied" else None
     sigma_y = calibrate_sigma_y(snapshot, p_y, cfg)
-    if cfg.sigma_y_mode == "implied" or sigma_y != cfg.sigma_y_default:
-        # reconcile the hazard fit with the final vol before the joint stage
-        p_y = calibrate_single_ccy(snapshot, cfg, sigma_y=sigma_y)
+    p_y = calibrate_single_ccy(snapshot, cfg, sigma_y=sigma_y)
     return calibrate_quanto(snapshot, p_y, sigma_y, cfg)
 
 
@@ -377,7 +389,7 @@ def backtest(snapshots, cfg: CalibrationConfig | None = None) -> list[BacktestRo
 def _diagnostics_row(
     snap: MarketSnapshot, result: CalibrationResult, cfg: CalibrationConfig
 ) -> BacktestRow:
-    model = _SpreadModel(snap, cfg)
+    model = _spread_model(snap, cfg)
     diag_tenors = (1.0, cfg.tenors[0], cfg.tenors[1])
     usd_curve = model.curve(result.b, result.y0, result.sigma_y)
     eur_curve = model.curve(result.b, result.y0, result.sigma_y, result.rho, result.gamma)

@@ -575,14 +575,14 @@ class ConvergenceReport:
 def convergence_report(
     problem: Callable[[SolverConfig], float],
     resolutions: Sequence[SolverConfig],
-    refinement_factor: float = 2.0,
 ) -> ConvergenceReport:
     """Richardson-style empirical orders from a sequence of refined solves.
 
-    ``resolutions`` must be ordered coarse to fine with the stated uniform
-    refinement factor between neighbours.  Non-monotone shrinkage of the
-    successive differences is flagged rather than raised: on smooth
-    problems it usually means the refinement has hit another error floor.
+    ``resolutions`` must be ordered coarse to fine, each halving the mesh
+    of its neighbour (``refine_space`` or ``refine_time``).  Non-monotone
+    shrinkage of the successive differences is flagged rather than raised:
+    on smooth problems it usually means the refinement has hit another
+    error floor.
     """
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions for an order estimate")
@@ -593,7 +593,7 @@ def convergence_report(
         if d2 == 0.0 or d1 == 0.0:
             orders.append(math.inf)
         else:
-            orders.append(math.log(abs(d1) / abs(d2)) / math.log(refinement_factor))
+            orders.append(math.log(abs(d1) / abs(d2)) / math.log(2.0))
     monotone = all(abs(d2) <= abs(d1) for d1, d2 in zip(diffs, diffs[1:]))
     return ConvergenceReport(values=values, diffs=diffs, orders=orders, monotone=monotone)
 

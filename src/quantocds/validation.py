@@ -83,6 +83,10 @@ REFERENCE_DEVIATIONS_PCT: dict[float, list[list[float]]] = {
 }
 
 
+def _sweep_fx(gamma: float, rho: float, sigma_z: float = SWEEP_SIGMA_Z) -> QuantoFxParams:
+    return QuantoFxParams(z0=SWEEP_Z0, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+
+
 def reference_deviation_pct(gamma: float, rho: float, tenor: float) -> float:
     ig = SWEEP_GAMMAS.index(gamma)
     ir = SWEEP_RHOS.index(rho)
@@ -163,14 +167,13 @@ def deviation_from_curves(gamma: float, p: float, p_hat: float) -> float:
 
 def deviation_sweep(
     h: HazardParams = SWEEP_HAZARD_LOW,
-    sigma_z: float = SWEEP_SIGMA_Z,
     gammas=SWEEP_GAMMAS,
     rhos=SWEEP_RHOS,
-    tenors=SWEEP_TENORS,
     n_y: int = 801,
     n_t_per_year: int = 100,
 ) -> list[DeviationCell]:
-    """Deviation of the survival-ratio approximation across the grid.
+    """Deviation of the survival-ratio approximation across the grid, at
+    the sweep's FX vol and tenors (the anchor and long-tenor checks' cells).
 
     Survivals come from the exact one-factor reduction; at tenor 1 the
     signal is a fraction of a percent of a percent-sized default leg, which
@@ -179,14 +182,13 @@ def deviation_sweep(
     only when ``h`` is ``SWEEP_HAZARD_LOW``.
     """
     with_reference = h == SWEEP_HAZARD_LOW
-    tenors = sorted(tenors)
+    tenors = SWEEP_TENORS
     n_t = max(50, int(n_t_per_year * tenors[-1]))
     cells: list[DeviationCell] = []
     p_plain = survival_curve_1f(h, tenors, n_y=n_y, n_t=n_t)
     for gamma in gammas:
         for rho in rhos:
-            fx = QuantoFxParams(z0=SWEEP_Z0, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
-            p_hat = quanto_survival_curve_1f(h, fx, tenors, n_y=n_y, n_t=n_t)
+            p_hat = quanto_survival_curve_1f(h, _sweep_fx(gamma, rho), tenors, n_y=n_y, n_t=n_t)
             for i, T in enumerate(tenors):
                 dev = deviation_from_curves(gamma, p_plain[i], p_hat[i])
                 try:
@@ -206,10 +208,6 @@ def anchor_checks(cells: list[DeviationCell]) -> list[Check]:
             for c in cells
             if c.tenor == 1.0 and c.rho == 0.0 and c.gamma in (0.0, 0.5)
             and c.reference_pct is not None]
-
-
-def _sweep_fx(gamma: float, rho: float) -> QuantoFxParams:
-    return QuantoFxParams(z0=SWEEP_Z0, sigma_z=SWEEP_SIGMA_Z, gamma_z=gamma, rho=rho)
 
 
 def _mc_deviation_pct(
@@ -246,12 +244,12 @@ def long_tenor_checks(cells: list[DeviationCell], h: HazardParams, seed: int = 9
                       ) -> list[Check]:
     """(name, ok, detail) checks on the 10-year cells of a deviation sweep.
 
-    ``cells`` must come from ``deviation_sweep(h)`` with the default sigma_z.
-    Each 10-year cell must lie within 1 pp of the Monte Carlo deviation, and
-    two exact properties of the model must hold: the deviation is exactly 0
-    at gamma = rho = 0, where p_hat and p are the same expectation, and for
-    gamma > -1 it falls strictly as rho rises, because the drift tilt
-    rho sigma_y sigma_z raises Y pathwise.
+    ``cells`` must come from ``deviation_sweep(h)``.  Each 10-year cell must
+    lie within 1 pp of the Monte Carlo deviation, and two exact properties
+    of the model must hold: the deviation is exactly 0 at gamma = rho = 0,
+    where p_hat and p are the same expectation, and for gamma > -1 it falls
+    strictly as rho rises, because the drift tilt rho sigma_y sigma_z raises
+    Y pathwise.
     """
     tenor = 10.0
     at_tenor = [c for c in cells if c.tenor == tenor]
@@ -292,29 +290,19 @@ class EquivalencePoint:
         return self.abs_gap < max(se_mult * self.p_hat_mc.std_error, floor)
 
 
-def mc_pde_equivalence_sweep(
-    h: HazardParams = SWEEP_HAZARD_LOW,
-    sigma_z: float = SWEEP_SIGMA_Z,
-    gammas=SWEEP_GAMMAS,
-    rhos=SWEEP_RHOS,
-    tenors=SWEEP_TENORS,
-    n_paths: int = 50_000,
-    n_steps_per_year: int = 50,
-    seed: int = 9,
-    pde_cfg: SolverConfig | None = None,
-) -> list[EquivalencePoint]:
-    """|p_hat_PDE - p_hat_MC| over the sweep, using the two-factor solver."""
-    rates = RatePair(0.0, 0.0)
-    pde_cfg = pde_cfg or SolverConfig(n_x=101, n_y=101, n_t=200)
-    tenors = sorted(tenors)
+def mc_pde_equivalence_sweep(n_paths: int = 50_000, seed: int = 9) -> list[EquivalencePoint]:
+    """|p_hat_PDE - p_hat_MC| over the low-hazard sweep, using the two-factor
+    solver on a 101 x 101 x 200 grid and 50 MC steps a year."""
+    h, rates, tenors = SWEEP_HAZARD_LOW, RatePair(0.0, 0.0), SWEEP_TENORS
+    pde_cfg = SolverConfig(n_x=101, n_y=101, n_t=200)
     points: list[EquivalencePoint] = []
-    for gamma in gammas:
-        for rho in rhos:
-            fx = QuantoFxParams(z0=SWEEP_Z0, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+    for gamma in SWEEP_GAMMAS:
+        for rho in SWEEP_RHOS:
+            fx = _sweep_fx(gamma, rho)
             sol = solve_quanto_pde(h, fx, rates, tenors[-1], pde_cfg, snapshot_tenors=tenors)
             ts, us = sol.spot_curve
             for T, u in zip(ts, us):
-                n_steps = max(20, int(n_steps_per_year * T))
+                n_steps = max(20, int(50 * T))
                 mc = quanto_bond_mc(h, fx, rates, T, SimConfig(n_paths, n_steps, T, seed))
                 points.append(EquivalencePoint(gamma, rho, float(T), float(u) / fx.z0, mc.p_hat))
     return points
@@ -368,7 +356,7 @@ def fx_symmetry_study(
     """
     points: list[SymmetryPoint] = []
     for gamma in gammas:
-        fx = QuantoFxParams(z0=SWEEP_Z0, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+        fx = _sweep_fx(gamma, rho, sigma_z)
         cfg = SimConfig(n_paths, n_steps, T, seed)
         report, mart, biased = _fx_symmetry_pass(h, fx, rates, T, cfg, control=gamma != 0.0)
         points.append(SymmetryPoint(gamma, report, mart, biased))
@@ -393,20 +381,16 @@ def symmetry_checks(points: list[SymmetryPoint]) -> list[Check]:
     return checks
 
 
-def ratio_maturity_study(
-    tenors=(1.0 / 12.0, 1.0, 4.0, 10.0),
-    gammas=(-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5),
-    n_y: int = 801,
-    n_t_per_year: int = 100,
-) -> list[RatioCurvePoint]:
-    """Ratio curves for the low- and high-spread scenarios (rho = 0)."""
+def ratio_maturity_study() -> list[RatioCurvePoint]:
+    """Ratio curves for the low- and high-spread scenarios (rho = 0, no FX
+    vol) from one month to ten years, on 801 nodes and 100 steps a year."""
     out: list[RatioCurvePoint] = []
-    tenors = sorted(tenors)
-    n_t = max(60, int(n_t_per_year * tenors[-1]))
+    tenors = (1.0 / 12.0, 1.0, 4.0, 10.0)
+    n_y, n_t = 801, 1000
     for name, h in (("low", SWEEP_HAZARD_LOW), ("high", SWEEP_HAZARD_HIGH)):
         p = survival_curve_1f(h, tenors, n_y=n_y, n_t=n_t)
-        for gamma in gammas:
-            fx = QuantoFxParams(z0=SWEEP_Z0, sigma_z=0.0, gamma_z=gamma, rho=0.0)
+        for gamma in (-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5):
+            fx = _sweep_fx(gamma, 0.0, sigma_z=0.0)
             p_hat = quanto_survival_curve_1f(h, fx, tenors, n_y=n_y, n_t=n_t)
             for i, T in enumerate(tenors):
                 ratio = (1.0 - p_hat[i]) / (1.0 - p[i])

@@ -19,6 +19,7 @@ from quantocds.calibration import (
 from quantocds.calibration import _log_spread_vol_1m
 
 CFG = CalibrationConfig()
+COARSE = CalibrationConfig(n_y=81, n_t_per_year=10)
 
 
 def synthetic_snapshot(date, b, y0, sigma_y, rho, gamma, cfg=CFG,
@@ -44,6 +45,17 @@ class TestSnapshotValidation:
     def test_optional_index_vol(self):
         MarketSnapshot("d", 0.01, 0.011, 0.009, 0.01, 0.1, None, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "spread_usd_5y", "spread_usd_10y", "spread_eur_5y", "spread_eur_10y",
+        "fx_atm_vol", "index_option_vol_1m", "rate",
+    ])
+    def test_non_finite_field_is_named(self, field, value):
+        good = dict(date="d", spread_usd_5y=0.01, spread_usd_10y=0.011, spread_eur_5y=0.009,
+                    spread_eur_10y=0.01, fx_atm_vol=0.1, index_option_vol_1m=0.5, rate=0.0)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MarketSnapshot(**{**good, field: value})
+
 
 class TestSingleCurrency:
     def test_round_trip(self):
@@ -65,7 +77,7 @@ class TestSingleCurrency:
     def test_unreachable_quotes_raise(self):
         # a 50x upward-sloping pair cannot be matched under the bounded drift
         snap = MarketSnapshot("d", 0.001, 0.05, 0.001, 0.05, 0.1, 0.5, 0.0)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match=r" at sigma_y = 0\.5 on d$"):
             calibrate_single_ccy(snap, CFG)
 
 
@@ -73,6 +85,7 @@ class TestSigmaY:
     def test_passthrough(self):
         snap = MarketSnapshot("d", 0.01, 0.011, 0.009, 0.0105, 0.1, 0.47, 0.0)
         assert calibrate_sigma_y(snap, (0.0, -4.5), CFG) == 0.47
+        assert calibrate_sigma_y(snap, None, CFG) == 0.47
 
     def test_zero_quote_accepted(self):
         snap = MarketSnapshot("d", 0.01, 0.011, 0.009, 0.0105, 0.1, 0.0, 0.0)
@@ -93,6 +106,16 @@ class TestSigmaY:
         cal_cfg = CalibrationConfig(sigma_y_mode="implied", seed=321)
         implied = calibrate_sigma_y(snap, (b, y0), cal_cfg)
         assert implied == pytest.approx(sigma_true, rel=0.05)
+
+    def test_implied_quote_below_bracket_returns_lower_bound(self):
+        snap = MarketSnapshot("d", 0.01, 0.011, 0.009, 0.0105, 0.1, 5e-5, 0.0)
+        cfg = CalibrationConfig(sigma_y_mode="implied")
+        assert calibrate_sigma_y(snap, (-150.0, -4.3), cfg) == 1e-4
+
+    def test_implied_mode_needs_the_hazard(self):
+        snap = MarketSnapshot("d", 0.01, 0.011, 0.009, 0.0105, 0.1, 0.3, 0.0)
+        with pytest.raises(ValueError, match="p_y"):
+            calibrate_sigma_y(snap, None, CalibrationConfig(sigma_y_mode="implied"))
 
 
 class TestQuantoCalibration:
@@ -139,10 +162,9 @@ class TestQuantoCalibration:
         res = calibrate_quanto(snap, (-100.0, -4.6), 0.5, cfg)
         assert not res.converged
 
-    def test_no_usd_curve_marched_twice(self, monkeypatch):
-        cfg = CalibrationConfig(n_y=81, n_t_per_year=10)
-        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
-                                  gamma=-0.2, cfg=cfg)
+    @staticmethod
+    def _record_marches(monkeypatch) -> list:
+        calibration._spread_model.cache_clear()
         marches = []
         march = pde.survival_curve_1f
 
@@ -151,25 +173,75 @@ class TestQuantoCalibration:
             return march(h, tenors, drift_shift=drift_shift, kill_scale=kill_scale, **kwargs)
 
         monkeypatch.setattr(pde, "survival_curve_1f", counting)
-        calibrate_quanto(snap, (-115.0, -4.42), 0.5, cfg)
+        return marches
+
+    def test_no_usd_curve_marched_twice(self, monkeypatch):
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=COARSE)
+        marches = self._record_marches(monkeypatch)
+        calibrate_quanto(snap, (-115.0, -4.42), 0.5, COARSE)
         # no curve of either currency is marched twice
         assert len(marches) == len(set(marches)) > 0
         # USD is the untilted, unscaled march; the rho and gamma Jacobian
         # columns re-march only the EUR curve
         usd = [m for m in marches if m[3:] == (0.0, 1.0)]
         assert 0 < len(usd) < len(marches) - len(usd)
+        # the whole pipeline and its diagnostics share one model: the hazard
+        # fit, the joint fit and the diagnostics march no curve twice
+        marches.clear()
+        calibration._spread_model.cache_clear()
+        (row,) = backtest([snap], COARSE)
+        assert row.error is None
+        assert len(marches) == len(set(marches)) > 0
 
-    def test_warm_model_gives_equal_results(self, monkeypatch):
-        cfg = CalibrationConfig(n_y=81, n_t_per_year=10)
+    def test_passthrough_fits_the_hazard_once_at_the_quoted_vol(self, monkeypatch):
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.3, rho=0.3,
+                                  gamma=-0.2, cfg=COARSE)
+        calls = []
+        single = calibration.calibrate_single_ccy
+
+        def counting(snapshot, cfg=None, sigma_y=None):
+            calls.append(sigma_y)
+            return single(snapshot, cfg, sigma_y)
+
+        monkeypatch.setattr(calibration, "calibrate_single_ccy", counting)
+        res = calibrate_snapshot(snap, COARSE)
+        assert calls == [0.3]
+        assert res.converged and res.sigma_y == 0.3
+
+    def test_placeholder_fit_failure_does_not_stop_the_quoted_vol(self):
+        # USD 440/300 and EUR 350/240 cannot be fitted at the 0.5
+        # placeholder vol but can at the quoted 0.2
+        snap = MarketSnapshot("d", 0.0440, 0.0300, 0.0350, 0.0240, 0.1, 0.2, 0.0)
+        with pytest.raises(CalibrationError, match="at sigma_y = 0.5 "):
+            calibrate_single_ccy(snap, COARSE)
+        res = calibrate_snapshot(snap, COARSE)
+        assert res.converged and res.sigma_y == 0.2
+
+    def test_implied_pipeline_is_the_chain_of_stages(self):
+        cfg = CalibrationConfig(sigma_y_mode="implied", n_y=81, n_t_per_year=10)
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
-                                  gamma=-0.2, cfg=cfg)
-        fresh = calibrate_snapshot(snap, cfg)
-        shared = _SpreadModel(snap, cfg)
-        monkeypatch.setattr(calibration, "_SpreadModel", lambda snapshot, c: shared)
-        first = calibrate_snapshot(snap, cfg)
-        assert shared._memo
-        warm = calibrate_snapshot(snap, cfg)
-        assert fresh == first == warm
+                                  gamma=-0.2, cfg=cfg, index_vol=0.4)
+        p_placeholder = calibrate_single_ccy(snap, cfg)
+        sigma_y = calibrate_sigma_y(snap, p_placeholder, cfg)
+        assert sigma_y != cfg.sigma_y_default
+        p_y = calibrate_single_ccy(snap, cfg, sigma_y=sigma_y)
+        assert calibrate_snapshot(snap, cfg) == calibrate_quanto(snap, p_y, sigma_y, cfg)
+
+    def test_warm_model_gives_equal_results(self):
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=COARSE)
+        calibration._spread_model.cache_clear()
+        fresh = calibrate_snapshot(snap, COARSE)
+        model = calibration._spread_model(snap, COARSE)
+        assert model._memo
+        warm = calibrate_snapshot(snap, COARSE)
+        assert calibration._spread_model(snap, COARSE) is model
+        # another snapshot evicts the model: nothing outlives its snapshot
+        calibrate_single_ccy(synthetic_snapshot("e", b=-100.0, y0=-4.6, sigma_y=0.5, rho=0.0,
+                                                gamma=0.0, cfg=COARSE), COARSE)
+        assert calibration._spread_model(snap, COARSE) is not model
+        assert fresh == warm
 
     def test_ab_diagnostic(self):
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.0, gamma=0.0)

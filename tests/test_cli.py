@@ -219,6 +219,20 @@ class TestCalibrateCmd:
         assert rc == 1
         assert "line 3" in err
 
+    @pytest.mark.parametrize("row, field", [
+        ("2012-05-07,440,460,350,370,0.10,0.50,nan", "rate"),
+        ("2012-05-07,inf,460,350,370,0.10,0.50,0.0", "spread_usd_5y"),
+        ("2012-05-07,440,460,350,370,0.10,nan,0.0", "index_option_vol_1m"),
+        ("2012-05-07,440,460,350,370,nan,0.50,0.0", "fx_atm_vol"),
+    ])
+    def test_non_finite_field_names_field_and_line(self, tmp_path, capsys, row, field):
+        snap_file = tmp_path / "snaps.csv"
+        make_snapshot_csv(snap_file, [row])
+        rc = run(["calibrate", "--snapshots", str(snap_file), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and f"line 2: {field} must be" in err
+
     def test_ten_date_fixture_all_converge(self, tmp_path, capsys):
         snap_file = tmp_path / "snaps.csv"
         rows = [synthetic_row(date=f"2012-05-{7 + i:02d}", b=-120.0 - 3 * i,
