@@ -2,7 +2,8 @@
 
 The per-date pipeline has three stages: set sigma_y from the 1M
 index-option vol (pass-through by default, or implied from a small MC
-round trip at a hazard fitted with the placeholder vol), fit (b, y0) to the
+round trip at a hazard fitted with the placeholder vol, or with the quoted
+vol where the placeholder cannot fit the quotes), fit (b, y0) to the
 liquid-currency 5Y/10Y par spreads at that vol, then fit (b, y0, rho,
 gamma) jointly to the four quotes, seeded at the liquid point.  All stages
 of one snapshot price through one memoised spread model.  The
@@ -344,8 +345,17 @@ def calibrate_snapshot(
     """Full three-stage pipeline for one date; the hazard fit the joint
     stage starts from is made at the vol the joint stage uses."""
     cfg = cfg or CalibrationConfig()
-    # the implied vol is matched at a hazard fitted with the placeholder vol
-    p_y = calibrate_single_ccy(snapshot, cfg) if cfg.sigma_y_mode == "implied" else None
+    p_y = None
+    if cfg.sigma_y_mode == "implied":
+        # the implied vol is matched at a hazard fitted with the placeholder
+        # vol, or with the quoted vol where the placeholder cannot fit
+        try:
+            p_y = calibrate_single_ccy(snapshot, cfg)
+        except CalibrationError:
+            quote = snapshot.index_option_vol_1m
+            if quote is None or quote == cfg.sigma_y_default:
+                raise
+            p_y = calibrate_single_ccy(snapshot, cfg, sigma_y=quote)
     sigma_y = calibrate_sigma_y(snapshot, p_y, cfg)
     p_y = calibrate_single_ccy(snapshot, cfg, sigma_y=sigma_y)
     return calibrate_quanto(snapshot, p_y, sigma_y, cfg)

@@ -44,6 +44,12 @@ def _fpar(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _fres(x: float) -> str:
+    """Residual in bp, four decimals; one that rounds to zero is unsigned."""
+    text = f"{x:.4f}"
+    return "0.0000" if text == "-0.0000" else text
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("model parameters (annualized decimals)")
     g.add_argument("--a", type=float, default=1e-4, help="hazard mean-reversion speed")
@@ -409,9 +415,8 @@ def _run_calibration(args) -> tuple[list, Path] | None:
         result_rows.append([
             r.date, _fpar(r.b), _fpar(r.y0), _fpar(r.sigma_y), _fpar(r.rho), _fpar(r.gamma),
             _fpar(r.ab),
-            f"{r.residuals_bp['usd_5y']:.4f}", f"{r.residuals_bp['usd_10y']:.4f}",
-            f"{r.residuals_bp['eur_5y']:.4f}", f"{r.residuals_bp['eur_10y']:.4f}",
-            f"{r.max_residual_bp():.4f}", str(r.iterations),
+            *(_fres(r.residuals_bp[k]) for k in ("usd_5y", "usd_10y", "eur_5y", "eur_10y")),
+            _fres(r.max_residual_bp()), str(r.iterations),
             str(r.converged).lower(), "",
         ])
         diag_rows.append([

@@ -27,6 +27,16 @@ factors I - theta*dt*A once per theta*dt, and every solve is one ``dgttrs``
 call.  The ADI x-sweep solves all y rows as one block-diagonal system; the
 y-sweep, whose matrix all x columns share, solves the columns as the
 right-hand sides of one call.
+
+``survival_curve_1f`` does without the time loop where it can: the
+one-factor operator is time-homogeneous and, at cell Peclet numbers up to
+1, similar to a symmetric tridiagonal matrix, so ``_spectral_1f``
+diagonalises it once (LAPACK's MRRR through ``eigh_tridiagonal``) and
+applies each step of the march, Rannacher steps included, as one scalar
+factor per eigenvalue.  Outside its gate (a zero kill, a Peclet number
+above 1, an ill-conditioned symmetrisation or a stiff spectrum, or more
+nodes than half the time steps, where the march is cheaper) the march
+runs; it is also the reference the tests hold the spectral path to.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg import solve_banded  # unused; perfbench/tracing.py's LEAVES resolves it
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -475,6 +486,67 @@ def _march_1f(
     return w, snapshots
 
 
+def _spectral_1f(
+    h: HazardParams,
+    y_nodes: np.ndarray,
+    dt: float,
+    n_t: int,
+    cfg: SolverConfig,
+    *,
+    drift_shift: float,
+    kill_scale: float,
+    snap: Mapping[int, float],
+    iy0: int,
+) -> dict[float, float] | None:
+    """``_march_1f``'s snapshots from one eigendecomposition, or None.
+
+    The operator A is time-homogeneous, so each step of the march multiplies
+    A's eigencomponents by a scalar: 1 / (1 - dt lam) on a Rannacher step,
+    (1 + (1 - theta) dt lam) / (1 - theta dt lam) on a theta step.  With
+    S = D A D^-1 symmetric, w(iy0) = sum_j V[iy0, j] (V^T d)_j f(lam_j)
+    where D = diag(d) and d[iy0] = 1.  Returns None, and the caller
+    marches, wherever that is not both accurate and cheaper:
+
+    - a zero kill at some node: S is then not negative definite, and at
+      total devaluation the march's p comes out a few ulp above 1, which
+      ``SurvivalCurve`` clips to exactly 1, where the spectral p came out
+      a few ulp below;
+    - a cell Peclet number above 1 (A is not symmetrisable);
+    - ln(max d / min d) > 10 or max |diag| dt > 1e4, where the
+      eigenvectors lose accuracy;
+    - n_y > n_t / 2, where the march's n_t steps, each linear in n_y, cost
+      less than the eigensolve, quadratic in n_y (measured break-even
+      n_y about 160 at n_t = 200 and 280 at n_t = 400 on a 2-CPU x86-64
+      machine);
+    - a LinAlgError from the eigensolver.
+    """
+    if 2 * y_nodes.size > n_t:
+        return None
+    kill = kill_scale * np.exp(y_nodes)
+    lo, di, up = _y_diags(h, y_nodes, drift_shift, kill)
+    couple = lo[1:] * up[:-1]
+    if not (np.all(kill > 0.0) and np.all(couple > 0.0)
+            and np.max(np.abs(di)) * dt <= 1e4):
+        return None
+    log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(up[:-1] / lo[1:]))))
+    if np.ptp(log_d) > 10.0:
+        return None
+    try:
+        lam, vec = eigh_tridiagonal(di, np.sqrt(couple))
+    except LinAlgError:
+        return None
+    weights = vec[iy0] * (np.exp(log_d - log_d[iy0]) @ vec)
+    steps = n_t - np.fromiter(snap, int)[:, None]  # steps marched to each node
+    n_implicit = np.minimum(steps, cfg.rannacher_steps)
+    factors = ((1.0 - dt * lam) ** -n_implicit
+               * ((1.0 + (1.0 - cfg.theta) * dt * lam) / (1.0 - cfg.theta * dt * lam))
+               ** (steps - n_implicit))
+    values = factors @ weights
+    if not np.all(np.isfinite(values)):
+        raise PdeInstabilityError("one-factor solve produced non-finite values")
+    return {t: float(v) for t, v in zip(snap.values(), values)}
+
+
 def _sorted_tenors(tenors: Sequence[float]) -> list[float]:
     tenors = sorted(float(t) for t in tenors)
     if not tenors or not all(0.0 < t < math.inf for t in tenors):
@@ -501,10 +573,13 @@ def survival_curve_1f(
     cfg = SolverConfig(n_x=3, n_y=n_y, n_t=n_t, width_sigmas=width_sigmas)
     y, iy0 = _y_axis(h, T, n_y, width_sigmas, drift_shift)
     dt, n_total, snap = _time_grid(T, n_t, tuple(tenors))
-    _, snapshots = _march_1f(
-        h, y, dt, n_total, cfg,
-        drift_shift=drift_shift, kill_scale=kill_scale, r_kill=0.0, snap=snap, iy0=iy0,
-    )
+    snapshots = _spectral_1f(h, y, dt, n_total, cfg, drift_shift=drift_shift,
+                             kill_scale=kill_scale, snap=snap, iy0=iy0)
+    if snapshots is None:
+        _, snapshots = _march_1f(
+            h, y, dt, n_total, cfg,
+            drift_shift=drift_shift, kill_scale=kill_scale, r_kill=0.0, snap=snap, iy0=iy0,
+        )
     return np.array([snapshots[t] for t in tenors])
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,9 @@ class TestQuantoCalibration:
             calibrate_single_ccy(snap, COARSE)
         res = calibrate_snapshot(snap, COARSE)
         assert res.converged and res.sigma_y == 0.2
+        # implied mode matches its vol at a hazard fitted with the quoted vol
+        implied = calibrate_snapshot(snap, replace(COARSE, sigma_y_mode="implied"))
+        assert implied.converged and implied.sigma_y == pytest.approx(0.2, abs=0.01)
 
     def test_implied_pipeline_is_the_chain_of_stages(self):
         cfg = CalibrationConfig(sigma_y_mode="implied", n_y=81, n_t_per_year=10)

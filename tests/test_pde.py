@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_banded
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
+from quantocds import pde
 from quantocds.cds import CdsContract
 from quantocds.mc import SimConfig, survival_probability_mc
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
@@ -12,6 +13,10 @@ from quantocds.pde import (
     Grid2D,
     _Ops2D,
     _Tridiag,
+    _march_1f,
+    _spectral_1f,
+    _time_grid,
+    _y_axis,
     PdeInstabilityError,
     SolverConfig,
     build_grid,
@@ -328,6 +333,96 @@ class TestTridiag:
         ops.diags[2] = (zeros, np.full(101, 2.0), zeros)
         with pytest.raises(PdeInstabilityError, match=r"ADI y-sweep on the 101 x 101 grid"):
             ops.solver(2, 0.5)
+
+
+def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, cfg=None, T=5.0):
+    """Positional and keyword arguments shared by ``_spectral_1f`` and
+    ``_march_1f`` for a quarterly curve, as ``survival_curve_1f`` builds them."""
+    tenors = tuple(CdsContract(tenor=T).payment_times())
+    y, iy0 = _y_axis(h, T, n_y, 6.0, drift_shift)
+    dt, n_total, snap = _time_grid(T, n_t, tenors)
+    cfg = cfg or SolverConfig(n_x=3, n_y=n_y, n_t=n_t)
+    return (h, y, dt, n_total, cfg), dict(drift_shift=drift_shift, kill_scale=kill_scale,
+                                          snap=snap, iy0=iy0)
+
+
+def _marched(args, kw):
+    _, snapshots = _march_1f(*args, r_kill=0.0, **kw)
+    return np.array([snapshots[t] for t in sorted(snapshots)])
+
+
+class TestSpectralSolve:
+    """The eigendecomposition path computes the march's discrete scheme;
+    wherever its gate says no, ``survival_curve_1f`` marches."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.one_of(st.just(0.0), st.floats(1e-4, 0.3)),
+        y0=st.floats(-12.0, 1.0),
+        sigma_y=st.floats(0.05, 2.0),
+        drift=st.floats(-0.3, 0.3),
+        tilt=st.floats(-0.3, 0.3),
+        kill_scale=st.floats(0.01, 6.0),
+        n_y=st.integers(21, 100),
+        theta=st.floats(0.5, 1.0),
+        rannacher_steps=st.integers(0, 3),
+    )
+    def test_matches_the_march_inside_the_gate(self, a, y0, sigma_y, drift, tilt, kill_scale,
+                                               n_y, theta, rannacher_steps):
+        # the drift a (b - y0) and the tilt in units of sigma_y; the
+        # calibration box has a = 1e-4, |a b| <= 0.3 and sigma_y = 0.5 in
+        # the criterion-7 round trips
+        h = HazardParams(a=a, b=y0 + drift * sigma_y / a if a > 0 else 0.0,
+                         sigma_y=sigma_y, y0=y0)
+        cfg = SolverConfig(n_x=3, n_y=n_y, n_t=200, theta=theta,
+                           rannacher_steps=rannacher_steps)
+        args, kw = _one_factor_args(h, n_y, 200, tilt * sigma_y, kill_scale, cfg)
+        spectral = _spectral_1f(*args, **kw)
+        assume(spectral is not None)
+        got = np.array([spectral[t] for t in sorted(spectral)])
+        assert np.max(np.abs(got - _marched(args, kw))) <= 1e-12
+
+    def test_calibration_curve_takes_the_spectral_path(self):
+        h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
+        args, kw = _one_factor_args(h, 161, 400, 0.015, 0.8, T=10.0)
+        spectral = _spectral_1f(*args, **kw)
+        p = quanto_survival_curve_1f(
+            h, QuantoFxParams(z0=1.0, sigma_z=0.1, gamma_z=-0.2, rho=0.3),
+            sorted(spectral), n_y=161, n_t=400)
+        assert np.array_equal(p, [spectral[t] for t in sorted(spectral)])
+        assert np.max(np.abs(p - _marched(args, kw))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["no kill", "no diffusion", "n_y > n_t / 2",
+                                      "eigensolver fails"])
+    def test_outside_the_gate_marches(self, case, monkeypatch):
+        h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
+        n_y, kill_scale = 41, 1.0
+        if case == "no kill":
+            kill_scale = 0.0
+        elif case == "no diffusion":
+            h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.0, y0=-4.3)
+        elif case == "n_y > n_t / 2":
+            n_y = 101
+        else:
+            def fail(*args, **kwargs):
+                raise LinAlgError("eigenvalues did not converge")
+            monkeypatch.setattr(pde, "eigh_tridiagonal", fail)
+        args, kw = _one_factor_args(h, n_y, 200, 0.0, kill_scale)
+        assert _spectral_1f(*args, **kw) is None
+        p = survival_curve_1f(h, sorted(kw["snap"].values()), n_y=n_y, n_t=200,
+                              kill_scale=kill_scale)
+        assert np.array_equal(p, _marched(args, kw))
+        if case == "no kill":
+            # the march's round-off lies above 1, where SurvivalCurve clips it
+            assert np.all((p >= 1.0) & (p < 1.0 + 1e-14))
+
+    def test_non_finite_spectrum_raises(self, monkeypatch):
+        def nan_spectrum(d, e):
+            return np.full(d.size, np.nan), np.eye(d.size)
+        monkeypatch.setattr(pde, "eigh_tridiagonal", nan_spectrum)
+        h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
+        with pytest.raises(PdeInstabilityError, match="non-finite"):
+            survival_curve_1f(h, [1.0, 5.0], n_y=41, n_t=200)
 
 
 class TestGrid:
