@@ -19,19 +19,31 @@ Paths are simulated in fixed-size blocks whose RNG substreams are derived
 deterministically from (seed, block index), and block partials are reduced
 in block order, so estimates are bit-identical for a given config no matter
 how the work is laid out.
+
+Within a block, one helper thread draws each step's normals a few steps
+ahead of the step loop (numpy's generator and ufuncs release the GIL, so the
+draws and the path arithmetic run on two cores).  It consumes the block's
+stream in the order a serial loop would, so every estimate is unchanged bit
+for bit, and it is joined before the block returns, also when either side
+raises: no thread outlives a call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .model import HazardParams, QuantoFxParams, RatePair, fx_jump_inverse
 
 _BLOCK = 1 << 15
+_AHEAD = 4  # steps of normals the helper thread may hold ready for the step loop
 
 
 @dataclass(frozen=True)
@@ -48,10 +60,14 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise ValueError("n_paths and n_steps must be >= 1")
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        for name in ("n_paths", "n_steps"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be > 0 and finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +201,49 @@ class _Leg:
         raise ValueError(f"unknown measure {measure!r}")
 
 
+@contextmanager
+def _drawn_ahead(draw: Callable[[], object], n_steps: int) -> Iterator[Callable[[], object]]:
+    """A function returning ``draw()``'s results in call order, ``n_steps`` of
+    them, while one helper thread makes the calls up to ``_AHEAD`` ahead.
+
+    A failure in ``draw`` is re-raised by the call that would have returned
+    its result.  On leaving the block, normally or by an exception, the
+    helper is told to stop, the queue is drained (so a helper blocked on a
+    full queue can see the flag) and the thread is joined.
+    """
+    ready: queue.Queue = queue.Queue(maxsize=_AHEAD)
+    stop = threading.Event()
+
+    def produce() -> None:
+        try:
+            for _ in range(n_steps):
+                if stop.is_set():
+                    return
+                ready.put((draw(), None))
+        except BaseException as exc:  # re-raised by take(): the loop never waits on a dead helper
+            ready.put((None, exc))
+
+    def take():
+        result, exc = ready.get()
+        if exc is not None:
+            raise exc
+        return result
+
+    helper = threading.Thread(target=produce, name="quantocds-mc-draws", daemon=True)
+    helper.start()
+    try:
+        yield take
+    finally:
+        stop.set()
+        # after the flag is set the helper puts at most one more item
+        while True:
+            try:
+                ready.get_nowait()
+            except queue.Empty:
+                break
+        helper.join()
+
+
 def _column(values) -> np.ndarray:
     return np.array(list(values), dtype=float).reshape(-1, 1)
 
@@ -196,7 +255,9 @@ class _TerminalKernel:
     It steps a stack of legs (one ``_Leg`` each) on the same random numbers:
     every leg sees, number for number, the draws a run of that leg alone
     would make.  State arrays have shape (legs, block) and the per-leg
-    coefficients are column vectors.
+    coefficients are column vectors.  A block draws its thresholds on the
+    caller's thread, then its normals on a helper thread (``_drawn_ahead``),
+    in the order of the serial step loop.
     """
 
     def __init__(self, h: HazardParams, legs: Sequence[_Leg]):
@@ -287,44 +348,48 @@ class _TerminalKernel:
         column = {k: j for j, k in enumerate(at_steps)}
         int_lam_at = np.empty(shape + (len(at_steps),)) if at_steps else None
 
-        for k in range(1, cfg.n_steps + 1):
+        def draw_step():
             n1 = self._draw_normals(rng, size, cfg.antithetic)
-            # y = m0 + m1 * y + sd * n1
-            y *= m1
-            y += m0
-            np.multiply(sd, n1, out=tmp)
-            y += tmp
-            if want_fx:
-                n2 = self._draw_normals(rng, size, cfg.antithetic)
-                # lnz = lnz + (rate_diff - comp * lam * alive - half_var) * dt
-                #           + vol * (rho * n1 + rho_c * n2), with lam_new as scratch
-                np.multiply(comp, lam, out=tmp)
-                tmp *= alive
-                np.subtract(rate_diff, tmp, out=tmp)
-                tmp -= half_var
+            return n1, self._draw_normals(rng, size, cfg.antithetic) if want_fx else None
+
+        with _drawn_ahead(draw_step, cfg.n_steps) as next_draws:
+            for k in range(1, cfg.n_steps + 1):
+                n1, n2 = next_draws()
+                # y = m0 + m1 * y + sd * n1
+                y *= m1
+                y += m0
+                np.multiply(sd, n1, out=tmp)
+                y += tmp
+                if want_fx:
+                    # lnz = lnz + (rate_diff - comp * lam * alive - half_var) * dt
+                    #           + vol * (rho * n1 + rho_c * n2), with lam_new as scratch
+                    np.multiply(comp, lam, out=tmp)
+                    tmp *= alive
+                    np.subtract(rate_diff, tmp, out=tmp)
+                    tmp -= half_var
+                    tmp *= dt
+                    lnz += tmp
+                    np.multiply(rho, n1, out=lam_new)
+                    np.multiply(rho_c, n2, out=tmp)
+                    lam_new += tmp
+                    lam_new *= vol
+                    lnz += lam_new
+                np.exp(y, out=lam_new)
+                # acc = acc + 0.5 * (lam + lam_new) * dt
+                np.add(lam, lam_new, out=tmp)
+                tmp *= 0.5
                 tmp *= dt
-                lnz += tmp
-                np.multiply(rho, n1, out=lam_new)
-                np.multiply(rho_c, n2, out=tmp)
-                lam_new += tmp
-                lam_new *= vol
-                lnz += lam_new
-            np.exp(y, out=lam_new)
-            # acc = acc + 0.5 * (lam + lam_new) * dt
-            np.add(lam, lam_new, out=tmp)
-            tmp *= 0.5
-            tmp *= dt
-            acc += tmp
-            # newly = alive & (scale * acc >= e): the default falls in this step
-            np.multiply(scale, acc, out=tmp)
-            np.greater_equal(tmp, e, out=newly)
-            newly &= alive
-            if want_fx:
-                np.add(lnz, log_jump, out=lnz, where=newly)
-            alive ^= newly
-            lam, lam_new = lam_new, lam
-            if k in column:
-                int_lam_at[..., column[k]] = acc
+                acc += tmp
+                # newly = alive & (scale * acc >= e): the default falls in this step
+                np.multiply(scale, acc, out=tmp)
+                np.greater_equal(tmp, e, out=newly)
+                newly &= alive
+                if want_fx:
+                    np.add(lnz, log_jump, out=lnz, where=newly)
+                alive ^= newly
+                lam, lam_new = lam_new, lam
+                if k in column:
+                    int_lam_at[..., column[k]] = acc
 
         z = np.exp(lnz, out=lnz) if want_fx else None
         return alive, int_lam_at if at_steps else acc, z

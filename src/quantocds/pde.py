@@ -507,10 +507,9 @@ def _spectral_1f(
     where D = diag(d) and d[iy0] = 1.  Returns None, and the caller
     marches, wherever that is not both accurate and cheaper:
 
-    - a zero kill at some node: S is then not negative definite, and at
-      total devaluation the march's p comes out a few ulp above 1, which
-      ``SurvivalCurve`` clips to exactly 1, where the spectral p came out
-      a few ulp below;
+    - a zero kill at some node, where e^y underflows: S is then not
+      negative definite (a zero ``kill_scale``, total devaluation, never
+      gets here: ``survival_curve_1f`` returns its exact solution, 1);
     - a cell Peclet number above 1 (A is not symmetrisable);
     - ln(max d / min d) > 10 or max |diag| dt > 1e4, where the
       eigenvectors lose accuracy;
@@ -573,6 +572,10 @@ def survival_curve_1f(
     cfg = SolverConfig(n_x=3, n_y=n_y, n_t=n_t, width_sigmas=width_sigmas)
     y, iy0 = _y_axis(h, T, n_y, width_sigmas, drift_shift)
     dt, n_total, snap = _time_grid(T, n_t, tuple(tenors))
+    if kill_scale == 0.0:
+        # every row of the operator sums to zero, so w = 1 solves the
+        # discrete equation exactly; a solve would only add round-off
+        return np.ones(len(tenors))
     snapshots = _spectral_1f(h, y, dt, n_total, cfg, drift_shift=drift_shift,
                              kill_scale=kill_scale, snap=snap, iy0=iy0)
     if snapshots is None:

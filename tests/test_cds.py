@@ -13,7 +13,7 @@ from quantocds.cds import (
 )
 from quantocds.curves import SurvivalCurve
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
-from quantocds.pde import SolverConfig
+from quantocds.pde import SolverConfig, quanto_survival_curve_1f
 
 RATES0 = RatePair(0.0, 0.0)
 
@@ -228,6 +228,18 @@ class TestQuantoParSpread:
                                 SolverConfig(n_x=41, n_y=101, n_t=120), engine="reduced")
         assert res.contractual.par_spread * 1e4 < 1.0
         assert res.liquid.par_spread * 1e4 > 50.0
+
+    @pytest.mark.parametrize("n_y, n_t", [(21, 50), (41, 100), (101, 300)])
+    def test_total_devaluation_is_exact_on_the_reduced_engine(self, n_y, n_t):
+        # with no kill, w = 1 solves the discrete one-factor equation
+        # exactly; a solve landing a few ulp below 1 priced protection at 1e-15
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-1.0, rho=0.0)
+        contract = CdsContract(tenor=5.0)
+        p_hat = quanto_survival_curve_1f(self.H, fx, contract.payment_times(), n_y=n_y, n_t=n_t)
+        assert np.all(p_hat == 1.0)
+        res = quanto_par_spread(self.H, fx, RATES0, contract,
+                                SolverConfig(n_x=41, n_y=n_y, n_t=n_t), engine="reduced")
+        assert res.contractual.protection_pv == 0.0
 
     def test_separate_discounting_per_currency(self):
         rates = RatePair(0.03, 0.0)

@@ -177,6 +177,12 @@ class TestValidateCmd:
         f2 = (tmp_path / "b" / "validate_symmetry.csv").read_bytes()
         assert f1 == f2
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        rc = run(["validate", "--study", "symmetry", "--seed", "-1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_bracketing_quick(self, tmp_path, capsys):
         rc = run(["validate", "--study", "bracketing", "--bracket-steps", "300",
                   "--mc-paths", "20000", "--mc-steps", "300", "--grid-y", "201",

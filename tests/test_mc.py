@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import stats
 
 from quantocds.mc import (
+    _AHEAD,
     _BLOCK,
     McEstimate,
     SimConfig,
@@ -130,8 +132,10 @@ class TestSimulateDefault:
         assert z == pytest.approx(np.full(3, 0.8 * 0.5 * math.exp(0.01 * 2.0)), rel=1e-12)
 
 
-def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx: bool):
-    """One leg's block as plain expressions, the reference for the in-place step."""
+def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx: bool,
+                 at_steps=()):
+    """One leg's block as plain expressions, drawn serially on the caller's
+    thread: the reference for the in-place step and its drawing thread."""
     (leg,) = kern.legs
     dt = cfg.horizon / cfg.n_steps
     m0, m1, sd = _ou_mean_coeffs(kern.h, dt, leg.drift_shift)
@@ -146,7 +150,8 @@ def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx:
     jumped = e <= 0.0
     lnz = np.full(size, math.log(leg.fx_spot))
     lnz[jumped] += log_jump
-    for _ in range(cfg.n_steps):
+    acc_at = {}
+    for k in range(1, cfg.n_steps + 1):
         n1 = kern._draw_normals(rng, size, cfg.antithetic)
         y = m0 + m1 * y + sd * n1
         lam_new = np.exp(y)
@@ -160,6 +165,10 @@ def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx:
         lnz = lnz + np.where(newly, log_jump, 0.0)
         jumped = jumped | newly
         lam = lam_new
+        if k in at_steps:
+            acc_at[k] = acc
+    if at_steps:
+        acc = np.stack([acc_at[k] for k in at_steps], axis=-1)
     return ~jumped, acc, np.exp(lnz) if want_fx else None
 
 
@@ -208,6 +217,96 @@ class TestLegs:
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="unknown measure 'foreign'"):
             _Leg.of(self.H, self.FX, self.RATES, "foreign")
+
+
+def _bounded(fn, timeout: float = 60.0):
+    """The exception ``fn()`` raised, or None, asserting that it returned
+    within ``timeout`` seconds and left no thread behind."""
+    threads = threading.active_count()
+    raised = []
+
+    def call():
+        try:
+            fn()
+        except Exception as exc:  # handed to the test's assertions
+            raised.append(exc)
+
+    watched = threading.Thread(target=call, daemon=True)
+    watched.start()
+    watched.join(timeout)
+    assert not watched.is_alive(), f"kernel run still going after {timeout} s"
+    assert threading.active_count() == threads
+    return raised[0] if raised else None
+
+
+class TestDrawAhead:
+    """The normals come from a helper thread; the block equals the serial
+    reference bit for bit, a failure on either side reaches the caller, and
+    no thread outlives a run."""
+
+    H = HazardParams(a=0.5, b=-3.0, sigma_y=0.6, y0=-2.5)
+    FX = QuantoFxParams(z0=0.8, sigma_z=0.15, gamma_z=-0.4, rho=0.3)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("want_fx, at_steps", [(True, ()), (False, ()), (False, (3, 7, 12))])
+    def test_two_blocks_equal_the_serial_reference(self, want_fx, at_steps, antithetic):
+        kern = _kernel(self.H, self.FX, RatePair(0.01, 0.03))
+        cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=6,
+                        antithetic=antithetic)
+        got = []
+        assert _bounded(lambda: got.extend(kern.run(cfg, want_fx, at_steps))) is None
+        alive, int_lam, z = got
+        for block, start in enumerate((0, _BLOCK)):
+            size = min(_BLOCK, cfg.n_paths - start)
+            want = _plain_block(kern, _block_rng(cfg.seed, block), size, cfg, want_fx, at_steps)
+            cut = slice(start, start + size)
+            assert np.array_equal(alive[0, cut], want[0])
+            if want_fx:
+                assert int_lam is None and np.array_equal(z[0, cut], want[2])
+            else:
+                assert z is None and np.array_equal(int_lam[0, cut], want[1])
+
+    @staticmethod
+    def _counting_draws(monkeypatch, on_call):
+        """Patch the kernel's normal draws; ``on_call(k, draws)`` may replace
+        the k-th call's result or raise.  Returns the list of call numbers."""
+        calls = []
+        draw = _TerminalKernel._draw_normals
+
+        def patched(self, rng, count, antithetic):
+            calls.append(len(calls) + 1)
+            return on_call(len(calls), draw(self, rng, count, antithetic))
+
+        monkeypatch.setattr(_TerminalKernel, "_draw_normals", patched)
+        return calls
+
+    @pytest.mark.parametrize("want_fx", [True, False])
+    def test_draw_failure_is_raised_by_the_run(self, monkeypatch, want_fx):
+        def fail_fifth(k, n):
+            if k == 5:
+                raise RuntimeError("draw 5 failed")
+            return n
+
+        calls = self._counting_draws(monkeypatch, fail_fifth)
+        cfg = SimConfig(n_paths=2_000, n_steps=1_000, horizon=1.0, seed=2)
+        exc = _bounded(lambda: _kernel(self.H, self.FX).run(cfg, want_fx))
+        assert isinstance(exc, RuntimeError) and str(exc) == "draw 5 failed"
+        assert calls[-1] == 5
+
+    @pytest.mark.parametrize("want_fx", [True, False])
+    def test_step_failure_stops_and_joins_the_helper(self, monkeypatch, want_fx):
+        # a short 201st draw breaks the step loop's broadcast.  By then the
+        # helper, which draws far faster than the loop steps its 32 legs, has
+        # filled the queue and waits to put; of its 2000 steps it stops with
+        # at most _AHEAD queued and one more drawn
+        calls = self._counting_draws(monkeypatch, lambda k, n: n[:-1] if k == 201 else n)
+        cfg = SimConfig(n_paths=2_000, n_steps=2_000, horizon=1.0, seed=2)
+        kern = _TerminalKernel(self.H, [_Leg.of(self.H, self.FX, RATES0)] * 32)
+        exc = _bounded(lambda: kern.run(cfg, want_fx))
+        assert isinstance(exc, ValueError)
+        per_step = 2 if want_fx else 1
+        failed_step = -(-201 // per_step)
+        assert len(calls) <= per_step * (failed_step + _AHEAD + 1)
 
 
 class TestSimulateFx:
@@ -419,9 +518,11 @@ class TestMcEstimate:
         assert est.contains(2.5)
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            SimConfig(n_paths=0, n_steps=10, horizon=1.0)
-        with pytest.raises(ValueError):
-            SimConfig(n_paths=10, n_steps=0, horizon=1.0)
-        with pytest.raises(ValueError):
-            SimConfig(n_paths=10, n_steps=10, horizon=0.0)
+        valid = dict(n_paths=10, n_steps=10, horizon=1.0, seed=0)
+        for field, bad in [("n_paths", 0), ("n_paths", 1.5), ("n_steps", 0), ("n_steps", 10.0),
+                           ("horizon", 0.0), ("horizon", math.inf), ("horizon", math.nan),
+                           ("seed", -1), ("seed", 0.5)]:
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                SimConfig(**{**valid, field: bad})
+        # numpy integers are integers
+        SimConfig(n_paths=np.int64(10), n_steps=np.int32(10), horizon=1.0, seed=np.uint32(3))
