@@ -4,18 +4,19 @@ The per-date pipeline has three stages: set sigma_y from the 1M
 index-option vol (pass-through by default, or implied from a small MC
 round trip at a hazard fitted with the placeholder vol, or with the quoted
 vol where the placeholder cannot fit the quotes), fit (b, y0) to the
-liquid-currency 5Y/10Y par spreads at that vol, then fit (b, y0, rho,
-gamma) jointly to the four quotes, seeded at the liquid point.  All stages
-of one snapshot price through one memoised spread model.  The
-mean-reversion speed stays pinned at a small value throughout, which makes
-b act through the product a*b only; `CalibrationResult.ab` exposes that
-product for diagnostics.
+liquid-currency 5Y/10Y par spreads at that vol, then fit (rho, gamma) to
+the contractual-currency quotes at that liquid hazard, which the liquid
+quotes alone determine.  All stages of one snapshot price through one
+memoised spread model.  The mean-reversion speed stays pinned at a small
+value throughout, which makes b act through the product a*b only;
+`CalibrationResult.ab` exposes that product for diagnostics.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -75,8 +76,12 @@ class CalibrationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tolerance_bp <= 0 or self.single_ccy_tolerance_bp <= 0:
-            raise ValueError("tolerances must be > 0")
+        for name in ("a_fixed", "tolerance_bp", "single_ccy_tolerance_bp"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
+        n = self.max_iterations
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
         if self.sigma_y_mode not in ("passthrough", "implied"):
             raise ValueError(f"unknown sigma_y_mode {self.sigma_y_mode!r}")
 
@@ -85,11 +90,12 @@ class CalibrationConfig:
 class CalibrationResult:
     """Joint-stage fit of one snapshot.
 
-    ``iterations`` is ``least_squares``' ``nfev`` for the joint four-quote
-    fit: the residual evaluations its trust-region steps made.  It leaves out
-    the evaluations of the finite-difference Jacobian (four per Jacobian),
-    so the residual runs more often than it says, and it counts nothing of
-    the liquid-currency stage.
+    ``b`` and ``y0`` are the liquid-currency fit, unchanged.  ``iterations``
+    is ``least_squares``' ``nfev`` for the (rho, gamma) fit: the residual
+    evaluations its trust-region steps made.  It leaves out the evaluations
+    of the finite-difference Jacobian (two per Jacobian), so the residual
+    runs more often than it says, and it counts nothing of the
+    liquid-currency stage.
     """
 
     date: str
@@ -129,8 +135,7 @@ class _SpreadModel:
         self.contract_10 = CdsContract(tenor=t10, recovery=cfg.recovery)
         self.tenor_grid = self.contract_10.payment_times()
         self.n_t = max(1, int(round(cfg.n_t_per_year * t10)))
-        # Jacobian columns in rho and gamma leave the USD curve unchanged,
-        # and each stage reprices points the last one marched: march once
+        # each stage reprices curves the last one marched: march once
         self._memo: dict[tuple[float, ...], SurvivalCurve] = {}
 
     def curve(self, b: float, y0: float, sigma_y: float,
@@ -284,57 +289,51 @@ def _log_spread_vol_1m(b: float, y0: float, sigma: float, rate: float,
 
 def calibrate_quanto(
     snapshot: MarketSnapshot,
-    p_y_seed: tuple[float, float],
+    p_y: tuple[float, float],
     sigma_y: float,
     cfg: CalibrationConfig | None = None,
 ) -> CalibrationResult:
-    """Joint fit of (b, y0, rho, gamma) to the four dual-currency quotes.
+    """Fit (rho, gamma) to the contractual-currency quotes at the liquid
+    hazard ``p_y`` = (b, y0).
 
-    Seeded at the single-currency point, rho = 0 and gamma at the relative
-    5Y basis.  Non-convergence returns a result flagged converged=False
-    rather than raising.
+    The liquid par spreads do not depend on (rho, gamma), so the solved
+    ``p_y`` is returned unchanged and only the EUR pair is fitted, seeded at
+    rho = 0 and gamma at the relative 5Y basis.  Non-convergence returns a
+    result flagged converged=False rather than raising.
     """
     cfg = cfg or CalibrationConfig()
     model = _spread_model(snapshot, cfg)
-    targets = np.array([
-        snapshot.spread_usd_5y, snapshot.spread_usd_10y,
-        snapshot.spread_eur_5y, snapshot.spread_eur_10y,
-    ])
+    b, y0 = p_y
+    targets = np.array([snapshot.spread_eur_5y, snapshot.spread_eur_10y])
     gamma0 = devaluation_estimate(snapshot.spread_eur_5y, snapshot.spread_usd_5y)
 
     def residuals(x):
-        b, y0, rho, gamma = x
-        usd = model.spreads(b, y0, sigma_y)
-        eur = model.spreads(b, y0, sigma_y, rho, gamma)
-        return (np.array([*usd, *eur]) - targets) * 1e4
+        return (np.array(model.spreads(b, y0, sigma_y, *x)) - targets) * 1e4
 
-    x0 = np.array([
-        np.clip(p_y_seed[0], *_B_BOUNDS), np.clip(p_y_seed[1], *_Y0_BOUNDS),
-        0.0, float(np.clip(gamma0, -0.95, 4.9)),
-    ])
     fit = least_squares(
-        residuals, x0,
-        bounds=(
-            [_B_BOUNDS[0], _Y0_BOUNDS[0], -1.0, -1.0 + 1e-9],
-            [_B_BOUNDS[1], _Y0_BOUNDS[1], 1.0, 5.0],
-        ),
-        x_scale=[100.0, 0.5, 0.5, 0.2],
+        residuals, np.array([0.0, float(np.clip(gamma0, -0.95, 4.9))]),
+        bounds=([-1.0, -1.0 + 1e-9], [1.0, 5.0]),
+        x_scale=[0.5, 0.2],
         ftol=1e-12, xtol=1e-12, gtol=1e-12,
         max_nfev=cfg.max_iterations,
     )
-    res = fit.fun
-    names = ("usd_5y", "usd_10y", "eur_5y", "eur_10y")
-    residuals_bp = {k: float(v) for k, v in zip(names, res)}
+    usd_5y, usd_10y = model.spreads(b, y0, sigma_y)
+    residuals_bp = {
+        "usd_5y": (usd_5y - snapshot.spread_usd_5y) * 1e4,
+        "usd_10y": (usd_10y - snapshot.spread_usd_10y) * 1e4,
+        "eur_5y": float(fit.fun[0]),
+        "eur_10y": float(fit.fun[1]),
+    }
     return CalibrationResult(
         date=snapshot.date,
-        b=float(fit.x[0]),
-        y0=float(fit.x[1]),
+        b=b,
+        y0=y0,
         sigma_y=float(sigma_y),
-        rho=float(fit.x[2]),
-        gamma=float(fit.x[3]),
+        rho=float(fit.x[0]),
+        gamma=float(fit.x[1]),
         residuals_bp=residuals_bp,
         iterations=int(fit.nfev),
-        converged=bool(np.max(np.abs(res)) < cfg.tolerance_bp),
+        converged=max(abs(v) for v in residuals_bp.values()) < cfg.tolerance_bp,
         a=cfg.a_fixed,
     )
 
@@ -342,8 +341,8 @@ def calibrate_quanto(
 def calibrate_snapshot(
     snapshot: MarketSnapshot, cfg: CalibrationConfig | None = None
 ) -> CalibrationResult:
-    """Full three-stage pipeline for one date; the hazard fit the joint
-    stage starts from is made at the vol the joint stage uses."""
+    """Full three-stage pipeline for one date; the joint stage fits
+    (rho, gamma) at the hazard fitted at the vol the joint stage uses."""
     cfg = cfg or CalibrationConfig()
     p_y = None
     if cfg.sigma_y_mode == "implied":

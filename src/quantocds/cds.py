@@ -85,20 +85,9 @@ def premium_leg_pv(
     r: float,
     contract: CdsContract,
     spread: float,
-    accrual_on_default: bool = False,
 ) -> float:
-    """PV of the premium leg: S * sum_i delta_i * DF(T_i) * p(T_i).
-
-    ``accrual_on_default`` adds the half-period accrual convention: half of
-    each period's coupon weighted by the default probability in the period.
-    """
-    pv = _risky_annuity(curve, r, contract)
-    if accrual_on_default:
-        times, deltas = contract.payment_times(), contract.accruals()
-        p = curve(np.concatenate(([0.0], times)))
-        mids = times - 0.5 * deltas
-        pv += float(np.sum(0.5 * deltas * np.exp(-r * mids) * (p[:-1] - p[1:])))
-    return contract.notional * spread * pv
+    """PV of the premium leg: S * sum_i delta_i * DF(T_i) * p(T_i)."""
+    return contract.notional * spread * _risky_annuity(curve, r, contract)
 
 
 def protection_leg_pv(curve: SurvivalCurve, r: float, contract: CdsContract) -> float:

@@ -58,6 +58,22 @@ class TestSnapshotValidation:
             MarketSnapshot(**{**good, field: value})
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["a_fixed", "tolerance_bp", "single_ccy_tolerance_bp"])
+    def test_bad_positive_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be > 0 and finite, got {value}$"):
+            CalibrationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -3, 1.5])
+    def test_bad_iteration_budget_is_named(self, value):
+        with pytest.raises(ValueError, match="^max_iterations must be an integer >= 1"):
+            CalibrationConfig(max_iterations=value)
+
+    def test_numpy_iteration_budget_is_accepted(self):
+        assert CalibrationConfig(max_iterations=np.int64(8)).max_iterations == 8
+
+
 class TestSingleCurrency:
     def test_round_trip(self):
         snap = synthetic_snapshot("d", b=-150.0, y0=-4.3, sigma_y=CFG.sigma_y_default,
@@ -160,7 +176,18 @@ class TestQuantoCalibration:
         # a tight iteration budget
         snap = MarketSnapshot("d", 0.0100, 0.0101, 0.0200, 0.0020, 0.1, 0.5, 0.0)
         cfg = CalibrationConfig(max_iterations=8)
-        res = calibrate_quanto(snap, (-100.0, -4.6), 0.5, cfg)
+        res = calibrate_quanto(snap, calibrate_single_ccy(snap, cfg, sigma_y=0.5), 0.5, cfg)
+        assert not res.converged
+
+    def test_eur_misfit_stays_on_eur(self):
+        # the EUR pair cannot be fitted within the (rho, gamma) bounds; the
+        # liquid hazard fits USD alone, so the misfit must not move it
+        snap = MarketSnapshot("d", 0.0100, 0.0101, 0.0200, 0.0020, 0.1, 0.5, 0.0)
+        p_y = calibrate_single_ccy(snap, CFG, sigma_y=0.5)
+        res = calibrate_quanto(snap, p_y, 0.5, CFG)
+        assert (res.b, res.y0) == p_y
+        assert abs(res.residuals_bp["usd_5y"]) < CFG.single_ccy_tolerance_bp
+        assert abs(res.residuals_bp["usd_10y"]) < CFG.single_ccy_tolerance_bp
         assert not res.converged
 
     @staticmethod
@@ -180,13 +207,15 @@ class TestQuantoCalibration:
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
                                   gamma=-0.2, cfg=COARSE)
         marches = self._record_marches(monkeypatch)
-        calibrate_quanto(snap, (-115.0, -4.42), 0.5, COARSE)
-        # no curve of either currency is marched twice
-        assert len(marches) == len(set(marches)) > 0
-        # USD is the untilted, unscaled march; the rho and gamma Jacobian
-        # columns re-march only the EUR curve
-        usd = [m for m in marches if m[3:] == (0.0, 1.0)]
-        assert 0 < len(usd) < len(marches) - len(usd)
+        p_y = calibrate_single_ccy(snap, COARSE, sigma_y=0.5)
+        n_hazard = len(marches)
+        calibrate_quanto(snap, p_y, 0.5, COARSE)
+        # no curve of either currency is marched twice: the USD residuals
+        # at p_y reprice the hazard fit's last curve
+        assert len(marches) == len(set(marches)) > n_hazard > 0
+        # USD is the untilted, unscaled march; the (rho, gamma) fit
+        # marches only EUR curves
+        assert all(m[3:] != (0.0, 1.0) for m in marches[n_hazard:])
         # the whole pipeline and its diagnostics share one model: the hazard
         # fit, the joint fit and the diagnostics march no curve twice
         marches.clear()

@@ -72,18 +72,6 @@ class TestPremiumLeg:
         direct = 0.013 * float(np.sum(0.25 * np.exp(-r * times) * np.exp(-lam * times)))
         assert pv == pytest.approx(direct, rel=1e-12)
 
-    def test_accrual_on_default_adds_half_period_mass(self):
-        lam = 0.05
-        curve = flat_curve(lam)
-        c = CdsContract(tenor=5.0)
-        base = premium_leg_pv(curve, 0.0, c, 0.01)
-        with_accrual = premium_leg_pv(curve, 0.0, c, 0.01, accrual_on_default=True)
-        expected_extra = 0.01 * float(np.sum(
-            0.5 * 0.25 * (np.exp(-lam * np.arange(0.0, 4.75 + 1e-9, 0.25))
-                          - np.exp(-lam * np.arange(0.25, 5.0 + 1e-9, 0.25)))
-        ))
-        assert with_accrual - base == pytest.approx(expected_extra, rel=1e-12)
-
     def test_curve_too_short(self):
         with pytest.raises(ValueError):
             premium_leg_pv(flat_curve(0.02, horizon=2.0), 0.0, CdsContract(tenor=5.0), 0.01)

@@ -239,6 +239,17 @@ class TestCalibrateCmd:
         assert rc == 1
         assert err.startswith("error: ") and f"line 2: {field} must be" in err
 
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-1", "-1.0"), ("inf", "inf")])
+    def test_bad_tolerance_is_named(self, tmp_path, capsys, value, shown):
+        snap_file = tmp_path / "snaps.csv"
+        make_snapshot_csv(snap_file, [synthetic_row()])
+        rc = run(["calibrate", "--snapshots", str(snap_file), "--tolerance-bp", value,
+                  "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: tolerance_bp must be > 0 and finite, got {shown}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_ten_date_fixture_all_converge(self, tmp_path, capsys):
         snap_file = tmp_path / "snaps.csv"
         rows = [synthetic_row(date=f"2012-05-{7 + i:02d}", b=-120.0 - 3 * i,
