@@ -7,7 +7,8 @@ vol where the placeholder cannot fit the quotes), fit (b, y0) to the
 liquid-currency 5Y/10Y par spreads at that vol, then fit (rho, gamma) to
 the contractual-currency quotes at that liquid hazard, which the liquid
 quotes alone determine.  All stages of one snapshot price through one
-memoised spread model.  The mean-reversion speed stays pinned at a small
+memoised spread model, and both fits update their Jacobian from points
+already priced (`_fit`).  The mean-reversion speed stays pinned at a small
 value throughout, which makes b act through the product a*b only;
 `CalibrationResult.ab` exposes that product for diagnostics.
 """
@@ -76,12 +77,21 @@ class CalibrationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("a_fixed", "tolerance_bp", "single_ccy_tolerance_bp"):
+        for name in ("a_fixed", "sigma_y_default", "tolerance_bp", "single_ccy_tolerance_bp",
+                     "width_sigmas"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
-        n = self.max_iterations
-        if not (isinstance(n, numbers.Integral) and n >= 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
+        for name, least in (("max_iterations", 1), ("n_y", 3), ("n_t_per_year", 1)):
+            n = getattr(self, name)
+            if not (isinstance(n, numbers.Integral) and n >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not 0.0 <= self.recovery < 1.0:
+            raise ValueError(f"recovery must lie in [0, 1), got {self.recovery}")
+        t = self.tenors
+        if not (len(t) == 2 and 0.0 < t[0] < t[1] < math.inf):
+            raise ValueError(f"tenors must be two increasing positive finite values, got {t!r}")
         if self.sigma_y_mode not in ("passthrough", "implied"):
             raise ValueError(f"unknown sigma_y_mode {self.sigma_y_mode!r}")
 
@@ -92,9 +102,11 @@ class CalibrationResult:
 
     ``b`` and ``y0`` are the liquid-currency fit, unchanged.  ``iterations``
     is ``least_squares``' ``nfev`` for the (rho, gamma) fit: the residual
-    evaluations its trust-region steps made.  It leaves out the evaluations
-    of the finite-difference Jacobian (two per Jacobian), so the residual
-    runs more often than it says, and it counts nothing of the
+    evaluations its trust-region steps made.  Most Jacobians are secant
+    updates from those points and cost no evaluation; the first one, and
+    one after a step that needed a retry or fell short of the secant
+    model's predicted reduction, is a forward difference of two further
+    evaluations, which ``iterations`` leaves out.  It counts nothing of the
     liquid-currency stage.
     """
 
@@ -171,6 +183,62 @@ _B_BOUNDS = (-3000.0, 3000.0)
 _Y0_BOUNDS = (-12.0, 1.0)
 
 
+# forward-difference step of scipy's 2-point scheme, relative to max(1, |x|)
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _forward_jacobian(residual, x: np.ndarray, f: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Forward differences at ``x``, where ``residual(x)`` is ``f``; a step
+    that would cross an upper bound is taken inward."""
+    h = _FD_STEP * np.maximum(1.0, np.abs(x))
+    h = np.where(x + h > upper, -h, h)
+    J = np.empty((f.size, x.size))
+    for j in range(x.size):
+        xj = x.copy()
+        xj[j] += h[j]
+        J[:, j] = (residual(xj) - f) / (xj[j] - x[j])
+    return J
+
+
+def _fit(residual, x0: np.ndarray, bounds, x_scale, max_nfev: int):
+    """``least_squares`` with a secant Jacobian.
+
+    The first Jacobian is a forward difference.  Each later one is
+    Broyden's rank-one update between consecutive accepted points, whose
+    residuals the fit has already evaluated (a memo hit in `_SpreadModel`).
+    Forward differences replace the update after a step that needed a
+    retry, or that achieved less than a quarter of the reduction the secant
+    model predicted.
+    """
+    upper = np.asarray(bounds[1], dtype=float)
+    evals = 0  # residual evaluations by the fit since its last Jacobian
+    last = None  # (x, f, J) at the last Jacobian
+
+    def fun(x):
+        nonlocal evals
+        evals += 1
+        return residual(x)
+
+    def jac(x):
+        nonlocal evals, last
+        x = np.array(x, dtype=float)
+        f = residual(x)  # the point just accepted
+        J = None
+        if last is not None and evals == 1:
+            x_p, f_p, J_p = last
+            s = x - x_p
+            predicted = f_p @ f_p - np.sum((f_p + J_p @ s) ** 2)
+            if f_p @ f_p - f @ f >= 0.25 * predicted:
+                J = J_p + np.outer(f - f_p - J_p @ s, s) / (s @ s)
+        if J is None:
+            J = _forward_jacobian(residual, x, f, upper)
+        last, evals = (x, f, J), 0
+        return J
+
+    return least_squares(fun, x0, jac=jac, bounds=bounds, x_scale=x_scale,
+                         ftol=1e-10, xtol=1e-10, gtol=1e-10, max_nfev=max_nfev)
+
+
 def calibrate_single_ccy(
     snapshot: MarketSnapshot, cfg: CalibrationConfig | None = None,
     sigma_y: float | None = None,
@@ -190,13 +258,9 @@ def calibrate_single_ccy(
         s5, s10 = model.spreads(x[0], x[1], sigma_y)
         return (np.array([s5, s10]) - targets) * 1e4
 
-    x0 = _seed_hazard(snapshot, cfg, sigma_y)
-    fit = least_squares(
-        residuals, x0,
-        bounds=([_B_BOUNDS[0], _Y0_BOUNDS[0]], [_B_BOUNDS[1], _Y0_BOUNDS[1]]),
-        x_scale=[100.0, 0.5], ftol=1e-12, xtol=1e-12, gtol=1e-12,
-        max_nfev=cfg.max_iterations,
-    )
+    fit = _fit(residuals, _seed_hazard(snapshot, cfg, sigma_y),
+               ([_B_BOUNDS[0], _Y0_BOUNDS[0]], [_B_BOUNDS[1], _Y0_BOUNDS[1]]),
+               [100.0, 0.5], cfg.max_iterations)
     worst = float(np.max(np.abs(fit.fun)))
     if worst > cfg.single_ccy_tolerance_bp:
         raise CalibrationError(
@@ -310,13 +374,8 @@ def calibrate_quanto(
     def residuals(x):
         return (np.array(model.spreads(b, y0, sigma_y, *x)) - targets) * 1e4
 
-    fit = least_squares(
-        residuals, np.array([0.0, float(np.clip(gamma0, -0.95, 4.9))]),
-        bounds=([-1.0, -1.0 + 1e-9], [1.0, 5.0]),
-        x_scale=[0.5, 0.2],
-        ftol=1e-12, xtol=1e-12, gtol=1e-12,
-        max_nfev=cfg.max_iterations,
-    )
+    fit = _fit(residuals, np.array([0.0, float(np.clip(gamma0, -0.95, 4.9))]),
+               ([-1.0, -1.0 + 1e-9], [1.0, 5.0]), [0.5, 0.2], cfg.max_iterations)
     usd_5y, usd_10y = model.spreads(b, y0, sigma_y)
     residuals_bp = {
         "usd_5y": (usd_5y - snapshot.spread_usd_5y) * 1e4,

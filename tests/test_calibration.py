@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantocds import calibration, pde
 from quantocds.calibration import (
@@ -60,10 +61,40 @@ class TestSnapshotValidation:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["a_fixed", "tolerance_bp", "single_ccy_tolerance_bp"])
+    @pytest.mark.parametrize("field", ["a_fixed", "tolerance_bp", "single_ccy_tolerance_bp",
+                                       "sigma_y_default", "width_sigmas"])
     def test_bad_positive_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be > 0 and finite, got {value}$"):
             CalibrationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, least", [
+        ("n_y", 2, 3), ("n_y", 101.0, 3), ("n_t_per_year", 0, 1), ("n_t_per_year", 1.5, 1),
+    ])
+    def test_bad_grid_field_is_named(self, field, value, least):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}, got"):
+            CalibrationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-1, 0.5])
+    def test_bad_seed_is_named(self, value):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {value}$"):
+            CalibrationConfig(seed=value)
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, -0.1, math.nan])
+    def test_bad_recovery_is_named(self, value):
+        with pytest.raises(ValueError, match=r"^recovery must lie in \[0, 1\), got"):
+            CalibrationConfig(recovery=value)
+
+    @pytest.mark.parametrize("value", [
+        (10.0, 5.0), (5.0, 5.0), (0.0, 10.0), (-5.0, 10.0), (5.0, math.inf), (5.0, math.nan),
+        (5.0,), (1.0, 5.0, 10.0),
+    ])
+    def test_bad_tenors_are_named(self, value):
+        with pytest.raises(ValueError, match="^tenors must be two increasing positive finite"):
+            CalibrationConfig(tenors=value)
+
+    def test_numpy_grid_and_seed_are_accepted(self):
+        cfg = CalibrationConfig(n_y=np.int64(81), n_t_per_year=np.int32(10), seed=np.int64(3))
+        assert (cfg.n_y, cfg.n_t_per_year, cfg.seed) == (81, 10, 3)
 
     @pytest.mark.parametrize("value", [0, -3, 1.5])
     def test_bad_iteration_budget_is_named(self, value):
@@ -276,10 +307,58 @@ class TestQuantoCalibration:
         assert calibration._spread_model(snap, COARSE) is not model
         assert fresh == warm
 
+    def test_one_snapshot_marches_at_most_24_curves(self, monkeypatch):
+        # secant Jacobians price no curve for most steps: 22 curves here,
+        # where two-point Jacobians at every step took 45
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=COARSE)
+        marches = self._record_marches(monkeypatch)
+        assert calibrate_snapshot(snap, COARSE).converged
+        assert len(marches) <= 24
+
     def test_ab_diagnostic(self):
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.0, gamma=0.0)
         res = calibrate_snapshot(snap, CFG)
         assert res.ab == pytest.approx(res.a * res.b)
+
+
+class TestSecantFit:
+    @pytest.mark.parametrize("mode", ["passthrough", "implied"])
+    def test_stalling_quote_converges(self, mode):
+        # USD 440/300, EUR 350/240 at index vol 0.2: with secant updates
+        # kept through a retried step, the hazard fit stalled at 0.47 bp
+        snap = MarketSnapshot("d", 0.0440, 0.0300, 0.0350, 0.0240, 0.1, 0.2, 0.0)
+        res = calibrate_snapshot(snap, replace(CFG, sigma_y_mode=mode))
+        assert res.converged and res.max_residual_bp() < 1e-6
+
+    @pytest.mark.parametrize("x", [[3000.0, -4.0], [2999.99999, 1.0], [0.0, 1.0 - 1e-12]])
+    def test_forward_step_at_an_upper_bound_stays_inside(self, x):
+        upper = np.array([3000.0, 1.0])
+        slope = np.array([[2.0, -1.0], [0.5, 3.0]])
+        seen = []
+
+        def residual(v):
+            seen.append(v.copy())
+            return slope @ v
+
+        x = np.array(x)
+        J = calibration._forward_jacobian(residual, x, slope @ x, upper)
+        assert all(np.all(v <= upper) for v in seen) and len(seen) == 2
+        np.testing.assert_allclose(J, slope, rtol=1e-6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(b=st.floats(-215.0, -120.0), y0=st.floats(-4.5, -4.12),
+       rho=st.floats(-0.6, 0.6), gamma=st.floats(-0.4, 0.0))
+def test_round_trip_in_the_criterion_7_box(b, y0, rho, gamma):
+    snap = synthetic_snapshot("d", b, y0, 0.5, rho, gamma)
+    try:
+        res = calibrate_snapshot(snap, CFG)
+    except (ValueError, CalibrationError) as exc:
+        pytest.fail(f"round-trip snapshot failed to calibrate: {exc}")
+    assert res.converged
+    assert abs(res.gamma - gamma) < 0.01
+    assert abs(res.rho - rho) < 0.1
 
 
 class TestBacktest:

@@ -250,6 +250,20 @@ class TestCalibrateCmd:
         assert err == f"error: tolerance_bp must be > 0 and finite, got {shown}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-y", "2"], "n_y must be an integer >= 3, got 2"),
+        (["--sigma-y-mode", "implied", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    ], ids=["grid-y", "seed"])
+    def test_bad_config_is_named_once(self, tmp_path, capsys, flags, message):
+        snap_file = tmp_path / "snaps.csv"
+        make_snapshot_csv(snap_file, [synthetic_row(), synthetic_row(date="2012-05-08")])
+        rc = run(["calibrate", "--snapshots", str(snap_file), *flags,
+                  "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert (out, err) == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_ten_date_fixture_all_converge(self, tmp_path, capsys):
         snap_file = tmp_path / "snaps.csv"
         rows = [synthetic_row(date=f"2012-05-{7 + i:02d}", b=-120.0 - 3 * i,
