@@ -43,9 +43,7 @@ from .cds import (
     CdsContract,
     ParSpreadResult,
     QuantoParSpreads,
-    deterministic_survival,
     par_spread,
-    premium_leg_pv,
     protection_leg_pv,
     quanto_par_spread,
 )

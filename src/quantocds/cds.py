@@ -80,16 +80,6 @@ class QuantoParSpreads:
     curve_contractual: SurvivalCurve
 
 
-def premium_leg_pv(
-    curve: SurvivalCurve,
-    r: float,
-    contract: CdsContract,
-    spread: float,
-) -> float:
-    """PV of the premium leg: S * sum_i delta_i * DF(T_i) * p(T_i)."""
-    return contract.notional * spread * _risky_annuity(curve, r, contract)
-
-
 def protection_leg_pv(curve: SurvivalCurve, r: float, contract: CdsContract) -> float:
     """PV of the default payment: LGD * int DF(t) (-dp(t)).
 
@@ -130,28 +120,6 @@ def _require_coverage(curve: SurvivalCurve, T: float) -> None:
         raise ValueError(
             f"survival curve ends at {curve.horizon:g}y, contract needs {T:g}y"
         )
-
-
-def deterministic_survival(hazard, T: float, knots=None) -> float:
-    """exp(-int_0^T H) for a flat or piecewise-constant hazard H.
-
-    Scalar ``hazard`` means a flat rate.  Otherwise ``knots`` are the left
-    endpoints of the constancy intervals (starting at 0) and ``hazard`` the
-    rate on each interval, the last one extending beyond the final knot.
-    """
-    if np.isscalar(hazard):
-        if hazard < 0:
-            raise ValueError("hazard must be >= 0")
-        return math.exp(-float(hazard) * T)
-    rates = np.asarray(hazard, dtype=float)
-    knots = np.asarray(knots, dtype=float)
-    if knots.shape != rates.shape or knots[0] != 0.0 or np.any(np.diff(knots) <= 0):
-        raise ValueError("knots must start at 0, strictly increase, and match rates")
-    if np.any(rates < 0):
-        raise ValueError("hazard must be >= 0")
-    edges = np.concatenate((knots, [np.inf]))
-    lengths = np.clip(np.minimum(edges[1:], T) - np.minimum(edges[:-1], T), 0.0, None)
-    return math.exp(-float(np.sum(rates * lengths)))
 
 
 def quanto_par_spread(

@@ -573,9 +573,15 @@ def main(argv: list[str] | None = None) -> int:
         rest = argv[argv.index(args.command) + 1:]
         args = _apply_config(sub, args, rest)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except (ValueError, PdeInstabilityError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (`quantocds price | head`): keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

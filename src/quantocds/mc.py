@@ -57,7 +57,6 @@ class SimConfig:
     n_steps: int
     horizon: float
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self) -> None:
         for name in ("n_paths", "n_steps"):
@@ -290,26 +289,8 @@ class _TerminalKernel:
                 int_lam[:, start : start + size] = il
         return alive, int_lam, z
 
-    def _draw_normals(self, rng, count: int, antithetic: bool) -> np.ndarray:
-        if not antithetic:
-            return rng.standard_normal(count)
-        half, odd = divmod(count, 2)
-        x = rng.standard_normal(half)
-        parts = [x, -x]
-        if odd:
-            parts.append(rng.standard_normal(1))
-        return np.concatenate(parts)
-
-    def _draw_exponentials(self, rng, count: int, antithetic: bool) -> np.ndarray:
-        if not antithetic:
-            return -np.log1p(-rng.uniform(size=count))
-        half, odd = divmod(count, 2)
-        u = rng.uniform(size=half)
-        with np.errstate(divide="ignore"):
-            parts = [-np.log1p(-u), -np.log(u)]
-        if odd:
-            parts.append(-np.log1p(-rng.uniform(size=1)))
-        return np.concatenate(parts)
+    def _draw_normals(self, rng, count: int) -> np.ndarray:
+        return rng.standard_normal(count)
 
     def _run_block(self, rng, size: int, cfg: SimConfig, want_fx: bool,
                    at_steps: Sequence[int]):
@@ -324,7 +305,7 @@ class _TerminalKernel:
         scale = _column(leg.intensity_scale for leg in legs)
         shape = (len(legs), size)
 
-        e = self._draw_exponentials(rng, size, cfg.antithetic)
+        e = -np.log1p(-rng.uniform(size=size))
         y = np.full(shape, self.h.y0)
         lam = np.exp(y)
         lam_new = np.empty(shape)
@@ -349,8 +330,8 @@ class _TerminalKernel:
         int_lam_at = np.empty(shape + (len(at_steps),)) if at_steps else None
 
         def draw_step():
-            n1 = self._draw_normals(rng, size, cfg.antithetic)
-            return n1, self._draw_normals(rng, size, cfg.antithetic) if want_fx else None
+            n1 = self._draw_normals(rng, size)
+            return n1, self._draw_normals(rng, size) if want_fx else None
 
         with _drawn_ahead(draw_step, cfg.n_steps) as next_draws:
             for k in range(1, cfg.n_steps + 1):
@@ -449,15 +430,23 @@ def quanto_bond_mc(
 
     U0(T) = B(0,T) * E[Z_T 1{tau > T}] and p_hat = U0(T) / (z0 * Bhat(0,T)).
     """
-    kern = _TerminalKernel(h, [_Leg.of(h, fx, rates)])
+    return _quanto_bond_pass(h, [fx], rates, T, cfg)[0]
+
+
+def _quanto_bond_pass(h: HazardParams, fxs: Sequence[QuantoFxParams], rates: RatePair,
+                      T: float, cfg: SimConfig) -> list[QuantoBondMc]:
+    """:func:`quanto_bond_mc` for each of ``fxs`` from one pass whose legs share
+    their draws; each estimate equals, bit for bit, the one its own call returns."""
+    kern = _TerminalKernel(h, [_Leg.of(h, fx, rates) for fx in fxs])
     alive, _, z = kern.run(_tenor_config(T, cfg))
     disc = math.exp(-rates.r * T)
-    u = McEstimate.from_samples(disc * z[0] * alive[0])
-    scale = 1.0 / (fx.z0 * math.exp(-rates.r_hat * T))
-    p_hat = McEstimate(
-        u.mean * scale, u.std_error * scale, u.ci95_low * scale, u.ci95_high * scale, u.n_paths
-    )
-    return QuantoBondMc(u=u, p_hat=p_hat)
+    out = []
+    for fx, z_leg, alive_leg in zip(fxs, z, alive):
+        u = McEstimate.from_samples(disc * z_leg * alive_leg)
+        s = 1.0 / (fx.z0 * math.exp(-rates.r_hat * T))
+        out.append(QuantoBondMc(u, McEstimate(u.mean * s, u.std_error * s, u.ci95_low * s,
+                                              u.ci95_high * s, u.n_paths)))
+    return out
 
 
 def _density_martingale(z: np.ndarray, fx: QuantoFxParams, rates: RatePair,

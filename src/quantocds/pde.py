@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -61,31 +62,27 @@ class PdeInstabilityError(RuntimeError):
     """Raised when a solve produces non-finite or exploding values."""
 
 
+# Every solve steps Crank-Nicolson (implicit weight _THETA) after
+# _RANNACHER_STEPS fully implicit startup steps, on spatial domains
+# _WIDTH_SIGMAS standard deviations of the respective factor at the horizon.
+_THETA = 0.5
+_RANNACHER_STEPS = 2
+_WIDTH_SIGMAS = 6.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid resolutions and time-scheme parameters.
-
-    ``n_t`` counts time steps over the whole solve horizon.  ``theta`` is
-    the implicit weight of the stepping scheme (0.5 = Crank-Nicolson), with
-    ``rannacher_steps`` fully implicit startup steps.  ``width_sigmas``
-    sizes both spatial domains in standard deviations of the respective
-    factor at the horizon.
-    """
+    """Grid resolutions; ``n_t`` counts time steps over the whole solve horizon."""
 
     n_x: int = 101
     n_y: int = 101
     n_t: int = 300
-    theta: float = 0.5
-    rannacher_steps: int = 2
-    width_sigmas: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.n_x < 3 or self.n_y < 3 or self.n_t < 1:
-            raise ValueError("need n_x, n_y >= 3 and n_t >= 1")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.rannacher_steps < 0:
-            raise ValueError("rannacher_steps must be >= 0")
+        for name, least in (("n_x", 3), ("n_y", 3), ("n_t", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,6 @@ class PdeSolution:
 
     grid: Grid2D
     values: np.ndarray
-    config: SolverConfig
     spot_curve: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -155,11 +151,11 @@ def _y_axis(h: HazardParams, T: float, n_y: int, width_sigmas: float,
 
 
 def _x_axis(h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float,
-            n_x: int, width_sigmas: float) -> tuple[np.ndarray, int]:
+            n_x: int) -> tuple[np.ndarray, int]:
     """Symmetric log-FX grid around ln z0, wide enough for diffusion and drift."""
     m_end, _ = ou_mean_std(h, T)
     lam_scale = math.exp(max(h.y0, m_end))
-    half = width_sigmas * fx.sigma_z * math.sqrt(T)
+    half = _WIDTH_SIGMAS * fx.sigma_z * math.sqrt(T)
     half += abs(rates.r - rates.r_hat) * T
     half += min(abs(fx.gamma_z) * lam_scale * T * 3.0, 2.0)
     half = max(half, 0.25)
@@ -215,9 +211,9 @@ def build_grid(
 ) -> tuple[Grid2D, Mapping[int, float]]:
     if not T > 0:
         raise ValueError(f"horizon must be > 0, got {T}")
-    x, ix0 = _x_axis(h, fx, rates, T, cfg.n_x, cfg.width_sigmas)
-    y, iy0 = _y_axis(h, T, cfg.n_y, cfg.width_sigmas)
-    dt, n_t, snap = _time_grid(T, cfg.n_t, tuple(snapshot_tenors or ()))
+    x, ix0 = _x_axis(h, fx, rates, T, cfg.n_x)
+    y, iy0 = _y_axis(h, T, cfg.n_y, _WIDTH_SIGMAS)
+    dt, n_t, snap = _time_grid(T, cfg.n_t, tuple(() if snapshot_tenors is None else snapshot_tenors))
     t_nodes = dt * np.arange(n_t + 1)
     return Grid2D(x, y, t_nodes, ix0, iy0), snap
 
@@ -300,20 +296,27 @@ class _Ops2D:
         ey = np.exp(y)
         cx = rates.r - rates.r_hat - 0.5 * fx.sigma_z**2 - fx.gamma_z * ey  # (ny,)
         hx = 0.5 * fx.sigma_z**2
+        # exponential fitting: each x-difference is scaled to be exact on e^x,
+        # in which the solution z * w(t, y) is linear, so the x-grid adds no error
+        d2 = hx / (2.0 * math.sinh(0.5 * dx)) ** 2  # hx / dx^2 * (dx/2)^2 / sinh^2(dx/2)
+        d1 = cx / (2.0 * math.sinh(dx))             # cx / (2 dx) * dx / sinh(dx)
+        # for gamma < 0 the compensator's drift grows e^x at the rate -gamma e^y: the x-sweep
+        # takes that much of the kill so as not to amplify it; the y-sweep keeps (1 + gamma) e^y
+        kill_x = -min(fx.gamma_z, 0.0) * ey
 
-        lo1 = np.repeat((hx / dx**2 - cx / (2 * dx))[:, None], x.size, axis=1)
-        di1 = np.full((y.size, x.size), -2 * hx / dx**2 - rates.r)
-        up1 = np.repeat((hx / dx**2 + cx / (2 * dx))[:, None], x.size, axis=1)
+        lo1 = np.repeat((d2 - d1)[:, None], x.size, axis=1)
+        di1 = np.repeat((-2 * d2 - rates.r - kill_x)[:, None], x.size, axis=1)
+        up1 = np.repeat((d2 + d1)[:, None], x.size, axis=1)
         # linearity boundary: drop diffusion, one-sided convection
-        lo1[:, 0] = 0.0
-        di1[:, 0] = -cx / dx - rates.r
-        up1[:, 0] = cx / dx
-        up1[:, -1] = 0.0
-        di1[:, -1] = cx / dx - rates.r
-        lo1[:, -1] = -cx / dx
-        self.diags = {1: (lo1, di1, up1), 2: _y_diags(h, y, 0.0, ey)}
+        left, right = cx / math.expm1(dx), -cx / math.expm1(-dx)
+        lo1[:, 0] = up1[:, -1] = 0.0
+        di1[:, 0] = -left - rates.r - kill_x
+        up1[:, 0] = left
+        di1[:, -1] = right - rates.r - kill_x
+        lo1[:, -1] = -right
+        self.diags = {1: (lo1, di1, up1), 2: _y_diags(h, y, 0.0, ey - kill_x)}
 
-        self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y
+        self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y * dx / math.sinh(dx)
         self._factors: dict[tuple[int, float], _Tridiag] = {}
 
     def f1(self, v: np.ndarray) -> np.ndarray:
@@ -354,7 +357,6 @@ def _adi_march(
     v: np.ndarray,
     dt: float,
     n_t: int,
-    cfg: SolverConfig,
     snap: Mapping[int, float],
     spot: tuple[int, int],
 ) -> tuple[np.ndarray, dict[float, float]]:
@@ -364,7 +366,7 @@ def _adi_march(
     cap = 50.0 * float(np.max(np.abs(v))) + 10.0
     for step in range(n_t):
         k_next = n_t - 1 - step  # time-node index after this step
-        theta = 1.0 if step < cfg.rannacher_steps else cfg.theta
+        theta = 1.0 if step < _RANNACHER_STEPS else _THETA
         use_corrector = theta != 1.0 and ops.mixed_coef != 0.0
         f0v = ops.mixed(v)
         f1v = ops.f1(v)
@@ -411,12 +413,12 @@ def solve_quanto_pde(
     n_t = grid.t_nodes.size - 1
     ops = _Ops2D(grid, h, fx, rates)
     v = np.tile(np.exp(grid.x_nodes), (grid.y_nodes.size, 1))
-    v, snapshots = _adi_march(ops, v, dt, n_t, cfg, snap, (grid.iy0, grid.ix0))
+    v, snapshots = _adi_march(ops, v, dt, n_t, snap, (grid.iy0, grid.ix0))
     spot_curve = None
     if snapshot_tenors is not None:
         tenors = np.array(sorted(snapshots))
         spot_curve = (tenors, np.array([snapshots[t] for t in tenors]))
-    return PdeSolution(grid=grid, values=v.T.copy(), config=cfg, spot_curve=spot_curve)
+    return PdeSolution(grid=grid, values=v.T.copy(), spot_curve=spot_curve)
 
 
 def solve_foreign_measure_pde(
@@ -441,11 +443,11 @@ def solve_foreign_measure_pde(
     n_t = grid.t_nodes.size - 1
     shift = fx.rho * h.sigma_y * fx.sigma_z
     w, _ = _march_1f(
-        h, grid.y_nodes, dt, n_t, cfg,
+        h, grid.y_nodes, dt, n_t,
         drift_shift=shift, kill_scale=1.0, r_kill=rates.r_hat, snap={}, iy0=grid.iy0,
     )
     values = np.exp(grid.x_nodes)[:, None] * w[None, :]
-    return PdeSolution(grid=grid, values=values, config=cfg)
+    return PdeSolution(grid=grid, values=values)
 
 
 def _march_1f(
@@ -453,7 +455,6 @@ def _march_1f(
     y_nodes: np.ndarray,
     dt: float,
     n_t: int,
-    cfg: SolverConfig,
     *,
     drift_shift: float,
     kill_scale: float,
@@ -474,7 +475,7 @@ def _march_1f(
     solvers: dict[float, _Tridiag] = {}
     for step in range(n_t):
         k_next = n_t - 1 - step
-        theta = 1.0 if step < cfg.rannacher_steps else cfg.theta
+        theta = 1.0 if step < _RANNACHER_STEPS else _THETA
         if theta not in solvers:
             solvers[theta] = _Tridiag(lo, di, up, theta * dt, f"one-factor march on {n} nodes")
         # a fully implicit step has no explicit half
@@ -491,7 +492,6 @@ def _spectral_1f(
     y_nodes: np.ndarray,
     dt: float,
     n_t: int,
-    cfg: SolverConfig,
     *,
     drift_shift: float,
     kill_scale: float,
@@ -511,8 +511,9 @@ def _spectral_1f(
       negative definite (a zero ``kill_scale``, total devaluation, never
       gets here: ``survival_curve_1f`` returns its exact solution, 1);
     - a cell Peclet number above 1 (A is not symmetrisable);
-    - ln(max d / min d) > 10 or max |diag| dt > 1e4, where the
-      eigenvectors lose accuracy;
+    - ln(max d / min d) > 10, where the eigenvectors lose accuracy, or
+      max |diag| dt > 300, where the stiff components' step factors near -1
+      take the two paths more than 1e-12 apart;
     - n_y > n_t / 2, where the march's n_t steps, each linear in n_y, cost
       less than the eigensolve, quadratic in n_y (measured break-even
       n_y about 160 at n_t = 200 and 280 at n_t = 400 on a 2-CPU x86-64
@@ -525,7 +526,7 @@ def _spectral_1f(
     lo, di, up = _y_diags(h, y_nodes, drift_shift, kill)
     couple = lo[1:] * up[:-1]
     if not (np.all(kill > 0.0) and np.all(couple > 0.0)
-            and np.max(np.abs(di)) * dt <= 1e4):
+            and np.max(np.abs(di)) * dt <= 300.0):
         return None
     log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(up[:-1] / lo[1:]))))
     if np.ptp(log_d) > 10.0:
@@ -536,9 +537,9 @@ def _spectral_1f(
         return None
     weights = vec[iy0] * (np.exp(log_d - log_d[iy0]) @ vec)
     steps = n_t - np.fromiter(snap, int)[:, None]  # steps marched to each node
-    n_implicit = np.minimum(steps, cfg.rannacher_steps)
+    n_implicit = np.minimum(steps, _RANNACHER_STEPS)
     factors = ((1.0 - dt * lam) ** -n_implicit
-               * ((1.0 + (1.0 - cfg.theta) * dt * lam) / (1.0 - cfg.theta * dt * lam))
+               * ((1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam))
                ** (steps - n_implicit))
     values = factors @ weights
     if not np.all(np.isfinite(values)):
@@ -558,7 +559,7 @@ def survival_curve_1f(
     tenors: Sequence[float],
     n_y: int = 401,
     n_t: int = 400,
-    width_sigmas: float = 6.0,
+    width_sigmas: float = _WIDTH_SIGMAS,
     drift_shift: float = 0.0,
     kill_scale: float = 1.0,
 ) -> np.ndarray:
@@ -569,18 +570,17 @@ def survival_curve_1f(
     """
     tenors = _sorted_tenors(tenors)
     T = tenors[-1]
-    cfg = SolverConfig(n_x=3, n_y=n_y, n_t=n_t, width_sigmas=width_sigmas)
     y, iy0 = _y_axis(h, T, n_y, width_sigmas, drift_shift)
     dt, n_total, snap = _time_grid(T, n_t, tuple(tenors))
     if kill_scale == 0.0:
         # every row of the operator sums to zero, so w = 1 solves the
         # discrete equation exactly; a solve would only add round-off
         return np.ones(len(tenors))
-    snapshots = _spectral_1f(h, y, dt, n_total, cfg, drift_shift=drift_shift,
+    snapshots = _spectral_1f(h, y, dt, n_total, drift_shift=drift_shift,
                              kill_scale=kill_scale, snap=snap, iy0=iy0)
     if snapshots is None:
         _, snapshots = _march_1f(
-            h, y, dt, n_total, cfg,
+            h, y, dt, n_total,
             drift_shift=drift_shift, kill_scale=kill_scale, r_kill=0.0, snap=snap, iy0=iy0,
         )
     return np.array([snapshots[t] for t in tenors])
@@ -592,7 +592,7 @@ def quanto_survival_curve_1f(
     tenors: Sequence[float],
     n_y: int = 401,
     n_t: int = 400,
-    width_sigmas: float = 6.0,
+    width_sigmas: float = _WIDTH_SIGMAS,
 ) -> np.ndarray:
     """Contractual-currency survival via the exact one-factor reduction.
 
@@ -630,12 +630,10 @@ def quanto_survival_curve(
         p_hat = us * np.exp(rates.r_hat * ts) / fx.z0
     elif engine == "reduced":
         ts = np.asarray(tenors)
-        p_hat = quanto_survival_curve_1f(
-            h, fx, tenors, n_y=cfg.n_y, n_t=cfg.n_t, width_sigmas=cfg.width_sigmas
-        )
+        p_hat = quanto_survival_curve_1f(h, fx, tenors, n_y=cfg.n_y, n_t=cfg.n_t)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    p = survival_curve_1f(h, tenors, n_y=cfg.n_y, n_t=cfg.n_t, width_sigmas=cfg.width_sigmas)
+    p = survival_curve_1f(h, tenors, n_y=cfg.n_y, n_t=cfg.n_t)
     return SurvivalCurve(ts, p_hat), SurvivalCurve(np.asarray(tenors), p)
 
 

@@ -5,9 +5,7 @@ import pytest
 
 from quantocds.cds import (
     CdsContract,
-    deterministic_survival,
     par_spread,
-    premium_leg_pv,
     protection_leg_pv,
     quanto_par_spread,
 )
@@ -56,25 +54,22 @@ class TestContract:
 
 
 class TestPremiumLeg:
+    """The premium leg's PV01, the risky annuity ``par_spread`` reports."""
+
     def test_riskless_unit_year(self):
         curve = SurvivalCurve([0.25, 0.5, 0.75, 1.0], [1.0] * 4)
-        pv = premium_leg_pv(curve, 0.0, CdsContract(tenor=1.0), spread=0.01)
-        assert pv == pytest.approx(0.01)
-
-    def test_zero_spread(self):
-        assert premium_leg_pv(flat_curve(0.02), 0.0, CdsContract(tenor=5.0), 0.0) == 0.0
+        assert par_spread(curve, 0.0, CdsContract(tenor=1.0)).premium_pv01 == pytest.approx(1.0)
 
     def test_flat_hazard_matches_direct_sum(self):
         lam, r = 0.016746, 0.01
-        curve = flat_curve(lam)
-        pv = premium_leg_pv(curve, r, CdsContract(tenor=5.0), spread=0.013)
+        annuity = par_spread(flat_curve(lam), r, CdsContract(tenor=5.0)).premium_pv01
         times = np.arange(0.25, 5.0 + 1e-9, 0.25)
-        direct = 0.013 * float(np.sum(0.25 * np.exp(-r * times) * np.exp(-lam * times)))
-        assert pv == pytest.approx(direct, rel=1e-12)
+        direct = float(np.sum(0.25 * np.exp(-r * times) * np.exp(-lam * times)))
+        assert annuity == pytest.approx(direct, rel=1e-12)
 
     def test_curve_too_short(self):
-        with pytest.raises(ValueError):
-            premium_leg_pv(flat_curve(0.02, horizon=2.0), 0.0, CdsContract(tenor=5.0), 0.01)
+        with pytest.raises(ValueError, match="survival curve ends at 2y, contract needs 5y"):
+            par_spread(flat_curve(0.02, horizon=2.0), 0.0, CdsContract(tenor=5.0))
 
 
 class TestProtectionLeg:
@@ -150,33 +145,6 @@ class TestParSpread:
         dead = SurvivalCurve([0.25, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError):
             par_spread(dead, 0.0, CdsContract(tenor=0.5))
-
-
-class TestDeterministicSurvival:
-    def test_zero_hazard(self):
-        assert deterministic_survival(0.0, 7.0) == 1.0
-
-    def test_flat(self):
-        assert deterministic_survival(0.016746, 5.0) == pytest.approx(
-            math.exp(-0.016746 * 5.0), rel=1e-15
-        )
-
-    def test_piecewise_equals_segment_product(self):
-        knots = [0.0, 1.0, 3.0]
-        rates = [0.01, 0.03, 0.02]
-        whole = deterministic_survival(rates, 5.0, knots)
-        product = (
-            deterministic_survival(0.01, 1.0)
-            * deterministic_survival(0.03, 2.0)
-            * deterministic_survival(0.02, 2.0)
-        )
-        assert whole == pytest.approx(product, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            deterministic_survival(-0.01, 1.0)
-        with pytest.raises(ValueError):
-            deterministic_survival([0.01, 0.02], 1.0, [0.5, 1.0])  # knots not from 0
 
 
 class TestQuantoParSpread:

@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,21 @@ class TestPrice:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        # `quantocds price | head -2`, with the reader gone before the first write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quantocds.cli", "price", "--engine", "reduced",
+                 "--tenor", "5"], stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
             run(["calibrate"])

@@ -14,6 +14,7 @@ from quantocds.mc import (
     _block_rng,
     _Leg,
     _ou_mean_coeffs,
+    _quanto_bond_pass,
     _TerminalKernel,
     quanto_bond_mc,
     survival_curve_mc,
@@ -143,7 +144,7 @@ def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx:
     rho_c = math.sqrt(max(1.0 - rho * rho, 0.0))
     sig = leg.fx_sigma
     log_jump = math.log1p(leg.fx_gamma) if leg.fx_gamma > -1.0 else -math.inf
-    e = kern._draw_exponentials(rng, size, cfg.antithetic)
+    e = -np.log1p(-rng.uniform(size=size))
     y = np.full(size, kern.h.y0)
     lam = np.exp(y)
     acc = np.zeros(size)
@@ -152,11 +153,11 @@ def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx:
     lnz[jumped] += log_jump
     acc_at = {}
     for k in range(1, cfg.n_steps + 1):
-        n1 = kern._draw_normals(rng, size, cfg.antithetic)
+        n1 = kern._draw_normals(rng, size)
         y = m0 + m1 * y + sd * n1
         lam_new = np.exp(y)
         if want_fx:
-            n2 = kern._draw_normals(rng, size, cfg.antithetic)
+            n2 = kern._draw_normals(rng, size)
             drift = leg.rate_diff - leg.compensator * lam * (~jumped)
             w = rho * n1 + rho_c * n2
             lnz = lnz + (drift - 0.5 * sig * sig) * dt + sig * math.sqrt(dt) * w
@@ -178,12 +179,11 @@ class TestLegs:
     RATES = RatePair(0.01, 0.03)
     MEASURES = ("liquid", "contractual", "uncompensated")
 
-    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("want_fx", [True, False])
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_in_place_step_matches_plain_expressions(self, measure, want_fx, antithetic):
+    def test_in_place_step_matches_plain_expressions(self, measure, want_fx):
         kern = _kernel(self.H, self.FX, self.RATES, measure)
-        cfg = SimConfig(n_paths=1_001, n_steps=15, horizon=3.0, antithetic=antithetic)
+        cfg = SimConfig(n_paths=1_001, n_steps=15, horizon=3.0)
         got = kern._run_block(_block_rng(4, 0), 1_001, cfg, want_fx, ())
         want = _plain_block(kern, _block_rng(4, 0), 1_001, cfg, want_fx)
         assert 0 < got[0].sum() < got[0].size
@@ -194,16 +194,14 @@ class TestLegs:
         else:
             assert got[2] is None
 
-    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("want_fx, at_steps", [(True, ()), (False, ()), (True, (12, 1)),
                                                    (False, (3, 7, 12))])
-    def test_stacked_pass_equals_one_leg_runs(self, want_fx, at_steps, antithetic):
+    def test_stacked_pass_equals_one_leg_runs(self, want_fx, at_steps):
         # two blocks, the second of odd size; the last leg has another FX
         other = QuantoFxParams(z0=1.3, sigma_z=0.2, gamma_z=1.0, rho=-0.6)
         legs = [_Leg.of(self.H, self.FX, self.RATES, m) for m in self.MEASURES]
         legs.append(_Leg.of(self.H, other, self.RATES, "contractual"))
-        cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=5,
-                        antithetic=antithetic)
+        cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=5)
         stacked = _TerminalKernel(self.H, legs).run(cfg, want_fx, at_steps)
         for i, leg in enumerate(legs):
             alone = _TerminalKernel(self.H, [leg]).run(cfg, want_fx, at_steps)
@@ -247,12 +245,10 @@ class TestDrawAhead:
     H = HazardParams(a=0.5, b=-3.0, sigma_y=0.6, y0=-2.5)
     FX = QuantoFxParams(z0=0.8, sigma_z=0.15, gamma_z=-0.4, rho=0.3)
 
-    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("want_fx, at_steps", [(True, ()), (False, ()), (False, (3, 7, 12))])
-    def test_two_blocks_equal_the_serial_reference(self, want_fx, at_steps, antithetic):
+    def test_two_blocks_equal_the_serial_reference(self, want_fx, at_steps):
         kern = _kernel(self.H, self.FX, RatePair(0.01, 0.03))
-        cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=6,
-                        antithetic=antithetic)
+        cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=6)
         got = []
         assert _bounded(lambda: got.extend(kern.run(cfg, want_fx, at_steps))) is None
         alive, int_lam, z = got
@@ -273,9 +269,9 @@ class TestDrawAhead:
         calls = []
         draw = _TerminalKernel._draw_normals
 
-        def patched(self, rng, count, antithetic):
+        def patched(self, rng, count):
             calls.append(len(calls) + 1)
-            return on_call(len(calls), draw(self, rng, count, antithetic))
+            return on_call(len(calls), draw(self, rng, count))
 
         monkeypatch.setattr(_TerminalKernel, "_draw_normals", patched)
         return calls
@@ -376,19 +372,15 @@ class TestSurvivalEstimators:
             assert b.mean <= a.mean + 2 * gap_se
         assert all(0.0 <= e.mean <= 1.0 for e in ests)
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_curve_ends_on_terminal_estimate(self, antithetic):
-        cfg = SimConfig(n_paths=40_001, n_steps=40, horizon=5.0, seed=12,
-                        antithetic=antithetic)
+    def test_curve_ends_on_terminal_estimate(self):
+        cfg = SimConfig(n_paths=40_001, n_steps=40, horizon=5.0, seed=12)
         curve = survival_curve_mc(H_TEST, [1.0, 2.5, 5.0], cfg)
         assert curve[-1] == survival_probability_mc(H_TEST, 5.0, cfg)
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_curve_node_is_single_tenor_run_on_its_steps(self, antithetic):
+    def test_curve_node_is_single_tenor_run_on_its_steps(self):
         # the curve steps on the horizon grid, so at T = k dt it is the
         # single-tenor estimate with k steps over T, not with n_steps over T
-        cfg = SimConfig(n_paths=50_000, n_steps=120, horizon=6.0, seed=13,
-                        antithetic=antithetic)
+        cfg = SimConfig(n_paths=50_000, n_steps=120, horizon=6.0, seed=13)
         tenors = [1.0, 2.0, 4.0, 6.0]
         curve = survival_curve_mc(H_TEST, tenors, cfg)
         for T, k, est in zip(tenors, [20, 40, 80, 120], curve):
@@ -406,23 +398,6 @@ class TestSurvivalEstimators:
         e1 = survival_probability_mc(H_TEST, 5.0, cfg)
         e2 = survival_probability_mc(H_TEST, 5.0, cfg)
         assert e1 == e2
-
-    def test_antithetic_preserves_mean_and_variance(self):
-        # paired comparison across independent seeds: the antithetic
-        # estimator must agree on the mean and not be noisier for this
-        # monotone payoff
-        plain, anti = [], []
-        for seed in range(24):
-            cfg = SimConfig(n_paths=4_000, n_steps=40, horizon=5.0, seed=seed)
-            plain.append(survival_probability_mc(H_TEST, 5.0, cfg).mean)
-            cfg_a = SimConfig(n_paths=4_000, n_steps=40, horizon=5.0, seed=seed,
-                              antithetic=True)
-            anti.append(survival_probability_mc(H_TEST, 5.0, cfg_a).mean)
-        plain = np.array(plain)
-        anti = np.array(anti)
-        se = math.hypot(plain.std(ddof=1), anti.std(ddof=1)) / math.sqrt(plain.size)
-        assert abs(plain.mean() - anti.mean()) < 3 * se
-        assert anti.var(ddof=1) <= plain.var(ddof=1)
 
 
 class TestQuantoBond:
@@ -452,6 +427,16 @@ class TestQuantoBond:
         qb2 = quanto_bond_mc(H_TEST, fx2, RATES0, 2.0, cfg)
         assert qb2.u.mean == pytest.approx(2 * qb1.u.mean, rel=1e-12)
         assert qb2.p_hat.mean == pytest.approx(qb1.p_hat.mean, rel=1e-12)
+
+    def test_one_pass_equals_single_calls(self):
+        # two blocks; the legs differ in every FX parameter
+        cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=4)
+        fxs = [QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.3, rho=0.4),
+               QuantoFxParams(z0=1.3, sigma_z=0.2, gamma_z=1.0, rho=-0.6),
+               QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-1.0, rho=0.0)]
+        rates = RatePair(0.01, 0.03)
+        assert _quanto_bond_pass(H_TEST, fxs, rates, 2.0, cfg) == [
+            quanto_bond_mc(H_TEST, fx, rates, 2.0, cfg) for fx in fxs]
 
 
 class TestMeasureChange:

@@ -160,6 +160,17 @@ class TestSurvivalCurves:
         hat_red, _ = quanto_survival_curve(H_SWEEP, fx, RATES0, tenors, cfg, engine="reduced")
         assert np.max(np.abs(hat_adi.probs - hat_red.probs)) < 2e-4
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_total_devaluation_on_the_adi_grid(self, rho):
+        # at gamma = -1 the jump compensator cancels the kill in the x-drift,
+        # so v = z exactly and p_hat = 1; the fitted x-differences are exact
+        # on e^x, and the solve meets it at the CLI's default grid
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-1.0, rho=rho)
+        tenors = CdsContract(tenor=5.0).payment_times()
+        sol = solve_quanto_pde(H_SWEEP, fx, RATES0, 5.0, SolverConfig(), snapshot_tenors=tenors)
+        _, us = sol.spot_curve
+        assert np.max(np.abs(us / fx.z0 - 1.0)) <= 1e-10
+
     def test_rejects_bad_tenors(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
         with pytest.raises(ValueError):
@@ -222,11 +233,14 @@ class TestSchemeQuality:
                                    SolverConfig(n_x=61, n_y=61, n_t=150))
             assert sol.values.min() >= -1e-8
 
-    def test_instability_raises(self):
+    def test_instability_raises(self, monkeypatch):
+        # fully explicit steps far beyond their stability limit
+        monkeypatch.setattr(pde, "_THETA", 0.0)
+        monkeypatch.setattr(pde, "_RANNACHER_STEPS", 0)
         h = HazardParams(a=0.0, b=0.0, sigma_y=1.0, y0=-4.0)
         fx = QuantoFxParams(z0=0.8, sigma_z=1.0, gamma_z=0.0, rho=0.0)
-        cfg = SolverConfig(n_x=201, n_y=201, n_t=3, theta=0.0, rannacher_steps=0)
-        with pytest.raises(PdeInstabilityError):
+        cfg = SolverConfig(n_x=201, n_y=201, n_t=3)
+        with pytest.raises(PdeInstabilityError, match="value blow-up"):
             solve_quanto_pde(h, fx, RATES0, 5.0, cfg)
 
 
@@ -234,7 +248,7 @@ class TestSchemeQuality:
         # central-difference convection at e^y ~ 1e11 leaves a row of the
         # x-sweep singular; the reduced engine still prices the case
         h = HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5)
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.9)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.2, rho=0.9)
         rates = RatePair(0.05, 0.05)
         with pytest.raises(PdeInstabilityError,
                            match=r"x-sweep on the 101 x 101 grid.*theta\*dt = 0.0166667"):
@@ -242,6 +256,16 @@ class TestSchemeQuality:
         hat, p = quanto_survival_curve(h, fx, rates, [1.0, 5.0], SolverConfig(),
                                        engine="reduced")
         assert 0.0 < hat.probs[-1] < hat.probs[0] < 1.0
+
+    def test_high_vol_devaluation_prices_on_adi(self):
+        # with gamma < 0 the x-sweep carries -gamma e^y of the kill, which
+        # keeps it regular where the plain split left a row singular
+        h = HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.9)
+        rates = RatePair(0.05, 0.05)
+        curves = [quanto_survival_curve(h, fx, rates, [1.0, 5.0], SolverConfig(), engine=e)[0]
+                  for e in ("adi", "reduced")]
+        assert np.max(np.abs(curves[0].probs - curves[1].probs)) < 1e-4
 
 
 def _dominant_rows(rng, shape):
@@ -335,15 +359,14 @@ class TestTridiag:
             ops.solver(2, 0.5)
 
 
-def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, cfg=None, T=5.0):
+def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=5.0):
     """Positional and keyword arguments shared by ``_spectral_1f`` and
     ``_march_1f`` for a quarterly curve, as ``survival_curve_1f`` builds them."""
     tenors = tuple(CdsContract(tenor=T).payment_times())
     y, iy0 = _y_axis(h, T, n_y, 6.0, drift_shift)
     dt, n_total, snap = _time_grid(T, n_t, tenors)
-    cfg = cfg or SolverConfig(n_x=3, n_y=n_y, n_t=n_t)
-    return (h, y, dt, n_total, cfg), dict(drift_shift=drift_shift, kill_scale=kill_scale,
-                                          snap=snap, iy0=iy0)
+    return (h, y, dt, n_total), dict(drift_shift=drift_shift, kill_scale=kill_scale,
+                                     snap=snap, iy0=iy0)
 
 
 def _marched(args, kw):
@@ -364,19 +387,15 @@ class TestSpectralSolve:
         tilt=st.floats(-0.3, 0.3),
         kill_scale=st.floats(0.01, 6.0),
         n_y=st.integers(21, 100),
-        theta=st.floats(0.5, 1.0),
-        rannacher_steps=st.integers(0, 3),
     )
     def test_matches_the_march_inside_the_gate(self, a, y0, sigma_y, drift, tilt, kill_scale,
-                                               n_y, theta, rannacher_steps):
+                                               n_y):
         # the drift a (b - y0) and the tilt in units of sigma_y; the
         # calibration box has a = 1e-4, |a b| <= 0.3 and sigma_y = 0.5 in
         # the criterion-7 round trips
         h = HazardParams(a=a, b=y0 + drift * sigma_y / a if a > 0 else 0.0,
                          sigma_y=sigma_y, y0=y0)
-        cfg = SolverConfig(n_x=3, n_y=n_y, n_t=200, theta=theta,
-                           rannacher_steps=rannacher_steps)
-        args, kw = _one_factor_args(h, n_y, 200, tilt * sigma_y, kill_scale, cfg)
+        args, kw = _one_factor_args(h, n_y, 200, tilt * sigma_y, kill_scale)
         spectral = _spectral_1f(*args, **kw)
         assume(spectral is not None)
         got = np.array([spectral[t] for t in sorted(spectral)])
@@ -393,7 +412,7 @@ class TestSpectralSolve:
         assert np.max(np.abs(p - _marched(args, kw))) <= 1e-12
 
     @pytest.mark.parametrize("case", ["no kill", "no diffusion", "n_y > n_t / 2",
-                                      "eigensolver fails"])
+                                      "eigensolver fails", "stiff spectrum"])
     def test_outside_the_gate_marches(self, case, monkeypatch):
         h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
         n_y, kill_scale = 41, 1.0
@@ -403,6 +422,9 @@ class TestSpectralSolve:
             h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.0, y0=-4.3)
         elif case == "n_y > n_t / 2":
             n_y = 101
+        elif case == "stiff spectrum":
+            # max |diag| dt = 7.8e3: the spectral path was 5.3e-12 off the march
+            h, n_y, kill_scale = HazardParams(a=0.0, b=0.0, sigma_y=1.625, y0=-9.25), 48, 1.75
         else:
             def fail(*args, **kwargs):
                 raise LinAlgError("eigenvalues did not converge")
@@ -488,10 +510,14 @@ class TestGrid:
                    np.linspace(0, 1, 5), 0, 1)
 
     def test_bad_solver_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"n_x must be an integer >= 3, got 2"):
             SolverConfig(n_x=2)
-        with pytest.raises(ValueError):
-            SolverConfig(theta=1.5)
+        with pytest.raises(ValueError, match=r"n_x must be an integer >= 3, got 41.0"):
+            SolverConfig(n_x=41.0)
+        with pytest.raises(ValueError, match=r"n_y must be an integer >= 3, got 41.5"):
+            SolverConfig(n_y=41.5)
+        with pytest.raises(ValueError, match=r"n_t must be an integer >= 1, got 0"):
+            SolverConfig(n_t=0)
 
 
 class TestMcPdeEquivalence:
