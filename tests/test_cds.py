@@ -11,7 +11,7 @@ from quantocds.cds import (
 )
 from quantocds.curves import SurvivalCurve
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
-from quantocds.pde import SolverConfig, quanto_survival_curve_1f
+from quantocds.pde import SolverConfig, quanto_survival_curve_1f, survival_curve_1f
 
 RATES0 = RatePair(0.0, 0.0)
 
@@ -59,6 +59,13 @@ class TestPremiumLeg:
     def test_riskless_unit_year(self):
         curve = SurvivalCurve([0.25, 0.5, 0.75, 1.0], [1.0] * 4)
         assert par_spread(curve, 0.0, CdsContract(tenor=1.0)).premium_pv01 == pytest.approx(1.0)
+
+    def test_zero_spread(self):
+        # a riskless name pays no protection, so its par spread is exactly 0
+        curve = SurvivalCurve([0.25, 0.5, 0.75, 1.0], [1.0] * 4)
+        res = par_spread(curve, 0.03, CdsContract(tenor=1.0))
+        assert res.par_spread == 0.0
+        assert res.premium_pv01 > 0.0
 
     def test_flat_hazard_matches_direct_sum(self):
         lam, r = 0.016746, 0.01
@@ -145,6 +152,31 @@ class TestParSpread:
         dead = SurvivalCurve([0.25, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError):
             par_spread(dead, 0.0, CdsContract(tenor=0.5))
+
+
+class TestDeterministicSurvival:
+    """The one-factor survival solve at a = sigma_y = 0, where the hazard
+    stays at e^y0 and survival is exp(-e^y0 t)."""
+
+    def test_zero_hazard(self):
+        # total devaluation (gamma = -1) zeroes the contractual intensity
+        h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=math.log(0.02))
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-1.0, rho=0.3)
+        assert np.all(quanto_survival_curve_1f(h, fx, [1.0, 5.0, 7.0]) == 1.0)
+
+    def test_flat(self):
+        # within the Crank-Nicolson time error (8e-8 here)
+        lam = 0.016746
+        h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=math.log(lam))
+        tenors = np.array([1.0, 5.0, 7.0])
+        p = survival_curve_1f(h, tenors)
+        assert p == pytest.approx(np.exp(-lam * tenors), rel=1e-6)
+
+    def test_validation(self):
+        h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=math.log(0.02))
+        for tenors in ([], [0.0, 1.0], [-1.0], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="tenors must be positive and finite"):
+                survival_curve_1f(h, tenors)
 
 
 class TestQuantoParSpread:
