@@ -23,20 +23,22 @@ calibration.
 
 All three implicit sweeps (the one-factor march, the ADI x-sweep and the
 ADI y-sweep) share one tridiagonal layer, ``_Tridiag``: LAPACK ``dgttrf``
-factors I - theta*dt*A once per theta*dt, and every solve is one ``dgttrs``
-call.  The ADI x-sweep solves all y rows as one block-diagonal system; the
-y-sweep, whose matrix all x columns share, solves the columns as the
-right-hand sides of one call.
+factors I - theta*dt*A once per theta*dt, and a solve is one ``dgttrs``
+call.  The ADI x-sweep solves all y rows as one block-diagonal system.  The
+y-sweep's matrix is shared by all x columns: on up to ``_DENSE_Y_SWEEP_MAX``
+y-nodes it multiplies them by the inverse that those factors give once,
+one BLAS-3 product, and above it solves them as right-hand sides of one call.
 
 ``survival_curve_1f`` does without the time loop where it can: the
 one-factor operator is time-homogeneous and, at cell Peclet numbers up to
 1, similar to a symmetric tridiagonal matrix, so ``_spectral_1f``
-diagonalises it once (LAPACK's MRRR through ``eigh_tridiagonal``) and
-applies each step of the march, Rannacher steps included, as one scalar
-factor per eigenvalue.  Outside its gate (a zero kill, a Peclet number
-above 1, an ill-conditioned symmetrisation or a stiff spectrum, or more
-nodes than half the time steps, where the march is cheaper) the march
-runs; it is also the reference the tests hold the spectral path to.
+diagonalises it once (``eigh_tridiagonal``, which runs LAPACK's divide and
+conquer ``stevd`` for all eigenpairs) and applies each step of the march,
+Rannacher steps included, as one scalar factor per eigenvalue.  Outside
+its gate (a zero kill, a Peclet number above 1, an ill-conditioned
+symmetrisation or a stiff spectrum, or more nodes than half the time
+steps, where the march is cheaper) the march runs; it is also the
+reference the tests hold the spectral path to.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ class PdeInstabilityError(RuntimeError):
 _THETA = 0.5
 _RANNACHER_STEPS = 2
 _WIDTH_SIGMAS = 6.0
+
+# Most y-nodes at which the ADI y-sweep multiplies by a dense inverse, not dgttrs.  At
+# n_x = 101 on one thread of a 2-CPU x86-64 machine (OpenBLAS 0.3.31) the two took 58 and
+# 161 us at n_y = 101, 148 and 258 us at 151, and 313 and 252 us at 161.
+_DENSE_Y_SWEEP_MAX = 151
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,8 @@ class _Tridiag:
     are ignored).  ``dgttrf`` factors once with the partial pivoting of
     LAPACK ``gtsv``; each solve is one ``dgttrs`` call.  A right-hand side
     whose first dimension is the system's size holds one column per
-    trailing index, all solved against the shared matrix.
+    trailing index, all solved against the shared matrix; the identity as
+    right-hand side gives the ADI y-sweep its dense inverse.
     """
 
     def __init__(self, lo: np.ndarray, di: np.ndarray, up: np.ndarray,
@@ -277,12 +285,20 @@ class _Tridiag:
 class _Ops2D:
     """Discrete split operators on a Grid2D.
 
-    Arrays are laid out (n_y, n_x).  Direction 1 is x, direction 2 is y,
-    and both implicit sweeps go through ``_Tridiag``: the x-direction
-    systems vary by y row (the jump compensator makes their convection
-    y-dependent) and are solved as one block-diagonal system over all rows;
-    the y-direction operator is the one-factor march's (``_y_diags``),
-    factored once and shared by all x columns as right-hand sides.
+    Arrays are laid out (n_y, n_x), x along the contiguous last axis.
+    Direction 1 is x, direction 2 is y.  The x-direction systems vary by y
+    row (the jump compensator makes their convection y-dependent) and are
+    solved through ``_Tridiag`` as one block-diagonal system over all rows.
+    The y-direction operator is the one-factor march's (``_y_diags``),
+    shared by all x columns: up to ``_DENSE_Y_SWEEP_MAX`` nodes its factors
+    solve the identity once per theta*dt and each y-sweep is one product
+    with that inverse; above it, one ``dgttrs`` call with the columns as
+    right-hand sides.
+
+    The operators discount at r - r_hat, so a march carries e^(r_hat tau) v
+    (tau the time to maturity) and ``solve_quanto_pde`` applies the exact
+    e^(-r_hat tau).  At total devaluation that discount cancels the FX
+    drift's r - r_hat on e^x, so the interior rows keep z at any rates.
 
     Boundary conditions: zero second derivative in x at both ends (the
     payoff is asymptotically linear in z), zero first derivative in y.
@@ -291,8 +307,7 @@ class _Ops2D:
     def __init__(self, grid: Grid2D, h: HazardParams, fx: QuantoFxParams,
                  rates: RatePair):
         x, y = grid.x_nodes, grid.y_nodes
-        self.dx = dx = x[1] - x[0]
-        self.dy = y[1] - y[0]
+        dx, dy = x[1] - x[0], y[1] - y[0]
         ey = np.exp(y)
         cx = rates.r - rates.r_hat - 0.5 * fx.sigma_z**2 - fx.gamma_z * ey  # (ny,)
         hx = 0.5 * fx.sigma_z**2
@@ -303,38 +318,42 @@ class _Ops2D:
         # for gamma < 0 the compensator's drift grows e^x at the rate -gamma e^y: the x-sweep
         # takes that much of the kill so as not to amplify it; the y-sweep keeps (1 + gamma) e^y
         kill_x = -min(fx.gamma_z, 0.0) * ey
+        r_fwd = rates.r - rates.r_hat
 
         lo1 = np.repeat((d2 - d1)[:, None], x.size, axis=1)
-        di1 = np.repeat((-2 * d2 - rates.r - kill_x)[:, None], x.size, axis=1)
+        di1 = np.repeat((-2 * d2 - r_fwd - kill_x)[:, None], x.size, axis=1)
         up1 = np.repeat((d2 + d1)[:, None], x.size, axis=1)
         # linearity boundary: drop diffusion, one-sided convection
         left, right = cx / math.expm1(dx), -cx / math.expm1(-dx)
         lo1[:, 0] = up1[:, -1] = 0.0
-        di1[:, 0] = -left - rates.r - kill_x
+        di1[:, 0] = -left - r_fwd - kill_x
         up1[:, 0] = left
-        di1[:, -1] = right - rates.r - kill_x
+        di1[:, -1] = right - r_fwd - kill_x
         lo1[:, -1] = -right
         self.diags = {1: (lo1, di1, up1), 2: _y_diags(h, y, 0.0, ey - kill_x)}
+        # f1 and f2 apply the diagonals along contiguous memory: f1 over the flat array,
+        # where the zero seams lo1[:, 0] and up1[:, -1] keep the rows apart, f2 along
+        # the first axis, a whole row at a time
+        self._x_stencil = tuple(d.ravel() for d in self.diags[1])
+        self._y_stencil = tuple(np.repeat(d[:, None], x.size, axis=1) for d in self.diags[2])
 
-        self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y * dx / math.sinh(dx)
+        # rho sigma_z sigma_y times the fitted v_xy's weight on the four-point cross difference
+        self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y * dx / math.sinh(dx) / (4.0 * dx * dy)
         self._factors: dict[tuple[int, float], _Tridiag] = {}
+        self._y_inverses: dict[float, np.ndarray] = {}
 
     def f1(self, v: np.ndarray) -> np.ndarray:
-        lo, di, up = self.diags[1]
-        return _apply(lo.T, di.T, up.T, v.T).T
+        return _apply(*self._x_stencil, v.ravel()).reshape(v.shape)
 
     def f2(self, v: np.ndarray) -> np.ndarray:
-        lo, di, up = self.diags[2]
-        return _apply(lo[:, None], di[:, None], up[:, None], v)
+        return _apply(*self._y_stencil, v)
 
-    def mixed(self, v: np.ndarray) -> np.ndarray:
-        if self.mixed_coef == 0.0:
-            return np.zeros_like(v)
-        out = np.zeros_like(v)
-        out[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (
-            4.0 * self.dx * self.dy
-        )
-        return self.mixed_coef * out
+    def mixed(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The mixed term into the interior of a zeroed ``out``, whose edges stay zero."""
+        if self.mixed_coef != 0.0:
+            dxv = v[:, 2:] - v[:, :-2]
+            np.multiply(self.mixed_coef, dxv[2:] - dxv[:-2], out=out[1:-1, 1:-1])
+        return out
 
     def solver(self, direction: int, theta_dt: float) -> _Tridiag:
         """Factors of I - theta_dt * A along ``direction``, made once."""
@@ -345,11 +364,20 @@ class _Ops2D:
                                           f"ADI {'xy'[direction - 1]}-sweep on the {nx} x {ny} grid")
         return self._factors[key]
 
+    def y_sweep(self, rhs: np.ndarray, theta_dt: float) -> np.ndarray:
+        """(I - theta_dt * A_y)^-1 rhs for every x column."""
+        solver = self.solver(2, theta_dt)
+        if solver.size > _DENSE_Y_SWEEP_MAX:
+            return solver.solve(rhs)
+        if theta_dt not in self._y_inverses:
+            self._y_inverses[theta_dt] = solver.solve(np.eye(solver.size))
+        return self._y_inverses[theta_dt] @ rhs
+
     def sweeps(self, rhs: np.ndarray, theta_dt: float, f1v: np.ndarray,
                f2v: np.ndarray) -> np.ndarray:
         """The implicit x-sweep, then the y-sweep, of one splitting stage."""
         y1 = self.solver(1, theta_dt).solve(rhs - theta_dt * f1v)
-        return self.solver(2, theta_dt).solve(y1 - theta_dt * f2v)
+        return self.y_sweep(y1 - theta_dt * f2v, theta_dt)
 
 
 def _adi_march(
@@ -364,17 +392,15 @@ def _adi_march(
     iy0, ix0 = spot
     snapshots: dict[float, float] = {}
     cap = 50.0 * float(np.max(np.abs(v))) + 10.0
+    f0v, f0v_new = np.zeros_like(v), np.zeros_like(v)  # mixed terms; edges stay zero
     for step in range(n_t):
         k_next = n_t - 1 - step  # time-node index after this step
         theta = 1.0 if step < _RANNACHER_STEPS else _THETA
-        use_corrector = theta != 1.0 and ops.mixed_coef != 0.0
-        f0v = ops.mixed(v)
-        f1v = ops.f1(v)
-        f2v = ops.f2(v)
-        rhs0 = v + dt * (f0v + f1v + f2v)
+        f1v, f2v = ops.f1(v), ops.f2(v)
+        rhs0 = v + dt * (ops.mixed(v, f0v) + f1v + f2v)
         v = ops.sweeps(rhs0, theta * dt, f1v, f2v)
-        if use_corrector:
-            v = ops.sweeps(rhs0 + 0.5 * dt * (ops.mixed(v) - f0v), theta * dt, f1v, f2v)
+        if theta != 1.0 and ops.mixed_coef != 0.0:
+            v = ops.sweeps(rhs0 + 0.5 * dt * (ops.mixed(v, f0v_new) - f0v), theta * dt, f1v, f2v)
         if (step & 15) == 0 or k_next == 0:
             m = float(np.max(np.abs(v)))
             if not math.isfinite(m) or m > cap:
@@ -412,13 +438,15 @@ def solve_quanto_pde(
     dt = float(grid.t_nodes[1] - grid.t_nodes[0])
     n_t = grid.t_nodes.size - 1
     ops = _Ops2D(grid, h, fx, rates)
-    v = np.tile(np.exp(grid.x_nodes), (grid.y_nodes.size, 1))
-    v, snapshots = _adi_march(ops, v, dt, n_t, snap, (grid.iy0, grid.ix0))
+    u = np.tile(np.exp(grid.x_nodes), (grid.y_nodes.size, 1))
+    u, snapshots = _adi_march(ops, u, dt, n_t, snap, (grid.iy0, grid.ix0))
+    # the march carries e^(r_hat tau) v (``_Ops2D``)
     spot_curve = None
     if snapshot_tenors is not None:
         tenors = np.array(sorted(snapshots))
-        spot_curve = (tenors, np.array([snapshots[t] for t in tenors]))
-    return PdeSolution(grid=grid, values=v.T.copy(), spot_curve=spot_curve)
+        values = np.array([snapshots[t] for t in tenors])
+        spot_curve = (tenors, values * np.exp(-rates.r_hat * tenors))
+    return PdeSolution(grid=grid, values=u.T * math.exp(-rates.r_hat * T), spot_curve=spot_curve)
 
 
 def solve_foreign_measure_pde(
@@ -625,9 +653,11 @@ def quanto_survival_curve(
     cfg = cfg or SolverConfig()
     tenors = _sorted_tenors(tenors)
     if engine == "adi":
-        sol = solve_quanto_pde(h, fx, rates, tenors[-1], cfg, snapshot_tenors=tenors)
-        ts, us = sol.spot_curve
-        p_hat = us * np.exp(rates.r_hat * ts) / fx.z0
+        # the solve sees only r - r_hat, so at the rates (r - r_hat, 0) it marches the same
+        # e^(r_hat t) v and leaves no discount to divide out
+        fwd = RatePair(rates.r - rates.r_hat, 0.0)
+        ts, us = solve_quanto_pde(h, fx, fwd, tenors[-1], cfg, snapshot_tenors=tenors).spot_curve
+        p_hat = us / fx.z0
     elif engine == "reduced":
         ts = np.asarray(tenors)
         p_hat = quanto_survival_curve_1f(h, fx, tenors, n_y=cfg.n_y, n_t=cfg.n_t)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from quantocds import pde
-from quantocds.cds import CdsContract
+from quantocds.cds import CdsContract, quanto_par_spread
 from quantocds.mc import SimConfig, survival_probability_mc
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
 from quantocds.pde import (
@@ -170,6 +171,19 @@ class TestSurvivalCurves:
         sol = solve_quanto_pde(H_SWEEP, fx, RATES0, 5.0, SolverConfig(), snapshot_tenors=tenors)
         _, us = sol.spot_curve
         assert np.max(np.abs(us / fx.z0 - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("r, r_hat", [(0.0, 0.05), (0.05, 0.05), (0.03, 0.01)])
+    def test_total_devaluation_on_the_adi_grid_at_nonzero_rates(self, r, r_hat):
+        # the march discounts at r - r_hat and the solve applies e^(-r_hat t)
+        # exactly, so v = z e^(-r_hat t) and p_hat = 1 hold at any rates
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-1.0, rho=0.3)
+        rates = RatePair(r, r_hat)
+        tenors = CdsContract(tenor=5.0).payment_times()
+        ts, us = solve_quanto_pde(H_SWEEP, fx, rates, 5.0, SolverConfig(n_t=100),
+                                  snapshot_tenors=tenors).spot_curve
+        assert np.max(np.abs(us * np.exp(r_hat * ts) / fx.z0 - 1.0)) <= 1e-10
+        hat, _ = quanto_survival_curve(H_SWEEP, fx, rates, tenors, SolverConfig(n_t=100))
+        assert np.max(np.abs(hat.probs - 1.0)) <= 1e-10
 
     def test_rejects_bad_tenors(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
@@ -351,6 +365,35 @@ class TestTridiag:
         x = ops.solver(2, theta_dt).solve(rhs)
         assert np.array_equal(x, solve_banded((1, 1), _banded(*ops.diags[2], theta_dt), rhs))
 
+    @pytest.mark.parametrize("high_vol", [False, True], ids=["cli grid", "high-vol devaluation"])
+    def test_dense_y_sweep_matches_the_factored_solve(self, high_vol):
+        # below the size gate each y-sweep is one product with the inverse that
+        # the y-direction's factors build; it is the same solve to round-off
+        ops = self._ops()
+        if high_vol:  # test_high_vol_devaluation_prices_on_adi's case
+            h = HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5)
+            fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.9)
+            rates = RatePair(0.05, 0.05)
+            ops = _Ops2D(build_grid(h, fx, rates, 5.0, SolverConfig())[0], h, fx, rates)
+        assert 101 <= pde._DENSE_Y_SWEEP_MAX
+        rng = np.random.default_rng(5)
+        for theta_dt in (5.0 / 300, 0.5 * 5.0 / 300):
+            for rhs in (rng.standard_normal((101, 101)), np.exp(rng.uniform(-1, 1, (101, 101)))):
+                x = ops.y_sweep(rhs, theta_dt)
+                ref = ops.solver(2, theta_dt).solve(rhs)
+                assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_both_sides_of_the_dense_y_sweep_gate_price_alike(self, monkeypatch):
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.3, rho=0.5)
+        rates = RatePair(0.02, 0.03)
+        tenors = [1.0, 2.5, 5.0]
+        cfg = SolverConfig(n_x=61, n_y=81, n_t=100)
+        dense = quanto_survival_curve(H_SWEEP, fx, rates, tenors, cfg)[0].probs
+        monkeypatch.setattr(pde, "_DENSE_Y_SWEEP_MAX", 80)
+        factored = quanto_survival_curve(H_SWEEP, fx, rates, tenors, cfg)[0].probs
+        assert np.max(np.abs(dense - factored)) <= 1e-12
+        assert not np.array_equal(dense, factored)  # the two sides really ran
+
     def test_singular_y_sweep_names_sweep(self):
         ops = self._ops()
         zeros = np.zeros(101)
@@ -449,6 +492,66 @@ class TestSpectralSolve:
         h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
         with pytest.raises(PdeInstabilityError, match="non-finite"):
             survival_curve_1f(h, [1.0, 5.0], n_y=41, n_t=200)
+
+
+class TestAdiProperties:
+    """Exact properties of the two-factor solve over a box of inputs, on a
+    small grid; p_hat is read before ``SurvivalCurve`` clips it.  The hazard
+    keeps calibration's mean reversion (``CalibrationConfig.a_fixed``), so
+    its drift a (b - y) stays within a few percent a year."""
+
+    GRID = SolverConfig(n_x=21, n_y=21, n_t=40)
+    hazards = st.builds(HazardParams, a=st.just(1e-4), b=st.floats(-500.0, 100.0),
+                        sigma_y=st.floats(0.1, 0.8), y0=st.floats(-5.5, -2.5))
+    rates = st.builds(RatePair, st.floats(-0.02, 0.08), st.floats(-0.02, 0.08))
+    tenors = st.integers(4, 40).map(lambda quarters: quarters / 4.0)
+    gammas = st.floats(-0.95, 0.6)
+    rhos = st.floats(-0.9, 0.9)
+    fx_vols = st.floats(0.02, 0.3)
+
+    def _p_hat(self, h, fx, rates, T):
+        tenors = CdsContract(tenor=T).payment_times()
+        ts, us = solve_quanto_pde(h, fx, rates, T, self.GRID, snapshot_tenors=tenors).spot_curve
+        return us * np.exp(rates.r_hat * ts) / fx.z0
+
+    @settings(max_examples=25, deadline=None)
+    @given(hazards, rates, tenors, gammas, rhos, fx_vols)
+    def test_survival_lies_in_the_unit_interval_and_falls(self, h, rates, T, gamma, rho, sigma_z):
+        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+        p_hat = self._p_hat(h, fx, rates, T)
+        p = survival_curve_1f(h, CdsContract(tenor=T).payment_times(), n_y=21, n_t=40)
+        for probs in (p_hat, p):
+            assert np.all((0.0 <= probs) & (probs <= 1.0))
+            assert np.all(np.diff(probs) <= 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(hazards, rates, tenors, gammas, rhos, fx_vols, st.floats(0.1, 10.0))
+    def test_p_hat_does_not_depend_on_spot_fx(self, h, rates, T, gamma, rho, sigma_z, z0):
+        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+        moved = self._p_hat(h, replace(fx, z0=z0), rates, T)
+        assert np.max(np.abs(self._p_hat(h, fx, rates, T) - moved)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(hazards, rates, tenors, gammas, gammas, rhos, fx_vols)
+    def test_contractual_spread_rises_with_gamma(self, h, rates, T, g1, g2, rho, sigma_z):
+        assume(abs(g1 - g2) >= 0.05)
+        spreads = [quanto_par_spread(h, QuantoFxParams(0.8, sigma_z, g, rho), rates,
+                                     CdsContract(tenor=T), self.GRID).contractual.par_spread
+                   for g in (min(g1, g2), max(g1, g2))]
+        assert spreads[0] < spreads[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(hazards, rates, tenors, st.one_of(st.just(-1.0), gammas), rhos, fx_vols)
+    def test_p_hat_depends_on_the_rates_only_through_their_difference(
+            self, h, rates, T, gamma, rho, sigma_z):
+        # the contractual measure sees the rates only in the FX drift r - r_hat;
+        # a march that discounted at r alone would differ by its own
+        # discounting error (about 1e-6 here at gamma = -1, r_hat = 0.05)
+        assume(rates.r != 0.0 and rates.r_hat != 0.0)
+        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+        p_hat = self._p_hat(h, fx, rates, T)
+        at_zero_r_hat = self._p_hat(h, fx, RatePair(rates.r - rates.r_hat, 0.0), T)
+        assert np.max(np.abs(p_hat - at_zero_r_hat)) <= 1e-12
 
 
 class TestGrid:
