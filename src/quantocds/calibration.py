@@ -7,10 +7,10 @@ vol where the placeholder cannot fit the quotes), fit (b, y0) to the
 liquid-currency 5Y/10Y par spreads at that vol, then fit (rho, gamma) to
 the contractual-currency quotes at that liquid hazard, which the liquid
 quotes alone determine.  All stages of one snapshot price through one
-memoised spread model, and both fits update their Jacobian from points
-already priced (`_fit`).  The mean-reversion speed stays pinned at a small
-value throughout, which makes b act through the product a*b only;
-`CalibrationResult.ab` exposes that product for diagnostics.
+memoised spread model; both fits update their Jacobian from points already
+priced and stop at the model's round-off (`_fit`).  The mean reversion
+stays pinned at a small value throughout, which makes b act through the
+product a*b only; `CalibrationResult.ab` exposes that product.
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ class CalibrationResult:
     """Joint-stage fit of one snapshot.
 
     ``b`` and ``y0`` are the liquid-currency fit, unchanged.  ``iterations``
-    is ``least_squares``' ``nfev`` for the (rho, gamma) fit: the residual
-    evaluations its trust-region steps made.  Most Jacobians are secant
+    is `_fit`'s ``nfev`` for the (rho, gamma) fit: the points its
+    trust-region steps evaluated, up to and including the first at the
+    round-off floor, where the fit stops.  Most Jacobians are secant
     updates from those points and cost no evaluation; the first one, and
     one after a step that needed a retry or fell short of the secant
     model's predicted reduction, is a forward difference of two further
@@ -147,8 +148,9 @@ class _SpreadModel:
         self.contract_10 = CdsContract(tenor=t10, recovery=cfg.recovery)
         self.tenor_grid = self.contract_10.payment_times()
         self.n_t = max(1, int(round(cfg.n_t_per_year * t10)))
-        # each stage reprices curves the last one marched: march once
+        # each stage reprices points the last one priced: march and price once
         self._memo: dict[tuple[float, ...], SurvivalCurve] = {}
+        self._pairs: dict[tuple[float, ...], tuple[float, float]] = {}
 
     def curve(self, b: float, y0: float, sigma_y: float,
               rho: float = 0.0, gamma: float = 0.0) -> SurvivalCurve:
@@ -166,11 +168,12 @@ class _SpreadModel:
     def spreads(self, b: float, y0: float, sigma_y: float,
                 rho: float = 0.0, gamma: float = 0.0) -> tuple[float, float]:
         """5Y and 10Y par spreads; USD at the default rho = gamma = 0."""
-        curve = self.curve(b, y0, sigma_y, rho, gamma)
-        return (
-            par_spread(curve, self.rate, self.contract_5).par_spread,
-            par_spread(curve, self.rate, self.contract_10).par_spread,
-        )
+        key = (b, y0, sigma_y, rho, gamma)
+        if key not in self._pairs:
+            curve = self.curve(*key)
+            self._pairs[key] = tuple(par_spread(curve, self.rate, c).par_spread
+                                     for c in (self.contract_5, self.contract_10))
+        return self._pairs[key]
 
 
 # every stage of one snapshot shares one model; a new snapshot or config
@@ -185,6 +188,13 @@ _Y0_BOUNDS = (-12.0, 1.0)
 
 # forward-difference step of scipy's 2-point scheme, relative to max(1, |x|)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
+# residuals at or below this many bp are the spread model's round-off
+# (3e-12 to 6e-11 bp): a fit ends at the first point that reaches it
+_FLOOR_BP = 1e-10
+
+
+class _AtFloor(Exception):
+    """Ends a fit from inside its residual; ``args`` are the point and its residuals."""
 
 
 def _forward_jacobian(residual, x: np.ndarray, f: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -201,23 +211,32 @@ def _forward_jacobian(residual, x: np.ndarray, f: np.ndarray, upper: np.ndarray)
 
 
 def _fit(residual, x0: np.ndarray, bounds, x_scale, max_nfev: int):
-    """``least_squares`` with a secant Jacobian.
+    """``least_squares`` with a secant Jacobian, stopped at round-off.
+
+    Returns ``(x, f, nfev)``.  The fit ends at the first point the trust
+    region evaluates whose residuals all lie within ``_FLOOR_BP``, or else
+    at ``least_squares``' tolerances or budget; ``nfev`` counts those points.
 
     The first Jacobian is a forward difference.  Each later one is
     Broyden's rank-one update between consecutive accepted points, whose
-    residuals the fit has already evaluated (a memo hit in `_SpreadModel`).
-    Forward differences replace the update after a step that needed a
-    retry, or that achieved less than a quarter of the reduction the secant
-    model predicted.
+    residuals the fit has already evaluated (a memo hit in `_SpreadModel`,
+    which prices each point once).  Forward differences replace the update
+    after a step that needed a retry, or that achieved less than a quarter
+    of the reduction the secant model predicted.
     """
     upper = np.asarray(bounds[1], dtype=float)
+    nfev = 0
     evals = 0  # residual evaluations by the fit since its last Jacobian
     last = None  # (x, f, J) at the last Jacobian
 
     def fun(x):
-        nonlocal evals
+        nonlocal nfev, evals
+        nfev += 1
         evals += 1
-        return residual(x)
+        f = residual(x)
+        if np.max(np.abs(f)) <= _FLOOR_BP:
+            raise _AtFloor(np.array(x, dtype=float), f)
+        return f
 
     def jac(x):
         nonlocal evals, last
@@ -235,8 +254,12 @@ def _fit(residual, x0: np.ndarray, bounds, x_scale, max_nfev: int):
         last, evals = (x, f, J), 0
         return J
 
-    return least_squares(fun, x0, jac=jac, bounds=bounds, x_scale=x_scale,
-                         ftol=1e-10, xtol=1e-10, gtol=1e-10, max_nfev=max_nfev)
+    try:
+        fit = least_squares(fun, x0, jac=jac, bounds=bounds, x_scale=x_scale,
+                            ftol=1e-10, xtol=1e-10, gtol=1e-10, max_nfev=max_nfev)
+    except _AtFloor as stop:
+        return (*stop.args, nfev)
+    return fit.x, fit.fun, nfev
 
 
 def calibrate_single_ccy(
@@ -258,17 +281,17 @@ def calibrate_single_ccy(
         s5, s10 = model.spreads(x[0], x[1], sigma_y)
         return (np.array([s5, s10]) - targets) * 1e4
 
-    fit = _fit(residuals, _seed_hazard(snapshot, cfg, sigma_y),
-               ([_B_BOUNDS[0], _Y0_BOUNDS[0]], [_B_BOUNDS[1], _Y0_BOUNDS[1]]),
-               [100.0, 0.5], cfg.max_iterations)
-    worst = float(np.max(np.abs(fit.fun)))
+    x, f, _ = _fit(residuals, _seed_hazard(snapshot, cfg, sigma_y),
+                   ([_B_BOUNDS[0], _Y0_BOUNDS[0]], [_B_BOUNDS[1], _Y0_BOUNDS[1]]),
+                   [100.0, 0.5], cfg.max_iterations)
+    worst = float(np.max(np.abs(f)))
     if worst > cfg.single_ccy_tolerance_bp:
         raise CalibrationError(
             f"single-currency fit stuck at {worst:.3f} bp "
-            f"(5Y {fit.fun[0]:+.3f}, 10Y {fit.fun[1]:+.3f}) at sigma_y = {sigma_y:g} "
+            f"(5Y {f[0]:+.3f}, 10Y {f[1]:+.3f}) at sigma_y = {sigma_y:g} "
             f"on {snapshot.date}"
         )
-    return float(fit.x[0]), float(fit.x[1])
+    return float(x[0]), float(x[1])
 
 
 def _seed_hazard(snapshot: MarketSnapshot, cfg: CalibrationConfig,
@@ -374,24 +397,24 @@ def calibrate_quanto(
     def residuals(x):
         return (np.array(model.spreads(b, y0, sigma_y, *x)) - targets) * 1e4
 
-    fit = _fit(residuals, np.array([0.0, float(np.clip(gamma0, -0.95, 4.9))]),
-               ([-1.0, -1.0 + 1e-9], [1.0, 5.0]), [0.5, 0.2], cfg.max_iterations)
+    x, f, nfev = _fit(residuals, np.array([0.0, float(np.clip(gamma0, -0.95, 4.9))]),
+                      ([-1.0, -1.0 + 1e-9], [1.0, 5.0]), [0.5, 0.2], cfg.max_iterations)
     usd_5y, usd_10y = model.spreads(b, y0, sigma_y)
     residuals_bp = {
         "usd_5y": (usd_5y - snapshot.spread_usd_5y) * 1e4,
         "usd_10y": (usd_10y - snapshot.spread_usd_10y) * 1e4,
-        "eur_5y": float(fit.fun[0]),
-        "eur_10y": float(fit.fun[1]),
+        "eur_5y": float(f[0]),
+        "eur_10y": float(f[1]),
     }
     return CalibrationResult(
         date=snapshot.date,
         b=b,
         y0=y0,
         sigma_y=float(sigma_y),
-        rho=float(fit.x[0]),
-        gamma=float(fit.x[1]),
+        rho=float(x[0]),
+        gamma=float(x[1]),
         residuals_bp=residuals_bp,
-        iterations=int(fit.nfev),
+        iterations=nfev,
         converged=max(abs(v) for v in residuals_bp.values()) < cfg.tolerance_bp,
         a=cfg.a_fixed,
     )

@@ -8,6 +8,7 @@ factors from flat rates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,14 @@ class CdsContract:
             raise ValueError(f"recovery must lie in [0, 1), got {self.recovery}")
         if not math.isfinite(self.notional):
             raise ValueError(f"notional must be finite, got {self.notional}")
+        # the schedule is fixed by the tenor: build it once, read-only
+        n_full = int(math.floor(self.tenor / _PERIOD + 1e-9))
+        times = _PERIOD * np.arange(1, n_full + 1)
+        if times.size == 0 or times[-1] < self.tenor - 1e-9:
+            times = np.append(times, self.tenor)
+        accruals = np.diff(times, prepend=0.0)
+        times.flags.writeable = accruals.flags.writeable = False
+        object.__setattr__(self, "_schedule", (times, accruals))
 
     @property
     def lgd(self) -> float:
@@ -48,14 +57,10 @@ class CdsContract:
 
     def payment_times(self) -> np.ndarray:
         """Payment grid T_1...T_N; appends a stub if the tenor is ragged."""
-        n_full = int(math.floor(self.tenor / _PERIOD + 1e-9))
-        times = _PERIOD * np.arange(1, n_full + 1)
-        if times.size == 0 or times[-1] < self.tenor - 1e-9:
-            times = np.append(times, self.tenor)
-        return times
+        return self._schedule[0]
 
     def accruals(self) -> np.ndarray:
-        return np.diff(self.payment_times(), prepend=0.0)
+        return self._schedule[1]
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,20 @@ def protection_leg_pv(curve: SurvivalCurve, r: float, contract: CdsContract) -> 
     """
     T = contract.payment_times()[-1]
     _require_coverage(curve, T)
+    ts, df_mid = _protection_grid(T, r)
+    p = curve(ts)
+    return contract.notional * contract.lgd * float(np.sum(df_mid * (p[:-1] - p[1:])))
+
+
+@functools.lru_cache(maxsize=32)
+def _protection_grid(T: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The protection integral's nodes on [0, T] and its midpoint discount
+    factors at rate r; read-only, since calls share them."""
     n = max(1, int(math.ceil(T / _PROTECTION_STEP)))
     ts = np.linspace(0.0, T, n + 1)
-    p = curve(ts)
     df_mid = np.exp(-r * 0.5 * (ts[:-1] + ts[1:]))
-    return contract.notional * contract.lgd * float(np.sum(df_mid * (p[:-1] - p[1:])))
+    ts.flags.writeable = df_mid.flags.writeable = False
+    return ts, df_mid
 
 
 def par_spread(curve: SurvivalCurve, r: float, contract: CdsContract) -> ParSpreadResult:

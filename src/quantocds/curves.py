@@ -37,6 +37,11 @@ class SurvivalCurve:
         probs = np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
         object.__setattr__(self, "tenors", tenors)
         object.__setattr__(self, "probs", probs)
+        # log-linear knots, anchored at p(0) = 1
+        xs = np.concatenate(([0.0], tenors))
+        with np.errstate(divide="ignore"):
+            ys = np.concatenate(([0.0], np.log(probs)))
+        object.__setattr__(self, "_knots", (xs, ys))
 
     @classmethod
     def from_flat_hazard(cls, lam: float, tenors) -> "SurvivalCurve":
@@ -52,8 +57,5 @@ class SurvivalCurve:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t > self.tenors[-1] * (1 + 1e-12)):
             raise ValueError("curve evaluated outside [0, horizon]")
-        xs = np.concatenate(([0.0], self.tenors))
-        with np.errstate(divide="ignore"):
-            ys = np.concatenate(([0.0], np.log(self.probs)))
-        out = np.exp(np.interp(t, xs, ys))
+        out = np.exp(np.interp(t, *self._knots))
         return float(out) if out.ndim == 0 else out

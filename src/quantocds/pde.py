@@ -323,8 +323,9 @@ class _Ops2D:
         lo1 = np.repeat((d2 - d1)[:, None], x.size, axis=1)
         di1 = np.repeat((-2 * d2 - r_fwd - kill_x)[:, None], x.size, axis=1)
         up1 = np.repeat((d2 + d1)[:, None], x.size, axis=1)
-        # linearity boundary: drop diffusion, one-sided convection
-        left, right = cx / math.expm1(dx), -cx / math.expm1(-dx)
+        # linearity boundary: drop the diffusion and convect at cx + hx, so the
+        # one-sided rows stay exact on e^x, where v_xx = v_x
+        left, right = (cx + hx) / math.expm1(dx), -(cx + hx) / math.expm1(-dx)
         lo1[:, 0] = up1[:, -1] = 0.0
         di1[:, 0] = -left - r_fwd - kill_x
         up1[:, 0] = left

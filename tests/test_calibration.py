@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantocds import calibration, pde
+from quantocds.cds import CdsContract, par_spread
 from quantocds.calibration import (
     CalibrationConfig,
     CalibrationError,
@@ -307,14 +308,49 @@ class TestQuantoCalibration:
         assert calibration._spread_model(snap, COARSE) is not model
         assert fresh == warm
 
-    def test_one_snapshot_marches_at_most_24_curves(self, monkeypatch):
-        # secant Jacobians price no curve for most steps: 22 curves here,
-        # where two-point Jacobians at every step took 45
+    def test_one_snapshot_marches_at_most_20_curves(self, monkeypatch):
+        # secant Jacobians price no curve for most steps, and each fit stops
+        # at round-off: 20 curves here, where running on to xtol took 22 and
+        # two-point Jacobians at every step took 45
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
                                   gamma=-0.2, cfg=COARSE)
         marches = self._record_marches(monkeypatch)
         assert calibrate_snapshot(snap, COARSE).converged
-        assert len(marches) <= 24
+        assert len(marches) <= 20
+
+    def test_spreads_are_the_direct_par_spreads(self):
+        probe = MarketSnapshot("d", 0.01, 0.01, 0.01, 0.01, 0.1, 0.5, 0.02)
+        model = _SpreadModel(probe, COARSE)
+        for point in ((-120.0, -4.4, 0.5), (-120.0, -4.4, 0.5, 0.3, -0.2)):
+            curve = model.curve(*point)
+            direct = tuple(par_spread(curve, 0.02, CdsContract(tenor=t)).par_spread
+                           for t in COARSE.tenors)
+            assert model.spreads(*point) == direct
+            assert model.spreads(*point) == direct  # from the pair memo
+
+    @pytest.mark.parametrize("mode", ["passthrough", "implied"])
+    def test_each_curve_is_priced_once_per_tenor(self, monkeypatch, mode):
+        cfg = replace(COARSE, sigma_y_mode=mode)
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=cfg, index_vol=0.4)
+        calibration._spread_model.cache_clear()
+        priced = []
+        direct = calibration.par_spread
+
+        def counting(curve, r, contract):
+            priced.append((id(curve), contract.tenor))
+            return direct(curve, r, contract)
+
+        monkeypatch.setattr(calibration, "par_spread", counting)
+        calibrate_snapshot(snap, cfg)
+        # the Jacobians and the USD residuals of the result reread priced pairs
+        n_curves = len(calibration._spread_model(snap, cfg)._memo)
+        assert len(priced) == len(set(priced)) <= 2 * n_curves
+        # a warm calibration prices nothing; the diagnostics price 1Y, 5Y and
+        # 10Y on the two fitted curves
+        n_fit = len(priced)
+        (row,) = backtest([snap], cfg)
+        assert row.error is None and len(priced) == n_fit + 6
 
     def test_ab_diagnostic(self):
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.0, gamma=0.0)
@@ -330,6 +366,49 @@ class TestSecantFit:
         snap = MarketSnapshot("d", 0.0440, 0.0300, 0.0350, 0.0240, 0.1, 0.2, 0.0)
         res = calibrate_snapshot(snap, replace(CFG, sigma_y_mode=mode))
         assert res.converged and res.max_residual_bp() < 1e-6
+
+    def test_seed_at_the_floor_returns_after_one_evaluation(self):
+        seed = np.array([-120.0, -4.4])
+        seen = []
+
+        def residual(v):
+            seen.append(v.copy())
+            return np.array([[2.0, -1.0], [0.5, 3.0]]) @ (v - seed)
+
+        x, f, nfev = calibration._fit(residual, seed, ([-3000.0, -12.0], [3000.0, 1.0]),
+                                      [100.0, 0.5], 200)
+        assert nfev == 1 and len(seen) == 1
+        np.testing.assert_array_equal(x, seed)
+        np.testing.assert_array_equal(f, 0.0)
+
+    def test_fits_end_at_the_first_point_at_the_floor(self, monkeypatch):
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=COARSE)
+        calibration._spread_model.cache_clear()
+        fits = []  # per fit, the largest |residual| in bp at each trust-region point
+        solve = calibration.least_squares
+
+        def recording(fun, x0, **kwargs):
+            worst = []
+            fits.append(worst)
+
+            def traced(x):
+                try:
+                    f = fun(x)
+                except calibration._AtFloor as stop:
+                    worst.append(np.max(np.abs(stop.args[1])))
+                    raise
+                worst.append(np.max(np.abs(f)))
+                return f
+
+            return solve(traced, x0, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", recording)
+        res = calibrate_snapshot(snap, COARSE)
+        assert len(fits) == 2  # the hazard fit, then the (rho, gamma) fit
+        for worst in fits:
+            assert worst[-1] <= calibration._FLOOR_BP < min(worst[:-1])
+        assert res.iterations == len(fits[-1])
 
     @pytest.mark.parametrize("x", [[3000.0, -4.0], [2999.99999, 1.0], [0.0, 1.0 - 1e-12]])
     def test_forward_step_at_an_upper_bound_stays_inside(self, x):
@@ -359,6 +438,23 @@ def test_round_trip_in_the_criterion_7_box(b, y0, rho, gamma):
     assert res.converged
     assert abs(res.gamma - gamma) < 0.01
     assert abs(res.rho - rho) < 0.1
+
+
+quotes = st.floats(1e-4, 0.3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(usd_5y=quotes, usd_10y=quotes, eur_5y=quotes, eur_10y=quotes,
+       fx_vol=st.floats(0.0, 0.5), index_vol=st.none() | st.floats(0.0, 2.0),
+       rate=st.floats(-0.02, 0.1), mode=st.sampled_from(["passthrough", "implied"]))
+def test_calibration_raises_only_domain_errors(usd_5y, usd_10y, eur_5y, eur_10y, fx_vol,
+                                               index_vol, rate, mode):
+    snap = MarketSnapshot("d", usd_5y, usd_10y, eur_5y, eur_10y, fx_vol, index_vol, rate)
+    try:
+        res = calibrate_snapshot(snap, replace(COARSE, sigma_y_mode=mode))
+    except (CalibrationError, ValueError):
+        return
+    assert isinstance(res, calibration.CalibrationResult)
 
 
 class TestBacktest:

@@ -541,6 +541,14 @@ class TestAdiProperties:
         assert spreads[0] < spreads[1]
 
     @settings(max_examples=25, deadline=None)
+    @given(hazards, rates, tenors, rhos, fx_vols)
+    def test_total_devaluation_keeps_p_hat_at_one(self, h, rates, T, rho, sigma_z):
+        # at gamma = -1, v = z e^(-r_hat t) exactly, and every x-row, the
+        # boundary rows included, is exact on e^x
+        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=-1.0, rho=rho)
+        assert np.max(np.abs(self._p_hat(h, fx, rates, T) - 1.0)) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
     @given(hazards, rates, tenors, st.one_of(st.just(-1.0), gammas), rhos, fx_vols)
     def test_p_hat_depends_on_the_rates_only_through_their_difference(
             self, h, rates, T, gamma, rho, sigma_z):
