@@ -10,9 +10,7 @@ from .model import (
     devaluation_estimate,
     foreign_hazard,
     fx_jump_inverse,
-    hazard_from_spread,
     no_arb_drift_z,
-    spread_from_hazard,
 )
 from .curves import SurvivalCurve
 from .mc import (

@@ -214,6 +214,9 @@ def _cmd_survival_curve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.mc_paths < 2:
+        # one path has no standard error, and a check would read z = inf
+        raise ValueError(f"--mc-paths must be at least 2, got {args.mc_paths}")
     out = _out_dir(args)
     checks: list[validation.Check] = []
 

@@ -122,23 +122,6 @@ def no_arb_drift_z(rates: RatePair, gamma_z: float, lam: float, d: int) -> float
     return rates.r - rates.r_hat - gamma_z * lam * (1 - d)
 
 
-def hazard_from_spread(spread: float, recovery: float) -> float:
-    """Flat hazard rate from a par spread: lambda = S / (1 - R)."""
-    _check_recovery(recovery)
-    return spread / (1.0 - recovery)
-
-
-def spread_from_hazard(lam: float, recovery: float) -> float:
-    """Par spread from a flat hazard rate: S = lambda * (1 - R)."""
-    _check_recovery(recovery)
-    return lam * (1.0 - recovery)
-
-
-def _check_recovery(recovery: float) -> None:
-    if not 0.0 <= recovery < 1.0:
-        raise ValueError(f"recovery must lie in [0, 1), got {recovery}")
-
-
 def devaluation_estimate(s_contractual: float, s_liquid: float) -> float:
     """Devaluation rate implied by the relative basis of two par spreads.
 

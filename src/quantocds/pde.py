@@ -39,6 +39,13 @@ its gate (a zero kill, a Peclet number above 1, an ill-conditioned
 symmetrisation or a stiff spectrum, or more nodes than half the time
 steps, where the march is cheaper) the march runs; it is also the
 reference the tests hold the spectral path to.
+
+Importing this module loads numpy only; scipy.linalg loads with the first
+solve.  ``_Tridiag`` binds LAPACK ``dgttrf``/``dgttrs`` when it factors, and
+the module-level ``eigh_tridiagonal`` imports scipy's routine when called;
+``TestSpectralSolve`` in tests/test_pde.py monkeypatches that name.
+perfbench/tracing.py's ``LEAVES`` entry ``pde.solve_banded`` resolves
+``solve_banded``, which the module ``__getattr__`` loads on request.
 """
 
 from __future__ import annotations
@@ -52,9 +59,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg import solve_banded  # unused; perfbench/tracing.py's LEAVES resolves it
-from scipy.linalg.lapack import dgttrf, dgttrs
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises
 
 from .curves import SurvivalCurve
 from .model import HazardParams, QuantoFxParams, RatePair
@@ -62,6 +67,24 @@ from .model import HazardParams, QuantoFxParams, RatePair
 
 class PdeInstabilityError(RuntimeError):
     """Raised when a solve produces non-finite or exploding values."""
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eigh_tridiagonal(d, e)``, imported on first call."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(d, e)
+
+
+def __getattr__(name: str):
+    # ``solve_banded`` is unused here, but perfbench/tracing.py's LEAVES
+    # resolves ``quantocds.pde.solve_banded``; load it only when asked for.
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+
+        globals()[name] = solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Every solve steps Crank-Nicolson (implicit weight _THETA) after
@@ -268,6 +291,9 @@ class _Tridiag:
 
     def __init__(self, lo: np.ndarray, di: np.ndarray, up: np.ndarray,
                  theta_dt: float, sweep: str):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        self._dgttrs = dgttrs
         dl, du = -theta_dt * lo, -theta_dt * up
         dl[..., 0] = du[..., -1] = 0.0
         self.size = di.size
@@ -279,7 +305,7 @@ class _Tridiag:
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return dgttrs(*self.lu, rhs.reshape(self.size, -1))[0].reshape(rhs.shape)
+        return self._dgttrs(*self.lu, rhs.reshape(self.size, -1))[0].reshape(rhs.shape)
 
 
 class _Ops2D:

@@ -200,6 +200,16 @@ class TestValidateCmd:
         assert rc == 1
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("paths", ["1", "0"])
+    def test_too_few_paths_are_named(self, tmp_path, capsys, paths):
+        # one path has no standard error: its checks would pass on z = inf
+        rc = run(["validate", "--study", "symmetry", "--mc-paths", paths,
+                  "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert (out, err) == ("", f"error: --mc-paths must be at least 2, got {paths}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bracketing_quick(self, tmp_path, capsys):
         rc = run(["validate", "--study", "bracketing", "--bracket-steps", "300",
                   "--mc-paths", "20000", "--mc-steps", "300", "--grid-y", "201",

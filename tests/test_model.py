@@ -12,9 +12,7 @@ from quantocds.model import (
     devaluation_estimate,
     foreign_hazard,
     fx_jump_inverse,
-    hazard_from_spread,
     no_arb_drift_z,
-    spread_from_hazard,
 )
 
 RATES0 = RatePair(0.0, 0.0)
@@ -38,15 +36,6 @@ class TestTypes:
             QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-1.5, rho=0.0)
         with pytest.raises(ValueError):
             QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=1.5)
-
-
-class TestIntensity:
-    def test_low_spread_level(self):
-        # with LGD 0.6 this is the ~100 bp flat-spread regime
-        assert 95 < spread_from_hazard(math.exp(-4.089), 0.4) * 1e4 < 105
-
-    def test_high_spread_level(self):
-        assert 725 < spread_from_hazard(math.exp(-2.089), 0.4) * 1e4 < 755
 
 
 class TestForeignHazard:
@@ -123,22 +112,12 @@ class TestNoArbDrifts:
 
 
 class TestTriangle:
-    def test_both_directions(self):
-        assert hazard_from_spread(0.01, 0.4) == pytest.approx(0.0166667, abs=1e-6)
-        assert spread_from_hazard(0.016746, 0.4) == pytest.approx(0.0100476, abs=1e-7)
-        assert hazard_from_spread(0.0, 0.3) == 0.0
-
-    def test_full_recovery_rejected(self):
-        with pytest.raises(ValueError):
-            hazard_from_spread(0.01, 1.0)
-        with pytest.raises(ValueError):
-            spread_from_hazard(0.01, 1.0)
-
     @given(st.floats(1e-6, 1.0), st.floats(0, 0.99), st.floats(-0.99, 3.0))
     def test_devaluation_exact_for_flat_hazard(self, lam, recovery, gamma):
-        # continuous-premium limit: relative basis of triangle spreads is gamma
-        s_liquid = spread_from_hazard(lam, recovery)
-        s_contractual = spread_from_hazard(foreign_hazard(lam, gamma), recovery)
+        # continuous-premium limit: relative basis of triangle spreads
+        # S = lambda (1 - R) is gamma
+        s_liquid = lam * (1.0 - recovery)
+        s_contractual = foreign_hazard(lam, gamma) * (1.0 - recovery)
         assert devaluation_estimate(s_contractual, s_liquid) == pytest.approx(
             gamma, rel=1e-9, abs=1e-9
         )
