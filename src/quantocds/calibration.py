@@ -20,6 +20,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,23 +80,24 @@ class MarketSnapshot:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    a_fixed: float = 1e-4
-    sigma_y_default: float = 0.5
+    # fixed for every run, and readable on an instance
+    a_fixed: ClassVar[float] = 1e-4
+    sigma_y_default: ClassVar[float] = 0.5
+    recovery: ClassVar[float] = 0.4
+    z0: ClassVar[float] = 1.0  # par spreads are homogeneous in z0; level is cosmetic
+    tenors: ClassVar[tuple[float, float]] = (5.0, 10.0)  # the snapshot schema's quotes
+    width_sigmas: ClassVar[float] = pde._WIDTH_SIGMAS
+
     sigma_y_mode: str = "passthrough"  # or "implied"
     tolerance_bp: float = 0.5
     single_ccy_tolerance_bp: float = 0.1
     max_iterations: int = 200
-    recovery: float = 0.4
-    z0: float = 1.0  # par spreads are homogeneous in z0; level is cosmetic
-    tenors: tuple[float, float] = (5.0, 10.0)
     n_y: int = 161
     n_t_per_year: int = 40
-    width_sigmas: float = 6.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("a_fixed", "sigma_y_default", "tolerance_bp", "single_ccy_tolerance_bp",
-                     "width_sigmas"):
+        for name in ("tolerance_bp", "single_ccy_tolerance_bp"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         for name, least in (("max_iterations", 1), ("n_y", 3), ("n_t_per_year", 1)):
@@ -104,11 +106,6 @@ class CalibrationConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not 0.0 <= self.recovery < 1.0:
-            raise ValueError(f"recovery must lie in [0, 1), got {self.recovery}")
-        t = self.tenors
-        if not (len(t) == 2 and 0.0 < t[0] < t[1] < math.inf):
-            raise ValueError(f"tenors must be two increasing positive finite values, got {t!r}")
         if self.sigma_y_mode not in ("passthrough", "implied"):
             raise ValueError(f"unknown sigma_y_mode {self.sigma_y_mode!r}")
 
@@ -175,10 +172,8 @@ class _SpreadModel:
         if key not in self._memo:
             h = HazardParams(a=self.cfg.a_fixed, b=b, sigma_y=sigma_y, y0=y0)
             fx = QuantoFxParams(z0=self.cfg.z0, sigma_z=self.sigma_z, gamma_z=gamma, rho=rho)
-            p = pde.quanto_survival_curve_1f(
-                h, fx, self.tenor_grid, n_y=self.cfg.n_y, n_t=self.n_t,
-                width_sigmas=self.cfg.width_sigmas,
-            )
+            p = pde.quanto_survival_curve_1f(h, fx, self.tenor_grid,
+                                             n_y=self.cfg.n_y, n_t=self.n_t)
             self._memo[key] = SurvivalCurve(self.tenor_grid, p)
         return self._memo[key]
 
@@ -471,7 +466,6 @@ class BacktestRow:
     rel_basis_10y: float = math.nan
     basis_gap_observed: float = math.nan
     basis_gap_diffusive: float = math.nan
-    ab: float = math.nan
 
 
 def backtest(snapshots, cfg: CalibrationConfig | None = None) -> list[BacktestRow]:
@@ -522,7 +516,6 @@ def _diagnostics_row(
         basis_gap_observed=rel[t10] - rel[t1],
         basis_gap_diffusive=correlation_basis_gap(
             result.sigma_y, snap.fx_atm_vol, result.rho, rpv[t1], rpv[t10]),
-        ab=result.ab,
     )
 
 
@@ -532,12 +525,17 @@ def historical_correlation(fx_series, spread_series, window: int) -> np.ndarray:
     Both series must be aligned, positive, and long enough to produce at
     least one full window of returns.
     """
+    if not isinstance(window, numbers.Integral):
+        raise ValueError(f"window must be an integer, got {window!r}")
     if window < 10:
         raise ValueError("window must be >= 10 observations")
     fx = np.asarray(fx_series, dtype=float)
     sp = np.asarray(spread_series, dtype=float)
     if fx.shape != sp.shape or fx.ndim != 1:
         raise ValueError("series must be 1-d and aligned")
+    for name, x in (("fx_series", fx), ("spread_series", sp)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
     if fx.size < window + 1:
         raise ValueError(
             f"need at least {window + 1} aligned observations, got {fx.size}"

@@ -112,42 +112,34 @@ def _write_csv(out: Path | None, name: str, header: list[str], rows: list[list[s
         w.writerows(rows)
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: list[str]) -> argparse.Namespace:
-    """Merge a flat key=value config file under the explicit flags."""
-    if getattr(args, "config", None) is None:
-        return args
-    known = {a.dest: a for a in parser._actions if a.dest != "help"}
-    defaults = {}
+def _config_tokens(sub: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """The ``key = value`` lines of the ``--config`` file in ``argv`` as
+    ``--key=value`` flags of the subcommand parser ``sub``."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", type=Path)
     try:
-        text = args.config.read_text()
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return []  # the full parse reports the missing value
+    if path is None:
+        return []
+    try:
+        text = path.read_text()
     except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
+        sub.error(f"cannot read config file: {exc}")
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            parser.error(f"config line {lineno}: expected key = value, got {raw!r}")
+            sub.error(f"config line {lineno}: expected key = value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in known:
-            parser.error(f"config line {lineno}: unknown key {key!r}")
-        action = known[dest]
-        try:
-            if action.type is not None:
-                parsed = action.type(value)
-            elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                parsed = value.lower() in ("1", "true", "yes", "on")
-            else:
-                parsed = value
-        except (TypeError, ValueError) as exc:
-            parser.error(f"config line {lineno}: bad value for {key!r}: {exc}")
-        if action.choices is not None and parsed not in action.choices:
-            parser.error(f"config line {lineno}: {key!r} must be one of {action.choices}")
-        defaults[dest] = parsed
-    parser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        flag = "--" + key.replace("_", "-")
+        if flag not in sub._option_string_actions:
+            sub.error(f"config line {lineno}: unknown key {key!r}")
+        tokens.append(f"{flag}={value}")
+    return tokens
 
 
 # --------------------------------------------------------------------------
@@ -223,9 +215,8 @@ def _cmd_validate(args) -> int:
     if args.study in ("all", "bracketing"):
         points = validation.bracketing_study(
             step_counts=args.bracket_steps,
-            path_counts=(args.mc_paths,),
+            n_paths=args.mc_paths,
             fixed_steps=args.mc_steps,
-            growth_paths=(args.mc_paths, 10 * args.mc_paths),
             seed=args.seed,
             # the million-path interval is ~1e-4 wide; the hazard axis
             # needs the 200-node resolution of the tabulated study
@@ -303,9 +294,8 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
 
 
 def _cmd_sweep(args) -> int:
-    specs = args.axis if isinstance(args.axis, list) else [args.axis]
     try:
-        axes = [_parse_axis(spec) for spec in specs]
+        axes = [_parse_axis(spec) for spec in args.axis]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -503,12 +493,12 @@ def _rolling_correlation_rows(path: Path, window: int) -> list[list[str]]:
 
 
 def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     top = argparse.ArgumentParser(
         prog="quantocds",
         description="Multi-currency CDS pricing with an FX devaluation jump at default",
     )
     subs = top.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = subs.add_parser("price", help="quanto par spreads for one contract")
     _add_common_args(p)
@@ -520,7 +510,6 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--contractual-ccy", default="EUR")
     p.add_argument("--engine", choices=("adi", "reduced"), default="adi")
     p.set_defaults(handler=_cmd_price)
-    registry["price"] = p
 
     p = subs.add_parser("survival-curve", help="liquid and contractual survival curves")
     _add_common_args(p)
@@ -529,7 +518,6 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--tenors", default=None, help="comma-separated override")
     p.add_argument("--engine", choices=("adi", "reduced"), default="adi")
     p.set_defaults(handler=_cmd_survival_curve)
-    registry["survival-curve"] = p
 
     p = subs.add_parser("validate", help="cross-engine validation studies")
     _add_common_args(p)
@@ -539,7 +527,6 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
                    default=(50, 100, 200, 300, 500))
     p.add_argument("--sweep-scenario", choices=("low", "high"), default="low")
     p.set_defaults(handler=_cmd_validate)
-    registry["validate"] = p
 
     p = subs.add_parser("sweep", help="par-spread sensitivity sweeps")
     _add_common_args(p)
@@ -550,7 +537,6 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
                    help="axis spec name=lo:hi:n (repeat for a 2-d grid)", metavar="SPEC")
     p.add_argument("--engine", choices=("adi", "reduced"), default="reduced")
     p.set_defaults(handler=_cmd_sweep)
-    registry["sweep"] = p
 
     for name, handler in (("calibrate", _cmd_calibrate), ("backtest", _cmd_backtest)):
         p = subs.add_parser(name, help=f"{name} against a snapshot file")
@@ -562,19 +548,17 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
                            help="CSV date,fx,spread for rolling correlation")
             p.add_argument("--window", type=int, default=50)
         p.set_defaults(handler=handler)
-        registry[name] = p
 
-    return top, registry
+    return top, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    top, registry = _build_subparsers()
+    top, subs = _build_subparsers()
+    if argv and argv[0] in subs:
+        # config values go ahead of the command line's flags, which override them
+        argv[1:1] = _config_tokens(subs[argv[0]], argv[1:])
     args = top.parse_args(argv)
-    if getattr(args, "config", None) is not None:
-        sub = registry[args.command]
-        rest = argv[argv.index(args.command) + 1:]
-        args = _apply_config(sub, args, rest)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

@@ -107,32 +107,31 @@ class BracketingPoint:
 
 def bracketing_study(
     step_counts=(50, 100, 200, 300, 500),
-    path_counts=(100_000,),
+    n_paths: int = 100_000,
     fixed_steps: int = 500,
-    growth_paths=(100_000, 1_000_000),
     seed: int = 20120507,
     n_y: int = 201,
-    T: float = 5.0,
-    h: HazardParams = BRACKETING_HAZARD,
 ) -> list[BracketingPoint]:
-    """Survival MC-vs-PDE containment as steps grow, then as paths grow.
+    """Survival MC-vs-PDE containment at 5 years on `BRACKETING_HAZARD`, as
+    steps grow at ``n_paths`` paths, then as paths grow from ``n_paths`` to
+    ten times as many at ``fixed_steps`` steps.
 
     Each point shares the step count between the MC grid and the PDE time
     grid; the PDE value comes from the two-factor solver with a degenerate
     FX axis, so the study exercises the full production path.
     """
+    T, h = 5.0, BRACKETING_HAZARD
     fx = QuantoFxParams(z0=1.0, sigma_z=0.0, gamma_z=0.0, rho=0.0)
     rates = RatePair(0.0, 0.0)
     points: list[BracketingPoint] = []
     for n_steps in step_counts:
         sol = solve_quanto_pde(h, fx, rates, T, SolverConfig(n_x=7, n_y=n_y, n_t=n_steps))
-        for n_paths in path_counts:
-            mc = survival_probability_mc(h, T, SimConfig(n_paths, n_steps, T, seed))
-            points.append(BracketingPoint(n_steps, n_paths, sol.spot_value, mc))
+        mc = survival_probability_mc(h, T, SimConfig(n_paths, n_steps, T, seed))
+        points.append(BracketingPoint(n_steps, n_paths, sol.spot_value, mc))
     sol = solve_quanto_pde(h, fx, rates, T, SolverConfig(n_x=7, n_y=n_y, n_t=fixed_steps))
-    for n_paths in growth_paths:
-        mc = survival_probability_mc(h, T, SimConfig(n_paths, fixed_steps, T, seed))
-        points.append(BracketingPoint(fixed_steps, n_paths, sol.spot_value, mc))
+    for paths in (n_paths, 10 * n_paths):
+        mc = survival_probability_mc(h, T, SimConfig(paths, fixed_steps, T, seed))
+        points.append(BracketingPoint(fixed_steps, paths, sol.spot_value, mc))
     return points
 
 

@@ -60,9 +60,8 @@ class TestCriterion1McPdeBracketing:
     def test_pde_inside_mc_confidence_interval(self):
         points = bracketing_study(
             step_counts=(50, 100, 200, 300, 500),
-            path_counts=(100_000,),
+            n_paths=100_000,
             fixed_steps=500,
-            growth_paths=(100_000, 1_000_000),
             seed=20120507,
             n_y=201,
         )

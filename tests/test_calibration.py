@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -60,13 +60,27 @@ class TestSnapshotValidation:
             MarketSnapshot(**{**good, field: value})
 
 
+FIXED_SETTINGS = {"a_fixed": 1e-4, "sigma_y_default": 0.5, "recovery": 0.4, "z0": 1.0,
+                  "tenors": (5.0, 10.0), "width_sigmas": 6.0}
+
+
+def _rejected_as_fixed(field, value):
+    """A fixed setting is no constructor argument: any value is a TypeError
+    that names it."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'$"):
+        CalibrationConfig(**{field: value})
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("field", ["a_fixed", "tolerance_bp", "single_ccy_tolerance_bp",
                                        "sigma_y_default", "width_sigmas"])
     def test_bad_positive_field_is_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be > 0 and finite, got {value}$"):
-            CalibrationConfig(**{field: value})
+        if field in FIXED_SETTINGS:
+            _rejected_as_fixed(field, value)
+        else:
+            with pytest.raises(ValueError, match=f"^{field} must be > 0 and finite, got {value}$"):
+                CalibrationConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value, least", [
         ("n_y", 2, 3), ("n_y", 101.0, 3), ("n_t_per_year", 0, 1), ("n_t_per_year", 1.5, 1),
@@ -82,16 +96,24 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [1.5, 1.0, -0.1, math.nan])
     def test_bad_recovery_is_named(self, value):
-        with pytest.raises(ValueError, match=r"^recovery must lie in \[0, 1\), got"):
-            CalibrationConfig(recovery=value)
+        _rejected_as_fixed("recovery", value)
 
     @pytest.mark.parametrize("value", [
         (10.0, 5.0), (5.0, 5.0), (0.0, 10.0), (-5.0, 10.0), (5.0, math.inf), (5.0, math.nan),
         (5.0,), (1.0, 5.0, 10.0),
     ])
     def test_bad_tenors_are_named(self, value):
-        with pytest.raises(ValueError, match="^tenors must be two increasing positive finite"):
-            CalibrationConfig(tenors=value)
+        _rejected_as_fixed("tenors", value)
+
+    def test_fixed_settings_read_on_an_instance(self):
+        cfg = CalibrationConfig(n_y=81, seed=3)
+        assert {name: getattr(cfg, name) for name in FIXED_SETTINGS} == FIXED_SETTINGS
+        assert CalibrationConfig.width_sigmas == pde._WIDTH_SIGMAS
+        assert [f.name for f in fields(CalibrationConfig)] == [
+            "sigma_y_mode", "tolerance_bp", "single_ccy_tolerance_bp", "max_iterations",
+            "n_y", "n_t_per_year", "seed"]
+        for name, value in FIXED_SETTINGS.items():
+            _rejected_as_fixed(name, value)
 
     def test_numpy_grid_and_seed_are_accepted(self):
         cfg = CalibrationConfig(n_y=np.int64(81), n_t_per_year=np.int32(10), seed=np.int64(3))
@@ -512,3 +534,18 @@ class TestHistoricalCorrelation:
             historical_correlation(x, x, window=5)
         with pytest.raises(ValueError):
             historical_correlation(x[:20], x[:20], window=30)
+
+    def test_non_integer_window_is_named(self):
+        x = np.linspace(1, 2, 40)
+        with pytest.raises(ValueError, match="^window must be an integer, got 12.5$"):
+            historical_correlation(x, x, window=12.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("series", ["fx_series", "spread_series"])
+    def test_non_finite_series_is_named(self, series, bad):
+        x = np.linspace(1, 2, 40)
+        y = x.copy()
+        y[17] = bad
+        pair = {"fx_series": x, "spread_series": x, series: y}
+        with pytest.raises(ValueError, match=f"^{series} must be finite, got {bad}$"):
+            historical_correlation(**pair, window=10)

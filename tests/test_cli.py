@@ -162,6 +162,49 @@ class TestConfigFile:
             run(["price", "--config", str(cfg)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("line, flag", [("grid_y = abc", "--grid-y"),
+                                            ("sigma-y-mode = exact", "--sigma-y-mode")])
+    def test_bad_value_is_named_by_its_flag(self, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["price", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"quantocds price: error: argument {flag}: invalid" in capsys.readouterr().err
+
+    def test_missing_config_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["price", "--config"])
+        assert exc.value.code == 2
+        assert ("quantocds price: error: argument --config: expected one argument"
+                in capsys.readouterr().err)
+
+    def test_config_supplies_required_snapshots(self, tmp_path, capsys):
+        snap_file = tmp_path / "snaps.csv"
+        make_snapshot_csv(snap_file, [synthetic_row()])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"snapshots = {snap_file}\nsigma_y_mode = implied\n")
+        grid = ["--grid-y", "81", "--grid-t", "100"]
+        assert run(["calibrate", "--config", str(cfg), *grid,
+                    "--out-dir", str(tmp_path / "cfg")]) == 0
+        assert run(["calibrate", "--snapshots", str(snap_file), "--sigma-y-mode", "implied",
+                    *grid, "--out-dir", str(tmp_path / "flags")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[1] == "calibrated 1 dates: 1 converged, 0 unconverged, 0 failed"
+        for name in ("calibration_results.csv", "calibration_diagnostics.csv"):
+            assert (tmp_path / "cfg" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+
+    def test_config_axis_adds_to_the_command_line_axes(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("axis = rho=-0.5:0.5:2\n")
+        rc = run(["sweep", "--config", str(cfg), "--axis", "gamma=-0.4:0:3", "--tenor", "1",
+                  "--out-dir", str(tmp_path), *FAST_MODEL])
+        capsys.readouterr()
+        assert rc == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert rows[0].startswith("rho,gamma,") and len(rows) == 1 + 2 * 3
+
 
 class TestSurvivalCurveCmd:
     def test_runs_and_writes(self, tmp_path, capsys):
