@@ -8,7 +8,6 @@ from .model import (
     RatePair,
     correlation_basis_gap,
     devaluation_estimate,
-    foreign_hazard,
     fx_jump_inverse,
     no_arb_drift_z,
 )

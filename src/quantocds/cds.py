@@ -40,8 +40,9 @@ class CdsContract:
             raise ValueError(f"tenor must be positive and finite, got {self.tenor}")
         if not 0.0 <= self.recovery < 1.0:
             raise ValueError(f"recovery must lie in [0, 1), got {self.recovery}")
-        if not math.isfinite(self.notional):
-            raise ValueError(f"notional must be finite, got {self.notional}")
+        if not (math.isfinite(self.notional) and self.notional != 0.0):
+            # a negative notional flips the legs' sign; zero leaves no par spread
+            raise ValueError(f"notional must be nonzero and finite, got {self.notional}")
         # the schedule is fixed by the tenor: build it once, read-only
         n_full = int(math.floor(self.tenor / _PERIOD + 1e-9))
         times = _PERIOD * np.arange(1, n_full + 1)

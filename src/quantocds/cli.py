@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: price, survival-curve, validate, calibrate, backtest, sweep.
-Values cross the CLI boundary in basis points (printed with two decimals);
-everything internal is annualized decimals.  Every command honors --seed
-and writes byte-identical outputs for identical inputs.  Exit codes:
-0 success, 1 compute/validation failure, 2 usage error.
+Each takes --config, --seed and --out-dir and, besides these, only the
+flags its handler reads; a --config file may name only flags its command
+takes.  Values cross the CLI boundary in basis points (printed with two
+decimals); everything internal is annualized decimals.  Every command
+writes byte-identical outputs for identical inputs.  Exit codes: 0
+success, 1 compute/validation failure (an unwritable --out-dir included),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -50,34 +53,6 @@ def _fres(x: float) -> str:
     return "0.0000" if text == "-0.0000" else text
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("model parameters (annualized decimals)")
-    g.add_argument("--a", type=float, default=1e-4, help="hazard mean-reversion speed")
-    g.add_argument("--b", type=float, default=-210.45, help="hazard long-term log level")
-    g.add_argument("--sigma-y", type=float, default=0.2, help="log-hazard volatility")
-    g.add_argument("--y0", type=float, default=-4.089, help="initial log-hazard")
-    g.add_argument("--z0", type=float, default=0.8, help="spot FX (liquid per contractual)")
-    g.add_argument("--sigma-z", type=float, default=0.1, help="FX volatility")
-    g.add_argument("--gamma", type=float, default=0.0, help="FX devaluation rate at default")
-    g.add_argument("--rho", type=float, default=0.0, help="hazard/FX Brownian correlation")
-    g.add_argument("--r", type=float, default=0.0, help="liquid-currency flat rate")
-    g.add_argument("--r-hat", type=float, default=0.0, help="contractual-currency flat rate")
-
-
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="INI-style key=value file; flags override it")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", type=Path, default=None,
-                   help=f"output directory (fallback: ${_OUT_DIR_ENV})")
-    p.add_argument("--grid-x", type=int, default=101, help="PDE nodes on the log-FX axis")
-    p.add_argument("--grid-y", type=int, default=101, help="PDE nodes on the log-hazard axis")
-    p.add_argument("--grid-t", type=int, default=300, help="PDE time steps over the horizon")
-    p.add_argument("--mc-paths", type=int, default=100_000)
-    p.add_argument("--mc-steps", type=int, default=500, help="MC time steps over the horizon")
-    p.add_argument("--tolerance-bp", type=float, default=0.5)
-    p.add_argument("--sigma-y-mode", choices=("passthrough", "implied"), default="passthrough")
-
-
 def _hazard(args) -> HazardParams:
     return HazardParams(a=args.a, b=args.b, sigma_y=args.sigma_y, y0=args.y0)
 
@@ -110,6 +85,14 @@ def _write_csv(out: Path | None, name: str, header: list[str], rows: list[list[s
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+
+
+def _emit(args, name: str, header: list[str], rows: list[list[str]]) -> None:
+    """Print ``rows`` as CSV under ``header`` and write them as ``name`` in
+    the output directory."""
+    for row in [header, *rows]:
+        print(",".join(row))
+    _write_csv(_out_dir(args), name, header, rows)
 
 
 def _config_tokens(sub: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -158,15 +141,10 @@ def _cmd_price(args) -> int:
           f"{args.contractual_ccy}: {_fpar(con.premium_pv01)} y")
     print(f"protection pv {args.liquid_ccy}: {_fpar(liq.protection_pv)}   "
           f"{args.contractual_ccy}: {_fpar(con.protection_pv)}")
-    print("tenor_years,p_liquid,p_contractual")
-    rows = []
-    for t, p, ph in zip(res.curve_liquid.tenors, res.curve_liquid.probs,
-                        res.curve_contractual.probs):
-        print(f"{t:g},{_fpar(p)},{_fpar(ph)}")
-        rows.append([f"{t:g}", _fpar(p), _fpar(ph)])
-    out = _out_dir(args)
-    _write_csv(out, "price_curve.csv", ["tenor_years", "p_liquid", "p_contractual"], rows)
-    _write_csv(out, "price_summary.csv",
+    _emit(args, "price_curve.csv", ["tenor_years", "p_liquid", "p_contractual"],
+          [[f"{t:g}", _fpar(p), _fpar(ph)] for t, p, ph in
+           zip(res.curve_liquid.tenors, res.curve_liquid.probs, res.curve_contractual.probs)])
+    _write_csv(_out_dir(args), "price_summary.csv",
                ["currency", "par_spread_bp", "risky_annuity_years", "protection_pv"],
                [[args.liquid_ccy, _fbp(liq.par_spread), _fpar(liq.premium_pv01),
                  _fpar(liq.protection_pv)],
@@ -193,10 +171,7 @@ def _cmd_survival_curve(args) -> int:
     for t, p, ph in zip(curve_p.tenors, curve_p.probs, curve_hat.probs):
         ratio = (1.0 - ph) / (1.0 - p) if p < 1.0 else math.nan
         rows.append([f"{t:g}", _fpar(p), _fpar(ph), _fpar(ratio)])
-    print(",".join(header))
-    for row in rows:
-        print(",".join(row))
-    _write_csv(_out_dir(args), "survival_curve.csv", header, rows)
+    _emit(args, "survival_curve.csv", header, rows)
     return 0
 
 
@@ -311,20 +286,13 @@ def _cmd_sweep(args) -> int:
     for idx in np.ndindex(*mesh[0].shape):
         point = {name: float(grid[idx]) for name, grid in zip(names, mesh)}
         at = argparse.Namespace(**{**vars(args), **point})
-        try:
-            res = quanto_par_spread(_hazard(at), _fx(at), _rates(at), contract,
-                                    _solver_cfg(args), engine=args.engine)
-        except PdeInstabilityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        res = quanto_par_spread(_hazard(at), _fx(at), _rates(at), contract,
+                                _solver_cfg(args), engine=args.engine)
         s_l = res.liquid.par_spread
         s_c = res.contractual.par_spread
         rows.append([_fpar(point[n]) for n in names]
                     + [_fbp(s_l), _fbp(s_c), _fbp(s_c - s_l), _fpar((s_c - s_l) / s_l)])
-    print(",".join(header))
-    for row in rows:
-        print(",".join(row))
-    _write_csv(_out_dir(args), "sweep.csv", header, rows)
+    _emit(args, "sweep.csv", header, rows)
     return 0
 
 
@@ -387,17 +355,10 @@ _DIAG_HEADER = ["date", "gamma", "rho", "rel_basis_1y", "rel_basis_10y",
                 "spread_usd_10y_bp", "spread_eur_10y_bp"]
 
 
-def _run_calibration(args) -> tuple[list, Path] | None:
-    """Calibrate every snapshot and write the results and diagnostics CSVs.
-
-    Returns the backtest rows and the output directory, or None after
-    printing the error when the snapshot file cannot be read or parsed.
-    """
-    try:
-        rows = backtest(read_snapshots(args.snapshots), _calibration_config(args))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _run_calibration(args) -> tuple[list, Path]:
+    """Calibrate every snapshot and write the results and diagnostics CSVs;
+    returns the backtest rows and the output directory."""
+    rows = backtest(read_snapshots(args.snapshots), _calibration_config(args))
     result_rows: list[list[str]] = []
     diag_rows: list[list[str]] = []
     for row in rows:
@@ -427,10 +388,7 @@ def _run_calibration(args) -> tuple[list, Path] | None:
 
 
 def _cmd_calibrate(args) -> int:
-    run = _run_calibration(args)
-    if run is None:
-        return 1
-    rows, _ = run
+    rows, _ = _run_calibration(args)
     n_fail = sum(1 for r in rows if r.result is None)
     n_conv = sum(1 for r in rows if r.result is not None and r.result.converged)
     print(f"calibrated {len(rows)} dates: {n_conv} converged, "
@@ -442,10 +400,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
-    run = _run_calibration(args)
-    if run is None:
-        return 1
-    rows, out = run
+    rows, out = _run_calibration(args)
     good = [r for r in rows if r.result is not None]
     if len(good) >= 3:
         gammas = np.array([r.result.gamma for r in good])
@@ -454,13 +409,8 @@ def _cmd_backtest(args) -> int:
             slope, intercept = np.polyfit(basis, gammas, 1)
             print(f"gamma vs 1y relative basis: slope={slope:.4f} intercept={intercept:.4f}")
     if args.history is not None:
-        try:
-            hist_rows = _rolling_correlation_rows(args.history, args.window)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         _write_csv(out, "historical_correlation.csv", ["date", "rolling_correlation"],
-                   hist_rows)
+                   _rolling_correlation_rows(args.history, args.window))
     n_fail = sum(1 for r in rows if r.result is None)
     print(f"backtested {len(rows)} dates ({n_fail} failures)")
     return 0
@@ -492,6 +442,26 @@ def _rolling_correlation_rows(path: Path, window: int) -> list[list[str]]:
 # --------------------------------------------------------------------------
 
 
+_ENGINES = ("adi", "reduced")
+
+_GRID_FLAGS = {"x": (101, "PDE nodes on the log-FX axis"),
+               "y": (101, "PDE nodes on the log-hazard axis"),
+               "t": (300, "PDE time steps over the horizon")}
+
+_MODEL_FLAGS = (
+    ("a", 1e-4, "hazard mean-reversion speed"),
+    ("b", -210.45, "hazard long-term log level"),
+    ("sigma-y", 0.2, "log-hazard volatility"),
+    ("y0", -4.089, "initial log-hazard"),
+    ("z0", 0.8, "spot FX (liquid per contractual)"),
+    ("sigma-z", 0.1, "FX volatility"),
+    ("gamma", 0.0, "FX devaluation rate at default"),
+    ("rho", 0.0, "hazard/FX Brownian correlation"),
+    ("r", 0.0, "liquid-currency flat rate"),
+    ("r-hat", 0.0, "contractual-currency flat rate"),
+)
+
+
 def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name."""
     top = argparse.ArgumentParser(
@@ -500,54 +470,65 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     )
     subs = top.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("price", help="quanto par spreads for one contract")
-    _add_common_args(p)
-    _add_model_args(p)
+    def command(name, handler, help, grid, model=False) -> argparse.ArgumentParser:
+        """Subcommand ``name`` with --config, --seed, --out-dir, a --grid-<axis>
+        flag per axis in ``grid`` and, if ``model``, the model parameters."""
+        p = subs.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", type=Path, help="INI-style key=value file; flags override it")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", type=Path, default=None,
+                       help=f"output directory (fallback: ${_OUT_DIR_ENV})")
+        for axis in grid:
+            default, text = _GRID_FLAGS[axis]
+            p.add_argument(f"--grid-{axis}", type=int, default=default, help=text)
+        if model:
+            g = p.add_argument_group("model parameters (annualized decimals)")
+            for flag, default, text in _MODEL_FLAGS:
+                g.add_argument(f"--{flag}", type=float, default=default, help=text)
+        return p
+
+    p = command("price", _cmd_price, "quanto par spreads for one contract", "xyt", model=True)
     p.add_argument("--tenor", type=float, default=5.0)
     p.add_argument("--recovery", type=float, default=0.4)
     p.add_argument("--notional", type=float, default=1.0)
     p.add_argument("--liquid-ccy", default="USD")
     p.add_argument("--contractual-ccy", default="EUR")
-    p.add_argument("--engine", choices=("adi", "reduced"), default="adi")
-    p.set_defaults(handler=_cmd_price)
+    p.add_argument("--engine", choices=_ENGINES, default="adi")
 
-    p = subs.add_parser("survival-curve", help="liquid and contractual survival curves")
-    _add_common_args(p)
-    _add_model_args(p)
+    p = command("survival-curve", _cmd_survival_curve, "liquid and contractual survival curves",
+                "xyt", model=True)
     p.add_argument("--tenor", type=float, default=10.0, help="horizon for a quarterly grid")
     p.add_argument("--tenors", default=None, help="comma-separated override")
-    p.add_argument("--engine", choices=("adi", "reduced"), default="adi")
-    p.set_defaults(handler=_cmd_survival_curve)
+    p.add_argument("--engine", choices=_ENGINES, default="adi")
 
-    p = subs.add_parser("validate", help="cross-engine validation studies")
-    _add_common_args(p)
+    p = command("validate", _cmd_validate, "cross-engine validation studies", "y")
+    p.add_argument("--mc-paths", type=int, default=100_000)
+    p.add_argument("--mc-steps", type=int, default=500, help="MC time steps over the horizon")
     p.add_argument("--study", choices=("all", "bracketing", "deviation", "symmetry"),
                    default="all")
     p.add_argument("--bracket-steps", type=lambda s: tuple(int(x) for x in s.split(",")),
                    default=(50, 100, 200, 300, 500))
     p.add_argument("--sweep-scenario", choices=("low", "high"), default="low")
-    p.set_defaults(handler=_cmd_validate)
 
-    p = subs.add_parser("sweep", help="par-spread sensitivity sweeps")
-    _add_common_args(p)
-    _add_model_args(p)
+    p = command("sweep", _cmd_sweep, "par-spread sensitivity sweeps", "xyt", model=True)
     p.add_argument("--tenor", type=float, default=5.0)
     p.add_argument("--recovery", type=float, default=0.4)
     p.add_argument("--axis", action="append", default=None, required=True,
                    help="axis spec name=lo:hi:n (repeat for a 2-d grid)", metavar="SPEC")
-    p.add_argument("--engine", choices=("adi", "reduced"), default="reduced")
-    p.set_defaults(handler=_cmd_sweep)
+    p.add_argument("--engine", choices=_ENGINES, default="reduced")
 
     for name, handler in (("calibrate", _cmd_calibrate), ("backtest", _cmd_backtest)):
-        p = subs.add_parser(name, help=f"{name} against a snapshot file")
-        _add_common_args(p)
+        p = command(name, handler, f"{name} against a snapshot file", "yt")
+        p.add_argument("--tolerance-bp", type=float, default=0.5)
+        p.add_argument("--sigma-y-mode", choices=("passthrough", "implied"),
+                       default="passthrough")
         p.add_argument("--snapshots", type=Path, required=True,
                        help=f"CSV with header {','.join(_SNAPSHOT_HEADER)}")
         if name == "backtest":
             p.add_argument("--history", type=Path, default=None,
                            help="CSV date,fx,spread for rolling correlation")
             p.add_argument("--window", type=int, default=50)
-        p.set_defaults(handler=handler)
 
     return top, subs.choices
 
@@ -563,12 +544,13 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
-    except (ValueError, PdeInstabilityError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader closed stdout (`quantocds price | head`): keep the exit-time flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (OSError, ValueError, PdeInstabilityError, CalibrationError) as exc:
+        # BrokenPipeError is an OSError: its handler above must come first
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -87,19 +87,6 @@ class RatePair:
             raise ValueError("rates must be finite")
 
 
-def foreign_hazard(lam: float, gamma_z: float) -> float:
-    """Hazard rate under the contractual-currency measure.
-
-    The devaluation jump makes default 'cheaper' to insure in the
-    contractual currency: the intensity is rescaled to (1 + gamma_z) * lam.
-    """
-    if gamma_z < -1:
-        raise ValueError(f"gamma_z must be >= -1, got {gamma_z}")
-    if lam < 0:
-        raise ValueError(f"intensity must be >= 0, got {lam}")
-    return (1.0 + gamma_z) * lam
-
-
 def fx_jump_inverse(gamma_z: float) -> float:
     """Devaluation rate of the reciprocal FX rate X = 1/Z.
 

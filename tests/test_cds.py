@@ -52,6 +52,16 @@ class TestContract:
         with pytest.raises(ValueError):
             CdsContract(tenor=5.0, recovery=1.0)
 
+    def test_zero_notional_is_named(self):
+        # zero would divide the par spread by zero; a negative notional flips
+        # the sign of the protection leg and leaves the par spread unchanged
+        with pytest.raises(ValueError, match="notional"):
+            CdsContract(tenor=5.0, notional=0.0)
+        neg, pos = (par_spread(flat_curve(0.03), 0.02, CdsContract(tenor=5.0, notional=n))
+                    for n in (-2.0, 2.0))
+        assert neg.protection_pv == -pos.protection_pv
+        assert neg.par_spread == pos.par_spread
+
 
 class TestPremiumLeg:
     """The premium leg's PV01, the risky annuity ``par_spread`` reports."""

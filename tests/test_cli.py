@@ -78,6 +78,7 @@ class TestPrice:
         (["price", "--sigma-z", "inf"], "sigma_z"),
         (["price", "--gamma", "nan"], "gamma_z"),
         (["price", "--rho", "nan"], "rho"),
+        (["price", "--notional", "0"], "notional"),
     ])
     def test_non_finite_input_is_named(self, capsys, argv, field):
         rc = run(argv)
@@ -112,6 +113,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--mc-paths", "5"],
+        ["survival-curve", "--sigma-y-mode", "implied"],
+        ["sweep", "--axis", "rho=0:0:1", "--tolerance-bp", "1"],
+        ["validate", "--grid-x", "3"],
+        ["calibrate", "--snapshots", "quotes.csv", "--mc-steps", "5"],
+        ["backtest", "--snapshots", "quotes.csv", "--grid-x", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_command_does_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_unwritable_out_dir_is_one_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = run(["price", "--engine", "reduced", "--tenor", "1",
+                  "--out-dir", str(blocker / "out"), *FAST_MODEL])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_invalid_sweep_axis(self, capsys):
         rc = run(["sweep", "--axis", "nonsense=0:1:3", *FAST_MODEL])
@@ -155,6 +180,14 @@ class TestConfigFile:
             run(["price", "--config", str(cfg)])
         assert exc.value.code == 2
 
+    def test_key_the_command_does_not_read_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tenor = 1\nmc_paths = 5\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["price", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "config line 2: unknown key 'mc_paths'" in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tenor 5\n")
@@ -165,12 +198,14 @@ class TestConfigFile:
     @pytest.mark.parametrize("line, flag", [("grid_y = abc", "--grid-y"),
                                             ("sigma-y-mode = exact", "--sigma-y-mode")])
     def test_bad_value_is_named_by_its_flag(self, tmp_path, capsys, line, flag):
+        # calibrate takes both flags; the value is rejected before --snapshots is missed
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         with pytest.raises(SystemExit) as exc:
-            run(["price", "--config", str(cfg)])
+            run(["calibrate", "--config", str(cfg)])
         assert exc.value.code == 2
-        assert f"quantocds price: error: argument {flag}: invalid" in capsys.readouterr().err
+        assert (f"quantocds calibrate: error: argument {flag}: invalid"
+                in capsys.readouterr().err)
 
     def test_missing_config_value(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ from quantocds.model import (
     RatePair,
     correlation_basis_gap,
     devaluation_estimate,
-    foreign_hazard,
     fx_jump_inverse,
     no_arb_drift_z,
 )
@@ -36,29 +35,6 @@ class TestTypes:
             QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-1.5, rho=0.0)
         with pytest.raises(ValueError):
             QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=1.5)
-
-
-class TestForeignHazard:
-    def test_identity_and_total_devaluation(self):
-        assert foreign_hazard(0.02, 0.0) == 0.02
-        assert foreign_hazard(0.02, -1.0) == 0.0
-
-    def test_abstract_scale(self):
-        # gamma from the 350/440 quote pair
-        gamma = 350.0 / 440.0 - 1.0
-        assert foreign_hazard(0.0110, gamma) == pytest.approx(0.00875, abs=2e-6)
-
-    def test_rejects_invalid_gamma(self):
-        with pytest.raises(ValueError):
-            foreign_hazard(0.02, -1.2)
-        with pytest.raises(ValueError):
-            foreign_hazard(-0.1, 0.0)
-
-    @given(st.floats(0, 10), st.floats(0, 10), st.floats(-1, 4))
-    def test_linear_order_preserving(self, lam1, lam2, gamma):
-        lo, hi = sorted((lam1, lam2))
-        assert foreign_hazard(lo, gamma) <= foreign_hazard(hi, gamma)
-        assert foreign_hazard(lam1, 0.0) == lam1
 
 
 class TestFxJumpInverse:
@@ -107,7 +83,9 @@ class TestNoArbDrifts:
     def test_cross_measure_consistency(self, gamma, lam):
         # the contractual-measure kernel compensates the jump of X with
         # gamma_x * lam_hat, which must equal -gamma_z * lam
-        product = fx_jump_inverse(gamma) * foreign_hazard(lam, gamma)
+        h = HazardParams(a=0.0, b=0.0, sigma_y=0.2, y0=math.log(lam))
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=0.0)
+        product = _Leg.of(h, fx, RATES0, "contractual").compensator * lam
         assert product == pytest.approx(-gamma * lam, rel=1e-12, abs=1e-15)
 
 
@@ -117,7 +95,7 @@ class TestTriangle:
         # continuous-premium limit: relative basis of triangle spreads
         # S = lambda (1 - R) is gamma
         s_liquid = lam * (1.0 - recovery)
-        s_contractual = foreign_hazard(lam, gamma) * (1.0 - recovery)
+        s_contractual = (1.0 + gamma) * lam * (1.0 - recovery)
         assert devaluation_estimate(s_contractual, s_liquid) == pytest.approx(
             gamma, rel=1e-9, abs=1e-9
         )
