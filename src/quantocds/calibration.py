@@ -7,10 +7,12 @@ vol where the placeholder cannot fit the quotes), fit (b, y0) to the
 liquid-currency 5Y/10Y par spreads at that vol, then fit (rho, gamma) to
 the contractual-currency quotes at that liquid hazard, which the liquid
 quotes alone determine.  All stages of one snapshot price through one
-memoised spread model; both fits update their Jacobian from points already
-priced and stop at the model's round-off (`_fit`).  The mean reversion
-stays pinned at a small value throughout, which makes b act through the
-product a*b only; `CalibrationResult.ab` exposes that product.
+memoised spread model.  Both fits run `_fit`, a small bounded trust-region
+Gauss-Newton that updates its Jacobian from points already priced and
+stops at the model's round-off; scipy.optimize loads only for the implied
+vol's root find.  The mean reversion stays pinned at a small value
+throughout, which makes b act through the product a*b only;
+`CalibrationResult.ab` exposes that product.
 """
 
 from __future__ import annotations
@@ -30,19 +32,10 @@ from .curves import SurvivalCurve
 from .model import HazardParams, QuantoFxParams, correlation_basis_gap, devaluation_estimate
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, with scipy.optimize loaded on the
-    first call, not at import.  `_fit` calls it by this module name, which
-    tests/test_calibration.py's ``test_fits_end_at_the_first_point_at_the_floor``
-    and perfbench/tracing.py's ``calibration.least_squares`` span patch."""
-    from scipy.optimize import least_squares
-
-    return least_squares(*args, **kwargs)
-
-
 def brentq(*args, **kwargs):
     """``scipy.optimize.brentq``, with scipy.optimize loaded on the first
-    call; `calibrate_sigma_y` calls it by this module name."""
+    call: only the implied-vol stage needs it, and `calibrate_sigma_y`
+    calls it by this module name."""
     from scipy.optimize import brentq
 
     return brentq(*args, **kwargs)
@@ -115,12 +108,12 @@ class CalibrationResult:
     """Joint-stage fit of one snapshot.
 
     ``b`` and ``y0`` are the liquid-currency fit, unchanged.  ``iterations``
-    is `_fit`'s ``nfev`` for the (rho, gamma) fit: the points its
-    trust-region steps evaluated, up to and including the first at the
+    is `_fit`'s ``nfev`` for the (rho, gamma) fit: its seed and the points
+    its trust-region steps evaluated, up to and including the first at the
     round-off floor, where the fit stops.  Most Jacobians are secant
     updates from those points and cost no evaluation; the first one, and
-    one after a step that needed a retry or fell short of the secant
-    model's predicted reduction, is a forward difference of two further
+    one after a step rejected on a secant Jacobian or short of a quarter of
+    the predicted reduction, is a forward difference of two further
     evaluations, which ``iterations`` leaves out.  It counts nothing of the
     liquid-currency stage.
     """
@@ -203,10 +196,8 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 # residuals at or below this many bp are the spread model's round-off
 # (3e-12 to 6e-11 bp): a fit ends at the first point that reaches it
 _FLOOR_BP = 1e-10
-
-
-class _AtFloor(Exception):
-    """Ends a fit from inside its residual; ``args`` are the point and its residuals."""
+# a step shorter than this, relative to |x|, is round-off: the fit ends
+_XTOL = 1e-10
 
 
 def _forward_jacobian(residual, x: np.ndarray, f: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -222,56 +213,76 @@ def _forward_jacobian(residual, x: np.ndarray, f: np.ndarray, upper: np.ndarray)
     return J
 
 
+def _dogleg(J: np.ndarray, f: np.ndarray, radius: float) -> np.ndarray:
+    """Powell's dogleg step for ``min |f + J h|`` within ``|h| <= radius``."""
+    gauss_newton = -np.linalg.lstsq(J, f, rcond=None)[0]
+    if np.linalg.norm(gauss_newton) <= radius:
+        return gauss_newton
+    g = J.T @ f
+    cauchy = -(g @ g) / np.sum((J @ g) ** 2) * g
+    if np.linalg.norm(cauchy) >= radius:
+        return -radius / np.linalg.norm(g) * g
+    d = gauss_newton - cauchy  # leg from the Cauchy point to the radius
+    b, c = cauchy @ d, cauchy @ cauchy - radius**2
+    return cauchy + (-b + math.sqrt(b * b - (d @ d) * c)) / (d @ d) * d
+
+
 def _fit(residual, x0: np.ndarray, bounds, x_scale, max_nfev: int):
-    """``least_squares`` with a secant Jacobian, stopped at round-off.
+    """Bounded trust-region Gauss-Newton with a secant Jacobian, stopped at
+    round-off; returns ``(x, f, nfev)``.
 
-    Returns ``(x, f, nfev)``.  The fit ends at the first point the trust
-    region evaluates whose residuals all lie within ``_FLOOR_BP``, or else
-    at ``least_squares``' tolerances or budget; ``nfev`` counts those points.
-
-    The first Jacobian is a forward difference.  Each later one is
-    Broyden's rank-one update between consecutive accepted points, whose
-    residuals the fit has already evaluated (a memo hit in `_SpreadModel`,
-    which prices each point once).  Forward differences replace the update
-    after a step that needed a retry, or that achieved less than a quarter
-    of the reduction the secant model predicted.
+    Each step is Powell's dogleg in ``x_scale`` units, projected into
+    ``bounds``, with a parameter held on a bound the gradient pushes it
+    past; it is accepted if it lowers the sum of squares.  The fit ends at
+    the first point whose residuals all lie within ``_FLOOR_BP``, or else
+    after a step under ``_XTOL`` relative to ``x`` (as a collapsed trust
+    radius gives), or at ``max_nfev`` points: ``nfev`` counts the seed and
+    the trial points.  The Jacobian is a forward difference (`_forward_jacobian`)
+    at the seed, after a step rejected on a secant Jacobian and after one
+    accepted short of a quarter of its predicted reduction; otherwise each
+    accepted step updates it by Broyden's rank-one formula.
     """
-    upper = np.asarray(bounds[1], dtype=float)
-    nfev = 0
-    evals = 0  # residual evaluations by the fit since its last Jacobian
-    last = None  # (x, f, J) at the last Jacobian
-
-    def fun(x):
-        nonlocal nfev, evals
-        nfev += 1
-        evals += 1
-        f = residual(x)
-        if np.max(np.abs(f)) <= _FLOOR_BP:
-            raise _AtFloor(np.array(x, dtype=float), f)
-        return f
-
-    def jac(x):
-        nonlocal evals, last
-        x = np.array(x, dtype=float)
-        f = residual(x)  # the point just accepted
-        J = None
-        if last is not None and evals == 1:
-            x_p, f_p, J_p = last
-            s = x - x_p
-            predicted = f_p @ f_p - np.sum((f_p + J_p @ s) ** 2)
-            if f_p @ f_p - f @ f >= 0.25 * predicted:
-                J = J_p + np.outer(f - f_p - J_p @ s, s) / (s @ s)
+    lower, upper = (np.asarray(b, dtype=float) for b in bounds)
+    scale = np.asarray(x_scale, dtype=float)
+    x = np.array(x0, dtype=float)
+    f, nfev = residual(x), 1
+    radius = float(np.linalg.norm(x / scale)) or 1.0
+    J = None
+    while np.max(np.abs(f)) > _FLOOR_BP and nfev < max_nfev:
         if J is None:
-            J = _forward_jacobian(residual, x, f, upper)
-        last, evals = (x, f, J), 0
-        return J
+            J, secant = _forward_jacobian(residual, x, f, upper), False
+        g = J.T @ f
+        held = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
+        x_new = np.clip(x + scale * _dogleg(J * scale * ~held, f, radius), lower, upper)
+        step = x_new - x
+        if not step.any():
+            break
+        f_new, nfev = residual(x_new), nfev + 1
+        if np.max(np.abs(f_new)) <= _FLOOR_BP:
+            return x_new, f_new, nfev
+        predicted = f @ f - np.sum((f + J @ step) ** 2)
+        actual = f @ f - f_new @ f_new
+        ratio = actual / predicted if predicted > 0 and np.isfinite(actual) else 0.0
+        scaled = float(np.linalg.norm(step / scale))
+        if ratio < 0.25:
+            radius = 0.25 * scaled
+        elif ratio > 0.75 and scaled > 0.95 * radius:
+            radius *= 2.0
+        if actual > 0:
+            if ratio >= 0.25:
+                J, secant = J + np.outer(f_new - f - J @ step, step) / (step @ step), True
+            else:
+                J = None
+            x, f = x_new, f_new
+        elif secant:
+            J = None
+        if np.linalg.norm(step) < _XTOL * (_XTOL + np.linalg.norm(x)):
+            break
+    return x, f, nfev
 
-    try:
-        fit = least_squares(fun, x0, jac=jac, bounds=bounds, x_scale=x_scale,
-                            ftol=1e-10, xtol=1e-10, gtol=1e-10, max_nfev=max_nfev)
-    except _AtFloor as stop:
-        return (*stop.args, nfev)
-    return fit.x, fit.fun, nfev
+
+# perfbench/tracing.py resolves and wraps the fit by this name
+least_squares = _fit
 
 
 def calibrate_single_ccy(

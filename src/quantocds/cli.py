@@ -95,6 +95,23 @@ def _emit(args, name: str, header: list[str], rows: list[list[str]]) -> None:
     _write_csv(_out_dir(args), name, header, rows)
 
 
+def _number(kind, token: str, where: str):
+    """``kind(token)``, or a ValueError that names ``token`` and ``where`` it was read."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {token!r} is not {what}") from None
+
+
+def _step_counts(text: str) -> tuple[int, ...]:
+    """``--bracket-steps``: comma-separated MC step counts."""
+    try:
+        return tuple(_number(int, t, repr(text)) for t in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _config_tokens(sub: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """The ``key = value`` lines of the ``--config`` file in ``argv`` as
     ``--key=value`` flags of the subcommand parser ``sub``."""
@@ -155,7 +172,8 @@ def _cmd_price(args) -> int:
 
 def _cmd_survival_curve(args) -> int:
     if args.tenors:
-        tenors = sorted(float(t) for t in args.tenors.split(","))
+        tenors = sorted(_number(float, t, f"--tenors {args.tenors!r}")
+                        for t in args.tenors.split(","))
     elif not 0.0 < args.tenor < math.inf:
         raise ValueError(f"tenor must be positive and finite, got {args.tenor}")
     else:
@@ -262,7 +280,8 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     parts = rng.split(":")
     if len(parts) != 3:
         raise ValueError(f"axis {name!r} needs lo:hi:n, got {rng!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = (_number(kind, t, f"--axis {spec!r}")
+                 for kind, t in zip((float, float, int), parts))
     if n < 1:
         raise ValueError("axis point count must be >= 1")
     return name, (np.array([lo]) if n == 1 else np.linspace(lo, hi, n))
@@ -507,8 +526,7 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--mc-steps", type=int, default=500, help="MC time steps over the horizon")
     p.add_argument("--study", choices=("all", "bracketing", "deviation", "symmetry"),
                    default="all")
-    p.add_argument("--bracket-steps", type=lambda s: tuple(int(x) for x in s.split(",")),
-                   default=(50, 100, 200, 300, 500))
+    p.add_argument("--bracket-steps", type=_step_counts, default=(50, 100, 200, 300, 500))
     p.add_argument("--sweep-scenario", choices=("low", "high"), default="low")
 
     p = command("sweep", _cmd_sweep, "par-spread sensitivity sweeps", "xyt", model=True)

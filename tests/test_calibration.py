@@ -407,30 +407,57 @@ class TestSecantFit:
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
                                   gamma=-0.2, cfg=COARSE)
         calibration._spread_model.cache_clear()
-        fits = []  # per fit, the largest |residual| in bp at each trust-region point
-        solve = calibration.least_squares
+        # per fit, each point it evaluates: (largest |residual| in bp, forward difference?)
+        fits = []
+        fit, jacobian = calibration._fit, calibration._forward_jacobian
+        differencing = []
 
-        def recording(fun, x0, **kwargs):
-            worst = []
-            fits.append(worst)
+        def recording_fit(residual, *args):
+            points = []
+            fits.append(points)
 
             def traced(x):
-                try:
-                    f = fun(x)
-                except calibration._AtFloor as stop:
-                    worst.append(np.max(np.abs(stop.args[1])))
-                    raise
-                worst.append(np.max(np.abs(f)))
+                f = residual(x)
+                points.append((np.max(np.abs(f)), bool(differencing)))
                 return f
 
-            return solve(traced, x0, **kwargs)
+            return fit(traced, *args)
 
-        monkeypatch.setattr(calibration, "least_squares", recording)
+        def recording_jacobian(*args):
+            differencing.append(True)
+            try:
+                return jacobian(*args)
+            finally:
+                differencing.pop()
+
+        monkeypatch.setattr(calibration, "_fit", recording_fit)
+        monkeypatch.setattr(calibration, "_forward_jacobian", recording_jacobian)
         res = calibrate_snapshot(snap, COARSE)
         assert len(fits) == 2  # the hazard fit, then the (rho, gamma) fit
-        for worst in fits:
-            assert worst[-1] <= calibration._FLOOR_BP < min(worst[:-1])
-        assert res.iterations == len(fits[-1])
+        for points in fits:
+            steps = [worst for worst, fd in points if not fd]
+            assert not points[0][1] and points[1][1]  # the seed, then its forward difference
+            assert not points[-1][1]
+            assert steps[-1] <= calibration._FLOOR_BP < min(steps[:-1])
+        assert res.iterations == sum(not fd for _, fd in fits[-1])
+
+    def test_root_outside_the_box_ends_on_the_bound(self):
+        # the root's b lies above its bound; on the bound, y0 = -4 - 100 * (-0.5) / 10
+        # minimises the residual of this linear model
+        root = np.array([3100.0, -4.0])
+        slope = np.array([[2.0, -1.0], [0.5, 3.0]])
+        seen = []
+
+        def residual(v):
+            seen.append(v.copy())
+            return slope @ (v - root)
+
+        x, f, nfev = calibration._fit(residual, np.array([-120.0, -4.4]),
+                                      ([-3000.0, -12.0], [3000.0, 1.0]), [100.0, 0.5], 20)
+        assert x[0] == 3000.0 and x[1] == pytest.approx(-9.0, abs=1e-9)
+        np.testing.assert_array_equal(f, slope @ (x - root))
+        # a linear model needs only the first forward difference
+        assert nfev <= 20 and len(seen) == nfev + 2
 
     @pytest.mark.parametrize("x", [[3000.0, -4.0], [2999.99999, 1.0], [0.0, 1.0 - 1e-12]])
     def test_forward_step_at_an_upper_bound_stays_inside(self, x):

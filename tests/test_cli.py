@@ -143,6 +143,22 @@ class TestUsageErrors:
         assert rc == 2
         assert "unknown sweep axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,code,err", [
+        (["survival-curve", "--tenors", "1,,2"], 1, "error: --tenors '1,,2': '' is not a number"),
+        (["sweep", "--axis", "rho=0:1:x"], 2, "error: --axis 'rho=0:1:x': 'x' is not an integer"),
+        (["sweep", "--axis", "rho=a:1:3"], 2, "error: --axis 'rho=a:1:3': 'a' is not a number"),
+    ], ids=["tenors", "axis count", "axis bound"])
+    def test_bad_number_in_a_list_flag_is_named(self, capsys, argv, code, err):
+        assert run([*argv, *FAST_MODEL]) == code
+        assert capsys.readouterr().err == err + "\n"
+
+    def test_bad_bracket_step_count_is_named(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["validate", "--bracket-steps", "3,x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --bracket-steps: '3,x': 'x' is not an integer\n")
+
 
 class TestSweep:
     def test_single_point_axis(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Importing quantocds loads numpy only: scipy.linalg loads with the first
-PDE solve and scipy.optimize with the first fit.  Each check runs in a
-fresh interpreter, since this test session has long since loaded scipy."""
+PDE solve and scipy.optimize with the first implied-vol root find, which
+passthrough calibration never makes.  Each check runs in a fresh
+interpreter, since this test session has long since loaded scipy."""
 
 import os
 import subprocess
@@ -46,3 +47,22 @@ def test_reduced_price_loads_linalg_but_not_optimize():
     )
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+
+BACKTEST = (
+    "from quantocds import calibration\n"
+    "snap = calibration.MarketSnapshot('2012-05-07', 0.0440, 0.0460, 0.0350, 0.0370,\n"
+    "                                  0.10, 0.50, 0.0)\n"
+    "rows = calibration.backtest([snap], calibration.CalibrationConfig(sigma_y_mode={mode!r}))\n"
+    "assert rows[0].error is None and rows[0].result.converged"
+)
+
+
+def test_passthrough_backtest_loads_linalg_but_not_optimize():
+    loaded = scipy_loaded_after(BACKTEST.format(mode="passthrough"))
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+
+def test_implied_backtest_loads_optimize():
+    assert "scipy.optimize" in scipy_loaded_after(BACKTEST.format(mode="implied"))
