@@ -226,8 +226,7 @@ def _cmd_validate(args) -> int:
         checks.extend(required)
 
     if args.study in ("all", "deviation"):
-        h = validation.SWEEP_HAZARD_HIGH if args.sweep_scenario == "high" \
-            else validation.SWEEP_HAZARD_LOW
+        h = validation.SWEEP_HAZARDS[args.sweep_scenario]
         cells = validation.deviation_sweep(h=h)
         rows = [[_fpar(c.gamma), _fpar(c.rho), _fpar(c.tenor), f"{c.deviation_pct:.4f}",
                  "" if c.reference_pct is None else f"{c.reference_pct:.2f}"]
@@ -237,14 +236,14 @@ def _cmd_validate(args) -> int:
         checks.extend(validation.anchor_checks(cells))
         checks.extend(validation.long_tenor_checks(cells, h, seed=args.seed))
 
-        curve_points = validation.ratio_maturity_study()
-        rows = [[p.scenario, _fpar(p.tenor), _fpar(p.gamma), _fpar(p.ratio),
-                 _fpar(p.limit), f"{p.deviation_pct:.4f}"]
-                for p in curve_points]
+        curves = validation.ratio_maturity_study()
+        rows = [[scenario, _fpar(c.tenor), _fpar(c.gamma), _fpar(c.ratio),
+                 _fpar(1.0 + c.gamma), f"{c.deviation_pct:.4f}"]
+                for scenario, cells in curves.items() for c in cells]
         _write_csv(out, "validate_ratio_curves.csv",
                    ["scenario", "tenor_years", "gamma", "default_ratio",
                     "short_tenor_limit", "deviation_pct"], rows)
-        checks.extend(validation.ratio_checks(curve_points))
+        checks.extend(validation.ratio_checks(curves))
 
     if args.study in ("all", "symmetry"):
         points = validation.fx_symmetry_study(n_paths=args.mc_paths, seed=args.seed)
@@ -527,7 +526,7 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--study", choices=("all", "bracketing", "deviation", "symmetry"),
                    default="all")
     p.add_argument("--bracket-steps", type=_step_counts, default=(50, 100, 200, 300, 500))
-    p.add_argument("--sweep-scenario", choices=("low", "high"), default="low")
+    p.add_argument("--sweep-scenario", choices=tuple(validation.SWEEP_HAZARDS), default="low")
 
     p = command("sweep", _cmd_sweep, "par-spread sensitivity sweeps", "xyt", model=True)
     p.add_argument("--tenor", type=float, default=5.0)

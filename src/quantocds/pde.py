@@ -29,16 +29,16 @@ y-sweep's matrix is shared by all x columns: on up to ``_DENSE_Y_SWEEP_MAX``
 y-nodes it multiplies them by the inverse that those factors give once,
 one BLAS-3 product, and above it solves them as right-hand sides of one call.
 
-``survival_curve_1f`` does without the time loop where it can: the
-one-factor operator is time-homogeneous and, at cell Peclet numbers up to
-1, similar to a symmetric tridiagonal matrix, so ``_spectral_1f``
-diagonalises it once (``eigh_tridiagonal``, which runs LAPACK's divide and
-conquer ``stevd`` for all eigenpairs) and applies each step of the march,
-Rannacher steps included, as one scalar factor per eigenvalue.  Outside
-its gate (a zero kill, a Peclet number above 1, an ill-conditioned
-symmetrisation or a stiff spectrum, or more nodes than half the time
-steps, where the march is cheaper) the march runs; it is also the
-reference the tests hold the spectral path to.
+``survival_curve_1f`` builds the one-factor operator once and does
+without the time loop where it can: the operator is time-homogeneous and,
+at cell Peclet numbers up to 1, similar to a symmetric tridiagonal matrix,
+so ``_spectral_1f`` diagonalises it once (``eigh_tridiagonal``, which runs
+LAPACK's divide and conquer ``stevd`` for all eigenpairs) and applies each
+step of the march, Rannacher steps included, as one scalar factor per
+eigenvalue.  Outside its gate (a zero kill, a Peclet number above 1, an
+ill-conditioned symmetrisation or a stiff spectrum, or more nodes than
+half the time steps, where the march is cheaper) ``_march_1f`` marches the
+same operator; it is also the reference the tests hold the spectral path to.
 
 Importing this module loads numpy only; scipy.linalg loads with the first
 solve.  ``_Tridiag`` binds LAPACK ``dgttrf``/``dgttrs`` when it factors, and
@@ -248,8 +248,10 @@ def build_grid(
     return Grid2D(x, y, t_nodes, ix0, iy0), snap
 
 
-def _y_diags(h: HazardParams, y: np.ndarray, drift_shift: float, kill: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_Diags = tuple[np.ndarray, np.ndarray, np.ndarray]  # sub-, main and super-diagonal
+
+
+def _y_diags(h: HazardParams, y: np.ndarray, drift_shift: float, kill: np.ndarray) -> _Diags:
     """Diagonals of 0.5 sigma_y^2 d_yy + (a(b - y) + drift_shift) d_y - kill.
 
     Central differences on the uniform ``y`` nodes, zero first derivative
@@ -496,35 +498,24 @@ def solve_foreign_measure_pde(
     grid, _ = build_grid(h, fx, rates, T, cfg)
     dt = float(grid.t_nodes[1] - grid.t_nodes[0])
     n_t = grid.t_nodes.size - 1
-    shift = fx.rho * h.sigma_y * fx.sigma_z
-    w, _ = _march_1f(
-        h, grid.y_nodes, dt, n_t,
-        drift_shift=shift, kill_scale=1.0, r_kill=rates.r_hat, snap={}, iy0=grid.iy0,
-    )
+    ops = _y_diags(h, grid.y_nodes, fx.rho * h.sigma_y * fx.sigma_z,
+                   np.exp(grid.y_nodes) + rates.r_hat)
+    w, _ = _march_1f(ops, dt, n_t, {}, grid.iy0)
     values = np.exp(grid.x_nodes)[:, None] * w[None, :]
     return PdeSolution(grid=grid, values=values)
 
 
-def _march_1f(
-    h: HazardParams,
-    y_nodes: np.ndarray,
-    dt: float,
-    n_t: int,
-    *,
-    drift_shift: float,
-    kill_scale: float,
-    r_kill: float,
-    snap: Mapping[int, float],
-    iy0: int,
-) -> tuple[np.ndarray, dict[float, float]]:
+def _march_1f(ops: _Diags, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
+              ) -> tuple[np.ndarray, dict[float, float]]:
     """Crank-Nicolson/Rannacher march of the killed one-factor equation.
 
-    Solves w_t + 0.5 sigma_y^2 w_yy + (a(b-y) + shift) w_y
-    - (kill_scale e^y + r_kill) w = 0 backward from w(T) = 1 with Neumann
-    boundaries.
+    Solves w_t + A w = 0 backward from w(T) = 1, where ``ops`` holds the
+    diagonals of A, 0.5 sigma_y^2 d_yy + (a(b - y) + shift) d_y - kill with
+    Neumann boundaries (``_y_diags``): ``survival_curve_1f`` kills at
+    kill_scale e^y, ``solve_foreign_measure_pde`` at e^y + r_hat.
     """
-    n = y_nodes.size
-    lo, di, up = _y_diags(h, y_nodes, drift_shift, kill_scale * np.exp(y_nodes) + r_kill)
+    lo, di, up = ops
+    n = di.size
     w = np.ones(n)
     snapshots: dict[float, float] = {}
     solvers: dict[float, _Tridiag] = {}
@@ -542,21 +533,13 @@ def _march_1f(
     return w, snapshots
 
 
-def _spectral_1f(
-    h: HazardParams,
-    y_nodes: np.ndarray,
-    dt: float,
-    n_t: int,
-    *,
-    drift_shift: float,
-    kill_scale: float,
-    snap: Mapping[int, float],
-    iy0: int,
-) -> dict[float, float] | None:
+def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
+                 snap: Mapping[int, float], iy0: int) -> dict[float, float] | None:
     """``_march_1f``'s snapshots from one eigendecomposition, or None.
 
-    The operator A is time-homogeneous, so each step of the march multiplies
-    A's eigencomponents by a scalar: 1 / (1 - dt lam) on a Rannacher step,
+    The operator A (``ops``, which kills at ``kill``) is time-homogeneous,
+    so each step of the march multiplies A's eigencomponents by a scalar:
+    1 / (1 - dt lam) on a Rannacher step,
     (1 + (1 - theta) dt lam) / (1 - theta dt lam) on a theta step.  With
     S = D A D^-1 symmetric, w(iy0) = sum_j V[iy0, j] (V^T d)_j f(lam_j)
     where D = diag(d) and d[iy0] = 1.  Returns None, and the caller
@@ -575,10 +558,9 @@ def _spectral_1f(
       machine);
     - a LinAlgError from the eigensolver.
     """
-    if 2 * y_nodes.size > n_t:
+    lo, di, up = ops
+    if 2 * di.size > n_t:
         return None
-    kill = kill_scale * np.exp(y_nodes)
-    lo, di, up = _y_diags(h, y_nodes, drift_shift, kill)
     couple = lo[1:] * up[:-1]
     if not (np.all(kill > 0.0) and np.all(couple > 0.0)
             and np.max(np.abs(di)) * dt <= 300.0):
@@ -631,13 +613,11 @@ def survival_curve_1f(
         # every row of the operator sums to zero, so w = 1 solves the
         # discrete equation exactly; a solve would only add round-off
         return np.ones(len(tenors))
-    snapshots = _spectral_1f(h, y, dt, n_total, drift_shift=drift_shift,
-                             kill_scale=kill_scale, snap=snap, iy0=iy0)
+    kill = kill_scale * np.exp(y)
+    ops = _y_diags(h, y, drift_shift, kill)
+    snapshots = _spectral_1f(ops, kill, dt, n_total, snap, iy0)
     if snapshots is None:
-        _, snapshots = _march_1f(
-            h, y, dt, n_total,
-            drift_shift=drift_shift, kill_scale=kill_scale, r_kill=0.0, snap=snap, iy0=iy0,
-        )
+        _, snapshots = _march_1f(ops, dt, n_total, snap, iy0)
     return np.array([snapshots[t] for t in tenors])
 
 

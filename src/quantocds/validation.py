@@ -1,14 +1,14 @@
 """Validation studies wiring the engines against each other and against
 externally tabulated reference numbers.
 
-Three studies are provided: the MC-vs-PDE bracketing of the survival
-probability (confidence-interval containment as resolution grows), the
-maturity dependence of the short-tenor devaluation approximation
-(1 - p_hat)/(1 - p) ~ 1 + gamma, and the deviation sweep over
-(gamma, rho, tenor) with its reference table and its long-tenor check
-against the Monte Carlo kernel.  Each study has its checks here, as
-(name, ok, detail) tuples; ``quantocds validate`` and the acceptance suite
-both read them.
+The studies: the MC-vs-PDE bracketing of the survival probability
+(confidence-interval containment as resolution grows), the deviation sweep
+of the short-tenor devaluation approximation (1 - p_hat)/(1 - p) ~ 1 + gamma
+over (gamma, rho, tenor) with its reference table and long-tenor check
+against the Monte Carlo kernel, whose rho = 0 slices in both spread
+scenarios are the approximation's maturity curves, and the FX symmetry
+study.  Each study has its checks here, as (name, ok, detail) tuples;
+``quantocds validate`` and the acceptance suite both read them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .mc import (
     SimConfig,
     _fx_symmetry_pass,
     _Leg,
-    _quanto_bond_pass,
     _TerminalKernel,
     survival_probability_mc,
 )
@@ -36,12 +35,16 @@ Check = tuple[str, bool, str]
 BRACKETING_HAZARD = HazardParams(a=0.08, b=3.7, sigma_y=0.2, y0=-5.0)
 SWEEP_HAZARD_LOW = HazardParams(a=1e-4, b=-210.45, sigma_y=0.2, y0=-4.089)
 SWEEP_HAZARD_HIGH = HazardParams(a=1e-4, b=-210.45, sigma_y=0.2, y0=-2.089)
+SWEEP_HAZARDS = {"low": SWEEP_HAZARD_LOW, "high": SWEEP_HAZARD_HIGH}
 
 SWEEP_GAMMAS = (-0.99, -0.50, -0.25, 0.00, 0.25, 0.50)
 SWEEP_RHOS = (-0.9, 0.0, 0.9)
 SWEEP_TENORS = (1.0, 4.0, 10.0)
 SWEEP_SIGMA_Z = 0.1
 SWEEP_Z0 = 0.8
+# the approximation's maturity curves (rho = 0): one month to ten years
+CURVE_GAMMAS = (-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5)
+CURVE_TENORS = (1.0 / 12.0, 1.0, 4.0, 10.0)
 
 # Externally tabulated deviations (percent) of the survival-ratio
 # approximation over the (gamma, rho, tenor) sweep; rows follow SWEEP_GAMMAS,
@@ -114,7 +117,8 @@ def bracketing_study(
 ) -> list[BracketingPoint]:
     """Survival MC-vs-PDE containment at 5 years on `BRACKETING_HAZARD`, as
     steps grow at ``n_paths`` paths, then as paths grow from ``n_paths`` to
-    ten times as many at ``fixed_steps`` steps.
+    ten times as many at ``fixed_steps`` steps; a (steps, paths) pair that
+    both legs reach is one point.
 
     Each point shares the step count between the MC grid and the PDE time
     grid; the PDE value comes from the two-factor solver with a degenerate
@@ -123,15 +127,16 @@ def bracketing_study(
     T, h = 5.0, BRACKETING_HAZARD
     fx = QuantoFxParams(z0=1.0, sigma_z=0.0, gamma_z=0.0, rho=0.0)
     rates = RatePair(0.0, 0.0)
+    pairs = [(n, n_paths) for n in step_counts] + [(fixed_steps, n_paths),
+                                                   (fixed_steps, 10 * n_paths)]
+    pde: dict[int, float] = {}  # one solve per step count
     points: list[BracketingPoint] = []
-    for n_steps in step_counts:
-        sol = solve_quanto_pde(h, fx, rates, T, SolverConfig(n_x=7, n_y=n_y, n_t=n_steps))
-        mc = survival_probability_mc(h, T, SimConfig(n_paths, n_steps, T, seed))
-        points.append(BracketingPoint(n_steps, n_paths, sol.spot_value, mc))
-    sol = solve_quanto_pde(h, fx, rates, T, SolverConfig(n_x=7, n_y=n_y, n_t=fixed_steps))
-    for paths in (n_paths, 10 * n_paths):
-        mc = survival_probability_mc(h, T, SimConfig(paths, fixed_steps, T, seed))
-        points.append(BracketingPoint(fixed_steps, paths, sol.spot_value, mc))
+    for n_steps, paths in dict.fromkeys(pairs):
+        if n_steps not in pde:
+            cfg = SolverConfig(n_x=7, n_y=n_y, n_t=n_steps)
+            pde[n_steps] = solve_quanto_pde(h, fx, rates, T, cfg).spot_value
+        mc = survival_probability_mc(h, T, SimConfig(paths, n_steps, T, seed))
+        points.append(BracketingPoint(n_steps, paths, pde[n_steps], mc))
     return points
 
 
@@ -149,30 +154,39 @@ def bracketing_checks(points: list[BracketingPoint]) -> tuple[list[Check], list[
     return required, info
 
 
+def deviation_from_ratio(gamma: float, ratio: float) -> float:
+    """(1 + gamma) / ratio - 1, as a fraction, for ratio = (1 - p_hat) / (1 - p)."""
+    return (1.0 + gamma) / ratio - 1.0
+
+
+def deviation_from_curves(gamma: float, p: float, p_hat: float) -> float:
+    """(1 + gamma) / [(1 - p_hat) / (1 - p)] - 1, as a fraction."""
+    return deviation_from_ratio(gamma, (1.0 - p_hat) / (1.0 - p))
+
+
 @dataclass(frozen=True)
 class DeviationCell:
     gamma: float
     rho: float
     tenor: float
-    deviation_pct: float
+    ratio: float        # (1 - p_hat) / (1 - p)
     reference_pct: float | None
 
-
-def deviation_from_curves(gamma: float, p: float, p_hat: float) -> float:
-    """(1 + gamma) / [(1 - p_hat) / (1 - p)] - 1, as a fraction."""
-    q_hat = (1.0 - p_hat) / (1.0 - p)
-    return (1.0 + gamma) / q_hat - 1.0
+    @property
+    def deviation_pct(self) -> float:
+        return 100.0 * deviation_from_ratio(self.gamma, self.ratio)
 
 
 def deviation_sweep(
     h: HazardParams = SWEEP_HAZARD_LOW,
     gammas=SWEEP_GAMMAS,
     rhos=SWEEP_RHOS,
+    tenors=SWEEP_TENORS,
     n_y: int = 801,
     n_t_per_year: int = 100,
 ) -> list[DeviationCell]:
     """Deviation of the survival-ratio approximation across the grid, at
-    the sweep's FX vol and tenors (the anchor and long-tenor checks' cells).
+    the sweep's FX vol (the anchor and long-tenor checks' cells by default).
 
     Survivals come from the exact one-factor reduction; at tenor 1 the
     signal is a fraction of a percent of a percent-sized default leg, which
@@ -181,7 +195,6 @@ def deviation_sweep(
     only when ``h`` is ``SWEEP_HAZARD_LOW``.
     """
     with_reference = h == SWEEP_HAZARD_LOW
-    tenors = SWEEP_TENORS
     n_t = max(50, int(n_t_per_year * tenors[-1]))
     cells: list[DeviationCell] = []
     p_plain = survival_curve_1f(h, tenors, n_y=n_y, n_t=n_t)
@@ -189,12 +202,12 @@ def deviation_sweep(
         for rho in rhos:
             p_hat = quanto_survival_curve_1f(h, _sweep_fx(gamma, rho), tenors, n_y=n_y, n_t=n_t)
             for i, T in enumerate(tenors):
-                dev = deviation_from_curves(gamma, p_plain[i], p_hat[i])
+                ratio = float((1.0 - p_hat[i]) / (1.0 - p_plain[i]))
                 try:
                     ref = reference_deviation_pct(gamma, rho, T) if with_reference else None
                 except (ValueError, KeyError):  # a cell outside the table
                     ref = None
-                cells.append(DeviationCell(gamma, rho, T, 100.0 * dev, ref))
+                cells.append(DeviationCell(gamma, rho, T, ratio, ref))
     return cells
 
 
@@ -274,53 +287,6 @@ def long_tenor_checks(cells: list[DeviationCell], h: HazardParams, seed: int = 9
 
 
 @dataclass(frozen=True)
-class EquivalencePoint:
-    gamma: float
-    rho: float
-    tenor: float
-    p_hat_pde: float
-    p_hat_mc: McEstimate
-
-    @property
-    def abs_gap(self) -> float:
-        return abs(self.p_hat_pde - self.p_hat_mc.mean)
-
-    def within(self, se_mult: float = 3.0, floor: float = 2e-3) -> bool:
-        return self.abs_gap < max(se_mult * self.p_hat_mc.std_error, floor)
-
-
-def mc_pde_equivalence_sweep(n_paths: int = 50_000, seed: int = 9) -> list[EquivalencePoint]:
-    """|p_hat_PDE - p_hat_MC| over the low-hazard sweep, using the two-factor
-    solver on a 101 x 101 x 200 grid and 50 MC steps a year, in one Monte Carlo
-    pass per tenor for all 18 (gamma, rho) legs, each as ``quanto_bond_mc`` prices it."""
-    h, rates, tenors = SWEEP_HAZARD_LOW, RatePair(0.0, 0.0), SWEEP_TENORS
-    pde_cfg = SolverConfig(n_x=101, n_y=101, n_t=200)
-    fxs = [_sweep_fx(gamma, rho) for gamma in SWEEP_GAMMAS for rho in SWEEP_RHOS]
-    mc = [_quanto_bond_pass(h, fxs, rates, T, SimConfig(n_paths, max(20, int(50 * T)), T, seed))
-          for T in tenors]
-    points: list[EquivalencePoint] = []
-    for i, fx in enumerate(fxs):
-        sol = solve_quanto_pde(h, fx, rates, tenors[-1], pde_cfg, snapshot_tenors=tenors)
-        for j, (T, u) in enumerate(zip(*sol.spot_curve)):
-            points.append(EquivalencePoint(fx.gamma_z, fx.rho, float(T), float(u) / fx.z0,
-                                           mc[j][i].p_hat))
-    return points
-
-
-@dataclass(frozen=True)
-class RatioCurvePoint:
-    scenario: str
-    tenor: float
-    gamma: float
-    ratio: float        # (1 - p_hat) / (1 - p)
-    limit: float        # 1 + gamma
-
-    @property
-    def deviation_pct(self) -> float:
-        return 100.0 * (self.limit / self.ratio - 1.0)
-
-
-@dataclass(frozen=True)
 class SymmetryPoint:
     """One devaluation rate's worth of cross-measure checks.
 
@@ -380,29 +346,21 @@ def symmetry_checks(points: list[SymmetryPoint]) -> list[Check]:
     return checks
 
 
-def ratio_maturity_study() -> list[RatioCurvePoint]:
-    """Ratio curves for the low- and high-spread scenarios (rho = 0, no FX
-    vol) from one month to ten years, on 801 nodes and 100 steps a year."""
-    out: list[RatioCurvePoint] = []
-    tenors = (1.0 / 12.0, 1.0, 4.0, 10.0)
-    n_y, n_t = 801, 1000
-    for name, h in (("low", SWEEP_HAZARD_LOW), ("high", SWEEP_HAZARD_HIGH)):
-        p = survival_curve_1f(h, tenors, n_y=n_y, n_t=n_t)
-        for gamma in (-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5):
-            fx = _sweep_fx(gamma, 0.0, sigma_z=0.0)
-            p_hat = quanto_survival_curve_1f(h, fx, tenors, n_y=n_y, n_t=n_t)
-            for i, T in enumerate(tenors):
-                ratio = (1.0 - p_hat[i]) / (1.0 - p[i])
-                out.append(RatioCurvePoint(name, T, gamma, float(ratio), 1.0 + gamma))
-    return out
+def ratio_maturity_study() -> dict[str, list[DeviationCell]]:
+    """The approximation's maturity curves in each spread scenario: the
+    deviation sweep at rho = 0 over ``CURVE_GAMMAS`` and ``CURVE_TENORS``,
+    where the FX vol drops out (the reduction's tilt is rho sigma_y sigma_z)."""
+    return {scenario: deviation_sweep(h, CURVE_GAMMAS, (0.0,), CURVE_TENORS)
+            for scenario, h in SWEEP_HAZARDS.items()}
 
 
-def ratio_checks(points: list[RatioCurvePoint]) -> list[Check]:
+def ratio_checks(curves: dict[str, list[DeviationCell]]) -> list[Check]:
     """|deviation| grows from the shortest to the longest tenor (gamma = -0.5),
     and from the low- to the high-spread scenario (4 and 10 y, gamma = +-0.5)."""
-    by_key = {(p.scenario, p.tenor, p.gamma): p for p in points}
-    shortest = min(p.tenor for p in points)
-    longest = max(p.tenor for p in points)
+    by_key = {(scenario, c.tenor, c.gamma): c for scenario, cells in curves.items()
+              for c in cells}
+    shortest = min(t for _, t, _ in by_key)
+    longest = max(t for _, t, _ in by_key)
     checks: list[Check] = []
     for scenario in ("low", "high"):
         p_short = by_key[(scenario, shortest, -0.5)]

@@ -68,7 +68,11 @@ class TestCriterion1McPdeBracketing:
         required, info = bracketing_checks(points)
         for name, inside, detail in info:
             print(f"[info] {name}: inside={inside} {detail}")
-        _assert_checks("criterion 1", required, 4)
+        # one check per distinct (steps, paths) point from 300 steps on
+        assert [name for name, _, _ in required] == [
+            f"bracketing steps={n} paths={paths}"
+            for n, paths in ((300, 100_000), (500, 100_000), (500, 1_000_000))]
+        _assert_checks("criterion 1", required, 3)
 
 
 class TestCriterion2DeterministicClosedForm:

@@ -321,6 +321,20 @@ class TestValidateCmd:
         assert out.endswith(f"{passed} checks passed\n")
         # the table's 1-year anchors belong to the low-hazard sweep only
         assert ("deviation 1y" in out) == (scenario == "low")
+        # the maturity curves: 2 scenarios x 7 gammas x 4 tenors, whatever the sweep
+        rows = list(csv.DictReader(open(tmp_path / "validate_ratio_curves.csv")))
+        assert len(rows) == 56
+        for row in rows:
+            gamma, ratio = float(row["gamma"]), float(row["default_ratio"])
+            assert row["short_tenor_limit"] == f"{1 + gamma:.6g}"
+            # the deviation is printed to four decimals from the unrounded ratio, which
+            # the file gives to six significant digits (relative error <= 5e-6)
+            dev = 100 * ((1 + gamma) / ratio - 1)
+            tol = 5e-5 + 100 * (1 + gamma) / ratio * 5e-6
+            assert abs(float(row["deviation_pct"]) - dev) <= tol
+            if gamma == 0.0:
+                # p_hat and p are the same expectation
+                assert (row["default_ratio"], row["deviation_pct"]) == ("1", "0.0000")
 
 
 class TestCalibrateCmd:

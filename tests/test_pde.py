@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from quantocds import pde
 from quantocds.cds import CdsContract, quanto_par_spread
-from quantocds.mc import SimConfig, survival_probability_mc
+from quantocds.mc import McEstimate, SimConfig, _quanto_bond_pass, survival_probability_mc
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
 from quantocds.pde import (
     Grid2D,
@@ -18,6 +18,7 @@ from quantocds.pde import (
     _spectral_1f,
     _time_grid,
     _y_axis,
+    _y_diags,
     PdeInstabilityError,
     SolverConfig,
     build_grid,
@@ -30,7 +31,13 @@ from quantocds.pde import (
     solve_quanto_pde,
     survival_curve_1f,
 )
-from quantocds.validation import mc_pde_equivalence_sweep
+from quantocds.validation import (
+    SWEEP_GAMMAS,
+    SWEEP_HAZARD_LOW,
+    SWEEP_RHOS,
+    SWEEP_TENORS,
+    _sweep_fx,
+)
 
 RATES0 = RatePair(0.0, 0.0)
 H_SWEEP = HazardParams(a=1e-4, b=-210.45, sigma_y=0.2, y0=-4.089)
@@ -403,17 +410,17 @@ class TestTridiag:
 
 
 def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=5.0):
-    """Positional and keyword arguments shared by ``_spectral_1f`` and
-    ``_march_1f`` for a quarterly curve, as ``survival_curve_1f`` builds them."""
+    """The operator, its kill and the grid keywords that ``survival_curve_1f``
+    hands to ``_spectral_1f`` and ``_march_1f`` for a quarterly curve."""
     tenors = tuple(CdsContract(tenor=T).payment_times())
     y, iy0 = _y_axis(h, T, n_y, 6.0, drift_shift)
     dt, n_total, snap = _time_grid(T, n_t, tenors)
-    return (h, y, dt, n_total), dict(drift_shift=drift_shift, kill_scale=kill_scale,
-                                     snap=snap, iy0=iy0)
+    kill = kill_scale * np.exp(y)
+    return _y_diags(h, y, drift_shift, kill), kill, dict(dt=dt, n_t=n_total, snap=snap, iy0=iy0)
 
 
-def _marched(args, kw):
-    _, snapshots = _march_1f(*args, r_kill=0.0, **kw)
+def _marched(ops, grid):
+    _, snapshots = _march_1f(ops, **grid)
     return np.array([snapshots[t] for t in sorted(snapshots)])
 
 
@@ -438,21 +445,21 @@ class TestSpectralSolve:
         # the criterion-7 round trips
         h = HazardParams(a=a, b=y0 + drift * sigma_y / a if a > 0 else 0.0,
                          sigma_y=sigma_y, y0=y0)
-        args, kw = _one_factor_args(h, n_y, 200, tilt * sigma_y, kill_scale)
-        spectral = _spectral_1f(*args, **kw)
+        ops, kill, grid = _one_factor_args(h, n_y, 200, tilt * sigma_y, kill_scale)
+        spectral = _spectral_1f(ops, kill, **grid)
         assume(spectral is not None)
         got = np.array([spectral[t] for t in sorted(spectral)])
-        assert np.max(np.abs(got - _marched(args, kw))) <= 1e-12
+        assert np.max(np.abs(got - _marched(ops, grid))) <= 1e-12
 
     def test_calibration_curve_takes_the_spectral_path(self):
         h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
-        args, kw = _one_factor_args(h, 161, 400, 0.015, 0.8, T=10.0)
-        spectral = _spectral_1f(*args, **kw)
+        ops, kill, grid = _one_factor_args(h, 161, 400, 0.015, 0.8, T=10.0)
+        spectral = _spectral_1f(ops, kill, **grid)
         p = quanto_survival_curve_1f(
             h, QuantoFxParams(z0=1.0, sigma_z=0.1, gamma_z=-0.2, rho=0.3),
             sorted(spectral), n_y=161, n_t=400)
         assert np.array_equal(p, [spectral[t] for t in sorted(spectral)])
-        assert np.max(np.abs(p - _marched(args, kw))) <= 1e-12
+        assert np.max(np.abs(p - _marched(ops, grid))) <= 1e-12
 
     @pytest.mark.parametrize("case", ["no kill", "no diffusion", "n_y > n_t / 2",
                                       "eigensolver fails", "stiff spectrum"])
@@ -472,11 +479,11 @@ class TestSpectralSolve:
             def fail(*args, **kwargs):
                 raise LinAlgError("eigenvalues did not converge")
             monkeypatch.setattr(pde, "eigh_tridiagonal", fail)
-        args, kw = _one_factor_args(h, n_y, 200, 0.0, kill_scale)
-        assert _spectral_1f(*args, **kw) is None
-        p = survival_curve_1f(h, sorted(kw["snap"].values()), n_y=n_y, n_t=200,
+        ops, kill, grid = _one_factor_args(h, n_y, 200, 0.0, kill_scale)
+        assert _spectral_1f(ops, kill, **grid) is None
+        p = survival_curve_1f(h, sorted(grid["snap"].values()), n_y=n_y, n_t=200,
                               kill_scale=kill_scale)
-        marched = _marched(args, kw)
+        marched = _marched(ops, grid)
         if case == "no kill":
             # w = 1 solves the unkilled equation exactly; the march's
             # round-off lies above it
@@ -629,6 +636,40 @@ class TestGrid:
             SolverConfig(n_y=41.5)
         with pytest.raises(ValueError, match=r"n_t must be an integer >= 1, got 0"):
             SolverConfig(n_t=0)
+
+
+@dataclass(frozen=True)
+class EquivalencePoint:
+    gamma: float
+    rho: float
+    tenor: float
+    p_hat_pde: float
+    p_hat_mc: McEstimate
+
+    @property
+    def abs_gap(self) -> float:
+        return abs(self.p_hat_pde - self.p_hat_mc.mean)
+
+    def within(self, se_mult: float = 3.0, floor: float = 2e-3) -> bool:
+        return self.abs_gap < max(se_mult * self.p_hat_mc.std_error, floor)
+
+
+def mc_pde_equivalence_sweep(n_paths: int = 50_000, seed: int = 9) -> list[EquivalencePoint]:
+    """|p_hat_PDE - p_hat_MC| over the low-hazard sweep, using the two-factor
+    solver on a 101 x 101 x 200 grid and 50 MC steps a year, in one Monte Carlo
+    pass per tenor for all 18 (gamma, rho) legs, each as ``quanto_bond_mc`` prices it."""
+    h, rates, tenors = SWEEP_HAZARD_LOW, RatePair(0.0, 0.0), SWEEP_TENORS
+    pde_cfg = SolverConfig(n_x=101, n_y=101, n_t=200)
+    fxs = [_sweep_fx(gamma, rho) for gamma in SWEEP_GAMMAS for rho in SWEEP_RHOS]
+    mc = [_quanto_bond_pass(h, fxs, rates, T, SimConfig(n_paths, max(20, int(50 * T)), T, seed))
+          for T in tenors]
+    points: list[EquivalencePoint] = []
+    for i, fx in enumerate(fxs):
+        sol = solve_quanto_pde(h, fx, rates, tenors[-1], pde_cfg, snapshot_tenors=tenors)
+        for j, (T, u) in enumerate(zip(*sol.spot_curve)):
+            points.append(EquivalencePoint(fx.gamma_z, fx.rho, float(T), float(u) / fx.z0,
+                                           mc[j][i].p_hat))
+    return points
 
 
 class TestMcPdeEquivalence:

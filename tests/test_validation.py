@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantocds import validation
 from quantocds.mc import (
     FxSymmetryReport,
     McEstimate,
@@ -19,11 +20,11 @@ from quantocds.validation import (
     SWEEP_Z0,
     BracketingPoint,
     DeviationCell,
-    RatioCurvePoint,
     SymmetryPoint,
     _mc_deviation_pct,
     anchor_checks,
     bracketing_checks,
+    bracketing_study,
     deviation_from_curves,
     deviation_sweep,
     fx_symmetry_study,
@@ -48,12 +49,36 @@ class TestDeviationSweepReference:
         assert all(c.reference_pct is None for c in cells)
 
 
+class TestBracketingStudy:
+    def test_points_are_distinct(self, monkeypatch):
+        solves = []
+        solve = validation.solve_quanto_pde
+
+        def counting(h, fx, rates, T, cfg):
+            solves.append(cfg.n_t)
+            return solve(h, fx, rates, T, cfg)
+
+        monkeypatch.setattr(validation, "solve_quanto_pde", counting)
+        # the step leg ends where the path leg starts, at (100, 2000)
+        points = bracketing_study(step_counts=(50, 100), n_paths=2_000, fixed_steps=100,
+                                  n_y=21)
+        assert [(pt.n_steps, pt.n_paths) for pt in points] == [
+            (50, 2_000), (100, 2_000), (100, 20_000)]
+        assert solves == [50, 100]  # one PDE solve per step count
+        assert points[1].pde_value == points[2].pde_value
+
+
 def _estimate(mean: float, se: float) -> McEstimate:
     return McEstimate(mean, se, mean - 1.96 * se, mean + 1.96 * se, 100_000)
 
 
 def _oks(checks) -> list[bool]:
     return [bool(ok) for _, ok, _ in checks]
+
+
+def _cell(gamma: float, tenor: float, dev_pct: float, reference_pct=None) -> DeviationCell:
+    """A rho = 0 cell whose ratio (1 - p_hat)/(1 - p) deviates by ``dev_pct``."""
+    return DeviationCell(gamma, 0.0, tenor, (1 + gamma) / (1 + dev_pct / 100), reference_pct)
 
 
 class TestCheckTable:
@@ -71,18 +96,18 @@ class TestCheckTable:
     def test_anchor_shifted_by_0_6pp(self):
         ref0 = reference_deviation_pct(0.0, 0.0, 1.0)
         ref5 = reference_deviation_pct(0.5, 0.0, 1.0)
-        cells = [DeviationCell(0.0, 0.0, 1.0, ref0 + 0.4, ref0),
-                 DeviationCell(0.25, 0.0, 1.0, 9.0, reference_deviation_pct(0.25, 0.0, 1.0)),
-                 DeviationCell(0.5, 0.0, 1.0, ref5 + 0.6, ref5)]
+        cells = [_cell(0.0, 1.0, ref0 + 0.4, ref0),
+                 _cell(0.25, 1.0, 9.0, reference_deviation_pct(0.25, 0.0, 1.0)),
+                 _cell(0.5, 1.0, ref5 + 0.6, ref5)]
         assert _oks(anchor_checks(cells)) == [True, False]
         # a sweep without the table has no anchors
-        assert anchor_checks([DeviationCell(0.0, 0.0, 1.0, 9.0, None)]) == []
+        assert anchor_checks([_cell(0.0, 1.0, 9.0)]) == []
 
     @staticmethod
     def _ratio_points(dev_pct):
-        return [RatioCurvePoint(sc, t, g, (1 + g) / (1 + dev_pct(sc, t) / 100), 1 + g)
-                for sc in ("low", "high") for t in (1 / 12, 1.0, 4.0, 10.0)
-                for g in (-0.5, 0.5)]
+        return {sc: [_cell(g, t, dev_pct(sc, t)) for g in (-0.5, 0.5)
+                     for t in (1 / 12, 1.0, 4.0, 10.0)]
+                for sc in ("low", "high")}
 
     def test_ratio_long_tenor_below_short_tenor(self):
         level = {"low": 1.0, "high": 2.0}
