@@ -24,12 +24,10 @@ from .mc import (
     verify_rn_martingale,
 )
 from .pde import (
-    ConvergenceReport,
     Grid2D,
     PdeInstabilityError,
     PdeSolution,
     SolverConfig,
-    convergence_report,
     quanto_survival_curve,
     quanto_survival_curve_1f,
     solve_foreign_measure_pde,

@@ -21,13 +21,16 @@ y-drift tilted by rho sigma_y sigma_z.  The reduction doubles as a
 high-precision cross-check of the ADI engine and as the fast path for
 calibration.
 
-All three implicit sweeps (the one-factor march, the ADI x-sweep and the
-ADI y-sweep) share one tridiagonal layer, ``_Tridiag``: LAPACK ``dgttrf``
-factors I - theta*dt*A once per theta*dt, and a solve is one ``dgttrs``
-call.  The ADI x-sweep solves all y rows as one block-diagonal system.  The
-y-sweep's matrix is shared by all x columns: on up to ``_DENSE_Y_SWEEP_MAX``
-y-nodes it multiplies them by the inverse that those factors give once,
-one BLAS-3 product, and above it solves them as right-hand sides of one call.
+Both engines difference y with one operator, ``_y_diags``: Spalding's
+hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
+Every implicit sweep (the one-factor march, the ADI x-sweep and the ADI
+y-sweep) solves through one function, ``solve_banded``: LAPACK ``dgttrf``
+factors I - theta*dt*A once per theta*dt (``_factor``), and a solve is one
+``dgttrs`` call.  The ADI x-sweep solves all y rows as one block-diagonal
+system.  The y-sweep's matrix is shared by all x columns: on up to
+``_DENSE_Y_SWEEP_MAX`` y-nodes it multiplies them by the inverse that one
+solve of the identity gives, one BLAS-3 product, and above it solves them
+as right-hand sides of one call.
 
 ``survival_curve_1f`` builds the one-factor operator once and does
 without the time loop where it can: the operator is time-homogeneous and,
@@ -41,11 +44,11 @@ half the time steps, where the march is cheaper) ``_march_1f`` marches the
 same operator; it is also the reference the tests hold the spectral path to.
 
 Importing this module loads numpy only; scipy.linalg loads with the first
-solve.  ``_Tridiag`` binds LAPACK ``dgttrf``/``dgttrs`` when it factors, and
+solve.  ``_factor`` binds LAPACK ``dgttrf``/``dgttrs`` when it factors, and
 the module-level ``eigh_tridiagonal`` imports scipy's routine when called;
-``TestSpectralSolve`` in tests/test_pde.py monkeypatches that name.
-perfbench/tracing.py's ``LEAVES`` entry ``pde.solve_banded`` resolves
-``solve_banded``, which the module ``__getattr__`` loads on request.
+``TestSpectralSolve`` in tests/test_pde.py monkeypatches that name.  Callers
+look ``solve_banded`` up as a module global, so a wrapper set in its place
+sees every solve.
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises
@@ -74,17 +77,6 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     from scipy.linalg import eigh_tridiagonal
 
     return eigh_tridiagonal(d, e)
-
-
-def __getattr__(name: str):
-    # ``solve_banded`` is unused here, but perfbench/tracing.py's LEAVES
-    # resolves ``quantocds.pde.solve_banded``; load it only when asked for.
-    if name == "solve_banded":
-        from scipy.linalg import solve_banded
-
-        globals()[name] = solve_banded
-        return solve_banded
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Every solve steps Crank-Nicolson (implicit weight _THETA) after
@@ -254,15 +246,22 @@ _Diags = tuple[np.ndarray, np.ndarray, np.ndarray]  # sub-, main and super-diago
 def _y_diags(h: HazardParams, y: np.ndarray, drift_shift: float, kill: np.ndarray) -> _Diags:
     """Diagonals of 0.5 sigma_y^2 d_yy + (a(b - y) + drift_shift) d_y - kill.
 
-    Central differences on the uniform ``y`` nodes, zero first derivative
-    at both ends; the one-factor march and the ADI y-direction share it.
+    Spalding's (1972) hybrid scheme on the uniform ``y`` nodes, zero first
+    derivative at both ends; the one-factor march and the ADI y-direction
+    share it.  Interior rows difference centrally with the diffusion
+    max(sigma_y^2 / 2, |c| dy / 2), c the drift: up to a cell Peclet number
+    |c| dy / sigma_y^2 of 1 that is the plain central scheme, above it pure
+    upwinding, whose downwind coupling is zero.  The boundary rows keep
+    sigma_y^2 / 2.
     """
     dy = y[1] - y[0]
     hy = 0.5 * h.sigma_y**2
     cy = h.a * (h.b - y) + drift_shift
-    lo = hy / dy**2 - cy / (2 * dy)
-    di = -2 * hy / dy**2 - kill
-    up = hy / dy**2 + cy / (2 * dy)
+    d = np.maximum(hy, 0.5 * dy * np.abs(cy))
+    d[[0, -1]] = hy
+    lo = d / dy**2 - cy / (2 * dy)
+    di = -2 * d / dy**2 - kill
+    up = d / dy**2 + cy / (2 * dy)
     lo[0] = 0.0
     up[0] = 2 * hy / dy**2
     up[-1] = 0.0
@@ -278,36 +277,38 @@ def _apply(lo: np.ndarray, di: np.ndarray, up: np.ndarray, v: np.ndarray) -> np.
     return out
 
 
-class _Tridiag:
+def _factor(lo: np.ndarray, di: np.ndarray, up: np.ndarray, theta_dt: float, sweep: str) -> tuple:
     """LAPACK LU factors of I - theta_dt * A for a tridiagonal operator A.
 
     ``lo``, ``di``, ``up`` are A's sub-, main and super-diagonals, shape (n,)
     or (k, n); k rows are solved as one block-diagonal system of size k*n
     with zero couplings at the row seams (``lo[..., 0]`` and ``up[..., -1]``
     are ignored).  ``dgttrf`` factors once with the partial pivoting of
-    LAPACK ``gtsv``; each solve is one ``dgttrs`` call.  A right-hand side
-    whose first dimension is the system's size holds one column per
-    trailing index, all solved against the shared matrix; the identity as
-    right-hand side gives the ADI y-sweep its dense inverse.
+    LAPACK ``gtsv``.  Returns ``solve_banded``'s ``lu``: ``dgttrs``, bound
+    here, the system's size and the factors.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
-    def __init__(self, lo: np.ndarray, di: np.ndarray, up: np.ndarray,
-                 theta_dt: float, sweep: str):
-        from scipy.linalg.lapack import dgttrf, dgttrs
+    dl, du = -theta_dt * lo, -theta_dt * up
+    dl[..., 0] = du[..., -1] = 0.0
+    *factors, info = dgttrf(dl.ravel()[1:], 1.0 - theta_dt * di.ravel(), du.ravel()[:-1])
+    if info != 0:
+        raise PdeInstabilityError(
+            f"{sweep}: I - theta*dt*A is singular at theta*dt = {theta_dt:.6g} "
+            f"(zero pivot at unknown {info} of {di.size})"
+        )
+    return (dgttrs, di.size, *factors)
 
-        self._dgttrs = dgttrs
-        dl, du = -theta_dt * lo, -theta_dt * up
-        dl[..., 0] = du[..., -1] = 0.0
-        self.size = di.size
-        *self.lu, info = dgttrf(dl.ravel()[1:], 1.0 - theta_dt * di.ravel(), du.ravel()[:-1])
-        if info != 0:
-            raise PdeInstabilityError(
-                f"{sweep}: I - theta*dt*A is singular at theta*dt = {theta_dt:.6g} "
-                f"(zero pivot at unknown {info} of {di.size})"
-            )
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._dgttrs(*self.lu, rhs.reshape(self.size, -1))[0].reshape(rhs.shape)
+def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """(I - theta_dt * A)^-1 rhs from ``_factor``'s ``lu``: every implicit sweep's solve.
+
+    A right-hand side whose first dimension is the system's size holds one
+    column per trailing index, all solved against the shared matrix; the
+    identity as right-hand side gives the ADI y-sweep its dense inverse.
+    """
+    dgttrs, size, *factors = lu
+    return dgttrs(*factors, rhs.reshape(size, -1))[0].reshape(rhs.shape)
 
 
 class _Ops2D:
@@ -316,7 +317,7 @@ class _Ops2D:
     Arrays are laid out (n_y, n_x), x along the contiguous last axis.
     Direction 1 is x, direction 2 is y.  The x-direction systems vary by y
     row (the jump compensator makes their convection y-dependent) and are
-    solved through ``_Tridiag`` as one block-diagonal system over all rows.
+    solved through ``solve_banded`` as one block-diagonal system over all rows.
     The y-direction operator is the one-factor march's (``_y_diags``),
     shared by all x columns: up to ``_DENSE_Y_SWEEP_MAX`` nodes its factors
     solve the identity once per theta*dt and each y-sweep is one product
@@ -368,7 +369,11 @@ class _Ops2D:
 
         # rho sigma_z sigma_y times the fitted v_xy's weight on the four-point cross difference
         self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y * dx / math.sinh(dx) / (4.0 * dx * dy)
-        self._factors: dict[tuple[int, float], _Tridiag] = {}
+        # at the x-edges a central y-difference of the one-sided fitted x-differences,
+        # exact on e^x like the boundary rows of the x-direction
+        edge = fx.rho * fx.sigma_z * h.sigma_y / (2.0 * dy)
+        self._edge_coefs = (edge / math.expm1(dx), -edge / math.expm1(-dx))
+        self._factors: dict[tuple[int, float], tuple] = {}
         self._y_inverses: dict[float, np.ndarray] = {}
 
     def f1(self, v: np.ndarray) -> np.ndarray:
@@ -378,34 +383,37 @@ class _Ops2D:
         return _apply(*self._y_stencil, v)
 
     def mixed(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The mixed term into the interior of a zeroed ``out``, whose edges stay zero."""
+        """The mixed term into a zeroed ``out``, whose y-edge rows, where v_y = 0, stay zero."""
         if self.mixed_coef != 0.0:
             dxv = v[:, 2:] - v[:, :-2]
             np.multiply(self.mixed_coef, dxv[2:] - dxv[:-2], out=out[1:-1, 1:-1])
+            left, right = self._edge_coefs
+            out[1:-1, 0] = left * ((v[2:, 1] - v[2:, 0]) - (v[:-2, 1] - v[:-2, 0]))
+            out[1:-1, -1] = right * ((v[2:, -1] - v[2:, -2]) - (v[:-2, -1] - v[:-2, -2]))
         return out
 
-    def solver(self, direction: int, theta_dt: float) -> _Tridiag:
-        """Factors of I - theta_dt * A along ``direction``, made once."""
+    def lu(self, direction: int, theta_dt: float) -> tuple:
+        """``solve_banded``'s factors of I - theta_dt * A along ``direction``, made once."""
         key = (direction, theta_dt)
         if key not in self._factors:
             ny, nx = self.diags[1][1].shape
-            self._factors[key] = _Tridiag(*self.diags[direction], theta_dt,
-                                          f"ADI {'xy'[direction - 1]}-sweep on the {nx} x {ny} grid")
+            self._factors[key] = _factor(*self.diags[direction], theta_dt,
+                                         f"ADI {'xy'[direction - 1]}-sweep on the {nx} x {ny} grid")
         return self._factors[key]
 
     def y_sweep(self, rhs: np.ndarray, theta_dt: float) -> np.ndarray:
         """(I - theta_dt * A_y)^-1 rhs for every x column."""
-        solver = self.solver(2, theta_dt)
-        if solver.size > _DENSE_Y_SWEEP_MAX:
-            return solver.solve(rhs)
+        lu, n_y = self.lu(2, theta_dt), rhs.shape[0]
+        if n_y > _DENSE_Y_SWEEP_MAX:
+            return solve_banded(lu, rhs)
         if theta_dt not in self._y_inverses:
-            self._y_inverses[theta_dt] = solver.solve(np.eye(solver.size))
+            self._y_inverses[theta_dt] = solve_banded(lu, np.eye(n_y))
         return self._y_inverses[theta_dt] @ rhs
 
     def sweeps(self, rhs: np.ndarray, theta_dt: float, f1v: np.ndarray,
                f2v: np.ndarray) -> np.ndarray:
         """The implicit x-sweep, then the y-sweep, of one splitting stage."""
-        y1 = self.solver(1, theta_dt).solve(rhs - theta_dt * f1v)
+        y1 = solve_banded(self.lu(1, theta_dt), rhs - theta_dt * f1v)
         return self.y_sweep(y1 - theta_dt * f2v, theta_dt)
 
 
@@ -421,7 +429,7 @@ def _adi_march(
     iy0, ix0 = spot
     snapshots: dict[float, float] = {}
     cap = 50.0 * float(np.max(np.abs(v))) + 10.0
-    f0v, f0v_new = np.zeros_like(v), np.zeros_like(v)  # mixed terms; edges stay zero
+    f0v, f0v_new = np.zeros_like(v), np.zeros_like(v)  # mixed terms; y-edges stay zero
     for step in range(n_t):
         k_next = n_t - 1 - step  # time-node index after this step
         theta = 1.0 if step < _RANNACHER_STEPS else _THETA
@@ -518,14 +526,15 @@ def _march_1f(ops: _Diags, dt: float, n_t: int, snap: Mapping[int, float], iy0: 
     n = di.size
     w = np.ones(n)
     snapshots: dict[float, float] = {}
-    solvers: dict[float, _Tridiag] = {}
+    factors: dict[float, tuple] = {}
     for step in range(n_t):
         k_next = n_t - 1 - step
         theta = 1.0 if step < _RANNACHER_STEPS else _THETA
-        if theta not in solvers:
-            solvers[theta] = _Tridiag(lo, di, up, theta * dt, f"one-factor march on {n} nodes")
+        if theta not in factors:
+            factors[theta] = _factor(lo, di, up, theta * dt, f"one-factor march on {n} nodes")
         # a fully implicit step has no explicit half
-        w = solvers[theta].solve(w if theta == 1.0 else w + (1.0 - theta) * dt * _apply(lo, di, up, w))
+        w = solve_banded(factors[theta],
+                         w if theta == 1.0 else w + (1.0 - theta) * dt * _apply(lo, di, up, w))
         if k_next in snap:
             snapshots[snap[k_next]] = float(w[iy0])
     if not np.all(np.isfinite(w)):
@@ -548,7 +557,8 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
     - a zero kill at some node, where e^y underflows: S is then not
       negative definite (a zero ``kill_scale``, total devaluation, never
       gets here: ``survival_curve_1f`` returns its exact solution, 1);
-    - a cell Peclet number above 1 (A is not symmetrisable);
+    - a cell Peclet number above 1, where ``_y_diags`` upwinds and a zero
+      coupling leaves A not symmetrisable;
     - ln(max d / min d) > 10, where the eigenvectors lose accuracy, or
       max |diag| dt > 300, where the stiff components' step factors near -1
       take the two paths more than 1e-12 apart;
@@ -672,49 +682,3 @@ def quanto_survival_curve(
         raise ValueError(f"unknown engine {engine!r}")
     p = survival_curve_1f(h, tenors, n_y=cfg.n_y, n_t=cfg.n_t)
     return SurvivalCurve(ts, p_hat), SurvivalCurve(np.asarray(tenors), p)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    values: list[float]
-    diffs: list[float]
-    orders: list[float]
-    monotone: bool
-
-    def min_order(self) -> float:
-        return min(self.orders) if self.orders else math.nan
-
-
-def convergence_report(
-    problem: Callable[[SolverConfig], float],
-    resolutions: Sequence[SolverConfig],
-) -> ConvergenceReport:
-    """Richardson-style empirical orders from a sequence of refined solves.
-
-    ``resolutions`` must be ordered coarse to fine, each halving the mesh
-    of its neighbour (``refine_space`` or ``refine_time``).  Non-monotone
-    shrinkage of the successive differences is flagged rather than raised:
-    on smooth problems it usually means the refinement has hit another
-    error floor.
-    """
-    if len(resolutions) < 3:
-        raise ValueError("need at least 3 resolutions for an order estimate")
-    values = [float(problem(cfg)) for cfg in resolutions]
-    diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    orders = []
-    for d1, d2 in zip(diffs, diffs[1:]):
-        if d2 == 0.0 or d1 == 0.0:
-            orders.append(math.inf)
-        else:
-            orders.append(math.log(abs(d1) / abs(d2)) / math.log(2.0))
-    monotone = all(abs(d2) <= abs(d1) for d1, d2 in zip(diffs, diffs[1:]))
-    return ConvergenceReport(values=values, diffs=diffs, orders=orders, monotone=monotone)
-
-
-def refine_space(cfg: SolverConfig) -> SolverConfig:
-    """Halve both spatial meshes (node counts 2n - 1 keep the endpoints)."""
-    return replace(cfg, n_x=2 * cfg.n_x - 1, n_y=2 * cfg.n_y - 1)
-
-
-def refine_time(cfg: SolverConfig) -> SolverConfig:
-    return replace(cfg, n_t=2 * cfg.n_t)
