@@ -15,17 +15,24 @@ alone would draw, so the estimates that share a pass (the symmetry study's
 measures, the long-tenor check's drift tilts) are bit-identical to separate
 runs while the normals are drawn once.
 
+Legs that share a hazard (drift tilt and intensity scale) share its
+stepped state, and legs that share an FX correlation and volatility share
+each step's FX noise, so a pass does each piece of arithmetic once.
+
 Paths are simulated in fixed-size blocks whose RNG substreams are derived
 deterministically from (seed, block index), and block partials are reduced
 in block order, so estimates are bit-identical for a given config no matter
 how the work is laid out.
 
-Within a block, one helper thread draws each step's normals a few steps
-ahead of the step loop (numpy's generator and ufuncs release the GIL, so the
-draws and the path arithmetic run on two cores).  It consumes the block's
-stream in the order a serial loop would, so every estimate is unchanged bit
-for bit, and it is joined before the block returns, also when either side
-raises: no thread outlives a call.
+The work runs on two threads at most (numpy's generator and ufuncs release
+the GIL, so two threads use two cores).  Full blocks run in pairs, one block
+on the caller's thread and one on a helper, each drawing its own normals as
+it steps.  A full block left over and the final partial block run alone,
+with a helper thread drawing each step's normals a few steps ahead of the
+step loop.  Every block consumes its stream in the order a serial loop
+would, so every estimate is unchanged bit for bit, and every helper is
+joined before its blocks return, also when either side raises: no thread
+outlives a call.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import math
 import numbers
 import queue
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -253,15 +260,20 @@ class _TerminalKernel:
 
     It steps a stack of legs (one ``_Leg`` each) on the same random numbers:
     every leg sees, number for number, the draws a run of that leg alone
-    would make.  State arrays have shape (legs, block) and the per-leg
-    coefficients are column vectors.  A block draws its thresholds on the
-    caller's thread, then its normals on a helper thread (``_drawn_ahead``),
-    in the order of the serial step loop.
+    would make.  Legs with the same (``drift_shift``, ``intensity_scale``)
+    form one hazard group, whose Y, e^Y, integrated intensity and alive mask
+    are stepped once, with shape (groups, block) and per-group coefficient
+    columns; legs with the same (``fx_rho``, ``fx_sigma``) share one FX noise
+    increment a step; ln Z is stepped per leg.
     """
 
     def __init__(self, h: HazardParams, legs: Sequence[_Leg]):
         self.h = h
         self.legs = tuple(legs)
+        self._hazards = list(dict.fromkeys((leg.drift_shift, leg.intensity_scale)
+                                           for leg in self.legs))
+        self._hazard_of = [self._hazards.index((leg.drift_shift, leg.intensity_scale))
+                           for leg in self.legs]
 
     def run(self, cfg: SimConfig, want_fx: bool = True, at_steps: Sequence[int] = ()):
         """Terminal arrays (alive, int_lam, z) reduced over all blocks, one row per leg.
@@ -272,38 +284,89 @@ class _TerminalKernel:
         *unscaled* intensity exp(Y) at the horizon, shape (legs, n_paths), or
         with ``at_steps`` (distinct step indices in 1..n_steps) after each
         listed step, shape (legs, n_paths, len(at_steps)).
+
+        Full blocks run two at a time (``_run_pair``); a full block left over
+        and the final partial block run alone.
         """
         n = cfg.n_paths
         shape = (len(self.legs), n)
         alive = np.empty(shape, dtype=bool)
         int_lam = None if want_fx else np.empty(shape + (len(at_steps),) if at_steps else shape)
         z = np.empty(shape) if want_fx else None
-        for block, start in enumerate(range(0, n, _BLOCK)):
-            size = min(_BLOCK, n - start)
-            a, il, zz = self._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx,
-                                        at_steps)
-            alive[:, start : start + size] = a
+
+        def keep(block: int, out) -> None:
+            a, il, zz = out
+            cut = slice(block * _BLOCK, block * _BLOCK + a.shape[1])
+            alive[:, cut] = a
             if want_fx:
-                z[:, start : start + size] = zz
+                z[:, cut] = zz
             else:
-                int_lam[:, start : start + size] = il
+                int_lam[:, cut] = il
+
+        paired = n // (2 * _BLOCK) * 2
+        for block in range(0, paired, 2):
+            for j, out in enumerate(self._run_pair(cfg, block, want_fx, at_steps)):
+                keep(block + j, out)
+        for block in range(paired, -(-n // _BLOCK)):
+            size = min(_BLOCK, n - block * _BLOCK)
+            keep(block, self._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx,
+                                        at_steps))
         return alive, int_lam, z
+
+    def _run_pair(self, cfg: SimConfig, block: int, want_fx: bool, at_steps: Sequence[int]):
+        """The full blocks ``block`` and ``block + 1``, side by side: the second
+        on a helper thread, each drawing its own normals inline.
+
+        A failure on either side makes the other stop at its next step; the
+        helper is joined before this returns or raises, and a failure of the
+        helper's block is raised here.
+        """
+        stop = threading.Event()
+        second = []
+
+        def partner() -> None:
+            try:
+                second.append(self._run_block(_block_rng(cfg.seed, block + 1), _BLOCK, cfg,
+                                              want_fx, at_steps, stop))
+            except BaseException as exc:  # re-raised below, on the caller's thread
+                stop.set()
+                second.append(exc)
+
+        helper = threading.Thread(target=partner, name="quantocds-mc-pair", daemon=True)
+        helper.start()
+        try:
+            first = self._run_block(_block_rng(cfg.seed, block), _BLOCK, cfg, want_fx,
+                                    at_steps, stop)
+        except BaseException:
+            stop.set()
+            raise
+        finally:
+            helper.join()
+        if isinstance(second[0], BaseException):
+            raise second[0]
+        return first, second[0]
 
     def _draw_normals(self, rng, count: int) -> np.ndarray:
         return rng.standard_normal(count)
 
     def _run_block(self, rng, size: int, cfg: SimConfig, want_fx: bool,
-                   at_steps: Sequence[int]):
+                   at_steps: Sequence[int], stop: threading.Event | None = None):
+        """One block's (alive, int_lam, z), one row per leg.
+
+        The thresholds are drawn on the calling thread.  Without ``stop`` the
+        normals are drawn ahead on a helper thread (``_drawn_ahead``); with
+        it, as one block of a pair, they are drawn inline, and the block gives
+        up at the first step after ``stop`` is set.
+        """
         # Every update writes into buffers allocated once per block and keeps
         # the operand order of the plain expression it replaces (noted beside
         # it), so each leg's numbers are bit for bit those of a one-leg run.
-        legs = self.legs
         dt = cfg.horizon / cfg.n_steps
-        sqdt = math.sqrt(dt)
+        half_dt = 0.5 * dt  # (x * 0.5) * dt == x * half_dt: halving is exact
+        shifts, scales = zip(*self._hazards)
         m0, m1, sd = (_column(c) for c in
-                      zip(*(_ou_mean_coeffs(self.h, dt, leg.drift_shift) for leg in legs)))
-        scale = _column(leg.intensity_scale for leg in legs)
-        shape = (len(legs), size)
+                      zip(*(_ou_mean_coeffs(self.h, dt, shift) for shift in shifts)))
+        shape = (len(shifts), size)
 
         e = -np.log1p(-rng.uniform(size=size))
         y = np.full(shape, self.h.y0)
@@ -314,18 +377,26 @@ class _TerminalKernel:
         alive = np.empty(shape, dtype=bool)
         np.greater(e, 0.0, out=alive)
         newly = np.empty(shape, dtype=bool)
+        # per hazard group: (scale, acc, spare, newly) rows
+        defaults = list(zip(scales, acc, tmp, newly))
         if want_fx:
-            rho = _column(leg.fx_rho for leg in legs)
-            rho_c = _column(math.sqrt(max(1.0 - leg.fx_rho * leg.fx_rho, 0.0)) for leg in legs)
-            half_var = _column(0.5 * leg.fx_sigma * leg.fx_sigma for leg in legs)
-            vol = _column(leg.fx_sigma * sqdt for leg in legs)
-            comp = _column(leg.compensator for leg in legs)
-            rate_diff = _column(leg.rate_diff for leg in legs)
-            log_jump = _column(math.log1p(leg.fx_gamma) if leg.fx_gamma > -1.0 else -math.inf
-                               for leg in legs)
-            lnz = np.empty(shape)
-            lnz[...] = _column(math.log(leg.fx_spot) for leg in legs)
-            np.add(lnz, log_jump, out=lnz, where=~alive)
+            sqdt = math.sqrt(dt)
+            noises = list(dict.fromkeys((leg.fx_rho, leg.fx_sigma) for leg in self.legs))
+            noise = np.empty((len(noises), size))
+            noise_coeffs = [(rho, math.sqrt(max(1.0 - rho * rho, 0.0)), sigma * sqdt, w)
+                            for (rho, sigma), w in zip(noises, noise)]
+            spare = tmp[0]  # free between the y update and the trapezoid
+            lnz = np.empty((len(self.legs), size))
+            fx_legs, jumps = [], []
+            for leg, g, row in zip(self.legs, self._hazard_of, lnz):
+                half_var = 0.5 * leg.fx_sigma * leg.fx_sigma
+                log_jump = math.log1p(leg.fx_gamma) if leg.fx_gamma > -1.0 else -math.inf
+                row[...] = math.log(leg.fx_spot)
+                np.add(row, log_jump, out=row, where=~alive[g])
+                w = noise[noises.index((leg.fx_rho, leg.fx_sigma))]
+                fx_legs.append((row, g, alive[g], w, leg.compensator, leg.rate_diff, half_var,
+                                (leg.rate_diff - half_var) * dt))
+                jumps.append((row, newly[g], log_jump))
         column = {k: j for j, k in enumerate(at_steps)}
         int_lam_at = np.empty(shape + (len(at_steps),)) if at_steps else None
 
@@ -333,8 +404,12 @@ class _TerminalKernel:
             n1 = self._draw_normals(rng, size)
             return n1, self._draw_normals(rng, size) if want_fx else None
 
-        with _drawn_ahead(draw_step, cfg.n_steps) as next_draws:
+        inline = stop is not None
+        draws = nullcontext(draw_step) if inline else _drawn_ahead(draw_step, cfg.n_steps)
+        with draws as next_draws:
             for k in range(1, cfg.n_steps + 1):
+                if inline and stop.is_set():
+                    break  # the pair failed on the other side; this block is discarded
                 n1, n2 = next_draws()
                 # y = m0 + m1 * y + sd * n1
                 y *= m1
@@ -342,44 +417,56 @@ class _TerminalKernel:
                 np.multiply(sd, n1, out=tmp)
                 y += tmp
                 if want_fx:
-                    # lnz = lnz + (rate_diff - comp * lam * alive - half_var) * dt
-                    #           + vol * (rho * n1 + rho_c * n2), with lam_new as scratch
-                    np.multiply(comp, lam, out=tmp)
-                    tmp *= alive
-                    np.subtract(rate_diff, tmp, out=tmp)
-                    tmp -= half_var
-                    tmp *= dt
-                    lnz += tmp
-                    np.multiply(rho, n1, out=lam_new)
-                    np.multiply(rho_c, n2, out=tmp)
-                    lam_new += tmp
-                    lam_new *= vol
-                    lnz += lam_new
+                    # w = vol * (rho * n1 + rho_c * n2), once per (fx_rho, fx_sigma)
+                    for rho, rho_c, vol, w in noise_coeffs:
+                        np.multiply(rho, n1, out=w)
+                        np.multiply(rho_c, n2, out=spare)
+                        w += spare
+                        w *= vol
+                    # lnz = lnz + (rate_diff - comp * lam * alive - half_var) * dt + w;
+                    # at comp = 0 the drift is the constant (rate_diff - half_var) * dt,
+                    # exact while e^Y is finite (0 * inf would make it nan)
+                    for row, g, alive_g, w, comp, rate_diff, half_var, const in fx_legs:
+                        if comp == 0.0:
+                            row += const
+                        else:
+                            np.multiply(comp, lam[g], out=spare)
+                            spare *= alive_g
+                            np.subtract(rate_diff, spare, out=spare)
+                            spare -= half_var
+                            spare *= dt
+                            row += spare
+                        row += w
                 np.exp(y, out=lam_new)
                 # acc = acc + 0.5 * (lam + lam_new) * dt
                 np.add(lam, lam_new, out=tmp)
-                tmp *= 0.5
-                tmp *= dt
+                tmp *= half_dt
                 acc += tmp
                 # newly = alive & (scale * acc >= e): the default falls in this step
-                np.multiply(scale, acc, out=tmp)
-                np.greater_equal(tmp, e, out=newly)
+                for scale, acc_g, tmp_g, newly_g in defaults:
+                    if scale != 1.0:
+                        acc_g = np.multiply(scale, acc_g, out=tmp_g)
+                    np.greater_equal(acc_g, e, out=newly_g)
                 newly &= alive
                 if want_fx:
-                    np.add(lnz, log_jump, out=lnz, where=newly)
+                    for row, newly_g, log_jump in jumps:
+                        np.add(row, log_jump, out=row, where=newly_g)
                 alive ^= newly
                 lam, lam_new = lam_new, lam
                 if k in column:
                     int_lam_at[..., column[k]] = acc
 
+        hz = self._hazard_of
         z = np.exp(lnz, out=lnz) if want_fx else None
-        return alive, int_lam_at if at_steps else acc, z
+        return alive[hz], (int_lam_at if at_steps else acc)[hz], z
 
 
 def _tenor_config(T: float, cfg: SimConfig) -> SimConfig:
     """``cfg`` with its ``n_steps`` spread over the tenor T instead of its horizon."""
     if T > cfg.horizon:
         raise ValueError(f"tenor {T} exceeds simulation horizon {cfg.horizon}")
+    if not T > 0:
+        raise ValueError(f"tenor {T} must be > 0")
     return replace(cfg, horizon=T)
 
 
@@ -412,7 +499,7 @@ def survival_curve_mc(h: HazardParams, tenors, cfg: SimConfig) -> list[McEstimat
     if not tenors:
         raise ValueError("need at least one tenor")
     dt = cfg.horizon / cfg.n_steps
-    steps = [round(t / dt) for t in tenors]
+    steps = [round(t / dt) if math.isfinite(t / dt) else 0 for t in tenors]
     for t, k in zip(tenors, steps):
         if not (1 <= k <= cfg.n_steps and abs(k * dt - t) <= 1e-9 * cfg.horizon):
             raise ValueError(f"tenor {t:g} is not a node of the {cfg.n_steps}-step grid "

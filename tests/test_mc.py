@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from quantocds import mc
 from quantocds.mc import (
     _AHEAD,
     _BLOCK,
@@ -173,6 +175,16 @@ def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx:
     return ~jumped, acc, np.exp(lnz) if want_fx else None
 
 
+def _grouped_legs(h: HazardParams, fx: QuantoFxParams, rates: RatePair) -> list[_Leg]:
+    """Legs that share the kernel's groups in every way: the liquid and the
+    uncompensated leg (compensator 0) share a hazard group at scale 1 and an
+    FX noise, the contractual leg has scale 1 + gamma != 1 and its own noise,
+    and a liquid leg of another FX shares the hazard group but not the noise."""
+    other = QuantoFxParams(z0=1.3, sigma_z=0.2, gamma_z=1.0, rho=-0.6)
+    legs = [_Leg.of(h, fx, rates, m) for m in ("liquid", "contractual", "uncompensated")]
+    return legs + [_Leg.of(h, other, rates)]
+
+
 class TestLegs:
     H = HazardParams(a=0.5, b=-3.0, sigma_y=0.6, y0=-2.5)
     FX = QuantoFxParams(z0=0.8, sigma_z=0.15, gamma_z=-0.4, rho=0.3)
@@ -193,6 +205,21 @@ class TestLegs:
             assert np.array_equal(got[2][0], want[2])
         else:
             assert got[2] is None
+
+    @pytest.mark.parametrize("want_fx", [True, False])
+    def test_grouped_legs_match_plain_expressions(self, want_fx):
+        legs = _grouped_legs(self.H, self.FX, self.RATES)
+        kern = _TerminalKernel(self.H, legs)
+        cfg = SimConfig(n_paths=1_001, n_steps=15, horizon=3.0)
+        got = kern._run_block(_block_rng(4, 0), 1_001, cfg, want_fx, ())
+        for i, leg in enumerate(legs):
+            want = _plain_block(_TerminalKernel(self.H, [leg]), _block_rng(4, 0), 1_001, cfg,
+                                want_fx)
+            assert 0 < got[0][i].sum() < got[0][i].size
+            assert np.array_equal(got[0][i], want[0])
+            assert np.array_equal(got[1][i], want[1])
+            if want_fx:
+                assert np.array_equal(got[2][i], want[2])
 
     @pytest.mark.parametrize("want_fx, at_steps", [(True, ()), (False, ()), (True, (12, 1)),
                                                    (False, (3, 7, 12))])
@@ -303,6 +330,97 @@ class TestDrawAhead:
         per_step = 2 if want_fx else 1
         failed_step = -(-201 // per_step)
         assert len(calls) <= per_step * (failed_step + _AHEAD + 1)
+
+
+class _Stream:
+    """A block's generator that records the threads drawing its normals and
+    raises at normal draw ``fail_at``, if given."""
+
+    def __init__(self, rng: np.random.Generator, fail_at: int | None, message: str):
+        self.rng, self.fail_at, self.message = rng, fail_at, message
+        self.normals = 0
+        self.threads = set()
+
+    def uniform(self, size):
+        return self.rng.uniform(size=size)
+
+    def standard_normal(self, count):
+        self.normals += 1
+        self.threads.add(threading.current_thread())
+        if self.normals == self.fail_at:
+            raise RuntimeError(self.message)
+        return self.rng.standard_normal(count)
+
+
+class TestPairs:
+    """Full blocks run two at a time, each on its own thread drawing its
+    normals inline; a full block left over and the partial block draw ahead.
+    Every block equals its draw-ahead run, every leg its one-leg run, and a
+    failure in either block of a pair reaches the caller with no thread left."""
+
+    H = TestLegs.H
+    FX = TestLegs.FX
+    RATES = TestLegs.RATES
+    SCHEDULES = [(True, ()), (False, ()), (False, (2, 5))]
+    SIZES = [2 * _BLOCK + 1_001, 3 * _BLOCK + 1]  # a pair and a partial; and a full block left over
+
+    @pytest.mark.parametrize("n_paths", SIZES)
+    @pytest.mark.parametrize("want_fx, at_steps", SCHEDULES)
+    def test_every_block_equals_its_draw_ahead_run(self, n_paths, want_fx, at_steps):
+        kern = _TerminalKernel(self.H, _grouped_legs(self.H, self.FX, self.RATES))
+        cfg = SimConfig(n_paths=n_paths, n_steps=5, horizon=3.0, seed=7)
+        got = []
+        assert _bounded(lambda: got.extend(kern.run(cfg, want_fx, at_steps))) is None
+        alive, int_lam, z = got
+        for block, start in enumerate(range(0, n_paths, _BLOCK)):
+            size = min(_BLOCK, n_paths - start)
+            want = kern._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx, at_steps)
+            cut = slice(start, start + size)
+            assert np.array_equal(alive[:, cut], want[0])
+            if want_fx:
+                assert int_lam is None and np.array_equal(z[:, cut], want[2])
+            else:
+                assert z is None and np.array_equal(int_lam[:, cut], want[1])
+
+    @pytest.mark.parametrize("n_paths", SIZES)
+    @pytest.mark.parametrize("want_fx, at_steps", SCHEDULES)
+    def test_each_leg_equals_its_one_leg_run(self, n_paths, want_fx, at_steps):
+        legs = _grouped_legs(self.H, self.FX, self.RATES)
+        cfg = SimConfig(n_paths=n_paths, n_steps=5, horizon=3.0, seed=7)
+        stacked = _TerminalKernel(self.H, legs).run(cfg, want_fx, at_steps)
+        for i, leg in enumerate(legs):
+            alone = _TerminalKernel(self.H, [leg]).run(cfg, want_fx, at_steps)
+            for got, want in zip(stacked, alone):
+                if want is None:
+                    assert got is None
+                else:
+                    assert np.array_equal(got[i], want[0])
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller's block", "paired block"])
+    def test_failure_in_a_pair_is_raised_and_stops_the_other_block(self, monkeypatch, failing):
+        streams = {}
+
+        def block_rng(seed, block):
+            fail_at = 5 if block == failing else None
+            streams[block] = _Stream(_block_rng(seed, block), fail_at, f"block {block} failed")
+            return streams[block]
+
+        monkeypatch.setattr(mc, "_block_rng", block_rng)
+        cfg = SimConfig(n_paths=2 * _BLOCK, n_steps=2_000, horizon=1.0, seed=2)
+        callers = []
+
+        def run():
+            callers.append(threading.current_thread())
+            _kernel(self.H, self.FX).run(cfg)
+
+        exc = _bounded(run)
+        assert isinstance(exc, RuntimeError) and str(exc) == f"block {failing} failed"
+        assert sorted(streams) == [0, 1]
+        assert streams[0].threads == set(callers)
+        (paired,) = streams[1].threads
+        assert paired not in callers
+        assert streams[failing].normals == 5
+        assert streams[1 - failing].normals < 2 * cfg.n_steps
 
 
 class TestSimulateFx:
@@ -492,6 +610,33 @@ def test_tenor_beyond_horizon_names_both(estimate):
     cfg = SimConfig(n_paths=100, n_steps=10, horizon=5.0, seed=1)
     with pytest.raises(ValueError, match="tenor 10.0 exceeds simulation horizon 5.0"):
         estimate(10.0, cfg)
+
+
+# each MC entry point by tenor, with the form in which its ValueError names the tenor
+_BY_TENOR = [
+    (lambda T, cfg: survival_probability_mc(H_TEST, T, cfg), "tenor {}"),
+    (lambda T, cfg: survival_curve_mc(H_TEST, [T], cfg), "tenor {:g}"),
+    (lambda T, cfg: quanto_bond_mc(H_TEST, flat_fx(), RATES0, T, cfg), "tenor {}"),
+    (lambda T, cfg: verify_rn_martingale(H_TEST, flat_fx(), RATES0, T, cfg), "tenor {}"),
+    (lambda T, cfg: verify_fx_symmetry(H_TEST, flat_fx(), RATES0, T, cfg), "tenor {}"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.floats())
+@example(T=math.nan)
+@example(T=math.inf)
+@example(T=-math.inf)
+@example(T=-1.0)
+@example(T=0.0)
+@example(T=1e308)
+def test_every_tenor_returns_or_raises_a_value_error_naming_it(T):
+    cfg = SimConfig(n_paths=8, n_steps=4, horizon=2.0, seed=1)
+    for estimate, named in _BY_TENOR:
+        try:
+            estimate(T, cfg)
+        except ValueError as exc:
+            assert named.format(T) in str(exc)
 
 
 class TestMcEstimate:
