@@ -520,9 +520,13 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--tenors", default=None, help="comma-separated override")
     p.add_argument("--engine", choices=_ENGINES, default="adi")
 
-    p = command("validate", _cmd_validate, "cross-engine validation studies", "y")
+    p = command("validate", _cmd_validate, "cross-engine validation studies", "")
+    p.add_argument("--grid-y", type=int, default=101,
+                   help="the bracketing study's PDE nodes on the log-hazard axis (at least 201)")
     p.add_argument("--mc-paths", type=int, default=100_000)
-    p.add_argument("--mc-steps", type=int, default=500, help="MC time steps over the horizon")
+    p.add_argument("--mc-steps", type=int, default=500,
+                   help="the bracketing study's fixed MC and PDE step count, at --mc-paths "
+                   "and ten times as many paths")
     p.add_argument("--study", choices=("all", "bracketing", "deviation", "symmetry"),
                    default="all")
     p.add_argument("--bracket-steps", type=_step_counts, default=(50, 100, 200, 300, 500))

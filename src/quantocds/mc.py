@@ -255,8 +255,7 @@ def _column(values) -> np.ndarray:
 
 
 class _TerminalKernel:
-    """Streaming block simulator collecting per-path quantities at the horizon,
-    and on request the integrated intensity at chosen steps.
+    """Streaming block simulator collecting per-path quantities at the horizon.
 
     It steps a stack of legs (one ``_Leg`` each) on the same random numbers:
     every leg sees, number for number, the draws a run of that leg alone
@@ -264,7 +263,8 @@ class _TerminalKernel:
     form one hazard group, whose Y, e^Y, integrated intensity and alive mask
     are stepped once, with shape (groups, block) and per-group coefficient
     columns; legs with the same (``fx_rho``, ``fx_sigma``) share one FX noise
-    increment a step; ln Z is stepped per leg.
+    increment a step; ln Z is stepped per leg.  A survival run (no FX) steps
+    only Y, e^Y and the integrated intensity, and tests no default.
     """
 
     def __init__(self, h: HazardParams, legs: Sequence[_Leg]):
@@ -275,45 +275,26 @@ class _TerminalKernel:
         self._hazard_of = [self._hazards.index((leg.drift_shift, leg.intensity_scale))
                            for leg in self.legs]
 
-    def run(self, cfg: SimConfig, want_fx: bool = True, at_steps: Sequence[int] = ()):
-        """Terminal arrays (alive, int_lam, z) reduced over all blocks, one row per leg.
-
-        ``alive`` has shape (legs, n_paths).  With ``want_fx``, ``z`` holds
-        the FX value at the horizon and ``int_lam`` is None; without it,
-        ``z`` is None and ``int_lam`` holds the trapezoidal integral of the
-        *unscaled* intensity exp(Y) at the horizon, shape (legs, n_paths), or
-        with ``at_steps`` (distinct step indices in 1..n_steps) after each
-        listed step, shape (legs, n_paths, len(at_steps)).
+    def run(self, cfg: SimConfig, want_fx: bool = True) -> tuple[np.ndarray, ...]:
+        """Per-path arrays at the horizon reduced over all blocks, each of shape
+        (legs, n_paths): ``(alive, z)`` with ``want_fx``, the survival mask and
+        the FX value; ``(int_lam,)`` without it, the trapezoidal integral of
+        the *unscaled* intensity exp(Y).
 
         Full blocks run two at a time (``_run_pair``); a full block left over
         and the final partial block run alone.
         """
         n = cfg.n_paths
-        shape = (len(self.legs), n)
-        alive = np.empty(shape, dtype=bool)
-        int_lam = None if want_fx else np.empty(shape + (len(at_steps),) if at_steps else shape)
-        z = np.empty(shape) if want_fx else None
-
-        def keep(block: int, out) -> None:
-            a, il, zz = out
-            cut = slice(block * _BLOCK, block * _BLOCK + a.shape[1])
-            alive[:, cut] = a
-            if want_fx:
-                z[:, cut] = zz
-            else:
-                int_lam[:, cut] = il
-
         paired = n // (2 * _BLOCK) * 2
+        blocks = []
         for block in range(0, paired, 2):
-            for j, out in enumerate(self._run_pair(cfg, block, want_fx, at_steps)):
-                keep(block + j, out)
+            blocks.extend(self._run_pair(cfg, block, want_fx))
         for block in range(paired, -(-n // _BLOCK)):
             size = min(_BLOCK, n - block * _BLOCK)
-            keep(block, self._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx,
-                                        at_steps))
-        return alive, int_lam, z
+            blocks.append(self._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx))
+        return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
 
-    def _run_pair(self, cfg: SimConfig, block: int, want_fx: bool, at_steps: Sequence[int]):
+    def _run_pair(self, cfg: SimConfig, block: int, want_fx: bool):
         """The full blocks ``block`` and ``block + 1``, side by side: the second
         on a helper thread, each drawing its own normals inline.
 
@@ -327,7 +308,7 @@ class _TerminalKernel:
         def partner() -> None:
             try:
                 second.append(self._run_block(_block_rng(cfg.seed, block + 1), _BLOCK, cfg,
-                                              want_fx, at_steps, stop))
+                                              want_fx, stop))
             except BaseException as exc:  # re-raised below, on the caller's thread
                 stop.set()
                 second.append(exc)
@@ -335,8 +316,7 @@ class _TerminalKernel:
         helper = threading.Thread(target=partner, name="quantocds-mc-pair", daemon=True)
         helper.start()
         try:
-            first = self._run_block(_block_rng(cfg.seed, block), _BLOCK, cfg, want_fx,
-                                    at_steps, stop)
+            first = self._run_block(_block_rng(cfg.seed, block), _BLOCK, cfg, want_fx, stop)
         except BaseException:
             stop.set()
             raise
@@ -350,8 +330,8 @@ class _TerminalKernel:
         return rng.standard_normal(count)
 
     def _run_block(self, rng, size: int, cfg: SimConfig, want_fx: bool,
-                   at_steps: Sequence[int], stop: threading.Event | None = None):
-        """One block's (alive, int_lam, z), one row per leg.
+                   stop: threading.Event | None = None) -> tuple[np.ndarray, ...]:
+        """One block's arrays as :meth:`run` returns them, one row per leg.
 
         The thresholds are drawn on the calling thread.  Without ``stop`` the
         normals are drawn ahead on a helper thread (``_drawn_ahead``); with
@@ -368,18 +348,20 @@ class _TerminalKernel:
                       zip(*(_ou_mean_coeffs(self.h, dt, shift) for shift in shifts)))
         shape = (len(shifts), size)
 
-        e = -np.log1p(-rng.uniform(size=size))
         y = np.full(shape, self.h.y0)
         lam = np.exp(y)
         lam_new = np.empty(shape)
         acc = np.zeros(shape)
         tmp = np.empty(shape)
-        alive = np.empty(shape, dtype=bool)
-        np.greater(e, 0.0, out=alive)
-        newly = np.empty(shape, dtype=bool)
-        # per hazard group: (scale, acc, spare, newly) rows
-        defaults = list(zip(scales, acc, tmp, newly))
-        if want_fx:
+        if not want_fx:
+            rng.uniform(size=size)  # the unused thresholds: both modes draw one stream
+        else:
+            e = -np.log1p(-rng.uniform(size=size))
+            alive = np.empty(shape, dtype=bool)
+            np.greater(e, 0.0, out=alive)
+            newly = np.empty(shape, dtype=bool)
+            # per hazard group: (scale, acc, spare, newly) rows
+            defaults = list(zip(scales, acc, tmp, newly))
             sqdt = math.sqrt(dt)
             noises = list(dict.fromkeys((leg.fx_rho, leg.fx_sigma) for leg in self.legs))
             noise = np.empty((len(noises), size))
@@ -397,8 +379,6 @@ class _TerminalKernel:
                 fx_legs.append((row, g, alive[g], w, leg.compensator, leg.rate_diff, half_var,
                                 (leg.rate_diff - half_var) * dt))
                 jumps.append((row, newly[g], log_jump))
-        column = {k: j for j, k in enumerate(at_steps)}
-        int_lam_at = np.empty(shape + (len(at_steps),)) if at_steps else None
 
         def draw_step():
             n1 = self._draw_normals(rng, size)
@@ -407,7 +387,7 @@ class _TerminalKernel:
         inline = stop is not None
         draws = nullcontext(draw_step) if inline else _drawn_ahead(draw_step, cfg.n_steps)
         with draws as next_draws:
-            for k in range(1, cfg.n_steps + 1):
+            for _ in range(cfg.n_steps):
                 if inline and stop.is_set():
                     break  # the pair failed on the other side; this block is discarded
                 n1, n2 = next_draws()
@@ -442,23 +422,20 @@ class _TerminalKernel:
                 np.add(lam, lam_new, out=tmp)
                 tmp *= half_dt
                 acc += tmp
-                # newly = alive & (scale * acc >= e): the default falls in this step
-                for scale, acc_g, tmp_g, newly_g in defaults:
-                    if scale != 1.0:
-                        acc_g = np.multiply(scale, acc_g, out=tmp_g)
-                    np.greater_equal(acc_g, e, out=newly_g)
-                newly &= alive
                 if want_fx:
+                    # newly = alive & (scale * acc >= e): the default falls in this step
+                    for scale, acc_g, tmp_g, newly_g in defaults:
+                        if scale != 1.0:
+                            acc_g = np.multiply(scale, acc_g, out=tmp_g)
+                        np.greater_equal(acc_g, e, out=newly_g)
+                    newly &= alive
                     for row, newly_g, log_jump in jumps:
                         np.add(row, log_jump, out=row, where=newly_g)
-                alive ^= newly
+                    alive ^= newly
                 lam, lam_new = lam_new, lam
-                if k in column:
-                    int_lam_at[..., column[k]] = acc
 
         hz = self._hazard_of
-        z = np.exp(lnz, out=lnz) if want_fx else None
-        return alive[hz], (int_lam_at if at_steps else acc)[hz], z
+        return (alive[hz], np.exp(lnz, out=lnz)) if want_fx else (acc[hz],)
 
 
 def _tenor_config(T: float, cfg: SimConfig) -> SimConfig:
@@ -481,19 +458,18 @@ def survival_probability_mc(h: HazardParams, T: float, cfg: SimConfig) -> McEsti
     if T == 0.0:
         return McEstimate(1.0, 0.0, 1.0, 1.0, cfg.n_paths)
     kern = _TerminalKernel(h, [_Leg.of(h, _DUMMY_FX, _ZERO_RATES)])
-    _, int_lam, _ = kern.run(_tenor_config(T, cfg), want_fx=False)
+    (int_lam,) = kern.run(_tenor_config(T, cfg), want_fx=False)
     return McEstimate.from_samples(np.exp(-int_lam[0]))
 
 
 def survival_curve_mc(h: HazardParams, tenors, cfg: SimConfig) -> list[McEstimate]:
-    """Survival estimates at several tenors from a single set of paths.
+    """Survival estimates at nodes of the grid of ``cfg.n_steps`` uniform
+    steps over ``cfg.horizon`` (dt = horizon / n_steps).
 
-    The paths step on the grid of ``cfg.n_steps`` uniform steps over
-    ``cfg.horizon`` (dt = horizon / n_steps), and every tenor must be a node
-    of it.  The estimate at a node T = k dt is therefore the one
-    :func:`survival_probability_mc` gives for T with k steps over T
-    (``replace(cfg, n_steps=k, horizon=T)``), bit for bit, not the one it
-    gives for T with ``cfg`` itself.
+    Every tenor must be a node T = k dt, and its estimate is the one
+    :func:`survival_probability_mc` gives for T with the k steps that reach
+    it (``replace(cfg, n_steps=k, horizon=T)``), not the one it gives for T
+    with ``cfg`` itself.
     """
     tenors = [float(t) for t in tenors]
     if not tenors:
@@ -502,12 +478,10 @@ def survival_curve_mc(h: HazardParams, tenors, cfg: SimConfig) -> list[McEstimat
     steps = [round(t / dt) if math.isfinite(t / dt) else 0 for t in tenors]
     for t, k in zip(tenors, steps):
         if not (1 <= k <= cfg.n_steps and abs(k * dt - t) <= 1e-9 * cfg.horizon):
-            raise ValueError(f"tenor {t:g} is not a node of the {cfg.n_steps}-step grid "
-                             f"over (0, {cfg.horizon:g}]")
-    distinct = sorted(set(steps))
-    kern = _TerminalKernel(h, [_Leg.of(h, _DUMMY_FX, _ZERO_RATES)])
-    _, int_lam, _ = kern.run(cfg, want_fx=False, at_steps=distinct)
-    return [McEstimate.from_samples(np.exp(-int_lam[0, :, distinct.index(k)])) for k in steps]
+            raise ValueError(f"tenor {t} is not a node of the {cfg.n_steps}-step grid "
+                             f"over (0, {cfg.horizon}]")
+    return [survival_probability_mc(h, t, replace(cfg, n_steps=k, horizon=t))
+            for t, k in zip(tenors, steps)]
 
 
 def quanto_bond_mc(
@@ -525,7 +499,7 @@ def _quanto_bond_pass(h: HazardParams, fxs: Sequence[QuantoFxParams], rates: Rat
     """:func:`quanto_bond_mc` for each of ``fxs`` from one pass whose legs share
     their draws; each estimate equals, bit for bit, the one its own call returns."""
     kern = _TerminalKernel(h, [_Leg.of(h, fx, rates) for fx in fxs])
-    alive, _, z = kern.run(_tenor_config(T, cfg))
+    alive, z = kern.run(_tenor_config(T, cfg))
     disc = math.exp(-rates.r * T)
     out = []
     for fx, z_leg, alive_leg in zip(fxs, z, alive):
@@ -556,7 +530,7 @@ def verify_rn_martingale(
     which serves as a negative control for the drift condition.
     """
     leg = _Leg.of(h, fx, rates, "uncompensated" if drop_compensator else "liquid")
-    _, _, z = _TerminalKernel(h, [leg]).run(_tenor_config(T, cfg))
+    _, z = _TerminalKernel(h, [leg]).run(_tenor_config(T, cfg))
     return _density_martingale(z[0], fx, rates, T)
 
 
@@ -589,7 +563,7 @@ def _fx_symmetry_pass(
     run_cfg = _tenor_config(T, cfg)
     measures = ("liquid", "contractual", "uncompensated") if control else ("liquid", "contractual")
     kern = _TerminalKernel(h, [_Leg.of(h, fx, rates, m) for m in measures])
-    alive, _, z = kern.run(run_cfg)
+    alive, z = kern.run(run_cfg)
 
     disc_ratio = math.exp((rates.r_hat - rates.r) * T)
     report = FxSymmetryReport(

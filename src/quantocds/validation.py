@@ -242,7 +242,7 @@ def _mc_deviation_pct(
     by_tilt = {0.0: _Leg.of(h, _sweep_fx(0.0, 0.0), rates)}
     for leg in legs.values():
         by_tilt.setdefault(leg.drift_shift, leg)
-    _, int_lam, _ = _TerminalKernel(h, list(by_tilt.values())).run(cfg, want_fx=False)
+    (int_lam,) = _TerminalKernel(h, list(by_tilt.values())).run(cfg, want_fx=False)
     int_lam = dict(zip(by_tilt, int_lam))
     p = McEstimate.from_samples(np.exp(-int_lam[0.0])).mean
     out: dict[tuple[float, float], float] = {}

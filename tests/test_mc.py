@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from dataclasses import replace
 
@@ -46,12 +47,13 @@ def _kernel(h, fx=None, rates=RATES0, measure="liquid") -> _TerminalKernel:
 def _y_paths(kern: _TerminalKernel, cfg: SimConfig) -> np.ndarray:
     """Y after every step, recovered from the kernel's trapezoidal integrals.
 
-    Each step adds 0.5 * (exp(Y_left) + exp(Y_right)) * dt, so the integrals
-    recorded after every step give every Y exactly up to round-off.
+    The run of k steps over k dt draws the first k steps' numbers of ``cfg``'s
+    run, and each step adds 0.5 * (exp(Y_left) + exp(Y_right)) * dt, so the
+    integrals of the runs of 1..n_steps steps give every Y up to round-off.
     """
-    _, int_lam, _ = kern.run(cfg, want_fx=False, at_steps=range(1, cfg.n_steps + 1))
-    int_lam = int_lam[0]
     dt = cfg.horizon / cfg.n_steps
+    int_lam = np.stack([kern.run(replace(cfg, n_steps=k, horizon=k * dt), want_fx=False)[0][0]
+                        for k in range(1, cfg.n_steps + 1)], axis=1)
     inc = np.diff(int_lam, axis=1, prepend=0.0)
     lam = np.empty_like(inc)
     left = math.exp(kern.h.y0)
@@ -118,8 +120,7 @@ class TestSimulateDefault:
         lam0 = 0.016746
         n = 200_000
         kern = _kernel(H_FLAT)
-        alive, _, _ = kern.run(SimConfig(n_paths=n, n_steps=5, horizon=5.0, seed=11),
-                               want_fx=False)
+        alive, _ = kern.run(SimConfig(n_paths=n, n_steps=5, horizon=5.0, seed=11))
         alive = alive[0]
         p_true = math.exp(-lam0 * 5)
         se = math.sqrt(p_true * (1 - p_true) / n)
@@ -130,15 +131,15 @@ class TestSimulateDefault:
         # first step and the compensator never switches on
         kern = _kernel(H_FLAT, flat_fx(gamma=-0.5, z0=0.8), RatePair(0.02, 0.01))
         cfg = SimConfig(n_paths=3, n_steps=10, horizon=2.0)
-        (alive,), _, (z,) = kern._run_block(_ZeroDraws(), 3, cfg, True, ())
+        (alive,), (z,) = kern._run_block(_ZeroDraws(), 3, cfg, True)
         assert not alive.any()
         assert z == pytest.approx(np.full(3, 0.8 * 0.5 * math.exp(0.01 * 2.0)), rel=1e-12)
 
 
-def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx: bool,
-                 at_steps=()):
+def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx: bool):
     """One leg's block as plain expressions, drawn serially on the caller's
-    thread: the reference for the in-place step and its drawing thread."""
+    thread: the reference for the in-place step and its drawing thread.
+    Returns what ``_run_block`` returns for the leg, ``(alive, z)`` or ``(acc,)``."""
     (leg,) = kern.legs
     dt = cfg.horizon / cfg.n_steps
     m0, m1, sd = _ou_mean_coeffs(kern.h, dt, leg.drift_shift)
@@ -153,8 +154,7 @@ def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx:
     jumped = e <= 0.0
     lnz = np.full(size, math.log(leg.fx_spot))
     lnz[jumped] += log_jump
-    acc_at = {}
-    for k in range(1, cfg.n_steps + 1):
+    for _ in range(cfg.n_steps):
         n1 = kern._draw_normals(rng, size)
         y = m0 + m1 * y + sd * n1
         lam_new = np.exp(y)
@@ -168,11 +168,7 @@ def _plain_block(kern: _TerminalKernel, rng, size: int, cfg: SimConfig, want_fx:
         lnz = lnz + np.where(newly, log_jump, 0.0)
         jumped = jumped | newly
         lam = lam_new
-        if k in at_steps:
-            acc_at[k] = acc
-    if at_steps:
-        acc = np.stack([acc_at[k] for k in at_steps], axis=-1)
-    return ~jumped, acc, np.exp(lnz) if want_fx else None
+    return (~jumped, np.exp(lnz)) if want_fx else (acc,)
 
 
 def _grouped_legs(h: HazardParams, fx: QuantoFxParams, rates: RatePair) -> list[_Leg]:
@@ -183,6 +179,11 @@ def _grouped_legs(h: HazardParams, fx: QuantoFxParams, rates: RatePair) -> list[
     other = QuantoFxParams(z0=1.3, sigma_z=0.2, gamma_z=1.0, rho=-0.6)
     legs = [_Leg.of(h, fx, rates, m) for m in ("liquid", "contractual", "uncompensated")]
     return legs + [_Leg.of(h, other, rates)]
+
+
+# both run modes, FX (alive, z) and survival (int_lam,); the ids keep the names
+# these cases had when a survival run could also record chosen steps
+MODES = [pytest.param(True, id="True-at_steps0"), pytest.param(False, id="False-at_steps1")]
 
 
 class TestLegs:
@@ -196,48 +197,43 @@ class TestLegs:
     def test_in_place_step_matches_plain_expressions(self, measure, want_fx):
         kern = _kernel(self.H, self.FX, self.RATES, measure)
         cfg = SimConfig(n_paths=1_001, n_steps=15, horizon=3.0)
-        got = kern._run_block(_block_rng(4, 0), 1_001, cfg, want_fx, ())
+        got = kern._run_block(_block_rng(4, 0), 1_001, cfg, want_fx)
         want = _plain_block(kern, _block_rng(4, 0), 1_001, cfg, want_fx)
-        assert 0 < got[0].sum() < got[0].size
-        assert np.array_equal(got[0][0], want[0])
-        assert np.array_equal(got[1][0], want[1])
+        assert len(got) == len(want) == (2 if want_fx else 1)
         if want_fx:
-            assert np.array_equal(got[2][0], want[2])
-        else:
-            assert got[2] is None
+            assert 0 < got[0].sum() < got[0].size
+        for g, w in zip(got, want):
+            assert np.array_equal(g[0], w)
 
     @pytest.mark.parametrize("want_fx", [True, False])
     def test_grouped_legs_match_plain_expressions(self, want_fx):
         legs = _grouped_legs(self.H, self.FX, self.RATES)
         kern = _TerminalKernel(self.H, legs)
         cfg = SimConfig(n_paths=1_001, n_steps=15, horizon=3.0)
-        got = kern._run_block(_block_rng(4, 0), 1_001, cfg, want_fx, ())
+        got = kern._run_block(_block_rng(4, 0), 1_001, cfg, want_fx)
         for i, leg in enumerate(legs):
             want = _plain_block(_TerminalKernel(self.H, [leg]), _block_rng(4, 0), 1_001, cfg,
                                 want_fx)
-            assert 0 < got[0][i].sum() < got[0][i].size
-            assert np.array_equal(got[0][i], want[0])
-            assert np.array_equal(got[1][i], want[1])
+            assert len(got) == len(want)
             if want_fx:
-                assert np.array_equal(got[2][i], want[2])
+                assert 0 < got[0][i].sum() < got[0][i].size
+            for g, w in zip(got, want):
+                assert np.array_equal(g[i], w)
 
-    @pytest.mark.parametrize("want_fx, at_steps", [(True, ()), (False, ()), (True, (12, 1)),
-                                                   (False, (3, 7, 12))])
-    def test_stacked_pass_equals_one_leg_runs(self, want_fx, at_steps):
+    @pytest.mark.parametrize("want_fx", MODES)
+    def test_stacked_pass_equals_one_leg_runs(self, want_fx):
         # two blocks, the second of odd size; the last leg has another FX
         other = QuantoFxParams(z0=1.3, sigma_z=0.2, gamma_z=1.0, rho=-0.6)
         legs = [_Leg.of(self.H, self.FX, self.RATES, m) for m in self.MEASURES]
         legs.append(_Leg.of(self.H, other, self.RATES, "contractual"))
         cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=5)
-        stacked = _TerminalKernel(self.H, legs).run(cfg, want_fx, at_steps)
+        stacked = _TerminalKernel(self.H, legs).run(cfg, want_fx)
         for i, leg in enumerate(legs):
-            alone = _TerminalKernel(self.H, [leg]).run(cfg, want_fx, at_steps)
+            alone = _TerminalKernel(self.H, [leg]).run(cfg, want_fx)
+            assert len(stacked) == len(alone) == (2 if want_fx else 1)
             for got, want in zip(stacked, alone):
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.shape[0] == len(legs) and want.shape[0] == 1
-                    assert np.array_equal(got[i], want[0])
+                assert got.shape == (len(legs), cfg.n_paths) and want.shape == (1, cfg.n_paths)
+                assert np.array_equal(got[i], want[0])
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="unknown measure 'foreign'"):
@@ -272,22 +268,19 @@ class TestDrawAhead:
     H = HazardParams(a=0.5, b=-3.0, sigma_y=0.6, y0=-2.5)
     FX = QuantoFxParams(z0=0.8, sigma_z=0.15, gamma_z=-0.4, rho=0.3)
 
-    @pytest.mark.parametrize("want_fx, at_steps", [(True, ()), (False, ()), (False, (3, 7, 12))])
-    def test_two_blocks_equal_the_serial_reference(self, want_fx, at_steps):
+    @pytest.mark.parametrize("want_fx", MODES)
+    def test_two_blocks_equal_the_serial_reference(self, want_fx):
         kern = _kernel(self.H, self.FX, RatePair(0.01, 0.03))
         cfg = SimConfig(n_paths=_BLOCK + 1_001, n_steps=12, horizon=3.0, seed=6)
         got = []
-        assert _bounded(lambda: got.extend(kern.run(cfg, want_fx, at_steps))) is None
-        alive, int_lam, z = got
+        assert _bounded(lambda: got.extend(kern.run(cfg, want_fx))) is None
+        assert len(got) == (2 if want_fx else 1)
         for block, start in enumerate((0, _BLOCK)):
             size = min(_BLOCK, cfg.n_paths - start)
-            want = _plain_block(kern, _block_rng(cfg.seed, block), size, cfg, want_fx, at_steps)
+            want = _plain_block(kern, _block_rng(cfg.seed, block), size, cfg, want_fx)
             cut = slice(start, start + size)
-            assert np.array_equal(alive[0, cut], want[0])
-            if want_fx:
-                assert int_lam is None and np.array_equal(z[0, cut], want[2])
-            else:
-                assert z is None and np.array_equal(int_lam[0, cut], want[1])
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g[0, cut], w)
 
     @staticmethod
     def _counting_draws(monkeypatch, on_call):
@@ -361,40 +354,33 @@ class TestPairs:
     H = TestLegs.H
     FX = TestLegs.FX
     RATES = TestLegs.RATES
-    SCHEDULES = [(True, ()), (False, ()), (False, (2, 5))]
     SIZES = [2 * _BLOCK + 1_001, 3 * _BLOCK + 1]  # a pair and a partial; and a full block left over
 
     @pytest.mark.parametrize("n_paths", SIZES)
-    @pytest.mark.parametrize("want_fx, at_steps", SCHEDULES)
-    def test_every_block_equals_its_draw_ahead_run(self, n_paths, want_fx, at_steps):
+    @pytest.mark.parametrize("want_fx", MODES)
+    def test_every_block_equals_its_draw_ahead_run(self, n_paths, want_fx):
         kern = _TerminalKernel(self.H, _grouped_legs(self.H, self.FX, self.RATES))
         cfg = SimConfig(n_paths=n_paths, n_steps=5, horizon=3.0, seed=7)
         got = []
-        assert _bounded(lambda: got.extend(kern.run(cfg, want_fx, at_steps))) is None
-        alive, int_lam, z = got
+        assert _bounded(lambda: got.extend(kern.run(cfg, want_fx))) is None
+        assert len(got) == (2 if want_fx else 1)
         for block, start in enumerate(range(0, n_paths, _BLOCK)):
             size = min(_BLOCK, n_paths - start)
-            want = kern._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx, at_steps)
+            want = kern._run_block(_block_rng(cfg.seed, block), size, cfg, want_fx)
             cut = slice(start, start + size)
-            assert np.array_equal(alive[:, cut], want[0])
-            if want_fx:
-                assert int_lam is None and np.array_equal(z[:, cut], want[2])
-            else:
-                assert z is None and np.array_equal(int_lam[:, cut], want[1])
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g[:, cut], w)
 
     @pytest.mark.parametrize("n_paths", SIZES)
-    @pytest.mark.parametrize("want_fx, at_steps", SCHEDULES)
-    def test_each_leg_equals_its_one_leg_run(self, n_paths, want_fx, at_steps):
+    @pytest.mark.parametrize("want_fx", MODES)
+    def test_each_leg_equals_its_one_leg_run(self, n_paths, want_fx):
         legs = _grouped_legs(self.H, self.FX, self.RATES)
         cfg = SimConfig(n_paths=n_paths, n_steps=5, horizon=3.0, seed=7)
-        stacked = _TerminalKernel(self.H, legs).run(cfg, want_fx, at_steps)
+        stacked = _TerminalKernel(self.H, legs).run(cfg, want_fx)
         for i, leg in enumerate(legs):
-            alone = _TerminalKernel(self.H, [leg]).run(cfg, want_fx, at_steps)
-            for got, want in zip(stacked, alone):
-                if want is None:
-                    assert got is None
-                else:
-                    assert np.array_equal(got[i], want[0])
+            alone = _TerminalKernel(self.H, [leg]).run(cfg, want_fx)
+            for got, want in zip(stacked, alone, strict=True):
+                assert np.array_equal(got[i], want[0])
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller's block", "paired block"])
     def test_failure_in_a_pair_is_raised_and_stops_the_other_block(self, monkeypatch, failing):
@@ -426,14 +412,14 @@ class TestPairs:
 class TestSimulateFx:
     def test_degenerate_is_constant(self):
         kern = _kernel(H_TEST, flat_fx(z0=0.8))
-        _, _, (z,) = kern.run(SimConfig(n_paths=4, n_steps=10, horizon=5.0, seed=1))
+        _, (z,) = kern.run(SimConfig(n_paths=4, n_steps=10, horizon=5.0, seed=1))
         assert np.allclose(z, 0.8, rtol=1e-14)
 
     def test_gbm_expectation(self):
         rates = RatePair(0.03, 0.01)
         n = 100_000
         kern = _kernel(H_TEST, flat_fx(sigma_z=0.2, z0=1.3), rates)
-        _, _, (zt,) = kern.run(SimConfig(n_paths=n, n_steps=40, horizon=2.0, seed=5))
+        _, (zt,) = kern.run(SimConfig(n_paths=n, n_steps=40, horizon=2.0, seed=5))
         target = 1.3 * math.exp((rates.r - rates.r_hat) * 2.0)
         assert abs(zt.mean() - target) < 3 * zt.std(ddof=1) / math.sqrt(n)
 
@@ -444,7 +430,7 @@ class TestSimulateFx:
         gamma = -0.5
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=math.log(0.4))
         cfg = SimConfig(n_paths=1_000, n_steps=10, horizon=5.0, seed=3)
-        (alive,), _, (z,) = _kernel(h, flat_fx(gamma=gamma, z0=0.8)).run(cfg)
+        (alive,), (z,) = _kernel(h, flat_fx(gamma=gamma, z0=0.8)).run(cfg)
         # the kernel draws one Exp(1) threshold per path first
         e = -np.log1p(-_block_rng(cfg.seed, 0).uniform(size=cfg.n_paths))
         lam_dt = math.exp(h.y0) * 0.5
@@ -505,10 +491,24 @@ class TestSurvivalEstimators:
             assert est == survival_probability_mc(H_TEST, T, replace(cfg, n_steps=k, horizon=T))
         assert curve[0] != survival_probability_mc(H_TEST, 1.0, cfg)
 
-    @pytest.mark.parametrize("tenor", [1.3, 0.0, 6.0])
+    @pytest.mark.parametrize("horizon, n_steps",
+                             [(1.0, 10), (5.0, 30), (3.0, 7), (10.0, 120), (2.5, 9)])
+    def test_curve_node_written_to_ten_decimals_is_its_single_tenor_run(self, horizon, n_steps):
+        # a node given to 10 decimals is within the grid's tolerance of k dt,
+        # and its estimate is the single-tenor run of k steps over the tenor as given
+        cfg = SimConfig(n_paths=16, n_steps=n_steps, horizon=horizon, seed=3)
+        dt = horizon / n_steps
+        tenors = [round(k * dt, 10) for k in range(1, n_steps + 1)]
+        curve = survival_curve_mc(H_TEST, tenors, cfg)
+        for k, (t, est) in enumerate(zip(tenors, curve), start=1):
+            assert est == survival_probability_mc(H_TEST, t, replace(cfg, n_steps=k, horizon=t))
+
+    @pytest.mark.parametrize("tenor", [1.3, 0.0, 6.0, 1.0000001, 5e-324])
     def test_curve_rejects_tenor_off_the_grid(self, tenor):
+        # the message names the tenor and the horizon as given
         cfg = SimConfig(n_paths=100, n_steps=10, horizon=5.0, seed=1)
-        with pytest.raises(ValueError, match=f"tenor {tenor:g} is not a node"):
+        message = f"tenor {tenor} is not a node of the 10-step grid over (0, 5.0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             survival_curve_mc(H_TEST, [1.0, tenor], cfg)
 
     def test_determinism(self):
@@ -612,13 +612,13 @@ def test_tenor_beyond_horizon_names_both(estimate):
         estimate(10.0, cfg)
 
 
-# each MC entry point by tenor, with the form in which its ValueError names the tenor
+# each MC entry point by tenor; its ValueError names the tenor as given
 _BY_TENOR = [
-    (lambda T, cfg: survival_probability_mc(H_TEST, T, cfg), "tenor {}"),
-    (lambda T, cfg: survival_curve_mc(H_TEST, [T], cfg), "tenor {:g}"),
-    (lambda T, cfg: quanto_bond_mc(H_TEST, flat_fx(), RATES0, T, cfg), "tenor {}"),
-    (lambda T, cfg: verify_rn_martingale(H_TEST, flat_fx(), RATES0, T, cfg), "tenor {}"),
-    (lambda T, cfg: verify_fx_symmetry(H_TEST, flat_fx(), RATES0, T, cfg), "tenor {}"),
+    lambda T, cfg: survival_probability_mc(H_TEST, T, cfg),
+    lambda T, cfg: survival_curve_mc(H_TEST, [T], cfg),
+    lambda T, cfg: quanto_bond_mc(H_TEST, flat_fx(), RATES0, T, cfg),
+    lambda T, cfg: verify_rn_martingale(H_TEST, flat_fx(), RATES0, T, cfg),
+    lambda T, cfg: verify_fx_symmetry(H_TEST, flat_fx(), RATES0, T, cfg),
 ]
 
 
@@ -630,13 +630,15 @@ _BY_TENOR = [
 @example(T=-1.0)
 @example(T=0.0)
 @example(T=1e308)
+@example(T=1.0000001)
+@example(T=5e-324)
 def test_every_tenor_returns_or_raises_a_value_error_naming_it(T):
     cfg = SimConfig(n_paths=8, n_steps=4, horizon=2.0, seed=1)
-    for estimate, named in _BY_TENOR:
+    for estimate in _BY_TENOR:
         try:
             estimate(T, cfg)
         except ValueError as exc:
-            assert named.format(T) in str(exc)
+            assert f"tenor {T}" in str(exc)
 
 
 class TestMcEstimate:

@@ -71,8 +71,7 @@ class TestNoArbDrifts:
             h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=math.log(lam))
             fx = QuantoFxParams(z0=0.8, sigma_z=0.0, gamma_z=gamma, rho=0.0)
             kern = _TerminalKernel(h, [_Leg.of(h, fx, rates, "contractual")])
-            (alive,), _, (x,) = kern.run(SimConfig(n_paths=2_000, n_steps=20, horizon=2.0,
-                                                   seed=1))
+            (alive,), (x,) = kern.run(SimConfig(n_paths=2_000, n_steps=20, horizon=2.0, seed=1))
             assert alive.any()
             assert x[alive] == pytest.approx(math.exp(drift * 2.0) / 0.8, rel=1e-12)
 

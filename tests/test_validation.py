@@ -158,6 +158,6 @@ class TestSharedDrawPasses:
         for gamma, rho in keys:
             fx = QuantoFxParams(z0=SWEEP_Z0, sigma_z=SWEEP_SIGMA_Z, gamma_z=gamma, rho=rho)
             leg = _Leg.of(h, fx, RatePair(0.0, 0.0), "contractual")
-            _, int_lam, _ = _TerminalKernel(h, [leg]).run(cfg, want_fx=False)
+            (int_lam,) = _TerminalKernel(h, [leg]).run(cfg, want_fx=False)
             p_hat = float(np.mean(np.exp(-leg.intensity_scale * int_lam[0])))
             assert got[(gamma, rho)] == 100.0 * deviation_from_curves(gamma, p, p_hat)
