@@ -211,9 +211,7 @@ def _cmd_validate(args) -> int:
             n_paths=args.mc_paths,
             fixed_steps=args.mc_steps,
             seed=args.seed,
-            # the million-path interval is ~1e-4 wide; the hazard axis
-            # needs the 200-node resolution of the tabulated study
-            n_y=max(args.grid_y, 201),
+            n_y=args.grid_y,
         )
         rows = [[str(pt.n_steps), str(pt.n_paths), _fpar(pt.pde_value), _fpar(pt.mc.mean),
                  _fpar(pt.mc.ci95_low), _fpar(pt.mc.ci95_high), str(pt.inside).lower()]
@@ -521,8 +519,9 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--engine", choices=_ENGINES, default="adi")
 
     p = command("validate", _cmd_validate, "cross-engine validation studies", "")
-    p.add_argument("--grid-y", type=int, default=101,
-                   help="the bracketing study's PDE nodes on the log-hazard axis (at least 201)")
+    # 201 nodes resolve the bracketing study's million-path interval, about 1e-4 wide
+    p.add_argument("--grid-y", type=int, default=201,
+                   help="the bracketing study's PDE nodes on the log-hazard axis")
     p.add_argument("--mc-paths", type=int, default=100_000)
     p.add_argument("--mc-steps", type=int, default=500,
                    help="the bracketing study's fixed MC and PDE step count, at --mc-paths "
@@ -540,7 +539,9 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--engine", choices=_ENGINES, default="reduced")
 
     for name, handler in (("calibrate", _cmd_calibrate), ("backtest", _cmd_backtest)):
-        p = command(name, handler, f"{name} against a snapshot file", "yt")
+        p = command(name, handler, f"{name} against a snapshot file", "y")
+        p.add_argument("--grid-t", type=int, default=300, help="PDE time steps over the "
+                       "10-year horizon, rounded down to a multiple of 10 and at least 10")
         p.add_argument("--tolerance-bp", type=float, default=0.5)
         p.add_argument("--sigma-y-mode", choices=("passthrough", "implied"),
                        default="passthrough")

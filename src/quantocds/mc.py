@@ -25,14 +25,14 @@ in block order, so estimates are bit-identical for a given config no matter
 how the work is laid out.
 
 The work runs on two threads at most (numpy's generator and ufuncs release
-the GIL, so two threads use two cores).  Full blocks run in pairs, one block
-on the caller's thread and one on a helper, each drawing its own normals as
-it steps.  A full block left over and the final partial block run alone,
-with a helper thread drawing each step's normals a few steps ahead of the
-step loop.  Every block consumes its stream in the order a serial loop
-would, so every estimate is unchanged bit for bit, and every helper is
-joined before its blocks return, also when either side raises: no thread
-outlives a call.
+the GIL, so two threads use two cores), through one helper primitive,
+``_on_helper``.  Full blocks run in pairs, one block on the caller's thread
+and one as the single call on a helper, each drawing its own normals as it
+steps.  A full block left over and the final partial block run alone, with
+a helper drawing each step's normals a few steps ahead of the step loop.
+Every block consumes its stream in the order a serial loop would, so every
+estimate is unchanged bit for bit, and every helper is joined before its
+blocks return, also when either side raises: no thread outlives a call.
 """
 
 from __future__ import annotations
@@ -208,25 +208,28 @@ class _Leg:
 
 
 @contextmanager
-def _drawn_ahead(draw: Callable[[], object], n_steps: int) -> Iterator[Callable[[], object]]:
-    """A function returning ``draw()``'s results in call order, ``n_steps`` of
-    them, while one helper thread makes the calls up to ``_AHEAD`` ahead.
+def _on_helper(work: Callable[[threading.Event], object], n: int,
+               depth: int) -> Iterator[tuple[Callable[[], object], threading.Event]]:
+    """``(take, stop)``: one helper thread makes the ``n`` calls ``work(stop)``
+    in order, at most ``depth`` ahead, and ``take()`` returns their results in
+    call order.
 
-    A failure in ``draw`` is re-raised by the call that would have returned
-    its result.  On leaving the block, normally or by an exception, the
-    helper is told to stop, the queue is drained (so a helper blocked on a
-    full queue can see the flag) and the thread is joined.
+    A failure in ``work`` sets ``stop``, ends the calls and is raised by the
+    ``take()`` that would have returned its result.  On leaving the block,
+    normally or by an exception, ``stop`` is set, the queue is drained (so a
+    helper blocked on a full queue can see the flag) and the thread is joined.
     """
-    ready: queue.Queue = queue.Queue(maxsize=_AHEAD)
+    ready: queue.Queue = queue.Queue(maxsize=depth)
     stop = threading.Event()
 
     def produce() -> None:
         try:
-            for _ in range(n_steps):
+            for _ in range(n):
                 if stop.is_set():
                     return
-                ready.put((draw(), None))
-        except BaseException as exc:  # re-raised by take(): the loop never waits on a dead helper
+                ready.put((work(stop), None))
+        except BaseException as exc:  # re-raised by take(): the caller never waits on a dead helper
+            stop.set()
             ready.put((None, exc))
 
     def take():
@@ -235,10 +238,10 @@ def _drawn_ahead(draw: Callable[[], object], n_steps: int) -> Iterator[Callable[
             raise exc
         return result
 
-    helper = threading.Thread(target=produce, name="quantocds-mc-draws", daemon=True)
+    helper = threading.Thread(target=produce, name="quantocds-mc-helper", daemon=True)
     helper.start()
     try:
-        yield take
+        yield take, stop
     finally:
         stop.set()
         # after the flag is set the helper puts at most one more item
@@ -295,36 +298,15 @@ class _TerminalKernel:
         return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
 
     def _run_pair(self, cfg: SimConfig, block: int, want_fx: bool):
-        """The full blocks ``block`` and ``block + 1``, side by side: the second
-        on a helper thread, each drawing its own normals inline.
+        """The full blocks ``block`` and ``block + 1`` side by side, drawing inline:
+        the second is the one call on an ``_on_helper`` thread, the first runs
+        here, and a failure on either side stops the other and is raised here."""
+        def second(stop):
+            return self._run_block(_block_rng(cfg.seed, block + 1), _BLOCK, cfg, want_fx, stop)
 
-        A failure on either side makes the other stop at its next step; the
-        helper is joined before this returns or raises, and a failure of the
-        helper's block is raised here.
-        """
-        stop = threading.Event()
-        second = []
-
-        def partner() -> None:
-            try:
-                second.append(self._run_block(_block_rng(cfg.seed, block + 1), _BLOCK, cfg,
-                                              want_fx, stop))
-            except BaseException as exc:  # re-raised below, on the caller's thread
-                stop.set()
-                second.append(exc)
-
-        helper = threading.Thread(target=partner, name="quantocds-mc-pair", daemon=True)
-        helper.start()
-        try:
+        with _on_helper(second, 1, 1) as (take, stop):
             first = self._run_block(_block_rng(cfg.seed, block), _BLOCK, cfg, want_fx, stop)
-        except BaseException:
-            stop.set()
-            raise
-        finally:
-            helper.join()
-        if isinstance(second[0], BaseException):
-            raise second[0]
-        return first, second[0]
+            return first, take()
 
     def _draw_normals(self, rng, count: int) -> np.ndarray:
         return rng.standard_normal(count)
@@ -334,9 +316,11 @@ class _TerminalKernel:
         """One block's arrays as :meth:`run` returns them, one row per leg.
 
         The thresholds are drawn on the calling thread.  Without ``stop`` the
-        normals are drawn ahead on a helper thread (``_drawn_ahead``); with
-        it, as one block of a pair, they are drawn inline, and the block gives
-        up at the first step after ``stop`` is set.
+        normals are drawn up to ``_AHEAD`` steps ahead on an ``_on_helper``
+        thread, and the block never polls that helper's flag: a failed draw
+        must reach the step loop through ``take()``.  With ``stop``, as one
+        block of a pair, they are drawn inline, and the block gives up at the
+        first step after ``stop`` is set.
         """
         # Every update writes into buffers allocated once per block and keeps
         # the operand order of the plain expression it replaces (noted beside
@@ -385,8 +369,9 @@ class _TerminalKernel:
             return n1, self._draw_normals(rng, size) if want_fx else None
 
         inline = stop is not None
-        draws = nullcontext(draw_step) if inline else _drawn_ahead(draw_step, cfg.n_steps)
-        with draws as next_draws:
+        draws = (nullcontext((draw_step, None)) if inline
+                 else _on_helper(lambda _: draw_step(), cfg.n_steps, _AHEAD))
+        with draws as (next_draws, _):
             for _ in range(cfg.n_steps):
                 if inline and stop.is_set():
                     break  # the pair failed on the other side; this block is discarded

@@ -312,6 +312,20 @@ class TestValidateCmd:
         assert rc == 0
         assert "[FAIL]" not in out
 
+    def test_grid_y_runs_as_given(self, tmp_path, capsys):
+        # below 201 the flag used to be raised to 201 silently
+        pde = {}
+        for n_y in ("51", "201"):
+            rc = run(["validate", "--study", "bracketing", "--mc-paths", "2000",
+                      "--bracket-steps", "50", "--mc-steps", "50", "--grid-y", n_y,
+                      "--out-dir", str(tmp_path / n_y)])
+            capsys.readouterr()
+            assert rc == 0
+            rows = csv.DictReader(open(tmp_path / n_y / "validate_bracketing.csv"))
+            pde[n_y] = [row["pde"] for row in rows]
+        assert len(pde["51"]) == len(pde["201"]) > 0
+        assert pde["51"] != pde["201"]
+
     @pytest.mark.parametrize("scenario,passed", [("low", "30/30"), ("high", "28/28")])
     def test_deviation_study(self, tmp_path, capsys, scenario, passed):
         rc = run(["validate", "--study", "deviation", "--sweep-scenario", scenario,

@@ -1,6 +1,7 @@
 import math
 import re
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from quantocds.mc import (
     SimConfig,
     _block_rng,
     _Leg,
+    _on_helper,
     _ou_mean_coeffs,
     _quanto_bond_pass,
     _TerminalKernel,
@@ -407,6 +409,83 @@ class TestPairs:
         assert paired not in callers
         assert streams[failing].normals == 5
         assert streams[1 - failing].normals < 2 * cfg.n_steps
+
+
+class TestOnHelper:
+    """The one helper-thread primitive on its own, without the kernel: ``n``
+    calls of ``work(stop)`` on one helper, at most ``depth`` ahead, whose
+    results ``take()`` returns in call order."""
+
+    @staticmethod
+    def _counting(fail_at: int | None = None):
+        """A ``work`` that records each call's ``stop`` and returns the call
+        number, raising at call ``fail_at``; and the list of those stops."""
+        calls = []
+
+        def work(stop):
+            calls.append(stop)
+            if len(calls) == fail_at:
+                raise RuntimeError(f"call {fail_at} failed")
+            return len(calls)
+
+        return work, calls
+
+    def test_results_come_back_in_call_order(self):
+        work, calls = self._counting()
+        seen = []
+
+        def run():
+            with _on_helper(work, 50, 3) as (take, stop):
+                seen.extend(take() for _ in range(50))
+                seen.append(stop.is_set())
+            seen.append(stop)
+
+        assert _bounded(run) is None
+        *results, stopped_inside, stop = seen
+        assert results == list(range(1, 51)) and not stopped_inside
+        assert len(calls) == 50 and all(passed is stop for passed in calls)
+        assert stop.is_set()
+
+    def test_failing_call_is_raised_by_its_take_and_ends_the_calls(self):
+        work, calls = self._counting(fail_at=4)
+        seen = []
+
+        def run():
+            with _on_helper(work, 20, 2) as (take, stop):
+                seen.extend(take() for _ in range(3))
+                try:
+                    take()
+                finally:
+                    # the helper set the flag and made its last call before
+                    # handing the failure over
+                    seen.extend([stop.is_set(), len(calls)])
+
+        exc = _bounded(run)
+        assert isinstance(exc, RuntimeError) and str(exc) == "call 4 failed"
+        assert seen == [1, 2, 3, True, 4]
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("leave", ["normally", "by an exception"])
+    def test_leaving_early_stops_the_calls_and_joins_the_helper(self, leave):
+        # with nothing taken, the helper fills the queue with depth results and
+        # waits to put one more; leaving drains the queue and ends the calls
+        work, calls = self._counting()
+        depth = 3
+        stops = []
+
+        def run():
+            with _on_helper(work, 1_000, depth) as (_, stop):
+                stops.append(stop)
+                deadline = time.monotonic() + 10.0
+                while len(calls) < depth + 1 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                if leave != "normally":
+                    raise KeyError("left early")
+
+        exc = _bounded(run)
+        assert exc is None if leave == "normally" else isinstance(exc, KeyError)
+        assert stops[0].is_set()
+        assert 1 <= len(calls) <= depth + 1
 
 
 class TestSimulateFx:
