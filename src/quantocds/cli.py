@@ -460,9 +460,9 @@ def _rolling_correlation_rows(path: Path, window: int) -> list[list[str]]:
 
 _ENGINES = ("adi", "reduced")
 
-_GRID_FLAGS = {"x": (101, "PDE nodes on the log-FX axis"),
-               "y": (101, "PDE nodes on the log-hazard axis"),
-               "t": (300, "PDE time steps over the horizon")}
+_GRID_FLAGS = {"x": (SolverConfig.n_x, "PDE nodes on the log-FX axis"),
+               "y": (SolverConfig.n_y, "PDE nodes on the log-hazard axis"),
+               "t": (SolverConfig.n_t, "PDE time steps over the horizon")}
 
 _MODEL_FLAGS = (
     ("a", 1e-4, "hazard mean-reversion speed"),

@@ -87,16 +87,25 @@ _RANNACHER_STEPS = 2
 _WIDTH_SIGMAS = 6.0
 
 # Most y-nodes at which the ADI y-sweep multiplies by a dense inverse, not dgttrs.  At
-# n_x = 101 on one thread of a 2-CPU x86-64 machine (OpenBLAS 0.3.31) the two took 58 and
-# 161 us at n_y = 101, 148 and 258 us at 151, and 313 and 252 us at 161.
+# the default n_x = 11 on one thread of a 2-CPU x86-64 machine (OpenBLAS 0.3.31) the two
+# took 4.6 and 11.8 us at n_y = 101, 9.9 and 17.5 us at 151, and 17.0 and 23.2 us at 201.
+# The product would still win above 151, but the gate stays: moving it would move the
+# bytes of every price at 152 to 201 y-nodes.
 _DENSE_Y_SWEEP_MAX = 151
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid resolutions; ``n_t`` counts time steps over the whole solve horizon."""
+    """Grid resolutions; ``n_t`` counts time steps over the whole solve horizon.
 
-    n_x: int = 101
+    ``n_x`` defaults to 11 because the log-FX grid adds no error: every ADI
+    x-difference, at the edges and in the mixed term too, is fitted to be exact
+    on e^x, in which the solution z * w(t, y) is linear.  Eleven nodes price as
+    101 do to round-off in about a fifth of the time.  The CLI's ``--grid-*``
+    flags default to these fields.
+    """
+
+    n_x: int = 11
     n_y: int = 101
     n_t: int = 300
 

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from quantocds.cli import main, read_snapshots
+from quantocds.cli import _build_subparsers, _solver_cfg, main, read_snapshots
 from quantocds.calibration import CalibrationConfig, MarketSnapshot, _SpreadModel
+from quantocds.pde import SolverConfig
 
 FAST_MODEL = ["--sigma-y", "0.2", "--grid-x", "41", "--grid-y", "61", "--grid-t", "60"]
 
@@ -43,6 +44,11 @@ class TestPrice:
         usd = lines[0].split()[-2]
         eur = lines[1].split()[-2]
         assert usd == eur
+
+    @pytest.mark.parametrize("argv", [["price"], ["survival-curve"], ["sweep", "--axis", "rho=0:0:1"]])
+    def test_grid_flags_default_to_the_solver_config(self, argv):
+        args = _build_subparsers()[0].parse_args(argv)
+        assert _solver_cfg(args) == SolverConfig()
 
     def test_writes_csvs(self, tmp_path, capsys):
         rc = run(["price", "--tenor", "1", "--out-dir", str(tmp_path), *FAST_MODEL])

@@ -269,7 +269,7 @@ class TestSchemeQuality:
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.2, rho=0.9)
         rates = RatePair(0.05, 0.05)
         with pytest.raises(PdeInstabilityError,
-                           match=r"x-sweep on the 101 x 101 grid.*theta\*dt = 0.0166667"):
+                           match=r"x-sweep on the 11 x 101 grid.*theta\*dt = 0.0166667"):
             solve_quanto_pde(h, fx, rates, 5.0, SolverConfig())
         hat, p = quanto_survival_curve(h, fx, rates, [1.0, 5.0], SolverConfig(),
                                        engine="reduced")
@@ -403,7 +403,7 @@ class TestTridiag:
         ops = self._ops()
         zeros = np.zeros(101)
         ops.diags[2] = (zeros, np.full(101, 2.0), zeros)
-        with pytest.raises(PdeInstabilityError, match=r"ADI y-sweep on the 101 x 101 grid"):
+        with pytest.raises(PdeInstabilityError, match=r"ADI y-sweep on the 11 x 101 grid"):
             ops.lu(2, 0.5)
 
     def test_every_sweep_solves_through_solve_banded(self, monkeypatch):
@@ -587,6 +587,21 @@ class TestAdiProperties:
         coarse = self._p_hat(h, fx, rates, T, replace(self.GRID, n_x=5))
         assert np.max(np.abs(self._p_hat(h, fx, rates, T) - coarse)) <= 1e-12
 
+    @pytest.mark.parametrize("h, gamma, rho, rates, T", [
+        (H_SWEEP, -1.0, 0.3, RATES0, 5.0),
+        (HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5), -0.2, 0.9, RatePair(0.05, 0.05), 5.0),
+        (H_SWEEP, 0.4, 0.9, RATES0, 5.0),
+        (H_SWEEP, -0.6, -0.9, RATES0, 5.0),
+        (H_REVERTING, -0.3, 0.5, RatePair(0.03, 0.01), 5.0),
+        (H_SWEEP, 0.6, -0.5, RATES0, 10.0),
+    ], ids=["total devaluation", "high-vol devaluation", "rho 0.9", "rho -0.9", "r != r_hat",
+            "10y"])
+    def test_default_x_grid_prices_as_101_nodes(self, h, gamma, rho, rates, T):
+        # every x-difference is exact on e^x, so 11 x-nodes price as 101 do
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=rho)
+        default = self._p_hat(h, fx, rates, T, SolverConfig())
+        assert np.max(np.abs(default - self._p_hat(h, fx, rates, T, SolverConfig(n_x=101)))) <= 1e-12
+
 
 class TestGrid:
     def test_spot_on_node(self):
@@ -675,10 +690,11 @@ class EquivalencePoint:
 
 def mc_pde_equivalence_sweep(n_paths: int = 50_000, seed: int = 9) -> list[EquivalencePoint]:
     """|p_hat_PDE - p_hat_MC| over the low-hazard sweep, using the two-factor
-    solver on a 101 x 101 x 200 grid and 50 MC steps a year, in one Monte Carlo
-    pass per tenor for all 18 (gamma, rho) legs, each as ``quanto_bond_mc`` prices it."""
+    solver on an 11 x 101 x 200 grid (the x-grid adds no error) and 50 MC steps
+    a year, in one Monte Carlo pass per tenor for all 18 (gamma, rho) legs, each
+    as ``quanto_bond_mc`` prices it."""
     h, rates, tenors = SWEEP_HAZARD_LOW, RatePair(0.0, 0.0), SWEEP_TENORS
-    pde_cfg = SolverConfig(n_x=101, n_y=101, n_t=200)
+    pde_cfg = SolverConfig(n_x=11, n_y=101, n_t=200)
     fxs = [_sweep_fx(gamma, rho) for gamma in SWEEP_GAMMAS for rho in SWEEP_RHOS]
     mc = [_quanto_bond_pass(h, fxs, rates, T, SimConfig(n_paths, max(20, int(50 * T)), T, seed))
           for T in tenors]
