@@ -21,6 +21,9 @@ from . import pde
 # premium accrual period (quarterly) and protection-integral step (weekly), years
 _PERIOD = 0.25
 _PROTECTION_STEP = 1.0 / 52.0
+# longest contract, in years: the schedule holds one payment time a quarter, so a
+# tenor without a bound would size an array without one (1e308 overflowed its count)
+_MAX_TENOR = 1000.0
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,8 @@ class CdsContract:
     def __post_init__(self) -> None:
         if not 0.0 < self.tenor < math.inf:
             raise ValueError(f"tenor must be positive and finite, got {self.tenor}")
+        if self.tenor > _MAX_TENOR:
+            raise ValueError(f"tenor must be at most {_MAX_TENOR:g} years, got {self.tenor}")
         if not 0.0 <= self.recovery < 1.0:
             raise ValueError(f"recovery must lie in [0, 1), got {self.recovery}")
         if not (math.isfinite(self.notional) and self.notional != 0.0):
@@ -64,7 +69,7 @@ class CdsContract:
         return self._schedule[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParSpreadResult:
     """Par spread with its building blocks.
 
@@ -78,7 +83,7 @@ class ParSpreadResult:
     protection_pv: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantoParSpreads:
     liquid: ParSpreadResult
     contractual: ParSpreadResult

@@ -221,6 +221,10 @@ def _cmd_validate(args) -> int:
         required, info = validation.bracketing_checks(points)
         for name, inside, detail in info:
             print(f"[info] {name}: inside={inside} {detail}")
+        if not required:
+            raise ValueError(
+                "the bracketing study checked nothing: every point has fewer than "
+                f"{validation.BRACKETING_MIN_STEPS} steps (--bracket-steps, --mc-steps)")
         checks.extend(required)
 
     if args.study in ("all", "deviation"):
@@ -460,7 +464,8 @@ def _rolling_correlation_rows(path: Path, window: int) -> list[list[str]]:
 
 _ENGINES = ("adi", "reduced")
 
-_GRID_FLAGS = {"x": (SolverConfig.n_x, "PDE nodes on the log-FX axis"),
+_GRID_FLAGS = {"x": (SolverConfig.n_x, "PDE nodes on the log-FX axis; they size only the "
+                                       "value surface, as the ADI engine marches its y-profile"),
                "y": (SolverConfig.n_y, "PDE nodes on the log-hazard axis"),
                "t": (SolverConfig.n_t, "PDE time steps over the horizon")}
 

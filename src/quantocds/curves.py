@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _EPS = 1e-6
 
 
-@dataclass(frozen=True)
 class SurvivalCurve:
     """Tenor -> survival probability map, log-linear between nodes.
 
@@ -18,14 +15,17 @@ class SurvivalCurve:
     and non-increasing whenever the nodes are.  Numerical noise up to 1e-6
     (from a PDE or MC producer) is tolerated and clipped; anything larger
     is rejected.
+
+    The nodes, anchored at p(0) = 1, are one read-only (3, n + 1) array of
+    knot times, log-probabilities and probabilities: ``tenors`` and
+    ``probs`` read its rows past the anchor.
     """
 
-    tenors: np.ndarray
-    probs: np.ndarray
+    __slots__ = ("_nodes",)
 
-    def __post_init__(self) -> None:
-        tenors = np.asarray(self.tenors, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
+    def __init__(self, tenors, probs) -> None:
+        tenors = np.asarray(tenors, dtype=float)
+        probs = np.asarray(probs, dtype=float)
         if tenors.ndim != 1 or tenors.shape != probs.shape or tenors.size == 0:
             raise ValueError("tenors and probs must be 1-d arrays of equal, nonzero length")
         if tenors[0] <= 0 or np.any(np.diff(tenors) <= 0):
@@ -35,13 +35,14 @@ class SurvivalCurve:
         if np.any(np.diff(probs) > _EPS):
             raise ValueError("survival probabilities must be non-increasing")
         probs = np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
-        object.__setattr__(self, "tenors", tenors)
-        object.__setattr__(self, "probs", probs)
-        # log-linear knots, anchored at p(0) = 1
-        xs = np.concatenate(([0.0], tenors))
+        nodes = np.empty((3, tenors.size + 1))
+        nodes[:, 0] = (0.0, 0.0, 1.0)
+        nodes[0, 1:] = tenors
         with np.errstate(divide="ignore"):
-            ys = np.concatenate(([0.0], np.log(probs)))
-        object.__setattr__(self, "_knots", (xs, ys))
+            np.log(probs, out=nodes[1, 1:])
+        nodes[2, 1:] = probs
+        nodes.flags.writeable = False
+        self._nodes = nodes
 
     @classmethod
     def from_flat_hazard(cls, lam: float, tenors) -> "SurvivalCurve":
@@ -49,13 +50,21 @@ class SurvivalCurve:
         return cls(tenors, np.exp(-lam * tenors))
 
     @property
+    def tenors(self) -> np.ndarray:
+        return self._nodes[0, 1:]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self._nodes[2, 1:]
+
+    @property
     def horizon(self) -> float:
-        return float(self.tenors[-1])
+        return float(self._nodes[0, -1])
 
     def __call__(self, t) -> np.ndarray | float:
         """Survival probability at time(s) t; errors beyond the last tenor."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.tenors[-1] * (1 + 1e-12)):
+        if np.any(t < 0) or np.any(t > self.horizon * (1 + 1e-12)):
             raise ValueError("curve evaluated outside [0, horizon]")
-        out = np.exp(np.interp(t, *self._knots))
+        out = np.exp(np.interp(t, self._nodes[0], self._nodes[1]))
         return float(out) if out.ndim == 0 else out

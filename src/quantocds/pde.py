@@ -21,16 +21,20 @@ y-drift tilted by rho sigma_y sigma_z.  The reduction doubles as a
 high-precision cross-check of the ADI engine and as the fast path for
 calibration.
 
+The ADI scheme's x-differences are fitted to be exact on e^x, and its march
+starts from v = e^x, so every step leaves v = e^x w(y): ``_ProfileStep``
+marches that y-profile w, on which each split operator acts exactly as a
+one-dimensional one, and the log-FX grid only sizes the reported surface.
+One step is linear in w, so it is built once per theta as a dense n_y x n_y
+matrix, and each time step is one product with it.
+
 Both engines difference y with one operator, ``_y_diags``: Spalding's
 hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
-Every implicit sweep (the one-factor march, the ADI x-sweep and the ADI
-y-sweep) solves through one function, ``solve_banded``: LAPACK ``dgttrf``
-factors I - theta*dt*A once per theta*dt (``_factor``), and a solve is one
-``dgttrs`` call.  The ADI x-sweep solves all y rows as one block-diagonal
-system.  The y-sweep's matrix is shared by all x columns: on up to
-``_DENSE_Y_SWEEP_MAX`` y-nodes it multiplies them by the inverse that one
-solve of the identity gives, one BLAS-3 product, and above it solves them
-as right-hand sides of one call.
+Every implicit solve goes through one function, ``solve_banded``: LAPACK
+``dgttrf`` factors I - theta*dt*A once per theta*dt (``_factor``), and a
+solve is one ``dgttrs`` call.  The one-factor march solves once a step; the
+ADI y-sweep's inverse is one solve of the identity per theta*dt, and its
+x-sweep, diagonal on the profile, divides.
 
 ``survival_curve_1f`` builds the one-factor operator once and does
 without the time loop where it can: the operator is time-homogeneous and,
@@ -86,23 +90,15 @@ _THETA = 0.5
 _RANNACHER_STEPS = 2
 _WIDTH_SIGMAS = 6.0
 
-# Most y-nodes at which the ADI y-sweep multiplies by a dense inverse, not dgttrs.  At
-# the default n_x = 11 on one thread of a 2-CPU x86-64 machine (OpenBLAS 0.3.31) the two
-# took 4.6 and 11.8 us at n_y = 101, 9.9 and 17.5 us at 151, and 17.0 and 23.2 us at 201.
-# The product would still win above 151, but the gate stays: moving it would move the
-# bytes of every price at 152 to 201 y-nodes.
-_DENSE_Y_SWEEP_MAX = 151
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid resolutions; ``n_t`` counts time steps over the whole solve horizon.
 
-    ``n_x`` defaults to 11 because the log-FX grid adds no error: every ADI
+    ``n_x`` only sizes the reported surface ``PdeSolution.values``: every ADI
     x-difference, at the edges and in the mixed term too, is fitted to be exact
-    on e^x, in which the solution z * w(t, y) is linear.  Eleven nodes price as
-    101 do to round-off in about a fifth of the time.  The CLI's ``--grid-*``
-    flags default to these fields.
+    on e^x, in which the solution z * w(t, y) is linear, so the ADI engine
+    marches the y-profile w alone and prices alike on any log-FX grid.  The
+    CLI's ``--grid-*`` flags default to these fields.
     """
 
     n_x: int = 11
@@ -185,7 +181,9 @@ def _x_axis(h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float,
             n_x: int) -> tuple[np.ndarray, int]:
     """Symmetric log-FX grid around ln z0, wide enough for diffusion and drift."""
     m_end, _ = ou_mean_std(h, T)
-    lam_scale = math.exp(max(h.y0, m_end))
+    # the compensator's term below is capped at 2.0, so for any |gamma| T above
+    # 1e-307 an e^y beyond e^709, the largest finite power, moves nothing but overflows
+    lam_scale = math.exp(min(max(h.y0, m_end), 709.0))
     half = _WIDTH_SIGMAS * fx.sigma_z * math.sqrt(T)
     half += abs(rates.r - rates.r_hat) * T
     half += min(abs(fx.gamma_z) * lam_scale * T * 3.0, 2.0)
@@ -320,143 +318,99 @@ def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     return dgttrs(*factors, rhs.reshape(size, -1))[0].reshape(rhs.shape)
 
 
-class _Ops2D:
-    """Discrete split operators on a Grid2D.
+class _ProfileStep:
+    """One Craig-Sneyd step of the two-factor scheme, on the y-profile w of v = e^x w.
 
-    Arrays are laid out (n_y, n_x), x along the contiguous last axis.
-    Direction 1 is x, direction 2 is y.  The x-direction systems vary by y
-    row (the jump compensator makes their convection y-dependent) and are
-    solved through ``solve_banded`` as one block-diagonal system over all rows.
-    The y-direction operator is the one-factor march's (``_y_diags``),
-    shared by all x columns: up to ``_DENSE_Y_SWEEP_MAX`` nodes its factors
-    solve the identity once per theta*dt and each y-sweep is one product
-    with that inverse; above it, one ``dgttrs`` call with the columns as
-    right-hand sides.
+    Every x-difference of the scheme, its boundary rows and the mixed term's
+    x-edges included, is fitted to be exact on e^x (``_Ops2D`` in
+    tests/test_pde.py marches the whole surface with them), and a march
+    starts from v = e^x, so each split operator maps e^x w to e^x times an
+    operator on w:
+
+    - A_x is the diagonal a_x = -max(gamma, 0) e^y: on e^x its rows give the
+      FX drift plus sigma_z^2 / 2, r - r_hat - gamma e^y, less the discount
+      r - r_hat and the kill -min(gamma, 0) e^y that the x-direction takes
+      for gamma < 0, so that the jump compensator's drift does not grow e^x
+      in its sweep.  That sweep divides by 1 - theta dt a_x >= 1.
+    - The mixed term rho sigma_z sigma_y v_xy is rho sigma_z sigma_y / (2 dy)
+      times the central y-difference of w, and zero on the y-edge rows, where
+      the boundary condition sets w_y = 0.
+    - A_y is the one-factor march's operator (``_y_diags``), killing at e^y
+      less the x-direction's share.
 
     The operators discount at r - r_hat, so a march carries e^(r_hat tau) v
     (tau the time to maturity) and ``solve_quanto_pde`` applies the exact
-    e^(-r_hat tau).  At total devaluation that discount cancels the FX
-    drift's r - r_hat on e^x, so the interior rows keep z at any rates.
-
-    Boundary conditions: zero second derivative in x at both ends (the
-    payoff is asymptotically linear in z), zero first derivative in y.
+    e^(-r_hat tau); on e^x that discount cancels the FX drift's r - r_hat, so
+    w does not see the rates.
     """
 
-    def __init__(self, grid: Grid2D, h: HazardParams, fx: QuantoFxParams,
-                 rates: RatePair):
-        x, y = grid.x_nodes, grid.y_nodes
-        dx, dy = x[1] - x[0], y[1] - y[0]
+    def __init__(self, grid: Grid2D, h: HazardParams, fx: QuantoFxParams):
+        y = grid.y_nodes
         ey = np.exp(y)
-        cx = rates.r - rates.r_hat - 0.5 * fx.sigma_z**2 - fx.gamma_z * ey  # (ny,)
-        hx = 0.5 * fx.sigma_z**2
-        # exponential fitting: each x-difference is scaled to be exact on e^x,
-        # in which the solution z * w(t, y) is linear, so the x-grid adds no error
-        d2 = hx / (2.0 * math.sinh(0.5 * dx)) ** 2  # hx / dx^2 * (dx/2)^2 / sinh^2(dx/2)
-        d1 = cx / (2.0 * math.sinh(dx))             # cx / (2 dx) * dx / sinh(dx)
-        # for gamma < 0 the compensator's drift grows e^x at the rate -gamma e^y: the x-sweep
-        # takes that much of the kill so as not to amplify it; the y-sweep keeps (1 + gamma) e^y
         kill_x = -min(fx.gamma_z, 0.0) * ey
-        r_fwd = rates.r - rates.r_hat
+        self.a_x = -max(fx.gamma_z, 0.0) * ey
+        self.y_diags = _y_diags(h, y, 0.0, ey - kill_x)
+        self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y / (2.0 * (y[1] - y[0]))
+        self.sweep = f"ADI y-sweep on the {grid.x_nodes.size} x {y.size} grid"
 
-        lo1 = np.repeat((d2 - d1)[:, None], x.size, axis=1)
-        di1 = np.repeat((-2 * d2 - r_fwd - kill_x)[:, None], x.size, axis=1)
-        up1 = np.repeat((d2 + d1)[:, None], x.size, axis=1)
-        # linearity boundary: drop the diffusion and convect at cx + hx, so the
-        # one-sided rows stay exact on e^x, where v_xx = v_x
-        left, right = (cx + hx) / math.expm1(dx), -(cx + hx) / math.expm1(-dx)
-        lo1[:, 0] = up1[:, -1] = 0.0
-        di1[:, 0] = -left - r_fwd - kill_x
-        up1[:, 0] = left
-        di1[:, -1] = right - r_fwd - kill_x
-        lo1[:, -1] = -right
-        self.diags = {1: (lo1, di1, up1), 2: _y_diags(h, y, 0.0, ey - kill_x)}
-        # f1 and f2 apply the diagonals along contiguous memory: f1 over the flat array,
-        # where the zero seams lo1[:, 0] and up1[:, -1] keep the rows apart, f2 along
-        # the first axis, a whole row at a time
-        self._x_stencil = tuple(d.ravel() for d in self.diags[1])
-        self._y_stencil = tuple(np.repeat(d[:, None], x.size, axis=1) for d in self.diags[2])
-
-        # rho sigma_z sigma_y times the fitted v_xy's weight on the four-point cross difference
-        self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y * dx / math.sinh(dx) / (4.0 * dx * dy)
-        # at the x-edges a central y-difference of the one-sided fitted x-differences,
-        # exact on e^x like the boundary rows of the x-direction
-        edge = fx.rho * fx.sigma_z * h.sigma_y / (2.0 * dy)
-        self._edge_coefs = (edge / math.expm1(dx), -edge / math.expm1(-dx))
-        self._factors: dict[tuple[int, float], tuple] = {}
-        self._y_inverses: dict[float, np.ndarray] = {}
-
-    def f1(self, v: np.ndarray) -> np.ndarray:
-        return _apply(*self._x_stencil, v.ravel()).reshape(v.shape)
-
-    def f2(self, v: np.ndarray) -> np.ndarray:
-        return _apply(*self._y_stencil, v)
-
-    def mixed(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The mixed term into a zeroed ``out``, whose y-edge rows, where v_y = 0, stay zero."""
-        if self.mixed_coef != 0.0:
-            dxv = v[:, 2:] - v[:, :-2]
-            np.multiply(self.mixed_coef, dxv[2:] - dxv[:-2], out=out[1:-1, 1:-1])
-            left, right = self._edge_coefs
-            out[1:-1, 0] = left * ((v[2:, 1] - v[2:, 0]) - (v[:-2, 1] - v[:-2, 0]))
-            out[1:-1, -1] = right * ((v[2:, -1] - v[2:, -2]) - (v[:-2, -1] - v[:-2, -2]))
+    def mixed(self, w: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(w)
+        out[1:-1] = self.mixed_coef * (w[2:] - w[:-2])
         return out
 
-    def lu(self, direction: int, theta_dt: float) -> tuple:
-        """``solve_banded``'s factors of I - theta_dt * A along ``direction``, made once."""
-        key = (direction, theta_dt)
-        if key not in self._factors:
-            ny, nx = self.diags[1][1].shape
-            self._factors[key] = _factor(*self.diags[direction], theta_dt,
-                                         f"ADI {'xy'[direction - 1]}-sweep on the {nx} x {ny} grid")
-        return self._factors[key]
+    def y_inverse(self, theta_dt: float) -> np.ndarray:
+        """(I - theta_dt * A_y)^-1, from one solve of the identity."""
+        lu = _factor(*self.y_diags, theta_dt, self.sweep)
+        return solve_banded(lu, np.eye(self.a_x.size))
 
-    def y_sweep(self, rhs: np.ndarray, theta_dt: float) -> np.ndarray:
-        """(I - theta_dt * A_y)^-1 rhs for every x column."""
-        lu, n_y = self.lu(2, theta_dt), rhs.shape[0]
-        if n_y > _DENSE_Y_SWEEP_MAX:
-            return solve_banded(lu, rhs)
-        if theta_dt not in self._y_inverses:
-            self._y_inverses[theta_dt] = solve_banded(lu, np.eye(n_y))
-        return self._y_inverses[theta_dt] @ rhs
+    def matrix(self, theta: float, dt: float) -> np.ndarray:
+        """The step w -> w_next as a dense matrix: the step applied to the identity."""
+        theta_dt = theta * dt
+        y_inv = self.y_inverse(theta_dt)
+        w = np.eye(self.a_x.size)
+        f1w = self.a_x[:, None] * w
+        f2w = _apply(*(d[:, None] for d in self.y_diags), w)
+        f0w = self.mixed(w)
+        x_sweep = (1.0 - theta_dt * self.a_x)[:, None]
 
-    def sweeps(self, rhs: np.ndarray, theta_dt: float, f1v: np.ndarray,
-               f2v: np.ndarray) -> np.ndarray:
-        """The implicit x-sweep, then the y-sweep, of one splitting stage."""
-        y1 = solve_banded(self.lu(1, theta_dt), rhs - theta_dt * f1v)
-        return self.y_sweep(y1 - theta_dt * f2v, theta_dt)
+        def sweeps(rhs: np.ndarray) -> np.ndarray:
+            return y_inv @ ((rhs - theta_dt * f1w) / x_sweep - theta_dt * f2w)
+
+        rhs0 = w + dt * (f0w + f1w + f2w)
+        w_next = sweeps(rhs0)
+        if theta != 1.0 and self.mixed_coef != 0.0:
+            w_next = sweeps(rhs0 + 0.5 * dt * (self.mixed(w_next) - f0w))
+        return w_next
 
 
-def _adi_march(
-    ops: _Ops2D,
-    v: np.ndarray,
-    dt: float,
-    n_t: int,
-    snap: Mapping[int, float],
-    spot: tuple[int, int],
-) -> tuple[np.ndarray, dict[float, float]]:
-    """March backward n_t steps; returns final surface and spot snapshots."""
-    iy0, ix0 = spot
+def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
+               ) -> tuple[np.ndarray, dict[float, float]]:
+    """March the profile backward from w = 1 over ``grid``'s time steps;
+    returns the final profile and its spot snapshots."""
+    dt = float(grid.t_nodes[1] - grid.t_nodes[0])
+    n_t = grid.t_nodes.size - 1
+    w = np.ones(grid.y_nodes.size)
     snapshots: dict[float, float] = {}
-    cap = 50.0 * float(np.max(np.abs(v))) + 10.0
-    f0v, f0v_new = np.zeros_like(v), np.zeros_like(v)  # mixed terms; y-edges stay zero
-    for step in range(n_t):
-        k_next = n_t - 1 - step  # time-node index after this step
-        theta = 1.0 if step < _RANNACHER_STEPS else _THETA
-        f1v, f2v = ops.f1(v), ops.f2(v)
-        rhs0 = v + dt * (ops.mixed(v, f0v) + f1v + f2v)
-        v = ops.sweeps(rhs0, theta * dt, f1v, f2v)
-        if theta != 1.0 and ops.mixed_coef != 0.0:
-            v = ops.sweeps(rhs0 + 0.5 * dt * (ops.mixed(v, f0v_new) - f0v), theta * dt, f1v, f2v)
-        if (step & 15) == 0 or k_next == 0:
-            m = float(np.max(np.abs(v)))
+    matrices: dict[float, np.ndarray] = {}
+    # max |v| over the surface e^x w, against its value at maturity
+    scale = math.exp(grid.x_nodes[-1])
+    cap = 50.0 * scale + 10.0
+    for k in range(n_t):
+        k_next = n_t - 1 - k  # time-node index after this step
+        theta = 1.0 if k < _RANNACHER_STEPS else _THETA
+        if theta not in matrices:
+            matrices[theta] = step.matrix(theta, dt)
+        w = matrices[theta] @ w
+        if (k & 15) == 0 or k_next == 0:
+            m = scale * float(np.max(np.abs(w)))
             if not math.isfinite(m) or m > cap:
                 raise PdeInstabilityError(
                     f"value blow-up at time node {k_next}: max |v| = {m:.3e} "
-                    f"(grid {v.shape[1]}x{v.shape[0]}, dt = {dt:.3e})"
+                    f"(grid {grid.x_nodes.size}x{w.size}, dt = {dt:.3e})"
                 )
         if k_next in snap:
-            snapshots[snap[k_next]] = float(v[iy0, ix0])
-    return v, snapshots
+            snapshots[snap[k_next]] = float(w[grid.iy0])
+    return w, snapshots
 
 
 def solve_quanto_pde(
@@ -477,22 +431,20 @@ def solve_quanto_pde(
     Default kills the claim and the devaluation jump lands on a value that
     is zero after default, so the jump enters only through the e^y kill
     term and the compensator in the x-drift: one march of the pre-default
-    surface is the whole solve.
+    surface, as its y-profile (``_ProfileStep``), is the whole solve.
     """
     cfg = cfg or SolverConfig()
     grid, snap = build_grid(h, fx, rates, T, cfg, snapshot_tenors)
-    dt = float(grid.t_nodes[1] - grid.t_nodes[0])
-    n_t = grid.t_nodes.size - 1
-    ops = _Ops2D(grid, h, fx, rates)
-    u = np.tile(np.exp(grid.x_nodes), (grid.y_nodes.size, 1))
-    u, snapshots = _adi_march(ops, u, dt, n_t, snap, (grid.iy0, grid.ix0))
-    # the march carries e^(r_hat tau) v (``_Ops2D``)
+    w, snapshots = _adi_march(_ProfileStep(grid, h, fx), grid, snap)
+    # the march carries e^(r_hat tau) v (``_ProfileStep``)
     spot_curve = None
     if snapshot_tenors is not None:
         tenors = np.array(sorted(snapshots))
-        values = np.array([snapshots[t] for t in tenors])
+        values = math.exp(grid.x_nodes[grid.ix0]) * np.array([snapshots[t] for t in tenors])
         spot_curve = (tenors, values * np.exp(-rates.r_hat * tenors))
-    return PdeSolution(grid=grid, values=u.T * math.exp(-rates.r_hat * T), spot_curve=spot_curve)
+    values = np.exp(grid.x_nodes)[:, None] * w[None, :]
+    return PdeSolution(grid=grid, values=values * math.exp(-rates.r_hat * T),
+                       spot_curve=spot_curve)
 
 
 def solve_foreign_measure_pde(

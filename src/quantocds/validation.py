@@ -33,6 +33,8 @@ from .pde import SolverConfig, quanto_survival_curve_1f, solve_quanto_pde, survi
 Check = tuple[str, bool, str]
 
 BRACKETING_HAZARD = HazardParams(a=0.08, b=3.7, sigma_y=0.2, y0=-5.0)
+# fewest steps at which a bracketing point's PDE value must lie inside the MC interval
+BRACKETING_MIN_STEPS = 300
 SWEEP_HAZARD_LOW = HazardParams(a=1e-4, b=-210.45, sigma_y=0.2, y0=-4.089)
 SWEEP_HAZARD_HIGH = HazardParams(a=1e-4, b=-210.45, sigma_y=0.2, y0=-2.089)
 SWEEP_HAZARDS = {"low": SWEEP_HAZARD_LOW, "high": SWEEP_HAZARD_HIGH}
@@ -143,14 +145,15 @@ def bracketing_study(
 def bracketing_checks(points: list[BracketingPoint]) -> tuple[list[Check], list[Check]]:
     """(required, informational) containment checks of a bracketing study.
 
-    From 300 steps on, the PDE value must lie inside the 95 % interval;
-    coarser points carry a time-discretisation bias and are only reported.
+    From ``BRACKETING_MIN_STEPS`` steps on, the PDE value must lie inside the
+    95 % interval; coarser points carry a time-discretisation bias and are
+    only reported.
     """
     required, info = [], []
     for pt in points:
         check = (f"bracketing steps={pt.n_steps} paths={pt.n_paths}", pt.inside,
                  f"pde={pt.pde_value:.6f} ci=({pt.mc.ci95_low:.6f},{pt.mc.ci95_high:.6f})")
-        (required if pt.n_steps >= 300 else info).append(check)
+        (required if pt.n_steps >= BRACKETING_MIN_STEPS else info).append(check)
     return required, info
 
 

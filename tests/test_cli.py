@@ -94,6 +94,22 @@ class TestPrice:
         assert "Traceback" not in err
 
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("argv,named", [
+        (["price", "--engine", "adi", "--b", "1e300"], "ADI y-sweep"),
+        (["survival-curve", "--engine", "adi", "--b", "1e300", "--tenors", "1"], "ADI y-sweep"),
+        (["price", "--engine", "reduced", "--tenor", "1e308"], "tenor"),
+    ])
+    def test_overflowing_input_is_one_error_line(self, capsys, argv, named):
+        # e^b overflowed in the log-FX grid's width, and the tenor's payment count in
+        # the contract's schedule
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_exits_quietly(self, unbuffered):
@@ -319,18 +335,29 @@ class TestValidateCmd:
         assert "[FAIL]" not in out
 
     def test_grid_y_runs_as_given(self, tmp_path, capsys):
-        # below 201 the flag used to be raised to 201 silently
+        # below 201 the flag used to be raised to 201 silently; no point reaches
+        # 300 steps, so each run writes its points and then fails for checking nothing
         pde = {}
         for n_y in ("51", "201"):
             rc = run(["validate", "--study", "bracketing", "--mc-paths", "2000",
                       "--bracket-steps", "50", "--mc-steps", "50", "--grid-y", n_y,
                       "--out-dir", str(tmp_path / n_y)])
             capsys.readouterr()
-            assert rc == 0
+            assert rc == 1
             rows = csv.DictReader(open(tmp_path / n_y / "validate_bracketing.csv"))
             pde[n_y] = [row["pde"] for row in rows]
         assert len(pde["51"]) == len(pde["201"]) > 0
         assert pde["51"] != pde["201"]
+
+    def test_bracketing_that_checks_nothing_fails(self, tmp_path, capsys):
+        # every point below 300 steps is only reported: "0/0 checks passed" is no pass
+        rc = run(["validate", "--study", "bracketing", "--mc-paths", "10",
+                  "--bracket-steps", "1", "--mc-steps", "1", "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert "checks passed" not in out
+        assert err == ("error: the bracketing study checked nothing: every point has fewer "
+                       "than 300 steps (--bracket-steps, --mc-steps)\n")
 
     @pytest.mark.parametrize("scenario,passed", [("low", "30/30"), ("high", "28/28")])
     def test_deviation_study(self, tmp_path, capsys, scenario, passed):

@@ -14,7 +14,8 @@ from quantocds.mc import McEstimate, SimConfig, _quanto_bond_pass, survival_prob
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
 from quantocds.pde import (
     Grid2D,
-    _Ops2D,
+    _ProfileStep,
+    _apply,
     _factor,
     _march_1f,
     _spectral_1f,
@@ -262,18 +263,22 @@ class TestSchemeQuality:
             solve_quanto_pde(h, fx, RATES0, 5.0, cfg)
 
 
-    def test_high_vol_adi_raises_domain_error(self):
-        # central-difference convection at e^y ~ 1e11 leaves a row of the
-        # x-sweep singular; the reduced engine still prices the case
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
+    def test_high_vol_adi_converges_to_the_reduction(self, gamma):
+        # e^y ~ 1e11 at the top of the y-grid: the x-sweep divides by
+        # 1 + theta dt gamma e^y, which no hazard level makes singular, and the
+        # ADI engine's gap to the reduced engine falls at second order
+        # (5.8, 1.3 and 0.3 bp at gamma = 0.5)
         h = HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5)
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.2, rho=0.9)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=0.9)
         rates = RatePair(0.05, 0.05)
-        with pytest.raises(PdeInstabilityError,
-                           match=r"x-sweep on the 11 x 101 grid.*theta\*dt = 0.0166667"):
-            solve_quanto_pde(h, fx, rates, 5.0, SolverConfig())
-        hat, p = quanto_survival_curve(h, fx, rates, [1.0, 5.0], SolverConfig(),
-                                       engine="reduced")
-        assert 0.0 < hat.probs[-1] < hat.probs[0] < 1.0
+        gaps = []
+        for n_y, n_t in ((101, 300), (201, 600), (401, 1200)):
+            spreads = [quanto_par_spread(h, fx, rates, CdsContract(tenor=5.0),
+                                         SolverConfig(n_y=n_y, n_t=n_t), engine=e)
+                       .contractual.par_spread for e in ("adi", "reduced")]
+            gaps.append(abs(spreads[0] - spreads[1]))
+        assert gaps[1] < gaps[0] / 3.0 and gaps[2] < gaps[1] / 3.0
 
     def test_high_vol_devaluation_prices_on_adi(self):
         # with gamma < 0 the x-sweep carries -gamma e^y of the kill, which
@@ -325,9 +330,9 @@ class TestTridiag:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(3, 15), st.integers(0, 2**32 - 1))
     def test_row_blocks_have_zero_seams(self, k, n, seed):
-        # shaped like the ADI x-sweep: k rows of n unknowns; the entries at
-        # lo[:, 0] and up[:, -1] would couple neighbouring rows and must be
-        # ignored
+        # shaped like the two-factor reference's x-sweep (``_Ops2D``): k rows of
+        # n unknowns; the entries at lo[:, 0] and up[:, -1] would couple
+        # neighbouring rows and must be ignored
         rng = np.random.default_rng(seed)
         lo, di, up = _dominant_rows(rng, (k, n))
         rhs = rng.standard_normal((k, n))
@@ -356,59 +361,31 @@ class TestTridiag:
         for j in range(m):
             assert np.array_equal(x[:, j], scipy.linalg.solve_banded((1, 1), ab, rhs[:, j]))
 
-    def _ops(self):
+    def _step(self):
         h = HazardParams(a=0.08, b=-4.0, sigma_y=0.6, y0=-4.2)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
         grid, _ = build_grid(h, fx, RatePair(0.03, 0.01), 5.0, SolverConfig())
-        return _Ops2D(grid, h, fx, RatePair(0.03, 0.01))
+        return _ProfileStep(grid, h, fx)
 
     def test_adi_y_sweep_bit_equal_to_banded_solve(self):
-        ops = self._ops()
-        rhs = np.random.default_rng(3).standard_normal((101, 101))
+        # the ADI y-sweep is a product with the inverse that one solve of the identity gives
+        step = self._step()
         theta_dt = 0.5 * 5.0 / 300
-        x = pde.solve_banded(ops.lu(2, theta_dt), rhs)
-        ab = _banded(*ops.diags[2], theta_dt)
-        assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, rhs))
-
-    @pytest.mark.parametrize("high_vol", [False, True], ids=["cli grid", "high-vol devaluation"])
-    def test_dense_y_sweep_matches_the_factored_solve(self, high_vol):
-        # below the size gate each y-sweep is one product with the inverse that
-        # the y-direction's factors build; it is the same solve to round-off
-        ops = self._ops()
-        if high_vol:  # test_high_vol_devaluation_prices_on_adi's case
-            h = HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5)
-            fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.9)
-            rates = RatePair(0.05, 0.05)
-            ops = _Ops2D(build_grid(h, fx, rates, 5.0, SolverConfig())[0], h, fx, rates)
-        assert 101 <= pde._DENSE_Y_SWEEP_MAX
-        rng = np.random.default_rng(5)
-        for theta_dt in (5.0 / 300, 0.5 * 5.0 / 300):
-            for rhs in (rng.standard_normal((101, 101)), np.exp(rng.uniform(-1, 1, (101, 101)))):
-                x = ops.y_sweep(rhs, theta_dt)
-                ref = pde.solve_banded(ops.lu(2, theta_dt), rhs)
-                assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_both_sides_of_the_dense_y_sweep_gate_price_alike(self, monkeypatch):
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.3, rho=0.5)
-        rates = RatePair(0.02, 0.03)
-        tenors = [1.0, 2.5, 5.0]
-        cfg = SolverConfig(n_x=61, n_y=81, n_t=100)
-        dense = quanto_survival_curve(H_SWEEP, fx, rates, tenors, cfg)[0].probs
-        monkeypatch.setattr(pde, "_DENSE_Y_SWEEP_MAX", 80)
-        factored = quanto_survival_curve(H_SWEEP, fx, rates, tenors, cfg)[0].probs
-        assert np.max(np.abs(dense - factored)) <= 1e-12
-        assert not np.array_equal(dense, factored)  # the two sides really ran
+        ab = _banded(*step.y_diags, theta_dt)
+        assert np.array_equal(step.y_inverse(theta_dt),
+                              scipy.linalg.solve_banded((1, 1), ab, np.eye(101)))
 
     def test_singular_y_sweep_names_sweep(self):
-        ops = self._ops()
+        step = self._step()
         zeros = np.zeros(101)
-        ops.diags[2] = (zeros, np.full(101, 2.0), zeros)
+        step.y_diags = (zeros, np.full(101, 2.0), zeros)
         with pytest.raises(PdeInstabilityError, match=r"ADI y-sweep on the 11 x 101 grid"):
-            ops.lu(2, 0.5)
+            step.matrix(1.0, 0.5)
 
     def test_every_sweep_solves_through_solve_banded(self, monkeypatch):
         # a wrapper set in place of the module's solve_banded sees every solve:
-        # one a step of the one-factor march, some in every ADI solve
+        # one a step of the one-factor march, and in an ADI solve one solve of
+        # the identity per theta, the Rannacher steps' and Crank-Nicolson's
         calls = []
         solve = pde.solve_banded
         monkeypatch.setattr(pde, "solve_banded", lambda lu, rhs: calls.append(1) or solve(lu, rhs))
@@ -416,7 +393,7 @@ class TestTridiag:
         assert len(calls) == 40
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
         solve_quanto_pde(H_SWEEP, fx, RATES0, 1.0, SolverConfig(n_x=11, n_y=21, n_t=40))
-        assert len(calls) > 40
+        assert len(calls) == 42
 
 
 def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=5.0):
@@ -511,6 +488,91 @@ class TestSpectralSolve:
             survival_curve_1f(h, [1.0, 5.0], n_y=41, n_t=200)
 
 
+class _Ops2D:
+    """The two-factor Craig-Sneyd operators on a Grid2D, the reference that
+    ``pde._ProfileStep`` is held to: the ADI scheme as it marched the whole
+    (n_y, n_x) surface, x along the contiguous last axis.
+
+    The x-direction rows vary with y (the jump compensator makes their
+    convection y-dependent) and are solved as one block-diagonal system; the
+    y-direction operator is shared by all x columns.  Every x-difference is
+    fitted to be exact on e^x, in which the solution z * w(t, y) is linear.
+    Boundary conditions: zero second derivative in x at both ends, where the
+    rows drop the diffusion and convect at cx + hx, and zero first
+    derivative in y.  The operators discount at r - r_hat.
+    """
+
+    def __init__(self, grid, h, fx, rates):
+        x, y = grid.x_nodes, grid.y_nodes
+        dx, dy = x[1] - x[0], y[1] - y[0]
+        ey = np.exp(y)
+        cx = rates.r - rates.r_hat - 0.5 * fx.sigma_z**2 - fx.gamma_z * ey  # (ny,)
+        hx = 0.5 * fx.sigma_z**2
+        d2 = hx / (2.0 * math.sinh(0.5 * dx)) ** 2  # hx / dx^2 * (dx/2)^2 / sinh^2(dx/2)
+        d1 = cx / (2.0 * math.sinh(dx))             # cx / (2 dx) * dx / sinh(dx)
+        kill_x = -min(fx.gamma_z, 0.0) * ey
+        r_fwd = rates.r - rates.r_hat
+
+        lo1 = np.repeat((d2 - d1)[:, None], x.size, axis=1)
+        di1 = np.repeat((-2 * d2 - r_fwd - kill_x)[:, None], x.size, axis=1)
+        up1 = np.repeat((d2 + d1)[:, None], x.size, axis=1)
+        left, right = (cx + hx) / math.expm1(dx), -(cx + hx) / math.expm1(-dx)
+        lo1[:, 0] = up1[:, -1] = 0.0
+        di1[:, 0] = -left - r_fwd - kill_x
+        up1[:, 0] = left
+        di1[:, -1] = right - r_fwd - kill_x
+        lo1[:, -1] = -right
+        self.diags = {1: (lo1, di1, up1), 2: _y_diags(h, y, 0.0, ey - kill_x)}
+        self._x_stencil = tuple(d.ravel() for d in self.diags[1])
+        self._y_stencil = tuple(np.repeat(d[:, None], x.size, axis=1) for d in self.diags[2])
+        # rho sigma_z sigma_y times the fitted v_xy's weight on the four-point cross difference
+        self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y * dx / math.sinh(dx) / (4.0 * dx * dy)
+        # at the x-edges a central y-difference of the one-sided fitted x-differences
+        edge = fx.rho * fx.sigma_z * h.sigma_y / (2.0 * dy)
+        self._edge_coefs = (edge / math.expm1(dx), -edge / math.expm1(-dx))
+
+    def f1(self, v):
+        return _apply(*self._x_stencil, v.ravel()).reshape(v.shape)
+
+    def f2(self, v):
+        return _apply(*self._y_stencil, v)
+
+    def mixed(self, v):
+        out = np.zeros_like(v)  # the y-edge rows, where v_y = 0, stay zero
+        if self.mixed_coef != 0.0:
+            dxv = v[:, 2:] - v[:, :-2]
+            out[1:-1, 1:-1] = self.mixed_coef * (dxv[2:] - dxv[:-2])
+            left, right = self._edge_coefs
+            out[1:-1, 0] = left * ((v[2:, 1] - v[2:, 0]) - (v[:-2, 1] - v[:-2, 0]))
+            out[1:-1, -1] = right * ((v[2:, -1] - v[2:, -2]) - (v[:-2, -1] - v[:-2, -2]))
+        return out
+
+    def sweeps(self, rhs, theta_dt, f1v, f2v):
+        """The implicit x-sweep, then the y-sweep, of one splitting stage."""
+        y1 = pde.solve_banded(_factor(*self.diags[1], theta_dt, "x"), rhs - theta_dt * f1v)
+        return pde.solve_banded(_factor(*self.diags[2], theta_dt, "y"), y1 - theta_dt * f2v)
+
+
+def _p_hat_2d(h, fx, rates, T, cfg):
+    """p_hat on the quarterly payment tenors from the two-factor march of the
+    surface v = e^x, which carries e^(r_hat tau) v."""
+    grid, snap = build_grid(h, fx, rates, T, cfg, CdsContract(tenor=T).payment_times())
+    dt, n_t = grid.t_nodes[1] - grid.t_nodes[0], grid.t_nodes.size - 1
+    ops = _Ops2D(grid, h, fx, rates)
+    v = np.tile(np.exp(grid.x_nodes), (grid.y_nodes.size, 1))
+    snapshots = {}
+    for step in range(n_t):
+        theta = 1.0 if step < pde._RANNACHER_STEPS else pde._THETA
+        f1v, f2v, f0v = ops.f1(v), ops.f2(v), ops.mixed(v)
+        rhs0 = v + dt * (f0v + f1v + f2v)
+        v = ops.sweeps(rhs0, theta * dt, f1v, f2v)
+        if theta != 1.0 and ops.mixed_coef != 0.0:
+            v = ops.sweeps(rhs0 + 0.5 * dt * (ops.mixed(v) - f0v), theta * dt, f1v, f2v)
+        if n_t - 1 - step in snap:
+            snapshots[snap[n_t - 1 - step]] = v[grid.iy0, grid.ix0]
+    return np.array([snapshots[t] for t in sorted(snapshots)]) / fx.z0
+
+
 class TestAdiProperties:
     """Exact properties of the two-factor solve over a box of inputs, on a
     small grid; p_hat is read before ``SurvivalCurve`` clips it.  The hazard
@@ -586,6 +648,17 @@ class TestAdiProperties:
         fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
         coarse = self._p_hat(h, fx, rates, T, replace(self.GRID, n_x=5))
         assert np.max(np.abs(self._p_hat(h, fx, rates, T) - coarse)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(hazards, rates, tenors, st.floats(-1.0, 1.0), rhos, fx_vols, st.integers(5, 11))
+    def test_profile_march_is_the_two_factor_scheme(self, h, rates, T, gamma, rho, sigma_z,
+                                                    n_x):
+        # the march of the y-profile w is the Craig-Sneyd march of the surface e^x w
+        assume(rates.r != rates.r_hat)
+        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+        grid = replace(self.GRID, n_x=n_x)
+        reference = _p_hat_2d(h, fx, rates, T, grid)
+        assert np.max(np.abs(self._p_hat(h, fx, rates, T, grid) - reference)) <= 1e-12
 
     @pytest.mark.parametrize("h, gamma, rho, rates, T", [
         (H_SWEEP, -1.0, 0.3, RATES0, 5.0),
