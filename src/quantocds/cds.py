@@ -26,6 +26,15 @@ _PROTECTION_STEP = 1.0 / 52.0
 _MAX_TENOR = 1000.0
 
 
+def checked_tenor(tenor: float) -> float:
+    """``tenor`` if a contract can run that long, else a ValueError naming it."""
+    if not 0.0 < tenor < math.inf:
+        raise ValueError(f"tenor must be positive and finite, got {tenor}")
+    if tenor > _MAX_TENOR:
+        raise ValueError(f"tenor must be at most {_MAX_TENOR:g} years, got {tenor}")
+    return tenor
+
+
 @dataclass(frozen=True)
 class CdsContract:
     """Single-name CDS with a quarterly premium schedule.
@@ -39,10 +48,7 @@ class CdsContract:
     notional: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tenor < math.inf:
-            raise ValueError(f"tenor must be positive and finite, got {self.tenor}")
-        if self.tenor > _MAX_TENOR:
-            raise ValueError(f"tenor must be at most {_MAX_TENOR:g} years, got {self.tenor}")
+        checked_tenor(self.tenor)
         if not 0.0 <= self.recovery < 1.0:
             raise ValueError(f"recovery must lie in [0, 1), got {self.recovery}")
         if not (math.isfinite(self.notional) and self.notional != 0.0):

@@ -29,7 +29,7 @@ from .calibration import (
     backtest,
     historical_correlation,
 )
-from .cds import CdsContract, quanto_par_spread
+from .cds import CdsContract, checked_tenor, quanto_par_spread
 from .model import HazardParams, QuantoFxParams, RatePair
 from .pde import PdeInstabilityError, SolverConfig, quanto_survival_curve
 
@@ -171,13 +171,17 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_survival_curve(args) -> int:
+    # every tenor within a contract's before a grid or a list is sized by it
     if args.tenors:
-        tenors = sorted(_number(float, t, f"--tenors {args.tenors!r}")
-                        for t in args.tenors.split(","))
-    elif not 0.0 < args.tenor < math.inf:
-        raise ValueError(f"tenor must be positive and finite, got {args.tenor}")
+        where = f"--tenors {args.tenors!r}"
+        tenors = sorted(_number(float, t, where) for t in args.tenors.split(","))
+        try:
+            for t in tenors:
+                checked_tenor(t)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     else:
-        n = int(round(args.tenor * 4))
+        n = int(round(checked_tenor(args.tenor) * 4))
         if n < 1:
             raise ValueError(f"tenor must be above 0.125 (one quarterly node), got {args.tenor}")
         tenors = [0.25 * k for k in range(1, n + 1)]

@@ -25,16 +25,19 @@ The ADI scheme's x-differences are fitted to be exact on e^x, and its march
 starts from v = e^x, so every step leaves v = e^x w(y): ``_ProfileStep``
 marches that y-profile w, on which each split operator acts exactly as a
 one-dimensional one, and the log-FX grid only sizes the reported surface.
-One step is linear in w, so it is built once per theta as a dense n_y x n_y
-matrix, and each time step is one product with it.
+The march reads w only at its stops, the snapshot nodes and the last node.
+Its two Rannacher steps apply the step to w; the Crank-Nicolson step, linear
+in w, is a dense n_y x n_y matrix M (the step applied to the identity), and
+the march crosses each gap between stops with products by squares M^(2^i).
+On large y-grids (``_marches_vector``) it applies the step to w instead.
 
 Both engines difference y with one operator, ``_y_diags``: Spalding's
 hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
 Every implicit solve goes through one function, ``solve_banded``: LAPACK
 ``dgttrf`` factors I - theta*dt*A once per theta*dt (``_factor``), and a
 solve is one ``dgttrs`` call.  The one-factor march solves once a step; the
-ADI y-sweep's inverse is one solve of the identity per theta*dt, and its
-x-sweep, diagonal on the profile, divides.
+ADI y-sweep solves once a sweep, for the step matrix with the identity's
+columns as right-hand sides, and its x-sweep, diagonal on the profile, divides.
 
 ``survival_curve_1f`` builds the one-factor operator once and does
 without the time loop where it can: the operator is time-homogeneous and,
@@ -311,8 +314,8 @@ def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     """(I - theta_dt * A)^-1 rhs from ``_factor``'s ``lu``: every implicit sweep's solve.
 
     A right-hand side whose first dimension is the system's size holds one
-    column per trailing index, all solved against the shared matrix; the
-    identity as right-hand side gives the ADI y-sweep its dense inverse.
+    column per trailing index, all solved against the shared matrix: the
+    ADI step applied to the identity solves its n_y columns so.
     """
     dgttrs, size, *factors = lu
     return dgttrs(*factors, rhs.reshape(size, -1))[0].reshape(rhs.shape)
@@ -352,29 +355,33 @@ class _ProfileStep:
         self.y_diags = _y_diags(h, y, 0.0, ey - kill_x)
         self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y / (2.0 * (y[1] - y[0]))
         self.sweep = f"ADI y-sweep on the {grid.x_nodes.size} x {y.size} grid"
+        self._factors: dict[float, tuple] = {}
 
     def mixed(self, w: np.ndarray) -> np.ndarray:
         out = np.zeros_like(w)
         out[1:-1] = self.mixed_coef * (w[2:] - w[:-2])
         return out
 
-    def y_inverse(self, theta_dt: float) -> np.ndarray:
-        """(I - theta_dt * A_y)^-1, from one solve of the identity."""
-        lu = _factor(*self.y_diags, theta_dt, self.sweep)
-        return solve_banded(lu, np.eye(self.a_x.size))
+    def apply(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
+        """The step w -> w_next, on a profile w of shape (n_y,) or on each column
+        of w of shape (n_y, k): applied to the identity, the step as a dense matrix.
 
-    def matrix(self, theta: float, dt: float) -> np.ndarray:
-        """The step w -> w_next as a dense matrix: the step applied to the identity."""
+        The y-sweep solves through ``solve_banded`` on factors of
+        I - theta dt A_y made once per theta dt.
+        """
         theta_dt = theta * dt
-        y_inv = self.y_inverse(theta_dt)
-        w = np.eye(self.a_x.size)
-        f1w = self.a_x[:, None] * w
-        f2w = _apply(*(d[:, None] for d in self.y_diags), w)
+        if theta_dt not in self._factors:
+            self._factors[theta_dt] = _factor(*self.y_diags, theta_dt, self.sweep)
+        lu = self._factors[theta_dt]
+        rows = (slice(None),) + (None,) * (w.ndim - 1)  # broadcasts a node's entry along its row
+        a_x = self.a_x[rows]
+        f1w = a_x * w
+        f2w = _apply(*(d[rows] for d in self.y_diags), w)
         f0w = self.mixed(w)
-        x_sweep = (1.0 - theta_dt * self.a_x)[:, None]
+        x_sweep = 1.0 - theta_dt * a_x
 
         def sweeps(rhs: np.ndarray) -> np.ndarray:
-            return y_inv @ ((rhs - theta_dt * f1w) / x_sweep - theta_dt * f2w)
+            return solve_banded(lu, (rhs - theta_dt * f1w) / x_sweep - theta_dt * f2w)
 
         rhs0 = w + dt * (f0w + f1w + f2w)
         w_next = sweeps(rhs0)
@@ -383,33 +390,85 @@ class _ProfileStep:
         return w_next
 
 
+def _flush_tiny(m: np.ndarray) -> np.ndarray:
+    """``m``, its entries below 1e-150 in magnitude set to zero in place.
+
+    The product of two such entries would be subnormal, and subnormal
+    arithmetic slows a matrix product several-fold (a 401-node squaring 5x);
+    the entries dropped move a product by at most n 1e-150 of its scale.
+    """
+    m[(m < 1e-150) & (m > -1e-150)] = 0.0
+    return m
+
+
+def _marches_vector(n_y: int, n_steps: int) -> bool:
+    """Whether the ADI march applies each of ``n_steps`` steps to w rather
+    than square the n_y x n_y step matrix: where n_y^2 > 300 n_steps.
+
+    The dense path, its build, squarings and mat-vecs at the CLI's gaps,
+    costs about n_y^2 / 10 us; a step applied to w about 30 us up to a few
+    hundred nodes (measured break-even n_y about 110 at 38 steps, 300 at
+    298 and 570 at 1198, on a 2-CPU x86-64 machine).  The vector march
+    holds no n_y x n_y matrix, which at n_y = 4001 would be 128 MB.
+    """
+    return n_y**2 > 300 * n_steps
+
+
 def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
                ) -> tuple[np.ndarray, dict[float, float]]:
     """March the profile backward from w = 1 over ``grid``'s time steps;
-    returns the final profile and its spot snapshots."""
+    returns the final profile and its spot snapshots.
+
+    The two Rannacher steps apply the theta = 1 step to w.  After them only
+    the stops are read: the snapshot nodes and the last node, where the
+    march reads the spot value and checks max |v| for a blow-up.  The
+    Crank-Nicolson step is one matrix M, so a gap of g steps between stops
+    is a product with M^g: the march keeps the table M, M^2, M^4, ... up to
+    the longest gap and crosses each gap with one mat-vec per set bit of g
+    (a 9.75-year trade on the CLI grid: 3 squarings and 40 mat-vecs for
+    310 steps).  Where ``_marches_vector`` says so it applies the step to
+    w instead, one step at a time.
+    """
     dt = float(grid.t_nodes[1] - grid.t_nodes[0])
     n_t = grid.t_nodes.size - 1
-    w = np.ones(grid.y_nodes.size)
+    n_y = grid.y_nodes.size
     snapshots: dict[float, float] = {}
-    matrices: dict[float, np.ndarray] = {}
     # max |v| over the surface e^x w, against its value at maturity
     scale = math.exp(grid.x_nodes[-1])
     cap = 50.0 * scale + 10.0
-    for k in range(n_t):
-        k_next = n_t - 1 - k  # time-node index after this step
-        theta = 1.0 if k < _RANNACHER_STEPS else _THETA
-        if theta not in matrices:
-            matrices[theta] = step.matrix(theta, dt)
-        w = matrices[theta] @ w
-        if (k & 15) == 0 or k_next == 0:
-            m = scale * float(np.max(np.abs(w)))
-            if not math.isfinite(m) or m > cap:
-                raise PdeInstabilityError(
-                    f"value blow-up at time node {k_next}: max |v| = {m:.3e} "
-                    f"(grid {grid.x_nodes.size}x{w.size}, dt = {dt:.3e})"
-                )
-        if k_next in snap:
-            snapshots[snap[k_next]] = float(w[grid.iy0])
+
+    def reached(w: np.ndarray, node: int) -> np.ndarray:
+        m = scale * float(np.max(np.abs(w)))
+        if not math.isfinite(m) or m > cap:
+            raise PdeInstabilityError(
+                f"value blow-up at time node {node}: max |v| = {m:.3e} "
+                f"(grid {grid.x_nodes.size}x{n_y}, dt = {dt:.3e})"
+            )
+        if node in snap:
+            snapshots[snap[node]] = float(w[grid.iy0])
+        return w
+
+    w = np.ones(n_y)
+    node = n_t  # the time node of w
+    for _ in range(min(_RANNACHER_STEPS, n_t)):
+        node -= 1
+        w = reached(step.apply(w, 1.0, dt), node)
+    stops = sorted({k for k in (0, *snap) if k < node}, reverse=True)
+    gaps = [a - b for a, b in zip([node, *stops], stops)]
+    if _marches_vector(n_y, node):
+        for stop, gap in zip(stops, gaps):
+            for _ in range(gap):
+                w = step.apply(w, _THETA, dt)
+            w = reached(w, stop)
+        return w, snapshots
+    powers = [_flush_tiny(step.apply(np.eye(n_y), _THETA, dt))]
+    while 2 ** len(powers) <= max(gaps):
+        powers.append(_flush_tiny(powers[-1] @ powers[-1]))
+    for stop, gap in zip(stops, gaps):
+        for i, power in enumerate(powers):
+            if gap >> i & 1:
+                w = power @ w
+        w = reached(w, stop)
     return w, snapshots
 
 

@@ -100,10 +100,12 @@ class TestPrice:
         (["price", "--engine", "adi", "--b", "1e300"], "ADI y-sweep"),
         (["survival-curve", "--engine", "adi", "--b", "1e300", "--tenors", "1"], "ADI y-sweep"),
         (["price", "--engine", "reduced", "--tenor", "1e308"], "tenor"),
+        (["survival-curve", "--engine", "reduced", "--tenors", "1e308"], "'1e308': tenor"),
+        (["survival-curve", "--engine", "reduced", "--tenor", "1e308"], "got 1e+308"),
     ])
     def test_overflowing_input_is_one_error_line(self, capsys, argv, named):
-        # e^b overflowed in the log-FX grid's width, and the tenor's payment count in
-        # the contract's schedule
+        # e^b overflowed in the log-FX grid's width, the tenor's payment count in
+        # the contract's schedule, a curve's time-step count and its list of quarters
         rc = run(argv)
         err = capsys.readouterr().err
         assert rc == 1
@@ -288,6 +290,15 @@ class TestSurvivalCurveCmd:
         assert out.splitlines()[0] == "tenor_years,p_liquid,p_contractual,default_ratio"
         body = (tmp_path / "survival_curve.csv").read_text().splitlines()
         assert len(body) == 4
+
+    @pytest.mark.parametrize("flag", ["--tenor", "--tenors"])
+    def test_tenor_beyond_a_contract_is_named(self, capsys, flag):
+        # --tenor sizes a list of its quarters: the contract's limit applies first
+        rc = run(["survival-curve", flag, "1000.25", *FAST_MODEL])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "at most 1000 years, got 1000.25" in err
+        assert err.count("\n") == 1
 
     def test_tenor_below_one_quarterly_node_is_named(self, capsys):
         rc = run(["survival-curve", "--tenor", "0.1", *FAST_MODEL])

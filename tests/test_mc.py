@@ -328,11 +328,14 @@ class TestDrawAhead:
 
 
 class _Stream:
-    """A block's generator that records the threads drawing its normals and
-    raises at normal draw ``fail_at``, if given."""
+    """A block's generator that records the threads drawing its normals, sets
+    ``drew`` at its first normal and raises at normal draw ``fail_at``, if
+    given, once ``other`` is set."""
 
-    def __init__(self, rng: np.random.Generator, fail_at: int | None, message: str):
+    def __init__(self, rng: np.random.Generator, fail_at: int | None, message: str,
+                 drew: threading.Event, other: threading.Event):
         self.rng, self.fail_at, self.message = rng, fail_at, message
+        self.drew, self.other = drew, other
         self.normals = 0
         self.threads = set()
 
@@ -343,7 +346,11 @@ class _Stream:
         self.normals += 1
         self.threads.add(threading.current_thread())
         if self.normals == self.fail_at:
+            # nothing else orders the two blocks' threads: fail only once the
+            # other block has drawn a normal (the timeout leaves that to the asserts)
+            self.other.wait(timeout=10.0)
             raise RuntimeError(self.message)
+        self.drew.set()
         return self.rng.standard_normal(count)
 
 
@@ -387,10 +394,12 @@ class TestPairs:
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller's block", "paired block"])
     def test_failure_in_a_pair_is_raised_and_stops_the_other_block(self, monkeypatch, failing):
         streams = {}
+        drew = [threading.Event(), threading.Event()]
 
         def block_rng(seed, block):
             fail_at = 5 if block == failing else None
-            streams[block] = _Stream(_block_rng(seed, block), fail_at, f"block {block} failed")
+            streams[block] = _Stream(_block_rng(seed, block), fail_at, f"block {block} failed",
+                                     drew[block], drew[1 - block])
             return streams[block]
 
         monkeypatch.setattr(mc, "_block_rng", block_rng)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -368,24 +369,27 @@ class TestTridiag:
         return _ProfileStep(grid, h, fx)
 
     def test_adi_y_sweep_bit_equal_to_banded_solve(self):
-        # the ADI y-sweep is a product with the inverse that one solve of the identity gives
+        # the dense step matrix is the step applied to the identity, its n_y columns
+        # solved as the trailing columns of one dgttrs call: column j is the step
+        # applied to e_j, bit for bit
         step = self._step()
-        theta_dt = 0.5 * 5.0 / 300
-        ab = _banded(*step.y_diags, theta_dt)
-        assert np.array_equal(step.y_inverse(theta_dt),
-                              scipy.linalg.solve_banded((1, 1), ab, np.eye(101)))
+        for theta in (1.0, 0.5):
+            matrix = step.apply(np.eye(101), theta, 5.0 / 300)
+            for j in (0, 1, 50, 99, 100):
+                assert np.array_equal(matrix[:, j], step.apply(np.eye(101)[j], theta, 5.0 / 300))
 
     def test_singular_y_sweep_names_sweep(self):
         step = self._step()
         zeros = np.zeros(101)
         step.y_diags = (zeros, np.full(101, 2.0), zeros)
         with pytest.raises(PdeInstabilityError, match=r"ADI y-sweep on the 11 x 101 grid"):
-            step.matrix(1.0, 0.5)
+            step.apply(np.ones(101), 1.0, 0.5)
 
     def test_every_sweep_solves_through_solve_banded(self, monkeypatch):
         # a wrapper set in place of the module's solve_banded sees every solve:
-        # one a step of the one-factor march, and in an ADI solve one solve of
-        # the identity per theta, the Rannacher steps' and Crank-Nicolson's
+        # one a step of the one-factor march; in an ADI solve one a Rannacher
+        # step (theta = 1 has no corrector), and two, the sweep and its
+        # corrector, in building the Crank-Nicolson step matrix from the identity
         calls = []
         solve = pde.solve_banded
         monkeypatch.setattr(pde, "solve_banded", lambda lu, rhs: calls.append(1) or solve(lu, rhs))
@@ -393,7 +397,7 @@ class TestTridiag:
         assert len(calls) == 40
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
         solve_quanto_pde(H_SWEEP, fx, RATES0, 1.0, SolverConfig(n_x=11, n_y=21, n_t=40))
-        assert len(calls) == 42
+        assert len(calls) == 40 + pde._RANNACHER_STEPS + 2
 
 
 def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=5.0):
@@ -553,10 +557,11 @@ class _Ops2D:
         return pde.solve_banded(_factor(*self.diags[2], theta_dt, "y"), y1 - theta_dt * f2v)
 
 
-def _p_hat_2d(h, fx, rates, T, cfg):
-    """p_hat on the quarterly payment tenors from the two-factor march of the
-    surface v = e^x, which carries e^(r_hat tau) v."""
-    grid, snap = build_grid(h, fx, rates, T, cfg, CdsContract(tenor=T).payment_times())
+def _p_hat_2d(h, fx, rates, T, cfg, tenors):
+    """p_hat at the snapshot ``tenors`` (None for none) and the final surface,
+    shape (n_y, n_x), from the two-factor march of the surface v = e^x, one
+    step at a time; it carries e^(r_hat tau) v."""
+    grid, snap = build_grid(h, fx, rates, T, cfg, tenors)
     dt, n_t = grid.t_nodes[1] - grid.t_nodes[0], grid.t_nodes.size - 1
     ops = _Ops2D(grid, h, fx, rates)
     v = np.tile(np.exp(grid.x_nodes), (grid.y_nodes.size, 1))
@@ -570,7 +575,7 @@ def _p_hat_2d(h, fx, rates, T, cfg):
             v = ops.sweeps(rhs0 + 0.5 * dt * (ops.mixed(v) - f0v), theta * dt, f1v, f2v)
         if n_t - 1 - step in snap:
             snapshots[snap[n_t - 1 - step]] = v[grid.iy0, grid.ix0]
-    return np.array([snapshots[t] for t in sorted(snapshots)]) / fx.z0
+    return np.array([snapshots[t] for t in sorted(snapshots)]) / fx.z0, v
 
 
 class TestAdiProperties:
@@ -657,8 +662,37 @@ class TestAdiProperties:
         assume(rates.r != rates.r_hat)
         fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
         grid = replace(self.GRID, n_x=n_x)
-        reference = _p_hat_2d(h, fx, rates, T, grid)
+        reference, _ = _p_hat_2d(h, fx, rates, T, grid, CdsContract(tenor=T).payment_times())
         assert np.max(np.abs(self._p_hat(h, fx, rates, T, grid) - reference)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(hazards, rates, tenors, st.floats(-1.0, 1.0), rhos, fx_vols,
+           st.sampled_from([1, 2, 3, 40]),
+           st.one_of(st.none(), st.sampled_from([4, 5, 7]).flatmap(
+               lambda m: st.lists(st.integers(1, m), min_size=1, unique=True)
+               .map(lambda js: [j / m for j in js]))))
+    def test_powered_march_is_the_step_by_step_march(self, h, rates, T, gamma, rho, sigma_z,
+                                                     n_t, fractions):
+        # one to three steps put snapshots inside and right after the Rannacher
+        # steps; tenors at fractions j / m of the horizon leave ragged gaps between
+        # the stops, and a solve without snapshot tenors stops only at its end.
+        # p_hat is held to the two-factor march; the final profile to the profile
+        # march one step at a time, since at the top y-nodes, where gamma e^y
+        # dominates the x-drift, the two-factor march's x-sweep loses up to 1e-8
+        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+        tenors = None if fractions is None else [T * f for f in fractions]
+        cfg = SolverConfig(n_x=11, n_y=21, n_t=n_t)
+        sol = solve_quanto_pde(h, fx, rates, T, cfg, snapshot_tenors=tenors)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde, "_marches_vector", lambda n_y, n_steps: True)
+            stepped = solve_quanto_pde(h, fx, rates, T, cfg, snapshot_tenors=tenors)
+        assert np.max(np.abs(sol.values - stepped.values) / np.exp(sol.grid.x_nodes)[:, None]
+                      * math.exp(rates.r_hat * T)) <= 1e-12
+        if tenors is not None:
+            p_hat, _ = _p_hat_2d(h, fx, rates, T, cfg, tenors)
+            ts, us = sol.spot_curve
+            assert ts.size == p_hat.size == len(tenors)
+            assert np.max(np.abs(us * np.exp(rates.r_hat * ts) / fx.z0 - p_hat)) <= 1e-12
 
     @pytest.mark.parametrize("h, gamma, rho, rates, T", [
         (H_SWEEP, -1.0, 0.3, RATES0, 5.0),
@@ -674,6 +708,60 @@ class TestAdiProperties:
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=rho)
         default = self._p_hat(h, fx, rates, T, SolverConfig())
         assert np.max(np.abs(default - self._p_hat(h, fx, rates, T, SolverConfig(n_x=101)))) <= 1e-12
+
+
+class TestAdiMarch:
+    """The march on each side of ``pde._marches_vector``'s cost rule: below it
+    the march squares the step matrix, above it it applies each step to the
+    profile and holds no n_y x n_y matrix."""
+
+    H = HazardParams(a=1e-4, b=-210.45, sigma_y=0.4, y0=-4.0)
+    FX = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.3, rho=0.5)
+    RATES = RatePair(0.03, 0.01)
+    TENORS = CdsContract(tenor=1.0).payment_times()
+
+    def _solve(self, monkeypatch, cfg, vector=None):
+        """p_hat, the spot profile and how many matrices the march squared or built."""
+        powers = []
+        flush = pde._flush_tiny
+        monkeypatch.setattr(pde, "_flush_tiny", lambda m: powers.append(1) or flush(m))
+        if vector is not None:
+            monkeypatch.setattr(pde, "_marches_vector", lambda n_y, n_steps: vector)
+        sol = solve_quanto_pde(self.H, self.FX, self.RATES, 1.0, cfg, snapshot_tenors=self.TENORS)
+        ts, us = sol.spot_curve
+        p_hat = us * np.exp(self.RATES.r_hat * ts) / self.FX.z0
+        profile = sol.values[sol.grid.ix0] * math.exp(self.RATES.r_hat) / self.FX.z0
+        monkeypatch.undo()
+        return p_hat, profile, len(powers)
+
+    def test_below_the_rule_the_powered_march_is_the_step_by_step_march(self, monkeypatch):
+        cfg = SolverConfig(n_x=5, n_y=101, n_t=40)  # 101^2 <= 300 * 38
+        p_hat, profile, powers = self._solve(monkeypatch, cfg)
+        assert powers == 4  # M, M^2, M^4 and M^8 for the gaps of 8 and 10 steps
+        reference, surface = _p_hat_2d(self.H, self.FX, self.RATES, 1.0, cfg, self.TENORS)
+        assert np.max(np.abs(p_hat - reference)) <= 1e-12
+        assert np.max(np.abs(profile - surface[:, 2] / self.FX.z0)) <= 1e-12
+
+    def test_above_the_rule_the_vector_march_is_the_powered_march(self, monkeypatch):
+        cfg = SolverConfig(n_x=5, n_y=121, n_t=40)  # 121^2 > 300 * 38
+        p_hat, profile, powers = self._solve(monkeypatch, cfg)
+        assert powers == 0
+        dense_p_hat, dense_profile, dense_powers = self._solve(monkeypatch, cfg, vector=False)
+        assert dense_powers == 4
+        assert np.max(np.abs(p_hat - dense_p_hat)) <= 1e-12
+        assert np.max(np.abs(profile - dense_profile)) <= 1e-12
+        reference, _ = _p_hat_2d(self.H, self.FX, self.RATES, 1.0, cfg, self.TENORS)
+        assert np.max(np.abs(p_hat - reference)) <= 1e-12
+
+    def test_large_y_grid_allocates_less_than_one_step_matrix(self):
+        # a dense 4001-node step matrix would take 8 * 4001^2 bytes (128 MB) alone
+        tracemalloc.start()
+        try:
+            solve_quanto_pde(self.H, self.FX, self.RATES, 1.0, SolverConfig(n_y=4001, n_t=40))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4001**2
 
 
 class TestGrid:
