@@ -21,17 +21,19 @@ from . import pde
 # premium accrual period (quarterly) and protection-integral step (weekly), years
 _PERIOD = 0.25
 _PROTECTION_STEP = 1.0 / 52.0
-# longest contract, in years: the schedule holds one payment time a quarter, so a
-# tenor without a bound would size an array without one (1e308 overflowed its count)
-_MAX_TENOR = 1000.0
 
 
 def checked_tenor(tenor: float) -> float:
-    """``tenor`` if a contract can run that long, else a ValueError naming it."""
+    """``tenor`` if a contract can run that long, else a ValueError naming it.
+
+    The longest contract is ``pde.MAX_TENOR`` years: the schedule holds one
+    payment time a quarter, so a tenor without a bound would size an array
+    without one (1e308 overflowed its count).
+    """
     if not 0.0 < tenor < math.inf:
         raise ValueError(f"tenor must be positive and finite, got {tenor}")
-    if tenor > _MAX_TENOR:
-        raise ValueError(f"tenor must be at most {_MAX_TENOR:g} years, got {tenor}")
+    if tenor > pde.MAX_TENOR:
+        raise ValueError(f"tenor must be at most {pde.MAX_TENOR:g} years, got {tenor}")
     return tenor
 
 

@@ -27,23 +27,26 @@ marches that y-profile w, on which each split operator acts exactly as a
 one-dimensional one, and the log-FX grid only sizes the reported surface.
 The march reads w only at its stops, the snapshot nodes and the last node.
 Its two Rannacher steps apply the step to w; the Crank-Nicolson step, linear
-in w, is a dense n_y x n_y matrix M (the step applied to the identity), and
-the march crosses each gap between stops with products by squares M^(2^i).
-On large y-grids (``_marches_vector``) it applies the step to w instead.
+in w, is a dense n_y x n_y matrix M, which ``_ProfileStep.matrix`` builds on
+its band, each column bit for bit the step applied to a unit vector, and
+the march crosses each gap between stops with products by squares M^(2^i),
+every gap before it checks all the stops for a blow-up in one pass.  On
+large y-grids (``_marches_vector``) it applies the step to w instead and
+checks each stop as it reaches it.
 
 Both engines difference y with one operator, ``_y_diags``: Spalding's
 hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
 Every implicit solve goes through one function, ``solve_banded``: LAPACK
 ``dgttrf`` factors I - theta*dt*A once per theta*dt (``_factor``), and a
 solve is one ``dgttrs`` call.  The one-factor march solves once a step; the
-ADI y-sweep solves once a sweep, for the step matrix with the identity's
-columns as right-hand sides, and its x-sweep, diagonal on the profile, divides.
+ADI y-sweep solves once a sweep, for the step matrix with its n_y columns as
+right-hand sides, and its x-sweep, diagonal on the profile, divides.
 
 ``survival_curve_1f`` builds the one-factor operator once and does
 without the time loop where it can: the operator is time-homogeneous and,
 at cell Peclet numbers up to 1, similar to a symmetric tridiagonal matrix,
-so ``_spectral_1f`` diagonalises it once (``eigh_tridiagonal``, which runs
-LAPACK's divide and conquer ``stevd`` for all eigenpairs) and applies each
+so ``_spectral_1f`` diagonalises it once (``eigh_tridiagonal``, one call to
+LAPACK's divide and conquer ``dstevd`` for all eigenpairs) and applies each
 step of the march, Rannacher steps included, as one scalar factor per
 eigenvalue.  Outside its gate (a zero kill, a Peclet number above 1, an
 ill-conditioned symmetrisation or a stiff spectrum, or more nodes than
@@ -52,8 +55,8 @@ same operator; it is also the reference the tests hold the spectral path to.
 
 Importing this module loads numpy only; scipy.linalg loads with the first
 solve.  ``_factor`` binds LAPACK ``dgttrf``/``dgttrs`` when it factors, and
-the module-level ``eigh_tridiagonal`` imports scipy's routine when called;
-``TestSpectralSolve`` in tests/test_pde.py monkeypatches that name.  Callers
+the module-level ``eigh_tridiagonal`` binds ``dstevd`` when called;
+``TestSpectralSolve`` in tests/test_pde.py monkeypatches both.  Callers
 look ``solve_banded`` up as a module global, so a wrapper set in its place
 sees every solve.
 """
@@ -80,10 +83,23 @@ class PdeInstabilityError(RuntimeError):
 
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.eigh_tridiagonal(d, e)``, imported on first call."""
-    from scipy.linalg import eigh_tridiagonal
+    """Eigenvalues, ascending, and eigenvectors (columns) of the symmetric
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
 
-    return eigh_tridiagonal(d, e)
+    One call to LAPACK ``dstevd``, bound on first call: the divide and
+    conquer routine that ``scipy.linalg.eigh_tridiagonal(d, e)`` runs for all
+    eigenpairs, with the same results, bit for bit.  Like scipy's, it raises
+    ValueError for a non-finite entry and LinAlgError where ``dstevd``
+    reports an error (``info`` nonzero).
+    """
+    from scipy.linalg.lapack import dstevd
+
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lam, vec, info = dstevd(d, e)
+    if info != 0:
+        raise LinAlgError(f"dstevd (eigh_tridiagonal) failed (LAPACK info={info})")
+    return lam, vec
 
 
 # Every solve steps Crank-Nicolson (implicit weight _THETA) after
@@ -92,6 +108,10 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
 _THETA = 0.5
 _RANNACHER_STEPS = 2
 _WIDTH_SIGMAS = 6.0
+# longest tenor, in years, of a curve or a contract (``cds.checked_tenor``): a
+# time grid over a tenor without a bound would size its steps without one
+# (1e308 overflowed their count)
+MAX_TENOR = 1000.0
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -358,21 +378,22 @@ class _ProfileStep:
         self._factors: dict[float, tuple] = {}
 
     def mixed(self, w: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(w)
-        out[1:-1] = self.mixed_coef * (w[2:] - w[:-2])
+        out = np.empty_like(w)
+        out[0] = out[-1] = 0.0
+        np.subtract(w[2:], w[:-2], out=out[1:-1])
+        out[1:-1] *= self.mixed_coef
         return out
 
-    def apply(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
-        """The step w -> w_next, on a profile w of shape (n_y,) or on each column
-        of w of shape (n_y, k): applied to the identity, the step as a dense matrix.
-
-        The y-sweep solves through ``solve_banded`` on factors of
-        I - theta dt A_y made once per theta dt.
-        """
-        theta_dt = theta * dt
+    def _lu(self, theta_dt: float) -> tuple:
+        """Factors of the y-sweep's I - theta dt A_y, made once per theta dt."""
         if theta_dt not in self._factors:
             self._factors[theta_dt] = _factor(*self.y_diags, theta_dt, self.sweep)
-        lu = self._factors[theta_dt]
+        return self._factors[theta_dt]
+
+    def _explicit(self, w: np.ndarray, theta_dt: float, dt: float) -> tuple:
+        """The step's explicit terms at w, shape (n_y,) or (n_y, k): the
+        predictor's right-hand side, the mixed term, and the map that takes a
+        right-hand side through the x-sweep to the y-sweep's."""
         rows = (slice(None),) + (None,) * (w.ndim - 1)  # broadcasts a node's entry along its row
         a_x = self.a_x[rows]
         f1w = a_x * w
@@ -380,14 +401,76 @@ class _ProfileStep:
         f0w = self.mixed(w)
         x_sweep = 1.0 - theta_dt * a_x
 
-        def sweeps(rhs: np.ndarray) -> np.ndarray:
-            return solve_banded(lu, (rhs - theta_dt * f1w) / x_sweep - theta_dt * f2w)
+        def y_rhs(rhs: np.ndarray) -> np.ndarray:
+            return (rhs - theta_dt * f1w) / x_sweep - theta_dt * f2w
 
-        rhs0 = w + dt * (f0w + f1w + f2w)
-        w_next = sweeps(rhs0)
+        return w + dt * (f0w + f1w + f2w), f0w, y_rhs
+
+    def apply(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
+        """The step w -> w_next on a profile w, shape (n_y,).
+
+        The y-sweep solves through ``solve_banded`` on factors of
+        I - theta dt A_y made once per theta dt.
+        """
+        lu = self._lu(theta * dt)
+        rhs0, f0w, y_rhs = self._explicit(w, theta * dt, dt)
+        w_next = solve_banded(lu, y_rhs(rhs0))
         if theta != 1.0 and self.mixed_coef != 0.0:
-            w_next = sweeps(rhs0 + 0.5 * dt * (self.mixed(w_next) - f0w))
+            w_next = solve_banded(lu, y_rhs(rhs0 + 0.5 * dt * (self.mixed(w_next) - f0w)))
         return w_next
+
+    def matrix(self, theta: float, dt: float) -> np.ndarray:
+        """The step as a dense n_y x n_y matrix: column j is ``apply(e_j)``, bit for bit.
+
+        The step's explicit terms are tridiagonal, so on the identity the
+        predictor's right-hand side is a band, whose entries ``apply``'s own
+        terms compute on three combs (``_band``).  The corrector's right-hand
+        side takes the mixed term of the predicted matrix M1: on the band it
+        is again ``apply``'s expression on the combs; off it every other term
+        is zero, so it is 0.5 dt mixed(M1) through the x-sweep, which divides
+        only where a_x is nonzero (gamma > 0), and adding 0.0 gives its zeros
+        the sign they take in ``apply``.  Each sweep is one ``solve_banded``
+        call with the n_y columns as right-hand sides.
+        """
+        theta_dt = theta * dt
+        lu = self._lu(theta_dt)
+        n = self.a_x.size
+        rows, cols, k, combs = _band(n)
+        rhs0, f0w, y_rhs = self._explicit(combs, theta_dt, dt)
+        m = np.zeros((n, n))
+        m[rows, cols] = y_rhs(rhs0)[rows, k]
+        m = solve_banded(lu, m)
+        if theta == 1.0 or self.mixed_coef == 0.0:
+            return m
+        mixed = self.mixed(m)
+        on_band = np.zeros_like(rhs0)
+        on_band[rows, k] = mixed[rows, cols]
+        band = y_rhs(rhs0 + 0.5 * dt * (on_band - f0w))[rows, k]
+        mixed *= 0.5 * dt
+        if np.any(self.a_x):
+            mixed /= (1.0 - theta_dt * self.a_x)[:, None]
+        mixed += 0.0
+        mixed[rows, cols] = band
+        return solve_banded(lu, mixed)
+
+
+@functools.lru_cache(maxsize=8)
+def _band(n: int) -> tuple[np.ndarray, ...]:
+    """The entries (rows[e], cols[e]) of an n x n tridiagonal band, the comb
+    k[e] = cols[e] mod 3 of each, and the (n, 3) combs: comb k is 1 at the
+    nodes j = k mod 3.
+
+    Any three neighbouring nodes hold exactly one node of each comb, so a
+    term of the step at row i, which reads w at i - 1, i and i + 1, takes on
+    comb k the value it takes on e_j, j the comb's node among them, bit for bit.
+    """
+    rows = np.repeat(np.arange(n), 3)[1:-1]
+    cols = rows + np.tile([-1, 0, 1], n)[1:-1]
+    combs = (np.arange(n)[:, None] % 3 == np.arange(3)).astype(float)
+    out = (rows, cols, cols % 3, combs)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _flush_tiny(m: np.ndarray) -> np.ndarray:
@@ -420,55 +503,68 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
     returns the final profile and its spot snapshots.
 
     The two Rannacher steps apply the theta = 1 step to w.  After them only
-    the stops are read: the snapshot nodes and the last node, where the
-    march reads the spot value and checks max |v| for a blow-up.  The
-    Crank-Nicolson step is one matrix M, so a gap of g steps between stops
-    is a product with M^g: the march keeps the table M, M^2, M^4, ... up to
-    the longest gap and crosses each gap with one mat-vec per set bit of g
-    (a 9.75-year trade on the CLI grid: 3 squarings and 40 mat-vecs for
-    310 steps).  Where ``_marches_vector`` says so it applies the step to
-    w instead, one step at a time.
+    the stops are read: the snapshot nodes and the last node.  The
+    Crank-Nicolson step is one matrix M (``_ProfileStep.matrix``), so a gap
+    of g steps between stops is a product with M^g: the march keeps the
+    table M, M^2, M^4, ... up to the longest gap and crosses each gap with
+    one mat-vec per set bit of g (a 9.75-year trade on the CLI grid: 3
+    squarings and 40 mat-vecs for 310 steps).  Where ``_marches_vector``
+    says so it applies the step to w instead, one step at a time.
+
+    The march checks max |v| for a blow-up at the Rannacher nodes and at
+    the stops, and reads the spot values there.  The powered march crosses
+    every gap first, into one row a stop; then one reduction checks them
+    all, naming the first node in march order past the cap, and the spot
+    values are one column of those rows.
     """
     dt = float(grid.t_nodes[1] - grid.t_nodes[0])
     n_t = grid.t_nodes.size - 1
     n_y = grid.y_nodes.size
     snapshots: dict[float, float] = {}
-    # max |v| over the surface e^x w, against its value at maturity
     scale = math.exp(grid.x_nodes[-1])
-    cap = 50.0 * scale + 10.0
 
-    def reached(w: np.ndarray, node: int) -> np.ndarray:
-        m = scale * float(np.max(np.abs(w)))
-        if not math.isfinite(m) or m > cap:
+    def reached(profiles: np.ndarray, nodes: Sequence[int]) -> None:
+        """Check the profiles at ``nodes``, one a row, for a blow-up in one
+        reduction, and keep the spot values of the snapshot nodes among them."""
+        # max |v| over the surface e^x w, against its value at maturity
+        peaks = scale * np.max(np.abs(profiles), axis=1)
+        blown = np.flatnonzero(~np.isfinite(peaks) | (peaks > 50.0 * scale + 10.0))
+        if blown.size:
+            k = blown[0]
             raise PdeInstabilityError(
-                f"value blow-up at time node {node}: max |v| = {m:.3e} "
+                f"value blow-up at time node {nodes[k]}: max |v| = {peaks[k]:.3e} "
                 f"(grid {grid.x_nodes.size}x{n_y}, dt = {dt:.3e})"
             )
-        if node in snap:
-            snapshots[snap[node]] = float(w[grid.iy0])
-        return w
+        for node, spot in zip(nodes, profiles[:, grid.iy0].tolist()):
+            if node in snap:
+                snapshots[snap[node]] = spot
 
     w = np.ones(n_y)
-    node = n_t  # the time node of w
-    for _ in range(min(_RANNACHER_STEPS, n_t)):
-        node -= 1
-        w = reached(step.apply(w, 1.0, dt), node)
+    implicit = np.empty((min(_RANNACHER_STEPS, n_t), n_y))
+    for k in range(len(implicit)):
+        w = implicit[k] = step.apply(w, 1.0, dt)
+    node = n_t - len(implicit)  # the time node of w
+    reached(implicit, range(n_t - 1, node - 1, -1))
     stops = sorted({k for k in (0, *snap) if k < node}, reverse=True)
     gaps = [a - b for a, b in zip([node, *stops], stops)]
     if _marches_vector(n_y, node):
+        # one stop at a time: on y-grids this large a row per stop could take
+        # as much memory as the n_y x n_y matrix this march does without
         for stop, gap in zip(stops, gaps):
             for _ in range(gap):
                 w = step.apply(w, _THETA, dt)
-            w = reached(w, stop)
+            reached(w[None], [stop])
         return w, snapshots
-    powers = [_flush_tiny(step.apply(np.eye(n_y), _THETA, dt))]
+    powers = [_flush_tiny(step.matrix(_THETA, dt))]
     while 2 ** len(powers) <= max(gaps):
         powers.append(_flush_tiny(powers[-1] @ powers[-1]))
-    for stop, gap in zip(stops, gaps):
+    profiles = np.empty((len(stops), n_y))
+    for k, gap in enumerate(gaps):
         for i, power in enumerate(powers):
             if gap >> i & 1:
                 w = power @ w
-        w = reached(w, stop)
+        profiles[k] = w
+    reached(profiles, stops)
     return w, snapshots
 
 
@@ -605,9 +701,11 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
     weights = vec[iy0] * (np.exp(log_d - log_d[iy0]) @ vec)
     steps = n_t - np.fromiter(snap, int)[:, None]  # steps marched to each node
     n_implicit = np.minimum(steps, _RANNACHER_STEPS)
-    factors = ((1.0 - dt * lam) ** -n_implicit
-               * ((1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam))
-               ** (steps - n_implicit))
+    # the Rannacher factor once per count of implicit steps, 0 to _RANNACHER_STEPS
+    rannacher = (1.0 - dt * lam) ** -np.arange(_RANNACHER_STEPS + 1)[:, None]
+    factors = rannacher[n_implicit.ravel()]
+    factors *= (((1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam))
+                ** (steps - n_implicit))
     values = factors @ weights
     if not np.all(np.isfinite(values)):
         raise PdeInstabilityError("one-factor solve produced non-finite values")
@@ -618,6 +716,8 @@ def _sorted_tenors(tenors: Sequence[float]) -> list[float]:
     tenors = sorted(float(t) for t in tenors)
     if not tenors or not all(0.0 < t < math.inf for t in tenors):
         raise ValueError(f"tenors must be positive and finite, got {tenors}")
+    if tenors[-1] > MAX_TENOR:
+        raise ValueError(f"tenor must be at most {MAX_TENOR:g} years, got {tenors[-1]}")
     return tenors
 
 

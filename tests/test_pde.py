@@ -1,11 +1,13 @@
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import scipy.linalg
+import scipy.linalg.lapack
 from scipy.integrate import quad
 from scipy.linalg import LinAlgError
 
@@ -220,6 +222,21 @@ class TestSurvivalCurves:
         with pytest.raises(ValueError):
             quanto_survival_curve(H_SWEEP, fx, RATES0, [-1.0, 2.0], SolverConfig())
 
+    @pytest.mark.parametrize("tenor", [1000.25, 1e308])
+    def test_tenor_beyond_a_contract_is_named(self, tenor):
+        # 1e308 overflowed the time grid's step count (an OverflowError from math.ceil)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
+        named = re.escape(f"at most 1000 years, got {tenor:g}")
+        with pytest.raises(ValueError, match=named):
+            survival_curve_1f(H_SWEEP, [tenor], n_y=21, n_t=20)
+        for engine in ("adi", "reduced"):
+            with pytest.raises(ValueError, match=named):
+                quanto_survival_curve(H_SWEEP, fx, RATES0, [1.0, tenor], SolverConfig(11, 21, 20),
+                                      engine=engine)
+
+    def test_longest_tenor_prices(self):
+        assert 0.0 < survival_curve_1f(H_SWEEP, [pde.MAX_TENOR], n_y=21, n_t=20)[0] < 1.0
+
 
 def _observed_order(cfgs):
     """Empirical order and successive differences of the ADI spot value on three
@@ -262,6 +279,29 @@ class TestSchemeQuality:
         cfg = SolverConfig(n_x=201, n_y=201, n_t=3)
         with pytest.raises(PdeInstabilityError, match="value blow-up"):
             solve_quanto_pde(h, fx, RATES0, 5.0, cfg)
+
+    def test_dense_march_names_the_first_blown_stop(self, monkeypatch):
+        # the dense march (the test above runs the vector one) names the first stop,
+        # in march order, whose max |v| = e^(x_max) max |w| passes 50 e^(x_max) + 10:
+        # explicit steps beyond their stability limit grow w over several stops
+        monkeypatch.setattr(pde, "_THETA", 0.0)
+        monkeypatch.setattr(pde, "_RANNACHER_STEPS", 0)
+        monkeypatch.setattr(pde, "_marches_vector", lambda n_y, n_steps: False)
+        h = HazardParams(a=0.0, b=0.0, sigma_y=0.5, y0=-4.0)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.5)
+        cfg = SolverConfig(n_x=11, n_y=71, n_t=40)
+        tenors = CdsContract(tenor=5.0).payment_times()
+        grid, snap = build_grid(h, fx, RATES0, 5.0, cfg, tenors)
+        step = _ProfileStep(grid, h, fx)
+        scale = math.exp(grid.x_nodes[-1])
+        w = np.ones(71)
+        for node in range(39, -1, -1):
+            w = step.apply(w, 0.0, 5.0 / 40)
+            if (node in snap or node == 0) and not scale * np.max(np.abs(w)) <= 50 * scale + 10:
+                break
+        assert 0 < node < max(snap)  # neither the first stop nor the last
+        with pytest.raises(PdeInstabilityError, match=rf"value blow-up at time node {node}: "):
+            solve_quanto_pde(h, fx, RATES0, 5.0, cfg, snapshot_tenors=tenors)
 
 
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
@@ -369,12 +409,11 @@ class TestTridiag:
         return _ProfileStep(grid, h, fx)
 
     def test_adi_y_sweep_bit_equal_to_banded_solve(self):
-        # the dense step matrix is the step applied to the identity, its n_y columns
-        # solved as the trailing columns of one dgttrs call: column j is the step
-        # applied to e_j, bit for bit
+        # the dense step matrix solves its n_y columns as the trailing columns of one
+        # dgttrs call: column j is the step applied to e_j, bit for bit
         step = self._step()
         for theta in (1.0, 0.5):
-            matrix = step.apply(np.eye(101), theta, 5.0 / 300)
+            matrix = step.matrix(theta, 5.0 / 300)
             for j in (0, 1, 50, 99, 100):
                 assert np.array_equal(matrix[:, j], step.apply(np.eye(101)[j], theta, 5.0 / 300))
 
@@ -452,8 +491,20 @@ class TestSpectralSolve:
         assert np.array_equal(p, [spectral[t] for t in sorted(spectral)])
         assert np.max(np.abs(p - _marched(ops, grid))) <= 1e-12
 
+    @pytest.mark.parametrize("n_y, n_t, T, h, drift_shift, kill_scale", [
+        (101, 300, 5.0, HazardParams(a=1e-4, b=-210.45, sigma_y=0.2, y0=-4.089), 0.0, 1.0),
+        (161, 400, 10.0, HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3), 0.015, 0.8),
+    ], ids=["CLI", "calibration"])
+    def test_eigensolver_is_scipys(self, n_y, n_t, T, h, drift_shift, kill_scale):
+        # one direct dstevd call gives scipy.linalg.eigh_tridiagonal's eigenpairs, bit for bit
+        (lo, di, up), _, _ = _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=T)
+        e = np.sqrt(lo[1:] * up[:-1])
+        for got, want in zip(pde.eigh_tridiagonal(di, e), scipy.linalg.eigh_tridiagonal(di, e)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("case", ["no kill", "no diffusion", "n_y > n_t / 2",
-                                      "eigensolver fails", "stiff spectrum"])
+                                      "eigensolver fails", "dstevd does not converge",
+                                      "stiff spectrum"])
     def test_outside_the_gate_marches(self, case, monkeypatch):
         h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
         n_y, kill_scale = 41, 1.0
@@ -466,6 +517,10 @@ class TestSpectralSolve:
         elif case == "stiff spectrum":
             # max |diag| dt = 7.8e3: the spectral path was 5.3e-12 off the march
             h, n_y, kill_scale = HazardParams(a=0.0, b=0.0, sigma_y=1.625, y0=-9.25), 48, 1.75
+        elif case == "dstevd does not converge":
+            dstevd = scipy.linalg.lapack.dstevd
+            monkeypatch.setattr(scipy.linalg.lapack, "dstevd",
+                                lambda d, e: (*dstevd(d, e)[:2], 3))  # info > 0
         else:
             def fail(*args, **kwargs):
                 raise LinAlgError("eigenvalues did not converge")
@@ -693,6 +748,25 @@ class TestAdiProperties:
             ts, us = sol.spot_curve
             assert ts.size == p_hat.size == len(tenors)
             assert np.max(np.abs(us * np.exp(rates.r_hat * ts) / fx.z0 - p_hat)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(hazards, tenors, gammas, st.one_of(st.just(0.0), rhos), fx_vols,
+           st.sampled_from([5, 21, 101]))
+    @example(H_SWEEP, 5.0, -0.3, 0.5, 0.1, 101)
+    @example(H_SWEEP, 5.0, 0.4, -0.6, 0.1, 101)
+    @example(H_SWEEP, 5.0, -0.3, 0.0, 0.1, 101)
+    def test_step_matrix_is_the_step_on_each_unit_vector(self, h, T, gamma, rho, sigma_z, n_y):
+        # the matrix built on its band (``_ProfileStep.matrix``) holds apply(e_j) in
+        # column j, bit for bit (signed zeros included), at gamma <= 0, where the
+        # corrector skips the x-sweep's division by 1, at gamma > 0 and at rho = 0,
+        # where there is no corrector
+        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
+        grid, _ = build_grid(h, fx, RATES0, T, SolverConfig(n_x=11, n_y=n_y, n_t=40))
+        step = _ProfileStep(grid, h, fx)
+        for theta in (0.5, 1.0):
+            matrix = step.matrix(theta, T / 40)
+            for j, e_j in enumerate(np.eye(n_y)):
+                assert matrix[:, j].tobytes() == step.apply(e_j, theta, T / 40).tobytes()
 
     @pytest.mark.parametrize("h, gamma, rho, rates, T", [
         (H_SWEEP, -1.0, 0.3, RATES0, 5.0),
