@@ -58,10 +58,13 @@ class CdsContract:
             raise ValueError(f"notional must be nonzero and finite, got {self.notional}")
         # the schedule is fixed by the tenor: build it once, read-only
         n_full = int(math.floor(self.tenor / _PERIOD + 1e-9))
-        times = _PERIOD * np.arange(1, n_full + 1)
-        if times.size == 0 or times[-1] < self.tenor - 1e-9:
-            times = np.append(times, self.tenor)
-        accruals = np.diff(times, prepend=0.0)
+        stub = n_full == 0 or _PERIOD * n_full < self.tenor - 1e-9
+        times = _PERIOD * np.arange(1, n_full + 1 + stub)
+        if stub:
+            times[-1] = self.tenor
+        accruals = np.empty_like(times)
+        accruals[0] = times[0]
+        np.subtract(times[1:], times[:-1], out=accruals[1:])
         times.flags.writeable = accruals.flags.writeable = False
         object.__setattr__(self, "_schedule", (times, accruals))
 
@@ -108,8 +111,12 @@ def protection_leg_pv(curve: SurvivalCurve, r: float, contract: CdsContract) -> 
     T = contract.payment_times()[-1]
     _require_coverage(curve, T)
     ts, df_mid = _protection_grid(T, r)
-    p = curve(ts)
-    return contract.notional * contract.lgd * float(np.sum(df_mid * (p[:-1] - p[1:])))
+    return _protection(contract, df_mid, curve(ts))
+
+
+def _protection(contract: CdsContract, df_mid: np.ndarray, p: np.ndarray) -> float:
+    """The protection leg from the survival ``p`` at the protection nodes."""
+    return contract.notional * contract.lgd * float((df_mid * (p[:-1] - p[1:])).sum())
 
 
 @functools.lru_cache(maxsize=32)
@@ -124,23 +131,32 @@ def _protection_grid(T: float, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def par_spread(curve: SurvivalCurve, r: float, contract: CdsContract) -> ParSpreadResult:
-    """Spread equating the two legs, plus the risky annuity behind it."""
-    annuity = _risky_annuity(curve, r, contract)
+    """Spread equating the two legs, plus the risky annuity behind it.
+
+    The annuity is sum_i delta_i * DF(T_i) * p(T_i) over the premium
+    schedule, the protection leg ``protection_leg_pv``'s sum.  Both legs
+    share one coverage check and one evaluation of the curve on their nodes
+    together; the curve is evaluated node by node, so the legs see the
+    values they would alone.
+    """
+    times = contract.payment_times()
+    T = times[-1]
+    _require_coverage(curve, T)
+    ts, df_mid = _protection_grid(T, r)
+    p = curve(np.concatenate((times, ts)))
+    annuity = float((contract.accruals() * np.exp(-r * times) * p[:times.size]).sum())
     if annuity <= 0.0:
         raise ValueError("risky annuity is not positive; cannot quote a par spread")
-    protection = protection_leg_pv(curve, r, contract)
+    pv_per_spread = contract.notional * annuity
+    if pv_per_spread == 0.0:
+        raise ValueError(f"notional {contract.notional:g} times the risky annuity {annuity:g} "
+                         f"underflows to 0; cannot quote a par spread")
+    protection = _protection(contract, df_mid, p[times.size:])
     return ParSpreadResult(
-        par_spread=protection / (contract.notional * annuity),
+        par_spread=protection / pv_per_spread,
         premium_pv01=annuity,
         protection_pv=protection,
     )
-
-
-def _risky_annuity(curve: SurvivalCurve, r: float, contract: CdsContract) -> float:
-    """sum_i delta_i * DF(T_i) * p(T_i) over the premium schedule."""
-    times = contract.payment_times()
-    _require_coverage(curve, times[-1])
-    return float(np.sum(contract.accruals() * np.exp(-r * times) * curve(times)))
 
 
 def _require_coverage(curve: SurvivalCurve, T: float) -> None:

@@ -24,23 +24,27 @@ class SurvivalCurve:
     __slots__ = ("_nodes",)
 
     def __init__(self, tenors, probs) -> None:
+        """Validate and anchor the nodes: one difference of the anchored knot
+        row checks the tenors, the first tenor against 0 included, and one
+        ``log`` of the anchored probability row fills the log row."""
         tenors = np.asarray(tenors, dtype=float)
         probs = np.asarray(probs, dtype=float)
         if tenors.ndim != 1 or tenors.shape != probs.shape or tenors.size == 0:
             raise ValueError("tenors and probs must be 1-d arrays of equal, nonzero length")
-        if tenors[0] <= 0 or np.any(np.diff(tenors) <= 0):
-            raise ValueError("tenors must be strictly increasing and positive")
-        if np.any(probs > 1.0 + _EPS) or np.any(probs < -_EPS):
-            raise ValueError("survival probabilities must lie in [0, 1]")
-        if np.any(np.diff(probs) > _EPS):
-            raise ValueError("survival probabilities must be non-increasing")
-        probs = np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
         nodes = np.empty((3, tenors.size + 1))
-        nodes[:, 0] = (0.0, 0.0, 1.0)
-        nodes[0, 1:] = tenors
+        knots, logs, anchored = nodes
+        knots[0] = 0.0
+        knots[1:] = tenors
+        if (knots[1:] - knots[:-1] <= 0).any():
+            raise ValueError("tenors must be strictly increasing and positive")
+        if (probs > 1.0 + _EPS).any() or (probs < -_EPS).any():
+            raise ValueError("survival probabilities must lie in [0, 1]")
+        if (probs[1:] - probs[:-1] > _EPS).any():
+            raise ValueError("survival probabilities must be non-increasing")
+        anchored[0] = 1.0
+        np.minimum.accumulate(probs.clip(0.0, 1.0), out=anchored[1:])
         with np.errstate(divide="ignore"):
-            np.log(probs, out=nodes[1, 1:])
-        nodes[2, 1:] = probs
+            np.log(anchored, out=logs)
         nodes.flags.writeable = False
         self._nodes = nodes
 
@@ -64,7 +68,7 @@ class SurvivalCurve:
     def __call__(self, t) -> np.ndarray | float:
         """Survival probability at time(s) t; errors beyond the last tenor."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.horizon * (1 + 1e-12)):
+        if (t < 0).any() or (t > self.horizon * (1 + 1e-12)).any():
             raise ValueError("curve evaluated outside [0, horizon]")
         out = np.exp(np.interp(t, self._nodes[0], self._nodes[1]))
         return float(out) if out.ndim == 0 else out

@@ -66,6 +66,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -146,7 +147,8 @@ class Grid2D:
     def __post_init__(self) -> None:
         for name in ("x_nodes", "y_nodes", "t_nodes"):
             nodes = getattr(self, name)
-            if nodes.size < 2 or np.any(np.diff(nodes) <= 0):
+            # np.diff's difference along the last axis, one pass and one reduction
+            if nodes.size < 2 or (nodes[..., 1:] - nodes[..., :-1] <= 0).any():
                 raise ValueError(f"{name} must be strictly increasing")
         if self.x_nodes.size < 3 or self.y_nodes.size < 3:
             raise ValueError("spatial axes need at least 3 nodes")
@@ -174,26 +176,41 @@ class PdeSolution:
 
 
 def ou_mean_std(h: HazardParams, t: float, drift_shift: float = 0.0) -> tuple[float, float]:
-    """Mean and standard deviation of Y_t under an optional drift tilt."""
+    """Mean and standard deviation of Y_t under an optional drift tilt.
+
+    Raises ValueError for a sigma_y whose square overflows: every grid is
+    sized by this deviation, so no solve can take such a vol.
+    """
+    try:
+        sigma2 = h.sigma_y**2
+    except OverflowError:
+        raise ValueError(f"sigma_y = {h.sigma_y:g} is too large: its square overflows") from None
     if h.a > 0:
         decay = math.exp(-h.a * t)
         b_eff = h.b + drift_shift / h.a
         mean = b_eff + (h.y0 - b_eff) * decay
-        var = h.sigma_y**2 * (-math.expm1(-2.0 * h.a * t)) / (2.0 * h.a)
+        var = sigma2 * (-math.expm1(-2.0 * h.a * t)) / (2.0 * h.a)
     else:
         mean = h.y0 + drift_shift * t
-        var = h.sigma_y**2 * t
+        var = sigma2 * t
     return mean, math.sqrt(var)
 
 
 def _y_axis(h: HazardParams, T: float, n_y: int, width_sigmas: float,
             drift_shift: float = 0.0) -> tuple[np.ndarray, int]:
-    """Uniform y grid covering the travelled envelope, with y0 on a node."""
+    """Uniform y grid covering the travelled envelope, with y0 on a node.
+
+    Raises ValueError where the envelope has no width in floating point: a
+    log-intensity so far from 0 that its pad rounds away.
+    """
     m_end, s_end = ou_mean_std(h, T, drift_shift)
     pad = max(width_sigmas * s_end, 1e-3)
     lo = min(h.y0, m_end) - pad
     hi = max(h.y0, m_end) + pad
     dy = (hi - lo) / (n_y - 1)
+    if not dy > 0.0:
+        raise ValueError(f"the log-hazard grid around y0 = {h.y0:g} has no width: "
+                         f"its pad of {pad:g} rounds away")
     k0 = int(round((h.y0 - lo) / dy))
     k0 = min(max(k0, 1), n_y - 2)
     lo = h.y0 - k0 * dy
@@ -202,7 +219,11 @@ def _y_axis(h: HazardParams, T: float, n_y: int, width_sigmas: float,
 
 def _x_axis(h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float,
             n_x: int) -> tuple[np.ndarray, int]:
-    """Symmetric log-FX grid around ln z0, wide enough for diffusion and drift."""
+    """Symmetric log-FX grid around ln z0, wide enough for diffusion and drift.
+
+    Raises ValueError where e^x overflows at the top node, which the ADI
+    march scales by: an FX vol or a rate gap too large for any grid.
+    """
     m_end, _ = ou_mean_std(h, T)
     # the compensator's term below is capped at 2.0, so for any |gamma| T above
     # 1e-307 an e^y beyond e^709, the largest finite power, moves nothing but overflows
@@ -214,6 +235,14 @@ def _x_axis(h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float,
     if n_x % 2 == 0:
         n_x += 1
     x0 = math.log(fx.z0)
+    try:
+        math.exp(x0 + half)
+    except OverflowError:
+        raise ValueError(
+            f"the log-FX grid would reach x = {x0 + half:.6g}, where e^x overflows: "
+            f"sigma_z = {fx.sigma_z:g} or r - r_hat = {rates.r - rates.r_hat:g} is too "
+            f"large over {T:g} years"
+        ) from None
     return np.linspace(x0 - half, x0 + half, n_x), n_x // 2
 
 
@@ -285,17 +314,18 @@ def _y_diags(h: HazardParams, y: np.ndarray, drift_shift: float, kill: np.ndarra
     sigma_y^2 / 2.
     """
     dy = y[1] - y[0]
+    dy2 = dy**2
     hy = 0.5 * h.sigma_y**2
     cy = h.a * (h.b - y) + drift_shift
     d = np.maximum(hy, 0.5 * dy * np.abs(cy))
-    d[[0, -1]] = hy
-    lo = d / dy**2 - cy / (2 * dy)
-    di = -2 * d / dy**2 - kill
-    up = d / dy**2 + cy / (2 * dy)
-    lo[0] = 0.0
-    up[0] = 2 * hy / dy**2
-    up[-1] = 0.0
-    lo[-1] = 2 * hy / dy**2
+    d[0] = d[-1] = hy
+    diffusion = d / dy2
+    convection = cy / (2 * dy)
+    lo = diffusion - convection
+    di = -2 * d / dy2 - kill
+    up = diffusion + convection
+    lo[0] = up[-1] = 0.0
+    up[0] = lo[-1] = 2 * hy / dy2
     return lo, di, up
 
 
@@ -372,16 +402,27 @@ class _ProfileStep:
         ey = np.exp(y)
         kill_x = -min(fx.gamma_z, 0.0) * ey
         self.a_x = -max(fx.gamma_z, 0.0) * ey
+        self.x_divides = bool(self.a_x.any())  # gamma > 0, unless e^y underflows
         self.y_diags = _y_diags(h, y, 0.0, ey - kill_x)
         self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y / (2.0 * (y[1] - y[0]))
         self.sweep = f"ADI y-sweep on the {grid.x_nodes.size} x {y.size} grid"
         self._factors: dict[float, tuple] = {}
 
     def mixed(self, w: np.ndarray) -> np.ndarray:
+        """``mixed_coef`` times the central y-difference of w, shape (n_y,) or
+        (n_y, k) in C or Fortran order, and zero on the edge rows.
+
+        One pass over w's buffer in memory order, where node i +- 1 lies one
+        first-axis stride from node i; in Fortran order that pass also fills
+        the edge rows, across columns, before they are set to zero.
+        """
         out = np.empty_like(w)
+        s = out.strides[0] // out.itemsize
+        flat = out.ravel(order="K")
+        w = w.ravel(order="K")
+        np.subtract(w[2 * s:], w[:-2 * s], out=flat[s:-s])
+        flat[s:-s] *= self.mixed_coef
         out[0] = out[-1] = 0.0
-        np.subtract(w[2:], w[:-2], out=out[1:-1])
-        out[1:-1] *= self.mixed_coef
         return out
 
     def _lu(self, theta_dt: float) -> tuple:
@@ -429,45 +470,49 @@ class _ProfileStep:
         is again ``apply``'s expression on the combs; off it every other term
         is zero, so it is 0.5 dt mixed(M1) through the x-sweep, which divides
         only where a_x is nonzero (gamma > 0), and adding 0.0 gives its zeros
-        the sign they take in ``apply``.  Each sweep is one ``solve_banded``
-        call with the n_y columns as right-hand sides.
+        the sign they take in ``apply``.  Each band moves between the combs
+        and a matrix by one gather or scatter at flat positions.  Each sweep
+        is one ``solve_banded`` call with the n_y columns as right-hand sides.
         """
         theta_dt = theta * dt
         lu = self._lu(theta_dt)
         n = self.a_x.size
-        rows, cols, k, combs = _band(n)
+        at, at_t, on_combs, combs = _band(n)
         rhs0, f0w, y_rhs = self._explicit(combs, theta_dt, dt)
-        m = np.zeros((n, n))
-        m[rows, cols] = y_rhs(rhs0)[rows, k]
-        m = solve_banded(lu, m)
+        m = np.zeros(n * n)
+        m[at] = y_rhs(rhs0).ravel()[on_combs]
+        m = solve_banded(lu, m.reshape(n, n))
         if theta == 1.0 or self.mixed_coef == 0.0:
             return m
         mixed = self.mixed(m)
-        on_band = np.zeros_like(rhs0)
-        on_band[rows, k] = mixed[rows, cols]
-        band = y_rhs(rhs0 + 0.5 * dt * (on_band - f0w))[rows, k]
+        flat = mixed.ravel(order="K")  # a view: mixed is contiguous
+        in_mixed = at_t if mixed.flags.f_contiguous else at
+        on_band = np.zeros(combs.size)
+        on_band[on_combs] = flat[in_mixed]
+        band = y_rhs(rhs0 + 0.5 * dt * (on_band.reshape(n, 3) - f0w)).ravel()[on_combs]
         mixed *= 0.5 * dt
-        if np.any(self.a_x):
+        if self.x_divides:
             mixed /= (1.0 - theta_dt * self.a_x)[:, None]
         mixed += 0.0
-        mixed[rows, cols] = band
+        flat[in_mixed] = band
         return solve_banded(lu, mixed)
 
 
 @functools.lru_cache(maxsize=8)
 def _band(n: int) -> tuple[np.ndarray, ...]:
-    """The entries (rows[e], cols[e]) of an n x n tridiagonal band, the comb
-    k[e] = cols[e] mod 3 of each, and the (n, 3) combs: comb k is 1 at the
-    nodes j = k mod 3.
+    """Flat positions of the entries (i, j) of an n x n tridiagonal band: in
+    the matrix in C order (n i + j), in Fortran order (n j + i) and in the
+    (n, 3) combs in C order (3 i + j mod 3); and the combs: comb k is 1 at
+    the nodes j = k mod 3.
 
     Any three neighbouring nodes hold exactly one node of each comb, so a
     term of the step at row i, which reads w at i - 1, i and i + 1, takes on
-    comb k the value it takes on e_j, j the comb's node among them, bit for bit.
+    comb j mod 3 the value it takes on e_j, bit for bit.
     """
     rows = np.repeat(np.arange(n), 3)[1:-1]
     cols = rows + np.tile([-1, 0, 1], n)[1:-1]
     combs = (np.arange(n)[:, None] % 3 == np.arange(3)).astype(float)
-    out = (rows, cols, cols % 3, combs)
+    out = (n * rows + cols, n * cols + rows, 3 * rows + cols % 3, combs)
     for a in out:
         a.flags.writeable = False
     return out
@@ -513,24 +558,27 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
 
     The march checks max |v| for a blow-up at the Rannacher nodes and at
     the stops, and reads the spot values there.  The powered march crosses
-    every gap first, into one row a stop; then one reduction checks them
-    all, naming the first node in march order past the cap, and the spot
-    values are one column of those rows.
+    every gap first, into one row a stop; then one comparison checks them
+    all, and only a blow-up looks for the first node in march order past
+    the cap; the spot values are one column of those rows.
     """
     dt = float(grid.t_nodes[1] - grid.t_nodes[0])
     n_t = grid.t_nodes.size - 1
     n_y = grid.y_nodes.size
     snapshots: dict[float, float] = {}
     scale = math.exp(grid.x_nodes[-1])
+    # a peak blows up where it is not finite or above 50 e^x + 10 (max |v| at
+    # maturity is e^x), so where it is not at most this finite cap
+    cap = min(50.0 * scale + 10.0, sys.float_info.max)
 
     def reached(profiles: np.ndarray, nodes: Sequence[int]) -> None:
         """Check the profiles at ``nodes``, one a row, for a blow-up in one
-        reduction, and keep the spot values of the snapshot nodes among them."""
-        # max |v| over the surface e^x w, against its value at maturity
-        peaks = scale * np.max(np.abs(profiles), axis=1)
-        blown = np.flatnonzero(~np.isfinite(peaks) | (peaks > 50.0 * scale + 10.0))
-        if blown.size:
-            k = blown[0]
+        comparison, and keep the spot values of the snapshot nodes among them."""
+        # max |v| over the surface e^x w
+        peaks = scale * np.abs(profiles).max(axis=1)
+        within = peaks <= cap
+        if not within.all():
+            k = np.flatnonzero(~within)[0]
             raise PdeInstabilityError(
                 f"value blow-up at time node {nodes[k]}: max |v| = {peaks[k]:.3e} "
                 f"(grid {grid.x_nodes.size}x{n_y}, dt = {dt:.3e})"
@@ -558,11 +606,12 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
     powers = [_flush_tiny(step.matrix(_THETA, dt))]
     while 2 ** len(powers) <= max(gaps):
         powers.append(_flush_tiny(powers[-1] @ powers[-1]))
+    # the powers M^(2^i) of each gap's set bits i, in ascending i
+    crossings = {gap: [p for i, p in enumerate(powers) if gap >> i & 1] for gap in set(gaps)}
     profiles = np.empty((len(stops), n_y))
     for k, gap in enumerate(gaps):
-        for i, power in enumerate(powers):
-            if gap >> i & 1:
-                w = power @ w
+        for power in crossings[gap]:
+            w = power.dot(w)  # power @ w's BLAS gemv, with less dispatch
         profiles[k] = w
     reached(profiles, stops)
     return w, snapshots
@@ -594,8 +643,9 @@ def solve_quanto_pde(
     # the march carries e^(r_hat tau) v (``_ProfileStep``)
     spot_curve = None
     if snapshot_tenors is not None:
-        tenors = np.array(sorted(snapshots))
-        values = math.exp(grid.x_nodes[grid.ix0]) * np.array([snapshots[t] for t in tenors])
+        keys = sorted(snapshots)
+        tenors = np.array(keys)
+        values = math.exp(grid.x_nodes[grid.ix0]) * np.array([snapshots[t] for t in keys])
         spot_curve = (tenors, values * np.exp(-rates.r_hat * tenors))
     values = np.exp(grid.x_nodes)[:, None] * w[None, :]
     return PdeSolution(grid=grid, values=values * math.exp(-rates.r_hat * T),
@@ -683,16 +733,21 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
       n_y about 160 at n_t = 200 and 280 at n_t = 400 on a 2-CPU x86-64
       machine);
     - a LinAlgError from the eigensolver.
+
+    Each of the gate's tests is one reduction, deciding as before, NaN
+    included: the kill's and the coupling's minimum, max |diag| and the
+    spread of ln d, which is one accumulated sum after its 0 at node 0.
     """
     lo, di, up = ops
     if 2 * di.size > n_t:
         return None
     couple = lo[1:] * up[:-1]
-    if not (np.all(kill > 0.0) and np.all(couple > 0.0)
-            and np.max(np.abs(di)) * dt <= 300.0):
+    if not (kill.min() > 0.0 and couple.min() > 0.0 and np.abs(di).max() * dt <= 300.0):
         return None
-    log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(up[:-1] / lo[1:]))))
-    if np.ptp(log_d) > 10.0:
+    log_d = np.empty(di.size)
+    log_d[0] = 0.0
+    np.add.accumulate(0.5 * np.log(up[:-1] / lo[1:]), out=log_d[1:])
+    if log_d.max() - log_d.min() > 10.0:
         return None
     try:
         lam, vec = eigh_tridiagonal(di, np.sqrt(couple))
@@ -707,18 +762,24 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
     factors *= (((1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam))
                 ** (steps - n_implicit))
     values = factors @ weights
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise PdeInstabilityError("one-factor solve produced non-finite values")
-    return {t: float(v) for t, v in zip(snap.values(), values)}
+    return dict(zip(snap.values(), values.tolist()))
 
 
-def _sorted_tenors(tenors: Sequence[float]) -> list[float]:
-    tenors = sorted(float(t) for t in tenors)
+class _Tenors(tuple):
+    """Tenors that ``_sorted_tenors`` sorted and checked, and passes through."""
+
+
+def _sorted_tenors(tenors: Sequence[float]) -> _Tenors:
+    if type(tenors) is _Tenors:
+        return tenors
+    tenors = sorted(map(float, tenors))
     if not tenors or not all(0.0 < t < math.inf for t in tenors):
         raise ValueError(f"tenors must be positive and finite, got {tenors}")
     if tenors[-1] > MAX_TENOR:
         raise ValueError(f"tenor must be at most {MAX_TENOR:g} years, got {tenors[-1]}")
-    return tenors
+    return _Tenors(tenors)
 
 
 def survival_curve_1f(
@@ -733,12 +794,13 @@ def survival_curve_1f(
     """Survival probabilities E[exp(-kill_scale * int e^Y)] at the tenors.
 
     ``drift_shift`` tilts the Y drift (measure change), ``kill_scale``
-    rescales the intensity; the plain survival curve is the default.
+    rescales the intensity; the plain survival curve is the default.  The
+    tenors are sorted and checked unless ``quanto_survival_curve`` did so.
     """
     tenors = _sorted_tenors(tenors)
     T = tenors[-1]
     y, iy0 = _y_axis(h, T, n_y, width_sigmas, drift_shift)
-    dt, n_total, snap = _time_grid(T, n_t, tuple(tenors))
+    dt, n_total, snap = _time_grid(T, n_t, tenors)
     if kill_scale == 0.0:
         # every row of the operator sums to zero, so w = 1 solves the
         # discrete equation exactly; a solve would only add round-off
@@ -785,7 +847,8 @@ def quanto_survival_curve(
     ``engine`` selects how p_hat is produced: "adi" runs the two-factor
     solver with per-tenor snapshots, "reduced" uses the exact one-factor
     reduction (identical in the limit, much cheaper; used in calibration).
-    The liquid curve always comes from the one-factor survival solve.
+    The liquid curve always comes from the one-factor survival solve.  The
+    tenors are sorted and checked once, here, and passed on as checked.
     """
     cfg = cfg or SolverConfig()
     tenors = _sorted_tenors(tenors)

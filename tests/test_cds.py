@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quantocds.cds import (
     CdsContract,
+    ParSpreadResult,
     par_spread,
     protection_leg_pv,
     quanto_par_spread,
@@ -162,6 +164,89 @@ class TestParSpread:
         dead = SurvivalCurve([0.25, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError):
             par_spread(dead, 0.0, CdsContract(tenor=0.5))
+
+
+def two_call_par_spread(curve: SurvivalCurve, r: float, contract: CdsContract) -> ParSpreadResult:
+    """``par_spread`` as two leg calls: the annuity and the protection leg each
+    check the curve's coverage and evaluate it on their own nodes.  The
+    reference that the one-pass ``par_spread`` equals."""
+    times = contract.payment_times()
+    T = times[-1]
+    if curve.horizon < T * (1 - 1e-12):
+        raise ValueError(f"survival curve ends at {curve.horizon:g}y, contract needs {T:g}y")
+    annuity = float(np.sum(contract.accruals() * np.exp(-r * times) * curve(times)))
+    if annuity <= 0.0:
+        raise ValueError("risky annuity is not positive; cannot quote a par spread")
+    ts = np.linspace(0.0, T, max(1, int(math.ceil(T / (1.0 / 52.0)))) + 1)
+    df_mid = np.exp(-r * 0.5 * (ts[:-1] + ts[1:]))
+    p = curve(ts)
+    protection = contract.notional * contract.lgd * float(np.sum(df_mid * (p[:-1] - p[1:])))
+    return ParSpreadResult(protection / (contract.notional * annuity), annuity, protection)
+
+
+@st.composite
+def log_linear_curves(draw) -> SurvivalCurve:
+    """A survival curve with a piecewise-flat hazard between 1 to 12 knots in
+    (0, 12] years; it may end before a contract's last payment."""
+    knots = sorted(draw(st.lists(st.floats(0.01, 12.0), min_size=1, max_size=12, unique=True)))
+    hazards = draw(st.lists(st.floats(0.0, 2.0), min_size=len(knots), max_size=len(knots)))
+    steps = np.diff(knots, prepend=0.0)
+    return SurvivalCurve(knots, np.exp(-np.cumsum(np.array(hazards) * steps)))
+
+
+# whole quarters and a stub of 1 or 2 months, or whole quarters alone
+stub_tenors = st.builds(lambda q, m: q / 4.0 + m / 12.0, st.integers(0, 39),
+                        st.integers(0, 2)).filter(lambda t: t > 0.0)
+nonzero_rates = st.floats(-0.05, 0.15).filter(lambda r: r != 0.0)
+notionals = st.one_of(st.floats(-1e7, -1e-3), st.floats(1e-3, 1e7)).filter(lambda n: n != 1.0)
+
+
+class TestOnePassParSpread:
+    """``par_spread`` checks coverage once and evaluates the curve once, on the
+    payment dates and the protection nodes together; the curve is evaluated
+    node by node, so it equals the two-call formula exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_linear_curves(), stub_tenors, nonzero_rates, notionals, st.floats(0.0, 0.9))
+    @example(SurvivalCurve.from_flat_hazard(0.02, [1.0, 2.0]), 5.0 + 1.0 / 12.0, 0.03, 2.5, 0.4)
+    def test_equals_the_two_call_formula(self, curve, tenor, r, notional, recovery):
+        contract = CdsContract(tenor=tenor, recovery=recovery, notional=notional)
+        try:
+            expected = two_call_par_spread(curve, r, contract)
+        except ValueError as exc:
+            # the coverage and annuity errors keep their text
+            with pytest.raises(ValueError) as got:
+                par_spread(curve, r, contract)
+            assert str(got.value) == str(exc)
+            return
+        assert par_spread(curve, r, contract) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(stub_tenors, nonzero_rates, nonzero_rates, notionals, st.floats(-0.9, 0.5),
+           st.floats(-0.9, 0.9), st.floats(0.1, 0.8), st.sampled_from(["adi", "reduced"]))
+    def test_quanto_par_spread_equals_the_two_call_formula(self, tenor, r, r_hat, notional,
+                                                            gamma, rho, sigma_y, engine):
+        h = HazardParams(a=1e-4, b=-210.45, sigma_y=sigma_y, y0=-4.089)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=rho)
+        rates = RatePair(r, r_hat)
+        contract = CdsContract(tenor=tenor, notional=notional)
+        res = quanto_par_spread(h, fx, rates, contract, SolverConfig(n_x=11, n_y=21, n_t=40),
+                                engine=engine)
+        assert res.liquid == two_call_par_spread(res.curve_liquid, r, contract)
+        assert res.contractual == two_call_par_spread(res.curve_contractual, r_hat, contract)
+
+    def test_coverage_error_text(self):
+        contract = CdsContract(tenor=5.0 + 1.0 / 12.0)
+        with pytest.raises(ValueError) as got:
+            par_spread(flat_curve(0.02, horizon=2.0), 0.01, contract)
+        assert str(got.value) == "survival curve ends at 2y, contract needs 5.08333y"
+
+    def test_notional_times_annuity_underflow_is_named(self):
+        # a notional of 1e-300 on an annuity below 1e-24 underflowed the par
+        # spread's denominator to 0 and divided by zero
+        curve = SurvivalCurve([0.25, 0.5], [1e-30, 1e-31])
+        with pytest.raises(ValueError, match="underflows to 0; cannot quote a par spread"):
+            par_spread(curve, 0.0, CdsContract(tenor=0.5, notional=1e-300))
 
 
 class TestDeterministicSurvival:

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantocds.cli import _build_subparsers, _solver_cfg, main, read_snapshots
 from quantocds.calibration import CalibrationConfig, MarketSnapshot, _SpreadModel
@@ -110,6 +113,77 @@ class TestPrice:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+# each numeric flag of ``price``: its valid range, or 0, negatives, nan, +-inf and +-1e300
+_EXTREMES = st.sampled_from([0.0, -0.0, -1.0, -0.5, math.nan, math.inf, -math.inf,
+                             1e300, -1e300, 1e-300])
+_PRICE_FLAGS = st.fixed_dictionaries({}, optional={
+    flag: st.one_of(st.floats(lo, hi), _EXTREMES) for flag, (lo, hi) in {
+        "a": (0.0, 2.0), "b": (-300.0, 5.0), "sigma-y": (0.0, 1.5), "y0": (-8.0, 1.0),
+        "z0": (0.1, 3.0), "sigma-z": (0.0, 0.6), "gamma": (-1.0, 1.5), "rho": (-1.0, 1.0),
+        "r": (-0.05, 0.1), "r-hat": (-0.05, 0.1), "tenor": (0.25, 10.0),
+        "recovery": (0.0, 0.99), "notional": (-1e6, 1e6)}.items()})
+
+
+class TestPriceFuzz:
+    """``price`` on both engines with each numeric flag drawn from its valid
+    range or from 0, negatives, nan, +-inf and +-1e300: it prints and exits
+    0, or exits non-zero with one ``error:`` line, never a traceback."""
+
+    # numpy's overflow warnings on the extremes are not the CLI's output
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning",
+                                "ignore:underflow:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["adi", "reduced"]), _PRICE_FLAGS)
+    def test_prints_or_names_one_error(self, engine, flags):
+        argv = ["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20",
+                *(f"--{flag}={value!r}" for flag, value in flags.items())]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if rc == 0:
+            assert out.getvalue().startswith("par spread") and err.getvalue() == ""
+        else:
+            assert rc == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("engine", ["adi", "reduced"])
+    @pytest.mark.parametrize("flags,named", [
+        (["--sigma-y=1e300"], "sigma_y = 1e+300 is too large: its square overflows"),
+        (["--b=1e300", "--y0=1e300"], "the log-hazard grid around y0 = 1e+300 has no width"),
+    ], ids=["sigma_y squared overflows", "log-hazard grid without width"])
+    def test_hazard_leak_is_one_error_line(self, capsys, engine, flags, named):
+        # these raised OverflowError and ZeroDivisionError while the grids were sized
+        rc = run(["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--r-hat=-1e300"], ["--sigma-z=1e300"]],
+                             ids=["rate gap", "FX vol"])
+    def test_log_fx_grid_overflow_is_one_error_line(self, capsys, flags):
+        # e^x at the top of the log-FX grid raised OverflowError in the ADI march
+        rc = run(["price", "--engine", "adi", "--grid-y", "11", "--grid-t", "20", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: the log-FX grid would reach x = ")
+        assert "where e^x overflows" in err and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_underflowing_spread_denominator_is_one_error_line(self, capsys):
+        # a tiny notional times the annuity of a name that all but surely
+        # defaults underflowed to 0, and the par spread divided by zero
+        rc = run(["price", "--engine", "reduced", "--grid-y", "11", "--grid-t", "20",
+                  "--gamma=1e300", "--notional=1e-300"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: notional 1e-300 times the risky annuity ")
+        assert err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -768,6 +768,39 @@ class TestAdiProperties:
             for j, e_j in enumerate(np.eye(n_y)):
                 assert matrix[:, j].tobytes() == step.apply(e_j, theta, T / 40).tobytes()
 
+    @staticmethod
+    def _row_slice_mixed(step, w):
+        """The mixed term as the difference of w's row slices, w[2:] - w[:-2]:
+        the reference ``_ProfileStep.mixed``, one pass over w's buffer, keeps."""
+        out = np.empty_like(w)
+        out[0] = out[-1] = 0.0
+        np.subtract(w[2:], w[:-2], out=out[1:-1])
+        out[1:-1] *= step.mixed_coef
+        return out
+
+    @settings(max_examples=30, deadline=None)
+    @given(hazards, tenors, gammas, st.floats(0.05, 0.9), st.sampled_from([-1.0, 1.0]), fx_vols,
+           st.sampled_from([3, 4, 21, 101]), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example(H_SWEEP, 5.0, -0.3, 0.5, -1.0, 0.1, 101, 3, 0)
+    def test_mixed_term_is_the_row_slice_difference(self, h, T, gamma, rho, sign, sigma_z,
+                                                    n_y, k, seed):
+        # bit for bit, signed zeros included, on a vector, on a C-ordered (n_y, k)
+        # matrix and on the step matrix, which solve_banded returns in Fortran order
+        # and whose edge rows the flat pass first fills across columns
+        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=sign * rho)
+        grid, _ = build_grid(h, fx, RATES0, T, SolverConfig(n_x=11, n_y=n_y, n_t=40))
+        step = _ProfileStep(grid, h, fx)
+        rng = np.random.default_rng(seed)
+        vector = rng.standard_normal(n_y)
+        vector[::3] = 0.0
+        matrix = step.matrix(0.5, T / 40)
+        assert matrix.flags.f_contiguous
+        for w in (vector, rng.standard_normal((n_y, k)), -np.eye(n_y)[:, :k].copy(), matrix):
+            got = step.mixed(w)
+            assert got.tobytes() == self._row_slice_mixed(step, w).tobytes()
+            assert got.flags.f_contiguous == w.flags.f_contiguous
+            assert got.flags.c_contiguous == w.flags.c_contiguous
+
     @pytest.mark.parametrize("h, gamma, rho, rates, T", [
         (H_SWEEP, -1.0, 0.3, RATES0, 5.0),
         (HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5), -0.2, 0.9, RatePair(0.05, 0.05), 5.0),
