@@ -23,24 +23,23 @@ calibration.
 
 The ADI scheme's x-differences are fitted to be exact on e^x, and its march
 starts from v = e^x, so every step leaves v = e^x w(y): ``_ProfileStep``
-marches that y-profile w, on which each split operator acts exactly as a
-one-dimensional one, and the log-FX grid only sizes the reported surface.
-The march reads w only at its stops, the snapshot nodes and the last node.
-Its two Rannacher steps apply the step to w; the Crank-Nicolson step, linear
-in w, is a dense n_y x n_y matrix M, which ``_ProfileStep.matrix`` builds on
-its band, each column bit for bit the step applied to a unit vector, and
-the march crosses each gap between stops with products by squares M^(2^i),
-every gap before it checks all the stops for a blow-up in one pass.  On
-large y-grids (``_marches_vector``) it applies the step to w instead and
-checks each stop as it reaches it.
+marches that y-profile w, and the log-FX grid only sizes the reported
+surface.  Every march takes one step type, ``_Step``:
+w -> L (B w + C (L B w - w)), L the y-sweep's inverse and B, C tridiagonal,
+made once per (theta, dt); the one-factor march is its case without an
+x-direction or a mixed term.  The ADI march reads w only at its stops, the
+snapshot nodes and the last node.  Its two Rannacher steps apply the step
+to w; the Crank-Nicolson step is the same formula on the identity, a dense
+n_y x n_y matrix M (``_Step.matrix``) whose column j is the step on e_j, bit
+for bit.  The march crosses each gap between stops with products by squares
+M^(2^i) and then checks all the stops for a blow-up in one pass; on large
+y-grids (``_marches_vector``) it applies the step to w instead.
 
 Both engines difference y with one operator, ``_y_diags``: Spalding's
 hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
 Every implicit solve goes through one function, ``solve_banded``: LAPACK
-``dgttrf`` factors I - theta*dt*A once per theta*dt (``_factor``), and a
-solve is one ``dgttrs`` call.  The one-factor march solves once a step; the
-ADI y-sweep solves once a sweep, for the step matrix with its n_y columns as
-right-hand sides, and its x-sweep, diagonal on the profile, divides.
+``dgttrf`` factors I - theta*dt*A once per (theta, dt) (``_factor``), and a
+solve is one ``dgttrs`` call, the step matrix's n_y columns in one.
 
 ``survival_curve_1f`` builds the one-factor operator once and does
 without the time loop where it can: the operator is time-homogeneous and,
@@ -217,6 +216,19 @@ def _y_axis(h: HazardParams, T: float, n_y: int, width_sigmas: float,
     return lo + dy * np.arange(n_y), k0
 
 
+def _exp_y(y: np.ndarray, h: HazardParams, T: float, solve: str) -> np.ndarray:
+    """e^y on ``solve``'s ascending log-hazard nodes ``y``; raises ValueError
+    where it overflows at the top node, a kill that no solve can take."""
+    try:
+        math.exp(y[-1])
+    except OverflowError:
+        raise ValueError(
+            f"{solve}: the log-hazard grid would reach y = {y[-1]:.6g}, where e^y overflows: "
+            f"y0 = {h.y0:g}, b = {h.b:g} or sigma_y = {h.sigma_y:g} is too large over {T:g} years"
+        ) from None
+    return np.exp(y)
+
+
 def _x_axis(h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float,
             n_x: int) -> tuple[np.ndarray, int]:
     """Symmetric log-FX grid around ln z0, wide enough for diffusion and drift.
@@ -371,12 +383,93 @@ def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     return dgttrs(*factors, rhs.reshape(size, -1))[0].reshape(rhs.shape)
 
 
-class _ProfileStep:
+class _Step:
+    """The theta-step of every march, w -> L (B w + C (L B w - w)), on a
+    profile w of shape (n_y,), with L = (I - theta dt A_y)^-1.
+
+    For the split operators A_x (a diagonal, ``a_x``), A_y (``y_diags``) and
+    F0 (``mixed_coef`` times the central y-difference, zero on the edge rows),
+    B and C are tridiagonal, made once per (theta, dt) with L's factors:
+
+        B = X (I + dt (F0 + A_x + A_y) - theta dt A_x) - theta dt A_y
+          = I + dt X (A_x + F0) + dt (X - theta) A_y,
+        C = 0.5 dt X F0,    X = (I - theta dt A_x)^-1,
+
+    the Craig-Sneyd step: the predictor L B w and a corrector by C.  C is
+    zero at theta = 1 and without a mixed term; with A_x = 0 too the step is
+    the one-factor march's w -> L (w + (1 - theta) dt A_y w).
+    """
+
+    def __init__(self, y_diags: _Diags, sweep: str, a_x: np.ndarray | float = 0.0,
+                 mixed_coef: float = 0.0):
+        self.y_diags = y_diags
+        self.sweep = sweep
+        self.a_x = a_x
+        self.mixed_coef = mixed_coef
+        self._parts: dict[tuple[float, float], tuple] = {}
+
+    def _made(self, theta: float, dt: float) -> tuple:
+        """L's factors, B - I's diagonals and C's coefficient a row (None where
+        C is zero), made once per (theta, dt)."""
+        key = (theta, dt)
+        if key not in self._parts:
+            lo, di, up = self.y_diags
+            x = 1.0 / (1.0 - theta * dt * self.a_x)
+            ay = dt * (x - theta)  # A_y's weight in B
+            f0 = np.full(di.size, dt * self.mixed_coef) * x  # dt X F0's coefficient a row
+            f0[0] = f0[-1] = 0.0
+            b = (ay * lo - f0, ay * di + dt * x * self.a_x, ay * up + f0)
+            c = None if theta == 1.0 or self.mixed_coef == 0.0 else 0.5 * f0
+            self._parts[key] = (_factor(lo, di, up, theta * dt, self.sweep), b, c)
+        return self._parts[key]
+
+    def apply(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
+        """The step w -> w_next on a profile w: one ``solve_banded``, two with C."""
+        lu, b, c = self._made(theta, dt)
+        bw = w + _apply(*b, w)
+        w_next = solve_banded(lu, bw)
+        if c is None:
+            return w_next
+        return solve_banded(lu, bw + _central(c, w_next - w))
+
+    def matrix(self, theta: float, dt: float) -> np.ndarray:
+        """The step as a dense n_y x n_y matrix: column j is ``apply(e_j)``, bit for bit.
+
+        The same formula on the identity: B is I with B - I's band added
+        (off it, ``apply``'s B e_j is 0 + (+-0) = +0); one ``solve_banded``
+        of its n_y columns gives L B; less the identity, differenced by C,
+        plus B, it is solved once more.
+        """
+        lu, (lo, di, up), c = self._made(theta, dt)
+        n = di.size
+        b = np.eye(n, order="F")  # the order in which dgttrs takes and returns columns
+        entries = b.ravel(order="F")  # a view, holding entry (i, j) at i + n j
+        entries[::n + 1] += di
+        entries[1::n + 1] += lo[1:]
+        entries[n::n + 1] += up[:-1]
+        m = solve_banded(lu, b)
+        if c is None:
+            return m
+        m.ravel(order="F")[::n + 1] -= 1.0  # a view, as b's is
+        rhs = _central(c[:, None], m)
+        rhs += b
+        return solve_banded(lu, rhs)
+
+
+def _central(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``c`` times the central difference of ``d`` along its first axis, a
+    row each, and zero on the edge rows."""
+    out = np.zeros_like(d)
+    np.subtract(d[2:], d[:-2], out=out[1:-1])
+    out[1:-1] *= c[1:-1]
+    return out
+
+
+class _ProfileStep(_Step):
     """One Craig-Sneyd step of the two-factor scheme, on the y-profile w of v = e^x w.
 
-    Every x-difference of the scheme, its boundary rows and the mixed term's
-    x-edges included, is fitted to be exact on e^x (``_Ops2D`` in
-    tests/test_pde.py marches the whole surface with them), and a march
+    Every x-difference of the scheme is fitted to be exact on e^x (``_Ops2D``
+    in tests/test_pde.py marches the whole surface with them), and a march
     starts from v = e^x, so each split operator maps e^x w to e^x times an
     operator on w:
 
@@ -399,123 +492,11 @@ class _ProfileStep:
 
     def __init__(self, grid: Grid2D, h: HazardParams, fx: QuantoFxParams):
         y = grid.y_nodes
-        ey = np.exp(y)
+        sweep = f"ADI y-sweep on the {grid.x_nodes.size} x {y.size} grid"
+        ey = _exp_y(y, h, float(grid.t_nodes[-1]), sweep)
         kill_x = -min(fx.gamma_z, 0.0) * ey
-        self.a_x = -max(fx.gamma_z, 0.0) * ey
-        self.x_divides = bool(self.a_x.any())  # gamma > 0, unless e^y underflows
-        self.y_diags = _y_diags(h, y, 0.0, ey - kill_x)
-        self.mixed_coef = fx.rho * fx.sigma_z * h.sigma_y / (2.0 * (y[1] - y[0]))
-        self.sweep = f"ADI y-sweep on the {grid.x_nodes.size} x {y.size} grid"
-        self._factors: dict[float, tuple] = {}
-
-    def mixed(self, w: np.ndarray) -> np.ndarray:
-        """``mixed_coef`` times the central y-difference of w, shape (n_y,) or
-        (n_y, k) in C or Fortran order, and zero on the edge rows.
-
-        One pass over w's buffer in memory order, where node i +- 1 lies one
-        first-axis stride from node i; in Fortran order that pass also fills
-        the edge rows, across columns, before they are set to zero.
-        """
-        out = np.empty_like(w)
-        s = out.strides[0] // out.itemsize
-        flat = out.ravel(order="K")
-        w = w.ravel(order="K")
-        np.subtract(w[2 * s:], w[:-2 * s], out=flat[s:-s])
-        flat[s:-s] *= self.mixed_coef
-        out[0] = out[-1] = 0.0
-        return out
-
-    def _lu(self, theta_dt: float) -> tuple:
-        """Factors of the y-sweep's I - theta dt A_y, made once per theta dt."""
-        if theta_dt not in self._factors:
-            self._factors[theta_dt] = _factor(*self.y_diags, theta_dt, self.sweep)
-        return self._factors[theta_dt]
-
-    def _explicit(self, w: np.ndarray, theta_dt: float, dt: float) -> tuple:
-        """The step's explicit terms at w, shape (n_y,) or (n_y, k): the
-        predictor's right-hand side, the mixed term, and the map that takes a
-        right-hand side through the x-sweep to the y-sweep's."""
-        rows = (slice(None),) + (None,) * (w.ndim - 1)  # broadcasts a node's entry along its row
-        a_x = self.a_x[rows]
-        f1w = a_x * w
-        f2w = _apply(*(d[rows] for d in self.y_diags), w)
-        f0w = self.mixed(w)
-        x_sweep = 1.0 - theta_dt * a_x
-
-        def y_rhs(rhs: np.ndarray) -> np.ndarray:
-            return (rhs - theta_dt * f1w) / x_sweep - theta_dt * f2w
-
-        return w + dt * (f0w + f1w + f2w), f0w, y_rhs
-
-    def apply(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
-        """The step w -> w_next on a profile w, shape (n_y,).
-
-        The y-sweep solves through ``solve_banded`` on factors of
-        I - theta dt A_y made once per theta dt.
-        """
-        lu = self._lu(theta * dt)
-        rhs0, f0w, y_rhs = self._explicit(w, theta * dt, dt)
-        w_next = solve_banded(lu, y_rhs(rhs0))
-        if theta != 1.0 and self.mixed_coef != 0.0:
-            w_next = solve_banded(lu, y_rhs(rhs0 + 0.5 * dt * (self.mixed(w_next) - f0w)))
-        return w_next
-
-    def matrix(self, theta: float, dt: float) -> np.ndarray:
-        """The step as a dense n_y x n_y matrix: column j is ``apply(e_j)``, bit for bit.
-
-        The step's explicit terms are tridiagonal, so on the identity the
-        predictor's right-hand side is a band, whose entries ``apply``'s own
-        terms compute on three combs (``_band``).  The corrector's right-hand
-        side takes the mixed term of the predicted matrix M1: on the band it
-        is again ``apply``'s expression on the combs; off it every other term
-        is zero, so it is 0.5 dt mixed(M1) through the x-sweep, which divides
-        only where a_x is nonzero (gamma > 0), and adding 0.0 gives its zeros
-        the sign they take in ``apply``.  Each band moves between the combs
-        and a matrix by one gather or scatter at flat positions.  Each sweep
-        is one ``solve_banded`` call with the n_y columns as right-hand sides.
-        """
-        theta_dt = theta * dt
-        lu = self._lu(theta_dt)
-        n = self.a_x.size
-        at, at_t, on_combs, combs = _band(n)
-        rhs0, f0w, y_rhs = self._explicit(combs, theta_dt, dt)
-        m = np.zeros(n * n)
-        m[at] = y_rhs(rhs0).ravel()[on_combs]
-        m = solve_banded(lu, m.reshape(n, n))
-        if theta == 1.0 or self.mixed_coef == 0.0:
-            return m
-        mixed = self.mixed(m)
-        flat = mixed.ravel(order="K")  # a view: mixed is contiguous
-        in_mixed = at_t if mixed.flags.f_contiguous else at
-        on_band = np.zeros(combs.size)
-        on_band[on_combs] = flat[in_mixed]
-        band = y_rhs(rhs0 + 0.5 * dt * (on_band.reshape(n, 3) - f0w)).ravel()[on_combs]
-        mixed *= 0.5 * dt
-        if self.x_divides:
-            mixed /= (1.0 - theta_dt * self.a_x)[:, None]
-        mixed += 0.0
-        flat[in_mixed] = band
-        return solve_banded(lu, mixed)
-
-
-@functools.lru_cache(maxsize=8)
-def _band(n: int) -> tuple[np.ndarray, ...]:
-    """Flat positions of the entries (i, j) of an n x n tridiagonal band: in
-    the matrix in C order (n i + j), in Fortran order (n j + i) and in the
-    (n, 3) combs in C order (3 i + j mod 3); and the combs: comb k is 1 at
-    the nodes j = k mod 3.
-
-    Any three neighbouring nodes hold exactly one node of each comb, so a
-    term of the step at row i, which reads w at i - 1, i and i + 1, takes on
-    comb j mod 3 the value it takes on e_j, bit for bit.
-    """
-    rows = np.repeat(np.arange(n), 3)[1:-1]
-    cols = rows + np.tile([-1, 0, 1], n)[1:-1]
-    combs = (np.arange(n)[:, None] % 3 == np.arange(3)).astype(float)
-    out = (n * rows + cols, n * cols + rows, 3 * rows + cols % 3, combs)
-    for a in out:
-        a.flags.writeable = False
-    return out
+        super().__init__(_y_diags(h, y, 0.0, ey - kill_x), sweep, -max(fx.gamma_z, 0.0) * ey,
+                         fx.rho * fx.sigma_z * h.sigma_y / (2.0 * (y[1] - y[0])))
 
 
 def _flush_tiny(m: np.ndarray) -> np.ndarray:
@@ -549,18 +530,15 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
 
     The two Rannacher steps apply the theta = 1 step to w.  After them only
     the stops are read: the snapshot nodes and the last node.  The
-    Crank-Nicolson step is one matrix M (``_ProfileStep.matrix``), so a gap
-    of g steps between stops is a product with M^g: the march keeps the
-    table M, M^2, M^4, ... up to the longest gap and crosses each gap with
-    one mat-vec per set bit of g (a 9.75-year trade on the CLI grid: 3
-    squarings and 40 mat-vecs for 310 steps).  Where ``_marches_vector``
-    says so it applies the step to w instead, one step at a time.
+    Crank-Nicolson step is one matrix M (``_Step.matrix``), so the march
+    keeps the table M, M^2, M^4, ... up to the longest gap between stops and
+    crosses a gap of g steps with one mat-vec per set bit of g (a 9.75-year
+    trade on the CLI grid: 3 squarings and 40 mat-vecs for 310 steps), one
+    row a stop; where ``_marches_vector`` says so it applies the step to w.
 
-    The march checks max |v| for a blow-up at the Rannacher nodes and at
-    the stops, and reads the spot values there.  The powered march crosses
-    every gap first, into one row a stop; then one comparison checks them
-    all, and only a blow-up looks for the first node in march order past
-    the cap; the spot values are one column of those rows.
+    The march checks max |v| for a blow-up and reads the spot values at the
+    Rannacher nodes and at the stops, all of the powered march's stops in
+    one comparison, naming the first node in march order past the cap.
     """
     dt = float(grid.t_nodes[1] - grid.t_nodes[0])
     n_t = grid.t_nodes.size - 1
@@ -639,6 +617,11 @@ def solve_quanto_pde(
     """
     cfg = cfg or SolverConfig()
     grid, snap = build_grid(h, fx, rates, T, cfg, snapshot_tenors)
+    try:
+        discount = math.exp(-rates.r_hat * T)
+    except OverflowError:
+        raise ValueError(f"the discount e^(-r_hat T) overflows at r_hat = {rates.r_hat:g}, "
+                         f"T = {T:g} years") from None
     w, snapshots = _adi_march(_ProfileStep(grid, h, fx), grid, snap)
     # the march carries e^(r_hat tau) v (``_ProfileStep``)
     spot_curve = None
@@ -648,8 +631,7 @@ def solve_quanto_pde(
         values = math.exp(grid.x_nodes[grid.ix0]) * np.array([snapshots[t] for t in keys])
         spot_curve = (tenors, values * np.exp(-rates.r_hat * tenors))
     values = np.exp(grid.x_nodes)[:, None] * w[None, :]
-    return PdeSolution(grid=grid, values=values * math.exp(-rates.r_hat * T),
-                       spot_curve=spot_curve)
+    return PdeSolution(grid=grid, values=values * discount, spot_curve=spot_curve)
 
 
 def solve_foreign_measure_pde(
@@ -670,11 +652,10 @@ def solve_foreign_measure_pde(
         raise ValueError("foreign-measure route covers the diffusive model only (gamma_z = 0)")
     cfg = cfg or SolverConfig()
     grid, _ = build_grid(h, fx, rates, T, cfg)
-    dt = float(grid.t_nodes[1] - grid.t_nodes[0])
-    n_t = grid.t_nodes.size - 1
     ops = _y_diags(h, grid.y_nodes, fx.rho * h.sigma_y * fx.sigma_z,
-                   np.exp(grid.y_nodes) + rates.r_hat)
-    w, _ = _march_1f(ops, dt, n_t, {}, grid.iy0)
+                   _exp_y(grid.y_nodes, h, T, "foreign-measure solve") + rates.r_hat)
+    t = grid.t_nodes
+    w, _ = _march_1f(ops, float(t[1] - t[0]), t.size - 1, {}, grid.iy0)
     values = np.exp(grid.x_nodes)[:, None] * w[None, :]
     return PdeSolution(grid=grid, values=values)
 
@@ -686,23 +667,16 @@ def _march_1f(ops: _Diags, dt: float, n_t: int, snap: Mapping[int, float], iy0: 
     Solves w_t + A w = 0 backward from w(T) = 1, where ``ops`` holds the
     diagonals of A, 0.5 sigma_y^2 d_yy + (a(b - y) + shift) d_y - kill with
     Neumann boundaries (``_y_diags``): ``survival_curve_1f`` kills at
-    kill_scale e^y, ``solve_foreign_measure_pde`` at e^y + r_hat.
+    kill_scale e^y, ``solve_foreign_measure_pde`` at e^y + r_hat.  Each step
+    is the ``_Step`` w -> L (w + (1 - theta) dt A w), one solve.
     """
-    lo, di, up = ops
-    n = di.size
-    w = np.ones(n)
+    step = _Step(ops, f"one-factor march on {ops[1].size} nodes")
+    w = np.ones(ops[1].size)
     snapshots: dict[float, float] = {}
-    factors: dict[float, tuple] = {}
-    for step in range(n_t):
-        k_next = n_t - 1 - step
-        theta = 1.0 if step < _RANNACHER_STEPS else _THETA
-        if theta not in factors:
-            factors[theta] = _factor(lo, di, up, theta * dt, f"one-factor march on {n} nodes")
-        # a fully implicit step has no explicit half
-        w = solve_banded(factors[theta],
-                         w if theta == 1.0 else w + (1.0 - theta) * dt * _apply(lo, di, up, w))
-        if k_next in snap:
-            snapshots[snap[k_next]] = float(w[iy0])
+    for k in range(n_t):
+        w = step.apply(w, 1.0 if k < _RANNACHER_STEPS else _THETA, dt)
+        if n_t - 1 - k in snap:
+            snapshots[snap[n_t - 1 - k]] = float(w[iy0])
     if not np.all(np.isfinite(w)):
         raise PdeInstabilityError("one-factor solve produced non-finite values")
     return w, snapshots
@@ -733,10 +707,6 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
       n_y about 160 at n_t = 200 and 280 at n_t = 400 on a 2-CPU x86-64
       machine);
     - a LinAlgError from the eigensolver.
-
-    Each of the gate's tests is one reduction, deciding as before, NaN
-    included: the kill's and the coupling's minimum, max |diag| and the
-    spread of ln d, which is one accumulated sum after its 0 at node 0.
     """
     lo, di, up = ops
     if 2 * di.size > n_t:
@@ -805,7 +775,7 @@ def survival_curve_1f(
         # every row of the operator sums to zero, so w = 1 solves the
         # discrete equation exactly; a solve would only add round-off
         return np.ones(len(tenors))
-    kill = kill_scale * np.exp(y)
+    kill = kill_scale * _exp_y(y, h, T, f"one-factor solve on {n_y} nodes")
     ops = _y_diags(h, y, drift_shift, kill)
     snapshots = _spectral_1f(ops, kill, dt, n_total, snap, iy0)
     if snapshots is None:
@@ -827,11 +797,9 @@ def quanto_survival_curve_1f(
     the quanto survival to a tilted, intensity-rescaled one-factor
     expectation; flat rates cancel in the ratio defining the survival.
     """
-    shift = fx.rho * h.sigma_y * fx.sigma_z
-    return survival_curve_1f(
-        h, tenors, n_y=n_y, n_t=n_t, width_sigmas=width_sigmas,
-        drift_shift=shift, kill_scale=1.0 + fx.gamma_z,
-    )
+    return survival_curve_1f(h, tenors, n_y=n_y, n_t=n_t, width_sigmas=width_sigmas,
+                             drift_shift=fx.rho * h.sigma_y * fx.sigma_z,
+                             kill_scale=1.0 + fx.gamma_z)
 
 
 def quanto_survival_curve(

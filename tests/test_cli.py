@@ -115,15 +115,27 @@ class TestPrice:
         assert err.startswith("error: ") and named in err and err.count("\n") == 1
 
 
-# each numeric flag of ``price``: its valid range, or 0, negatives, nan, +-inf and +-1e300
+# each numeric flag of ``price``: its valid range, or 0, negatives, nan, +-inf and +-1e300;
+# ``survival-curve`` shares all but the contract's recovery and notional
 _EXTREMES = st.sampled_from([0.0, -0.0, -1.0, -0.5, math.nan, math.inf, -math.inf,
                              1e300, -1e300, 1e-300])
-_PRICE_FLAGS = st.fixed_dictionaries({}, optional={
-    flag: st.one_of(st.floats(lo, hi), _EXTREMES) for flag, (lo, hi) in {
-        "a": (0.0, 2.0), "b": (-300.0, 5.0), "sigma-y": (0.0, 1.5), "y0": (-8.0, 1.0),
-        "z0": (0.1, 3.0), "sigma-z": (0.0, 0.6), "gamma": (-1.0, 1.5), "rho": (-1.0, 1.0),
-        "r": (-0.05, 0.1), "r-hat": (-0.05, 0.1), "tenor": (0.25, 10.0),
-        "recovery": (0.0, 0.99), "notional": (-1e6, 1e6)}.items()})
+_SHARED_RANGES = {
+    "a": (0.0, 2.0), "b": (-300.0, 5.0), "sigma-y": (0.0, 1.5), "y0": (-8.0, 1.0),
+    "z0": (0.1, 3.0), "sigma-z": (0.0, 0.6), "gamma": (-1.0, 1.5), "rho": (-1.0, 1.0),
+    "r": (-0.05, 0.1), "r-hat": (-0.05, 0.1), "tenor": (0.25, 10.0)}
+
+
+def _flags(ranges):
+    """Each flag absent, or drawn from its range or from the extremes."""
+    return st.fixed_dictionaries({}, optional={
+        flag: st.one_of(st.floats(lo, hi), _EXTREMES) for flag, (lo, hi) in ranges.items()})
+
+
+_PRICE_FLAGS = _flags({**_SHARED_RANGES, "recovery": (0.0, 0.99), "notional": (-1e6, 1e6)})
+# ragged lists: whole quarters, any tenor up to 12 years, and the extremes
+_TENOR_LISTS = st.lists(st.one_of(st.integers(1, 40).map(lambda q: q / 4.0),
+                                  st.floats(0.01, 12.0), _EXTREMES),
+                        min_size=1, max_size=4).map(lambda ts: ",".join(map(repr, ts)))
 
 
 class TestPriceFuzz:
@@ -174,16 +186,55 @@ class TestPriceFuzz:
         assert err.startswith("error: the log-FX grid would reach x = ")
         assert "where e^x overflows" in err and err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_underflowing_spread_denominator_is_one_error_line(self, capsys):
-        # a tiny notional times the annuity of a name that all but surely
-        # defaults underflowed to 0, and the par spread divided by zero
+        # the least subnormal notional times a quarter's annuity, about 0.25,
+        # underflowed to 0, and the par spread divided by zero
         rc = run(["price", "--engine", "reduced", "--grid-y", "11", "--grid-t", "20",
-                  "--gamma=1e300", "--notional=1e-300"])
+                  "--tenor=0.25", "--notional=5e-324"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: notional 1e-300 times the risky annuity ")
+        assert err.startswith("error: notional 4.94066e-324 times the risky annuity ")
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["adi", "reduced"])
+    @pytest.mark.parametrize("flags", [["--y0=700", "--sigma-y=2"], ["--sigma-y=55"]],
+                             ids=["y0", "sigma_y"])
+    def test_log_hazard_overflow_is_one_error_line(self, capsys, engine, flags):
+        # e^y overflowed at the top of the log-hazard grid: numpy's overflow and
+        # invalid-value warnings came before a blow-up or non-finite error
+        rc = run(["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "the log-hazard grid would reach y = " in err and "where e^y overflows" in err
+
+
+class TestSurvivalCurveFuzz:
+    """``survival-curve`` on both engines with each numeric model flag drawn
+    as ``TestPriceFuzz`` draws them and ragged ``--tenors`` lists: it prints
+    its CSV and exits 0, or exits 1 with one ``error:`` line."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning",
+                                "ignore:underflow:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["adi", "reduced"]), _flags(_SHARED_RANGES),
+           st.one_of(st.none(), _TENOR_LISTS))
+    def test_prints_or_names_one_error(self, engine, flags, tenors):
+        argv = ["survival-curve", "--engine", engine, "--grid-y", "11", "--grid-t", "20",
+                *(f"--{flag}={value!r}" for flag, value in flags.items()),
+                *([] if tenors is None else [f"--tenors={tenors}"])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if rc == 0:
+            assert out.getvalue().startswith("tenor_years,p_liquid,p_contractual,default_ratio\n")
+            assert err.getvalue() == ""
+        else:
+            assert rc == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestUsageErrors:

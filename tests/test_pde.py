@@ -402,20 +402,24 @@ class TestTridiag:
         for j in range(m):
             assert np.array_equal(x[:, j], scipy.linalg.solve_banded((1, 1), ab, rhs[:, j]))
 
-    def _step(self):
+    def _step(self, gamma=-0.2, rho=0.3):
         h = HazardParams(a=0.08, b=-4.0, sigma_y=0.6, y0=-4.2)
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=rho)
         grid, _ = build_grid(h, fx, RatePair(0.03, 0.01), 5.0, SolverConfig())
         return _ProfileStep(grid, h, fx)
 
     def test_adi_y_sweep_bit_equal_to_banded_solve(self):
         # the dense step matrix solves its n_y columns as the trailing columns of one
-        # dgttrs call: column j is the step applied to e_j, bit for bit
-        step = self._step()
-        for theta in (1.0, 0.5):
-            matrix = step.matrix(theta, 5.0 / 300)
-            for j in (0, 1, 50, 99, 100):
-                assert np.array_equal(matrix[:, j], step.apply(np.eye(101)[j], theta, 5.0 / 300))
+        # dgttrs call: column j is the step applied to e_j, bit for bit, with and
+        # without the x-sweep's division (gamma > 0) and the corrector (rho != 0)
+        for gamma in (-0.2, 0.0, 0.4):
+            for rho in (0.3, 0.0):
+                step = self._step(gamma, rho)
+                for theta in (1.0, 0.5):
+                    matrix = step.matrix(theta, 5.0 / 300)
+                    for j in (0, 1, 50, 99, 100):
+                        column = step.apply(np.eye(101)[j], theta, 5.0 / 300)
+                        assert matrix[:, j].tobytes() == column.tobytes()
 
     def test_singular_y_sweep_names_sweep(self):
         step = self._step()
@@ -437,6 +441,30 @@ class TestTridiag:
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
         solve_quanto_pde(H_SWEEP, fx, RATES0, 1.0, SolverConfig(n_x=11, n_y=21, n_t=40))
         assert len(calls) == 40 + pde._RANNACHER_STEPS + 2
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)), y0=st.floats(-8.0, 0.5),
+           sigma_y=st.floats(0.0, 1.5), drift_shift=st.floats(-0.3, 0.3),
+           kill_scale=st.floats(0.0, 3.0), n_y=st.integers(3, 60), n_t=st.integers(1, 60))
+    def test_one_factor_march_is_the_plain_recursion(self, a, y0, sigma_y, drift_shift,
+                                                     kill_scale, n_y, n_t):
+        # the march's step (``pde._Step`` without x-direction or mixed term) is
+        # w <- L (w + (1 - theta) dt A w), L = (I - theta dt A)^-1, theta = 1 on the
+        # Rannacher steps
+        h = HazardParams(a=a, b=-4.0, sigma_y=sigma_y, y0=y0)
+        ops, _, grid = _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=2.0)
+        dt, w, snapshots = grid["dt"], np.ones(n_y), {}
+        for k in range(grid["n_t"]):
+            theta = 1.0 if k < pde._RANNACHER_STEPS else pde._THETA
+            lu = _factor(*ops, theta * dt, "reference")
+            w = pde.solve_banded(lu, w + (1.0 - theta) * dt * _apply(*ops, w))
+            if grid["n_t"] - 1 - k in grid["snap"]:
+                snapshots[grid["snap"][grid["n_t"] - 1 - k]] = w[grid["iy0"]]
+        marched, marched_snapshots = _march_1f(ops, **grid)
+        assert np.max(np.abs(marched - w)) <= 1e-14
+        assert marched_snapshots.keys() == snapshots.keys()
+        assert max(abs(marched_snapshots[t] - snapshots[t]) for t in snapshots) <= 1e-14
 
 
 def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=5.0):
@@ -756,10 +784,10 @@ class TestAdiProperties:
     @example(H_SWEEP, 5.0, 0.4, -0.6, 0.1, 101)
     @example(H_SWEEP, 5.0, -0.3, 0.0, 0.1, 101)
     def test_step_matrix_is_the_step_on_each_unit_vector(self, h, T, gamma, rho, sigma_z, n_y):
-        # the matrix built on its band (``_ProfileStep.matrix``) holds apply(e_j) in
+        # the step's formula on the identity (``_Step.matrix``) holds apply(e_j) in
         # column j, bit for bit (signed zeros included), at gamma <= 0, where the
-        # corrector skips the x-sweep's division by 1, at gamma > 0 and at rho = 0,
-        # where there is no corrector
+        # x-sweep's X is 1, at gamma > 0 and at rho = 0, where C is zero and there
+        # is no corrector
         fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
         grid, _ = build_grid(h, fx, RATES0, T, SolverConfig(n_x=11, n_y=n_y, n_t=40))
         step = _ProfileStep(grid, h, fx)
@@ -767,39 +795,6 @@ class TestAdiProperties:
             matrix = step.matrix(theta, T / 40)
             for j, e_j in enumerate(np.eye(n_y)):
                 assert matrix[:, j].tobytes() == step.apply(e_j, theta, T / 40).tobytes()
-
-    @staticmethod
-    def _row_slice_mixed(step, w):
-        """The mixed term as the difference of w's row slices, w[2:] - w[:-2]:
-        the reference ``_ProfileStep.mixed``, one pass over w's buffer, keeps."""
-        out = np.empty_like(w)
-        out[0] = out[-1] = 0.0
-        np.subtract(w[2:], w[:-2], out=out[1:-1])
-        out[1:-1] *= step.mixed_coef
-        return out
-
-    @settings(max_examples=30, deadline=None)
-    @given(hazards, tenors, gammas, st.floats(0.05, 0.9), st.sampled_from([-1.0, 1.0]), fx_vols,
-           st.sampled_from([3, 4, 21, 101]), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    @example(H_SWEEP, 5.0, -0.3, 0.5, -1.0, 0.1, 101, 3, 0)
-    def test_mixed_term_is_the_row_slice_difference(self, h, T, gamma, rho, sign, sigma_z,
-                                                    n_y, k, seed):
-        # bit for bit, signed zeros included, on a vector, on a C-ordered (n_y, k)
-        # matrix and on the step matrix, which solve_banded returns in Fortran order
-        # and whose edge rows the flat pass first fills across columns
-        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=sign * rho)
-        grid, _ = build_grid(h, fx, RATES0, T, SolverConfig(n_x=11, n_y=n_y, n_t=40))
-        step = _ProfileStep(grid, h, fx)
-        rng = np.random.default_rng(seed)
-        vector = rng.standard_normal(n_y)
-        vector[::3] = 0.0
-        matrix = step.matrix(0.5, T / 40)
-        assert matrix.flags.f_contiguous
-        for w in (vector, rng.standard_normal((n_y, k)), -np.eye(n_y)[:, :k].copy(), matrix):
-            got = step.mixed(w)
-            assert got.tobytes() == self._row_slice_mixed(step, w).tobytes()
-            assert got.flags.f_contiguous == w.flags.f_contiguous
-            assert got.flags.c_contiguous == w.flags.c_contiguous
 
     @pytest.mark.parametrize("h, gamma, rho, rates, T", [
         (H_SWEEP, -1.0, 0.3, RATES0, 5.0),
@@ -928,6 +923,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid2D(np.linspace(0, 1, 5), np.linspace(0, 1, 5),
                    np.linspace(0, 1, 5), 0, 1)
+
+    def test_overflowing_discount_is_named(self):
+        # math.exp(-r_hat T) raised OverflowError for a large negative contractual rate
+        with pytest.raises(ValueError, match=r"e\^\(-r_hat T\) overflows at r_hat = -1000, T = 5 "):
+            solve_quanto_pde(HazardParams(1e-4, -210.45, 0.2, -4.089),
+                             QuantoFxParams(0.8, 0.1, 0.0, 0.0), RatePair(-1e3, -1e3), 5.0,
+                             SolverConfig(n_y=11, n_t=20))
 
     def test_bad_solver_config(self):
         with pytest.raises(ValueError, match=r"n_x must be an integer >= 3, got 2"):
