@@ -122,7 +122,12 @@ def _protection(contract: CdsContract, df_mid: np.ndarray, p: np.ndarray) -> flo
 @functools.lru_cache(maxsize=32)
 def _protection_grid(T: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The protection integral's nodes on [0, T] and its midpoint discount
-    factors at rate r; read-only, since calls share them."""
+    factors at rate r, read-only, since calls share them; raises ValueError
+    where e^(-r T), both legs' largest discount at a negative rate, overflows."""
+    try:
+        math.exp(-r * T)
+    except OverflowError:
+        raise ValueError(f"the discount e^(-r t) overflows at r = {r:g}, t = {T:g} years") from None
     n = max(1, int(math.ceil(T / _PROTECTION_STEP)))
     ts = np.linspace(0.0, T, n + 1)
     df_mid = np.exp(-r * 0.5 * (ts[:-1] + ts[1:]))

@@ -66,7 +66,7 @@ def _rates(args) -> RatePair:
 
 
 def _solver_cfg(args) -> SolverConfig:
-    return SolverConfig(n_x=args.grid_x, n_y=args.grid_y, n_t=args.grid_t)
+    return SolverConfig(n_y=args.grid_y, n_t=args.grid_t)
 
 
 def _out_dir(args) -> Path | None:
@@ -468,9 +468,7 @@ def _rolling_correlation_rows(path: Path, window: int) -> list[list[str]]:
 
 _ENGINES = ("adi", "reduced")
 
-_GRID_FLAGS = {"x": (SolverConfig.n_x, "PDE nodes on the log-FX axis; they size only the "
-                                       "value surface, as the ADI engine marches its y-profile"),
-               "y": (SolverConfig.n_y, "PDE nodes on the log-hazard axis"),
+_GRID_FLAGS = {"y": (SolverConfig.n_y, "PDE nodes on the log-hazard axis"),
                "t": (SolverConfig.n_t, "PDE time steps over the horizon")}
 
 _MODEL_FLAGS = (
@@ -513,7 +511,7 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
                 g.add_argument(f"--{flag}", type=float, default=default, help=text)
         return p
 
-    p = command("price", _cmd_price, "quanto par spreads for one contract", "xyt", model=True)
+    p = command("price", _cmd_price, "quanto par spreads for one contract", "yt", model=True)
     p.add_argument("--tenor", type=float, default=5.0)
     p.add_argument("--recovery", type=float, default=0.4)
     p.add_argument("--notional", type=float, default=1.0)
@@ -522,7 +520,7 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--engine", choices=_ENGINES, default="adi")
 
     p = command("survival-curve", _cmd_survival_curve, "liquid and contractual survival curves",
-                "xyt", model=True)
+                "yt", model=True)
     p.add_argument("--tenor", type=float, default=10.0, help="horizon for a quarterly grid")
     p.add_argument("--tenors", default=None, help="comma-separated override")
     p.add_argument("--engine", choices=_ENGINES, default="adi")
@@ -540,7 +538,7 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--bracket-steps", type=_step_counts, default=(50, 100, 200, 300, 500))
     p.add_argument("--sweep-scenario", choices=tuple(validation.SWEEP_HAZARDS), default="low")
 
-    p = command("sweep", _cmd_sweep, "par-spread sensitivity sweeps", "xyt", model=True)
+    p = command("sweep", _cmd_sweep, "par-spread sensitivity sweeps", "yt", model=True)
     p.add_argument("--tenor", type=float, default=5.0)
     p.add_argument("--recovery", type=float, default=0.4)
     p.add_argument("--axis", action="append", default=None, required=True,

@@ -23,8 +23,9 @@ calibration.
 
 The ADI scheme's x-differences are fitted to be exact on e^x, and its march
 starts from v = e^x, so every step leaves v = e^x w(y): ``_ProfileStep``
-marches that y-profile w, and the log-FX grid only sizes the reported
-surface.  Every march takes one step type, ``_Step``:
+marches that y-profile w on a y x t grid, and a solve's values are z0 w,
+discounted (the scheme on a log-FX grid, ``_Ops2D`` in tests/test_pde.py,
+is the test reference).  Every march takes one step type, ``_Step``:
 w -> L (B w + C (L B w - w)), L the y-sweep's inverse and B, C tridiagonal,
 made once per (theta, dt); the one-factor march is its case without an
 x-direction or a mixed term.  The ADI march reads w only at its stops, the
@@ -65,7 +66,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -117,11 +117,9 @@ MAX_TENOR = 1000.0
 class SolverConfig:
     """Grid resolutions; ``n_t`` counts time steps over the whole solve horizon.
 
-    ``n_x`` only sizes the reported surface ``PdeSolution.values``: every ADI
-    x-difference, at the edges and in the mixed term too, is fitted to be exact
-    on e^x, in which the solution z * w(t, y) is linear, so the ADI engine
-    marches the y-profile w alone and prices alike on any log-FX grid.  The
-    CLI's ``--grid-*`` flags default to these fields.
+    The CLI's ``--grid-y`` and ``--grid-t`` default to ``n_y`` and ``n_t``.
+    ``n_x`` is validated and read by nothing (the solvers have no log-FX
+    axis): perfbench passes it, and it goes with the next benchmark change.
     """
 
     n_x: int = 11
@@ -137,32 +135,26 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Grid2D:
-    x_nodes: np.ndarray
     y_nodes: np.ndarray
     t_nodes: np.ndarray
-    ix0: int
     iy0: int
 
     def __post_init__(self) -> None:
-        for name in ("x_nodes", "y_nodes", "t_nodes"):
+        for name in ("y_nodes", "t_nodes"):
             nodes = getattr(self, name)
-            # np.diff's difference along the last axis, one pass and one reduction
-            if nodes.size < 2 or (nodes[..., 1:] - nodes[..., :-1] <= 0).any():
+            # np.diff's difference, one pass and one reduction
+            if nodes.size < 2 or (nodes[1:] - nodes[:-1] <= 0).any():
                 raise ValueError(f"{name} must be strictly increasing")
-        if self.x_nodes.size < 3 or self.y_nodes.size < 3:
-            raise ValueError("spatial axes need at least 3 nodes")
-        if not (0 < self.ix0 < self.x_nodes.size - 1):
-            raise ValueError("spot log-FX must be an interior node")
         if not (0 < self.iy0 < self.y_nodes.size - 1):
             raise ValueError("spot log-intensity must be an interior node")
 
 
 @dataclass(frozen=True)
 class PdeSolution:
-    """Value surface at t = 0 plus optional spot values per tenor.
+    """Values at t = 0 and spot FX plus optional spot values per tenor.
 
-    ``values[i, j]`` is v(0, x_nodes[i], y_nodes[j]).  ``spot_curve`` holds
-    (tenors, values at the spot node) when snapshot tenors were requested.
+    ``values[j]`` is v(0, z0, y_nodes[j]).  ``spot_curve`` holds (tenors,
+    values at the spot node) when snapshot tenors were requested.
     """
 
     grid: Grid2D
@@ -171,7 +163,7 @@ class PdeSolution:
 
     @property
     def spot_value(self) -> float:
-        return float(self.values[self.grid.ix0, self.grid.iy0])
+        return float(self.values[self.grid.iy0])
 
 
 def ou_mean_std(h: HazardParams, t: float, drift_shift: float = 0.0) -> tuple[float, float]:
@@ -216,46 +208,22 @@ def _y_axis(h: HazardParams, T: float, n_y: int, width_sigmas: float,
     return lo + dy * np.arange(n_y), k0
 
 
-def _exp_y(y: np.ndarray, h: HazardParams, T: float, solve: str) -> np.ndarray:
+def _exp_y(y: np.ndarray, h: HazardParams, T: float, solve: str, scale: float = 1.0
+           ) -> np.ndarray:
     """e^y on ``solve``'s ascending log-hazard nodes ``y``; raises ValueError
-    where it overflows at the top node, a kill that no solve can take."""
+    where it or ``scale`` times it, the solve's largest intensity, overflows
+    at the top node: a kill that no solve can take."""
     try:
-        math.exp(y[-1])
+        top = math.exp(y[-1])
     except OverflowError:
         raise ValueError(
             f"{solve}: the log-hazard grid would reach y = {y[-1]:.6g}, where e^y overflows: "
             f"y0 = {h.y0:g}, b = {h.b:g} or sigma_y = {h.sigma_y:g} is too large over {T:g} years"
         ) from None
+    if not scale * top < math.inf:
+        raise ValueError(f"{solve}: the intensity scale {scale:g} times e^y overflows at the "
+                         f"top node y = {y[-1]:.6g}")
     return np.exp(y)
-
-
-def _x_axis(h: HazardParams, fx: QuantoFxParams, rates: RatePair, T: float,
-            n_x: int) -> tuple[np.ndarray, int]:
-    """Symmetric log-FX grid around ln z0, wide enough for diffusion and drift.
-
-    Raises ValueError where e^x overflows at the top node, which the ADI
-    march scales by: an FX vol or a rate gap too large for any grid.
-    """
-    m_end, _ = ou_mean_std(h, T)
-    # the compensator's term below is capped at 2.0, so for any |gamma| T above
-    # 1e-307 an e^y beyond e^709, the largest finite power, moves nothing but overflows
-    lam_scale = math.exp(min(max(h.y0, m_end), 709.0))
-    half = _WIDTH_SIGMAS * fx.sigma_z * math.sqrt(T)
-    half += abs(rates.r - rates.r_hat) * T
-    half += min(abs(fx.gamma_z) * lam_scale * T * 3.0, 2.0)
-    half = max(half, 0.25)
-    if n_x % 2 == 0:
-        n_x += 1
-    x0 = math.log(fx.z0)
-    try:
-        math.exp(x0 + half)
-    except OverflowError:
-        raise ValueError(
-            f"the log-FX grid would reach x = {x0 + half:.6g}, where e^x overflows: "
-            f"sigma_z = {fx.sigma_z:g} or r - r_hat = {rates.r - rates.r_hat:g} is too "
-            f"large over {T:g} years"
-        ) from None
-    return np.linspace(x0 - half, x0 + half, n_x), n_x // 2
 
 
 @functools.lru_cache(maxsize=128)
@@ -265,8 +233,9 @@ def _time_grid(T: float, n_t: int, snapshot_tenors: tuple[float, ...]
 
     Returns (dt, total steps, read-only {node index -> tenor}); results are
     memoised, since every march of a calibration asks for the same grid.
-    Raises ValueError for a tenor that rounds to zero or for tenors whose
-    common step needs more than 10 * n_t steps.
+    Raises ValueError for a tenor that rounds to zero, for two tenors that
+    round to one node or for tenors whose common step needs more than
+    10 * n_t steps.
     """
     if not snapshot_tenors:
         dt = T / n_t
@@ -289,26 +258,19 @@ def _time_grid(T: float, n_t: int, snapshot_tenors: tuple[float, ...]
             f"snapshot tenors [{shown}] share a step of {float(g):.3g} y and would "
             f"need {total} time steps, more than 10 x n_t = {10 * n_t}"
         )
-    snap = {total - int(Fraction(f_t / dt_frac)): t
-            for f_t, t in zip(fracs[:-1], tenors)}
+    snap = {total - int(f_t / dt_frac): t for f_t, t in zip(fracs[:-1], tenors)}
+    if len(snap) < len(set(tenors)):  # a node holds one tenor's snapshot
+        raise ValueError(f"snapshot tenors {tenors} put two on one node of the 1e-6 time grid")
     return float(dt_frac), total, MappingProxyType(snap)
 
 
-def build_grid(
-    h: HazardParams,
-    fx: QuantoFxParams,
-    rates: RatePair,
-    T: float,
-    cfg: SolverConfig,
-    snapshot_tenors=None,
-) -> tuple[Grid2D, Mapping[int, float]]:
+def build_grid(h: HazardParams, T: float, cfg: SolverConfig, snapshot_tenors=None
+               ) -> tuple[Grid2D, Mapping[int, float]]:
     if not T > 0:
         raise ValueError(f"horizon must be > 0, got {T}")
-    x, ix0 = _x_axis(h, fx, rates, T, cfg.n_x)
     y, iy0 = _y_axis(h, T, cfg.n_y, _WIDTH_SIGMAS)
     dt, n_t, snap = _time_grid(T, cfg.n_t, tuple(() if snapshot_tenors is None else snapshot_tenors))
-    t_nodes = dt * np.arange(n_t + 1)
-    return Grid2D(x, y, t_nodes, ix0, iy0), snap
+    return Grid2D(y, dt * np.arange(n_t + 1), iy0), snap
 
 
 _Diags = tuple[np.ndarray, np.ndarray, np.ndarray]  # sub-, main and super-diagonal
@@ -324,18 +286,30 @@ def _y_diags(h: HazardParams, y: np.ndarray, drift_shift: float, kill: np.ndarra
     |c| dy / sigma_y^2 of 1 that is the plain central scheme, above it pure
     upwinding, whose downwind coupling is zero.  The boundary rows keep
     sigma_y^2 / 2.
+
+    Raises ValueError where an entry would overflow: a grid so wide, or a
+    drift so fast, that no solve can take its operator.
     """
     dy = y[1] - y[0]
-    dy2 = dy**2
     hy = 0.5 * h.sigma_y**2
+    # no entry exceeds (2 hy + c dy) / dy^2 + c / (2 dy) + |kill|, c the larger end
+    # drift (it is linear in y), checked in Python floats, which overflow quietly
+    step, c = float(dy), max(abs(h.a * (h.b - float(end)) + drift_shift) for end in (y[0], y[-1]))
+    if not (step * step < math.inf and (2.0 * hy + c * step) / (step * step) + c / (2.0 * step)
+            + abs(float(kill[0])) + abs(float(kill[-1])) < math.inf):
+        raise ValueError(f"the log-hazard operator overflows on the grid from y = {y[0]:.6g} "
+                         f"to {y[-1]:.6g}: a = {h.a:g}, b = {h.b:g}, y0 = {h.y0:g}, sigma_y = "
+                         f"{h.sigma_y:g} or the drift tilt {drift_shift:g} is too large")
+    dy2 = dy**2
     cy = h.a * (h.b - y) + drift_shift
     d = np.maximum(hy, 0.5 * dy * np.abs(cy))
     d[0] = d[-1] = hy
     diffusion = d / dy2
     convection = cy / (2 * dy)
-    lo = diffusion - convection
+    # both couplings are >= 0; rounding must not turn one that cancels (upwinding) negative
+    lo = np.maximum(diffusion - convection, 0.0)
     di = -2 * d / dy2 - kill
-    up = diffusion + convection
+    up = np.maximum(diffusion + convection, 0.0)
     lo[0] = up[-1] = 0.0
     up[0] = lo[-1] = 2 * hy / dy2
     return lo, di, up
@@ -469,7 +443,7 @@ class _ProfileStep(_Step):
     """One Craig-Sneyd step of the two-factor scheme, on the y-profile w of v = e^x w.
 
     Every x-difference of the scheme is fitted to be exact on e^x (``_Ops2D``
-    in tests/test_pde.py marches the whole surface with them), and a march
+    in tests/test_pde.py marches a log-FX surface with them), and a march
     starts from v = e^x, so each split operator maps e^x w to e^x times an
     operator on w:
 
@@ -492,11 +466,13 @@ class _ProfileStep(_Step):
 
     def __init__(self, grid: Grid2D, h: HazardParams, fx: QuantoFxParams):
         y = grid.y_nodes
-        sweep = f"ADI y-sweep on the {grid.x_nodes.size} x {y.size} grid"
-        ey = _exp_y(y, h, float(grid.t_nodes[-1]), sweep)
+        sweep = f"ADI y-sweep on {y.size} y-nodes"
+        ey = _exp_y(y, h, float(grid.t_nodes[-1]), sweep, scale=max(fx.gamma_z, 1.0))
         kill_x = -min(fx.gamma_z, 0.0) * ey
         super().__init__(_y_diags(h, y, 0.0, ey - kill_x), sweep, -max(fx.gamma_z, 0.0) * ey,
                          fx.rho * fx.sigma_z * h.sigma_y / (2.0 * (y[1] - y[0])))
+        # the inputs of the one explicit term, which a blow-up names
+        self.mixed_inputs = f"rho = {fx.rho:g}, sigma_z = {fx.sigma_z:g}, sigma_y = {h.sigma_y:g}"
 
 
 def _flush_tiny(m: np.ndarray) -> np.ndarray:
@@ -523,6 +499,8 @@ def _marches_vector(n_y: int, n_steps: int) -> bool:
     return n_y**2 > 300 * n_steps
 
 
+# an overflow to inf or nan is a blow-up, which ``reached`` names at the next stop
+@np.errstate(over="ignore", invalid="ignore")
 def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
                ) -> tuple[np.ndarray, dict[float, float]]:
     """March the profile backward from w = 1 over ``grid``'s time steps;
@@ -536,7 +514,7 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
     trade on the CLI grid: 3 squarings and 40 mat-vecs for 310 steps), one
     row a stop; where ``_marches_vector`` says so it applies the step to w.
 
-    The march checks max |v| for a blow-up and reads the spot values at the
+    The march checks max |w| for a blow-up and reads the spot values at the
     Rannacher nodes and at the stops, all of the powered march's stops in
     one comparison, naming the first node in march order past the cap.
     """
@@ -544,22 +522,19 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
     n_t = grid.t_nodes.size - 1
     n_y = grid.y_nodes.size
     snapshots: dict[float, float] = {}
-    scale = math.exp(grid.x_nodes[-1])
-    # a peak blows up where it is not finite or above 50 e^x + 10 (max |v| at
-    # maturity is e^x), so where it is not at most this finite cap
-    cap = min(50.0 * scale + 10.0, sys.float_info.max)
 
     def reached(profiles: np.ndarray, nodes: Sequence[int]) -> None:
         """Check the profiles at ``nodes``, one a row, for a blow-up in one
         comparison, and keep the spot values of the snapshot nodes among them."""
-        # max |v| over the surface e^x w
-        peaks = scale * np.abs(profiles).max(axis=1)
-        within = peaks <= cap
+        # the exact w is a survival expectation in [0, 1]: a peak blows up
+        # where it is not finite or above 50
+        peaks = np.abs(profiles).max(axis=1)
+        within = peaks <= 50.0
         if not within.all():
             k = np.flatnonzero(~within)[0]
             raise PdeInstabilityError(
-                f"value blow-up at time node {nodes[k]}: max |v| = {peaks[k]:.3e} "
-                f"(grid {grid.x_nodes.size}x{n_y}, dt = {dt:.3e})"
+                f"value blow-up at time node {nodes[k]}: max |w| = {peaks[k]:.3e} ({n_y} "
+                f"y-nodes, dt = {dt:.3e}) in the explicit mixed term at {step.mixed_inputs}"
             )
         for node, spot in zip(nodes, profiles[:, grid.iy0].tolist()):
             if node in snap:
@@ -603,7 +578,7 @@ def solve_quanto_pde(
     cfg: SolverConfig | None = None,
     snapshot_tenors=None,
 ) -> PdeSolution:
-    """Value surface of the claim paying Z_T on survival, at t = 0.
+    """Values of the claim paying Z_T on survival at t = 0 and spot FX.
 
     With ``snapshot_tenors`` the solver also records the spot value at each
     requested time-to-maturity on the way (the coefficients are
@@ -612,11 +587,10 @@ def solve_quanto_pde(
 
     Default kills the claim and the devaluation jump lands on a value that
     is zero after default, so the jump enters only through the e^y kill
-    term and the compensator in the x-drift: one march of the pre-default
-    surface, as its y-profile (``_ProfileStep``), is the whole solve.
+    term and the compensator in the x-drift: the pre-default value is
+    z w(t, y), and one march of w (``_ProfileStep``) is the whole solve.
     """
-    cfg = cfg or SolverConfig()
-    grid, snap = build_grid(h, fx, rates, T, cfg, snapshot_tenors)
+    grid, snap = build_grid(h, T, cfg or SolverConfig(), snapshot_tenors)
     try:
         discount = math.exp(-rates.r_hat * T)
     except OverflowError:
@@ -626,12 +600,10 @@ def solve_quanto_pde(
     # the march carries e^(r_hat tau) v (``_ProfileStep``)
     spot_curve = None
     if snapshot_tenors is not None:
-        keys = sorted(snapshots)
-        tenors = np.array(keys)
-        values = math.exp(grid.x_nodes[grid.ix0]) * np.array([snapshots[t] for t in keys])
+        tenors = np.array(sorted(snapshots))
+        values = fx.z0 * np.array([snapshots[t] for t in tenors.tolist()])
         spot_curve = (tenors, values * np.exp(-rates.r_hat * tenors))
-    values = np.exp(grid.x_nodes)[:, None] * w[None, :]
-    return PdeSolution(grid=grid, values=values * discount, spot_curve=spot_curve)
+    return PdeSolution(grid=grid, values=fx.z0 * w * discount, spot_curve=spot_curve)
 
 
 def solve_foreign_measure_pde(
@@ -645,19 +617,17 @@ def solve_foreign_measure_pde(
 
     Under the contractual-currency measure the hazard factor drift gains
     rho * sigma_y * sigma_z and the claim reduces to a one-factor survival
-    discounted at r_hat; the full surface is rebuilt as z * Bhat * w(y) and
-    must agree with :func:`solve_quanto_pde` at gamma = 0 on the same grid.
+    discounted at r_hat, whose profile times z0 must agree with
+    :func:`solve_quanto_pde` at gamma = 0 on the same grid.
     """
     if fx.gamma_z != 0.0:
         raise ValueError("foreign-measure route covers the diffusive model only (gamma_z = 0)")
-    cfg = cfg or SolverConfig()
-    grid, _ = build_grid(h, fx, rates, T, cfg)
+    grid, _ = build_grid(h, T, cfg or SolverConfig())
     ops = _y_diags(h, grid.y_nodes, fx.rho * h.sigma_y * fx.sigma_z,
                    _exp_y(grid.y_nodes, h, T, "foreign-measure solve") + rates.r_hat)
     t = grid.t_nodes
     w, _ = _march_1f(ops, float(t[1] - t[0]), t.size - 1, {}, grid.iy0)
-    values = np.exp(grid.x_nodes)[:, None] * w[None, :]
-    return PdeSolution(grid=grid, values=values)
+    return PdeSolution(grid=grid, values=fx.z0 * w)
 
 
 def _march_1f(ops: _Diags, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
@@ -711,8 +681,9 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
     lo, di, up = ops
     if 2 * di.size > n_t:
         return None
-    couple = lo[1:] * up[:-1]
-    if not (kill.min() > 0.0 and couple.min() > 0.0 and np.abs(di).max() * dt <= 300.0):
+    # the coupling after the stiffness gate, which bounds |lo|, |up| by 300 / dt
+    if not (kill.min() > 0.0 and np.abs(di).max() * dt <= 300.0
+            and (couple := lo[1:] * up[:-1]).min() > 0.0):
         return None
     log_d = np.empty(di.size)
     log_d[0] = 0.0
@@ -775,7 +746,7 @@ def survival_curve_1f(
         # every row of the operator sums to zero, so w = 1 solves the
         # discrete equation exactly; a solve would only add round-off
         return np.ones(len(tenors))
-    kill = kill_scale * _exp_y(y, h, T, f"one-factor solve on {n_y} nodes")
+    kill = kill_scale * _exp_y(y, h, T, f"one-factor solve on {n_y} nodes", kill_scale)
     ops = _y_diags(h, y, drift_shift, kill)
     snapshots = _spectral_1f(ops, kill, dt, n_total, snap, iy0)
     if snapshots is None:
@@ -821,10 +792,9 @@ def quanto_survival_curve(
     cfg = cfg or SolverConfig()
     tenors = _sorted_tenors(tenors)
     if engine == "adi":
-        # the solve sees only r - r_hat, so at the rates (r - r_hat, 0) it marches the same
-        # e^(r_hat t) v and leaves no discount to divide out
-        fwd = RatePair(rates.r - rates.r_hat, 0.0)
-        ts, us = solve_quanto_pde(h, fx, fwd, tenors[-1], cfg, snapshot_tenors=tenors).spot_curve
+        # the march does not see the rates (``_ProfileStep``): at zero rates the
+        # solve leaves no discount to divide out
+        ts, us = solve_quanto_pde(h, fx, RatePair(0.0, 0.0), tenors[-1], cfg, tenors).spot_curve
         p_hat = us / fx.z0
     elif engine == "reduced":
         ts = np.asarray(tenors)

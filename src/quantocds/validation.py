@@ -123,8 +123,8 @@ def bracketing_study(
     both legs reach is one point.
 
     Each point shares the step count between the MC grid and the PDE time
-    grid; the PDE value comes from the two-factor solver with a degenerate
-    FX axis, so the study exercises the full production path.
+    grid; the PDE value comes from the ADI solver without FX volatility or
+    jump, so the study exercises the production ADI path.
     """
     T, h = 5.0, BRACKETING_HAZARD
     fx = QuantoFxParams(z0=1.0, sigma_z=0.0, gamma_z=0.0, rho=0.0)
@@ -135,7 +135,7 @@ def bracketing_study(
     points: list[BracketingPoint] = []
     for n_steps, paths in dict.fromkeys(pairs):
         if n_steps not in pde:
-            cfg = SolverConfig(n_x=7, n_y=n_y, n_t=n_steps)
+            cfg = SolverConfig(n_y=n_y, n_t=n_steps)
             pde[n_steps] = solve_quanto_pde(h, fx, rates, T, cfg).spot_value
         mc = survival_probability_mc(h, T, SimConfig(paths, n_steps, T, seed))
         points.append(BracketingPoint(n_steps, paths, pde[n_steps], mc))

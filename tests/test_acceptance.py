@@ -80,7 +80,7 @@ class TestCriterion2DeterministicClosedForm:
         h = HazardParams(a=0.0, b=0.0, sigma_y=1e-6, y0=-4.089)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
         curve_hat, curve_p = quanto_survival_curve(
-            h, fx, RATES0, [5.0], SolverConfig(n_x=81, n_y=81, n_t=200)
+            h, fx, RATES0, [5.0], SolverConfig(n_y=81, n_t=200)
         )
         exact = math.exp(-math.exp(-4.089) * 5.0)
         ok = abs(curve_p.probs[0] - exact) < 1e-3 and abs(curve_hat.probs[0] - exact) < 1e-3
@@ -99,7 +99,7 @@ class TestCriterion3SpreadRescaling:
         h = HazardParams(a=0.0, b=0.0, sigma_y=1e-6, y0=-4.089)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=self.GAMMA, rho=0.0)
         res = quanto_par_spread(h, fx, RATES0, CdsContract(tenor=1.0 / 12.0),
-                                SolverConfig(n_x=81, n_y=81, n_t=40))
+                                SolverConfig(n_y=81, n_t=40))
         ratio = res.contractual.par_spread / res.liquid.par_spread
         ok = abs(ratio / (1.0 + self.GAMMA) - 1.0) < 0.005
         assert _report("criterion 3 one-month spread ratio", ok,
@@ -116,7 +116,7 @@ class TestCriterion3SpreadRescaling:
         h = HazardParams(a=0.0, b=0.0, sigma_y=1e-6, y0=math.log(lam_440))
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=self.GAMMA, rho=0.0)
         res = quanto_par_spread(h, fx, RATES0, CdsContract(tenor=1.0),
-                                SolverConfig(n_x=81, n_y=81, n_t=60))
+                                SolverConfig(n_y=81, n_t=60))
         usd_bp = res.liquid.par_spread * 1e4
         eur_bp = res.contractual.par_spread * 1e4
         ok = abs(usd_bp - 440.0) < 0.5 and abs(eur_bp - 350.0) < 2.0
@@ -157,7 +157,7 @@ class TestCriterion5FxSymmetry:
 
 
 class TestCriterion6SensitivityMagnitudes:
-    CFG = SolverConfig(n_x=81, n_y=161, n_t=200)
+    CFG = SolverConfig(n_y=161, n_t=200)
 
     def rho_impact(self, sigma_y: float) -> float:
         h = HazardParams(a=1e-4, b=204.0, sigma_y=sigma_y, y0=-4.089)
@@ -242,7 +242,7 @@ class TestCriterion8Determinism:
 
     @pytest.mark.parametrize("label,extra", [
         ("sweep", ["sweep", "--axis", "rho=-0.5:0.5:3", "--tenor", "1", "--seed", "7",
-                   "--grid-x", "41", "--grid-y", "61", "--grid-t", "60"]),
+                   "--grid-y", "61", "--grid-t", "60"]),
         ("validate", ["validate", "--study", "symmetry", "--mc-paths", "20000",
                       "--seed", "7"]),
     ])

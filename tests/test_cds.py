@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,26 @@ class TestProtectionLeg:
         assert all(a > b for a, b in zip(pvs, pvs[1:]))
         assert pvs[-1] < 1e-4
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [-1e300, -1e3])
+    def test_overflowing_discount_is_named(self, r):
+        # e^(-r t) overflowed in numpy's exp, and the legs came out inf and nan
+        named = re.escape(f"the discount e^(-r t) overflows at r = {r:g}, t = 5 years")
+        for price in (protection_leg_pv, par_spread):
+            with pytest.raises(ValueError, match=named):
+                price(flat_curve(0.02), r, CdsContract(tenor=5.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["adi", "reduced"])
+    @pytest.mark.parametrize("rates", [RatePair(-1e300, -1e300), RatePair(0.0, -1e300)],
+                             ids=["both rates", "contractual rate"])
+    def test_overflowing_discount_is_named_on_both_engines(self, engine, rates):
+        h = HazardParams(a=1e-4, b=-210.45, sigma_y=0.2, y0=-4.089)
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
+        with pytest.raises(ValueError, match=r"overflows at r = -1e\+300, t = 5 years"):
+            quanto_par_spread(h, fx, rates, CdsContract(tenor=5.0), SolverConfig(n_y=11, n_t=20),
+                              engine=engine)
+
 
 class TestParSpread:
     def test_low_spread_anchor(self):
@@ -230,7 +251,7 @@ class TestOnePassParSpread:
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=rho)
         rates = RatePair(r, r_hat)
         contract = CdsContract(tenor=tenor, notional=notional)
-        res = quanto_par_spread(h, fx, rates, contract, SolverConfig(n_x=11, n_y=21, n_t=40),
+        res = quanto_par_spread(h, fx, rates, contract, SolverConfig(n_y=21, n_t=40),
                                 engine=engine)
         assert res.liquid == two_call_par_spread(res.curve_liquid, r, contract)
         assert res.contractual == two_call_par_spread(res.curve_contractual, r_hat, contract)
@@ -280,7 +301,7 @@ class TestQuantoParSpread:
     def test_no_quanto_effect(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.0, gamma_z=0.0, rho=0.0)
         res = quanto_par_spread(self.H, fx, RATES0, CdsContract(tenor=5.0),
-                                SolverConfig(n_x=41, n_y=101, n_t=120))
+                                SolverConfig(n_y=101, n_t=120))
         assert abs(res.contractual.par_spread - res.liquid.par_spread) * 1e4 < 0.1
 
     def test_constant_hazard_spread_rescaling(self):
@@ -288,7 +309,7 @@ class TestQuantoParSpread:
         h = HazardParams(a=0.0, b=0.0, sigma_y=1e-6, y0=-4.089)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=0.0)
         res = quanto_par_spread(h, fx, RATES0, CdsContract(tenor=1.0),
-                                SolverConfig(n_x=61, n_y=61, n_t=80))
+                                SolverConfig(n_y=61, n_t=80))
         ratio = res.contractual.par_spread / res.liquid.par_spread
         assert ratio == pytest.approx(1.0 + gamma, rel=0.005)
 
@@ -299,7 +320,7 @@ class TestQuantoParSpread:
         errs = []
         for tenor, n_t in ((1.0, 60), (1.0 / 12.0, 30)):
             res = quanto_par_spread(h, fx, RATES0, CdsContract(tenor=tenor),
-                                    SolverConfig(n_x=61, n_y=61, n_t=n_t))
+                                    SolverConfig(n_y=61, n_t=n_t))
             errs.append(abs(res.contractual.par_spread / res.liquid.par_spread
                             - (1.0 + gamma)))
         assert errs[1] <= errs[0]
@@ -308,7 +329,7 @@ class TestQuantoParSpread:
     def test_total_devaluation_zeroes_contractual_spread(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-1.0, rho=0.0)
         res = quanto_par_spread(self.H, fx, RATES0, CdsContract(tenor=5.0),
-                                SolverConfig(n_x=41, n_y=101, n_t=120), engine="reduced")
+                                SolverConfig(n_y=101, n_t=120), engine="reduced")
         assert res.contractual.par_spread * 1e4 < 1.0
         assert res.liquid.par_spread * 1e4 > 50.0
 
@@ -321,13 +342,13 @@ class TestQuantoParSpread:
         p_hat = quanto_survival_curve_1f(self.H, fx, contract.payment_times(), n_y=n_y, n_t=n_t)
         assert np.all(p_hat == 1.0)
         res = quanto_par_spread(self.H, fx, RATES0, contract,
-                                SolverConfig(n_x=41, n_y=n_y, n_t=n_t), engine="reduced")
+                                SolverConfig(n_y=n_y, n_t=n_t), engine="reduced")
         assert res.contractual.protection_pv == 0.0
 
     def test_separate_discounting_per_currency(self):
         rates = RatePair(0.03, 0.0)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.0, gamma_z=0.0, rho=0.0)
         res = quanto_par_spread(self.H, fx, rates, CdsContract(tenor=5.0),
-                                SolverConfig(n_x=41, n_y=101, n_t=120))
+                                SolverConfig(n_y=101, n_t=120))
         # same survival either side, but the liquid annuity discounts at 3%
         assert res.liquid.premium_pv01 < res.contractual.premium_pv01

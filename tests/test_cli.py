@@ -3,8 +3,10 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from quantocds.cli import _build_subparsers, _solver_cfg, main, read_snapshots
 from quantocds.calibration import CalibrationConfig, MarketSnapshot, _SpreadModel
 from quantocds.pde import SolverConfig
 
-FAST_MODEL = ["--sigma-y", "0.2", "--grid-x", "41", "--grid-y", "61", "--grid-t", "60"]
+FAST_MODEL = ["--sigma-y", "0.2", "--grid-y", "61", "--grid-t", "60"]
 
 
 def run(args):
@@ -97,8 +99,7 @@ class TestPrice:
         assert "Traceback" not in err
 
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,named", [
         (["price", "--engine", "adi", "--b", "1e300"], "ADI y-sweep"),
         (["survival-curve", "--engine", "adi", "--b", "1e300", "--tenors", "1"], "ADI y-sweep"),
@@ -107,8 +108,8 @@ class TestPrice:
         (["survival-curve", "--engine", "reduced", "--tenor", "1e308"], "got 1e+308"),
     ])
     def test_overflowing_input_is_one_error_line(self, capsys, argv, named):
-        # e^b overflowed in the log-FX grid's width, the tenor's payment count in
-        # the contract's schedule, a curve's time-step count and its list of quarters
+        # e^y overflowed at the top of the log-hazard grid, the tenor's payment count
+        # in the contract's schedule, a curve's time-step count and its list of quarters
         rc = run(argv)
         err = capsys.readouterr().err
         assert rc == 1
@@ -138,53 +139,115 @@ _TENOR_LISTS = st.lists(st.one_of(st.integers(1, 40).map(lambda q: q / 4.0),
                         min_size=1, max_size=4).map(lambda ts: ",".join(map(repr, ts)))
 
 
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _run_strict(argv):
+    """``main(argv)``'s exit code, stdout and stderr, with every warning an
+    error: stderr holds nothing but the CLI's own output, numpy's warnings
+    counted.  (The hypothesis plugin warns on its own, so the fuzzers set the
+    filter here, around the run, rather than with a pytest mark.)"""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    return rc, out, err
+
+
 class TestPriceFuzz:
     """``price`` on both engines with each numeric flag drawn from its valid
     range or from 0, negatives, nan, +-inf and +-1e300: it prints and exits
     0, or exits non-zero with one ``error:`` line, never a traceback."""
 
-    # numpy's overflow warnings on the extremes are not the CLI's output
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning",
-                                "ignore:divide by zero:RuntimeWarning",
-                                "ignore:underflow:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["adi", "reduced"]), _PRICE_FLAGS)
     def test_prints_or_names_one_error(self, engine, flags):
         argv = ["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20",
                 *(f"--{flag}={value!r}" for flag, value in flags.items())]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
+        rc, out, err = _run_strict(argv)
         if rc == 0:
             assert out.getvalue().startswith("par spread") and err.getvalue() == ""
+            # every number printed, "nan" and "inf" included, is finite: "nan bp"
+            # and "inf y" exited 0
+            numbers = [float(word) for word in re.split(r"[\s,]+", out.getvalue())
+                       if _is_number(word)]
+            assert numbers and all(map(math.isfinite, numbers))
         else:
             assert rc == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("engine", ["adi", "reduced"])
     @pytest.mark.parametrize("flags,named", [
         (["--sigma-y=1e300"], "sigma_y = 1e+300 is too large: its square overflows"),
         (["--b=1e300", "--y0=1e300"], "the log-hazard grid around y0 = 1e+300 has no width"),
-    ], ids=["sigma_y squared overflows", "log-hazard grid without width"])
+        (["--a=1", "--y0=0", "--gamma=1e300"],
+         "the intensity scale 1e+300 times e^y overflows at the top node y = 21.0729"),
+    ], ids=["sigma_y squared overflows", "log-hazard grid without width", "kill overflows"])
     def test_hazard_leak_is_one_error_line(self, capsys, engine, flags, named):
-        # these raised OverflowError and ZeroDivisionError while the grids were sized
+        # these raised OverflowError and ZeroDivisionError while the grids were
+        # sized, and numpy's overflow warning where gamma scaled e^y
         rc = run(["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20", *flags])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and named in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flags", [["--r-hat=-1e300"], ["--sigma-z=1e300"]],
-                             ids=["rate gap", "FX vol"])
-    def test_log_fx_grid_overflow_is_one_error_line(self, capsys, flags):
-        # e^x at the top of the log-FX grid raised OverflowError in the ADI march
-        rc = run(["price", "--engine", "adi", "--grid-y", "11", "--grid-t", "20", *flags])
+    @pytest.mark.filterwarnings("error")
+    def test_fx_vol_without_correlation_prices_on_both_engines(self, capsys):
+        # at rho = 0 the FX vol moves no survival; the ADI engine's log-FX grid
+        # refused 1e300, since e^x overflowed at its top node
+        outs = []
+        for engine in ("adi", "reduced"):
+            assert run(["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20",
+                        "--sigma-z=1e300"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].err == ""
+        assert "par spread EUR (contractual): 100.14 bp" in outs[0].out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["adi", "reduced"])
+    @pytest.mark.parametrize("flags,named", [
+        (["--r-hat=-1e300"], "the discount e^(-r t) overflows at r = -1e+300, t = 5 years"),
+        (["--r=-1e300", "--r-hat=-1e300"], "the discount e^(-r t) overflows at r = -1e+300, "),
+    ], ids=["contractual rate", "both rates"])
+    def test_overflowing_rate_is_one_error_line(self, capsys, engine, flags, named):
+        # the rates printed nan bp and inf y after numpy's overflow warnings on
+        # the reduced engine; the ADI engine refused them through its log-FX grid
+        rc = run(["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20", *flags])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: the log-FX grid would reach x = ")
-        assert "where e^x overflows" in err and err.count("\n") == 1
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine,named", [
+        ("adi", "in the explicit mixed term at rho = 0.5, sigma_z = 1e+300, sigma_y = 0.2\n"),
+        ("reduced", "the log-hazard grid would reach y = 4.49888e+299, where e^y overflows: "
+                    "y0 = -4.089, b = -210.45 or sigma_y = 0.2 is too large over 5 years\n"),
+    ], ids=["adi", "reduced"])
+    def test_correlated_fx_vol_is_one_error_line(self, capsys, engine, named):
+        # the ADI march blows up in its mixed term, and the reduced engine's
+        # log-hazard grid, tilted by rho sigma_z sigma_y = 1e299, overflows e^y
+        rc = run(["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20",
+                  "--sigma-z=1e300", "--rho=0.5"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.endswith(named) and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["adi", "reduced"])
+    def test_stiff_upwinded_drift_prices_on_both_engines(self, capsys, engine):
+        # rounding left the downwind coupling of the upwinded rows at -6e284, not 0,
+        # and the pivoted implicit solve overflowed to -inf after numpy's warnings
+        assert run(["price", "--engine", engine, "--grid-y", "11", "--grid-t", "20",
+                    "--a=1e300", "--b=0.03655460637509099"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "par spread EUR (contractual): 4398.93 bp" in out
 
     def test_underflowing_spread_denominator_is_one_error_line(self, capsys):
         # the least subnormal notional times a quarter's annuity, about 0.25,
@@ -215,10 +278,6 @@ class TestSurvivalCurveFuzz:
     as ``TestPriceFuzz`` draws them and ragged ``--tenors`` lists: it prints
     its CSV and exits 0, or exits 1 with one ``error:`` line."""
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning",
-                                "ignore:divide by zero:RuntimeWarning",
-                                "ignore:underflow:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["adi", "reduced"]), _flags(_SHARED_RANGES),
            st.one_of(st.none(), _TENOR_LISTS))
@@ -226,12 +285,16 @@ class TestSurvivalCurveFuzz:
         argv = ["survival-curve", "--engine", engine, "--grid-y", "11", "--grid-t", "20",
                 *(f"--{flag}={value!r}" for flag, value in flags.items()),
                 *([] if tenors is None else [f"--tenors={tenors}"])]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
+        rc, out, err = _run_strict(argv)
         if rc == 0:
-            assert out.getvalue().startswith("tenor_years,p_liquid,p_contractual,default_ratio\n")
+            header, *rows = out.getvalue().splitlines()
+            assert header == "tenor_years,p_liquid,p_contractual,default_ratio" and rows
             assert err.getvalue() == ""
+            for row in rows:
+                t, p, p_hat, ratio = map(float, row.split(","))
+                # the ratio of default probabilities is nan only where p = 1
+                assert all(0.0 <= q <= 1.0 for q in (p, p_hat)) and 0.0 < t < math.inf
+                assert math.isfinite(ratio) or (math.isnan(ratio) and p == 1.0)
         else:
             assert rc == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
@@ -276,6 +339,15 @@ class TestUsageErrors:
             run(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["price"], ["survival-curve"],
+                                      ["sweep", "--axis", "rho=0:0:1"]], ids=lambda argv: argv[0])
+    def test_log_fx_grid_flag_is_gone(self, capsys, argv):
+        # the ADI engine has no log-FX axis, so no command takes --grid-x
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--grid-x", "11"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid-x 11" in capsys.readouterr().err
 
     def test_unwritable_out_dir_is_one_error_line(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -430,6 +502,43 @@ class TestSurvivalCurveCmd:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: tenor ") and "0.1" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["adi", "reduced"])
+    def test_fast_mean_reversion_prints_without_warnings(self, capsys, engine):
+        # the spectral gate's coupling product overflowed before its stiffness
+        # check turned the curve over to the march, which prints p = 1
+        rc = run(["survival-curve", "--engine", engine, "--a=1e300", "--grid-y", "11",
+                  "--grid-t", "20"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert out.splitlines()[1] == "0.25,1,1,nan"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_y", [11, 401], ids=["powered march", "vector march"])
+    def test_overflowing_mixed_term_is_one_error_line(self, capsys, n_y):
+        # at gamma = -1 the Rannacher steps keep w = 1, and the Crank-Nicolson
+        # steps' explicit mixed term, 1e300 large, overflowed in numpy before the
+        # blow-up check at the next stop named the march
+        rc = run(["survival-curve", "--engine", "adi", "--grid-y", str(n_y), "--grid-t", "20",
+                  "--tenor=1", "--a=0", "--y0=0", "--sigma-y=1.5", "--rho=1", "--sigma-z=1e300",
+                  "--gamma=-1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: value blow-up at time node ")
+        assert err.endswith("in the explicit mixed term at rho = 1, sigma_z = 1e+300, "
+                            "sigma_y = 1.5\n") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["adi", "reduced"])
+    def test_far_log_hazard_is_one_error_line(self, capsys, engine):
+        # the y-step's square overflowed in the y-operator, and the error line
+        # named a singular march, not the input
+        rc = run(["survival-curve", "--engine", engine, "--y0=-1e300", "--grid-y", "11",
+                  "--grid-t", "20"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert err.startswith("error: the log-hazard operator overflows on the grid from y = ")
+        assert "y0 = -1e+300" in err
 
 
 class TestValidateCmd:

@@ -76,7 +76,7 @@ class TestDeterministicHazard:
     def test_two_factor_matches_closed_form(self):
         h = HazardParams(a=0.0, b=0.0, sigma_y=1e-6, y0=-4.089)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
-        sol = solve_quanto_pde(h, fx, RATES0, 5.0, SolverConfig(n_x=81, n_y=81, n_t=150))
+        sol = solve_quanto_pde(h, fx, RATES0, 5.0, SolverConfig(n_y=81, n_t=150))
         assert sol.spot_value / 0.8 == pytest.approx(
             math.exp(-math.exp(-4.089) * 5.0), abs=1e-3
         )
@@ -86,7 +86,7 @@ class TestDeterministicHazard:
         h = HazardParams(a=0.0, b=0.0, sigma_y=1e-6, y0=-4.089)
         fx = QuantoFxParams(z0=1.3, sigma_z=0.2, gamma_z=0.0, rho=0.0)
         rates = RatePair(0.03, 0.015)
-        sol = solve_quanto_pde(h, fx, rates, 2.0, SolverConfig(n_x=81, n_y=81, n_t=100))
+        sol = solve_quanto_pde(h, fx, rates, 2.0, SolverConfig(n_y=81, n_t=100))
         target = 1.3 * math.exp(-(0.015 + math.exp(-4.089)) * 2.0)
         assert sol.spot_value == pytest.approx(target, rel=5e-5)
 
@@ -96,13 +96,13 @@ class TestFactorization:
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.5, rho=0.5)
         rates = RatePair(0.01, 0.02)
         ref = quanto_survival_curve_1f(H_SWEEP, fx, [5.0], n_y=1201, n_t=1200)[0]
-        sol = solve_quanto_pde(H_SWEEP, fx, rates, 5.0, SolverConfig(n_x=61, n_y=61, n_t=100))
+        sol = solve_quanto_pde(H_SWEEP, fx, rates, 5.0, SolverConfig(n_y=61, n_t=100))
         p_hat = sol.spot_value * math.exp(rates.r_hat * 5.0) / fx.z0
         assert p_hat == pytest.approx(ref, abs=5e-5)
 
     def test_z0_homogeneity(self):
         rates = RatePair(0.01, 0.02)
-        cfgs = SolverConfig(n_x=61, n_y=61, n_t=80)
+        cfgs = SolverConfig(n_y=61, n_t=80)
         fx1 = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.3, rho=0.4)
         fx2 = QuantoFxParams(z0=1.6, sigma_z=0.1, gamma_z=-0.3, rho=0.4)
         v1 = solve_quanto_pde(H_SWEEP, fx1, rates, 3.0, cfgs).spot_value
@@ -112,20 +112,15 @@ class TestFactorization:
 
 class TestForeignMeasureRoute:
     def test_matches_quanto_solver_at_gamma_zero(self):
-        # interior agreement; the linearity boundary condition injects a
-        # local layer at the FX edges, so the comparison stays on the
-        # central half of the axis
+        # at every y-node of the spot FX level
         fx = QuantoFxParams(z0=0.8, sigma_z=0.15, gamma_z=0.0, rho=0.6)
         rates = RatePair(0.01, 0.02)
-        cfg = SolverConfig(n_x=81, n_y=81, n_t=150)
+        cfg = SolverConfig(n_y=81, n_t=150)
         s1 = solve_quanto_pde(H_SWEEP, fx, rates, 5.0, cfg)
         s2 = solve_foreign_measure_pde(H_SWEEP, fx, rates, 5.0, cfg)
         assert abs(s1.spot_value - s2.spot_value) / s2.spot_value < 1e-4
-        x = s1.grid.x_nodes
-        half = (x[-1] - x[0]) / 2.0
-        sel = np.abs(x - math.log(0.8)) <= half / 2.0
-        rel = np.abs(s1.values[sel] - s2.values[sel]) / np.abs(s2.values[sel])
-        assert rel.max() < 1e-4
+        assert s1.values.shape == s2.values.shape == (81,)
+        assert np.max(np.abs(s1.values - s2.values) / np.abs(s2.values)) < 1e-4
 
     def test_rejects_devaluation(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.0)
@@ -135,14 +130,14 @@ class TestForeignMeasureRoute:
     def test_reduces_to_survival_and_matches_mc(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.0, gamma_z=0.0, rho=0.0)
         sol = solve_foreign_measure_pde(H_REVERTING, fx, RATES0, 5.0,
-                                        SolverConfig(n_x=41, n_y=161, n_t=200))
+                                        SolverConfig(n_y=161, n_t=200))
         p_pde = sol.spot_value / 0.8
         mc = survival_probability_mc(H_REVERTING, 5.0, SimConfig(100_000, 200, 5.0, seed=31))
         assert abs(mc.z_score(p_pde)) < 3.0
 
     def test_stable_and_monotone_across_rho(self):
         rates = RatePair(0.01, 0.02)
-        cfg = SolverConfig(n_x=61, n_y=61, n_t=100)
+        cfg = SolverConfig(n_y=61, n_t=100)
         spots = []
         for rho in (-1.0, -0.5, 0.0, 0.5, 1.0):
             fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=rho)
@@ -162,7 +157,7 @@ class TestSurvivalCurves:
     def test_short_tenor_limits(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.3, rho=0.2)
         curve_hat, curve_p = quanto_survival_curve(
-            H_SWEEP, fx, RATES0, [0.25, 1.0], SolverConfig(n_x=61, n_y=61, n_t=60)
+            H_SWEEP, fx, RATES0, [0.25, 1.0], SolverConfig(n_y=61, n_t=60)
         )
         assert curve_hat(0.0) == 1.0 and curve_p(0.0) == 1.0
         assert 0.9 < curve_hat.probs[0] <= 1.0
@@ -170,7 +165,7 @@ class TestSurvivalCurves:
     def test_no_quanto_effect(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.0, gamma_z=0.0, rho=0.0)
         curve_hat, curve_p = quanto_survival_curve(
-            H_SWEEP, fx, RATES0, [1.0, 3.0, 5.0], SolverConfig(n_x=41, n_y=81, n_t=100)
+            H_SWEEP, fx, RATES0, [1.0, 3.0, 5.0], SolverConfig(n_y=81, n_t=100)
         )
         assert np.max(np.abs(curve_hat.probs - curve_p.probs)) < 1e-4
 
@@ -178,7 +173,7 @@ class TestSurvivalCurves:
         gamma = -0.2045
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=0.0)
         curve_hat, curve_p = quanto_survival_curve(
-            H_SWEEP, fx, RATES0, [1.0 / 12.0], SolverConfig(n_x=101, n_y=101, n_t=40)
+            H_SWEEP, fx, RATES0, [1.0 / 12.0], SolverConfig(n_y=101, n_t=40)
         )
         ratio = (1.0 - curve_hat.probs[0]) / (1.0 - curve_p.probs[0])
         assert ratio == pytest.approx(1.0 + gamma, rel=0.01)
@@ -186,7 +181,7 @@ class TestSurvivalCurves:
     def test_engines_agree(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.4, rho=0.5)
         tenors = [1.0, 2.0, 5.0]
-        cfg = SolverConfig(n_x=101, n_y=101, n_t=150)
+        cfg = SolverConfig(n_y=101, n_t=150)
         hat_adi, _ = quanto_survival_curve(H_SWEEP, fx, RATES0, tenors, cfg, engine="adi")
         hat_red, _ = quanto_survival_curve(H_SWEEP, fx, RATES0, tenors, cfg, engine="reduced")
         assert np.max(np.abs(hat_adi.probs - hat_red.probs)) < 2e-4
@@ -231,8 +226,8 @@ class TestSurvivalCurves:
             survival_curve_1f(H_SWEEP, [tenor], n_y=21, n_t=20)
         for engine in ("adi", "reduced"):
             with pytest.raises(ValueError, match=named):
-                quanto_survival_curve(H_SWEEP, fx, RATES0, [1.0, tenor], SolverConfig(11, 21, 20),
-                                      engine=engine)
+                quanto_survival_curve(H_SWEEP, fx, RATES0, [1.0, tenor],
+                                      SolverConfig(n_y=21, n_t=20), engine=engine)
 
     def test_longest_tenor_prices(self):
         assert 0.0 < survival_curve_1f(H_SWEEP, [pde.MAX_TENOR], n_y=21, n_t=20)[0] < 1.0
@@ -249,25 +244,25 @@ def _observed_order(cfgs):
 
 class TestSchemeQuality:
     def test_spatial_order(self):
-        order, d1, d2 = _observed_order([SolverConfig(n, n, 600) for n in (31, 61, 121)])
+        order, d1, d2 = _observed_order([SolverConfig(n_y=n, n_t=600) for n in (31, 61, 121)])
         assert order >= 1.8 and d2 <= d1
 
     def test_temporal_order(self):
-        order, d1, d2 = _observed_order([SolverConfig(81, 81, n) for n in (8, 16, 32)])
+        order, d1, d2 = _observed_order([SolverConfig(n_y=81, n_t=n) for n in (8, 16, 32)])
         assert order >= 1.8 and d2 <= d1
 
     def test_degenerate_diffusion_is_grid_invariant(self):
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.0, y0=-4.089)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.0, gamma_z=0.0, rho=0.0)
-        v1 = solve_quanto_pde(h, fx, RATES0, 5.0, SolverConfig(11, 11, 64)).spot_value
-        v2 = solve_quanto_pde(h, fx, RATES0, 5.0, SolverConfig(41, 41, 64)).spot_value
+        v1 = solve_quanto_pde(h, fx, RATES0, 5.0, SolverConfig(n_y=11, n_t=64)).spot_value
+        v2 = solve_quanto_pde(h, fx, RATES0, 5.0, SolverConfig(n_y=41, n_t=64)).spot_value
         assert v1 == pytest.approx(v2, abs=1e-13)
 
     def test_positivity_on_validation_params(self):
         for gamma, rho in ((-0.99, -0.9), (0.5, 0.9), (0.0, 0.0)):
             fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=rho)
             sol = solve_quanto_pde(H_SWEEP, fx, RATES0, 10.0,
-                                   SolverConfig(n_x=61, n_y=61, n_t=150))
+                                   SolverConfig(n_y=61, n_t=150))
             assert sol.values.min() >= -1e-8
 
     def test_instability_raises(self, monkeypatch):
@@ -276,31 +271,33 @@ class TestSchemeQuality:
         monkeypatch.setattr(pde, "_RANNACHER_STEPS", 0)
         h = HazardParams(a=0.0, b=0.0, sigma_y=1.0, y0=-4.0)
         fx = QuantoFxParams(z0=0.8, sigma_z=1.0, gamma_z=0.0, rho=0.0)
-        cfg = SolverConfig(n_x=201, n_y=201, n_t=3)
+        cfg = SolverConfig(n_y=201, n_t=3)
         with pytest.raises(PdeInstabilityError, match="value blow-up"):
             solve_quanto_pde(h, fx, RATES0, 5.0, cfg)
 
     def test_dense_march_names_the_first_blown_stop(self, monkeypatch):
         # the dense march (the test above runs the vector one) names the first stop,
-        # in march order, whose max |v| = e^(x_max) max |w| passes 50 e^(x_max) + 10:
-        # explicit steps beyond their stability limit grow w over several stops
+        # in march order, whose max |w| passes 50: explicit steps beyond their
+        # stability limit grow w over several stops
         monkeypatch.setattr(pde, "_THETA", 0.0)
         monkeypatch.setattr(pde, "_RANNACHER_STEPS", 0)
         monkeypatch.setattr(pde, "_marches_vector", lambda n_y, n_steps: False)
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.5, y0=-4.0)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.5)
-        cfg = SolverConfig(n_x=11, n_y=71, n_t=40)
+        cfg = SolverConfig(n_y=71, n_t=40)
         tenors = CdsContract(tenor=5.0).payment_times()
-        grid, snap = build_grid(h, fx, RATES0, 5.0, cfg, tenors)
+        grid, snap = build_grid(h, 5.0, cfg, tenors)
         step = _ProfileStep(grid, h, fx)
-        scale = math.exp(grid.x_nodes[-1])
         w = np.ones(71)
         for node in range(39, -1, -1):
             w = step.apply(w, 0.0, 5.0 / 40)
-            if (node in snap or node == 0) and not scale * np.max(np.abs(w)) <= 50 * scale + 10:
+            if (node in snap or node == 0) and not np.max(np.abs(w)) <= 50:
                 break
         assert 0 < node < max(snap)  # neither the first stop nor the last
-        with pytest.raises(PdeInstabilityError, match=rf"value blow-up at time node {node}: "):
+        named = (rf"value blow-up at time node {node}: max \|w\| = .* \(71 y-nodes, dt = "
+                 r"1\.250e-01\) in the explicit mixed term at rho = 0\.5, sigma_z = 0\.1, "
+                 r"sigma_y = 0\.5$")
+        with pytest.raises(PdeInstabilityError, match=named):
             solve_quanto_pde(h, fx, RATES0, 5.0, cfg, snapshot_tenors=tenors)
 
 
@@ -405,7 +402,7 @@ class TestTridiag:
     def _step(self, gamma=-0.2, rho=0.3):
         h = HazardParams(a=0.08, b=-4.0, sigma_y=0.6, y0=-4.2)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=rho)
-        grid, _ = build_grid(h, fx, RatePair(0.03, 0.01), 5.0, SolverConfig())
+        grid, _ = build_grid(h, 5.0, SolverConfig())
         return _ProfileStep(grid, h, fx)
 
     def test_adi_y_sweep_bit_equal_to_banded_solve(self):
@@ -425,7 +422,7 @@ class TestTridiag:
         step = self._step()
         zeros = np.zeros(101)
         step.y_diags = (zeros, np.full(101, 2.0), zeros)
-        with pytest.raises(PdeInstabilityError, match=r"ADI y-sweep on the 11 x 101 grid"):
+        with pytest.raises(PdeInstabilityError, match=r"ADI y-sweep on 101 y-nodes: "):
             step.apply(np.ones(101), 1.0, 0.5)
 
     def test_every_sweep_solves_through_solve_banded(self, monkeypatch):
@@ -439,7 +436,7 @@ class TestTridiag:
         survival_curve_1f(H_SWEEP, [1.0], n_y=21, n_t=40)  # 2 n_y > n_t: the march
         assert len(calls) == 40
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
-        solve_quanto_pde(H_SWEEP, fx, RATES0, 1.0, SolverConfig(n_x=11, n_y=21, n_t=40))
+        solve_quanto_pde(H_SWEEP, fx, RATES0, 1.0, SolverConfig(n_y=21, n_t=40))
         assert len(calls) == 40 + pde._RANNACHER_STEPS + 2
 
 
@@ -575,10 +572,22 @@ class TestSpectralSolve:
             survival_curve_1f(h, [1.0, 5.0], n_y=41, n_t=200)
 
 
+def _x_nodes(h, fx, rates, T, n_x):
+    """A log-FX grid of n_x nodes, odd, symmetric around ln z0 and wide enough
+    for the FX diffusion, the rate gap and the jump compensator's drift, with
+    the spot on the middle node; the fitted x-differences are exact on e^x on
+    any such grid."""
+    m_end, _ = pde.ou_mean_std(h, T)
+    half = 6.0 * fx.sigma_z * math.sqrt(T) + abs(rates.r - rates.r_hat) * T
+    half += min(abs(fx.gamma_z) * math.exp(min(max(h.y0, m_end), 709.0)) * T * 3.0, 2.0)
+    return np.linspace(-max(half, 0.25), max(half, 0.25), n_x | 1) + math.log(fx.z0)
+
+
 class _Ops2D:
-    """The two-factor Craig-Sneyd operators on a Grid2D, the reference that
-    ``pde._ProfileStep`` is held to: the ADI scheme as it marched the whole
-    (n_y, n_x) surface, x along the contiguous last axis.
+    """The two-factor Craig-Sneyd operators on the log-FX nodes ``x`` and a
+    grid's y-nodes, the reference that ``pde._ProfileStep`` is held to: the
+    ADI scheme as it marched the whole (n_y, n_x) surface, x along the
+    contiguous last axis.
 
     The x-direction rows vary with y (the jump compensator makes their
     convection y-dependent) and are solved as one block-diagonal system; the
@@ -589,8 +598,8 @@ class _Ops2D:
     derivative in y.  The operators discount at r - r_hat.
     """
 
-    def __init__(self, grid, h, fx, rates):
-        x, y = grid.x_nodes, grid.y_nodes
+    def __init__(self, x, grid, h, fx, rates):
+        y = grid.y_nodes
         dx, dy = x[1] - x[0], y[1] - y[0]
         ey = np.exp(y)
         cx = rates.r - rates.r_hat - 0.5 * fx.sigma_z**2 - fx.gamma_z * ey  # (ny,)
@@ -640,14 +649,16 @@ class _Ops2D:
         return pde.solve_banded(_factor(*self.diags[2], theta_dt, "y"), y1 - theta_dt * f2v)
 
 
-def _p_hat_2d(h, fx, rates, T, cfg, tenors):
-    """p_hat at the snapshot ``tenors`` (None for none) and the final surface,
-    shape (n_y, n_x), from the two-factor march of the surface v = e^x, one
-    step at a time; it carries e^(r_hat tau) v."""
-    grid, snap = build_grid(h, fx, rates, T, cfg, tenors)
+def _p_hat_2d(h, fx, rates, T, cfg, tenors, n_x=11):
+    """p_hat at the snapshot ``tenors`` (None for none), the final surface,
+    shape (n_y, n_x), and its log-FX nodes, from the two-factor march of the
+    surface v = e^x, one step at a time; it carries e^(r_hat tau) v."""
+    grid, snap = build_grid(h, T, cfg, tenors)
     dt, n_t = grid.t_nodes[1] - grid.t_nodes[0], grid.t_nodes.size - 1
-    ops = _Ops2D(grid, h, fx, rates)
-    v = np.tile(np.exp(grid.x_nodes), (grid.y_nodes.size, 1))
+    x = _x_nodes(h, fx, rates, T, n_x)
+    ix0 = x.size // 2
+    ops = _Ops2D(x, grid, h, fx, rates)
+    v = np.tile(np.exp(x), (grid.y_nodes.size, 1))
     snapshots = {}
     for step in range(n_t):
         theta = 1.0 if step < pde._RANNACHER_STEPS else pde._THETA
@@ -657,8 +668,8 @@ def _p_hat_2d(h, fx, rates, T, cfg, tenors):
         if theta != 1.0 and ops.mixed_coef != 0.0:
             v = ops.sweeps(rhs0 + 0.5 * dt * (ops.mixed(v) - f0v), theta * dt, f1v, f2v)
         if n_t - 1 - step in snap:
-            snapshots[snap[n_t - 1 - step]] = v[grid.iy0, grid.ix0]
-    return np.array([snapshots[t] for t in sorted(snapshots)]) / fx.z0, v
+            snapshots[snap[n_t - 1 - step]] = v[grid.iy0, ix0]
+    return np.array([snapshots[t] for t in sorted(snapshots)]) / fx.z0, v, x
 
 
 class TestAdiProperties:
@@ -667,7 +678,7 @@ class TestAdiProperties:
     keeps calibration's mean reversion (``CalibrationConfig.a_fixed``), so
     its drift a (b - y) stays within a few percent a year."""
 
-    GRID = SolverConfig(n_x=21, n_y=21, n_t=40)
+    GRID = SolverConfig(n_y=21, n_t=40)
     hazards = st.builds(HazardParams, a=st.just(1e-4), b=st.floats(-500.0, 100.0),
                         sigma_y=st.floats(0.1, 0.8), y0=st.floats(-5.5, -2.5))
     rates = st.builds(RatePair, st.floats(-0.02, 0.08), st.floats(-0.02, 0.08))
@@ -676,9 +687,9 @@ class TestAdiProperties:
     rhos = st.floats(-0.9, 0.9)
     fx_vols = st.floats(0.02, 0.3)
 
-    def _p_hat(self, h, fx, rates, T, grid=GRID):
+    def _p_hat(self, h, fx, rates, T):
         tenors = CdsContract(tenor=T).payment_times()
-        ts, us = solve_quanto_pde(h, fx, rates, T, grid, snapshot_tenors=tenors).spot_curve
+        ts, us = solve_quanto_pde(h, fx, rates, T, self.GRID, snapshot_tenors=tenors).spot_curve
         return us * np.exp(rates.r_hat * ts) / fx.z0
 
     @settings(max_examples=25, deadline=None)
@@ -729,24 +740,16 @@ class TestAdiProperties:
         assert np.max(np.abs(p_hat - at_zero_r_hat)) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
-    @given(hazards, rates, tenors, gammas, rhos, fx_vols)
-    def test_p_hat_does_not_depend_on_the_x_grid(self, h, rates, T, gamma, rho, sigma_z):
-        # v = z w(t, y), and every x-difference, the mixed term's at the x-edges
-        # included, is exact on e^x, so five x-nodes price as well as 21
-        fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
-        coarse = self._p_hat(h, fx, rates, T, replace(self.GRID, n_x=5))
-        assert np.max(np.abs(self._p_hat(h, fx, rates, T) - coarse)) <= 1e-12
-
-    @settings(max_examples=25, deadline=None)
     @given(hazards, rates, tenors, st.floats(-1.0, 1.0), rhos, fx_vols, st.integers(5, 11))
     def test_profile_march_is_the_two_factor_scheme(self, h, rates, T, gamma, rho, sigma_z,
                                                     n_x):
         # the march of the y-profile w is the Craig-Sneyd march of the surface e^x w
+        # on a log-FX grid of n_x nodes
         assume(rates.r != rates.r_hat)
         fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
-        grid = replace(self.GRID, n_x=n_x)
-        reference, _ = _p_hat_2d(h, fx, rates, T, grid, CdsContract(tenor=T).payment_times())
-        assert np.max(np.abs(self._p_hat(h, fx, rates, T, grid) - reference)) <= 1e-12
+        reference, _, _ = _p_hat_2d(h, fx, rates, T, self.GRID,
+                                    CdsContract(tenor=T).payment_times(), n_x)
+        assert np.max(np.abs(self._p_hat(h, fx, rates, T) - reference)) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(hazards, rates, tenors, st.floats(-1.0, 1.0), rhos, fx_vols,
@@ -764,15 +767,15 @@ class TestAdiProperties:
         # dominates the x-drift, the two-factor march's x-sweep loses up to 1e-8
         fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
         tenors = None if fractions is None else [T * f for f in fractions]
-        cfg = SolverConfig(n_x=11, n_y=21, n_t=n_t)
+        cfg = SolverConfig(n_y=21, n_t=n_t)
         sol = solve_quanto_pde(h, fx, rates, T, cfg, snapshot_tenors=tenors)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pde, "_marches_vector", lambda n_y, n_steps: True)
             stepped = solve_quanto_pde(h, fx, rates, T, cfg, snapshot_tenors=tenors)
-        assert np.max(np.abs(sol.values - stepped.values) / np.exp(sol.grid.x_nodes)[:, None]
+        assert np.max(np.abs(sol.values - stepped.values) / fx.z0
                       * math.exp(rates.r_hat * T)) <= 1e-12
         if tenors is not None:
-            p_hat, _ = _p_hat_2d(h, fx, rates, T, cfg, tenors)
+            p_hat, _, _ = _p_hat_2d(h, fx, rates, T, cfg, tenors)
             ts, us = sol.spot_curve
             assert ts.size == p_hat.size == len(tenors)
             assert np.max(np.abs(us * np.exp(rates.r_hat * ts) / fx.z0 - p_hat)) <= 1e-12
@@ -789,27 +792,12 @@ class TestAdiProperties:
         # x-sweep's X is 1, at gamma > 0 and at rho = 0, where C is zero and there
         # is no corrector
         fx = QuantoFxParams(z0=0.8, sigma_z=sigma_z, gamma_z=gamma, rho=rho)
-        grid, _ = build_grid(h, fx, RATES0, T, SolverConfig(n_x=11, n_y=n_y, n_t=40))
+        grid, _ = build_grid(h, T, SolverConfig(n_y=n_y, n_t=40))
         step = _ProfileStep(grid, h, fx)
         for theta in (0.5, 1.0):
             matrix = step.matrix(theta, T / 40)
             for j, e_j in enumerate(np.eye(n_y)):
                 assert matrix[:, j].tobytes() == step.apply(e_j, theta, T / 40).tobytes()
-
-    @pytest.mark.parametrize("h, gamma, rho, rates, T", [
-        (H_SWEEP, -1.0, 0.3, RATES0, 5.0),
-        (HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5), -0.2, 0.9, RatePair(0.05, 0.05), 5.0),
-        (H_SWEEP, 0.4, 0.9, RATES0, 5.0),
-        (H_SWEEP, -0.6, -0.9, RATES0, 5.0),
-        (H_REVERTING, -0.3, 0.5, RatePair(0.03, 0.01), 5.0),
-        (H_SWEEP, 0.6, -0.5, RATES0, 10.0),
-    ], ids=["total devaluation", "high-vol devaluation", "rho 0.9", "rho -0.9", "r != r_hat",
-            "10y"])
-    def test_default_x_grid_prices_as_101_nodes(self, h, gamma, rho, rates, T):
-        # every x-difference is exact on e^x, so 11 x-nodes price as 101 do
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=rho)
-        default = self._p_hat(h, fx, rates, T, SolverConfig())
-        assert np.max(np.abs(default - self._p_hat(h, fx, rates, T, SolverConfig(n_x=101)))) <= 1e-12
 
 
 class TestAdiMarch:
@@ -832,27 +820,37 @@ class TestAdiMarch:
         sol = solve_quanto_pde(self.H, self.FX, self.RATES, 1.0, cfg, snapshot_tenors=self.TENORS)
         ts, us = sol.spot_curve
         p_hat = us * np.exp(self.RATES.r_hat * ts) / self.FX.z0
-        profile = sol.values[sol.grid.ix0] * math.exp(self.RATES.r_hat) / self.FX.z0
+        profile = sol.values * math.exp(self.RATES.r_hat) / self.FX.z0
         monkeypatch.undo()
         return p_hat, profile, len(powers)
 
     def test_below_the_rule_the_powered_march_is_the_step_by_step_march(self, monkeypatch):
-        cfg = SolverConfig(n_x=5, n_y=101, n_t=40)  # 101^2 <= 300 * 38
+        cfg = SolverConfig(n_y=101, n_t=40)  # 101^2 <= 300 * 38
         p_hat, profile, powers = self._solve(monkeypatch, cfg)
         assert powers == 4  # M, M^2, M^4 and M^8 for the gaps of 8 and 10 steps
-        reference, surface = _p_hat_2d(self.H, self.FX, self.RATES, 1.0, cfg, self.TENORS)
+        reference, surface, _ = _p_hat_2d(self.H, self.FX, self.RATES, 1.0, cfg, self.TENORS, 5)
         assert np.max(np.abs(p_hat - reference)) <= 1e-12
         assert np.max(np.abs(profile - surface[:, 2] / self.FX.z0)) <= 1e-12
 
+    @pytest.mark.parametrize("n_x", [3, 5, 11, 41])
+    def test_two_factor_surface_is_e_x_times_the_profile(self, monkeypatch, n_x):
+        # v = z w(t, y): at every log-FX node the reference's surface divided by
+        # e^x is the solve's values / z0, rescaled by the discount
+        cfg = SolverConfig(n_y=101, n_t=40)
+        _, profile, _ = self._solve(monkeypatch, cfg)
+        _, surface, x = _p_hat_2d(self.H, self.FX, self.RATES, 1.0, cfg, self.TENORS, n_x)
+        assert surface.shape == (101, n_x)
+        assert np.max(np.abs(surface / np.exp(x) - profile[:, None])) <= 1e-12
+
     def test_above_the_rule_the_vector_march_is_the_powered_march(self, monkeypatch):
-        cfg = SolverConfig(n_x=5, n_y=121, n_t=40)  # 121^2 > 300 * 38
+        cfg = SolverConfig(n_y=121, n_t=40)  # 121^2 > 300 * 38
         p_hat, profile, powers = self._solve(monkeypatch, cfg)
         assert powers == 0
         dense_p_hat, dense_profile, dense_powers = self._solve(monkeypatch, cfg, vector=False)
         assert dense_powers == 4
         assert np.max(np.abs(p_hat - dense_p_hat)) <= 1e-12
         assert np.max(np.abs(profile - dense_profile)) <= 1e-12
-        reference, _ = _p_hat_2d(self.H, self.FX, self.RATES, 1.0, cfg, self.TENORS)
+        reference, _, _ = _p_hat_2d(self.H, self.FX, self.RATES, 1.0, cfg, self.TENORS, 5)
         assert np.max(np.abs(p_hat - reference)) <= 1e-12
 
     def test_large_y_grid_allocates_less_than_one_step_matrix(self):
@@ -868,14 +866,11 @@ class TestAdiMarch:
 
 class TestGrid:
     def test_spot_on_node(self):
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
-        grid, _ = build_grid(H_SWEEP, fx, RATES0, 5.0, SolverConfig())
-        assert grid.x_nodes[grid.ix0] == pytest.approx(math.log(0.8), abs=1e-12)
+        grid, _ = build_grid(H_SWEEP, 5.0, SolverConfig())
         assert grid.y_nodes[grid.iy0] == pytest.approx(-4.089, abs=1e-12)
 
     def test_snapshot_tenors_on_time_nodes(self):
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
-        grid, snap = build_grid(H_SWEEP, fx, RATES0, 5.0, SolverConfig(n_t=60),
+        grid, snap = build_grid(H_SWEEP, 5.0, SolverConfig(n_t=60),
                                 snapshot_tenors=[0.25, 1.0 / 12.0, 5.0])
         t = grid.t_nodes
         for k, tenor in snap.items():
@@ -890,16 +885,26 @@ class TestGrid:
         with pytest.raises(ValueError, match=r"0\.3333, 10\].*100000 time steps"):
             survival_curve_1f(H_SWEEP, [0.3333, 10.0], n_y=41, n_t=300)
 
+    def test_tenors_on_one_node_rejected(self):
+        # both rounded to the node of 0.01, which held the snapshot of one:
+        # the other's lookup raised KeyError
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
+        for engine in ("reduced", "adi"):
+            with pytest.raises(ValueError, match=r"tenors \[0\.01, 0\.010000000000000002\] put "
+                                                 r"two on one node of the 1e-6 time grid"):
+                quanto_survival_curve(H_SWEEP, fx, RATES0, [0.010000000000000002, 0.01],
+                                      SolverConfig(n_y=21, n_t=40), engine=engine)
+
     def test_tenor_rounding_to_zero_rejected(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
         for engine in ("reduced", "adi"):
             with pytest.raises(ValueError, match="tenor 1e-07 rounds to zero"):
                 quanto_survival_curve(H_SWEEP, fx, RATES0, [1e-7, 1.0],
-                                      SolverConfig(n_x=21, n_y=21, n_t=40), engine=engine)
+                                      SolverConfig(n_y=21, n_t=40), engine=engine)
 
     def test_quarterly_monthly_and_stub_tenors_price(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.3)
-        cfg = SolverConfig(n_x=21, n_y=41, n_t=60)
+        cfg = SolverConfig(n_y=41, n_t=60)
         for tenors in (CdsContract(tenor=5.0).payment_times(),
                        np.arange(1, 61) / 12.0,
                        CdsContract(tenor=5.1).payment_times()):
@@ -909,20 +914,19 @@ class TestGrid:
                 assert np.all(np.diff(p.probs) <= 0.0) and 0.9 < p.probs[-1] < 1.0
 
     def test_memoised_snapshot_map_is_read_only(self):
-        fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
-        _, snap = build_grid(H_SWEEP, fx, RATES0, 5.0, SolverConfig(n_t=60), [1.0, 5.0])
-        _, again = build_grid(H_SWEEP, fx, RATES0, 5.0, SolverConfig(n_t=60), [1.0, 5.0])
+        _, snap = build_grid(H_SWEEP, 5.0, SolverConfig(n_t=60), [1.0, 5.0])
+        _, again = build_grid(H_SWEEP, 5.0, SolverConfig(n_t=60), [1.0, 5.0])
         assert snap is again
         with pytest.raises(TypeError):
             snap[0] = 5.0
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Grid2D(np.array([0.0, 1.0]), np.linspace(0, 1, 5),
-                   np.linspace(0, 1, 5), 1, 1)
-        with pytest.raises(ValueError):
-            Grid2D(np.linspace(0, 1, 5), np.linspace(0, 1, 5),
-                   np.linspace(0, 1, 5), 0, 1)
+        with pytest.raises(ValueError, match="y_nodes must be strictly increasing"):
+            Grid2D(np.array([0.0, 1.0, 1.0]), np.linspace(0, 1, 5), 1)
+        with pytest.raises(ValueError, match="t_nodes must be strictly increasing"):
+            Grid2D(np.linspace(0, 1, 5), np.array([0.0]), 1)
+        with pytest.raises(ValueError, match="interior node"):
+            Grid2D(np.linspace(0, 1, 5), np.linspace(0, 1, 5), 0)
 
     def test_overflowing_discount_is_named(self):
         # math.exp(-r_hat T) raised OverflowError for a large negative contractual rate
@@ -959,12 +963,11 @@ class EquivalencePoint:
 
 
 def mc_pde_equivalence_sweep(n_paths: int = 50_000, seed: int = 9) -> list[EquivalencePoint]:
-    """|p_hat_PDE - p_hat_MC| over the low-hazard sweep, using the two-factor
-    solver on an 11 x 101 x 200 grid (the x-grid adds no error) and 50 MC steps
-    a year, in one Monte Carlo pass per tenor for all 18 (gamma, rho) legs, each
-    as ``quanto_bond_mc`` prices it."""
+    """|p_hat_PDE - p_hat_MC| over the low-hazard sweep, using the ADI solver
+    on a 101 x 200 grid and 50 MC steps a year, in one Monte Carlo pass per
+    tenor for all 18 (gamma, rho) legs, each as ``quanto_bond_mc`` prices it."""
     h, rates, tenors = SWEEP_HAZARD_LOW, RatePair(0.0, 0.0), SWEEP_TENORS
-    pde_cfg = SolverConfig(n_x=11, n_y=101, n_t=200)
+    pde_cfg = SolverConfig(n_y=101, n_t=200)
     fxs = [_sweep_fx(gamma, rho) for gamma in SWEEP_GAMMAS for rho in SWEEP_RHOS]
     mc = [_quanto_bond_pass(h, fxs, rates, T, SimConfig(n_paths, max(20, int(50 * T)), T, seed))
           for T in tenors]
