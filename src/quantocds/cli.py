@@ -191,6 +191,7 @@ def _cmd_survival_curve(args) -> int:
     header = ["tenor_years", "p_liquid", "p_contractual", "default_ratio"]
     rows = []
     for t, p, ph in zip(curve_p.tenors, curve_p.probs, curve_hat.probs):
+        # nan on purpose where p = 1: no liquid default to compare with
         ratio = (1.0 - ph) / (1.0 - p) if p < 1.0 else math.nan
         rows.append([f"{t:g}", _fpar(p), _fpar(ph), _fpar(ratio)])
     _emit(args, "survival_curve.csv", header, rows)

@@ -7,6 +7,11 @@ import numpy as np
 _EPS = 1e-6
 
 
+def outside_unit_interval(probs):
+    """Where survival probabilities leave [0, 1] by more than 1e-6 of noise (nan does not)."""
+    return (probs > 1.0 + _EPS) | (probs < -_EPS)
+
+
 class SurvivalCurve:
     """Tenor -> survival probability map, log-linear between nodes.
 
@@ -37,7 +42,7 @@ class SurvivalCurve:
         knots[1:] = tenors
         if (knots[1:] - knots[:-1] <= 0).any():
             raise ValueError("tenors must be strictly increasing and positive")
-        if (probs > 1.0 + _EPS).any() or (probs < -_EPS).any():
+        if outside_unit_interval(probs).any():
             raise ValueError("survival probabilities must lie in [0, 1]")
         if (probs[1:] - probs[:-1] > _EPS).any():
             raise ValueError("survival probabilities must be non-increasing")

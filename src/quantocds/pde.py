@@ -25,16 +25,16 @@ The ADI scheme's x-differences are fitted to be exact on e^x, and its march
 starts from v = e^x, so every step leaves v = e^x w(y): ``_ProfileStep``
 marches that y-profile w on a y x t grid, and a solve's values are z0 w,
 discounted (the scheme on a log-FX grid, ``_Ops2D`` in tests/test_pde.py,
-is the test reference).  Every march takes one step type, ``_Step``:
+is the test reference).  Every step takes one type, ``_Step``:
 w -> L (B w + C (L B w - w)), L the y-sweep's inverse and B, C tridiagonal,
-made once per (theta, dt); the one-factor march is its case without an
-x-direction or a mixed term.  The ADI march reads w only at its stops, the
-snapshot nodes and the last node.  Its two Rannacher steps apply the step
-to w; the Crank-Nicolson step is the same formula on the identity, a dense
-n_y x n_y matrix M (``_Step.matrix``) whose column j is the step on e_j, bit
-for bit.  The march crosses each gap between stops with products by squares
-M^(2^i) and then checks all the stops for a blow-up in one pass; on large
-y-grids (``_marches_vector``) it applies the step to w instead.
+made once per (theta, dt); the one-factor step is its case without an
+x-direction or a mixed term.  Every solve marches its step from w = 1
+through one time loop, ``_march``, and every marched w is a survival in
+[0, 1]: the solves kill at a multiple of e^y and apply their discount
+exactly (``_discount``).  The march reads w only at its stops, the snapshot
+nodes and the last node, and crosses each gap between them by squares of
+the Crank-Nicolson step's matrix (``_Step.matrix``) or, for a one-factor
+step and on large y-grids (``_marches_vector``), one step at a time.
 
 Both engines difference y with one operator, ``_y_diags``: Spalding's
 hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
@@ -50,7 +50,7 @@ LAPACK's divide and conquer ``dstevd`` for all eigenpairs) and applies each
 step of the march, Rannacher steps included, as one scalar factor per
 eigenvalue.  Outside its gate (a zero kill, a Peclet number above 1, an
 ill-conditioned symmetrisation or a stiff spectrum, or more nodes than
-half the time steps, where the march is cheaper) ``_march_1f`` marches the
+half the time steps, where the march is cheaper) ``_march`` marches the
 same operator; it is also the reference the tests hold the spectral path to.
 
 Importing this module loads numpy only; scipy.linalg loads with the first
@@ -66,7 +66,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -74,7 +74,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises
 
-from .curves import SurvivalCurve
+from .curves import SurvivalCurve, outside_unit_interval
 from .model import HazardParams, QuantoFxParams, RatePair
 
 
@@ -371,13 +371,13 @@ class _Step:
 
     the Craig-Sneyd step: the predictor L B w and a corrector by C.  C is
     zero at theta = 1 and without a mixed term; with A_x = 0 too the step is
-    the one-factor march's w -> L (w + (1 - theta) dt A_y w).
+    the one-factor w -> L (w + (1 - theta) dt A_y w).
     """
 
     def __init__(self, y_diags: _Diags, sweep: str, a_x: np.ndarray | float = 0.0,
                  mixed_coef: float = 0.0):
         self.y_diags = y_diags
-        self.sweep = sweep
+        self.sweep = self.inputs = sweep  # named where L is singular, and where w blows up
         self.a_x = a_x
         self.mixed_coef = mixed_coef
         self._parts: dict[tuple[float, float], tuple] = {}
@@ -471,8 +471,8 @@ class _ProfileStep(_Step):
         kill_x = -min(fx.gamma_z, 0.0) * ey
         super().__init__(_y_diags(h, y, 0.0, ey - kill_x), sweep, -max(fx.gamma_z, 0.0) * ey,
                          fx.rho * fx.sigma_z * h.sigma_y / (2.0 * (y[1] - y[0])))
-        # the inputs of the one explicit term, which a blow-up names
-        self.mixed_inputs = f"rho = {fx.rho:g}, sigma_z = {fx.sigma_z:g}, sigma_y = {h.sigma_y:g}"
+        self.inputs = (f"explicit mixed term at rho = {fx.rho:g}, sigma_z = {fx.sigma_z:g}, "
+                       f"sigma_y = {h.sigma_y:g}")
 
 
 def _flush_tiny(m: np.ndarray) -> np.ndarray:
@@ -486,25 +486,28 @@ def _flush_tiny(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _marches_vector(n_y: int, n_steps: int) -> bool:
-    """Whether the ADI march applies each of ``n_steps`` steps to w rather
-    than square the n_y x n_y step matrix: where n_y^2 > 300 n_steps.
+def _marches_vector(step: _Step, n_steps: int) -> bool:
+    """Whether the march applies each of ``n_steps`` steps to w rather than
+    square the n_y x n_y step matrix: for an ADI step (``_ProfileStep``) where
+    n_y^2 > 300 n_steps, and for every one-factor step, which marches only
+    outside ``_spectral_1f``'s gate, a gate measured against this side.
 
     The dense path, its build, squarings and mat-vecs at the CLI's gaps,
-    costs about n_y^2 / 10 us; a step applied to w about 30 us up to a few
-    hundred nodes (measured break-even n_y about 110 at 38 steps, 300 at
+    costs about n_y^2 / 10 us; an ADI step applied to w about 30 us up to a
+    few hundred nodes (measured break-even n_y about 110 at 38 steps, 300 at
     298 and 570 at 1198, on a 2-CPU x86-64 machine).  The vector march
     holds no n_y x n_y matrix, which at n_y = 4001 would be 128 MB.
     """
-    return n_y**2 > 300 * n_steps
+    return type(step) is _Step or step.y_diags[1].size**2 > 300 * n_steps
 
 
 # an overflow to inf or nan is a blow-up, which ``reached`` names at the next stop
 @np.errstate(over="ignore", invalid="ignore")
-def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
-               ) -> tuple[np.ndarray, dict[float, float]]:
-    """March the profile backward from w = 1 over ``grid``'s time steps;
-    returns the final profile and its spot snapshots.
+def _march(step: _Step, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
+           ) -> tuple[np.ndarray, dict[float, float]]:
+    """Every PDE solve's time loop: march w backward from w = 1 over ``n_t``
+    steps of ``dt``; returns the final profile and its values at node ``iy0``
+    on the snapshot nodes ``snap`` (time node -> tenor).
 
     The two Rannacher steps apply the theta = 1 step to w.  After them only
     the stops are read: the snapshot nodes and the last node.  The
@@ -514,30 +517,28 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
     trade on the CLI grid: 3 squarings and 40 mat-vecs for 310 steps), one
     row a stop; where ``_marches_vector`` says so it applies the step to w.
 
-    The march checks max |w| for a blow-up and reads the spot values at the
-    Rannacher nodes and at the stops, all of the powered march's stops in
-    one comparison, naming the first node in march order past the cap.
+    The march checks the profiles at the Rannacher nodes and at the stops,
+    all of the powered march's stops in one pass: it names the first node in
+    march order whose max |w| is not finite or above 50, a blow-up, and then
+    a snapshot outside the survival's [0, 1] (``outside_unit_interval``).
     """
-    dt = float(grid.t_nodes[1] - grid.t_nodes[0])
-    n_t = grid.t_nodes.size - 1
-    n_y = grid.y_nodes.size
+    n_y = step.y_diags[1].size
     snapshots: dict[float, float] = {}
 
     def reached(profiles: np.ndarray, nodes: Sequence[int]) -> None:
-        """Check the profiles at ``nodes``, one a row, for a blow-up in one
-        comparison, and keep the spot values of the snapshot nodes among them."""
-        # the exact w is a survival expectation in [0, 1]: a peak blows up
-        # where it is not finite or above 50
+        """Check the profiles at ``nodes``, one a row; keep the snapshots' spot values."""
         peaks = np.abs(profiles).max(axis=1)
         within = peaks <= 50.0
+        where = f"({n_y} y-nodes, dt = {dt:.3e}) in the {step.inputs}"
         if not within.all():
             k = np.flatnonzero(~within)[0]
             raise PdeInstabilityError(
-                f"value blow-up at time node {nodes[k]}: max |w| = {peaks[k]:.3e} ({n_y} "
-                f"y-nodes, dt = {dt:.3e}) in the explicit mixed term at {step.mixed_inputs}"
-            )
-        for node, spot in zip(nodes, profiles[:, grid.iy0].tolist()):
+                f"value blow-up at time node {nodes[k]}: max |w| = {peaks[k]:.3e} {where}")
+        for node, spot in zip(nodes, profiles[:, iy0].tolist()):
             if node in snap:
+                if outside_unit_interval(spot):
+                    raise PdeInstabilityError(
+                        f"survival {spot:.3e} outside [0, 1] at time node {node} {where}")
                 snapshots[snap[node]] = spot
 
     w = np.ones(n_y)
@@ -548,7 +549,7 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
     reached(implicit, range(n_t - 1, node - 1, -1))
     stops = sorted({k for k in (0, *snap) if k < node}, reverse=True)
     gaps = [a - b for a, b in zip([node, *stops], stops)]
-    if _marches_vector(n_y, node):
+    if _marches_vector(step, node):
         # one stop at a time: on y-grids this large a row per stop could take
         # as much memory as the n_y x n_y matrix this march does without
         for stop, gap in zip(stops, gaps):
@@ -568,6 +569,16 @@ def _adi_march(step: _ProfileStep, grid: Grid2D, snap: Mapping[int, float]
         profiles[k] = w
     reached(profiles, stops)
     return w, snapshots
+
+
+def _discount(r_hat: float, T: float) -> float:
+    """The exact contractual discount e^(-r_hat T) that a solve applies to its
+    march; raises ValueError where it overflows."""
+    try:
+        return math.exp(-r_hat * T)
+    except OverflowError:
+        raise ValueError(f"the discount e^(-r_hat T) overflows at r_hat = {r_hat:g}, "
+                         f"T = {T:g} years") from None
 
 
 def solve_quanto_pde(
@@ -591,12 +602,10 @@ def solve_quanto_pde(
     z w(t, y), and one march of w (``_ProfileStep``) is the whole solve.
     """
     grid, snap = build_grid(h, T, cfg or SolverConfig(), snapshot_tenors)
-    try:
-        discount = math.exp(-rates.r_hat * T)
-    except OverflowError:
-        raise ValueError(f"the discount e^(-r_hat T) overflows at r_hat = {rates.r_hat:g}, "
-                         f"T = {T:g} years") from None
-    w, snapshots = _adi_march(_ProfileStep(grid, h, fx), grid, snap)
+    discount = _discount(rates.r_hat, T)
+    t = grid.t_nodes
+    w, snapshots = _march(_ProfileStep(grid, h, fx), float(t[1] - t[0]), t.size - 1, snap,
+                          grid.iy0)
     # the march carries e^(r_hat tau) v (``_ProfileStep``)
     spot_curve = None
     if snapshot_tenors is not None:
@@ -618,43 +627,24 @@ def solve_foreign_measure_pde(
     Under the contractual-currency measure the hazard factor drift gains
     rho * sigma_y * sigma_z and the claim reduces to a one-factor survival
     discounted at r_hat, whose profile times z0 must agree with
-    :func:`solve_quanto_pde` at gamma = 0 on the same grid.
+    :func:`solve_quanto_pde` at gamma = 0 on the same grid.  The march kills
+    at e^y, and the discount is applied exactly, as in ``solve_quanto_pde``.
     """
     if fx.gamma_z != 0.0:
         raise ValueError("foreign-measure route covers the diffusive model only (gamma_z = 0)")
     grid, _ = build_grid(h, T, cfg or SolverConfig())
+    discount = _discount(rates.r_hat, T)
+    solve = f"foreign-measure solve on {grid.y_nodes.size} nodes"
     ops = _y_diags(h, grid.y_nodes, fx.rho * h.sigma_y * fx.sigma_z,
-                   _exp_y(grid.y_nodes, h, T, "foreign-measure solve") + rates.r_hat)
+                   _exp_y(grid.y_nodes, h, T, solve))
     t = grid.t_nodes
-    w, _ = _march_1f(ops, float(t[1] - t[0]), t.size - 1, {}, grid.iy0)
-    return PdeSolution(grid=grid, values=fx.z0 * w)
-
-
-def _march_1f(ops: _Diags, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
-              ) -> tuple[np.ndarray, dict[float, float]]:
-    """Crank-Nicolson/Rannacher march of the killed one-factor equation.
-
-    Solves w_t + A w = 0 backward from w(T) = 1, where ``ops`` holds the
-    diagonals of A, 0.5 sigma_y^2 d_yy + (a(b - y) + shift) d_y - kill with
-    Neumann boundaries (``_y_diags``): ``survival_curve_1f`` kills at
-    kill_scale e^y, ``solve_foreign_measure_pde`` at e^y + r_hat.  Each step
-    is the ``_Step`` w -> L (w + (1 - theta) dt A w), one solve.
-    """
-    step = _Step(ops, f"one-factor march on {ops[1].size} nodes")
-    w = np.ones(ops[1].size)
-    snapshots: dict[float, float] = {}
-    for k in range(n_t):
-        w = step.apply(w, 1.0 if k < _RANNACHER_STEPS else _THETA, dt)
-        if n_t - 1 - k in snap:
-            snapshots[snap[n_t - 1 - k]] = float(w[iy0])
-    if not np.all(np.isfinite(w)):
-        raise PdeInstabilityError("one-factor solve produced non-finite values")
-    return w, snapshots
+    w, _ = _march(_Step(ops, solve), float(t[1] - t[0]), t.size - 1, {}, grid.iy0)
+    return PdeSolution(grid=grid, values=fx.z0 * w * discount)
 
 
 def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
                  snap: Mapping[int, float], iy0: int) -> dict[float, float] | None:
-    """``_march_1f``'s snapshots from one eigendecomposition, or None.
+    """``_march``'s snapshots of ``_Step(ops)`` from one eigendecomposition, or None.
 
     The operator A (``ops``, which kills at ``kill``) is time-homogeneous,
     so each step of the march multiplies A's eigencomponents by a scalar:
@@ -746,11 +736,12 @@ def survival_curve_1f(
         # every row of the operator sums to zero, so w = 1 solves the
         # discrete equation exactly; a solve would only add round-off
         return np.ones(len(tenors))
-    kill = kill_scale * _exp_y(y, h, T, f"one-factor solve on {n_y} nodes", kill_scale)
+    solve = f"one-factor solve on {n_y} nodes"
+    kill = kill_scale * _exp_y(y, h, T, solve, kill_scale)
     ops = _y_diags(h, y, drift_shift, kill)
     snapshots = _spectral_1f(ops, kill, dt, n_total, snap, iy0)
     if snapshots is None:
-        _, snapshots = _march_1f(ops, dt, n_total, snap, iy0)
+        _, snapshots = _march(_Step(ops, solve), dt, n_total, snap, iy0)
     return np.array([snapshots[t] for t in tenors])
 
 
@@ -792,10 +783,10 @@ def quanto_survival_curve(
     cfg = cfg or SolverConfig()
     tenors = _sorted_tenors(tenors)
     if engine == "adi":
-        # the march does not see the rates (``_ProfileStep``): at zero rates the
-        # solve leaves no discount to divide out
-        ts, us = solve_quanto_pde(h, fx, RatePair(0.0, 0.0), tenors[-1], cfg, tenors).spot_curve
-        p_hat = us / fx.z0
+        # the march does not see the rates or z0 (``_ProfileStep``): at zero rates
+        # and z0 = 1 the spot curve is the marched survival itself
+        ts, p_hat = solve_quanto_pde(h, replace(fx, z0=1.0), RatePair(0.0, 0.0), tenors[-1], cfg,
+                                     tenors).spot_curve
     elif engine == "reduced":
         ts = np.asarray(tenors)
         p_hat = quanto_survival_curve_1f(h, fx, tenors, n_y=cfg.n_y, n_t=cfg.n_t)

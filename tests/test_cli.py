@@ -240,6 +240,19 @@ class TestPriceFuzz:
         assert err.startswith("error: ") and err.endswith(named) and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
+    def test_large_fx_hazard_tilt_is_one_error_line(self, capsys):
+        # the ADI march leaves the unit interval at a tilt rho sigma_z sigma_y of 9 a
+        # year, and the curve's check named no input; the reduced engine prices it
+        flags = ["--sigma-z", "20", "--rho", "0.9", "--sigma-y", "0.5"]
+        rc = run(["price", "--engine", "adi", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: survival ") and err.count("\n") == 1
+        assert err.endswith("in the explicit mixed term at rho = 0.9, sigma_z = 20, "
+                            "sigma_y = 0.5\n")
+        assert run(["price", "--engine", "reduced", *flags]) == 0
+        assert "par spread EUR (contractual): 11358.78 bp" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("engine", ["adi", "reduced"])
     def test_stiff_upwinded_drift_prices_on_both_engines(self, capsys, engine):
         # rounding left the downwind coupling of the upwinded rows at -6e284, not 0,

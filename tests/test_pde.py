@@ -18,9 +18,10 @@ from quantocds.model import HazardParams, QuantoFxParams, RatePair
 from quantocds.pde import (
     Grid2D,
     _ProfileStep,
+    _Step,
     _apply,
     _factor,
-    _march_1f,
+    _march,
     _spectral_1f,
     _time_grid,
     _y_axis,
@@ -122,6 +123,19 @@ class TestForeignMeasureRoute:
         assert s1.values.shape == s2.values.shape == (81,)
         assert np.max(np.abs(s1.values - s2.values) / np.abs(s2.values)) < 1e-4
 
+    @pytest.mark.parametrize("r_hat", [0.02, -1.0])
+    def test_equals_quanto_solver_bit_for_bit_without_correlation(self, r_hat):
+        # at gamma = rho = 0 both solves step one operator, killing at e^y, on a grid
+        # where the ADI march too steps w (n_y^2 > 300 n_steps), and apply one
+        # discount e^(-r_hat T); the route killed at e^y + r_hat, whose max |w|
+        # reached 148 at r_hat = -1
+        fx = QuantoFxParams(z0=0.8, sigma_z=0.15, gamma_z=0.0, rho=0.0)
+        rates = RatePair(0.01, r_hat)
+        cfg = SolverConfig(n_y=201, n_t=100)
+        s1 = solve_quanto_pde(H_SWEEP, fx, rates, 5.0, cfg)
+        s2 = solve_foreign_measure_pde(H_SWEEP, fx, rates, 5.0, cfg)
+        assert s1.values.tobytes() == s2.values.tobytes()
+
     def test_rejects_devaluation(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.0)
         with pytest.raises(ValueError):
@@ -168,6 +182,19 @@ class TestSurvivalCurves:
             H_SWEEP, fx, RATES0, [1.0, 3.0, 5.0], SolverConfig(n_y=81, n_t=100)
         )
         assert np.max(np.abs(curve_hat.probs - curve_p.probs)) < 1e-4
+
+    @pytest.mark.parametrize("sigma_y", [0.0, 0.1])
+    def test_adi_p_hat_is_the_liquid_curve_without_quanto_effect(self, sigma_y):
+        # at gamma = rho = 0 the ADI step is the liquid curve's one-factor step; where
+        # that curve marches (2 n_y > n_t, or an upwinded row at sigma_y = 0) and the
+        # ADI march too steps w (n_y^2 > 300 n_steps) the two march alike, and p_hat,
+        # read without a round trip through z0, is p
+        h = replace(H_SWEEP, sigma_y=sigma_y)
+        tenors = CdsContract(tenor=3.0).payment_times()
+        for z0 in (0.8, 1.3, 123.4):
+            fx = QuantoFxParams(z0=z0, sigma_z=0.1, gamma_z=0.0, rho=0.0)
+            hat, p = quanto_survival_curve(h, fx, RATES0, tenors, SolverConfig(n_y=201, n_t=100))
+            assert hat.probs.tobytes() == p.probs.tobytes()
 
     def test_small_tenor_default_ratio(self):
         gamma = -0.2045
@@ -281,7 +308,7 @@ class TestSchemeQuality:
         # stability limit grow w over several stops
         monkeypatch.setattr(pde, "_THETA", 0.0)
         monkeypatch.setattr(pde, "_RANNACHER_STEPS", 0)
-        monkeypatch.setattr(pde, "_marches_vector", lambda n_y, n_steps: False)
+        monkeypatch.setattr(pde, "_marches_vector", lambda step, n_steps: False)
         h = HazardParams(a=0.0, b=0.0, sigma_y=0.5, y0=-4.0)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.5)
         cfg = SolverConfig(n_y=71, n_t=40)
@@ -446,9 +473,11 @@ class TestTridiag:
            kill_scale=st.floats(0.0, 3.0), n_y=st.integers(3, 60), n_t=st.integers(1, 60))
     def test_one_factor_march_is_the_plain_recursion(self, a, y0, sigma_y, drift_shift,
                                                      kill_scale, n_y, n_t):
-        # the march's step (``pde._Step`` without x-direction or mixed term) is
+        # the one-factor step (``pde._Step`` without x-direction or mixed term) is
         # w <- L (w + (1 - theta) dt A w), L = (I - theta dt A)^-1, theta = 1 on the
-        # Rannacher steps
+        # Rannacher steps; ``pde._march`` applies it step by step within 1e-14, and
+        # its powered side, which the ADI step takes, crosses the gaps between
+        # stops by squared step matrices within 1e-12
         h = HazardParams(a=a, b=-4.0, sigma_y=sigma_y, y0=y0)
         ops, _, grid = _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=2.0)
         dt, w, snapshots = grid["dt"], np.ones(n_y), {}
@@ -458,15 +487,30 @@ class TestTridiag:
             w = pde.solve_banded(lu, w + (1.0 - theta) * dt * _apply(*ops, w))
             if grid["n_t"] - 1 - k in grid["snap"]:
                 snapshots[grid["snap"][grid["n_t"] - 1 - k]] = w[grid["iy0"]]
-        marched, marched_snapshots = _march_1f(ops, **grid)
-        assert np.max(np.abs(marched - w)) <= 1e-14
-        assert marched_snapshots.keys() == snapshots.keys()
-        assert max(abs(marched_snapshots[t] - snapshots[t]) for t in snapshots) <= 1e-14
+        for vector, bound in ((True, 1e-14), (False, 1e-12)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pde, "_marches_vector", lambda step, n_steps: vector)
+                marched, marched_snapshots = _march(_Step(ops, "test"), **grid)
+            assert np.max(np.abs(marched - w)) <= bound
+            assert marched_snapshots.keys() == snapshots.keys()
+            assert max(abs(marched_snapshots[t] - snapshots[t]) for t in snapshots) <= bound
+
+    @pytest.mark.filterwarnings("error")
+    def test_unstable_one_factor_march_names_the_blow_up(self, monkeypatch):
+        # fully explicit steps far beyond their stability limit grow w past the
+        # cap; numpy's overflow warnings do not come first
+        monkeypatch.setattr(pde, "_THETA", 0.0)
+        monkeypatch.setattr(pde, "_RANNACHER_STEPS", 0)
+        h = HazardParams(a=0.0, b=0.0, sigma_y=1.0, y0=-4.0)
+        named = (r"^value blow-up at time node \d+: max \|w\| = .* \(61 y-nodes, dt = 2\.500e-01\) "
+                 r"in the one-factor solve on 61 nodes$")
+        with pytest.raises(PdeInstabilityError, match=named):
+            survival_curve_1f(h, [1.0, 5.0], n_y=61, n_t=20)
 
 
 def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=5.0):
     """The operator, its kill and the grid keywords that ``survival_curve_1f``
-    hands to ``_spectral_1f`` and ``_march_1f`` for a quarterly curve."""
+    hands to ``_spectral_1f`` and ``_march`` for a quarterly curve."""
     tenors = tuple(CdsContract(tenor=T).payment_times())
     y, iy0 = _y_axis(h, T, n_y, 6.0, drift_shift)
     dt, n_total, snap = _time_grid(T, n_t, tenors)
@@ -475,7 +519,7 @@ def _one_factor_args(h, n_y, n_t, drift_shift, kill_scale, T=5.0):
 
 
 def _marched(ops, grid):
-    _, snapshots = _march_1f(ops, **grid)
+    _, snapshots = _march(_Step(ops, "test"), **grid)
     return np.array([snapshots[t] for t in sorted(snapshots)])
 
 
@@ -770,7 +814,7 @@ class TestAdiProperties:
         cfg = SolverConfig(n_y=21, n_t=n_t)
         sol = solve_quanto_pde(h, fx, rates, T, cfg, snapshot_tenors=tenors)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pde, "_marches_vector", lambda n_y, n_steps: True)
+            mp.setattr(pde, "_marches_vector", lambda step, n_steps: True)
             stepped = solve_quanto_pde(h, fx, rates, T, cfg, snapshot_tenors=tenors)
         assert np.max(np.abs(sol.values - stepped.values) / fx.z0
                       * math.exp(rates.r_hat * T)) <= 1e-12
@@ -816,7 +860,7 @@ class TestAdiMarch:
         flush = pde._flush_tiny
         monkeypatch.setattr(pde, "_flush_tiny", lambda m: powers.append(1) or flush(m))
         if vector is not None:
-            monkeypatch.setattr(pde, "_marches_vector", lambda n_y, n_steps: vector)
+            monkeypatch.setattr(pde, "_marches_vector", lambda step, n_steps: vector)
         sol = solve_quanto_pde(self.H, self.FX, self.RATES, 1.0, cfg, snapshot_tenors=self.TENORS)
         ts, us = sol.spot_curve
         p_hat = us * np.exp(self.RATES.r_hat * ts) / self.FX.z0
