@@ -23,20 +23,6 @@ _PERIOD = 0.25
 _PROTECTION_STEP = 1.0 / 52.0
 
 
-def checked_tenor(tenor: float) -> float:
-    """``tenor`` if a contract can run that long, else a ValueError naming it.
-
-    The longest contract is ``pde.MAX_TENOR`` years: the schedule holds one
-    payment time a quarter, so a tenor without a bound would size an array
-    without one (1e308 overflowed its count).
-    """
-    if not 0.0 < tenor < math.inf:
-        raise ValueError(f"tenor must be positive and finite, got {tenor}")
-    if tenor > pde.MAX_TENOR:
-        raise ValueError(f"tenor must be at most {pde.MAX_TENOR:g} years, got {tenor}")
-    return tenor
-
-
 @dataclass(frozen=True)
 class CdsContract:
     """Single-name CDS with a quarterly premium schedule.
@@ -50,7 +36,7 @@ class CdsContract:
     notional: float = 1.0
 
     def __post_init__(self) -> None:
-        checked_tenor(self.tenor)
+        pde.checked_tenor(self.tenor)
         if not 0.0 <= self.recovery < 1.0:
             raise ValueError(f"recovery must lie in [0, 1), got {self.recovery}")
         if not (math.isfinite(self.notional) and self.notional != 0.0):
@@ -187,7 +173,7 @@ def quanto_par_spread(
     discount rate.
     """
     tenors = contract.payment_times()
-    curve_hat, curve_p = pde.quanto_survival_curve(h, fx, rates, tenors, cfg, engine=engine)
+    curve_hat, curve_p = pde.quanto_survival_curve(h, fx, tenors, cfg, engine=engine)
     liquid = par_spread(curve_p, rates.r, contract)
     contractual = par_spread(curve_hat, rates.r_hat, contract)
     return QuantoParSpreads(

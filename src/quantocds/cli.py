@@ -2,12 +2,13 @@
 
 Subcommands: price, survival-curve, validate, calibrate, backtest, sweep.
 Each takes --config, --seed and --out-dir and, besides these, only the
-flags its handler reads; a --config file may name only flags its command
-takes.  Values cross the CLI boundary in basis points (printed with two
-decimals); everything internal is annualized decimals.  Every command
-writes byte-identical outputs for identical inputs.  Exit codes: 0
-success, 1 compute/validation failure (an unwritable --out-dir included),
-2 usage error.
+flags that change its output: none takes the spot FX, on which no par spread
+and no survival depends, and survival-curve takes no rate.  A --config file
+may name only flags its command takes.  Values cross the CLI boundary in
+basis points (printed with two decimals); everything internal is annualized
+decimals.  Every command writes byte-identical outputs for identical inputs.
+Exit codes: 0 success, 1 compute/validation failure (an unwritable --out-dir
+included), 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from .calibration import (
     backtest,
     historical_correlation,
 )
-from .cds import CdsContract, checked_tenor, quanto_par_spread
+from .cds import CdsContract, quanto_par_spread
 from .model import HazardParams, QuantoFxParams, RatePair
-from .pde import PdeInstabilityError, SolverConfig, quanto_survival_curve
+from .pde import PdeInstabilityError, SolverConfig, checked_tenor, quanto_survival_curve
 
 _OUT_DIR_ENV = "QCDS_OUT_DIR"
 
-SWEEP_AXES = ("gamma", "rho", "sigma_z", "sigma_y", "y0", "b", "a", "z0", "r", "r_hat")
+SWEEP_AXES = ("gamma", "rho", "sigma_z", "sigma_y", "y0", "b", "a", "r", "r_hat")
 
 
 def _fbp(x: float) -> str:
@@ -58,7 +59,8 @@ def _hazard(args) -> HazardParams:
 
 
 def _fx(args) -> QuantoFxParams:
-    return QuantoFxParams(z0=args.z0, sigma_z=args.sigma_z, gamma_z=args.gamma, rho=args.rho)
+    # one spot FX for every command, as in calibration: no output depends on it
+    return QuantoFxParams(z0=1.0, sigma_z=args.sigma_z, gamma_z=args.gamma, rho=args.rho)
 
 
 def _rates(args) -> RatePair:
@@ -115,7 +117,7 @@ def _step_counts(text: str) -> tuple[int, ...]:
 def _config_tokens(sub: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """The ``key = value`` lines of the ``--config`` file in ``argv`` as
     ``--key=value`` flags of the subcommand parser ``sub``."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
     pre.add_argument("--config", type=Path)
     try:
         path = pre.parse_known_args(argv)[0].config
@@ -186,7 +188,7 @@ def _cmd_survival_curve(args) -> int:
             raise ValueError(f"tenor must be above 0.125 (one quarterly node), got {args.tenor}")
         tenors = [0.25 * k for k in range(1, n + 1)]
     curve_hat, curve_p = quanto_survival_curve(
-        _hazard(args), _fx(args), _rates(args), tenors, _solver_cfg(args), engine=args.engine
+        _hazard(args), _fx(args), tenors, _solver_cfg(args), engine=args.engine
     )
     header = ["tenor_years", "p_liquid", "p_contractual", "default_ratio"]
     rows = []
@@ -472,15 +474,17 @@ _ENGINES = ("adi", "reduced")
 _GRID_FLAGS = {"y": (SolverConfig.n_y, "PDE nodes on the log-hazard axis"),
                "t": (SolverConfig.n_t, "PDE time steps over the horizon")}
 
-_MODEL_FLAGS = (
+# the model flags of a survival curve; a price also takes the rates that discount its legs
+_CURVE_FLAGS = (
     ("a", 1e-4, "hazard mean-reversion speed"),
     ("b", -210.45, "hazard long-term log level"),
     ("sigma-y", 0.2, "log-hazard volatility"),
     ("y0", -4.089, "initial log-hazard"),
-    ("z0", 0.8, "spot FX (liquid per contractual)"),
     ("sigma-z", 0.1, "FX volatility"),
     ("gamma", 0.0, "FX devaluation rate at default"),
     ("rho", 0.0, "hazard/FX Brownian correlation"),
+)
+_PRICE_FLAGS = _CURVE_FLAGS + (
     ("r", 0.0, "liquid-currency flat rate"),
     ("r-hat", 0.0, "contractual-currency flat rate"),
 )
@@ -494,10 +498,11 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     )
     subs = top.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, grid, model=False) -> argparse.ArgumentParser:
+    def command(name, handler, help, grid, model=()) -> argparse.ArgumentParser:
         """Subcommand ``name`` with --config, --seed, --out-dir, a --grid-<axis>
-        flag per axis in ``grid`` and, if ``model``, the model parameters."""
-        p = subs.add_parser(name, help=help)
+        flag per axis in ``grid`` and the model flags ``model``."""
+        # no abbreviations: survival-curve, which takes no rate, would read --r as --rho
+        p = subs.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(handler=handler)
         p.add_argument("--config", type=Path, help="INI-style key=value file; flags override it")
         p.add_argument("--seed", type=int, default=0)
@@ -508,11 +513,11 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
             p.add_argument(f"--grid-{axis}", type=int, default=default, help=text)
         if model:
             g = p.add_argument_group("model parameters (annualized decimals)")
-            for flag, default, text in _MODEL_FLAGS:
+            for flag, default, text in model:
                 g.add_argument(f"--{flag}", type=float, default=default, help=text)
         return p
 
-    p = command("price", _cmd_price, "quanto par spreads for one contract", "yt", model=True)
+    p = command("price", _cmd_price, "quanto par spreads for one contract", "yt", _PRICE_FLAGS)
     p.add_argument("--tenor", type=float, default=5.0)
     p.add_argument("--recovery", type=float, default=0.4)
     p.add_argument("--notional", type=float, default=1.0)
@@ -521,7 +526,7 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--engine", choices=_ENGINES, default="adi")
 
     p = command("survival-curve", _cmd_survival_curve, "liquid and contractual survival curves",
-                "yt", model=True)
+                "yt", _CURVE_FLAGS)
     p.add_argument("--tenor", type=float, default=10.0, help="horizon for a quarterly grid")
     p.add_argument("--tenors", default=None, help="comma-separated override")
     p.add_argument("--engine", choices=_ENGINES, default="adi")
@@ -539,7 +544,7 @@ def _build_subparsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Arg
     p.add_argument("--bracket-steps", type=_step_counts, default=(50, 100, 200, 300, 500))
     p.add_argument("--sweep-scenario", choices=tuple(validation.SWEEP_HAZARDS), default="low")
 
-    p = command("sweep", _cmd_sweep, "par-spread sensitivity sweeps", "yt", model=True)
+    p = command("sweep", _cmd_sweep, "par-spread sensitivity sweeps", "yt", _PRICE_FLAGS)
     p.add_argument("--tenor", type=float, default=5.0)
     p.add_argument("--recovery", type=float, default=0.4)
     p.add_argument("--axis", action="append", default=None, required=True,

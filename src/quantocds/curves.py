@@ -12,6 +12,12 @@ def outside_unit_interval(probs):
     return (probs > 1.0 + _EPS) | (probs < -_EPS)
 
 
+def rises(probs, previous):
+    """Where survival probabilities rise above the ``previous`` ones, at
+    shorter tenors, by more than 1e-6 of noise."""
+    return probs - previous > _EPS
+
+
 class SurvivalCurve:
     """Tenor -> survival probability map, log-linear between nodes.
 
@@ -44,7 +50,7 @@ class SurvivalCurve:
             raise ValueError("tenors must be strictly increasing and positive")
         if outside_unit_interval(probs).any():
             raise ValueError("survival probabilities must lie in [0, 1]")
-        if (probs[1:] - probs[:-1] > _EPS).any():
+        if rises(probs[1:], probs[:-1]).any():
             raise ValueError("survival probabilities must be non-increasing")
         anchored[0] = 1.0
         np.minimum.accumulate(probs.clip(0.0, 1.0), out=anchored[1:])

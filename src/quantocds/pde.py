@@ -34,7 +34,9 @@ through one time loop, ``_march``, and every marched w is a survival in
 exactly (``_discount``).  The march reads w only at its stops, the snapshot
 nodes and the last node, and crosses each gap between them by squares of
 the Crank-Nicolson step's matrix (``_Step.matrix``) or, for a one-factor
-step and on large y-grids (``_marches_vector``), one step at a time.
+step and on large y-grids (``_marches_vector``), one step at a time.  Every
+curve, spectral (below) or marched, passes one stop check, ``_reached``: it
+names a blow-up, a survival outside [0, 1] or one that rises with the tenor.
 
 Both engines difference y with one operator, ``_y_diags``: Spalding's
 hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
@@ -74,7 +76,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises
 
-from .curves import SurvivalCurve, outside_unit_interval
+from .curves import SurvivalCurve, outside_unit_interval, rises
 from .model import HazardParams, QuantoFxParams, RatePair
 
 
@@ -108,10 +110,24 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
 _THETA = 0.5
 _RANNACHER_STEPS = 2
 _WIDTH_SIGMAS = 6.0
-# longest tenor, in years, of a curve or a contract (``cds.checked_tenor``): a
-# time grid over a tenor without a bound would size its steps without one
-# (1e308 overflowed their count)
+# longest tenor, in years, of a curve or a contract (``checked_tenor``)
 MAX_TENOR = 1000.0
+
+
+def checked_tenor(tenor: float) -> float:
+    """``tenor`` if a contract or a curve can run that long, else a ValueError naming it.
+
+    The longest is ``MAX_TENOR`` years: a contract's schedule holds one
+    payment time a quarter and a curve's time grid one step per n_t-th of
+    its horizon, so a tenor without a bound would size either without one
+    (1e308 overflowed both counts).
+    """
+    if not 0.0 < tenor < math.inf:
+        raise ValueError(f"tenor must be positive and finite, got {tenor}")
+    if tenor > MAX_TENOR:
+        raise ValueError(f"tenor must be at most {MAX_TENOR:g} years, got {tenor}")
+    return tenor
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -501,7 +517,36 @@ def _marches_vector(step: _Step, n_steps: int) -> bool:
     return type(step) is _Step or step.y_diags[1].size**2 > 300 * n_steps
 
 
-# an overflow to inf or nan is a blow-up, which ``reached`` names at the next stop
+def _reached(profiles: np.ndarray, nodes: Sequence[int], iy0: int, snap: Mapping[int, float],
+             snapshots: dict[float, float], where: tuple[int, float, str]) -> None:
+    """Every solve's stop check of the profiles w at the time ``nodes``, one a
+    row in march order; keeps in ``snapshots`` the rows' values at ``iy0`` on
+    ``snap``'s nodes.
+
+    It names the first node whose max |w| is not finite or above 50, a
+    blow-up, and then, in one pass, the first snapshot outside [0, 1]
+    (``outside_unit_interval``) or above the previous tenor's (``rises``),
+    each with ``where`` = (n_y, dt, the solve), formatted only when it raises.
+    """
+    def stop(what: str) -> PdeInstabilityError:
+        return PdeInstabilityError("{} ({} y-nodes, dt = {:.3e}) in the {}".format(what, *where))
+
+    peaks = np.abs(profiles).max(axis=1)
+    if not (within := peaks <= 50.0).all():
+        k = within.argmin()
+        raise stop(f"value blow-up at time node {nodes[k]}: max |w| = {peaks[k]:.3e}")
+    previous = next(reversed(snapshots.values()), 1.0)  # p = 1 before the first tenor
+    for node, spot in zip(nodes, profiles[:, iy0].tolist()):
+        if node in snap:
+            if outside_unit_interval(spot):
+                raise stop(f"survival {spot:.3e} outside [0, 1] at time node {node}")
+            if rises(spot, previous):
+                raise stop(f"survival {spot:.3e} at time node {node} rises above the "
+                           f"previous tenor's {previous:.3e}")
+            previous = snapshots[snap[node]] = spot
+
+
+# an overflow to inf or nan is a blow-up, which ``_reached`` names at the next stop
 @np.errstate(over="ignore", invalid="ignore")
 def _march(step: _Step, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
            ) -> tuple[np.ndarray, dict[float, float]]:
@@ -516,37 +561,18 @@ def _march(step: _Step, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
     crosses a gap of g steps with one mat-vec per set bit of g (a 9.75-year
     trade on the CLI grid: 3 squarings and 40 mat-vecs for 310 steps), one
     row a stop; where ``_marches_vector`` says so it applies the step to w.
-
-    The march checks the profiles at the Rannacher nodes and at the stops,
-    all of the powered march's stops in one pass: it names the first node in
-    march order whose max |w| is not finite or above 50, a blow-up, and then
-    a snapshot outside the survival's [0, 1] (``outside_unit_interval``).
+    ``_reached`` checks the profiles at the Rannacher nodes and at the stops,
+    all of the powered march's stops in one pass.
     """
     n_y = step.y_diags[1].size
     snapshots: dict[float, float] = {}
-
-    def reached(profiles: np.ndarray, nodes: Sequence[int]) -> None:
-        """Check the profiles at ``nodes``, one a row; keep the snapshots' spot values."""
-        peaks = np.abs(profiles).max(axis=1)
-        within = peaks <= 50.0
-        where = f"({n_y} y-nodes, dt = {dt:.3e}) in the {step.inputs}"
-        if not within.all():
-            k = np.flatnonzero(~within)[0]
-            raise PdeInstabilityError(
-                f"value blow-up at time node {nodes[k]}: max |w| = {peaks[k]:.3e} {where}")
-        for node, spot in zip(nodes, profiles[:, iy0].tolist()):
-            if node in snap:
-                if outside_unit_interval(spot):
-                    raise PdeInstabilityError(
-                        f"survival {spot:.3e} outside [0, 1] at time node {node} {where}")
-                snapshots[snap[node]] = spot
-
+    where = (n_y, dt, step.inputs)
     w = np.ones(n_y)
     implicit = np.empty((min(_RANNACHER_STEPS, n_t), n_y))
     for k in range(len(implicit)):
         w = implicit[k] = step.apply(w, 1.0, dt)
     node = n_t - len(implicit)  # the time node of w
-    reached(implicit, range(n_t - 1, node - 1, -1))
+    _reached(implicit, range(n_t - 1, node - 1, -1), iy0, snap, snapshots, where)
     stops = sorted({k for k in (0, *snap) if k < node}, reverse=True)
     gaps = [a - b for a, b in zip([node, *stops], stops)]
     if _marches_vector(step, node):
@@ -555,7 +581,7 @@ def _march(step: _Step, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
         for stop, gap in zip(stops, gaps):
             for _ in range(gap):
                 w = step.apply(w, _THETA, dt)
-            reached(w[None], [stop])
+            _reached(w[None], [stop], iy0, snap, snapshots, where)
         return w, snapshots
     powers = [_flush_tiny(step.matrix(_THETA, dt))]
     while 2 ** len(powers) <= max(gaps):
@@ -567,7 +593,7 @@ def _march(step: _Step, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
         for power in crossings[gap]:
             w = power.dot(w)  # power @ w's BLAS gemv, with less dispatch
         profiles[k] = w
-    reached(profiles, stops)
+    _reached(profiles, stops, iy0, snap, snapshots, where)
     return w, snapshots
 
 
@@ -644,7 +670,8 @@ def solve_foreign_measure_pde(
 
 def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
                  snap: Mapping[int, float], iy0: int) -> dict[float, float] | None:
-    """``_march``'s snapshots of ``_Step(ops)`` from one eigendecomposition, or None.
+    """``_march``'s snapshots of ``_Step(ops)`` from one eigendecomposition, or
+    None; ``_reached`` checks them as it checks the march's.
 
     The operator A (``ops``, which kills at ``kill``) is time-homogeneous,
     so each step of the march multiplies A's eigencomponents by a scalar:
@@ -692,25 +719,20 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
     factors = rannacher[n_implicit.ravel()]
     factors *= (((1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam))
                 ** (steps - n_implicit))
-    values = factors @ weights
-    if not np.isfinite(values).all():
-        raise PdeInstabilityError("one-factor solve produced non-finite values")
-    return dict(zip(snap.values(), values.tolist()))
+    snapshots: dict[float, float] = {}
+    _reached((factors @ weights)[:, None], list(snap), 0, snap, snapshots,
+             (di.size, dt, f"one-factor solve on {di.size} nodes"))
+    return snapshots
 
 
-class _Tenors(tuple):
-    """Tenors that ``_sorted_tenors`` sorted and checked, and passes through."""
-
-
-def _sorted_tenors(tenors: Sequence[float]) -> _Tenors:
-    if type(tenors) is _Tenors:
-        return tenors
+def _sorted_tenors(tenors: Sequence[float]) -> tuple[float, ...]:
+    """``tenors`` sorted; a ValueError for none, for one not positive and
+    finite and, by ``checked_tenor``, for one longer than a contract."""
     tenors = sorted(map(float, tenors))
     if not tenors or not all(0.0 < t < math.inf for t in tenors):
         raise ValueError(f"tenors must be positive and finite, got {tenors}")
-    if tenors[-1] > MAX_TENOR:
-        raise ValueError(f"tenor must be at most {MAX_TENOR:g} years, got {tenors[-1]}")
-    return _Tenors(tenors)
+    checked_tenor(tenors[-1])
+    return tuple(tenors)
 
 
 def survival_curve_1f(
@@ -725,8 +747,7 @@ def survival_curve_1f(
     """Survival probabilities E[exp(-kill_scale * int e^Y)] at the tenors.
 
     ``drift_shift`` tilts the Y drift (measure change), ``kill_scale``
-    rescales the intensity; the plain survival curve is the default.  The
-    tenors are sorted and checked unless ``quanto_survival_curve`` did so.
+    rescales the intensity; the plain survival curve is the default.
     """
     tenors = _sorted_tenors(tenors)
     T = tenors[-1]
@@ -767,7 +788,6 @@ def quanto_survival_curve_1f(
 def quanto_survival_curve(
     h: HazardParams,
     fx: QuantoFxParams,
-    rates: RatePair,
     tenors: Sequence[float],
     cfg: SolverConfig | None = None,
     engine: str = "adi",
@@ -777,14 +797,13 @@ def quanto_survival_curve(
     ``engine`` selects how p_hat is produced: "adi" runs the two-factor
     solver with per-tenor snapshots, "reduced" uses the exact one-factor
     reduction (identical in the limit, much cheaper; used in calibration).
-    The liquid curve always comes from the one-factor survival solve.  The
-    tenors are sorted and checked once, here, and passed on as checked.
+    The liquid curve always comes from the one-factor survival solve.  No
+    curve sees the rates or the spot FX (``_ProfileStep``).
     """
     cfg = cfg or SolverConfig()
     tenors = _sorted_tenors(tenors)
     if engine == "adi":
-        # the march does not see the rates or z0 (``_ProfileStep``): at zero rates
-        # and z0 = 1 the spot curve is the marched survival itself
+        # at zero rates and z0 = 1 the spot curve is the marched survival itself
         ts, p_hat = solve_quanto_pde(h, replace(fx, z0=1.0), RatePair(0.0, 0.0), tenors[-1], cfg,
                                      tenors).spot_curve
     elif engine == "reduced":

@@ -80,7 +80,7 @@ class TestCriterion2DeterministicClosedForm:
         h = HazardParams(a=0.0, b=0.0, sigma_y=1e-6, y0=-4.089)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
         curve_hat, curve_p = quanto_survival_curve(
-            h, fx, RATES0, [5.0], SolverConfig(n_y=81, n_t=200)
+            h, fx, [5.0], SolverConfig(n_y=81, n_t=200)
         )
         exact = math.exp(-math.exp(-4.089) * 5.0)
         ok = abs(curve_p.probs[0] - exact) < 1e-3 and abs(curve_hat.probs[0] - exact) < 1e-3

@@ -117,13 +117,12 @@ class TestPrice:
 
 
 # each numeric flag of ``price``: its valid range, or 0, negatives, nan, +-inf and +-1e300;
-# ``survival-curve`` shares all but the contract's recovery and notional
+# ``survival-curve`` shares all but the rates and the contract's recovery and notional
 _EXTREMES = st.sampled_from([0.0, -0.0, -1.0, -0.5, math.nan, math.inf, -math.inf,
                              1e300, -1e300, 1e-300])
 _SHARED_RANGES = {
     "a": (0.0, 2.0), "b": (-300.0, 5.0), "sigma-y": (0.0, 1.5), "y0": (-8.0, 1.0),
-    "z0": (0.1, 3.0), "sigma-z": (0.0, 0.6), "gamma": (-1.0, 1.5), "rho": (-1.0, 1.0),
-    "r": (-0.05, 0.1), "r-hat": (-0.05, 0.1), "tenor": (0.25, 10.0)}
+    "sigma-z": (0.0, 0.6), "gamma": (-1.0, 1.5), "rho": (-1.0, 1.0), "tenor": (0.25, 10.0)}
 
 
 def _flags(ranges):
@@ -132,7 +131,11 @@ def _flags(ranges):
         flag: st.one_of(st.floats(lo, hi), _EXTREMES) for flag, (lo, hi) in ranges.items()})
 
 
-_PRICE_FLAGS = _flags({**_SHARED_RANGES, "recovery": (0.0, 0.99), "notional": (-1e6, 1e6)})
+_PRICE_FLAGS = _flags({**_SHARED_RANGES, "r": (-0.05, 0.1), "r-hat": (-0.05, 0.1),
+                       "recovery": (0.0, 0.99), "notional": (-1e6, 1e6)})
+# ``SurvivalCurve``'s own checks name no solve: the solves' stop check comes first
+_UNNAMED_CURVE_ERRORS = ("error: survival probabilities must lie in [0, 1]\n",
+                         "error: survival probabilities must be non-increasing\n")
 # ragged lists: whole quarters, any tenor up to 12 years, and the extremes
 _TENOR_LISTS = st.lists(st.one_of(st.integers(1, 40).map(lambda q: q / 4.0),
                                   st.floats(0.01, 12.0), _EXTREMES),
@@ -181,6 +184,7 @@ class TestPriceFuzz:
         else:
             assert rc == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.getvalue() not in _UNNAMED_CURVE_ERRORS
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("engine", ["adi", "reduced"])
@@ -286,6 +290,13 @@ class TestPriceFuzz:
         assert "the log-hazard grid would reach y = " in err and "where e^y overflows" in err
 
 
+# small, stiff grids: the spectral solve leaves [0, 1] on the first, and the liquid
+# curve's march rises with the tenor on the second
+_SPECTRAL_LEAK = ["--grid-y=5", "--grid-t=10", "--sigma-y=0.03", "--b=0", "--a=0.0003",
+                  "--y0=2", "--tenors=5,10"]
+_RISING_LEAK = ["--grid-y=16", "--grid-t=10", "--sigma-y=1.5", "--y0=1.7", "--tenors=7,14"]
+
+
 class TestSurvivalCurveFuzz:
     """``survival-curve`` on both engines with each numeric model flag drawn
     as ``TestPriceFuzz`` draws them and ragged ``--tenors`` lists: it prints
@@ -311,6 +322,32 @@ class TestSurvivalCurveFuzz:
         else:
             assert rc == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.getvalue() not in _UNNAMED_CURVE_ERRORS
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags,named", [
+        (["--engine=reduced", *_SPECTRAL_LEAK],
+         "survival -2.686e-03 outside [0, 1] at time node 5 (5 y-nodes, dt = 1.000e+00) "
+         "in the one-factor solve on 5 nodes"),
+        (["--engine=adi", *_SPECTRAL_LEAK],
+         "survival -2.686e-03 outside [0, 1] at time node 5 (5 y-nodes, dt = 1.000e+00) "
+         "in the explicit mixed term at rho = 0, sigma_z = 0.1, sigma_y = 0.03"),
+        (["--engine=reduced", *_RISING_LEAK],
+         "survival 3.981e-03 at time node 0 rises above the previous tenor's 3.018e-03 "
+         "(16 y-nodes, dt = 1.400e+00) in the one-factor solve on 16 nodes"),
+        (["--engine=adi", *_RISING_LEAK],
+         "survival 3.981e-03 at time node 0 rises above the previous tenor's 3.018e-03 "
+         "(16 y-nodes, dt = 1.400e+00) in the explicit mixed term at rho = 0, sigma_z = 0.1, "
+         "sigma_y = 1.5"),
+    ], ids=["spectral curve below 0", "adi curve below 0", "one-factor curve rises",
+            "adi curve rises"])
+    def test_leaving_or_rising_curve_is_one_named_error_line(self, capsys, flags, named):
+        # the reduced engine's spectral solve handed back -2.686e-03 unchecked, and
+        # both engines' rising curves met only the curve's check, which named no
+        # solve: the error lines read "survival probabilities must lie in [0, 1]"
+        # and "survival probabilities must be non-increasing"
+        assert run(["survival-curve", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
 
 
 class TestUsageErrors:
@@ -361,6 +398,21 @@ class TestUsageErrors:
             run([*argv, "--grid-x", "11"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid-x 11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["price", "--z0", "0.8"], ["survival-curve", "--r", "0.05"],
+                                      ["survival-curve", "--r-hat", "0.05"]],
+                             ids=["price z0", "survival-curve r", "survival-curve r_hat"])
+    def test_flag_that_changes_no_output_is_gone(self, capsys, argv):
+        # no par spread depends on the spot FX, and no survival on a rate
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_spot_fx_is_no_sweep_axis(self, capsys):
+        assert run(["sweep", "--axis", "z0=0.5:1:2", *FAST_MODEL]) == 2
+        assert capsys.readouterr().err == ("error: unknown sweep axis 'z0'; choose from gamma, rho, "
+                                           "sigma_z, sigma_y, y0, b, a, r, r_hat\n")
 
     def test_unwritable_out_dir_is_one_error_line(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,7 +172,7 @@ class TestSurvivalCurves:
     def test_short_tenor_limits(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.3, rho=0.2)
         curve_hat, curve_p = quanto_survival_curve(
-            H_SWEEP, fx, RATES0, [0.25, 1.0], SolverConfig(n_y=61, n_t=60)
+            H_SWEEP, fx, [0.25, 1.0], SolverConfig(n_y=61, n_t=60)
         )
         assert curve_hat(0.0) == 1.0 and curve_p(0.0) == 1.0
         assert 0.9 < curve_hat.probs[0] <= 1.0
@@ -179,7 +180,7 @@ class TestSurvivalCurves:
     def test_no_quanto_effect(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.0, gamma_z=0.0, rho=0.0)
         curve_hat, curve_p = quanto_survival_curve(
-            H_SWEEP, fx, RATES0, [1.0, 3.0, 5.0], SolverConfig(n_y=81, n_t=100)
+            H_SWEEP, fx, [1.0, 3.0, 5.0], SolverConfig(n_y=81, n_t=100)
         )
         assert np.max(np.abs(curve_hat.probs - curve_p.probs)) < 1e-4
 
@@ -193,14 +194,14 @@ class TestSurvivalCurves:
         tenors = CdsContract(tenor=3.0).payment_times()
         for z0 in (0.8, 1.3, 123.4):
             fx = QuantoFxParams(z0=z0, sigma_z=0.1, gamma_z=0.0, rho=0.0)
-            hat, p = quanto_survival_curve(h, fx, RATES0, tenors, SolverConfig(n_y=201, n_t=100))
+            hat, p = quanto_survival_curve(h, fx, tenors, SolverConfig(n_y=201, n_t=100))
             assert hat.probs.tobytes() == p.probs.tobytes()
 
     def test_small_tenor_default_ratio(self):
         gamma = -0.2045
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=gamma, rho=0.0)
         curve_hat, curve_p = quanto_survival_curve(
-            H_SWEEP, fx, RATES0, [1.0 / 12.0], SolverConfig(n_y=101, n_t=40)
+            H_SWEEP, fx, [1.0 / 12.0], SolverConfig(n_y=101, n_t=40)
         )
         ratio = (1.0 - curve_hat.probs[0]) / (1.0 - curve_p.probs[0])
         assert ratio == pytest.approx(1.0 + gamma, rel=0.01)
@@ -209,8 +210,8 @@ class TestSurvivalCurves:
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.4, rho=0.5)
         tenors = [1.0, 2.0, 5.0]
         cfg = SolverConfig(n_y=101, n_t=150)
-        hat_adi, _ = quanto_survival_curve(H_SWEEP, fx, RATES0, tenors, cfg, engine="adi")
-        hat_red, _ = quanto_survival_curve(H_SWEEP, fx, RATES0, tenors, cfg, engine="reduced")
+        hat_adi, _ = quanto_survival_curve(H_SWEEP, fx, tenors, cfg, engine="adi")
+        hat_red, _ = quanto_survival_curve(H_SWEEP, fx, tenors, cfg, engine="reduced")
         assert np.max(np.abs(hat_adi.probs - hat_red.probs)) < 2e-4
 
     @pytest.mark.parametrize("rho", [0.0, 0.3])
@@ -234,15 +235,15 @@ class TestSurvivalCurves:
         ts, us = solve_quanto_pde(H_SWEEP, fx, rates, 5.0, SolverConfig(n_t=100),
                                   snapshot_tenors=tenors).spot_curve
         assert np.max(np.abs(us * np.exp(r_hat * ts) / fx.z0 - 1.0)) <= 1e-10
-        hat, _ = quanto_survival_curve(H_SWEEP, fx, rates, tenors, SolverConfig(n_t=100))
+        hat, _ = quanto_survival_curve(H_SWEEP, fx, tenors, SolverConfig(n_t=100))
         assert np.max(np.abs(hat.probs - 1.0)) <= 1e-10
 
     def test_rejects_bad_tenors(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
         with pytest.raises(ValueError):
-            quanto_survival_curve(H_SWEEP, fx, RATES0, [], SolverConfig())
+            quanto_survival_curve(H_SWEEP, fx, [], SolverConfig())
         with pytest.raises(ValueError):
-            quanto_survival_curve(H_SWEEP, fx, RATES0, [-1.0, 2.0], SolverConfig())
+            quanto_survival_curve(H_SWEEP, fx, [-1.0, 2.0], SolverConfig())
 
     @pytest.mark.parametrize("tenor", [1000.25, 1e308])
     def test_tenor_beyond_a_contract_is_named(self, tenor):
@@ -253,7 +254,7 @@ class TestSurvivalCurves:
             survival_curve_1f(H_SWEEP, [tenor], n_y=21, n_t=20)
         for engine in ("adi", "reduced"):
             with pytest.raises(ValueError, match=named):
-                quanto_survival_curve(H_SWEEP, fx, RATES0, [1.0, tenor],
+                quanto_survival_curve(H_SWEEP, fx, [1.0, tenor],
                                       SolverConfig(n_y=21, n_t=20), engine=engine)
 
     def test_longest_tenor_prices(self):
@@ -350,8 +351,7 @@ class TestSchemeQuality:
         # keeps it regular where the plain split left a row singular
         h = HazardParams(a=1e-4, b=-210.45, sigma_y=2.0, y0=0.5)
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=-0.2, rho=0.9)
-        rates = RatePair(0.05, 0.05)
-        curves = [quanto_survival_curve(h, fx, rates, [1.0, 5.0], SolverConfig(), engine=e)[0]
+        curves = [quanto_survival_curve(h, fx, [1.0, 5.0], SolverConfig(), engine=e)[0]
                   for e in ("adi", "reduced")]
         assert np.max(np.abs(curves[0].probs - curves[1].probs)) < 1e-4
 
@@ -612,8 +612,48 @@ class TestSpectralSolve:
             return np.full(d.size, np.nan), np.eye(d.size)
         monkeypatch.setattr(pde, "eigh_tridiagonal", nan_spectrum)
         h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
-        with pytest.raises(PdeInstabilityError, match="non-finite"):
+        named = (r"^value blow-up at time node \d+: max \|w\| = nan \(41 y-nodes, dt = "
+                 r"2\.500e-02\) in the one-factor solve on 41 nodes$")
+        with pytest.raises(PdeInstabilityError, match=named):
             survival_curve_1f(h, [1.0, 5.0], n_y=41, n_t=200)
+
+
+class TestStopCheck:
+    """Every one-factor curve, spectral or marched, passes the solves' one stop
+    check: on small, stiff grids it is a survival curve, or its error names
+    the solve."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid=st.integers(3, 40).flatmap(
+            lambda n_y: st.tuples(st.just(n_y), st.integers(2 * n_y, 8 * n_y))),
+        a=st.floats(0.0, 1.0),
+        b=st.floats(-10.0, 3.0),
+        y0=st.floats(-8.0, 3.0),
+        sigma_y=st.floats(0.01, 3.0),
+        kill_scale=st.floats(0.0, 5.0),
+        quarters=st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True),
+    )
+    # the spectral solve left [0, 1], -2.686e-03 at 5 years, and the march rose
+    # from 3.018e-03 at 7 years to 3.981e-03 at 14, both unchecked
+    @example(grid=(5, 10), a=3e-4, b=0.0, y0=2.0, sigma_y=0.03, kill_scale=1.0,
+             quarters=[20, 40])
+    @example(grid=(16, 10), a=1e-4, b=-210.45, y0=1.7, sigma_y=1.5, kill_scale=1.0,
+             quarters=[28, 56])
+    def test_curve_is_a_survival_or_names_its_solve(self, grid, a, b, y0, sigma_y,
+                                                    kill_scale, quarters):
+        n_y, n_t = grid
+        h = HazardParams(a=a, b=b, sigma_y=sigma_y, y0=y0)
+        # the hypothesis plugin warns on its own, so the filter is set around the solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                p = survival_curve_1f(h, [q / 4.0 for q in quarters], n_y=n_y, n_t=n_t,
+                                      kill_scale=kill_scale)
+            except PdeInstabilityError as exc:
+                assert f"one-factor solve on {n_y} nodes" in str(exc)
+                return
+        assert np.all((p >= -1e-6) & (p <= 1.0 + 1e-6)) and np.all(np.diff(p) <= 1e-6)
 
 
 def _x_nodes(h, fx, rates, T, n_x):
@@ -936,14 +976,14 @@ class TestGrid:
         for engine in ("reduced", "adi"):
             with pytest.raises(ValueError, match=r"tenors \[0\.01, 0\.010000000000000002\] put "
                                                  r"two on one node of the 1e-6 time grid"):
-                quanto_survival_curve(H_SWEEP, fx, RATES0, [0.010000000000000002, 0.01],
+                quanto_survival_curve(H_SWEEP, fx, [0.010000000000000002, 0.01],
                                       SolverConfig(n_y=21, n_t=40), engine=engine)
 
     def test_tenor_rounding_to_zero_rejected(self):
         fx = QuantoFxParams(z0=0.8, sigma_z=0.1, gamma_z=0.0, rho=0.0)
         for engine in ("reduced", "adi"):
             with pytest.raises(ValueError, match="tenor 1e-07 rounds to zero"):
-                quanto_survival_curve(H_SWEEP, fx, RATES0, [1e-7, 1.0],
+                quanto_survival_curve(H_SWEEP, fx, [1e-7, 1.0],
                                       SolverConfig(n_y=21, n_t=40), engine=engine)
 
     def test_quarterly_monthly_and_stub_tenors_price(self):
@@ -953,7 +993,7 @@ class TestGrid:
                        np.arange(1, 61) / 12.0,
                        CdsContract(tenor=5.1).payment_times()):
             for engine in ("reduced", "adi"):
-                hat, p = quanto_survival_curve(H_SWEEP, fx, RATES0, tenors, cfg, engine=engine)
+                hat, p = quanto_survival_curve(H_SWEEP, fx, tenors, cfg, engine=engine)
                 assert hat.tenors.size == len(tenors)
                 assert np.all(np.diff(p.probs) <= 0.0) and 0.9 < p.probs[-1] < 1.0
 
