@@ -7,11 +7,11 @@ vol where the placeholder cannot fit the quotes), fit (b, y0) to the
 liquid-currency 5Y/10Y par spreads at that vol, then fit (rho, gamma) to
 the contractual-currency quotes at that liquid hazard, which the liquid
 quotes alone determine.  All stages of one snapshot price through one
-memoised spread model.  Both fits run `_fit`, a small bounded trust-region
-Gauss-Newton that updates its Jacobian from points already priced and
-stops at the model's round-off; scipy.optimize loads only for the implied
-vol's root find.  The mean reversion stays pinned at a small value
-throughout, which makes b act through the product a*b only;
+memoised spread model.  Both fits and the implied vol's root find run
+`_fit`, a small bounded trust-region Gauss-Newton that updates its
+Jacobian from points already priced and stops at the model's round-off,
+so no stage loads scipy.optimize.  The mean reversion stays pinned at a
+small value throughout, which makes b act through the product a*b only;
 `CalibrationResult.ab` exposes that product.
 """
 
@@ -30,15 +30,6 @@ from . import pde
 from .cds import CdsContract, par_spread
 from .curves import SurvivalCurve
 from .model import HazardParams, QuantoFxParams, correlation_basis_gap, devaluation_estimate
-
-
-def brentq(*args, **kwargs):
-    """``scipy.optimize.brentq``, with scipy.optimize loaded on the first
-    call: only the implied-vol stage needs it, and `calibrate_sigma_y`
-    calls it by this module name."""
-    from scipy.optimize import brentq
-
-    return brentq(*args, **kwargs)
 
 
 class CalibrationError(RuntimeError):
@@ -189,6 +180,7 @@ _spread_model = functools.lru_cache(maxsize=1)(_SpreadModel)
 # a*b ~ -sigma_y^2/2, so the b range must scale with the admissible vols
 _B_BOUNDS = (-3000.0, 3000.0)
 _Y0_BOUNDS = (-12.0, 1.0)
+_SIGMA_Y_BOUNDS = (1e-4, 3.0)
 
 
 # forward-difference step of scipy's 2-point scheme, relative to max(1, |x|)
@@ -234,10 +226,12 @@ def _fit(residual, x0: np.ndarray, bounds, x_scale, max_nfev: int):
     Each step is Powell's dogleg in ``x_scale`` units, projected into
     ``bounds``, with a parameter held on a bound the gradient pushes it
     past; it is accepted if it lowers the sum of squares.  The fit ends at
-    the first point whose residuals all lie within ``_FLOOR_BP``, or else
-    after a step under ``_XTOL`` relative to ``x`` (as a collapsed trust
-    radius gives), or at ``max_nfev`` points: ``nfev`` counts the seed and
-    the trial points.  The Jacobian is a forward difference (`_forward_jacobian`)
+    the first point whose residuals all lie within ``_FLOOR_BP``, in the
+    residual's own units (bp for the spread fits, vol for
+    `calibrate_sigma_y`'s root), or else after a step under ``_XTOL``
+    relative to ``x`` (as a collapsed trust radius gives), or at
+    ``max_nfev`` points: ``nfev`` counts the seed and the trial points.
+    The Jacobian is a forward difference (`_forward_jacobian`)
     at the seed, after a step rejected on a secant Jacobian and after one
     accepted short of a quarter of its predicted reduction; otherwise each
     accepted step updates it by Broyden's rank-one formula.
@@ -340,8 +334,11 @@ def calibrate_sigma_y(
     may be None.  Implied mode matches the model's one-month log-spread
     volatility at the liquid hazard ``p_y``, estimated by simulating the
     log-intensity one month out and repricing a flat-hazard 5Y spread per
-    path, to the quote via a one-dimensional root find; a quote outside
-    the model's range at sigma_y in [1e-4, 3] returns the nearer bound.
+    path, to the quote: `_fit` solves for the root in sigma_y, bounded to
+    [1e-4, 3] and seeded at the quote clipped to those bounds, and stops
+    where the vol misses the quote by at most ``_FLOOR_BP``, read as 1e-10
+    in vol units, not bp.  A quote outside the model's range at those
+    bounds returns the nearer bound.
     """
     cfg = cfg or CalibrationConfig()
     quote = snapshot.index_option_vol_1m
@@ -356,32 +353,24 @@ def calibrate_sigma_y(
         raise ValueError("implied sigma_y needs the liquid hazard fit p_y")
     b, y0 = p_y
 
-    def implied_minus_quote(sigma):
-        return _log_spread_vol_1m(b, y0, sigma, snapshot.rate, cfg) - quote
+    def implied_minus_quote(x):
+        return np.array([_log_spread_vol_1m(b, y0, x[0], snapshot.rate, cfg) - quote])
 
-    lo, hi = 1e-4, 3.0
-    if implied_minus_quote(hi) < 0:
-        return hi
-    if implied_minus_quote(lo) > 0:
-        return lo
-    return float(brentq(implied_minus_quote, lo, hi, xtol=1e-6))
+    x, _, _ = _fit(implied_minus_quote, np.clip([quote], *_SIGMA_Y_BOUNDS), _SIGMA_Y_BOUNDS,
+                   [1.0], cfg.max_iterations)
+    return float(x[0])
 
 
 def _log_spread_vol_1m(b: float, y0: float, sigma: float, rate: float,
                        cfg: CalibrationConfig, n_paths: int = 20_000) -> float:
     """Annualized stdev of the log 5Y par spread one month ahead.
 
-    Uses the flat-hazard closed forms per path; common random numbers make
-    the estimator smooth in sigma for the root find.
+    Draws the log-intensity one month out from `pde.ou_mean_std`'s moments
+    and uses the flat-hazard closed forms per path; common random numbers
+    make the estimator smooth in sigma for the root find.
     """
     dt = 1.0 / 12.0
-    h = HazardParams(a=cfg.a_fixed, b=b, sigma_y=sigma, y0=y0)
-    if h.a > 0:
-        decay = math.exp(-h.a * dt)
-        mean = h.b + (y0 - h.b) * decay
-        sd = sigma * math.sqrt(-math.expm1(-2 * h.a * dt) / (2 * h.a))
-    else:
-        mean, sd = y0, sigma * math.sqrt(dt)
+    mean, sd = pde.ou_mean_std(HazardParams(a=cfg.a_fixed, b=b, sigma_y=sigma, y0=y0), dt)
     rng = np.random.default_rng(cfg.seed)
     y = mean + sd * rng.standard_normal(n_paths)
     lam = np.exp(y)

@@ -292,7 +292,12 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
                  for kind, t in zip((float, float, int), parts))
     if n < 1:
         raise ValueError("axis point count must be >= 1")
-    return name, (np.array([lo]) if n == 1 else np.linspace(lo, hi, n))
+    if n == 1:
+        return name, np.array([lo])  # a nan or inf point is the model's to name
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        # linspace would fill the axis with nan after an invalid-value warning
+        raise ValueError(f"axis {name!r} of {n} points needs finite end points, got {rng!r}")
+    return name, np.linspace(lo, hi, n)
 
 
 def _cmd_sweep(args) -> int:
@@ -303,6 +308,10 @@ def _cmd_sweep(args) -> int:
         return 2
     if not 1 <= len(axes) <= 2:
         print("error: provide one or two --axis specs", file=sys.stderr)
+        return 2
+    if len(axes) == 2 and axes[0][0] == axes[1][0]:
+        # one value a row could not fill both columns
+        print(f"error: sweep axis {axes[0][0]!r} is given twice", file=sys.stderr)
         return 2
     contract = CdsContract(tenor=args.tenor, recovery=args.recovery)
     grids = [ax[1] for ax in axes]
@@ -317,8 +326,11 @@ def _cmd_sweep(args) -> int:
                                 _solver_cfg(args), engine=args.engine)
         s_l = res.liquid.par_spread
         s_c = res.contractual.par_spread
+        # nan on purpose where the liquid spread is 0, as survival-curve's
+        # default_ratio where p = 1: no liquid spread to compare with
+        rel = (s_c - s_l) / s_l if s_l != 0.0 else math.nan
         rows.append([_fpar(point[n]) for n in names]
-                    + [_fbp(s_l), _fbp(s_c), _fbp(s_c - s_l), _fpar((s_c - s_l) / s_l)])
+                    + [_fbp(s_l), _fbp(s_c), _fbp(s_c - s_l), _fpar(rel)])
     _emit(args, "sweep.csv", header, rows)
     return 0
 

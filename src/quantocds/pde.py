@@ -33,10 +33,11 @@ through one time loop, ``_march``, and every marched w is a survival in
 [0, 1]: the solves kill at a multiple of e^y and apply their discount
 exactly (``_discount``).  The march reads w only at its stops, the snapshot
 nodes and the last node, and crosses each gap between them by squares of
-the Crank-Nicolson step's matrix (``_Step.matrix``) or, for a one-factor
-step and on large y-grids (``_marches_vector``), one step at a time.  Every
-curve, spectral (below) or marched, passes one stop check, ``_reached``: it
-names a blow-up, a survival outside [0, 1] or one that rises with the tenor.
+the Crank-Nicolson step's matrix, the step applied to the identity, or,
+for a one-factor step and on large y-grids (``_marches_vector``), one step
+at a time.  Every curve, spectral (below) or marched, passes one stop
+check, ``_reached``: it names a blow-up, a survival outside [0, 1] or one
+that rises with the tenor.
 
 Both engines difference y with one operator, ``_y_diags``: Spalding's
 hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
@@ -375,7 +376,8 @@ def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
 
 class _Step:
     """The theta-step of every march, w -> L (B w + C (L B w - w)), on a
-    profile w of shape (n_y,), with L = (I - theta dt A_y)^-1.
+    profile w of shape (n_y,) or on each column of a stack of them, with
+    L = (I - theta dt A_y)^-1.
 
     For the split operators A_x (a diagonal, ``a_x``), A_y (``y_diags``) and
     F0 (``mixed_coef`` times the central y-difference, zero on the edge rows),
@@ -414,36 +416,17 @@ class _Step:
         return self._parts[key]
 
     def apply(self, w: np.ndarray, theta: float, dt: float) -> np.ndarray:
-        """The step w -> w_next on a profile w: one ``solve_banded``, two with C."""
+        """The step w -> w_next on a profile w, or on each column of a stack w
+        of shape (n_y, k): one ``solve_banded``, two with C.  On the identity
+        it is the step's dense matrix, column j the step on e_j bit for bit."""
         lu, b, c = self._made(theta, dt)
+        if w.ndim == 2:  # B's diagonals and C's coefficients as columns
+            b, c = [d[:, None] for d in b], None if c is None else c[:, None]
         bw = w + _apply(*b, w)
         w_next = solve_banded(lu, bw)
         if c is None:
             return w_next
         return solve_banded(lu, bw + _central(c, w_next - w))
-
-    def matrix(self, theta: float, dt: float) -> np.ndarray:
-        """The step as a dense n_y x n_y matrix: column j is ``apply(e_j)``, bit for bit.
-
-        The same formula on the identity: B is I with B - I's band added
-        (off it, ``apply``'s B e_j is 0 + (+-0) = +0); one ``solve_banded``
-        of its n_y columns gives L B; less the identity, differenced by C,
-        plus B, it is solved once more.
-        """
-        lu, (lo, di, up), c = self._made(theta, dt)
-        n = di.size
-        b = np.eye(n, order="F")  # the order in which dgttrs takes and returns columns
-        entries = b.ravel(order="F")  # a view, holding entry (i, j) at i + n j
-        entries[::n + 1] += di
-        entries[1::n + 1] += lo[1:]
-        entries[n::n + 1] += up[:-1]
-        m = solve_banded(lu, b)
-        if c is None:
-            return m
-        m.ravel(order="F")[::n + 1] -= 1.0  # a view, as b's is
-        rhs = _central(c[:, None], m)
-        rhs += b
-        return solve_banded(lu, rhs)
 
 
 def _central(c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -556,11 +539,12 @@ def _march(step: _Step, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
 
     The two Rannacher steps apply the theta = 1 step to w.  After them only
     the stops are read: the snapshot nodes and the last node.  The
-    Crank-Nicolson step is one matrix M (``_Step.matrix``), so the march
-    keeps the table M, M^2, M^4, ... up to the longest gap between stops and
-    crosses a gap of g steps with one mat-vec per set bit of g (a 9.75-year
-    trade on the CLI grid: 3 squarings and 40 mat-vecs for 310 steps), one
-    row a stop; where ``_marches_vector`` says so it applies the step to w.
+    Crank-Nicolson step is one matrix M, the step applied to the identity,
+    so the march keeps the table M, M^2, M^4, ... up to the longest gap
+    between stops and crosses a gap of g steps with one mat-vec per set bit
+    of g (a 9.75-year trade on the CLI grid: 3 squarings and 40 mat-vecs for
+    310 steps), one row a stop; where ``_marches_vector`` says so it applies
+    the step to w.
     ``_reached`` checks the profiles at the Rannacher nodes and at the stops,
     all of the powered march's stops in one pass.
     """
@@ -583,7 +567,7 @@ def _march(step: _Step, dt: float, n_t: int, snap: Mapping[int, float], iy0: int
                 w = step.apply(w, _THETA, dt)
             _reached(w[None], [stop], iy0, snap, snapshots, where)
         return w, snapshots
-    powers = [_flush_tiny(step.matrix(_THETA, dt))]
+    powers = [_flush_tiny(step.apply(np.eye(n_y), _THETA, dt))]
     while 2 ** len(powers) <= max(gaps):
         powers.append(_flush_tiny(powers[-1] @ powers[-1]))
     # the powers M^(2^i) of each gap's set bits i, in ascending i

@@ -21,6 +21,7 @@ from quantocds.calibration import (
     historical_correlation,
 )
 from quantocds.calibration import _log_spread_vol_1m
+from quantocds.model import HazardParams
 
 CFG = CalibrationConfig()
 COARSE = CalibrationConfig(n_y=81, n_t_per_year=10)
@@ -178,6 +179,27 @@ class TestSigmaY:
         cal_cfg = CalibrationConfig(sigma_y_mode="implied", seed=321)
         implied = calibrate_sigma_y(snap, (b, y0), cal_cfg)
         assert implied == pytest.approx(sigma_true, rel=0.05)
+
+    @pytest.mark.parametrize("quote", [0.001, 0.05, 0.35, 0.8, 2.5])
+    def test_implied_vol_reprices_its_quote(self, quote):
+        # the root is exact to the fit's floor, 1e-10 in vol units: on the 2013-06-03
+        # snapshot's 0.35 quote scipy's brentq at xtol = 1e-6 left 9.1e-08
+        snap = MarketSnapshot("2013-06-03", 0.0250, 0.0300, 0.0215, 0.0265, 0.08, quote, 0.0)
+        cfg = CalibrationConfig(sigma_y_mode="implied")
+        p_y = calibrate_single_ccy(snap, cfg)
+        sigma = calibrate_sigma_y(snap, p_y, cfg)
+        assert 1e-4 <= sigma <= 3.0
+        assert abs(_log_spread_vol_1m(*p_y, sigma, snap.rate, cfg) - quote) <= 1e-10
+
+    def test_one_month_moments_are_the_ou_moments(self, monkeypatch):
+        # the vol's one-month mean and deviation are pde.ou_mean_std's, at a = a_fixed
+        calls = []
+        moments = pde.ou_mean_std
+        monkeypatch.setattr(pde, "ou_mean_std",
+                            lambda h, t: calls.append((h, t)) or moments(h, t))
+        _log_spread_vol_1m(-150.0, -4.3, 0.4, 0.0, CFG)
+        assert calls == [(HazardParams(a=CFG.a_fixed, b=-150.0, sigma_y=0.4, y0=-4.3),
+                          1.0 / 12.0)]
 
     def test_implied_quote_below_bracket_returns_lower_bound(self):
         snap = MarketSnapshot("d", 0.01, 0.011, 0.009, 0.0105, 0.1, 5e-5, 0.0)

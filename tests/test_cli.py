@@ -10,9 +10,9 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quantocds.cli import _build_subparsers, _solver_cfg, main, read_snapshots
+from quantocds.cli import SWEEP_AXES, _build_subparsers, _solver_cfg, main, read_snapshots
 from quantocds.calibration import CalibrationConfig, MarketSnapshot, _SpreadModel
 from quantocds.pde import SolverConfig
 
@@ -444,6 +444,88 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.endswith("error: argument --bracket-steps: '3,x': 'x' is not an integer\n")
+
+
+_SWEEP_RANGES = {**_SHARED_RANGES, "r": (-0.05, 0.1), "r-hat": (-0.05, 0.1)}
+# the liquid spread is exactly 0 at a log-hazard this low and where a mean
+# reversion this fast pins the hazard at e^b
+_ZERO_SPREAD_SWEEPS = (["--axis=y0=-800:-700:2"], ["--axis=a=1e300:1e300:1"])
+
+
+@st.composite
+def _axis_spec(draw):
+    """``--axis=name=lo:hi:n``: a sweep axis, end points from its range or the
+    extremes, and 0 to 3 points (a repeated axis has its own test)."""
+    name = draw(st.sampled_from(SWEEP_AXES))
+    lo, hi = _SWEEP_RANGES[name.replace("_", "-")]
+    end = st.one_of(st.floats(lo, hi), _EXTREMES)
+    return f"--axis={name}={draw(end)!r}:{draw(end)!r}:{draw(st.integers(0, 3))}"
+
+
+class TestSweepFuzz:
+    """``sweep`` on both engines over one or two axes drawn from
+    ``SWEEP_AXES``, their end points from the axis's range or from 0,
+    negatives, nan, +-inf and +-1e300 and 0 to 3 points each: it prints
+    finite rows and exits 0, exits 1 with one ``error:`` line or exits 2
+    for a bad axis spec."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["adi", "reduced"]),
+           st.lists(_axis_spec(), min_size=1, max_size=2, unique_by=lambda a: a.split("=")[1]))
+    @example("reduced", _ZERO_SPREAD_SWEEPS[0])
+    @example("adi", _ZERO_SPREAD_SWEEPS[0])
+    @example("reduced", _ZERO_SPREAD_SWEEPS[1])
+    @example("adi", _ZERO_SPREAD_SWEEPS[1])
+    def test_prints_or_names_one_error(self, engine, axes):
+        argv = ["sweep", "--engine", engine, "--tenor", "1", "--grid-y", "21", "--grid-t", "20",
+                *axes]
+        rc, out, err = _run_strict(argv)
+        ends = [spec.split("=", 2)[2].split(":") for spec in axes]
+        # no points, or a range of points without finite ends
+        bad_spec = any(n == "0" or (n != "1" and not all(map(math.isfinite, map(float, (lo, hi)))))
+                       for lo, hi, n in ends)
+        assert (rc == 2) == bad_spec
+        if rc == 0:
+            assert err.getvalue() == ""
+            header, *rows = out.getvalue().splitlines()
+            assert header.endswith(",spread_liquid_bp,spread_contractual_bp,basis_bp,rel_basis")
+            assert rows
+            for row in rows:
+                *fields, rel_basis = row.split(",")
+                assert all(map(math.isfinite, map(float, fields)))
+                # nan only where there is no liquid spread to compare with
+                assert math.isfinite(float(rel_basis)) or (
+                    rel_basis == "nan" and fields[-3] == "0.00")
+        else:
+            assert rc in (1, 2)
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.getvalue() not in _UNNAMED_CURVE_ERRORS
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["adi", "reduced"])
+    @pytest.mark.parametrize("axis", _ZERO_SPREAD_SWEEPS, ids=["y0", "a"])
+    def test_zero_liquid_spread_reads_nan_rel_basis(self, capsys, engine, axis):
+        # the relative basis divided by the liquid spread, 0 here, and the run
+        # ended in a ZeroDivisionError traceback
+        assert run(["sweep", "--engine", engine, "--tenor", "1", "--grid-y", "21",
+                    "--grid-t", "20", *axis]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        first = out.splitlines()[1].split(",")
+        assert first[1:] == ["0.00", "0.00", "0.00", "nan"]
+
+    @pytest.mark.parametrize("axes,named", [
+        (["--axis=gamma=0:inf:2"], "axis 'gamma' of 2 points needs finite end points, "
+                                   "got '0:inf:2'"),
+        (["--axis=rho=nan:0.5:3"], "axis 'rho' of 3 points needs finite end points, "
+                                   "got 'nan:0.5:3'"),
+        (["--axis=gamma=0:0.1:2", "--axis=gamma=0.2:0.3:2"], "sweep axis 'gamma' is given twice"),
+    ], ids=["infinite end", "nan end", "repeated axis"])
+    def test_bad_axis_is_one_usage_error(self, capsys, axes, named):
+        # an infinite end filled the axis with nan after numpy's invalid-value
+        # warning, and a repeated axis printed the second's values in both columns
+        assert run(["sweep", "--tenor", "1", "--grid-y", "21", "--grid-t", "20", *axes]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
 
 
 class TestSweep:

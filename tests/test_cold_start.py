@@ -1,7 +1,8 @@
 """Importing quantocds loads numpy only: scipy.linalg loads with the first
-PDE solve and scipy.optimize with the first implied-vol root find, which
-passthrough calibration never makes.  Each check runs in a fresh
-interpreter, since this test session has long since loaded scipy."""
+PDE solve, and nothing loads scipy.optimize, since every fit and the
+implied vol's root find run the in-house ``calibration._fit``.  Each check
+runs in a fresh interpreter, since this test session has long since loaded
+scipy."""
 
 import os
 import subprocess
@@ -64,5 +65,7 @@ def test_passthrough_backtest_loads_linalg_but_not_optimize():
     assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
 
-def test_implied_backtest_loads_optimize():
-    assert "scipy.optimize" in scipy_loaded_after(BACKTEST.format(mode="implied"))
+def test_implied_backtest_loads_no_optimize():
+    loaded = scipy_loaded_after(BACKTEST.format(mode="implied"))
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]

@@ -440,10 +440,20 @@ class TestTridiag:
             for rho in (0.3, 0.0):
                 step = self._step(gamma, rho)
                 for theta in (1.0, 0.5):
-                    matrix = step.matrix(theta, 5.0 / 300)
+                    matrix = step.apply(np.eye(101), theta, 5.0 / 300)
                     for j in (0, 1, 50, 99, 100):
                         column = step.apply(np.eye(101)[j], theta, 5.0 / 300)
                         assert matrix[:, j].tobytes() == column.tobytes()
+
+    def test_step_on_a_stack_is_the_step_on_each_column(self):
+        # a stack of profiles, one a column, steps as its columns do, bit for bit
+        stack = np.random.default_rng(7).uniform(0.0, 1.0, (101, 3))
+        for step in (self._step(), self._step(0.4, 0.0), _Step(self._step().y_diags, "1f")):
+            for theta in (1.0, 0.5):
+                stepped = step.apply(stack, theta, 5.0 / 300)
+                for j in range(3):
+                    column = step.apply(stack[:, j].copy(), theta, 5.0 / 300)
+                    assert stepped[:, j].tobytes() == column.tobytes()
 
     def test_singular_y_sweep_names_sweep(self):
         step = self._step()
@@ -871,7 +881,7 @@ class TestAdiProperties:
     @example(H_SWEEP, 5.0, 0.4, -0.6, 0.1, 101)
     @example(H_SWEEP, 5.0, -0.3, 0.0, 0.1, 101)
     def test_step_matrix_is_the_step_on_each_unit_vector(self, h, T, gamma, rho, sigma_z, n_y):
-        # the step's formula on the identity (``_Step.matrix``) holds apply(e_j) in
+        # the step applied to the identity holds apply(e_j) in
         # column j, bit for bit (signed zeros included), at gamma <= 0, where the
         # x-sweep's X is 1, at gamma > 0 and at rho = 0, where C is zero and there
         # is no corrector
@@ -879,7 +889,7 @@ class TestAdiProperties:
         grid, _ = build_grid(h, T, SolverConfig(n_y=n_y, n_t=40))
         step = _ProfileStep(grid, h, fx)
         for theta in (0.5, 1.0):
-            matrix = step.matrix(theta, T / 40)
+            matrix = step.apply(np.eye(n_y), theta, T / 40)
             for j, e_j in enumerate(np.eye(n_y)):
                 assert matrix[:, j].tobytes() == step.apply(e_j, theta, T / 40).tobytes()
 
