@@ -10,7 +10,10 @@ quotes alone determine.  All stages of one snapshot price through one
 memoised spread model.  Both fits and the implied vol's root find run
 `_fit`, a small bounded trust-region Gauss-Newton that updates its
 Jacobian from points already priced and stops at the model's round-off,
-so no stage loads scipy.optimize.  The mean reversion stays pinned at a
+so no stage loads scipy.optimize.  The spread model prices a fit's
+forward-difference points from the eigendecomposition of the point they
+difference (`pde._nearby_1f`), so on the spectral path a Jacobian costs
+no eigensolve.  The mean reversion stays pinned at a
 small value throughout, which makes b act through the product a*b only;
 `CalibrationResult.ab` exposes that product.
 """
@@ -105,8 +108,9 @@ class CalibrationResult:
     updates from those points and cost no evaluation; the first one, and
     one after a step rejected on a secant Jacobian or short of a quarter of
     the predicted reduction, is a forward difference of two further
-    evaluations, which ``iterations`` leaves out.  It counts nothing of the
-    liquid-currency stage.
+    evaluations, which ``iterations`` leaves out (each priced from the
+    eigendecomposition of the point it differences, `_SpreadModel`).  It
+    counts nothing of the liquid-currency stage.
     """
 
     date: str
@@ -135,6 +139,9 @@ class _SpreadModel:
 
     The liquid (USD) curve is the contractual one at rho = gamma = 0: no
     drift tilt and intensity scale 1, so one method prices both currencies.
+    A point one forward-difference step (`_forward_jacobian`) from one of
+    the last two points solved afresh, in one coordinate, is priced from
+    that solve's eigendecomposition (`pde._nearby_1f`) where it has one.
     """
 
     def __init__(self, snapshot: MarketSnapshot, cfg: CalibrationConfig):
@@ -145,10 +152,13 @@ class _SpreadModel:
         self.contract_5 = CdsContract(tenor=t5, recovery=cfg.recovery)
         self.contract_10 = CdsContract(tenor=t10, recovery=cfg.recovery)
         self.tenor_grid = self.contract_10.payment_times()
+        self.tenors = pde._sorted_tenors(self.tenor_grid)  # checked once, for every curve
         self.n_t = max(1, int(round(cfg.n_t_per_year * t10)))
         # each stage reprices points the last one priced: march and price once
         self._memo: dict[tuple[float, ...], SurvivalCurve] = {}
         self._pairs: dict[tuple[float, ...], tuple[float, float]] = {}
+        # the spectral solves among the last two points solved afresh, by point
+        self._spectra: dict[tuple[float, ...], pde._Spectrum] = {}
 
     def curve(self, b: float, y0: float, sigma_y: float,
               rho: float = 0.0, gamma: float = 0.0) -> SurvivalCurve:
@@ -156,8 +166,17 @@ class _SpreadModel:
         if key not in self._memo:
             h = HazardParams(a=self.cfg.a_fixed, b=b, sigma_y=sigma_y, y0=y0)
             fx = QuantoFxParams(z0=self.cfg.z0, sigma_z=self.sigma_z, gamma_z=gamma, rho=rho)
-            p = pde.quanto_survival_curve_1f(h, fx, self.tenor_grid,
-                                             n_y=self.cfg.n_y, n_t=self.n_t)
+            # the one-factor reduction of `pde.quanto_survival_curve_1f`
+            solve = dict(n_y=self.cfg.n_y, n_t=self.n_t,
+                         drift_shift=fx.rho * h.sigma_y * fx.sigma_z, kill_scale=1.0 + fx.gamma_z)
+            base = next((s for k, s in self._spectra.items() if _one_step_apart(key, k)), None)
+            p = None if base is None else pde._nearby_1f(base, h, self.tenors, **solve)
+            if p is None:
+                if len(self._spectra) == 2:  # the older goes first: never three held
+                    del self._spectra[next(iter(self._spectra))]
+                p, spectrum = pde.survival_curve_1f(h, self.tenors, with_spectrum=True, **solve)
+                if spectrum is not None:
+                    self._spectra[key] = spectrum
             self._memo[key] = SurvivalCurve(self.tenor_grid, p)
         return self._memo[key]
 
@@ -185,6 +204,19 @@ _SIGMA_Y_BOUNDS = (1e-4, 3.0)
 
 # forward-difference step of scipy's 2-point scheme, relative to max(1, |x|)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _one_step_apart(point: tuple[float, ...], base: tuple[float, ...]) -> bool:
+    """Whether ``point`` is ``base`` moved in one coordinate by the forward
+    step that `_forward_jacobian` takes there, either way."""
+    moved = [(x, x0) for x, x0 in zip(point, base) if x != x0]
+    if len(moved) != 1:
+        return False
+    [(x, x0)] = moved
+    step = _FD_STEP * max(1.0, abs(x0))
+    return x == x0 + step or x == x0 - step
+
+
 # residuals at or below this many bp are the spread model's round-off
 # (3e-12 to 6e-11 bp): a fit ends at the first point that reaches it
 _FLOOR_BP = 1e-10
@@ -234,7 +266,9 @@ def _fit(residual, x0: np.ndarray, bounds, x_scale, max_nfev: int):
     The Jacobian is a forward difference (`_forward_jacobian`)
     at the seed, after a step rejected on a secant Jacobian and after one
     accepted short of a quarter of its predicted reduction; otherwise each
-    accepted step updates it by Broyden's rank-one formula.
+    accepted step updates it by Broyden's rank-one formula.  ``residual``
+    prices every point, the forward differences included; the spread fits'
+    model prices those from the point they difference (`_SpreadModel`).
     """
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
     scale = np.asarray(x_scale, dtype=float)

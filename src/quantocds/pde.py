@@ -55,10 +55,15 @@ eigenvalue.  Outside its gate (a zero kill, a Peclet number above 1, an
 ill-conditioned symmetrisation or a stiff spectrum, or more nodes than
 half the time steps, where the march is cheaper) ``_march`` marches the
 same operator; it is also the reference the tests hold the spectral path to.
+A spectral solve hands back what it diagonalised (``_Spectrum``, with
+``with_spectrum``), and ``_nearby_1f`` prices an operator a calibration's
+forward-difference step away from it by a first-order update, one matrix
+product in place of an eigensolve.
 
 Importing this module loads numpy only; scipy.linalg loads with the first
-solve.  ``_factor`` binds LAPACK ``dgttrf``/``dgttrs`` when it factors, and
-the module-level ``eigh_tridiagonal`` binds ``dstevd`` when called;
+solve.  ``_factor`` binds LAPACK ``dgttrf``/``dgttrs`` when it factors,
+the module-level ``eigh_tridiagonal`` binds ``dstevd`` when called and
+``_nearby_1f`` binds BLAS ``dgemm``;
 ``TestSpectralSolve`` in tests/test_pde.py monkeypatches both.  Callers
 look ``solve_banded`` up as a module global, so a wrapper set in its place
 sees every solve.
@@ -652,10 +657,83 @@ def solve_foreign_measure_pde(
     return PdeSolution(grid=grid, values=fx.z0 * w * discount)
 
 
+_ONE_FACTOR = "one-factor solve on {} nodes"  # the one-factor solve, named in its errors
+
+
+def _symmetrised(ops: _Diags, kill: np.ndarray, dt: float, n_t: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The diagonal and off-diagonal of the symmetric S = D A D^-1 and ln d,
+    d = diag(D) with d[0] = 1, for the operator A (``ops``, which kills at
+    ``kill``) of an ``n_t``-step march of ``dt``; None outside
+    ``_spectral_1f``'s gate."""
+    lo, di, up = ops
+    if 2 * di.size > n_t:
+        return None
+    # the coupling after the stiffness gate, which bounds |lo|, |up| by 300 / dt
+    if not (kill.min() > 0.0 and np.abs(di).max() * dt <= 300.0
+            and (couple := lo[1:] * up[:-1]).min() > 0.0):
+        return None
+    log_d = np.empty(di.size)
+    log_d[0] = 0.0
+    np.add.accumulate(0.5 * np.log(up[:-1] / lo[1:]), out=log_d[1:])
+    if log_d.max() - log_d.min() > 10.0:
+        return None
+    return di, np.sqrt(couple), log_d
+
+
+class _Spectrum:
+    """What a spectral one-factor solve (``_spectral_1f``) diagonalised, and its
+    survivals; ``_nearby_1f`` prices a nearby operator from it.
+
+    S = V diag(lam) V^T is the symmetrised operator (``di``, ``off``) and u
+    the start vector D 1, with d[iy0] = 1.  Row k of ``factors`` holds the
+    march's factors f_k(lam) to the k-th node of ``snap``, whose survival
+    (``survivals``, and ``snapshots`` by tenor) is f_k(lam) . (a * b), with
+    a = V^T e_iy0 and b = V^T u.
+    """
+
+    def __init__(self, di, off, u, lam, vec, dt, n_t, snap, iy0):
+        self.di, self.off, self.u, self.lam, self.vec = di, off, u, lam, vec
+        self.dt, self.n_t, self.snap, self.iy0 = dt, n_t, snap, iy0
+        self.a, self.b = vec[iy0], u @ vec
+        steps = n_t - np.fromiter(snap, int)[:, None]  # steps marched to each node
+        self.n_implicit = np.minimum(steps, _RANNACHER_STEPS)
+        self.n_theta = steps - self.n_implicit
+        # the Rannacher factor once per count of implicit steps, 0 to _RANNACHER_STEPS
+        rannacher = (1.0 - dt * lam) ** -np.arange(_RANNACHER_STEPS + 1)[:, None]
+        self.factors = rannacher[self.n_implicit.ravel()]
+        self.factors *= (((1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam))
+                         ** self.n_theta)
+        self.survivals = self.factors @ (self.a * self.b)
+        self.snapshots: dict[float, float] = {}
+
+    @functools.cached_property
+    def perturbation(self) -> tuple[np.ndarray, np.ndarray]:
+        """1 / (lam_i - lam_j), zero where i = j, and the factors' derivatives
+        f_k'(lam): the parts of ``_nearby_1f``'s update that every nearby
+        operator shares."""
+        lam, dt = self.lam, self.dt
+        gaps = lam[:, None] - lam
+        np.fill_diagonal(gaps, 1.0)
+        inverse = 1.0 / gaps
+        np.fill_diagonal(inverse, 0.0)
+        # f = R^n C^m, R = 1 / (1 - dt lam) and C the Crank-Nicolson factor:
+        # f' = n dt R f + m R^n C^(m - 1) dt / (1 - theta dt lam)^2, which does
+        # not divide by C, zero at dt lam = -1 / (1 - theta)
+        rannacher = 1.0 / (1.0 - dt * lam)
+        cn = (1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam)
+        n, m = self.n_implicit, self.n_theta
+        derivatives = n * (dt * rannacher) * self.factors
+        derivatives += (m * rannacher**n * cn ** np.maximum(m - 1, 0)
+                        * (dt / (1.0 - _THETA * dt * lam) ** 2))
+        return inverse, derivatives
+
+
 def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
-                 snap: Mapping[int, float], iy0: int) -> dict[float, float] | None:
-    """``_march``'s snapshots of ``_Step(ops)`` from one eigendecomposition, or
-    None; ``_reached`` checks them as it checks the march's.
+                 snap: Mapping[int, float], iy0: int) -> _Spectrum | None:
+    """``_march``'s snapshots of ``_Step(ops)`` from one eigendecomposition
+    (the ``_Spectrum``'s ``snapshots``), or None; ``_reached`` checks them as
+    it checks the march's.
 
     The operator A (``ops``, which kills at ``kill``) is time-homogeneous,
     so each step of the march multiplies A's eigencomponents by a scalar:
@@ -663,7 +741,8 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
     (1 + (1 - theta) dt lam) / (1 - theta dt lam) on a theta step.  With
     S = D A D^-1 symmetric, w(iy0) = sum_j V[iy0, j] (V^T d)_j f(lam_j)
     where D = diag(d) and d[iy0] = 1.  Returns None, and the caller
-    marches, wherever that is not both accurate and cheaper:
+    marches, wherever that is not both accurate and cheaper
+    (``_symmetrised`` tests all but the last):
 
     - a zero kill at some node, where e^y underflows: S is then not
       negative definite (a zero ``kill_scale``, total devaluation, never
@@ -679,44 +758,109 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
       machine);
     - a LinAlgError from the eigensolver.
     """
-    lo, di, up = ops
-    if 2 * di.size > n_t:
+    symmetrised = _symmetrised(ops, kill, dt, n_t)
+    if symmetrised is None:
         return None
-    # the coupling after the stiffness gate, which bounds |lo|, |up| by 300 / dt
-    if not (kill.min() > 0.0 and np.abs(di).max() * dt <= 300.0
-            and (couple := lo[1:] * up[:-1]).min() > 0.0):
-        return None
-    log_d = np.empty(di.size)
-    log_d[0] = 0.0
-    np.add.accumulate(0.5 * np.log(up[:-1] / lo[1:]), out=log_d[1:])
-    if log_d.max() - log_d.min() > 10.0:
-        return None
+    di, off, log_d = symmetrised
     try:
-        lam, vec = eigh_tridiagonal(di, np.sqrt(couple))
+        lam, vec = eigh_tridiagonal(di, off)
     except LinAlgError:
         return None
-    weights = vec[iy0] * (np.exp(log_d - log_d[iy0]) @ vec)
-    steps = n_t - np.fromiter(snap, int)[:, None]  # steps marched to each node
-    n_implicit = np.minimum(steps, _RANNACHER_STEPS)
-    # the Rannacher factor once per count of implicit steps, 0 to _RANNACHER_STEPS
-    rannacher = (1.0 - dt * lam) ** -np.arange(_RANNACHER_STEPS + 1)[:, None]
-    factors = rannacher[n_implicit.ravel()]
-    factors *= (((1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam))
-                ** (steps - n_implicit))
+    spectrum = _Spectrum(di, off, np.exp(log_d - log_d[iy0]), lam, vec, dt, n_t, snap, iy0)
+    _reached(spectrum.survivals[:, None], list(snap), 0, snap, spectrum.snapshots,
+             (di.size, dt, _ONE_FACTOR.format(di.size)))
+    return spectrum
+
+
+def _nearby_1f(base: _Spectrum, h: HazardParams, tenors: Sequence[float], n_y: int, n_t: int,
+               width_sigmas: float = _WIDTH_SIGMAS, drift_shift: float = 0.0,
+               kill_scale: float = 1.0) -> np.ndarray | None:
+    """``survival_curve_1f``'s survivals for these arguments, from the spectral
+    solve ``base`` of a nearby operator on the same time grid, or None where
+    the caller must solve afresh: the spot node or the time grid moved, or
+    the operator lies outside ``_spectral_1f``'s gate.
+
+    The operator is built as a fresh solve builds it, and its survivals are
+    base's plus the first-order change of w(iy0) = e_iy0^T f_k(S) u in
+    dS = S' - S and du = u' - u, by the Daleckii-Krein formula (Higham,
+    *Functions of Matrices*, 2008, ch. 3): with G = V^T dS V,
+    H = (a b^T) o G (a = V^T e_iy0, b = V^T u, ``_Spectrum``) and
+    c = V^T du, the change at node k is
+    sum_i f_k(lam_i) g_i + f_k'(lam_i) H_ii, where
+    g_i = sum_(j != i) (H_ij + H_ji) / (lam_i - lam_j) + a_i c_i.
+    A forward-difference step of a calibration (about 1.5e-8 relative)
+    leaves a second-order term at round-off: the update matches a fresh
+    solve within 1e-12 (``TestNearbySolve`` in tests/test_pde.py) at a
+    GEMM's cost, against an eigensolve's.
+    """
+    from scipy.linalg.blas import dgemm
+
+    tenors = _sorted_tenors(tenors)
+    operator = _operator_1f(h, tenors, n_y, n_t, width_sigmas, drift_shift, kill_scale)
+    if operator is None:
+        return None
+    ops, kill, dt, n_total, snap, iy0 = operator
+    if (iy0, dt, n_total, snap) != (base.iy0, base.dt, base.n_t, base.snap):
+        return None
+    symmetrised = _symmetrised(ops, kill, dt, n_total)
+    if symmetrised is None:
+        return None
+    di, off, log_d = symmetrised
+    vec, a, b, n = base.vec, base.a, base.b, di.size
+    inverse, derivatives = base.perturbation
+    # [G | c] = V^T [dS V | du] in one product, dS = S' - S tridiagonal, on
+    # scipy's BLAS, which the eigensolver runs on: numpy may link its own,
+    # whose threads then contend with the eigensolver's
+    d_off = (off - base.off)[:, None]
+    rhs = np.empty((n, n + 1), order="F")
+    np.multiply((di - base.di)[:, None], vec, out=rhs[:, :n])
+    rhs[1:, :n] += d_off * vec[:-1]
+    rhs[:-1, :n] += d_off * vec[1:]
+    rhs[:, n] = np.exp(log_d - log_d[iy0]) - base.u
+    product = dgemm(1.0, vec, rhs, trans_a=True)
+    g_matrix, c = product[:, :n], product[:, n]
+    # G is symmetric: g_i = a_i ((M b)_i + c_i) + b_i (M a)_i, M = G o 1 / (lam_i - lam_j)
+    m_b, m_a = ((g_matrix * inverse) @ np.column_stack((b, a))).T
+    g = a * (m_b + c) + b * m_a
+    survivals = base.survivals + base.factors @ g + derivatives @ (a * g_matrix.diagonal() * b)
+    if not np.isfinite(survivals).all():
+        return None
     snapshots: dict[float, float] = {}
-    _reached((factors @ weights)[:, None], list(snap), 0, snap, snapshots,
-             (di.size, dt, f"one-factor solve on {di.size} nodes"))
-    return snapshots
+    _reached(survivals[:, None], list(snap), 0, snap, snapshots,
+             (n_y, dt, _ONE_FACTOR.format(n_y)))
+    return np.array([snapshots[t] for t in tenors])
 
 
-def _sorted_tenors(tenors: Sequence[float]) -> tuple[float, ...]:
-    """``tenors`` sorted; a ValueError for none, for one not positive and
-    finite and, by ``checked_tenor``, for one longer than a contract."""
+class _Tenors(tuple):
+    """Tenors that ``_sorted_tenors`` sorted and checked, and passes through."""
+
+
+def _sorted_tenors(tenors: Sequence[float]) -> _Tenors:
+    """``tenors`` sorted, once: a ``_Tenors`` passes through as it is; a
+    ValueError for none, for one not positive and finite and, by
+    ``checked_tenor``, for one longer than a contract."""
+    if type(tenors) is _Tenors:
+        return tenors
     tenors = sorted(map(float, tenors))
     if not tenors or not all(0.0 < t < math.inf for t in tenors):
         raise ValueError(f"tenors must be positive and finite, got {tenors}")
     checked_tenor(tenors[-1])
-    return tuple(tenors)
+    return _Tenors(tenors)
+
+
+def _operator_1f(h: HazardParams, tenors: _Tenors, n_y: int, n_t: int, width_sigmas: float,
+                 drift_shift: float, kill_scale: float) -> tuple | None:
+    """The one-factor solve's operator, kill, dt, step count, snapshot nodes
+    and spot node; None at a zero ``kill_scale``, where w = 1 solves it."""
+    T = tenors[-1]
+    y, iy0 = _y_axis(h, T, n_y, width_sigmas, drift_shift)
+    dt, n_total, snap = _time_grid(T, n_t, tenors)
+    if kill_scale == 0.0:
+        # every row of the operator sums to zero, so w = 1 solves the
+        # discrete equation exactly; a solve would only add round-off
+        return None
+    kill = kill_scale * _exp_y(y, h, T, _ONE_FACTOR.format(n_y), kill_scale)
+    return _y_diags(h, y, drift_shift, kill), kill, dt, n_total, snap, iy0
 
 
 def survival_curve_1f(
@@ -727,27 +871,29 @@ def survival_curve_1f(
     width_sigmas: float = _WIDTH_SIGMAS,
     drift_shift: float = 0.0,
     kill_scale: float = 1.0,
-) -> np.ndarray:
+    with_spectrum: bool = False,
+) -> np.ndarray | tuple[np.ndarray, _Spectrum | None]:
     """Survival probabilities E[exp(-kill_scale * int e^Y)] at the tenors.
 
     ``drift_shift`` tilts the Y drift (measure change), ``kill_scale``
-    rescales the intensity; the plain survival curve is the default.
+    rescales the intensity; the plain survival curve is the default.  With
+    ``with_spectrum`` it returns (survivals, the spectral solve's
+    ``_Spectrum``, or None where it marched), for ``_nearby_1f``.  Tenors
+    that ``_sorted_tenors`` checked (a ``_Tenors``) are not checked again.
     """
     tenors = _sorted_tenors(tenors)
-    T = tenors[-1]
-    y, iy0 = _y_axis(h, T, n_y, width_sigmas, drift_shift)
-    dt, n_total, snap = _time_grid(T, n_t, tenors)
-    if kill_scale == 0.0:
-        # every row of the operator sums to zero, so w = 1 solves the
-        # discrete equation exactly; a solve would only add round-off
-        return np.ones(len(tenors))
-    solve = f"one-factor solve on {n_y} nodes"
-    kill = kill_scale * _exp_y(y, h, T, solve, kill_scale)
-    ops = _y_diags(h, y, drift_shift, kill)
-    snapshots = _spectral_1f(ops, kill, dt, n_total, snap, iy0)
-    if snapshots is None:
-        _, snapshots = _march(_Step(ops, solve), dt, n_total, snap, iy0)
-    return np.array([snapshots[t] for t in tenors])
+    operator = _operator_1f(h, tenors, n_y, n_t, width_sigmas, drift_shift, kill_scale)
+    if operator is None:
+        p, spectrum = np.ones(len(tenors)), None
+    else:
+        ops, kill, dt, n_total, snap, iy0 = operator
+        spectrum = _spectral_1f(ops, kill, dt, n_total, snap, iy0)
+        if spectrum is None:
+            snapshots = _march(_Step(ops, _ONE_FACTOR.format(n_y)), dt, n_total, snap, iy0)[1]
+        else:
+            snapshots = spectrum.snapshots
+        p = np.array([snapshots[t] for t in tenors])
+    return (p, spectrum) if with_spectrum else p
 
 
 def quanto_survival_curve_1f(

@@ -498,6 +498,95 @@ class TestSecantFit:
         np.testing.assert_allclose(J, slope, rtol=1e-6)
 
 
+
+class TestForwardDifferencesFromTheSpectrum:
+    """A forward-difference point is priced from the eigendecomposition of
+    the point it differences (``pde._nearby_1f``): no eigensolve of its own."""
+
+    SPECTRAL = CalibrationConfig(n_y=41, n_t_per_year=10)  # 2 n_y <= n_t = 100
+
+    @staticmethod
+    def _calibrate(snap, cfg, monkeypatch):
+        """``calibrate_snapshot`` on a cold model, with its eigensolves and,
+        per fit, whether each point it evaluated was a forward difference."""
+        calibration._spread_model.cache_clear()
+        eigensolves, fits, differencing = [], [], []
+        eigh, fit, jacobian = pde.eigh_tridiagonal, calibration._fit, calibration._forward_jacobian
+
+        def counting_eigh(d, e):
+            eigensolves.append(d.size)
+            return eigh(d, e)
+
+        def recording_fit(residual, *args):
+            points = []
+            fits.append(points)
+
+            def traced(x):
+                points.append(bool(differencing))
+                return residual(x)
+
+            return fit(traced, *args)
+
+        def recording_jacobian(*args):
+            differencing.append(True)
+            try:
+                return jacobian(*args)
+            finally:
+                differencing.pop()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pde, "eigh_tridiagonal", counting_eigh)
+            patch.setattr(calibration, "_fit", recording_fit)
+            patch.setattr(calibration, "_forward_jacobian", recording_jacobian)
+            result = calibrate_snapshot(snap, cfg)
+        return result, eigensolves, [fd for points in fits for fd in points]
+
+    def test_one_eigensolve_per_point_the_fits_price(self, monkeypatch):
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=self.SPECTRAL)
+        result, eigensolves, points = self._calibrate(snap, self.SPECTRAL, monkeypatch)
+        assert result.converged
+        # the hazard fit and the (rho, gamma) fit each difference their seed at least
+        assert sum(points) >= 4
+        assert len(eigensolves) == points.count(False)
+        # the model keeps the spectra of the last two points it solved, no more
+        assert len(calibration._spread_model(snap, self.SPECTRAL)._spectra) == 2 < len(eigensolves)
+        # every point solved afresh, as before the update, fits the same point to round-off
+        monkeypatch.setattr(calibration, "_one_step_apart", lambda point, base: False)
+        fresh, eigensolves, points = self._calibrate(snap, self.SPECTRAL, monkeypatch)
+        assert len(eigensolves) == len(points)
+        for name in ("b", "y0", "rho", "gamma"):
+            assert getattr(result, name) == pytest.approx(getattr(fresh, name), rel=1e-6, abs=1e-9)
+
+    def test_outside_the_gate_every_point_is_solved_afresh(self, monkeypatch):
+        cfg = CalibrationConfig(n_y=41, n_t_per_year=4)  # 2 n_y > n_t = 40: the march
+        snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
+                                  gamma=-0.2, cfg=cfg)
+        with monkeypatch.context() as patch:  # every point solved afresh, as before the update
+            patch.setattr(calibration, "_one_step_apart", lambda point, base: False)
+            fresh, eigensolves, _ = self._calibrate(snap, cfg, monkeypatch)
+        assert eigensolves == []
+        marches = TestQuantoCalibration._record_marches(monkeypatch)
+        result, eigensolves, points = self._calibrate(snap, cfg, monkeypatch)
+        assert eigensolves == [] and sum(points) >= 4
+        assert len(marches) == len(points)  # the forward differences included
+        assert result == fresh
+
+    def test_a_point_the_update_hands_back_is_solved_afresh(self, monkeypatch):
+        probe = MarketSnapshot("d", 0.01, 0.01, 0.01, 0.01, 0.1, 0.5, 0.0)
+        model, fresh = _SpreadModel(probe, self.SPECTRAL), _SpreadModel(probe, self.SPECTRAL)
+        base = (-120.0, -4.4, 0.5, 0.3, -0.2)
+        model.curve(*base)
+        up, down = ((base[0] + sign * calibration._FD_STEP * 120.0, *base[1:]) for sign in (1, -1))
+        nearby = model.curve(*up)
+        assert list(model._spectra) == [base]  # a nearby point keeps no spectrum
+        monkeypatch.setattr(pde, "_nearby_1f", lambda *args, **kwargs: None)
+        handed_back = model.curve(*down)
+        assert list(model._spectra) == [base, down]
+        np.testing.assert_array_equal(handed_back.probs, fresh.curve(*down).probs)
+        np.testing.assert_allclose(nearby.probs, fresh.curve(*up).probs, rtol=0, atol=1e-12)
+
+
 @settings(max_examples=10, deadline=None)
 @given(b=st.floats(-215.0, -120.0), y0=st.floats(-4.5, -4.12),
        rho=st.floats(-0.6, 0.6), gamma=st.floats(-0.4, 0.0))

@@ -12,7 +12,7 @@ import scipy.linalg.lapack
 from scipy.integrate import quad
 from scipy.linalg import LinAlgError
 
-from quantocds import pde
+from quantocds import calibration, pde
 from quantocds.cds import CdsContract, quanto_par_spread
 from quantocds.mc import McEstimate, SimConfig, _quanto_bond_pass, survival_probability_mc
 from quantocds.model import HazardParams, QuantoFxParams, RatePair
@@ -555,15 +555,16 @@ class TestSpectralSolve:
         h = HazardParams(a=a, b=y0 + drift * sigma_y / a if a > 0 else 0.0,
                          sigma_y=sigma_y, y0=y0)
         ops, kill, grid = _one_factor_args(h, n_y, 200, tilt * sigma_y, kill_scale)
-        spectral = _spectral_1f(ops, kill, **grid)
-        assume(spectral is not None)
+        spectrum = _spectral_1f(ops, kill, **grid)
+        assume(spectrum is not None)
+        spectral = spectrum.snapshots
         got = np.array([spectral[t] for t in sorted(spectral)])
         assert np.max(np.abs(got - _marched(ops, grid))) <= 1e-12
 
     def test_calibration_curve_takes_the_spectral_path(self):
         h = HazardParams(a=1e-4, b=-150.0, sigma_y=0.5, y0=-4.3)
         ops, kill, grid = _one_factor_args(h, 161, 400, 0.015, 0.8, T=10.0)
-        spectral = _spectral_1f(ops, kill, **grid)
+        spectral = _spectral_1f(ops, kill, **grid).snapshots
         p = quanto_survival_curve_1f(
             h, QuantoFxParams(z0=1.0, sigma_z=0.1, gamma_z=-0.2, rho=0.3),
             sorted(spectral), n_y=161, n_t=400)
@@ -626,6 +627,92 @@ class TestSpectralSolve:
                  r"2\.500e-02\) in the one-factor solve on 41 nodes$")
         with pytest.raises(PdeInstabilityError, match=named):
             survival_curve_1f(h, [1.0, 5.0], n_y=41, n_t=200)
+
+
+class TestNearbySolve:
+    """``_nearby_1f`` prices a calibration's forward-difference point from the
+    spectral solve it steps from, within 1e-12 of a fresh solve at every
+    node, or hands it back (None) where the step moves the spot node or
+    leaves the spectral gate, and the caller solves afresh."""
+
+    TENORS = tuple(CdsContract(tenor=10.0).payment_times())  # the calibration's curve
+    N_T = {41: 100, 161: 400}  # the calibration's 10-year grids, 2 n_y <= n_t
+
+    @classmethod
+    def _args(cls, point, n_y):
+        b, y0, sigma_y, drift_shift, kill_scale = point
+        return ((HazardParams(a=1e-4, b=b, sigma_y=sigma_y, y0=y0), cls.TENORS),
+                dict(n_y=n_y, n_t=cls.N_T[n_y], drift_shift=drift_shift, kill_scale=kill_scale))
+
+    @classmethod
+    def _step(cls, point, which, step, n_y):
+        """(spectral solve at ``point``, the nearby and the fresh survivals and
+        whether the spot node moved) after ``step`` in coordinate ``which``."""
+        args, kwargs = cls._args(point, n_y)
+        _, base = survival_curve_1f(*args, **kwargs, with_spectrum=True)
+        moved = list(point)
+        moved[which] += step
+        args, kwargs = cls._args(moved, n_y)
+        h = args[0]
+        iy0 = _y_axis(h, cls.TENORS[-1], n_y, 6.0, kwargs["drift_shift"])[1]
+        nearby = None if base is None else pde._nearby_1f(base, *args, **kwargs)
+        fresh, spectrum = survival_curve_1f(*args, **kwargs, with_spectrum=True)
+        return base, nearby, (fresh, spectrum), base is not None and iy0 != base.iy0
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(n_y=st.sampled_from([41, 161]), b=st.floats(-215.0, -120.0), y0=st.floats(-5.0, -3.5),
+           sigma_y=st.floats(0.2, 0.6), tilt=st.floats(-0.05, 0.05),
+           kill_scale=st.floats(0.5, 2.0), which=st.integers(0, 4), inward=st.booleans())
+    def test_forward_step_matches_a_fresh_solve(self, n_y, b, y0, sigma_y, tilt, kill_scale,
+                                                which, inward):
+        # b, y0, sigma_y, the drift tilt and the kill scale, each stepped as
+        # `calibration._forward_jacobian` steps, or inward as at an upper bound
+        point = (b, y0, sigma_y, tilt, kill_scale)
+        step = calibration._FD_STEP * max(1.0, abs(point[which]))
+        base, nearby, (fresh, spectrum), moved = self._step(point, which, -step if inward else step,
+                                                            n_y)
+        assume(base is not None)
+        if moved or spectrum is None:
+            assert nearby is None
+        else:
+            assert np.max(np.abs(nearby - fresh)) <= 1e-12
+
+    @staticmethod
+    def _edge(flips, lo: float, hi: float) -> float:
+        """A point within a quarter of a forward step below where ``flips``,
+        False at ``lo`` and True at ``hi``, turns True (bisection)."""
+        assert not flips(lo) and flips(hi)
+        while hi - lo > 0.25 * calibration._FD_STEP * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if flips(mid) else (mid, hi)
+        return lo
+
+    def test_a_step_that_moves_the_spot_node_is_handed_back(self):
+        point = [-150.0, -4.3, 0.5, 0.0, 1.0]
+
+        def iy0(b):
+            h = HazardParams(a=1e-4, b=b, sigma_y=0.5, y0=-4.3)
+            return _y_axis(h, self.TENORS[-1], 41, 6.0)[1]
+
+        # the spot node moves as b falls: step down from just above the edge
+        point[0] = -self._edge(lambda minus_b: iy0(-minus_b) != iy0(-150.0), 150.0, 3000.0)
+        base, nearby, (fresh, spectrum), moved = self._step(
+            point, 0, -calibration._FD_STEP * abs(point[0]), 41)
+        assert base is not None and spectrum is not None and moved
+        assert nearby is None
+
+    def test_a_step_that_leaves_the_gate_is_handed_back(self):
+        point = [-150.0, -4.3, 0.5, 0.0, 1.0]
+
+        def marches(tilt):
+            args, kwargs = self._args((*point[:3], tilt, 1.0), 41)
+            return survival_curve_1f(*args, **kwargs, with_spectrum=True)[1] is None
+
+        point[3] = self._edge(marches, 0.0, 1.0)
+        step = calibration._FD_STEP
+        base, nearby, (fresh, spectrum), moved = self._step(point, 3, step, 41)
+        assert base is not None and spectrum is None and not moved
+        assert nearby is None
 
 
 class TestStopCheck:
