@@ -10,10 +10,10 @@ quotes alone determine.  All stages of one snapshot price through one
 memoised spread model.  Both fits and the implied vol's root find run
 `_fit`, a small bounded trust-region Gauss-Newton that updates its
 Jacobian from points already priced and stops at the model's round-off,
-so no stage loads scipy.optimize.  The spread model prices a fit's
-forward-difference points from the eigendecomposition of the point they
-difference (`pde._nearby_1f`), so on the spectral path a Jacobian costs
-no eigensolve.  The mean reversion stays pinned at a
+so no stage loads scipy.optimize.  The spread model prices a point within
+``_REACH`` of one it solved afresh from that solve's eigendecomposition
+(`pde._nearby_1f`), so on the spectral path a Jacobian, and most closing
+steps, cost no eigensolve.  The mean reversion stays pinned at a
 small value throughout, which makes b act through the product a*b only;
 `CalibrationResult.ab` exposes that product.
 """
@@ -108,9 +108,10 @@ class CalibrationResult:
     updates from those points and cost no evaluation; the first one, and
     one after a step rejected on a secant Jacobian or short of a quarter of
     the predicted reduction, is a forward difference of two further
-    evaluations, which ``iterations`` leaves out (each priced from the
-    eigendecomposition of the point it differences, `_SpreadModel`).  It
-    counts nothing of the liquid-currency stage.
+    evaluations, which ``iterations`` leaves out.  On the spectral path
+    every evaluation within ``_REACH`` of a point solved afresh, the forward
+    differences among them, is priced from that point's eigendecomposition
+    (`_SpreadModel`).  It counts nothing of the liquid-currency stage.
     """
 
     date: str
@@ -139,9 +140,15 @@ class _SpreadModel:
 
     The liquid (USD) curve is the contractual one at rho = gamma = 0: no
     drift tilt and intensity scale 1, so one method prices both currencies.
-    A point one forward-difference step (`_forward_jacobian`) from one of
-    the last two points solved afresh, in one coordinate, is priced from
-    that solve's eigendecomposition (`pde._nearby_1f`) where it has one.
+    The model holds the spectral solves (`pde._Spectrum`) of the last two
+    points it solved afresh.  A point whose operator coordinates (b, y0,
+    sigma_y, drift tilt, kill scale) all lie within ``_REACH`` (`_distance`)
+    of a held one is priced from the nearer such solve by its first-order
+    update (`pde._nearby_1f`), which matches a fresh solve within 1e-12
+    (``TestNearbySolve`` in tests/test_pde.py); the fits' forward-difference
+    points are such points.  A point out of reach, or one the update hands
+    back (the spot node moved, the gate left, a value not finite), is solved
+    afresh.
     """
 
     def __init__(self, snapshot: MarketSnapshot, cfg: CalibrationConfig):
@@ -157,7 +164,8 @@ class _SpreadModel:
         # each stage reprices points the last one priced: march and price once
         self._memo: dict[tuple[float, ...], SurvivalCurve] = {}
         self._pairs: dict[tuple[float, ...], tuple[float, float]] = {}
-        # the spectral solves among the last two points solved afresh, by point
+        # the spectral solves among the last two points solved afresh, by the
+        # operator's coordinates (b, y0, sigma_y, drift tilt, kill scale)
         self._spectra: dict[tuple[float, ...], pde._Spectrum] = {}
 
     def curve(self, b: float, y0: float, sigma_y: float,
@@ -167,16 +175,19 @@ class _SpreadModel:
             h = HazardParams(a=self.cfg.a_fixed, b=b, sigma_y=sigma_y, y0=y0)
             fx = QuantoFxParams(z0=self.cfg.z0, sigma_z=self.sigma_z, gamma_z=gamma, rho=rho)
             # the one-factor reduction of `pde.quanto_survival_curve_1f`
-            solve = dict(n_y=self.cfg.n_y, n_t=self.n_t,
-                         drift_shift=fx.rho * h.sigma_y * fx.sigma_z, kill_scale=1.0 + fx.gamma_z)
-            base = next((s for k, s in self._spectra.items() if _one_step_apart(key, k)), None)
-            p = None if base is None else pde._nearby_1f(base, h, self.tenors, **solve)
+            tilt, kill_scale = fx.rho * h.sigma_y * fx.sigma_z, 1.0 + fx.gamma_z
+            solve = dict(n_y=self.cfg.n_y, n_t=self.n_t, drift_shift=tilt, kill_scale=kill_scale)
+            point = (b, y0, sigma_y, tilt, kill_scale)  # the operator's coordinates
+            near = min(self._spectra, key=lambda k: _distance(point, k), default=None)
+            p = None
+            if near is not None and _distance(point, near) <= _REACH:
+                p = pde._nearby_1f(self._spectra[near], h, self.tenors, **solve)
             if p is None:
                 if len(self._spectra) == 2:  # the older goes first: never three held
                     del self._spectra[next(iter(self._spectra))]
                 p, spectrum = pde.survival_curve_1f(h, self.tenors, with_spectrum=True, **solve)
                 if spectrum is not None:
-                    self._spectra[key] = spectrum
+                    self._spectra[point] = spectrum
             self._memo[key] = SurvivalCurve(self.tenor_grid, p)
         return self._memo[key]
 
@@ -204,17 +215,17 @@ _SIGMA_Y_BOUNDS = (1e-4, 3.0)
 
 # forward-difference step of scipy's 2-point scheme, relative to max(1, |x|)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
+# a point this close to a spectral solve's, relative to max(1, |x|) in every
+# operator coordinate, is priced from that solve's eigendecomposition: its
+# first-order update then misses a fresh solve by at most 3.3e-13 over
+# ``TestNearbySolve``'s box, where a reach of 1e-7 missed by 1.3e-12
+_REACH = 5e-8
 
 
-def _one_step_apart(point: tuple[float, ...], base: tuple[float, ...]) -> bool:
-    """Whether ``point`` is ``base`` moved in one coordinate by the forward
-    step that `_forward_jacobian` takes there, either way."""
-    moved = [(x, x0) for x, x0 in zip(point, base) if x != x0]
-    if len(moved) != 1:
-        return False
-    [(x, x0)] = moved
-    step = _FD_STEP * max(1.0, abs(x0))
-    return x == x0 + step or x == x0 - step
+def _distance(point: tuple[float, ...], base: tuple[float, ...]) -> float:
+    """The largest move from ``base`` to ``point`` in one coordinate, relative
+    to max(1, |x|) at ``base``."""
+    return max(abs(x - x0) / max(1.0, abs(x0)) for x, x0 in zip(point, base))
 
 
 # residuals at or below this many bp are the spread model's round-off
@@ -268,7 +279,9 @@ def _fit(residual, x0: np.ndarray, bounds, x_scale, max_nfev: int):
     accepted short of a quarter of its predicted reduction; otherwise each
     accepted step updates it by Broyden's rank-one formula.  ``residual``
     prices every point, the forward differences included; the spread fits'
-    model prices those from the point they difference (`_SpreadModel`).
+    model prices a point within ``_REACH`` of one it solved afresh, as the
+    forward differences and most closing steps are, by a first-order
+    update that matches a fresh solve within 1e-12 (`_SpreadModel`).
     """
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
     scale = np.asarray(x_scale, dtype=float)

@@ -8,65 +8,30 @@ in log-FX coordinates x = ln z,
           + a (b - y) v_y - (r + e^y) v = 0,        v(T, x, y) = e^x,
 
 where the e^y terms come from killing at default and from the compensator
-of the FX devaluation jump.  The drift/discount bookkeeping was re-derived
-from the discounted-martingale condition and is pinned by the Monte Carlo
-engine in the test suite.
+of the FX devaluation jump; the Monte Carlo engine pins the drift and
+discount bookkeeping in the test suite.  The solution is exactly linear in
+z, v = z w(t, y), so every solve marches a y-profile w from w = 1:
 
-Two solvers are provided: an ADI scheme of Craig-Sneyd type (theta time
-stepping, Rannacher start, mixed derivative treated explicitly with one
-corrector pass) for the full two-factor problem, and a one-factor reduction
-that exploits the exact z-linearity of the solution, v = z * w(t, y), where
-w solves the killed equation with intensity scale (1 + gamma) and the
-y-drift tilted by rho sigma_y sigma_z.  The reduction doubles as a
-high-precision cross-check of the ADI engine and as the fast path for
-calibration.
+- ``solve_quanto_pde``, the two-factor Craig-Sneyd ADI scheme, its
+  x-differences fitted to be exact on e^x (``_ProfileStep``);
+- ``survival_curve_1f``, the one-factor reduction: w killed at
+  (1 + gamma) e^y under a drift tilted by rho sigma_y sigma_z, the ADI
+  engine's cross-check and the calibration's fast path.  It diagonalises
+  its operator once where its gate allows (``_spectral_1f``) and marches
+  elsewhere; ``_nearby_1f`` prices an operator within a calibration's
+  reach of a diagonalised one by a first-order update;
+- ``solve_foreign_measure_pde``, the gamma = 0 measure-change route.
 
-The ADI scheme's x-differences are fitted to be exact on e^x, and its march
-starts from v = e^x, so every step leaves v = e^x w(y): ``_ProfileStep``
-marches that y-profile w on a y x t grid, and a solve's values are z0 w,
-discounted (the scheme on a log-FX grid, ``_Ops2D`` in tests/test_pde.py,
-is the test reference).  Every step takes one type, ``_Step``:
-w -> L (B w + C (L B w - w)), L the y-sweep's inverse and B, C tridiagonal,
-made once per (theta, dt); the one-factor step is its case without an
-x-direction or a mixed term.  Every solve marches its step from w = 1
-through one time loop, ``_march``, and every marched w is a survival in
-[0, 1]: the solves kill at a multiple of e^y and apply their discount
-exactly (``_discount``).  The march reads w only at its stops, the snapshot
-nodes and the last node, and crosses each gap between them by squares of
-the Crank-Nicolson step's matrix, the step applied to the identity, or,
-for a one-factor step and on large y-grids (``_marches_vector``), one step
-at a time.  Every curve, spectral (below) or marched, passes one stop
-check, ``_reached``: it names a blow-up, a survival outside [0, 1] or one
-that rises with the tenor.
-
-Both engines difference y with one operator, ``_y_diags``: Spalding's
-hybrid scheme, central up to a cell Peclet number of 1 and upwind above it.
-Every implicit solve goes through one function, ``solve_banded``: LAPACK
-``dgttrf`` factors I - theta*dt*A once per (theta, dt) (``_factor``), and a
-solve is one ``dgttrs`` call, the step matrix's n_y columns in one.
-
-``survival_curve_1f`` builds the one-factor operator once and does
-without the time loop where it can: the operator is time-homogeneous and,
-at cell Peclet numbers up to 1, similar to a symmetric tridiagonal matrix,
-so ``_spectral_1f`` diagonalises it once (``eigh_tridiagonal``, one call to
-LAPACK's divide and conquer ``dstevd`` for all eigenpairs) and applies each
-step of the march, Rannacher steps included, as one scalar factor per
-eigenvalue.  Outside its gate (a zero kill, a Peclet number above 1, an
-ill-conditioned symmetrisation or a stiff spectrum, or more nodes than
-half the time steps, where the march is cheaper) ``_march`` marches the
-same operator; it is also the reference the tests hold the spectral path to.
-A spectral solve hands back what it diagonalised (``_Spectrum``, with
-``with_spectrum``), and ``_nearby_1f`` prices an operator a calibration's
-forward-difference step away from it by a first-order update, one matrix
-product in place of an eigensolve.
+They share one y-operator (``_y_diags``), one step type (``_Step``), one
+time loop (``_march``), one tridiagonal solve (``solve_banded``) and one
+stop check (``_reached``), each described where it is defined.
 
 Importing this module loads numpy only; scipy.linalg loads with the first
-solve.  ``_factor`` binds LAPACK ``dgttrf``/``dgttrs`` when it factors,
-the module-level ``eigh_tridiagonal`` binds ``dstevd`` when called and
-``_nearby_1f`` binds BLAS ``dgemm``;
-``TestSpectralSolve`` in tests/test_pde.py monkeypatches both.  Callers
-look ``solve_banded`` up as a module global, so a wrapper set in its place
-sees every solve.
+solve, and each LAPACK or BLAS routine is imported where it is called
+(``_factor``, ``eigh_tridiagonal``, ``_nearby_1f``), so a routine patched
+on ``scipy.linalg.lapack`` is the one called.  Callers look
+``solve_banded`` and ``eigh_tridiagonal`` up as module globals, so a
+wrapper set in their place sees every call.
 """
 
 from __future__ import annotations
@@ -713,7 +678,7 @@ class _Spectrum:
         f_k'(lam): the parts of ``_nearby_1f``'s update that every nearby
         operator shares."""
         lam, dt = self.lam, self.dt
-        gaps = lam[:, None] - lam
+        gaps = np.asfortranarray(lam[:, None] - lam)  # in G's order, for G o 1 / gaps
         np.fill_diagonal(gaps, 1.0)
         inverse = 1.0 / gaps
         np.fill_diagonal(inverse, 0.0)
@@ -788,12 +753,16 @@ def _nearby_1f(base: _Spectrum, h: HazardParams, tenors: Sequence[float], n_y: i
     c = V^T du, the change at node k is
     sum_i f_k(lam_i) g_i + f_k'(lam_i) H_ii, where
     g_i = sum_(j != i) (H_ij + H_ji) / (lam_i - lam_j) + a_i c_i.
-    A forward-difference step of a calibration (about 1.5e-8 relative)
-    leaves a second-order term at round-off: the update matches a fresh
-    solve within 1e-12 (``TestNearbySolve`` in tests/test_pde.py) at a
-    GEMM's cost, against an eigensolve's.
+    A move within a calibration's reach (``calibration._REACH``: 5e-8,
+    relative to max(1, |x|), in each of b, y0, sigma_y, the drift tilt and
+    the kill scale; a forward-difference step is 1.5e-8) leaves a
+    second-order term at round-off: the update matches a fresh solve within
+    1e-12, by at most 3.3e-13 measured (``TestNearbySolve`` in
+    tests/test_pde.py), at the cost of one GEMM against an eigensolve's.
+    The term grows with the square of the move: 1e-7 in every coordinate
+    missed by 1.3e-12.
     """
-    from scipy.linalg.blas import dgemm
+    from scipy.linalg.blas import dgemm, dgemv
 
     tenors = _sorted_tenors(tenors)
     operator = _operator_1f(h, tenors, n_y, n_t, width_sigmas, drift_shift, kill_scale)
@@ -806,19 +775,19 @@ def _nearby_1f(base: _Spectrum, h: HazardParams, tenors: Sequence[float], n_y: i
     if symmetrised is None:
         return None
     di, off, log_d = symmetrised
-    vec, a, b, n = base.vec, base.a, base.b, di.size
+    vec, a, b = base.vec, base.a, base.b
     inverse, derivatives = base.perturbation
-    # [G | c] = V^T [dS V | du] in one product, dS = S' - S tridiagonal, on
-    # scipy's BLAS, which the eigensolver runs on: numpy may link its own,
-    # whose threads then contend with the eigensolver's
-    d_off = (off - base.off)[:, None]
-    rhs = np.empty((n, n + 1), order="F")
-    np.multiply((di - base.di)[:, None], vec, out=rhs[:, :n])
-    rhs[1:, :n] += d_off * vec[:-1]
-    rhs[:-1, :n] += d_off * vec[1:]
-    rhs[:, n] = np.exp(log_d - log_d[iy0]) - base.u
-    product = dgemm(1.0, vec, rhs, trans_a=True)
-    g_matrix, c = product[:, :n], product[:, n]
+    # G = (V^T dS) V and c = V^T du on scipy's BLAS, which the eigensolver
+    # runs on: numpy may link its own, whose threads then contend with the
+    # eigensolver's.  dS = S' - S is tridiagonal, so V^T dS is built row-wise
+    # on V^T, which is C-contiguous (dstevd returns V in Fortran order), and
+    # dgemm reads both operands in the order they are stored
+    rows, d_off = vec.T, off - base.off
+    rows_ds = rows * (di - base.di)
+    rows_ds[:, 1:] += rows[:, :-1] * d_off
+    rows_ds[:, :-1] += rows[:, 1:] * d_off
+    g_matrix = dgemm(1.0, rows_ds.T, vec, trans_a=True)
+    c = dgemv(1.0, vec, np.exp(log_d - log_d[iy0]) - base.u, trans=1)
     # G is symmetric: g_i = a_i ((M b)_i + c_i) + b_i (M a)_i, M = G o 1 / (lam_i - lam_j)
     m_b, m_a = ((g_matrix * inverse) @ np.column_stack((b, a))).T
     g = a * (m_b + c) + b * m_a

@@ -499,31 +499,43 @@ class TestSecantFit:
 
 
 
-class TestForwardDifferencesFromTheSpectrum:
-    """A forward-difference point is priced from the eigendecomposition of
-    the point it differences (``pde._nearby_1f``): no eigensolve of its own."""
+class TestPointsWithinReachOfAHeldSpectrum:
+    """A point whose operator lies within ``calibration._REACH`` of one the
+    model diagonalised, in every coordinate, is priced from that
+    eigendecomposition (``pde._nearby_1f``): no eigensolve of its own.  The
+    fits' forward-difference points are such points."""
 
     SPECTRAL = CalibrationConfig(n_y=41, n_t_per_year=10)  # 2 n_y <= n_t = 100
+    PROBE = MarketSnapshot("d", 0.01, 0.01, 0.01, 0.01, 0.1, 0.5, 0.0)
 
     @staticmethod
     def _calibrate(snap, cfg, monkeypatch):
-        """``calibrate_snapshot`` on a cold model, with its eigensolves and,
-        per fit, whether each point it evaluated was a forward difference."""
+        """``calibrate_snapshot`` on a cold model, with its eigensolves, its
+        updates (the non-None ``_nearby_1f`` returns) and, for each point the
+        fits evaluated, (whether it was a forward difference, the eigensolves
+        and the updates that priced it)."""
         calibration._spread_model.cache_clear()
-        eigensolves, fits, differencing = [], [], []
-        eigh, fit, jacobian = pde.eigh_tridiagonal, calibration._fit, calibration._forward_jacobian
+        eigensolves, updates, points, differencing = [], [], [], []
+        eigh, nearby = pde.eigh_tridiagonal, pde._nearby_1f
+        fit, jacobian = calibration._fit, calibration._forward_jacobian
 
         def counting_eigh(d, e):
             eigensolves.append(d.size)
             return eigh(d, e)
 
-        def recording_fit(residual, *args):
-            points = []
-            fits.append(points)
+        def counting_nearby(*args, **kwargs):
+            p = nearby(*args, **kwargs)
+            if p is not None:
+                updates.append(p)
+            return p
 
+        def recording_fit(residual, *args):
             def traced(x):
-                points.append(bool(differencing))
-                return residual(x)
+                solved, updated = len(eigensolves), len(updates)
+                f = residual(x)
+                points.append((bool(differencing), len(eigensolves) - solved,
+                               len(updates) - updated))
+                return f
 
             return fit(traced, *args)
 
@@ -536,25 +548,30 @@ class TestForwardDifferencesFromTheSpectrum:
 
         with monkeypatch.context() as patch:
             patch.setattr(pde, "eigh_tridiagonal", counting_eigh)
+            patch.setattr(pde, "_nearby_1f", counting_nearby)
             patch.setattr(calibration, "_fit", recording_fit)
             patch.setattr(calibration, "_forward_jacobian", recording_jacobian)
             result = calibrate_snapshot(snap, cfg)
-        return result, eigensolves, [fd for points in fits for fd in points]
+        return result, eigensolves, updates, points
 
-    def test_one_eigensolve_per_point_the_fits_price(self, monkeypatch):
+    def test_one_eigensolve_or_update_per_point_the_fits_price(self, monkeypatch):
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
                                   gamma=-0.2, cfg=self.SPECTRAL)
-        result, eigensolves, points = self._calibrate(snap, self.SPECTRAL, monkeypatch)
+        result, eigensolves, updates, points = self._calibrate(snap, self.SPECTRAL, monkeypatch)
         assert result.converged
         # the hazard fit and the (rho, gamma) fit each difference their seed at least
-        assert sum(points) >= 4
-        assert len(eigensolves) == points.count(False)
+        assert sum(fd for fd, _, _ in points) >= 4
+        assert len(eigensolves) + len(updates) == len(points)
+        assert all(solves + updated == 1 for _, solves, updated in points)
+        # every forward difference is an update, and so are some trust-region steps
+        assert all(updated for fd, _, updated in points if fd)
+        assert any(updated for fd, _, updated in points if not fd)
         # the model keeps the spectra of the last two points it solved, no more
         assert len(calibration._spread_model(snap, self.SPECTRAL)._spectra) == 2 < len(eigensolves)
         # every point solved afresh, as before the update, fits the same point to round-off
-        monkeypatch.setattr(calibration, "_one_step_apart", lambda point, base: False)
-        fresh, eigensolves, points = self._calibrate(snap, self.SPECTRAL, monkeypatch)
-        assert len(eigensolves) == len(points)
+        monkeypatch.setattr(pde, "_nearby_1f", lambda *args, **kwargs: None)
+        fresh, eigensolves, updates, points = self._calibrate(snap, self.SPECTRAL, monkeypatch)
+        assert len(eigensolves) == len(points) and updates == []
         for name in ("b", "y0", "rho", "gamma"):
             assert getattr(result, name) == pytest.approx(getattr(fresh, name), rel=1e-6, abs=1e-9)
 
@@ -563,28 +580,65 @@ class TestForwardDifferencesFromTheSpectrum:
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.3,
                                   gamma=-0.2, cfg=cfg)
         with monkeypatch.context() as patch:  # every point solved afresh, as before the update
-            patch.setattr(calibration, "_one_step_apart", lambda point, base: False)
-            fresh, eigensolves, _ = self._calibrate(snap, cfg, monkeypatch)
+            patch.setattr(pde, "_nearby_1f", lambda *args, **kwargs: None)
+            fresh, eigensolves, _, _ = self._calibrate(snap, cfg, monkeypatch)
         assert eigensolves == []
         marches = TestQuantoCalibration._record_marches(monkeypatch)
-        result, eigensolves, points = self._calibrate(snap, cfg, monkeypatch)
-        assert eigensolves == [] and sum(points) >= 4
+        result, eigensolves, updates, points = self._calibrate(snap, cfg, monkeypatch)
+        assert eigensolves == updates == [] and sum(fd for fd, _, _ in points) >= 4
         assert len(marches) == len(points)  # the forward differences included
         assert result == fresh
 
     def test_a_point_the_update_hands_back_is_solved_afresh(self, monkeypatch):
-        probe = MarketSnapshot("d", 0.01, 0.01, 0.01, 0.01, 0.1, 0.5, 0.0)
-        model, fresh = _SpreadModel(probe, self.SPECTRAL), _SpreadModel(probe, self.SPECTRAL)
+        model, fresh = _SpreadModel(self.PROBE, self.SPECTRAL), _SpreadModel(self.PROBE, self.SPECTRAL)
         base = (-120.0, -4.4, 0.5, 0.3, -0.2)
         model.curve(*base)
         up, down = ((base[0] + sign * calibration._FD_STEP * 120.0, *base[1:]) for sign in (1, -1))
         nearby = model.curve(*up)
-        assert list(model._spectra) == [base]  # a nearby point keeps no spectrum
+        assert len(model._spectra) == 1  # a nearby point keeps no spectrum
         monkeypatch.setattr(pde, "_nearby_1f", lambda *args, **kwargs: None)
         handed_back = model.curve(*down)
-        assert list(model._spectra) == [base, down]
+        assert len(model._spectra) == 2
         np.testing.assert_array_equal(handed_back.probs, fresh.curve(*down).probs)
         np.testing.assert_allclose(nearby.probs, fresh.curve(*up).probs, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _recording_bases(monkeypatch) -> list:
+        """The spectra that ``_nearby_1f`` is handed, in order."""
+        bases, nearby = [], pde._nearby_1f
+
+        def recording(base, *args, **kwargs):
+            bases.append(base)
+            return nearby(base, *args, **kwargs)
+
+        monkeypatch.setattr(pde, "_nearby_1f", recording)
+        return bases
+
+    @staticmethod
+    def _in_y0(r):
+        """The test point, y0 = -4.4 moved by r reaches relative to |y0|."""
+        return (-120.0, -4.4 - r * calibration._REACH * 4.4, 0.5, 0.3, -0.2)
+
+    def test_a_point_two_reaches_away_is_solved_afresh(self, monkeypatch):
+        model = _SpreadModel(self.PROBE, self.SPECTRAL)
+        bases = self._recording_bases(monkeypatch)
+        model.curve(*self._in_y0(0.0))
+        model.curve(*self._in_y0(2.0))
+        assert bases == [] and len(model._spectra) == 2
+
+    @pytest.mark.parametrize("r, nearer", [(0.6, 0), (0.9, 1)])
+    def test_a_point_in_reach_of_both_spectra_is_priced_from_the_nearer(self, monkeypatch,
+                                                                         r, nearer):
+        model, fresh = _SpreadModel(self.PROBE, self.SPECTRAL), _SpreadModel(self.PROBE, self.SPECTRAL)
+        bases = self._recording_bases(monkeypatch)
+        model.curve(*self._in_y0(0.0))
+        model.curve(*self._in_y0(1.5))  # beyond reach: solved afresh and held
+        assert bases == []
+        held = list(model._spectra.values())
+        nearby = model.curve(*self._in_y0(r))  # r and 1.5 - r reaches from the two
+        assert bases == [held[nearer]]
+        np.testing.assert_allclose(nearby.probs, fresh.curve(*self._in_y0(r)).probs,
+                                   rtol=0, atol=1e-12)
 
 
 @settings(max_examples=10, deadline=None)

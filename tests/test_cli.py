@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quantocds import calibration
 from quantocds.cli import SWEEP_AXES, _build_subparsers, _solver_cfg, main, read_snapshots
 from quantocds.calibration import CalibrationConfig, MarketSnapshot, _SpreadModel
 from quantocds.pde import SolverConfig
@@ -880,6 +881,82 @@ class TestCalibrateCmd:
         a = (tmp_path / "x" / "calibration_results.csv").read_bytes()
         b = (tmp_path / "y" / "calibration_results.csv").read_bytes()
         assert a == b
+
+
+# CI's three snapshots (.github/workflows/tests.yml), quotes in bp
+CI_QUOTES = (
+    "date,spread_usd_5y_bp,spread_usd_10y_bp,spread_eur_5y_bp,spread_eur_10y_bp,fx_atm_vol,index_option_vol_1m,rate\n"
+    "2012-05-07,440,460,350,370,0.10,0.50,0.0\n"
+    "2013-06-03,250,300,215,265,0.08,0.35,0.0\n"
+    "2012-05-07,440,300,350,240,0.10,0.20,0.0\n"
+)
+
+# `calibrate` and `backtest` on CI_QUOTES: both write the same two files in a vol mode
+GOLDEN_FILES = {
+    "passthrough": {
+        "calibration_results.csv": (
+            "date,b,y0,sigma_y,rho,gamma,ab,res_usd_5y_bp,res_usd_10y_bp,res_eur_5y_bp,res_eur_10y_bp,max_residual_bp,iterations,converged,error\n"
+            "2012-05-07,211.222,-2.88432,0.5,-0.26724,-0.193317,0.0211222,0.0000,0.0000,0.0000,0.0000,0.0000,7,true,\n"
+            "2013-06-03,567.622,-3.45672,0.35,0.177955,-0.154897,0.0567622,0.0000,0.0000,0.0000,0.0000,0.0000,6,true,\n"
+            "2012-05-07,-2533.11,-2.11999,0.2,0.60264,-0.217251,-0.253311,0.0000,0.0000,0.0000,0.0000,0.0000,7,true,\n"
+        ),
+        "calibration_diagnostics.csv": (
+            "date,gamma,rho,rel_basis_1y,rel_basis_10y,basis_gap_observed,basis_gap_diffusive,spread_usd_1y_bp,spread_eur_1y_bp,spread_usd_5y_bp,spread_eur_5y_bp,spread_usd_10y_bp,spread_eur_10y_bp\n"
+            "2012-05-07,-0.193317,-0.26724,-0.199443,-0.195652,0.00379119,-0.0807175,362.73,290.38,440.00,350.00,460.00,370.00\n"
+            "2013-06-03,-0.154897,0.177955,-0.153146,-0.116667,0.0364793,0.0350885,201.53,170.66,250.00,215.00,300.00,265.00\n"
+            "2012-05-07,-0.217251,0.60264,-0.215206,-0.2,0.0152057,0.0771483,651.65,511.41,440.00,350.00,300.00,240.00\n"
+        ),
+    },
+    "implied": {
+        "calibration_results.csv": (
+            "date,b,y0,sigma_y,rho,gamma,ab,res_usd_5y_bp,res_usd_10y_bp,res_eur_5y_bp,res_eur_10y_bp,max_residual_bp,iterations,converged,error\n"
+            "2012-05-07,210.311,-2.88288,0.498448,-0.266213,-0.193392,0.0210311,0.0000,0.0000,0.0000,0.0000,0.0000,7,true,\n"
+            "2013-06-03,567.532,-3.4568,0.350141,0.17777,-0.154893,0.0567532,0.0000,0.0000,0.0000,0.0000,0.0000,6,true,\n"
+            "2012-05-07,-2530.46,-2.11987,0.197866,0.610387,-0.21726,-0.253046,0.0000,0.0000,0.0000,0.0000,0.0000,7,true,\n"
+        ),
+        "calibration_diagnostics.csv": (
+            "date,gamma,rho,rel_basis_1y,rel_basis_10y,basis_gap_observed,basis_gap_diffusive,spread_usd_1y_bp,spread_eur_1y_bp,spread_usd_5y_bp,spread_eur_5y_bp,spread_usd_10y_bp,spread_eur_10y_bp\n"
+            "2012-05-07,-0.193392,-0.266213,-0.199483,-0.195652,0.00383103,-0.0801576,363.10,290.66,440.00,350.00,460.00,370.00\n"
+            "2013-06-03,-0.154893,0.17777,-0.153144,-0.116667,0.0364769,0.0350661,201.51,170.65,250.00,215.00,300.00,265.00\n"
+            "2012-05-07,-0.21726,0.610387,-0.215209,-0.2,0.0152086,0.0773064,651.69,511.44,440.00,350.00,300.00,240.00\n"
+        ),
+    },
+}
+GOLDEN_STDOUT = {
+    ("calibrate", "passthrough"): (
+        "calibrated 3 dates: 3 converged, 0 unconverged, 0 failed\n"
+    ),
+    ("calibrate", "implied"): (
+        "calibrated 3 dates: 3 converged, 0 unconverged, 0 failed\n"
+    ),
+    ("backtest", "passthrough"): (
+        "gamma vs 1y relative basis: slope=0.9651 intercept=-0.0058\n"
+        "backtested 3 dates (0 failures)\n"
+    ),
+    ("backtest", "implied"): (
+        "gamma vs 1y relative basis: slope=0.9653 intercept=-0.0058\n"
+        "backtested 3 dates (0 failures)\n"
+    ),
+}
+
+
+class TestGoldenOutputs:
+    """``calibrate`` and ``backtest`` on CI's three snapshots, byte for byte:
+    both CSV files and stdout, in both vol modes.  A change that moves these
+    bytes updates them here and lists the before and after in CHANGES.md."""
+
+    @pytest.mark.parametrize("mode", ["passthrough", "implied"])
+    @pytest.mark.parametrize("command", ["calibrate", "backtest"])
+    def test_outputs_match_byte_for_byte(self, tmp_path, capsys, command, mode):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(CI_QUOTES)
+        calibration._spread_model.cache_clear()  # a cold model, as in a fresh process
+        rc = run([command, "--snapshots", str(quotes), "--sigma-y-mode", mode,
+                  "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (0, GOLDEN_STDOUT[command, mode], "")
+        for name, text in GOLDEN_FILES[mode].items():
+            assert (tmp_path / "out" / name).read_bytes() == text.encode()
 
 
 class TestBacktestCmd:

@@ -630,13 +630,17 @@ class TestSpectralSolve:
 
 
 class TestNearbySolve:
-    """``_nearby_1f`` prices a calibration's forward-difference point from the
-    spectral solve it steps from, within 1e-12 of a fresh solve at every
-    node, or hands it back (None) where the step moves the spot node or
-    leaves the spectral gate, and the caller solves afresh."""
+    """``_nearby_1f`` prices a point within a calibration's reach
+    (``calibration._REACH``) of the spectral solve it steps from, within
+    1e-12 of a fresh solve at every node, or hands it back (None) where the
+    move shifts the spot node or leaves the spectral gate, and the caller
+    solves afresh."""
 
     TENORS = tuple(CdsContract(tenor=10.0).payment_times())  # the calibration's curve
     N_T = {41: 100, 161: 400}  # the calibration's 10-year grids, 2 n_y <= n_t
+    BOX = dict(n_y=st.sampled_from([41, 161]), b=st.floats(-215.0, -120.0),
+               y0=st.floats(-5.0, -3.5), sigma_y=st.floats(0.2, 0.6), tilt=st.floats(-0.05, 0.05),
+               kill_scale=st.floats(0.5, 2.0))
 
     @classmethod
     def _args(cls, point, n_y):
@@ -645,13 +649,11 @@ class TestNearbySolve:
                 dict(n_y=n_y, n_t=cls.N_T[n_y], drift_shift=drift_shift, kill_scale=kill_scale))
 
     @classmethod
-    def _step(cls, point, which, step, n_y):
-        """(spectral solve at ``point``, the nearby and the fresh survivals and
-        whether the spot node moved) after ``step`` in coordinate ``which``."""
+    def _step(cls, point, moved, n_y):
+        """(spectral solve at ``point``, the nearby and the fresh survivals at
+        ``moved`` and whether the spot node moved)."""
         args, kwargs = cls._args(point, n_y)
         _, base = survival_curve_1f(*args, **kwargs, with_spectrum=True)
-        moved = list(point)
-        moved[which] += step
         args, kwargs = cls._args(moved, n_y)
         h = args[0]
         iy0 = _y_axis(h, cls.TENORS[-1], n_y, 6.0, kwargs["drift_shift"])[1]
@@ -659,23 +661,40 @@ class TestNearbySolve:
         fresh, spectrum = survival_curve_1f(*args, **kwargs, with_spectrum=True)
         return base, nearby, (fresh, spectrum), base is not None and iy0 != base.iy0
 
+    @classmethod
+    def _check(cls, point, moved, n_y):
+        base, nearby, (fresh, spectrum), node_moved = cls._step(point, moved, n_y)
+        assume(base is not None)
+        if node_moved or spectrum is None:
+            assert nearby is None
+        else:
+            assert np.max(np.abs(nearby - fresh)) <= 1e-12
+
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(n_y=st.sampled_from([41, 161]), b=st.floats(-215.0, -120.0), y0=st.floats(-5.0, -3.5),
-           sigma_y=st.floats(0.2, 0.6), tilt=st.floats(-0.05, 0.05),
-           kill_scale=st.floats(0.5, 2.0), which=st.integers(0, 4), inward=st.booleans())
+    @given(**BOX, which=st.integers(0, 4), inward=st.booleans())
     def test_forward_step_matches_a_fresh_solve(self, n_y, b, y0, sigma_y, tilt, kill_scale,
                                                 which, inward):
         # b, y0, sigma_y, the drift tilt and the kill scale, each stepped as
         # `calibration._forward_jacobian` steps, or inward as at an upper bound
         point = (b, y0, sigma_y, tilt, kill_scale)
         step = calibration._FD_STEP * max(1.0, abs(point[which]))
-        base, nearby, (fresh, spectrum), moved = self._step(point, which, -step if inward else step,
-                                                            n_y)
-        assume(base is not None)
-        if moved or spectrum is None:
-            assert nearby is None
-        else:
-            assert np.max(np.abs(nearby - fresh)) <= 1e-12
+        moved = list(point)
+        moved[which] += -step if inward else step
+        self._check(point, moved, n_y)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(**BOX, reach=st.tuples(*[st.floats(-1.0, 1.0)] * 5))
+    # the update misses a fresh solve here by 3.3e-13; at a reach of 1e-7 it
+    # missed by 1.3e-12, the drift tilt's move of 1e-7 taking most of it
+    @example(n_y=161, b=-148.8, y0=-4.99, sigma_y=0.22, tilt=-0.035, kill_scale=0.82,
+             reach=(1.0, 1.0, 1.0, 1.0, 1.0))
+    def test_a_point_within_reach_matches_a_fresh_solve(self, n_y, b, y0, sigma_y, tilt,
+                                                        kill_scale, reach):
+        # all five coordinates moved at once, each by up to the calibration's
+        # reach either way, as a fit's closing trust-region steps move them
+        point = (b, y0, sigma_y, tilt, kill_scale)
+        moved = [x + u * calibration._REACH * max(1.0, abs(x)) for x, u in zip(point, reach)]
+        self._check(point, moved, n_y)
 
     @staticmethod
     def _edge(flips, lo: float, hi: float) -> float:
@@ -696,9 +715,9 @@ class TestNearbySolve:
 
         # the spot node moves as b falls: step down from just above the edge
         point[0] = -self._edge(lambda minus_b: iy0(-minus_b) != iy0(-150.0), 150.0, 3000.0)
-        base, nearby, (fresh, spectrum), moved = self._step(
-            point, 0, -calibration._FD_STEP * abs(point[0]), 41)
-        assert base is not None and spectrum is not None and moved
+        moved = [point[0] - calibration._FD_STEP * abs(point[0]), *point[1:]]
+        base, nearby, (fresh, spectrum), node_moved = self._step(point, moved, 41)
+        assert base is not None and spectrum is not None and node_moved
         assert nearby is None
 
     def test_a_step_that_leaves_the_gate_is_handed_back(self):
@@ -709,9 +728,9 @@ class TestNearbySolve:
             return survival_curve_1f(*args, **kwargs, with_spectrum=True)[1] is None
 
         point[3] = self._edge(marches, 0.0, 1.0)
-        step = calibration._FD_STEP
-        base, nearby, (fresh, spectrum), moved = self._step(point, 3, step, 41)
-        assert base is not None and spectrum is None and not moved
+        moved = [*point[:3], point[3] + calibration._FD_STEP, 1.0]
+        base, nearby, (fresh, spectrum), node_moved = self._step(point, moved, 41)
+        assert base is not None and spectrum is None and not node_moved
         assert nearby is None
 
 
