@@ -422,10 +422,10 @@ def _log_spread_vol_1m(b: float, y0: float, sigma: float, rate: float,
     y = mean + sd * rng.standard_normal(n_paths)
     lam = np.exp(y)
     t5 = cfg.tenors[0]
-    times = CdsContract(tenor=t5, recovery=cfg.recovery).payment_times()
+    contract = CdsContract(tenor=t5, recovery=cfg.recovery)
     # flat-hazard legs: annuity and LGD * E[DF at default]
-    disc = np.exp(-np.outer(lam + rate, times))
-    annuity = 0.25 * disc.sum(axis=1)
+    disc = np.exp(-np.outer(lam + rate, contract.payment_times()))
+    annuity = (disc * contract.accruals()).sum(axis=1)
     prot = (1.0 - cfg.recovery) * lam / (lam + rate) * (
         1.0 - np.exp(-(lam + rate) * t5)
     ) if rate != 0.0 else (1.0 - cfg.recovery) * (1.0 - np.exp(-lam * t5))

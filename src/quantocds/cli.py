@@ -107,11 +107,15 @@ def _number(kind, token: str, where: str):
 
 
 def _step_counts(text: str) -> tuple[int, ...]:
-    """``--bracket-steps``: comma-separated MC step counts."""
+    """``--bracket-steps``: comma-separated MC step counts, each at least 1."""
     try:
-        return tuple(_number(int, t, repr(text)) for t in text.split(","))
+        counts = tuple(_number(int, t, repr(text)) for t in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: a step count must be at least 1, "
+                                         f"got {min(counts)}")
+    return counts
 
 
 def _config_tokens(sub: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -209,6 +213,8 @@ def _cmd_validate(args) -> int:
     if args.mc_paths < 2:
         # one path has no standard error, and a check would read z = inf
         raise ValueError(f"--mc-paths must be at least 2, got {args.mc_paths}")
+    if args.mc_steps < 1:
+        raise ValueError(f"--mc-steps must be at least 1, got {args.mc_steps}")
     out = _out_dir(args)
     checks: list[validation.Check] = []
 

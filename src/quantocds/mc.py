@@ -85,16 +85,13 @@ class McEstimate:
     n_paths: int
 
     @classmethod
-    def from_sums(cls, s1: float, s2: float, n: int) -> "McEstimate":
+    def from_samples(cls, x: np.ndarray) -> "McEstimate":
+        x = np.asarray(x, dtype=float)
+        s1, s2, n = float(x.sum()), float((x * x).sum()), x.size
         mean = s1 / n
         var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
         se = math.sqrt(var / n)
         return cls(mean, se, mean - 1.96 * se, mean + 1.96 * se, n)
-
-    @classmethod
-    def from_samples(cls, x: np.ndarray) -> "McEstimate":
-        x = np.asarray(x, dtype=float)
-        return cls.from_sums(float(x.sum()), float((x * x).sum()), x.size)
 
     def contains(self, value: float) -> bool:
         return self.ci95_low <= value <= self.ci95_high

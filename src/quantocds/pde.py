@@ -81,16 +81,17 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
 _THETA = 0.5
 _RANNACHER_STEPS = 2
 _WIDTH_SIGMAS = 6.0
-# longest tenor, in years, of a curve or a contract (``checked_tenor``)
+# longest tenor, in years, of a curve, a contract or a PDE horizon (``checked_tenor``)
 MAX_TENOR = 1000.0
 
 
 def checked_tenor(tenor: float) -> float:
-    """``tenor`` if a contract or a curve can run that long, else a ValueError naming it.
+    """``tenor`` if a contract, a curve or a PDE solve's horizon (``build_grid``)
+    can run that long, else a ValueError naming it.
 
     The longest is ``MAX_TENOR`` years: a contract's schedule holds one
-    payment time a quarter and a curve's time grid one step per n_t-th of
-    its horizon, so a tenor without a bound would size either without one
+    payment time a quarter and a time grid one step per n_t-th of its
+    horizon, so a tenor without a bound would size either without one
     (1e308 overflowed both counts).
     """
     if not 0.0 < tenor < math.inf:
@@ -220,16 +221,17 @@ def _time_grid(T: float, n_t: int, snapshot_tenors: tuple[float, ...]
 
     Returns (dt, total steps, read-only {node index -> tenor}); results are
     memoised, since every march of a calibration asks for the same grid.
-    Raises ValueError for a tenor that rounds to zero, for two tenors that
-    round to one node or for tenors whose common step needs more than
-    10 * n_t steps.
+    Raises ValueError naming the first tenor outside (0, T], for a tenor
+    that rounds to zero, for two tenors that round to one node or for
+    tenors whose common step needs more than 10 * n_t steps.
     """
     if not snapshot_tenors:
         dt = T / n_t
         return dt, n_t, MappingProxyType({})
     tenors = sorted(float(t) for t in snapshot_tenors)
-    if tenors[0] <= 0 or tenors[-1] > T * (1 + 1e-12):
-        raise ValueError("snapshot tenors must lie in (0, T]")
+    outside = [t for t in tenors if not 0 < t <= T * (1 + 1e-12)]
+    if outside:
+        raise ValueError(f"snapshot tenors must lie in (0, T], got {outside[0]:g} with T = {T:g}")
     fracs = [Fraction(t).limit_denominator(10**6) for t in tenors + [T]]
     if fracs[0] == 0:
         raise ValueError(f"snapshot tenor {tenors[0]:g} rounds to zero on the 1e-6 time grid")
@@ -253,9 +255,7 @@ def _time_grid(T: float, n_t: int, snapshot_tenors: tuple[float, ...]
 
 def build_grid(h: HazardParams, T: float, cfg: SolverConfig, snapshot_tenors=None
                ) -> tuple[Grid2D, Mapping[int, float]]:
-    if not T > 0:
-        raise ValueError(f"horizon must be > 0, got {T}")
-    y, iy0 = _y_axis(h, T, cfg.n_y, _WIDTH_SIGMAS)
+    y, iy0 = _y_axis(h, checked_tenor(T), cfg.n_y, _WIDTH_SIGMAS)
     dt, n_t, snap = _time_grid(T, cfg.n_t, tuple(() if snapshot_tenors is None else snapshot_tenors))
     return Grid2D(y, dt * np.arange(n_t + 1), iy0), snap
 
@@ -651,10 +651,13 @@ class _Spectrum:
     survivals; ``_nearby_1f`` prices a nearby operator from it.
 
     S = V diag(lam) V^T is the symmetrised operator (``di``, ``off``) and u
-    the start vector D 1, with d[iy0] = 1.  Row k of ``factors`` holds the
-    march's factors f_k(lam) to the k-th node of ``snap``, whose survival
-    (``survivals``, and ``snapshots`` by tenor) is f_k(lam) . (a * b), with
-    a = V^T e_iy0 and b = V^T u.
+    the start vector D 1, with d[iy0] = 1.  The march to the k-th node of
+    ``snap`` takes n_k implicit steps, each a factor R = 1 / (1 - dt lam)
+    (row n of ``rannacher`` holds R^n), then m_k theta steps, each the
+    Crank-Nicolson factor C (``cn``).  Row k of ``factors`` holds
+    f_k(lam) = R^(n_k) C^(m_k), and the node's survival (``survivals``, and
+    ``snapshots`` by tenor) is f_k(lam) . (a * b), with a = V^T e_iy0 and
+    b = V^T u.
     """
 
     def __init__(self, di, off, u, lam, vec, dt, n_t, snap, iy0):
@@ -664,32 +667,27 @@ class _Spectrum:
         steps = n_t - np.fromiter(snap, int)[:, None]  # steps marched to each node
         self.n_implicit = np.minimum(steps, _RANNACHER_STEPS)
         self.n_theta = steps - self.n_implicit
-        # the Rannacher factor once per count of implicit steps, 0 to _RANNACHER_STEPS
-        rannacher = (1.0 - dt * lam) ** -np.arange(_RANNACHER_STEPS + 1)[:, None]
-        self.factors = rannacher[self.n_implicit.ravel()]
-        self.factors *= (((1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam))
-                         ** self.n_theta)
+        self.rannacher = (1.0 - dt * lam) ** -np.arange(_RANNACHER_STEPS + 1)[:, None]
+        self.cn = (1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam)
+        self.factors = self.rannacher[self.n_implicit.ravel()]
+        self.factors *= self.cn ** self.n_theta
         self.survivals = self.factors @ (self.a * self.b)
         self.snapshots: dict[float, float] = {}
 
     @functools.cached_property
     def perturbation(self) -> tuple[np.ndarray, np.ndarray]:
         """1 / (lam_i - lam_j), zero where i = j, and the factors' derivatives
-        f_k'(lam): the parts of ``_nearby_1f``'s update that every nearby
-        operator shares."""
+        f_k'(lam) = n_k dt R f_k + m_k R^(n_k) C^(m_k - 1) dt / (1 - theta dt lam)^2,
+        which does not divide by C: the parts of ``_nearby_1f``'s update that
+        every nearby operator shares."""
         lam, dt = self.lam, self.dt
         gaps = np.asfortranarray(lam[:, None] - lam)  # in G's order, for G o 1 / gaps
         np.fill_diagonal(gaps, 1.0)
         inverse = 1.0 / gaps
         np.fill_diagonal(inverse, 0.0)
-        # f = R^n C^m, R = 1 / (1 - dt lam) and C the Crank-Nicolson factor:
-        # f' = n dt R f + m R^n C^(m - 1) dt / (1 - theta dt lam)^2, which does
-        # not divide by C, zero at dt lam = -1 / (1 - theta)
-        rannacher = 1.0 / (1.0 - dt * lam)
-        cn = (1.0 + (1.0 - _THETA) * dt * lam) / (1.0 - _THETA * dt * lam)
         n, m = self.n_implicit, self.n_theta
-        derivatives = n * (dt * rannacher) * self.factors
-        derivatives += (m * rannacher**n * cn ** np.maximum(m - 1, 0)
+        derivatives = n * (dt * self.rannacher[1]) * self.factors
+        derivatives += (m * self.rannacher[n.ravel()] * self.cn ** np.maximum(m - 1, 0)
                         * (dt / (1.0 - _THETA * dt * lam) ** 2))
         return inverse, derivatives
 

@@ -162,11 +162,6 @@ def deviation_from_ratio(gamma: float, ratio: float) -> float:
     return (1.0 + gamma) / ratio - 1.0
 
 
-def deviation_from_curves(gamma: float, p: float, p_hat: float) -> float:
-    """(1 + gamma) / [(1 - p_hat) / (1 - p)] - 1, as a fraction."""
-    return deviation_from_ratio(gamma, (1.0 - p_hat) / (1.0 - p))
-
-
 @dataclass(frozen=True)
 class DeviationCell:
     gamma: float
@@ -251,7 +246,7 @@ def _mc_deviation_pct(
     out: dict[tuple[float, float], float] = {}
     for (gamma, rho), leg in legs.items():
         p_hat = float(np.mean(np.exp(-leg.intensity_scale * int_lam[leg.drift_shift])))
-        out[(gamma, rho)] = 100.0 * deviation_from_curves(gamma, p, p_hat)
+        out[(gamma, rho)] = 100.0 * deviation_from_ratio(gamma, (1.0 - p_hat) / (1.0 - p))
     return out
 
 

@@ -129,6 +129,10 @@ class TestConfigValidation:
     def test_numpy_iteration_budget_is_accepted(self):
         assert CalibrationConfig(max_iterations=np.int64(8)).max_iterations == 8
 
+    def test_unknown_vol_mode_is_named(self):
+        with pytest.raises(ValueError, match="^unknown sigma_y_mode 'x'$"):
+            CalibrationConfig(sigma_y_mode="x")
+
 
 class TestSingleCurrency:
     def test_round_trip(self):
@@ -743,6 +747,23 @@ class TestHistoricalCorrelation:
             historical_correlation(x, x, window=5)
         with pytest.raises(ValueError):
             historical_correlation(x[:20], x[:20], window=30)
+
+    def test_misaligned_series_rejected(self):
+        x = np.linspace(1, 2, 40)
+        with pytest.raises(ValueError, match="^series must be 1-d and aligned$"):
+            historical_correlation(x, x[:-1], window=10)
+        with pytest.raises(ValueError, match="^series must be 1-d and aligned$"):
+            historical_correlation(x.reshape(4, 10), x.reshape(4, 10), window=10)
+
+    @pytest.mark.parametrize("series", ["fx_series", "spread_series"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_series_rejected(self, series, bad):
+        x = np.linspace(1, 2, 40)
+        y = x.copy()
+        y[17] = bad
+        pair = {"fx_series": x, "spread_series": x, series: y}
+        with pytest.raises(ValueError, match="^log-returns need positive series$"):
+            historical_correlation(**pair, window=10)
 
     def test_non_integer_window_is_named(self):
         x = np.linspace(1, 2, 40)

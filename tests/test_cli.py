@@ -152,15 +152,19 @@ def _is_number(word: str) -> bool:
 
 
 def _run_strict(argv):
-    """``main(argv)``'s exit code, stdout and stderr, with every warning an
-    error: stderr holds nothing but the CLI's own output, numpy's warnings
-    counted.  (The hypothesis plugin warns on its own, so the fuzzers set the
-    filter here, around the run, rather than with a pytest mark.)"""
+    """``main(argv)``'s exit code, argparse's on a usage error, and stdout and
+    stderr, with every warning an error: stderr holds nothing but the CLI's
+    own output, numpy's warnings counted.  (The hypothesis plugin warns on its
+    own, so the fuzzers set the filter here, around the run, rather than with
+    a pytest mark.)"""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
     return rc, out, err
 
 
@@ -521,7 +525,10 @@ class TestSweepFuzz:
         (["--axis=rho=nan:0.5:3"], "axis 'rho' of 3 points needs finite end points, "
                                    "got 'nan:0.5:3'"),
         (["--axis=gamma=0:0.1:2", "--axis=gamma=0.2:0.3:2"], "sweep axis 'gamma' is given twice"),
-    ], ids=["infinite end", "nan end", "repeated axis"])
+        (["--axis=rho=0:1:2", "--axis=gamma=0:1:2", "--axis=a=0:1:2"],
+         "provide one or two --axis specs"),
+        (["--axis=rho=0:1"], "axis 'rho' needs lo:hi:n, got '0:1'"),
+    ], ids=["infinite end", "nan end", "repeated axis", "three axes", "no point count"])
     def test_bad_axis_is_one_usage_error(self, capsys, axes, named):
         # an infinite end filled the axis with nan after numpy's invalid-value
         # warning, and a repeated axis printed the second's values in both columns
@@ -557,6 +564,22 @@ class TestConfigFile:
         assert rc == 0
         lines = [l for l in out.splitlines() if l.startswith("par spread")]
         assert lines[0].split()[-2] == lines[1].split()[-2]  # flag gamma=0 won
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n# the contract\n   \ntenor = 1\n\t# nothing else\n")
+        argv = ["price", "--engine", "reduced", *FAST_MODEL]
+        assert run([*argv, "--config", str(cfg)]) == 0
+        assert run([*argv, "--tenor", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out[:len(out) // 2] == out[len(out) // 2:]
+
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["price", "--config", str(tmp_path / "missing.cfg")])
+        assert exc.value.code == 2
+        assert ("quantocds price: error: cannot read config file: [Errno 2] No such file or "
+                "directory" in capsys.readouterr().err)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -777,6 +800,60 @@ class TestValidateCmd:
                 assert (row["default_ratio"], row["deviation_pct"]) == ("1", "0.0000")
 
 
+class TestValidateFuzz:
+    """``validate`` over the bracketing and symmetry studies with path and
+    step counts, grids and seeds drawn around their bounds: it exits 0 or 1
+    with every check printed and a ``k/n checks passed`` line, exits 1 with
+    one ``error:`` line, or exits 2 for a step count below 1 in
+    ``--bracket-steps``.  The counts stay small: the runs are meant to
+    take seconds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["bracketing", "symmetry"]), st.integers(-1, 300),
+           st.lists(st.integers(-2, 400), min_size=1, max_size=3), st.integers(-2, 400),
+           st.integers(0, 61), st.integers(-2, 2**32))
+    @example("bracketing", 20, [0, 300], 300, 21, 0)
+    @example("bracketing", 20, [300], 0, 21, 0)
+    def test_prints_or_names_one_error(self, study, paths, bracket_steps, mc_steps, n_y, seed):
+        argv = ["validate", f"--study={study}", f"--mc-paths={paths}",
+                f"--bracket-steps={','.join(map(str, bracket_steps))}", f"--mc-steps={mc_steps}",
+                f"--grid-y={n_y}", f"--seed={seed}"]
+        rc, out, err = _run_strict(argv)
+        out, err = out.getvalue(), err.getvalue()
+        # argparse checks each --bracket-steps count as it reads the flag
+        assert (rc == 2) == (min(bracket_steps) < 1)
+        if rc == 2:
+            assert err.splitlines()[-1].startswith(
+                "quantocds validate: error: argument --bracket-steps: ")
+        elif err:
+            assert rc == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+            # a step count below 1 said "n_t must be an integer >= 1, got 0"
+            assert "n_t" not in err
+        else:
+            assert rc in (0, 1)
+            passed, total = map(int, re.fullmatch(r"(\d+)/(\d+) checks passed",
+                                                  out.splitlines()[-1]).groups())
+            assert total > 0 and (rc == 0) == (passed == total)
+
+    @pytest.mark.parametrize("argv,err", [
+        (["--study=symmetry", "--mc-steps=0"], "error: --mc-steps must be at least 1, got 0\n"),
+        (["--study=bracketing", "--mc-steps=-2"],
+         "error: --mc-steps must be at least 1, got -2\n"),
+    ], ids=["symmetry", "bracketing"])
+    def test_step_count_below_one_is_named_by_its_flag(self, capsys, argv, err):
+        # the run said "n_t must be an integer >= 1, got 0", naming a solver field
+        assert run(["validate", "--mc-paths=20", *argv]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_bracket_step_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["validate", "--bracket-steps=300,0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --bracket-steps: '300,0': a step count must be at least 1, got 0\n")
+
+
 class TestCalibrateCmd:
     def test_round_trip_file(self, tmp_path, capsys):
         snap_file = tmp_path / "snaps.csv"
@@ -799,6 +876,28 @@ class TestCalibrateCmd:
         err = capsys.readouterr().err
         assert rc == 1
         assert "line 3" in err
+
+    def test_short_row_names_line(self, tmp_path, capsys):
+        snap_file = tmp_path / "snaps.csv"
+        make_snapshot_csv(snap_file, ["2012-05-07,440,460,350,370,0.10"])
+        rc = run(["calibrate", "--snapshots", str(snap_file), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {snap_file}: malformed row at line 2: "
+                                           "wrong number of fields\n")
+
+    def test_failed_fit_is_a_row_without_diagnostics(self, tmp_path, capsys):
+        # no hazard prices USD 1 bp at 5 years against 9000 bp at 10
+        snap_file = tmp_path / "snaps.csv"
+        make_snapshot_csv(snap_file, ["2012-05-07,1,9000,1,9000,0.10,0.50,0.0"])
+        rc = run(["calibrate", "--snapshots", str(snap_file), "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0] == "calibrated 1 dates: 0 converged, 0 unconverged, 1 failed"
+        assert out[1].startswith("  2012-05-07: FAILED (single-currency fit stuck at ")
+        (row,) = csv.reader((tmp_path / "calibration_results.csv").read_text().splitlines()[1:])
+        assert row[:14] == ["2012-05-07"] + [""] * 12 + ["false"]
+        assert out[1] == f"  2012-05-07: FAILED ({row[14]})"
+        assert (tmp_path / "calibration_diagnostics.csv").read_text().count("\n") == 1
 
     @pytest.mark.parametrize("row, field", [
         ("2012-05-07,440,460,350,370,0.10,0.50,nan", "rate"),
@@ -975,6 +1074,21 @@ class TestBacktestCmd:
         capsys.readouterr()
         assert rc == 0
         assert (tmp_path / "historical_correlation.csv").exists()
+
+    @pytest.mark.parametrize("history, named", [
+        ("date,fx\nd0,1.3\n", "header must contain date,fx,spread"),
+        ("date,fx,spread\nd0,1.3,0.01\nd1,1.3,x\n",
+         "malformed row at line 3: could not convert string to float: 'x'"),
+    ], ids=["no spread column", "malformed row"])
+    def test_bad_history_is_named(self, tmp_path, capsys, history, named):
+        snap_file = tmp_path / "snaps.csv"
+        make_snapshot_csv(snap_file, [])
+        hist = tmp_path / "hist.csv"
+        hist.write_text(history)
+        rc = run(["backtest", "--snapshots", str(snap_file), "--history", str(hist),
+                  "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {hist}: {named}\n"
 
 
 class TestCsvRoundTrip:

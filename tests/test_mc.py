@@ -599,6 +599,11 @@ class TestSurvivalEstimators:
         with pytest.raises(ValueError, match=re.escape(message)):
             survival_curve_mc(H_TEST, [1.0, tenor], cfg)
 
+    def test_curve_without_tenors_is_named(self):
+        cfg = SimConfig(n_paths=100, n_steps=10, horizon=5.0, seed=1)
+        with pytest.raises(ValueError, match="^need at least one tenor$"):
+            survival_curve_mc(H_TEST, [], cfg)
+
     def test_determinism(self):
         cfg = SimConfig(n_paths=30_000, n_steps=60, horizon=5.0, seed=42)
         e1 = survival_probability_mc(H_TEST, 5.0, cfg)

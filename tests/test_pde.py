@@ -1113,6 +1113,31 @@ class TestGrid:
                 assert hat.tenors.size == len(tenors)
                 assert np.all(np.diff(p.probs) <= 0.0) and 0.9 < p.probs[-1] < 1.0
 
+    @pytest.mark.parametrize("tenors,named", [([0.5, 2.0], "2"), ([-1.0, 0.5, 3.0], "-1")])
+    def test_snapshot_tenor_outside_the_horizon_is_named(self, tenors, named):
+        # the error read "snapshot tenors must lie in (0, T]", naming neither the tenor nor T
+        with pytest.raises(ValueError, match=rf"^snapshot tenors must lie in \(0, T\], "
+                                             rf"got {named} with T = 1$"):
+            solve_quanto_pde(H_SWEEP, QuantoFxParams(0.8, 0.1, 0.0, 0.0), RATES0, 1.0,
+                             SolverConfig(n_y=11, n_t=20), snapshot_tenors=tenors)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", [0, -1, math.nan, math.inf, 1e308, 1000.5])
+    def test_horizon_outside_a_tenor_is_named(self, T):
+        # the horizon takes the tenor rule, ``pde.checked_tenor``: at inf both solves
+        # warned twice and then named a blow-up at dt = nan, at 1e308 a blow-up at
+        # dt = 5e306, and above 1000 years they priced
+        fx = QuantoFxParams(0.8, 0.1, 0.0, 0.0)
+        for solve in (solve_quanto_pde, solve_foreign_measure_pde):
+            with pytest.raises(ValueError, match=rf"^tenor must be .*, got {re.escape(str(T))}$"):
+                solve(H_SWEEP, fx, RATES0, T, SolverConfig(n_y=11, n_t=20))
+
+    def test_unknown_engine_is_named(self):
+        fx = QuantoFxParams(0.8, 0.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^unknown engine 'bogus'$"):
+            quanto_survival_curve(H_SWEEP, fx, [1.0], SolverConfig(n_y=11, n_t=20),
+                                  engine="bogus")
+
     def test_memoised_snapshot_map_is_read_only(self):
         _, snap = build_grid(H_SWEEP, 5.0, SolverConfig(n_t=60), [1.0, 5.0])
         _, again = build_grid(H_SWEEP, 5.0, SolverConfig(n_t=60), [1.0, 5.0])

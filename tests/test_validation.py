@@ -25,7 +25,7 @@ from quantocds.validation import (
     anchor_checks,
     bracketing_checks,
     bracketing_study,
-    deviation_from_curves,
+    deviation_from_ratio,
     deviation_sweep,
     fx_symmetry_study,
     ratio_checks,
@@ -160,4 +160,5 @@ class TestSharedDrawPasses:
             leg = _Leg.of(h, fx, RatePair(0.0, 0.0), "contractual")
             (int_lam,) = _TerminalKernel(h, [leg]).run(cfg, want_fx=False)
             p_hat = float(np.mean(np.exp(-leg.intensity_scale * int_lam[0])))
-            assert got[(gamma, rho)] == 100.0 * deviation_from_curves(gamma, p, p_hat)
+            ratio = (1.0 - p_hat) / (1.0 - p)
+            assert got[(gamma, rho)] == 100.0 * deviation_from_ratio(gamma, ratio)
