@@ -11,11 +11,11 @@ memoised spread model.  Both fits and the implied vol's root find run
 `_fit`, a small bounded trust-region Gauss-Newton that updates its
 Jacobian from points already priced and stops at the model's round-off,
 so no stage loads scipy.optimize.  The spread model prices a point within
-``_REACH`` of one it solved afresh from that solve's eigendecomposition
-(`pde._nearby_1f`), so on the spectral path a Jacobian, and most closing
-steps, cost no eigensolve.  The mean reversion stays pinned at a
-small value throughout, which makes b act through the product a*b only;
-`CalibrationResult.ab` exposes that product.
+`pde._REACH` of the last one it solved afresh from that solve's
+eigendecomposition (`pde._nearby_1f`), so on the spectral path a Jacobian,
+and most closing steps, cost no eigensolve.  The mean reversion stays
+pinned at a small value throughout, which makes b act through the product
+a*b only; `CalibrationResult.ab` exposes that product.
 """
 
 from __future__ import annotations
@@ -39,9 +39,17 @@ class CalibrationError(RuntimeError):
     pass
 
 
+# what `calibrate_sigma_y` warns for a snapshot without an index vol
+NO_INDEX_VOL = "no index-option vol quoted; falling back to sigma_y_default"
+
+
 @dataclass(frozen=True)
 class MarketSnapshot:
     """One business date of quotes, spreads and vols as annualized decimals."""
+
+    # no market quotes a spread or vol above this (1,000,000 bp, a vol of 10,000 %),
+    # and refusing one keeps the fits' squares of bp residuals and of vols finite
+    MAX_QUOTE: ClassVar[float] = 100.0
 
     date: str
     spread_usd_5y: float
@@ -54,13 +62,13 @@ class MarketSnapshot:
 
     def __post_init__(self) -> None:
         for name in ("spread_usd_5y", "spread_usd_10y", "spread_eur_5y", "spread_eur_10y"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.fx_atm_vol < math.inf:
-            raise ValueError(f"fx_atm_vol must be >= 0 and finite, got {self.fx_atm_vol}")
-        vol = self.index_option_vol_1m
-        if vol is not None and not 0.0 <= vol < math.inf:
-            raise ValueError(f"index_option_vol_1m must be >= 0 and finite, got {vol}")
+            if not 0.0 < getattr(self, name) <= self.MAX_QUOTE:
+                raise ValueError(f"{name} must be > 0 and at most {self.MAX_QUOTE:g}, "
+                                 f"got {getattr(self, name)}")
+        for name in ("fx_atm_vol", "index_option_vol_1m"):
+            vol = getattr(self, name)
+            if vol is not None and not 0.0 <= vol <= self.MAX_QUOTE:
+                raise ValueError(f"{name} must be >= 0 and at most {self.MAX_QUOTE:g}, got {vol}")
         if not math.isfinite(self.rate):
             raise ValueError(f"rate must be finite, got {self.rate}")
 
@@ -109,9 +117,9 @@ class CalibrationResult:
     one after a step rejected on a secant Jacobian or short of a quarter of
     the predicted reduction, is a forward difference of two further
     evaluations, which ``iterations`` leaves out.  On the spectral path
-    every evaluation within ``_REACH`` of a point solved afresh, the forward
-    differences among them, is priced from that point's eigendecomposition
-    (`_SpreadModel`).  It counts nothing of the liquid-currency stage.
+    most evaluations, the forward differences among them, cost no
+    eigensolve (`_SpreadModel`).  It counts nothing of the liquid-currency
+    stage.
     """
 
     date: str
@@ -140,33 +148,27 @@ class _SpreadModel:
 
     The liquid (USD) curve is the contractual one at rho = gamma = 0: no
     drift tilt and intensity scale 1, so one method prices both currencies.
-    The model holds the spectral solves (`pde._Spectrum`) of the last two
-    points it solved afresh.  A point whose operator coordinates (b, y0,
-    sigma_y, drift tilt, kill scale) all lie within ``_REACH`` (`_distance`)
-    of a held one is priced from the nearer such solve by its first-order
-    update (`pde._nearby_1f`), which matches a fresh solve within 1e-12
-    (``TestNearbySolve`` in tests/test_pde.py); the fits' forward-difference
-    points are such points.  A point out of reach, or one the update hands
-    back (the spot node moved, the gate left, a value not finite), is solved
-    afresh.
+    The model memoises its curves and holds one spectral solve
+    (`pde._Spectrum`): that of the last point it solved afresh, none where
+    that solve marched.  It prices every new point from the held solve by
+    the first-order update (`pde._nearby_1f`), which matches a fresh solve
+    within 1e-12 (``TestNearbySolve`` in tests/test_pde.py); the fits'
+    forward-difference points are such points.  A point the update hands
+    back (beyond `pde._REACH` of the held solve, the spot node moved, the
+    gate left, a value not finite) is solved afresh, and its solve replaces
+    the held one.
     """
 
     def __init__(self, snapshot: MarketSnapshot, cfg: CalibrationConfig):
         self.cfg = cfg
         self.rate = snapshot.rate
         self.sigma_z = snapshot.fx_atm_vol
-        t5, t10 = cfg.tenors
-        self.contract_5 = CdsContract(tenor=t5, recovery=cfg.recovery)
-        self.contract_10 = CdsContract(tenor=t10, recovery=cfg.recovery)
-        self.tenor_grid = self.contract_10.payment_times()
-        self.tenors = pde._sorted_tenors(self.tenor_grid)  # checked once, for every curve
-        self.n_t = max(1, int(round(cfg.n_t_per_year * t10)))
-        # each stage reprices points the last one priced: march and price once
+        self.contracts = [CdsContract(tenor=t, recovery=cfg.recovery) for t in cfg.tenors]
+        self.tenors = pde._sorted_tenors(self.contracts[-1].payment_times())  # checked once
+        self.n_t = max(1, int(round(cfg.n_t_per_year * cfg.tenors[-1])))
+        # each stage reprices points the last one priced: march once
         self._memo: dict[tuple[float, ...], SurvivalCurve] = {}
-        self._pairs: dict[tuple[float, ...], tuple[float, float]] = {}
-        # the spectral solves among the last two points solved afresh, by the
-        # operator's coordinates (b, y0, sigma_y, drift tilt, kill scale)
-        self._spectra: dict[tuple[float, ...], pde._Spectrum] = {}
+        self._spectrum: pde._Spectrum | None = None
 
     def curve(self, b: float, y0: float, sigma_y: float,
               rho: float = 0.0, gamma: float = 0.0) -> SurvivalCurve:
@@ -177,29 +179,18 @@ class _SpreadModel:
             # the one-factor reduction of `pde.quanto_survival_curve_1f`
             tilt, kill_scale = fx.rho * h.sigma_y * fx.sigma_z, 1.0 + fx.gamma_z
             solve = dict(n_y=self.cfg.n_y, n_t=self.n_t, drift_shift=tilt, kill_scale=kill_scale)
-            point = (b, y0, sigma_y, tilt, kill_scale)  # the operator's coordinates
-            near = min(self._spectra, key=lambda k: _distance(point, k), default=None)
-            p = None
-            if near is not None and _distance(point, near) <= _REACH:
-                p = pde._nearby_1f(self._spectra[near], h, self.tenors, **solve)
+            p = pde._nearby_1f(self._spectrum, h, self.tenors, **solve)
             if p is None:
-                if len(self._spectra) == 2:  # the older goes first: never three held
-                    del self._spectra[next(iter(self._spectra))]
-                p, spectrum = pde.survival_curve_1f(h, self.tenors, with_spectrum=True, **solve)
-                if spectrum is not None:
-                    self._spectra[point] = spectrum
-            self._memo[key] = SurvivalCurve(self.tenor_grid, p)
+                p, self._spectrum = pde.survival_curve_1f(h, self.tenors, with_spectrum=True,
+                                                          **solve)
+            self._memo[key] = SurvivalCurve(self.tenors, p)
         return self._memo[key]
 
     def spreads(self, b: float, y0: float, sigma_y: float,
                 rho: float = 0.0, gamma: float = 0.0) -> tuple[float, float]:
         """5Y and 10Y par spreads; USD at the default rho = gamma = 0."""
-        key = (b, y0, sigma_y, rho, gamma)
-        if key not in self._pairs:
-            curve = self.curve(*key)
-            self._pairs[key] = tuple(par_spread(curve, self.rate, c).par_spread
-                                     for c in (self.contract_5, self.contract_10))
-        return self._pairs[key]
+        curve = self.curve(b, y0, sigma_y, rho, gamma)
+        return tuple(par_spread(curve, self.rate, c).par_spread for c in self.contracts)
 
 
 # every stage of one snapshot shares one model; a new snapshot or config
@@ -215,19 +206,6 @@ _SIGMA_Y_BOUNDS = (1e-4, 3.0)
 
 # forward-difference step of scipy's 2-point scheme, relative to max(1, |x|)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
-# a point this close to a spectral solve's, relative to max(1, |x|) in every
-# operator coordinate, is priced from that solve's eigendecomposition: its
-# first-order update then misses a fresh solve by at most 3.3e-13 over
-# ``TestNearbySolve``'s box, where a reach of 1e-7 missed by 1.3e-12
-_REACH = 5e-8
-
-
-def _distance(point: tuple[float, ...], base: tuple[float, ...]) -> float:
-    """The largest move from ``base`` to ``point`` in one coordinate, relative
-    to max(1, |x|) at ``base``."""
-    return max(abs(x - x0) / max(1.0, abs(x0)) for x, x0 in zip(point, base))
-
-
 # residuals at or below this many bp are the spread model's round-off
 # (3e-12 to 6e-11 bp): a fit ends at the first point that reaches it
 _FLOOR_BP = 1e-10
@@ -279,9 +257,8 @@ def _fit(residual, x0: np.ndarray, bounds, x_scale, max_nfev: int):
     accepted short of a quarter of its predicted reduction; otherwise each
     accepted step updates it by Broyden's rank-one formula.  ``residual``
     prices every point, the forward differences included; the spread fits'
-    model prices a point within ``_REACH`` of one it solved afresh, as the
-    forward differences and most closing steps are, by a first-order
-    update that matches a fresh solve within 1e-12 (`_SpreadModel`).
+    model prices those and most closing steps by a first-order update
+    (`_SpreadModel`).
     """
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
     scale = np.asarray(x_scale, dtype=float)
@@ -342,8 +319,7 @@ def calibrate_single_ccy(
     targets = np.array([snapshot.spread_usd_5y, snapshot.spread_usd_10y])
 
     def residuals(x):
-        s5, s10 = model.spreads(x[0], x[1], sigma_y)
-        return (np.array([s5, s10]) - targets) * 1e4
+        return (np.array(model.spreads(x[0], x[1], sigma_y)) - targets) * 1e4
 
     x, f, _ = _fit(residuals, _seed_hazard(snapshot, cfg, sigma_y),
                    ([_B_BOUNDS[0], _Y0_BOUNDS[0]], [_B_BOUNDS[1], _Y0_BOUNDS[1]]),
@@ -390,7 +366,7 @@ def calibrate_sigma_y(
     cfg = cfg or CalibrationConfig()
     quote = snapshot.index_option_vol_1m
     if quote is None:
-        warnings.warn("no index-option vol quoted; falling back to sigma_y_default")
+        warnings.warn(NO_INDEX_VOL)
         return cfg.sigma_y_default
     if cfg.sigma_y_mode == "passthrough":
         return float(quote)
@@ -575,7 +551,7 @@ def historical_correlation(fx_series, spread_series, window: int) -> np.ndarray:
     if not isinstance(window, numbers.Integral):
         raise ValueError(f"window must be an integer, got {window!r}")
     if window < 10:
-        raise ValueError("window must be >= 10 observations")
+        raise ValueError(f"window must be >= 10 observations, got {window}")
     fx = np.asarray(fx_series, dtype=float)
     sp = np.asarray(spread_series, dtype=float)
     if fx.shape != sp.shape or fx.ndim != 1:

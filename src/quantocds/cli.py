@@ -18,12 +18,14 @@ import csv
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import validation
 from .calibration import (
+    NO_INDEX_VOL,
     CalibrationConfig,
     CalibrationError,
     MarketSnapshot,
@@ -67,8 +69,16 @@ def _rates(args) -> RatePair:
     return RatePair(r=args.r, r_hat=args.r_hat)
 
 
+def _at_least(args, flag: str, least: int) -> int:
+    """The value of ``flag``, or a ValueError naming the flag where it is below ``least``."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+    return value
+
+
 def _solver_cfg(args) -> SolverConfig:
-    return SolverConfig(n_y=args.grid_y, n_t=args.grid_t)
+    return SolverConfig(n_y=_at_least(args, "--grid-y", 3), n_t=args.grid_t)
 
 
 def _out_dir(args) -> Path | None:
@@ -210,11 +220,8 @@ def _cmd_survival_curve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.mc_paths < 2:
-        # one path has no standard error, and a check would read z = inf
-        raise ValueError(f"--mc-paths must be at least 2, got {args.mc_paths}")
-    if args.mc_steps < 1:
-        raise ValueError(f"--mc-steps must be at least 1, got {args.mc_steps}")
+    _at_least(args, "--mc-paths", 2)  # one path has no standard error: z would read inf
+    _at_least(args, "--mc-steps", 1)
     out = _out_dir(args)
     checks: list[validation.Check] = []
 
@@ -224,7 +231,7 @@ def _cmd_validate(args) -> int:
             n_paths=args.mc_paths,
             fixed_steps=args.mc_steps,
             seed=args.seed,
-            n_y=args.grid_y,
+            n_y=_at_least(args, "--grid-y", 3),
         )
         rows = [[str(pt.n_steps), str(pt.n_paths), _fpar(pt.pde_value), _fpar(pt.mc.mean),
                  _fpar(pt.mc.ci95_low), _fpar(pt.mc.ci95_high), str(pt.inside).lower()]
@@ -384,7 +391,7 @@ def _calibration_config(args) -> CalibrationConfig:
         tolerance_bp=args.tolerance_bp,
         sigma_y_mode=args.sigma_y_mode,
         seed=args.seed,
-        n_y=args.grid_y,
+        n_y=_at_least(args, "--grid-y", 3),
         n_t_per_year=max(1, args.grid_t // 10),
     )
 
@@ -403,9 +410,11 @@ _DIAG_HEADER = ["date", "gamma", "rho", "rel_basis_1y", "rel_basis_10y",
 def _run_calibration(args) -> tuple[list, Path]:
     """Calibrate every snapshot and write the results and diagnostics CSVs;
     returns the backtest rows and the output directory."""
-    rows = backtest(read_snapshots(args.snapshots), _calibration_config(args))
-    result_rows: list[list[str]] = []
-    diag_rows: list[list[str]] = []
+    with warnings.catch_warnings():
+        # a date without an index vol takes sigma_y_default, which its row prints
+        warnings.filterwarnings("ignore", message=NO_INDEX_VOL)
+        rows = backtest(read_snapshots(args.snapshots), _calibration_config(args))
+    result_rows, diag_rows = [], []
     for row in rows:
         if row.result is None:
             result_rows.append([row.date] + [""] * 12 + ["false", row.error or "failed"])
@@ -462,24 +471,21 @@ def _cmd_backtest(args) -> int:
 
 
 def _rolling_correlation_rows(path: Path, window: int) -> list[list[str]]:
-    dates: list[str] = []
-    fx_vals: list[float] = []
-    sp_vals: list[float] = []
+    rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        need = {"date", "fx", "spread"}
-        if reader.fieldnames is None or not need.issubset(set(reader.fieldnames)):
+        if not {"date", "fx", "spread"} <= set(reader.fieldnames or ()):
             raise ValueError(f"{path}: header must contain date,fx,spread")
         for row in reader:
             try:
-                dates.append(row["date"].strip())
-                fx_vals.append(float(row["fx"]))
-                sp_vals.append(float(row["spread"]))
-            except (TypeError, ValueError) as exc:
+                if None in (row["date"], row["fx"], row["spread"]):
+                    raise ValueError("wrong number of fields")
+                rows.append((row["date"].strip(), float(row["fx"]), float(row["spread"])))
+            except ValueError as exc:
                 raise ValueError(f"{path}: malformed row at line {reader.line_num}: {exc}")
-    corr = historical_correlation(fx_vals, sp_vals, window)
-    aligned = dates[window:]
-    return [[d, _fpar(c)] for d, c in zip(aligned, corr)]
+    dates, fx, spread = zip(*rows) if rows else ((), (), ())
+    corr = historical_correlation(fx, spread, window)
+    return [[d, _fpar(c)] for d, c in zip(dates[window:], corr)]
 
 
 # --------------------------------------------------------------------------

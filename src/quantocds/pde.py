@@ -18,8 +18,8 @@ z, v = z w(t, y), so every solve marches a y-profile w from w = 1:
   (1 + gamma) e^y under a drift tilted by rho sigma_y sigma_z, the ADI
   engine's cross-check and the calibration's fast path.  It diagonalises
   its operator once where its gate allows (``_spectral_1f``) and marches
-  elsewhere; ``_nearby_1f`` prices an operator within a calibration's
-  reach of a diagonalised one by a first-order update;
+  elsewhere; ``_nearby_1f`` prices an operator within ``_REACH`` of a
+  diagonalised one by a first-order update;
 - ``solve_foreign_measure_pde``, the gamma = 0 measure-change route.
 
 They share one y-operator (``_y_diags``), one step type (``_Step``), one
@@ -83,6 +83,9 @@ _RANNACHER_STEPS = 2
 _WIDTH_SIGMAS = 6.0
 # longest tenor, in years, of a curve, a contract or a PDE horizon (``checked_tenor``)
 MAX_TENOR = 1000.0
+# most steps in a PDE time grid once its snapshot tenors are on nodes (``build_grid``):
+# a step a day over MAX_TENOR is 365,250, and a million nodes take 8 MB
+MAX_STEPS = 1_000_000
 
 
 def checked_tenor(tenor: float) -> float:
@@ -257,6 +260,9 @@ def build_grid(h: HazardParams, T: float, cfg: SolverConfig, snapshot_tenors=Non
                ) -> tuple[Grid2D, Mapping[int, float]]:
     y, iy0 = _y_axis(h, checked_tenor(T), cfg.n_y, _WIDTH_SIGMAS)
     dt, n_t, snap = _time_grid(T, cfg.n_t, tuple(() if snapshot_tenors is None else snapshot_tenors))
+    if n_t > MAX_STEPS:
+        raise ValueError(f"a PDE time grid holds at most {MAX_STEPS} steps, got {n_t} over "
+                         f"{T:g} years from a step count of {cfg.n_t}")
     return Grid2D(y, dt * np.arange(n_t + 1), iy0), snap
 
 
@@ -646,23 +652,34 @@ def _symmetrised(ops: _Diags, kill: np.ndarray, dt: float, n_t: int
     return di, np.sqrt(couple), log_d
 
 
+# ``_nearby_1f`` prices a point on a spectral solve's y-grid whose six other
+# ``_coordinates`` each lie this close to the solve's, relative to max(1, |x|)
+_REACH = 5e-8
+
+
+def _coordinates(h: HazardParams, n_y: int, width_sigmas: float, drift_shift: float,
+                 kill_scale: float) -> tuple[tuple, tuple]:
+    return (n_y, width_sigmas), (h.a, h.b, h.sigma_y, h.y0, drift_shift, kill_scale)
+
+
 class _Spectrum:
     """What a spectral one-factor solve (``_spectral_1f``) diagonalised, and its
-    survivals; ``_nearby_1f`` prices a nearby operator from it.
+    survivals; ``_nearby_1f`` prices a nearby operator from it, within
+    ``_REACH`` of the operator's coordinates ``at`` (``_coordinates``).
 
     S = V diag(lam) V^T is the symmetrised operator (``di``, ``off``) and u
     the start vector D 1, with d[iy0] = 1.  The march to the k-th node of
     ``snap`` takes n_k implicit steps, each a factor R = 1 / (1 - dt lam)
     (row n of ``rannacher`` holds R^n), then m_k theta steps, each the
-    Crank-Nicolson factor C (``cn``).  Row k of ``factors`` holds
-    f_k(lam) = R^(n_k) C^(m_k), and the node's survival (``survivals``, and
-    ``snapshots`` by tenor) is f_k(lam) . (a * b), with a = V^T e_iy0 and
-    b = V^T u.
+    Crank-Nicolson factor C = (1 + (1 - theta) dt lam) / (1 - theta dt lam)
+    (``cn``).  Row k of ``factors`` holds f_k(lam) = R^(n_k) C^(m_k), and the
+    node's survival (``survivals``, and ``snapshots`` by tenor) is
+    f_k(lam) . (a * b), with a = V^T e_iy0 and b = V^T u.
     """
 
-    def __init__(self, di, off, u, lam, vec, dt, n_t, snap, iy0):
+    def __init__(self, di, off, u, lam, vec, dt, n_t, snap, iy0, at):
         self.di, self.off, self.u, self.lam, self.vec = di, off, u, lam, vec
-        self.dt, self.n_t, self.snap, self.iy0 = dt, n_t, snap, iy0
+        self.dt, self.n_t, self.snap, self.iy0, self.at = dt, n_t, snap, iy0, at
         self.a, self.b = vec[iy0], u @ vec
         steps = n_t - np.fromiter(snap, int)[:, None]  # steps marched to each node
         self.n_implicit = np.minimum(steps, _RANNACHER_STEPS)
@@ -693,18 +710,16 @@ class _Spectrum:
 
 
 def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
-                 snap: Mapping[int, float], iy0: int) -> _Spectrum | None:
+                 snap: Mapping[int, float], iy0: int, at: tuple | None = None
+                 ) -> _Spectrum | None:
     """``_march``'s snapshots of ``_Step(ops)`` from one eigendecomposition
-    (the ``_Spectrum``'s ``snapshots``), or None; ``_reached`` checks them as
-    it checks the march's.
+    (the ``_Spectrum``'s ``snapshots``, kept with the operator's coordinates
+    ``at``), or None; ``_reached`` checks them as it checks the march's.
 
     The operator A (``ops``, which kills at ``kill``) is time-homogeneous,
-    so each step of the march multiplies A's eigencomponents by a scalar:
-    1 / (1 - dt lam) on a Rannacher step,
-    (1 + (1 - theta) dt lam) / (1 - theta dt lam) on a theta step.  With
-    S = D A D^-1 symmetric, w(iy0) = sum_j V[iy0, j] (V^T d)_j f(lam_j)
-    where D = diag(d) and d[iy0] = 1.  Returns None, and the caller
-    marches, wherever that is not both accurate and cheaper
+    so each step of the march multiplies the eigencomponents of the
+    symmetric S = D A D^-1 by a scalar (``_Spectrum``).  Returns None, and
+    the caller marches, wherever that is not both accurate and cheaper
     (``_symmetrised`` tests all but the last):
 
     - a zero kill at some node, where e^y underflows: S is then not
@@ -729,19 +744,20 @@ def _spectral_1f(ops: _Diags, kill: np.ndarray, dt: float, n_t: int,
         lam, vec = eigh_tridiagonal(di, off)
     except LinAlgError:
         return None
-    spectrum = _Spectrum(di, off, np.exp(log_d - log_d[iy0]), lam, vec, dt, n_t, snap, iy0)
+    spectrum = _Spectrum(di, off, np.exp(log_d - log_d[iy0]), lam, vec, dt, n_t, snap, iy0, at)
     _reached(spectrum.survivals[:, None], list(snap), 0, snap, spectrum.snapshots,
              (di.size, dt, _ONE_FACTOR.format(di.size)))
     return spectrum
 
 
-def _nearby_1f(base: _Spectrum, h: HazardParams, tenors: Sequence[float], n_y: int, n_t: int,
-               width_sigmas: float = _WIDTH_SIGMAS, drift_shift: float = 0.0,
+def _nearby_1f(base: _Spectrum | None, h: HazardParams, tenors: Sequence[float], n_y: int,
+               n_t: int, width_sigmas: float = _WIDTH_SIGMAS, drift_shift: float = 0.0,
                kill_scale: float = 1.0) -> np.ndarray | None:
     """``survival_curve_1f``'s survivals for these arguments, from the spectral
-    solve ``base`` of a nearby operator on the same time grid, or None where
-    the caller must solve afresh: the spot node or the time grid moved, or
-    the operator lies outside ``_spectral_1f``'s gate.
+    solve ``base`` of a nearby operator, or None where the caller must solve
+    afresh: there is no base, the operator lies on another y-grid or beyond
+    ``_REACH`` of base's (``_coordinates``), the spot node or the time grid
+    moved, or the operator lies outside ``_spectral_1f``'s gate.
 
     The operator is built as a fresh solve builds it, and its survivals are
     base's plus the first-order change of w(iy0) = e_iy0^T f_k(S) u in
@@ -751,24 +767,24 @@ def _nearby_1f(base: _Spectrum, h: HazardParams, tenors: Sequence[float], n_y: i
     c = V^T du, the change at node k is
     sum_i f_k(lam_i) g_i + f_k'(lam_i) H_ii, where
     g_i = sum_(j != i) (H_ij + H_ji) / (lam_i - lam_j) + a_i c_i.
-    A move within a calibration's reach (``calibration._REACH``: 5e-8,
-    relative to max(1, |x|), in each of b, y0, sigma_y, the drift tilt and
-    the kill scale; a forward-difference step is 1.5e-8) leaves a
-    second-order term at round-off: the update matches a fresh solve within
-    1e-12, by at most 3.3e-13 measured (``TestNearbySolve`` in
-    tests/test_pde.py), at the cost of one GEMM against an eigensolve's.
-    The term grows with the square of the move: 1e-7 in every coordinate
-    missed by 1.3e-12.
+    A move within ``_REACH`` (5e-8 in each coordinate; a calibration's
+    forward-difference step is 1.5e-8) leaves a second-order term at
+    round-off: the update matches a fresh solve within 1e-12, by at most
+    3.3e-13 measured (``TestNearbySolve`` in tests/test_pde.py), at the cost
+    of one GEMM against an eigensolve's.  The term grows with the square of
+    the move: 1e-7 in every coordinate missed by 1.3e-12.
     """
     from scipy.linalg.blas import dgemm, dgemv
 
+    y_grid, point = _coordinates(h, n_y, width_sigmas, drift_shift, kill_scale)
+    if base is None or y_grid != base.at[0] or max(
+            abs(x - x0) / max(1.0, abs(x0)) for x, x0 in zip(point, base.at[1])) > _REACH:
+        return None
     tenors = _sorted_tenors(tenors)
     operator = _operator_1f(h, tenors, n_y, n_t, width_sigmas, drift_shift, kill_scale)
-    if operator is None:
+    if operator is None or operator[2:] != (base.dt, base.n_t, base.snap, base.iy0):
         return None
     ops, kill, dt, n_total, snap, iy0 = operator
-    if (iy0, dt, n_total, snap) != (base.iy0, base.dt, base.n_t, base.snap):
-        return None
     symmetrised = _symmetrised(ops, kill, dt, n_total)
     if symmetrised is None:
         return None
@@ -854,7 +870,8 @@ def survival_curve_1f(
         p, spectrum = np.ones(len(tenors)), None
     else:
         ops, kill, dt, n_total, snap, iy0 = operator
-        spectrum = _spectral_1f(ops, kill, dt, n_total, snap, iy0)
+        spectrum = _spectral_1f(ops, kill, dt, n_total, snap, iy0,
+                                _coordinates(h, n_y, width_sigmas, drift_shift, kill_scale))
         if spectrum is None:
             snapshots = _march(_Step(ops, _ONE_FACTOR.format(n_y)), dt, n_total, snap, iy0)[1]
         else:

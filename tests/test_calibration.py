@@ -375,7 +375,7 @@ class TestQuantoCalibration:
             direct = tuple(par_spread(curve, 0.02, CdsContract(tenor=t)).par_spread
                            for t in COARSE.tenors)
             assert model.spreads(*point) == direct
-            assert model.spreads(*point) == direct  # from the pair memo
+            assert model.spreads(*point) == direct  # on the memoised curve
 
     @pytest.mark.parametrize("mode", ["passthrough", "implied"])
     def test_each_curve_is_priced_once_per_tenor(self, monkeypatch, mode):
@@ -391,15 +391,21 @@ class TestQuantoCalibration:
             return direct(curve, r, contract)
 
         monkeypatch.setattr(calibration, "par_spread", counting)
-        calibrate_snapshot(snap, cfg)
-        # the Jacobians and the USD residuals of the result reread priced pairs
-        n_curves = len(calibration._spread_model(snap, cfg)._memo)
-        assert len(priced) == len(set(priced)) <= 2 * n_curves
-        # a warm calibration prices nothing; the diagnostics price 1Y, 5Y and
-        # 10Y on the two fitted curves
-        n_fit = len(priced)
+        result = calibrate_snapshot(snap, cfg)
+        # the Jacobians reread no priced pair; the USD residuals of the result
+        # reprice the liquid fit's last pair, the one pair priced twice
+        model = calibration._spread_model(snap, cfg)
+        usd = id(model.curve(result.b, result.y0, result.sigma_y))
+        twice = sorted(key for key in set(priced) if priced.count(key) > 1)
+        assert twice == [(usd, 5.0), (usd, 10.0)] and len(priced) == len(set(priced)) + 2
+        assert len(set(priced)) <= 2 * len(model._memo)
+        # a warm calibration marches nothing and reprices the same pairs on the
+        # memoised curves; the diagnostics price 1Y, 5Y and 10Y on the two
+        # fitted curves
+        n_fit, n_curves = len(priced), len(model._memo)
         (row,) = backtest([snap], cfg)
-        assert row.error is None and len(priced) == n_fit + 6
+        assert row.error is None and len(model._memo) == n_curves
+        assert priced[n_fit:2 * n_fit] == priced[:n_fit] and len(priced) == 2 * n_fit + 6
 
     def test_ab_diagnostic(self):
         snap = synthetic_snapshot("d", b=-120.0, y0=-4.4, sigma_y=0.5, rho=0.0, gamma=0.0)
@@ -504,10 +510,12 @@ class TestSecantFit:
 
 
 class TestPointsWithinReachOfAHeldSpectrum:
-    """A point whose operator lies within ``calibration._REACH`` of one the
-    model diagonalised, in every coordinate, is priced from that
-    eigendecomposition (``pde._nearby_1f``): no eigensolve of its own.  The
-    fits' forward-difference points are such points."""
+    """The model holds at most one spectrum, that of the last point it solved
+    afresh.  A point whose operator lies within ``pde._REACH`` of it, in
+    every coordinate, is priced from that eigendecomposition
+    (``pde._nearby_1f``): no eigensolve of its own.  The fits'
+    forward-difference points are such points.  A point beyond reach is
+    solved afresh, and its spectrum replaces the held one."""
 
     SPECTRAL = CalibrationConfig(n_y=41, n_t_per_year=10)  # 2 n_y <= n_t = 100
     PROBE = MarketSnapshot("d", 0.01, 0.01, 0.01, 0.01, 0.1, 0.5, 0.0)
@@ -570,8 +578,9 @@ class TestPointsWithinReachOfAHeldSpectrum:
         # every forward difference is an update, and so are some trust-region steps
         assert all(updated for fd, _, updated in points if fd)
         assert any(updated for fd, _, updated in points if not fd)
-        # the model keeps the spectra of the last two points it solved, no more
-        assert len(calibration._spread_model(snap, self.SPECTRAL)._spectra) == 2 < len(eigensolves)
+        # the model keeps the spectrum of the last point it solved, no more
+        held = calibration._spread_model(snap, self.SPECTRAL)._spectrum
+        assert type(held) is pde._Spectrum and len(eigensolves) > 1
         # every point solved afresh, as before the update, fits the same point to round-off
         monkeypatch.setattr(pde, "_nearby_1f", lambda *args, **kwargs: None)
         fresh, eigensolves, updates, points = self._calibrate(snap, self.SPECTRAL, monkeypatch)
@@ -597,12 +606,13 @@ class TestPointsWithinReachOfAHeldSpectrum:
         model, fresh = _SpreadModel(self.PROBE, self.SPECTRAL), _SpreadModel(self.PROBE, self.SPECTRAL)
         base = (-120.0, -4.4, 0.5, 0.3, -0.2)
         model.curve(*base)
+        held = model._spectrum
         up, down = ((base[0] + sign * calibration._FD_STEP * 120.0, *base[1:]) for sign in (1, -1))
         nearby = model.curve(*up)
-        assert len(model._spectra) == 1  # a nearby point keeps no spectrum
+        assert model._spectrum is held  # a nearby point keeps no spectrum
         monkeypatch.setattr(pde, "_nearby_1f", lambda *args, **kwargs: None)
         handed_back = model.curve(*down)
-        assert len(model._spectra) == 2
+        assert type(model._spectrum) is pde._Spectrum and model._spectrum is not held
         np.testing.assert_array_equal(handed_back.probs, fresh.curve(*down).probs)
         np.testing.assert_allclose(nearby.probs, fresh.curve(*up).probs, rtol=0, atol=1e-12)
 
@@ -621,27 +631,31 @@ class TestPointsWithinReachOfAHeldSpectrum:
     @staticmethod
     def _in_y0(r):
         """The test point, y0 = -4.4 moved by r reaches relative to |y0|."""
-        return (-120.0, -4.4 - r * calibration._REACH * 4.4, 0.5, 0.3, -0.2)
+        return (-120.0, -4.4 - r * pde._REACH * 4.4, 0.5, 0.3, -0.2)
 
     def test_a_point_two_reaches_away_is_solved_afresh(self, monkeypatch):
-        model = _SpreadModel(self.PROBE, self.SPECTRAL)
-        bases = self._recording_bases(monkeypatch)
-        model.curve(*self._in_y0(0.0))
-        model.curve(*self._in_y0(2.0))
-        assert bases == [] and len(model._spectra) == 2
-
-    @pytest.mark.parametrize("r, nearer", [(0.6, 0), (0.9, 1)])
-    def test_a_point_in_reach_of_both_spectra_is_priced_from_the_nearer(self, monkeypatch,
-                                                                         r, nearer):
         model, fresh = _SpreadModel(self.PROBE, self.SPECTRAL), _SpreadModel(self.PROBE, self.SPECTRAL)
         bases = self._recording_bases(monkeypatch)
         model.curve(*self._in_y0(0.0))
-        model.curve(*self._in_y0(1.5))  # beyond reach: solved afresh and held
-        assert bases == []
-        held = list(model._spectra.values())
-        nearby = model.curve(*self._in_y0(r))  # r and 1.5 - r reaches from the two
-        assert bases == [held[nearer]]
-        np.testing.assert_allclose(nearby.probs, fresh.curve(*self._in_y0(r)).probs,
+        held = model._spectrum
+        beyond = model.curve(*self._in_y0(2.0))
+        # the update is tried on every point, the first with no spectrum held; it
+        # hands this one back, and the fresh solve's spectrum replaces the held one
+        assert bases == [None, held] and model._spectrum is not held
+        assert type(model._spectrum) is pde._Spectrum
+        np.testing.assert_array_equal(beyond.probs, fresh.curve(*self._in_y0(2.0)).probs)
+
+    def test_a_point_in_reach_is_an_update_from_the_held_spectrum(self, monkeypatch):
+        model, fresh = _SpreadModel(self.PROBE, self.SPECTRAL), _SpreadModel(self.PROBE, self.SPECTRAL)
+        bases = self._recording_bases(monkeypatch)
+        model.curve(*self._in_y0(0.0))
+        held = model._spectrum
+        model.curve(*self._in_y0(1.5))  # beyond reach: solved afresh, and held in its place
+        assert bases == [None, held] and model._spectrum is not held
+        held = model._spectrum
+        nearby = model.curve(*self._in_y0(0.6))  # 0.9 reaches from the held point
+        assert bases[2:] == [held] and model._spectrum is held
+        np.testing.assert_allclose(nearby.probs, fresh.curve(*self._in_y0(0.6)).probs,
                                    rtol=0, atol=1e-12)
 
 

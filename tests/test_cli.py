@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -370,6 +371,19 @@ class TestUsageErrors:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["price"], ["survival-curve"], ["sweep", "--axis", "rho=0:0.5:2"],
+        ["validate", "--study", "bracketing"], ["calibrate"], ["backtest"],
+    ], ids=lambda argv: argv[0])
+    def test_grid_y_below_three_is_named_by_its_flag(self, tmp_path, capsys, argv):
+        # each said "n_y must be an integer >= 3, got 2", naming a solver field
+        if argv[0] in ("calibrate", "backtest"):
+            make_snapshot_csv(tmp_path / "snaps.csv", [])
+            argv = [*argv, "--snapshots", str(tmp_path / "snaps.csv")]
+        assert run([*argv, "--grid-y", "2", "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "error: --grid-y must be at least 3, got 2\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -846,6 +860,26 @@ class TestValidateFuzz:
         assert run(["validate", "--mc-paths=20", *argv]) == 1
         assert capsys.readouterr() == ("", err)
 
+    @pytest.mark.parametrize("argv, steps", [
+        (["price", "--engine", "adi", "--grid-t", "99999999999"], 100000000000),
+        (["validate", "--study", "bracketing", "--mc-paths", "20", "--bracket-steps", "50",
+          "--mc-steps", "99999999999"], 99999999999),
+        (["validate", "--study", "bracketing", "--mc-paths", "20",
+          "--bracket-steps", "50,99999999999"], 99999999999),
+    ], ids=["price --grid-t", "validate --mc-steps", "validate --bracket-steps"])
+    def test_step_count_above_the_maximum_is_one_error_line(self, capsys, argv, steps):
+        # the PDE time grid asked numpy for 745 GiB, and the run ended in a traceback
+        tracemalloc.start()
+        try:
+            rc = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1 and peak < 50e6
+        assert capsys.readouterr() == ("", f"error: a PDE time grid holds at most 1000000 steps, "
+                                           f"got {steps} over 5 years from a step count of "
+                                           f"99999999999\n")
+
     def test_bracket_step_below_one_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["validate", "--bracket-steps=300,0"])
@@ -925,7 +959,7 @@ class TestCalibrateCmd:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--grid-y", "2"], "n_y must be an integer >= 3, got 2"),
+        (["--grid-y", "2"], "--grid-y must be at least 3, got 2"),
         (["--sigma-y-mode", "implied", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ], ids=["grid-y", "seed"])
     def test_bad_config_is_named_once(self, tmp_path, capsys, flags, message):
@@ -1079,7 +1113,10 @@ class TestBacktestCmd:
         ("date,fx\nd0,1.3\n", "header must contain date,fx,spread"),
         ("date,fx,spread\nd0,1.3,0.01\nd1,1.3,x\n",
          "malformed row at line 3: could not convert string to float: 'x'"),
-    ], ids=["no spread column", "malformed row"])
+        # said "float() argument must be a string or a real number, not 'NoneType'"
+        ("date,fx,spread\nd0,1.3,0.01\nd1,1.3\n",
+         "malformed row at line 3: wrong number of fields"),
+    ], ids=["no spread column", "malformed row", "short row"])
     def test_bad_history_is_named(self, tmp_path, capsys, history, named):
         snap_file = tmp_path / "snaps.csv"
         make_snapshot_csv(snap_file, [])
@@ -1089,6 +1126,101 @@ class TestBacktestCmd:
                   "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {hist}: {named}\n"
+
+
+# a row of fields in their ranges, one of them perhaps replaced by a hostile token,
+# its first k fields kept (the date one of them) or one more field added
+_HOSTILE_FIELDS = st.sampled_from(["", "x", "0", "-1", "nan", "inf", "-inf", "1e300", "-1e300",
+                                   "5e-324"])
+
+
+def _rows(first, ranges, max_size):
+    fields = st.tuples(*(st.floats(lo, hi).map(repr) for lo, hi in ranges))
+    hostile = st.tuples(st.integers(0, 2 * len(ranges)), _HOSTILE_FIELDS)
+    kept = st.one_of(st.just(len(ranges) + 1), st.integers(len(ranges) - 2, len(ranges) + 2))
+
+    def row(drawn):
+        (values, (at, token), k) = drawn
+        row = [first, *values, "0"]
+        if at < len(values):
+            row[at + 1] = token
+        return ",".join(row[:k])
+
+    return st.lists(st.tuples(fields, hostile, kept).map(row), max_size=max_size)
+
+
+_SNAPSHOT_ROWS = _rows("2012-05-07", ((50.0, 1000.0),) * 4 + ((0.0, 0.3), (0.05, 1.0),
+                                                             (-0.02, 0.05)), 3)
+_HISTORY = st.tuples(st.sampled_from(["date,fx,spread", "date,spread,fx", "date,fx"]),
+                     _rows("d", ((0.5, 2.0), (0.001, 0.1)), 40))
+
+
+class TestCalibrateFuzz:
+    """``calibrate`` and ``backtest`` on hostile snapshot rows (non-numeric,
+    negative, infinite or nan fields, an empty vol, fields missing or one too
+    many), ``backtest`` also on hostile ``--history`` files and ``--window``
+    values: each prints and exits 0, failed fits as rows, or exits 1 with one
+    ``error:`` line, with numpy's warnings counted.  The grids are small, so
+    that the runs take seconds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["calibrate", "backtest"]), rows=_SNAPSHOT_ROWS,
+           mode=st.sampled_from(["passthrough", "implied"]), history=st.none() | _HISTORY,
+           window=st.integers(-2, 50))
+    # the leaks these found: an index vol whose square overflowed, a spread whose
+    # bp residual's square overflowed, and the warning for an empty index vol
+    @example("calibrate", ["2012-05-07,440,460,350,370,0.10,1e300,0.0"], "passthrough", None, 0)
+    @example("backtest", ["2012-05-07,440,1e300,350,370,0.10,0.50,0.0"], "implied", None, 0)
+    @example("calibrate", ["2012-05-07,440,460,350,370,0.10,,0.0"], "passthrough", None, 0)
+    def test_prints_or_names_one_error(self, tmp_path_factory, command, rows, mode, history,
+                                       window):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        make_snapshot_csv(tmp / "snaps.csv", rows)
+        argv = [command, "--snapshots", str(tmp / "snaps.csv"), "--sigma-y-mode", mode,
+                "--grid-y", "11", "--grid-t", "20", "--out-dir", str(tmp / "out")]
+        if command == "backtest" and history is not None:
+            header, lines = history
+            (tmp / "hist.csv").write_text("\n".join([header, *lines]) + "\n")
+            argv += ["--history", str(tmp / "hist.csv"), f"--window={window}"]
+        rc, out, err = _run_strict(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if rc == 0:
+            assert err == ""
+            summary = out.splitlines()[0 if command == "calibrate" else -1]
+            assert re.fullmatch(r"calibrated \d+ dates: .* failed|backtested \d+ dates "
+                                r"\(\d+ failures\)", summary)
+        else:
+            assert rc == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("row, named", [
+        ("2012-05-07,440,1e300,350,370,0.10,0.50,0.0",
+         "spread_usd_10y must be > 0 and at most 100, got 1e+296"),
+        ("2012-05-07,440,460,350,370,0.10,1e300,0.0",
+         "index_option_vol_1m must be >= 0 and at most 100, got 1e+300"),
+        ("2012-05-07,440,460,350,370,101,0.50,0.0",
+         "fx_atm_vol must be >= 0 and at most 100, got 101.0"),
+    ], ids=["spread", "index vol", "fx vol"])
+    def test_quote_above_the_maximum_is_named(self, tmp_path, capsys, row, named):
+        # the spread's residual overflowed the fit's sum of squares after numpy's
+        # warnings, and the vol's square overflowed in the hazard fit's seed
+        make_snapshot_csv(tmp_path / "snaps.csv", [row])
+        assert run(["calibrate", "--snapshots", str(tmp_path / "snaps.csv"),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / 'snaps.csv'}: malformed row at line 2: {named}\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_index_vol_takes_the_placeholder_quietly(self, tmp_path, capsys):
+        # the fallback's warning reached stderr beside the results
+        make_snapshot_csv(tmp_path / "snaps.csv", ["2012-05-07,440,460,350,370,0.10,,0.0"])
+        assert run(["calibrate", "--snapshots", str(tmp_path / "snaps.csv"),
+                    "--out-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("calibrated 1 dates: 1 converged")
+        (row,) = csv.DictReader((tmp_path / "calibration_results.csv").read_text().splitlines())
+        assert row["sigma_y"] == "0.5"
 
 
 class TestCsvRoundTrip:

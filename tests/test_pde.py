@@ -630,11 +630,11 @@ class TestSpectralSolve:
 
 
 class TestNearbySolve:
-    """``_nearby_1f`` prices a point within a calibration's reach
-    (``calibration._REACH``) of the spectral solve it steps from, within
-    1e-12 of a fresh solve at every node, or hands it back (None) where the
-    move shifts the spot node or leaves the spectral gate, and the caller
-    solves afresh."""
+    """``_nearby_1f`` prices a point within ``pde._REACH`` of the spectral
+    solve it steps from, within 1e-12 of a fresh solve at every node, or
+    hands it back (None) where the point lies beyond the reach or on another
+    y-grid, or the move shifts the spot node or leaves the spectral gate,
+    and the caller solves afresh."""
 
     TENORS = tuple(CdsContract(tenor=10.0).payment_times())  # the calibration's curve
     N_T = {41: 100, 161: 400}  # the calibration's 10-year grids, 2 n_y <= n_t
@@ -690,11 +690,36 @@ class TestNearbySolve:
              reach=(1.0, 1.0, 1.0, 1.0, 1.0))
     def test_a_point_within_reach_matches_a_fresh_solve(self, n_y, b, y0, sigma_y, tilt,
                                                         kill_scale, reach):
-        # all five coordinates moved at once, each by up to the calibration's
-        # reach either way, as a fit's closing trust-region steps move them
+        # all five coordinates moved at once, each by up to the reach either
+        # way, as a fit's closing trust-region steps move them; a millionth
+        # short of it, so that rounding leaves the whole move inside
         point = (b, y0, sigma_y, tilt, kill_scale)
-        moved = [x + u * calibration._REACH * max(1.0, abs(x)) for x, u in zip(point, reach)]
+        moved = [x + u * (1.0 - 1e-6) * pde._REACH * max(1.0, abs(x))
+                 for x, u in zip(point, reach)]
         self._check(point, moved, n_y)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**BOX, which=st.integers(0, 4), sign=st.sampled_from([-1.0, 1.0]))
+    def test_a_point_just_beyond_reach_is_handed_back(self, n_y, b, y0, sigma_y, tilt,
+                                                      kill_scale, which, sign):
+        # one coordinate moved by 1.01 reaches, the others not at all
+        point = (b, y0, sigma_y, tilt, kill_scale)
+        moved = list(point)
+        moved[which] += sign * 1.01 * pde._REACH * max(1.0, abs(point[which]))
+        base, nearby, _, _ = self._step(point, moved, n_y)
+        assume(base is not None)
+        assert nearby is None
+
+    @pytest.mark.parametrize("grid", [dict(n_y=43), dict(width_sigmas=6.5)], ids=["n_y", "width"])
+    def test_a_point_on_another_y_grid_is_handed_back(self, grid):
+        args, kwargs = self._args((-150.0, -4.3, 0.5, 0.0, 1.0), 41)
+        _, base = survival_curve_1f(*args, **kwargs, with_spectrum=True)
+        assert base is not None
+        # the same operator coordinates, on a grid that is itself spectral
+        other = {**kwargs, **grid}
+        assert survival_curve_1f(*args, **other, with_spectrum=True)[1] is not None
+        assert pde._nearby_1f(base, *args, **other) is None
+        assert pde._nearby_1f(base, *args, **kwargs) is not None
 
     @staticmethod
     def _edge(flips, lo: float, hi: float) -> float:
@@ -1131,6 +1156,34 @@ class TestGrid:
         for solve in (solve_quanto_pde, solve_foreign_measure_pde):
             with pytest.raises(ValueError, match=rf"^tenor must be .*, got {re.escape(str(T))}$"):
                 solve(H_SWEEP, fx, RATES0, T, SolverConfig(n_y=11, n_t=20))
+
+    @pytest.mark.parametrize("n_t, tenors, steps", [
+        (pde.MAX_STEPS + 1, None, pde.MAX_STEPS + 1),
+        (99999999999, None, 99999999999),
+        (99999999999, tuple(CdsContract(tenor=5.0).payment_times()), 100000000000),
+        # 999,991 steps asked for, 1,000,005 once a third of a year falls on a node
+        (999_991, (1 / 3, 5.0), 1_000_005),
+    ], ids=["one above", "unbounded", "quarterly", "rounded above"])
+    def test_time_grid_above_the_step_maximum_is_named(self, n_t, tenors, steps):
+        # the t-nodes were dt * arange(n_t + 1): 745 GiB at 99999999999 steps
+        cfg = SolverConfig(n_y=11, n_t=n_t)
+        named = (rf"^a PDE time grid holds at most {pde.MAX_STEPS} steps, got {steps} over 5 "
+                 rf"years from a step count of {n_t}$")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=named):
+                build_grid(H_SWEEP, 5.0, cfg, tenors)
+            with pytest.raises(ValueError, match=named):
+                solve_quanto_pde(H_SWEEP, QuantoFxParams(0.8, 0.1, 0.0, 0.0), RATES0, 5.0, cfg,
+                                 tenors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_time_grid_at_the_step_maximum_is_built(self):
+        grid, _ = build_grid(H_SWEEP, 5.0, SolverConfig(n_y=11, n_t=pde.MAX_STEPS))
+        assert grid.t_nodes.size == pde.MAX_STEPS + 1 and grid.t_nodes[-1] == 5.0
 
     def test_unknown_engine_is_named(self):
         fx = QuantoFxParams(0.8, 0.1, 0.0, 0.0)
