@@ -454,6 +454,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
+    if args.history is not None:  # read before the calibration, which it does not need
+        history = _rolling_correlation_rows(args.history, args.window)
     rows, out = _run_calibration(args)
     good = [r for r in rows if r.result is not None]
     if len(good) >= 3:
@@ -463,8 +465,7 @@ def _cmd_backtest(args) -> int:
             slope, intercept = np.polyfit(basis, gammas, 1)
             print(f"gamma vs 1y relative basis: slope={slope:.4f} intercept={intercept:.4f}")
     if args.history is not None:
-        _write_csv(out, "historical_correlation.csv", ["date", "rolling_correlation"],
-                   _rolling_correlation_rows(args.history, args.window))
+        _write_csv(out, "historical_correlation.csv", ["date", "rolling_correlation"], history)
     n_fail = sum(1 for r in rows if r.result is None)
     print(f"backtested {len(rows)} dates ({n_fail} failures)")
     return 0
@@ -480,7 +481,11 @@ def _rolling_correlation_rows(path: Path, window: int) -> list[list[str]]:
             try:
                 if None in (row["date"], row["fx"], row["spread"]):
                     raise ValueError("wrong number of fields")
-                rows.append((row["date"].strip(), float(row["fx"]), float(row["spread"])))
+                fx, spread = float(row["fx"]), float(row["spread"])
+                for name, x in (("fx", fx), ("spread", spread)):
+                    if not math.isfinite(x):
+                        raise ValueError(f"{name} must be finite, got {x}")
+                rows.append((row["date"].strip(), fx, spread))
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row at line {reader.line_num}: {exc}")
     dates, fx, spread = zip(*rows) if rows else ((), (), ())

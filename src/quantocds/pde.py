@@ -83,9 +83,11 @@ _RANNACHER_STEPS = 2
 _WIDTH_SIGMAS = 6.0
 # longest tenor, in years, of a curve, a contract or a PDE horizon (``checked_tenor``)
 MAX_TENOR = 1000.0
-# most steps in a PDE time grid once its snapshot tenors are on nodes (``build_grid``):
+# most steps in a PDE time grid once its snapshot tenors are on nodes (``_time_grid``):
 # a step a day over MAX_TENOR is 365,250, and a million nodes take 8 MB
 MAX_STEPS = 1_000_000
+# most nodes in a PDE log-hazard grid (``_y_axis``): a million take 8 MB a profile
+MAX_NODES = 1_000_000
 
 
 def checked_tenor(tenor: float) -> float:
@@ -182,9 +184,12 @@ def _y_axis(h: HazardParams, T: float, n_y: int, width_sigmas: float,
             drift_shift: float = 0.0) -> tuple[np.ndarray, int]:
     """Uniform y grid covering the travelled envelope, with y0 on a node.
 
-    Raises ValueError where the envelope has no width in floating point: a
+    Raises ValueError for more than ``MAX_NODES`` nodes, before any is
+    made, and where the envelope has no width in floating point: a
     log-intensity so far from 0 that its pad rounds away.
     """
+    if n_y > MAX_NODES:
+        raise ValueError(f"a PDE log-hazard grid holds at most {MAX_NODES} nodes, got {n_y}")
     m_end, s_end = ou_mean_std(h, T, drift_shift)
     pad = max(width_sigmas * s_end, 1e-3)
     lo = min(h.y0, m_end) - pad
@@ -225,44 +230,45 @@ def _time_grid(T: float, n_t: int, snapshot_tenors: tuple[float, ...]
     Returns (dt, total steps, read-only {node index -> tenor}); results are
     memoised, since every march of a calibration asks for the same grid.
     Raises ValueError naming the first tenor outside (0, T], for a tenor
-    that rounds to zero, for two tenors that round to one node or for
-    tenors whose common step needs more than 10 * n_t steps.
+    that rounds to zero, for two tenors that round to one node, for
+    tenors whose common step needs more than 10 * n_t steps, and, once
+    the tenors are on nodes, for more than ``MAX_STEPS`` steps: every PDE
+    solve sizes its march by this grid, the spectral one-factor solve too.
     """
     if not snapshot_tenors:
-        dt = T / n_t
-        return dt, n_t, MappingProxyType({})
-    tenors = sorted(float(t) for t in snapshot_tenors)
-    outside = [t for t in tenors if not 0 < t <= T * (1 + 1e-12)]
-    if outside:
-        raise ValueError(f"snapshot tenors must lie in (0, T], got {outside[0]:g} with T = {T:g}")
-    fracs = [Fraction(t).limit_denominator(10**6) for t in tenors + [T]]
-    if fracs[0] == 0:
-        raise ValueError(f"snapshot tenor {tenors[0]:g} rounds to zero on the 1e-6 time grid")
-    g = fracs[0]
-    for f in fracs[1:]:
-        g = Fraction(math.gcd(g.numerator, f.numerator), math.lcm(g.denominator, f.denominator))
-    per_seg = max(1, math.ceil(n_t * float(g) / T))
-    dt_frac = g / per_seg
-    total = int(fracs[-1] / dt_frac)
-    if total > 10 * n_t:
-        shown = ", ".join(f"{t:g}" for t in tenors)
-        raise ValueError(
-            f"snapshot tenors [{shown}] share a step of {float(g):.3g} y and would "
-            f"need {total} time steps, more than 10 x n_t = {10 * n_t}"
-        )
-    snap = {total - int(f_t / dt_frac): t for f_t, t in zip(fracs[:-1], tenors)}
-    if len(snap) < len(set(tenors)):  # a node holds one tenor's snapshot
-        raise ValueError(f"snapshot tenors {tenors} put two on one node of the 1e-6 time grid")
-    return float(dt_frac), total, MappingProxyType(snap)
+        dt, total, snap = T / n_t, n_t, {}
+    else:
+        tenors = sorted(float(t) for t in snapshot_tenors)
+        outside = [t for t in tenors if not 0 < t <= T * (1 + 1e-12)]
+        if outside:
+            raise ValueError(f"snapshot tenors must lie in (0, T], got {outside[0]:g} "
+                             f"with T = {T:g}")
+        fracs = [Fraction(t).limit_denominator(10**6) for t in tenors + [T]]
+        if fracs[0] == 0:
+            raise ValueError(f"snapshot tenor {tenors[0]:g} rounds to zero on the 1e-6 time grid")
+        g = fracs[0]
+        for f in fracs[1:]:
+            g = Fraction(math.gcd(g.numerator, f.numerator), math.lcm(g.denominator, f.denominator))
+        per_seg = max(1, math.ceil(n_t * float(g) / T))
+        dt = g / per_seg
+        total = int(fracs[-1] / dt)
+        if total > 10 * n_t:
+            shown = ", ".join(f"{t:g}" for t in tenors)
+            raise ValueError(f"snapshot tenors [{shown}] share a step of {float(g):.3g} y and "
+                             f"would need {total} time steps, more than 10 x n_t = {10 * n_t}")
+        snap = {total - int(f_t / dt): t for f_t, t in zip(fracs[:-1], tenors)}
+        if len(snap) < len(set(tenors)):  # a node holds one tenor's snapshot
+            raise ValueError(f"snapshot tenors {tenors} put two on one node of the 1e-6 time grid")
+    if total > MAX_STEPS:
+        raise ValueError(f"a PDE time grid holds at most {MAX_STEPS} steps, got {total} over "
+                         f"{T:g} years from a step count of {n_t}")
+    return float(dt), total, MappingProxyType(snap)
 
 
 def build_grid(h: HazardParams, T: float, cfg: SolverConfig, snapshot_tenors=None
                ) -> tuple[Grid2D, Mapping[int, float]]:
     y, iy0 = _y_axis(h, checked_tenor(T), cfg.n_y, _WIDTH_SIGMAS)
     dt, n_t, snap = _time_grid(T, cfg.n_t, tuple(() if snapshot_tenors is None else snapshot_tenors))
-    if n_t > MAX_STEPS:
-        raise ValueError(f"a PDE time grid holds at most {MAX_STEPS} steps, got {n_t} over "
-                         f"{T:g} years from a step count of {cfg.n_t}")
     return Grid2D(y, dt * np.arange(n_t + 1), iy0), snap
 
 

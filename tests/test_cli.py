@@ -860,15 +860,21 @@ class TestValidateFuzz:
         assert run(["validate", "--mc-paths=20", *argv]) == 1
         assert capsys.readouterr() == ("", err)
 
-    @pytest.mark.parametrize("argv, steps", [
-        (["price", "--engine", "adi", "--grid-t", "99999999999"], 100000000000),
+    @pytest.mark.parametrize("argv, steps, years", [
+        (["price", "--engine", "adi", "--grid-t", "99999999999"], 100000000000, 5),
         (["validate", "--study", "bracketing", "--mc-paths", "20", "--bracket-steps", "50",
-          "--mc-steps", "99999999999"], 99999999999),
+          "--mc-steps", "99999999999"], 99999999999, 5),
         (["validate", "--study", "bracketing", "--mc-paths", "20",
-          "--bracket-steps", "50,99999999999"], 99999999999),
-    ], ids=["price --grid-t", "validate --mc-steps", "validate --bracket-steps"])
-    def test_step_count_above_the_maximum_is_one_error_line(self, capsys, argv, steps):
-        # the PDE time grid asked numpy for 745 GiB, and the run ended in a traceback
+          "--bracket-steps", "50,99999999999"], 99999999999, 5),
+        (["price", "--engine", "reduced", "--grid-t", "99999999999", "--sigma-y", "0"],
+         100000000000, 5),
+        (["survival-curve", "--engine", "reduced", "--grid-t", "99999999999"], 100000000000, 10),
+    ], ids=["price --grid-t", "validate --mc-steps", "validate --bracket-steps",
+            "price --engine reduced", "survival-curve --engine reduced"])
+    def test_step_count_above_the_maximum_is_one_error_line(self, capsys, argv, steps, years):
+        # the PDE time grid asked numpy for 745 GiB, and the run ended in a traceback;
+        # the reduced engine's march stepped through every step (at sigma_y = 0), and its
+        # spectral curve priced any count
         tracemalloc.start()
         try:
             rc = run(argv)
@@ -877,8 +883,24 @@ class TestValidateFuzz:
             tracemalloc.stop()
         assert rc == 1 and peak < 50e6
         assert capsys.readouterr() == ("", f"error: a PDE time grid holds at most 1000000 steps, "
-                                           f"got {steps} over 5 years from a step count of "
-                                           f"99999999999\n")
+                                           f"got {steps} over {years} years from a step count "
+                                           f"of 99999999999\n")
+
+    @pytest.mark.parametrize("argv, nodes", [
+        (["price", "--grid-y", "999999999"], 999999999),
+        (["price", "--engine", "reduced", "--grid-y", "99999999"], 99999999),
+    ], ids=["adi", "reduced"])
+    def test_node_count_above_the_maximum_is_one_error_line(self, capsys, argv, nodes):
+        # the log-hazard grid asked numpy for 7.45 GiB (adi) and 763 MiB (reduced)
+        tracemalloc.start()
+        try:
+            rc = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1 and peak < 50e6
+        assert capsys.readouterr() == ("", f"error: a PDE log-hazard grid holds at most 1000000 "
+                                           f"nodes, got {nodes}\n")
 
     def test_bracket_step_below_one_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1116,7 +1138,11 @@ class TestBacktestCmd:
         # said "float() argument must be a string or a real number, not 'NoneType'"
         ("date,fx,spread\nd0,1.3,0.01\nd1,1.3\n",
          "malformed row at line 3: wrong number of fields"),
-    ], ids=["no spread column", "malformed row", "short row"])
+        # said "spread_series must be finite, got nan", naming neither file nor line
+        ("date,fx,spread\nd0,1.3,0.01\nd1,1.3,nan\n",
+         "malformed row at line 3: spread must be finite, got nan"),
+        ("date,fx,spread\nd0,-inf,0.01\n", "malformed row at line 2: fx must be finite, got -inf"),
+    ], ids=["no spread column", "malformed row", "short row", "nan spread", "infinite fx"])
     def test_bad_history_is_named(self, tmp_path, capsys, history, named):
         snap_file = tmp_path / "snaps.csv"
         make_snapshot_csv(snap_file, [])
@@ -1126,6 +1152,25 @@ class TestBacktestCmd:
                   "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {hist}: {named}\n"
+
+    @pytest.mark.parametrize("history, window, named", [
+        ("date,fx,spread\n" + "".join(f"d{i},1.3,0.01\n" for i in range(30)), 5,
+         "window must be >= 10 observations, got 5"),
+        ("date,fx,spread\nd0,1.3,0.01\nd1,1.3,x\n", 20,
+         "{hist}: malformed row at line 3: could not convert string to float: 'x'"),
+    ], ids=["window", "history"])
+    def test_bad_history_or_window_fails_before_the_calibration(self, tmp_path, capsys,
+                                                                 monkeypatch, history, window,
+                                                                 named):
+        # the run calibrated every snapshot and wrote both results files, then exited 1
+        make_snapshot_csv(tmp_path / "snaps.csv", [synthetic_row()])
+        hist = tmp_path / "hist.csv"
+        hist.write_text(history)
+        monkeypatch.setattr("quantocds.cli.backtest", None)  # calling it fails the test
+        rc = run(["backtest", "--snapshots", str(tmp_path / "snaps.csv"), "--history", str(hist),
+                  f"--window={window}", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1 and not (tmp_path / "out").exists()
+        assert capsys.readouterr() == ("", f"error: {named.format(hist=hist)}\n")
 
 
 # a row of fields in their ranges, one of them perhaps replaced by a hostile token,

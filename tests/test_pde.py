@@ -1165,10 +1165,15 @@ class TestGrid:
         (999_991, (1 / 3, 5.0), 1_000_005),
     ], ids=["one above", "unbounded", "quarterly", "rounded above"])
     def test_time_grid_above_the_step_maximum_is_named(self, n_t, tenors, steps):
-        # the t-nodes were dt * arange(n_t + 1): 745 GiB at 99999999999 steps
+        # the t-nodes were dt * arange(n_t + 1): 745 GiB at 99999999999 steps; the
+        # one-factor solve marched every step at sigma_y = 0 and priced any count
+        # in its spectral gate
         cfg = SolverConfig(n_y=11, n_t=n_t)
         named = (rf"^a PDE time grid holds at most {pde.MAX_STEPS} steps, got {steps} over 5 "
                  rf"years from a step count of {n_t}$")
+        marched = replace(H_SWEEP, sigma_y=0.0)
+        assert survival_curve_1f(marched, [5.0], 11, 40, with_spectrum=True)[1] is None
+        assert survival_curve_1f(H_SWEEP, [5.0], 11, 40, with_spectrum=True)[1] is not None
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=named):
@@ -1176,10 +1181,35 @@ class TestGrid:
             with pytest.raises(ValueError, match=named):
                 solve_quanto_pde(H_SWEEP, QuantoFxParams(0.8, 0.1, 0.0, 0.0), RATES0, 5.0, cfg,
                                  tenors)
+            for h in (marched, H_SWEEP):
+                with pytest.raises(ValueError, match=named):
+                    survival_curve_1f(h, tenors or [5.0], 11, n_t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    @pytest.mark.parametrize("n_y", [pde.MAX_NODES + 1, 999999999])
+    def test_y_grid_above_the_node_maximum_is_named(self, n_y):
+        # _y_axis made lo + dy * arange(n_y): 7.45 GiB at 999999999 nodes
+        fx = QuantoFxParams(0.8, 0.1, 0.0, 0.0)
+        named = rf"^a PDE log-hazard grid holds at most {pde.MAX_NODES} nodes, got {n_y}$"
+        tracemalloc.start()
+        try:
+            for solve in (lambda: _y_axis(H_SWEEP, 5.0, n_y, 6.0),
+                          lambda: solve_quanto_pde(H_SWEEP, fx, RATES0, 5.0,
+                                                   SolverConfig(n_y=n_y, n_t=20)),
+                          lambda: survival_curve_1f(H_SWEEP, [5.0], n_y, 20)):
+                with pytest.raises(ValueError, match=named):
+                    solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_y_grid_at_the_node_maximum_is_built(self):
+        y, iy0 = _y_axis(H_SWEEP, 5.0, pde.MAX_NODES, 6.0)
+        assert y.size == pde.MAX_NODES and y[iy0] == pytest.approx(H_SWEEP.y0, abs=1e-12)
 
     def test_time_grid_at_the_step_maximum_is_built(self):
         grid, _ = build_grid(H_SWEEP, 5.0, SolverConfig(n_y=11, n_t=pde.MAX_STEPS))
